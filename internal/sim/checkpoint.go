@@ -383,6 +383,9 @@ type snapSection struct {
 // checkpointing caches the two guard hashes and a buffer size hint
 // here — recomputing the configuration hash walks the whole workload,
 // which at a one-simulated-day cadence would dominate snapshot cost.
+// The checkpointer sets the hint from the sizes it has seen (see
+// checkpointer.take), so from a run's third capture on the encoding is
+// not copied into a regrown buffer.
 type snapParams struct {
 	mode, label string
 	every       float64
@@ -452,6 +455,15 @@ func takeSnapshot(w *world, shards []*shard, p snapParams, now float64, events i
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crcFromTrailer is the CRC-32C of a whole snapshot takeSnapshot
+// encoded. The trailer already holds the CRC of everything before it,
+// so extending that over the trailer's own 8 bytes avoids re-reading
+// the body.
+func crcFromTrailer(data []byte) uint32 {
+	tr := data[len(data)-8:]
+	return crc32.Update(uint32(binary.LittleEndian.Uint64(tr)), castagnoli, tr)
+}
 
 // encodeComponentState writes a Stateful component's exported state (or
 // an absence marker for stateless components).
@@ -676,17 +688,25 @@ type checkpointer struct {
 	every  float64
 	next   float64
 
+	// lastSize is the length of the previous capture (of the resumed
+	// snapshot before the first), 0 when there is none.
+	lastSize int
+
 	// Delta emission (Config.CheckpointKeyframe > 1): lastFull holds
 	// the full encoding of the previously emitted snapshot — the diff
-	// base — and lastTime/lastEvents its boundary; emitted counts
-	// snapshots since the run (or resume) started, so emitted%keyframe
-	// == 0 forces a full keyframe. The first snapshot after a resume is
-	// always full (lastFull nil), so no delta ever chains across runs.
+	// base — and lastCRC/lastTime/lastEvents its checksum and boundary;
+	// emitted counts snapshots since the run (or resume) started, so
+	// emitted%keyframe == 0 forces a full keyframe. The first snapshot
+	// after a resume is always full (lastFull nil), so no delta ever
+	// chains across runs. idx is the delta encoder's block index,
+	// reused across captures.
 	keyframe   int
 	emitted    int
 	lastFull   []byte
+	lastCRC    uint32
 	lastTime   float64
 	lastEvents int64
+	idx        deltaIndex
 
 	// Observability (see observe.go): capture counters/bytes and a
 	// wall-clock span per take on the driving engine's timeline track.
@@ -723,6 +743,8 @@ func newCheckpointer(w *world, shards []*shard, mode string, resumed *snapshot) 
 		for ck.next <= resumed.time {
 			ck.next += ck.every
 		}
+		ck.lastSize = len(w.cfg.ResumeFrom)
+		ck.params.sizeHint = ck.lastSize
 	}
 	return ck
 }
@@ -742,21 +764,32 @@ func (ck *checkpointer) take(t float64, events int64, gseq uint64, ties bool) er
 	if err != nil {
 		return err
 	}
-	ck.params.sizeHint = len(data)
+	// Hint the next capture with this size plus twice the growth since
+	// the last one (growth between marks varies), so a growing state's
+	// buffer is allocated once at its final size and a steady state's
+	// gets no headroom.
+	grow := 0
+	if ck.lastSize > 0 {
+		grow = max(len(data)-ck.lastSize, 0)
+	}
+	ck.lastSize = len(data)
+	ck.params.sizeHint = len(data) + 2*grow
 	for ck.next <= t {
 		ck.next += ck.every
 	}
 	out, isDelta := data, false
-	if ck.keyframe > 1 && ck.lastFull != nil && ck.emitted%ck.keyframe != 0 {
-		delta := encodeSnapshotDelta(ck.lastFull, data, ck.lastTime, t, ck.lastEvents, events)
-		if len(delta) < len(data) {
-			out, isDelta = delta, true
+	if ck.keyframe > 1 {
+		crc := crcFromTrailer(data)
+		if ck.lastFull != nil && ck.emitted%ck.keyframe != 0 {
+			delta := encodeSnapshotDeltaInto(nil, &ck.idx, ck.lastFull, data, ck.lastCRC, crc,
+				DeltaMeta{BaseTime: ck.lastTime, BaseEvents: ck.lastEvents, Time: t, Events: events})
+			if len(delta) < len(data) {
+				out, isDelta = delta, true
+			}
 		}
+		ck.lastFull, ck.lastCRC, ck.lastTime, ck.lastEvents = data, crc, t, events
 	}
 	ck.emitted++
-	if ck.keyframe > 1 {
-		ck.lastFull, ck.lastTime, ck.lastEvents = data, t, events
-	}
 	if ck.met != nil {
 		ck.met.ckpts.Add(1)
 		ck.met.ckptBytes.Add(int64(len(out)))
@@ -826,6 +859,13 @@ func (sh *shard) restoreQueue(d *snapDecoder) error {
 		a, b, pref := k.kinds[kd].decPayload(d)
 		if d.err != nil {
 			return d.err
+		}
+		// The payload passed the CRC but is still input: a job index
+		// out of range must fail the resume, not panic it.
+		rewire := kind(kd) == sh.place.finish || kind(kd) == sh.dyn.waitTimeout
+		if rewire && (a < 0 || a >= int64(len(sh.w.jobs))) {
+			return fmt.Errorf("%w: pending %s event references job %d of %d",
+				ErrSnapshotMismatch, k.kinds[kd].name, a, len(sh.w.jobs))
 		}
 		ref := k.restoreEvent(eventq.SavedEvent{Time: t, Kind: kd, A: a, B: b, Ref: pref, Rank: rank})
 		switch kind(kd) {

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -219,6 +220,125 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 	wrongEngine.Engine = EngineParallel
 	if err := resume(wrongEngine, data); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Errorf("engine-mode mismatch: got %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestSnapshotRejectsOutOfRangeJobIndex resumes from snapshots whose
+// CRC trailer is valid but whose pending finish or wait-timeout event
+// names a job past the end of the workload. Restore rewires those
+// events into job records by index, so the resume must fail with
+// ErrSnapshotMismatch instead of panicking.
+func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
+	base, specs, cks := checkpointFixture(t, false)
+	data := cks[len(cks)/2].Data
+	fresh := func() Config {
+		cfg := base
+		cfg.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
+		cfg.Policy = core.NewResSusWaitRand(99)
+		return cfg
+	}
+	// reencode restores data into a fresh serial shard, lets edit add
+	// pending events, and encodes the result with a recomputed trailer.
+	reencode := func(edit func(sh *shard)) []byte {
+		t.Helper()
+		raw := fresh()
+		cfg, err := raw.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := buildWorld(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := decodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := newShard(w, 0, allSites(w), false)
+		if err := restoreRun(sn, w, []*shard{sh}, nil); err != nil {
+			t.Fatal(err)
+		}
+		edit(sh)
+		out, err := takeSnapshot(w, []*shard{sh}, newSnapParams(w, []*shard{sh}, EngineSerial, sn.every),
+			sn.time, sn.events, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	resume := func(snap []byte) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("resume panicked: %v", r)
+			}
+		}()
+		cfg := fresh()
+		cfg.ResumeFrom = snap
+		_, err = Run(cfg, specs)
+		return err
+	}
+
+	// The re-encoding itself is sound: unedited, it resumes cleanly.
+	if err := resume(reencode(func(*shard) {})); err != nil {
+		t.Fatalf("re-encoded snapshot failed to resume: %v", err)
+	}
+	for _, name := range []string{"finish", "waitTimeout"} {
+		for _, job := range []int64{-1, int64(len(specs)), 1 << 40} {
+			bad := reencode(func(sh *shard) {
+				kd := sh.place.finish
+				if name == "waitTimeout" {
+					kd = sh.dyn.waitTimeout
+				}
+				sh.k.schedule(sh.k.now+1, kd, job, 0)
+			})
+			if _, err := decodeSnapshot(bad); err != nil {
+				t.Fatalf("%s job %d: crafted snapshot fails its own CRC: %v", name, job, err)
+			}
+			err := resume(bad)
+			if !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("%s job %d: want ErrSnapshotMismatch, got %v", name, job, err)
+			}
+		}
+	}
+}
+
+// TestCheckpointCaptureBufferSizing pins the capture-size hint: from
+// the third capture of a run on, and for the first capture after a
+// resume, a capture that fits its hint is encoded into a buffer of
+// exactly the hinted size, never into a regrown one. The hint is the
+// previous capture's size plus twice its growth (the resumed
+// snapshot's size after a resume), plus takeSnapshot's 4 KiB slack.
+func TestCheckpointCaptureBufferSizing(t *testing.T) {
+	base, specs, cks := checkpointFixture(t, false)
+	fit := 0
+	check := func(what string, prev, grow int, ck Checkpoint) {
+		hint := prev + 2*grow + 4096
+		if len(ck.Data) > hint {
+			return
+		}
+		fit++
+		if cap(ck.Data) != hint {
+			t.Errorf("%s: %d bytes in a %d-byte buffer, hint %d", what, len(ck.Data), cap(ck.Data), hint)
+		}
+	}
+	for i := 2; i < len(cks); i++ {
+		prev, grow := len(cks[i-1].Data), max(len(cks[i-1].Data)-len(cks[i-2].Data), 0)
+		check(fmt.Sprintf("capture %d", i), prev, grow, cks[i])
+	}
+	mid := cks[len(cks)/2]
+	resumed, rcks := collectCheckpoints(base, 60)
+	resumed.ResumeFrom = mid.Data
+	resumed.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
+	resumed.Policy = core.NewResSusWaitRand(99)
+	if _, err := Run(*resumed, specs); err != nil {
+		t.Fatal(err)
+	}
+	if len(*rcks) == 0 {
+		t.Fatal("resumed run emitted no checkpoints")
+	}
+	check("first capture after resume", len(mid.Data), 0, (*rcks)[0])
+	if fit == 0 {
+		t.Fatal("no capture fit its hint; the fixture no longer exercises the sizing")
 	}
 }
 

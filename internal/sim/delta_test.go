@@ -7,7 +7,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -16,12 +19,21 @@ import (
 	"netbatch/internal/sched"
 )
 
-// TestDeltaCodecRoundTrip drives encodeSnapshotDelta/ApplySnapshotDelta
-// over synthetic base/full pairs covering in-place mutation, insertion,
-// deletion, growth and shrinkage — the shapes a snapshot stream
-// actually produces.
-func TestDeltaCodecRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 11))
+// encodeSnapshotDelta is encodeSnapshotDeltaInto with fresh scratch
+// and computed checksums.
+func encodeSnapshotDelta(base, full []byte, baseTime, newTime float64, baseEvents, newEvents int64) []byte {
+	return encodeSnapshotDeltaInto(nil, new(deltaIndex), base, full, snapCRC(base), snapCRC(full),
+		DeltaMeta{BaseTime: baseTime, BaseEvents: baseEvents, Time: newTime, Events: newEvents})
+}
+
+func snapCRC(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// deltaShapes returns a random base and, by name, the edits of it a
+// snapshot stream actually produces: in-place mutation, insertion,
+// deletion, growth, shrinkage, and the degenerate cases. It is
+// deterministic in seed.
+func deltaShapes(seed uint64, n int) (base []byte, fulls map[string][]byte) {
+	r := rand.New(rand.NewPCG(seed, 11))
 	randBytes := func(n int) []byte {
 		b := make([]byte, n)
 		for i := range b {
@@ -29,31 +41,32 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		}
 		return b
 	}
-	base := randBytes(8192)
-	cases := map[string]func() []byte{
-		"identical": func() []byte { return append([]byte(nil), base...) },
-		"mutated": func() []byte {
-			f := append([]byte(nil), base...)
-			for i := 0; i < 20; i++ {
-				f[r.IntN(len(f))] ^= 0x5a
-			}
-			return f
-		},
-		"inserted": func() []byte {
-			at := r.IntN(len(base))
-			return append(append(append([]byte(nil), base[:at]...), randBytes(300)...), base[at:]...)
-		},
-		"deleted": func() []byte {
-			at := r.IntN(len(base) - 500)
-			return append(append([]byte(nil), base[:at]...), base[at+500:]...)
-		},
-		"appended":  func() []byte { return append(append([]byte(nil), base...), randBytes(700)...) },
-		"unrelated": func() []byte { return randBytes(4096) },
-		"tiny":      func() []byte { return randBytes(16) },
-		"empty":     func() []byte { return nil },
+	base = randBytes(n)
+	mutated := append([]byte(nil), base...)
+	for i := 0; i < 20; i++ {
+		mutated[r.IntN(len(mutated))] ^= 0x5a
 	}
-	for name, gen := range cases {
-		full := gen()
+	at := r.IntN(n)
+	inserted := append(append(append([]byte(nil), base[:at]...), randBytes(300)...), base[at:]...)
+	at = r.IntN(n - n/16)
+	deleted := append(append([]byte(nil), base[:at]...), base[at+n/16:]...)
+	return base, map[string][]byte{
+		"identical": append([]byte(nil), base...),
+		"mutated":   mutated,
+		"inserted":  inserted,
+		"deleted":   deleted,
+		"appended":  append(append([]byte(nil), base...), randBytes(700)...),
+		"unrelated": randBytes(n / 2),
+		"tiny":      randBytes(16),
+		"empty":     nil,
+	}
+}
+
+// TestDeltaCodecRoundTrip drives encodeSnapshotDelta/ApplySnapshotDelta
+// over the deltaShapes pairs.
+func TestDeltaCodecRoundTrip(t *testing.T) {
+	base, fulls := deltaShapes(7, 8192)
+	for name, full := range fulls {
 		delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
 		got, err := ApplySnapshotDelta(base, delta)
 		if err != nil {
@@ -80,6 +93,157 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if delta := encodeSnapshotDelta(base, full, 0, 0, 0, 0); len(delta) > len(full)/4 {
 		t.Fatalf("single-byte edit delta is %d bytes of %d full", len(delta), len(full))
 	}
+}
+
+// oneRecordOffPair returns a header, then nrec 153-byte records that
+// are all zero but for one unique 8-byte float each. full has 40 bytes
+// inserted after the header, and the floats of edits evenly spaced
+// records changed.
+func oneRecordOffPair(nrec, edits int) (base, full []byte) {
+	const recLen, header, inserted = 153, 256, 40
+	r := rand.New(rand.NewPCG(3, 5))
+	head := make([]byte, header+inserted)
+	for i := range head {
+		head[i] = byte(r.UintN(256))
+	}
+	records := make([]byte, nrec*recLen)
+	for i := 0; i < nrec; i++ {
+		binary.LittleEndian.PutUint64(records[i*recLen:], math.Float64bits(float64(i)+0.5))
+	}
+	base = append(append([]byte(nil), head[:header]...), records...)
+	for k := 0; k < edits; k++ {
+		i := (2*k + 1) * nrec / (2 * edits)
+		binary.LittleEndian.PutUint64(records[i*recLen:], math.Float64bits(-float64(i)))
+	}
+	return base, append(head, records...)
+}
+
+// TestDeltaOneRecordOffDiagonal pins the trust guard. After the
+// insertion, diagonal 0 is 40 bytes off, yet it still agrees on the
+// zero runs between the floats, so resyncing there is always possible.
+// Without the guard the encoder stays on that diagonal for the rest of
+// the snapshot, two literals and two copies per record (about 230 KB
+// here); with it, the delta is about the 20 edits (about 1 KB).
+func TestDeltaOneRecordOffDiagonal(t *testing.T) {
+	base, full := oneRecordOffPair(4000, 20)
+	delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
+	got, err := ApplySnapshotDelta(base, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, full) {
+		t.Fatal("reconstruction differs")
+	}
+	if len(delta) >= len(full)/50 {
+		t.Fatalf("delta is %d bytes of %d full (over 2%%): resynced on a wrong diagonal?", len(delta), len(full))
+	}
+}
+
+// checkpointPair returns a pair shaped like consecutive snapshots of a
+// checkpoint stream: a prefix section (queues, series) that grows by
+// 1 KiB in its middle, then nrec fixed-size job records. Between base
+// and full, 1 in 50 records has one or two 8-byte fields edited in
+// place, and a run of 1 in 20 (jobs that started in between) has every
+// field but its identity rewritten.
+func checkpointPair(nrec int) (base, full []byte) {
+	const recLen, prefixLen = 153, 64 << 10
+	r := rand.New(rand.NewPCG(13, 17))
+	field := func() uint64 { return r.Uint64N(1 << (8 * (1 + r.UintN(4)))) }
+	prefix := make([]byte, prefixLen)
+	for i := range prefix {
+		prefix[i] = byte(r.UintN(256))
+	}
+	records := make([]byte, nrec*recLen)
+	for i := 0; i < nrec; i++ {
+		rec := records[i*recLen : (i+1)*recLen]
+		binary.LittleEndian.PutUint64(rec, uint64(i))
+		for f := 8; f+8 <= recLen; f += 8 {
+			binary.LittleEndian.PutUint64(rec[f:], field())
+		}
+	}
+	base = append(append([]byte(nil), prefix...), records...)
+	grown := make([]byte, 1024)
+	for i := range grown {
+		grown[i] = byte(r.UintN(256))
+	}
+	full = append(append(append([]byte(nil), prefix[:prefixLen/2]...), grown...), prefix[prefixLen/2:]...)
+	for i := 0; i < nrec; i++ {
+		rec := records[i*recLen : (i+1)*recLen]
+		switch {
+		case i >= nrec/2 && i < nrec/2+nrec/20:
+			for f := 8; f+8 <= recLen; f += 8 {
+				binary.LittleEndian.PutUint64(rec[f:], field())
+			}
+		case r.IntN(50) == 0:
+			for e := 0; e <= r.IntN(2); e++ {
+				binary.LittleEndian.PutUint64(rec[8+8*r.IntN(recLen/8-1):], field())
+			}
+		}
+	}
+	return base, append(full, records...)
+}
+
+// FuzzSnapshotDelta checks the delta codec on arbitrary pairs: the
+// delta reconstructs full exactly, encoding with scratch reused after a
+// larger diff (as the optimistic engine does) gives the bytes of a
+// fresh encode, and a delta with any byte flipped fails with
+// ErrSnapshotMismatch. The committed corpus (testdata/fuzz) seeds it
+// with the deltaShapes pairs of a 512-byte base, named by shape, and
+// oneRecordOffPair(16, 2).
+func FuzzSnapshotDelta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, base, full []byte, flip uint16) {
+		// ApplySnapshotDelta rejects output lengths past its
+		// plausibility bound, which the encoder may exceed on a large
+		// full that repeats a short base.
+		if len(full) > 1<<20 {
+			t.Skip()
+		}
+		delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
+		got, err := ApplySnapshotDelta(base, delta)
+		if err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		if !bytes.Equal(got, full) {
+			t.Fatalf("reconstruction differs (%d vs %d bytes)", len(got), len(full))
+		}
+
+		var idx deltaIndex
+		pad := make([]byte, 4096)
+		for i := range pad {
+			pad[i] = byte(i * 7)
+		}
+		warmBase := append(append(bytes.Repeat(base, 2), full...), pad...)
+		warmFull := append(append(pad[:1024:1024], full...), warmBase...)
+		warm := encodeSnapshotDeltaInto(nil, &idx, warmBase, warmFull, snapCRC(warmBase), snapCRC(warmFull), DeltaMeta{})
+		reused := encodeSnapshotDeltaInto(warm, &idx, base, full, snapCRC(base), snapCRC(full),
+			DeltaMeta{BaseTime: 1, BaseEvents: 10, Time: 2, Events: 20})
+		if !bytes.Equal(reused, delta) {
+			t.Fatalf("encoding with reused scratch differs from a fresh encode (%d vs %d bytes)", len(reused), len(delta))
+		}
+
+		bad := append([]byte(nil), delta...)
+		bad[int(flip)%len(bad)] ^= 1 << (flip >> 13)
+		if _, err := ApplySnapshotDelta(base, bad); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("flipped byte %d: want ErrSnapshotMismatch, got %v", int(flip)%len(bad), err)
+		}
+	})
+}
+
+// BenchmarkSnapshotDelta times the delta encoder alone on a
+// checkpointPair of 4.1 MB, the way the checkpointer calls it (block
+// index reused, checksums known), and reports the delta's size as a
+// fraction of full.
+func BenchmarkSnapshotDelta(b *testing.B) {
+	base, full := checkpointPair(26000)
+	baseCRC, fullCRC := snapCRC(base), snapCRC(full)
+	var idx deltaIndex
+	var delta []byte
+	b.SetBytes(int64(len(full)))
+	b.ReportAllocs()
+	for b.Loop() {
+		delta = encodeSnapshotDeltaInto(nil, &idx, base, full, baseCRC, fullCRC, DeltaMeta{})
+	}
+	b.ReportMetric(float64(len(delta))/float64(len(full)), "delta/full")
 }
 
 // deltaFixture runs one deterministic multi-site workload with a

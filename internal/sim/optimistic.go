@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/bits"
 	"runtime"
@@ -136,7 +137,7 @@ type optShard struct {
 	// whole snapshot footprint. deltaIdx is the delta encoder's block
 	// index, reused the same way.
 	bufPool  [][]byte
-	deltaIdx map[uint32]int32
+	deltaIdx deltaIndex
 
 	// inTransit is stashed by the core codec's queue save (which runs
 	// first) for the placement codec's capture scope: jobs with a
@@ -370,7 +371,9 @@ func (c *optCoord) pushSnapshot(sh *shard) {
 	if n := len(o.stack); n > 0 {
 		prev := &o.stack[n-1]
 		if !prev.isDelta {
-			dl := encodeSnapshotDeltaInto(o.getBuf(), &o.deltaIdx, data, prev.data, sh.k.now, prev.clock, 0, 0)
+			dl := encodeSnapshotDeltaInto(o.getBuf(), &o.deltaIdx, data, prev.data,
+				crc32.Checksum(data, castagnoli), crc32.Checksum(prev.data, castagnoli),
+				DeltaMeta{BaseTime: sh.k.now, Time: prev.clock})
 			if len(dl) < len(prev.data) {
 				o.putBuf(prev.data)
 				prev.data, prev.isDelta = dl, true
