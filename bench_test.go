@@ -206,12 +206,9 @@ func BenchmarkAblationMigration(b *testing.B) {
 // BenchmarkMultiSiteWeek runs one 3-site federation cell (latency-
 // penalized site selection over per-site round-robin, latency-aware
 // combined rescheduling) at bench scale, once per engine: the serial
-// reference kernel and the partitioned per-site engine (bit-identical
-// results; wall-clock scales with cores on multi-core hardware, while
-// a single-core box pays the synchronization overhead instead) and the
-// optimistic speculative engine (same bit-identity contract, commits
-// serialized at decisions instead of lookahead barriers). CI
-// uploads both series in the bench artifact. Sampling stays enabled:
+// reference kernel and the optimistic speculative engine (bit-identical
+// results, commits serialized at decisions). CI uploads both series in
+// the bench artifact. Sampling stays enabled:
 // the inter-site view ageing refreshes on the sample grid, so this
 // bench also covers the per-site sampling and snapshot-chain overhead.
 func BenchmarkMultiSiteWeek(b *testing.B) {
@@ -231,7 +228,7 @@ func BenchmarkMultiSiteWeek(b *testing.B) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineParallel, sim.EngineOptimistic} {
+	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
 		b.Run("engine="+engine, func(b *testing.B) {
 			opts := benchOpts()
 			opts.Engine = engine
@@ -245,7 +242,7 @@ func BenchmarkMultiSiteWeek(b *testing.B) {
 // kill-and-requeue victims — once per engine, mirroring
 // BenchmarkMultiSiteWeek. It times the fault & maintenance subsystem's
 // overhead on the hot path (kill sweeps, downtime spans, requeue
-// cascades) and keeps the serial-vs-parallel pair in the CI bench
+// cascades) and keeps the serial-vs-optimistic pair in the CI bench
 // artifact honest under faults.
 func BenchmarkFaultsMultiSiteWeek(b *testing.B) {
 	sc := experiments.FaultScenario("bench-faults", 3, sim.VictimRequeue)
@@ -263,7 +260,7 @@ func BenchmarkFaultsMultiSiteWeek(b *testing.B) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineParallel, sim.EngineOptimistic} {
+	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
 		b.Run("engine="+engine, func(b *testing.B) {
 			opts := benchOpts()
 			opts.Engine = engine
@@ -275,8 +272,8 @@ func BenchmarkFaultsMultiSiteWeek(b *testing.B) {
 // BenchmarkYear6 runs one simulated year on the 6-site federation
 // (recurring auto bursts, metro RTT matrix, reduced scale — see
 // experiments.MultiSiteYearScenario) once per engine. This is the
-// ROADMAP north-star cell: at year scale the engines' serialization
-// points — commit cycles, round barriers, alias promotion — dominate
+// ROADMAP north-star cell: at year scale the optimistic engine's
+// serialization points — commit cycles, alias promotion — dominate
 // wall-clock, which week-scale cells amortize over too few decisions
 // to show. Sampling is disabled by the scenario so the cell times the
 // engine, not a year of per-minute series.
@@ -298,7 +295,7 @@ func BenchmarkYear6(b *testing.B) {
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
 	b.ReportMetric(float64(len(tr.Jobs)), "jobs")
-	for _, engine := range []string{sim.EngineSerial, sim.EngineParallel, sim.EngineOptimistic} {
+	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
 		b.Run("engine="+engine, func(b *testing.B) {
 			opts := benchOpts()
 			opts.Engine = engine

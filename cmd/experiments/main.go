@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-run table1,fig2,...] [-scale 1.0] [-seed 42]
-//	            [-seeds N] [-jobs N] [-engine serial|parallel|optimistic]
+//	            [-seeds N] [-jobs N] [-engine serial|optimistic]
 //	            [-timeout 30m] [-out DIR] [-overhead MIN]
 //	            [-timeline out.json] [-runlog run.jsonl] [-progress 1s]
 //
@@ -55,7 +55,7 @@ func run() (err error) {
 		seed     = flag.Uint64("seed", 42, "base random seed for trace generation and policies")
 		seeds    = flag.Int("seeds", 1, "seed replicates per cell; >1 reports mean ± 95% CI")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulations (0 = one per CPU)")
-		engine   = flag.String("engine", "serial", "simulation engine: serial, parallel or optimistic (per-site partitions; identical results)")
+		engine   = flag.String("engine", "serial", "simulation engine: serial or optimistic (per-site speculation; identical results; checkpointed and resumed cells run serial)")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 		outDir   = flag.String("out", "", "directory for CSV output (optional)")
 		overhead = flag.Float64("overhead", 0, "reschedule transfer overhead in minutes")
@@ -163,7 +163,7 @@ func run() (err error) {
 		}
 		if out.AmbiguousCells > 0 {
 			fmt.Fprintf(os.Stderr,
-				"experiments: warning: %s: %d cell(s) hit an ambiguous cross-partition event tie; serial/parallel bit-identity is not guaranteed for those replicates\n",
+				"experiments: warning: %s: %d cell(s) hit an ambiguous cross-partition event tie; bit-identity with the serial engine is not guaranteed for those replicates\n",
 				out.ID, out.AmbiguousCells)
 		}
 		fmt.Println()
@@ -312,8 +312,7 @@ func printRegistry(w io.Writer) error {
 		fmt.Fprintf(w, "  %-10s %s\n", id, e.Title)
 	}
 	fmt.Fprintln(w, "\nengines (-engine):")
-	fmt.Fprintf(w, "  %-10s single-threaded reference kernel (default)\n", sim.EngineSerial)
-	fmt.Fprintf(w, "  %-10s one goroutine per site, conservatively synchronized; bit-identical results\n", sim.EngineParallel)
+	fmt.Fprintf(w, "  %-10s single-threaded reference kernel (default; always used for checkpoint, resume and replay)\n", sim.EngineSerial)
 	fmt.Fprintf(w, "  %-10s per-site speculation with snapshot rollback; bit-identical results\n", sim.EngineOptimistic)
 	return nil
 }

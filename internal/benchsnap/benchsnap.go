@@ -4,11 +4,11 @@
 // hot-path number beyond the noise band fails loudly with the cell and
 // metric that moved.
 //
-// The cell set mirrors the headline benchmarks (multi-site busy week
-// and the faulty week on all three engines, the 6-site metro week on
-// both partitioned engines, and the checkpoint/restore set including
-// delta capture) at the same 4% bench scale. Results serialize to a
-// schema-versioned JSON snapshot (BENCH_8.json at the repo root is the
+// The cell set mirrors the headline benchmarks (multi-site busy week,
+// faulty week, 6-site metro week and simulated year, each on both
+// engines, and the checkpoint/restore set including delta capture) at
+// the same 4% bench scale. Results serialize to a schema-versioned
+// JSON snapshot (BENCH_14.json at the repo root is the
 // committed baseline; earlier BENCH_*.json files stay committed as the
 // trend history — see cmd/benchsnap).
 //
@@ -16,7 +16,7 @@
 // hardware-independent and gate on every run; wall-clock gates only
 // when the baseline was recorded on a matching machine shape (same
 // GOOS/GOARCH/CPU count), because a 1-CPU container and a 4-vCPU CI
-// runner measure different parallel engines.
+// runner measure different optimistic-engine behavior.
 package benchsnap
 
 import (
@@ -42,7 +42,7 @@ type Snapshot struct {
 	Schema int    `json:"schema"`
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
-	// CPUs is runtime.NumCPU at record time — the parallel cells'
+	// CPUs is runtime.NumCPU at record time — the optimistic cells'
 	// wall-clock depends on it, so time comparison requires a match.
 	CPUs  int     `json:"cpus"`
 	Scale float64 `json:"scale"`
@@ -120,7 +120,7 @@ func Collect(scale float64) (Snapshot, error) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineParallel, sim.EngineOptimistic} {
+	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
 		engine := engine
 		record("multisite_week/"+engine, func(b *testing.B) error {
 			return runCell(b, multisite, pf, engine, scale)
@@ -130,17 +130,15 @@ func Collect(scale float64) (Snapshot, error) {
 		})
 	}
 	// The 6-site metro federation is the optimistic engine's headline
-	// cell: cross-site RTTs of 5–25 minutes keep the conservative
-	// engine's LBTS lookahead short (thousands of barrier rounds per
-	// simulated week), while the speculative engine only synchronizes at
-	// decisions. The parallel twin is recorded alongside so the snapshot
-	// itself documents the comparison.
+	// cell: cross-site RTTs of 5–25 minutes, with the engine
+	// synchronizing only at decisions. The serial twin is recorded
+	// alongside so the snapshot itself documents the comparison.
 	metro6, err := prebuiltCell(experiments.MultiSiteScenario("bench-metro6", 6, 0,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
 	if err != nil {
 		return snap, err
 	}
-	for _, engine := range []string{sim.EngineParallel, sim.EngineOptimistic} {
+	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
 		engine := engine
 		record("metro6_week/"+engine, func(b *testing.B) error {
 			return runCell(b, metro6, pf, engine, scale)
@@ -148,16 +146,16 @@ func Collect(scale float64) (Snapshot, error) {
 	}
 	// The year6 family is the ROADMAP north-star cell: a simulated year
 	// on the 6-site federation (at the reduced multiSiteYearScale so a
-	// pass stays in seconds), all three engines. It is where commit
-	// throughput and round-barrier costs dominate — a week-scale cell
-	// amortizes the engines' serialization points over too few
-	// decisions to see them move.
+	// pass stays in seconds), on both engines. It is where commit
+	// throughput dominates — a week-scale cell amortizes the optimistic
+	// engine's serialization points over too few decisions to see them
+	// move.
 	year6, err := prebuiltCell(experiments.MultiSiteYearScenario("bench-year6", 6,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
 	if err != nil {
 		return snap, err
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineParallel, sim.EngineOptimistic} {
+	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
 		engine := engine
 		record("year6/"+engine, func(b *testing.B) error {
 			return runCell(b, year6, pf, engine, scale)

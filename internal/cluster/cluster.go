@@ -192,7 +192,8 @@ func (p *Platform) buildSites() {
 
 // WithRTT returns a platform sharing this one's pools and machines with
 // the given inter-site delay matrix attached. The matrix must be
-// NumSites×NumSites with a zero diagonal and non-negative entries;
+// NumSites×NumSites with a zero diagonal and finite, non-negative
+// entries;
 // entry [a][b] is the one-way dispatch/visibility delay from site a to
 // site b in simulated minutes.
 func (p *Platform) WithRTT(rtt [][]float64) (*Platform, error) {
@@ -204,6 +205,9 @@ func (p *Platform) WithRTT(rtt [][]float64) (*Platform, error) {
 			return nil, fmt.Errorf("cluster: rtt row %d has %d entries for %d sites", a, len(row), len(p.sites))
 		}
 		for b, d := range row {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				return nil, fmt.Errorf("cluster: non-finite rtt %v between sites %d and %d", d, a, b)
+			}
 			if d < 0 {
 				return nil, fmt.Errorf("cluster: negative rtt %v between sites %d and %d", d, a, b)
 			}

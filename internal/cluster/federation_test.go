@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 )
 
@@ -37,10 +38,12 @@ func TestWithRTTValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range [][][]float64{
-		{{0}},             // wrong size
-		{{0, 1}, {1}},     // ragged
-		{{0, -1}, {1, 0}}, // negative
-		{{1, 2}, {2, 0}},  // non-zero diagonal
+		{{0}},                      // wrong size
+		{{0, 1}, {1}},              // ragged
+		{{0, -1}, {1, 0}},          // negative
+		{{1, 2}, {2, 0}},           // non-zero diagonal
+		{{0, math.Inf(1)}, {1, 0}}, // infinite
+		{{0, 1}, {math.NaN(), 0}},  // NaN
 	} {
 		if _, err := plat.WithRTT(bad); err == nil {
 			t.Errorf("WithRTT(%v) accepted invalid matrix", bad)

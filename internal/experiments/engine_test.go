@@ -1,11 +1,12 @@
 package experiments
 
-// Engine determinism at the experiment level: the serial and parallel
-// simulation engines must produce byte-identical rendered reports and
-// hex-float-identical series for the multisite experiment (single-site
-// baseline, 3-site federations, 6-site federation) and for the
-// single-site paper experiments (where the parallel engine falls back
-// to the serial kernel). CI runs this under -race.
+// Engine determinism at the experiment level: the serial and
+// optimistic simulation engines must produce byte-identical rendered
+// reports and hex-float-identical series for the multisite experiment
+// (single-site baseline, 3-site federations, 6-site federation), the
+// faults experiment, and the single-site paper experiments (where the
+// optimistic engine falls back to the serial kernel). CI runs this
+// under -race.
 
 import (
 	"fmt"
@@ -62,20 +63,27 @@ func TestMultiSiteEnginesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment run")
 	}
-	serialOut, serialSeries := runEngine(t, "multisite", sim.EngineSerial)
-	parOut, parSeries := runEngine(t, "multisite", sim.EngineParallel)
-	if serialOut != parOut {
-		t.Errorf("multisite rendered reports differ between engines:\n%s",
-			diffHead(serialOut, parOut))
+	compareEngines(t, "multisite")
+}
+
+// compareEngines runs one experiment on both engines and requires
+// byte-identical reports and series. Output.EngineCounters describes
+// the execution and stays out of the comparison (renderOutput renders
+// tables and notes only).
+func compareEngines(t *testing.T, id string) {
+	t.Helper()
+	serialOut, serialSeries := runEngine(t, id, sim.EngineSerial)
+	optOut, optSeries := runEngine(t, id, sim.EngineOptimistic)
+	if serialOut != optOut {
+		t.Errorf("%s rendered reports differ between engines:\n%s", id, diffHead(serialOut, optOut))
 	}
-	if serialSeries != parSeries {
-		t.Errorf("multisite series differ between engines:\n%s",
-			diffHead(serialSeries, parSeries))
+	if serialSeries != optSeries {
+		t.Errorf("%s series differ between engines:\n%s", id, diffHead(serialSeries, optSeries))
 	}
 }
 
 // TestSingleSiteEnginesBitIdentical pins the fallback contract on every
-// registered single-site experiment: Engine=parallel must change
+// registered single-site experiment: Engine=optimistic must change
 // nothing at all.
 func TestSingleSiteEnginesBitIdentical(t *testing.T) {
 	if testing.Short() {
@@ -87,16 +95,7 @@ func TestSingleSiteEnginesBitIdentical(t *testing.T) {
 		}
 		id := id
 		t.Run(id, func(t *testing.T) {
-			serialOut, serialSeries := runEngine(t, id, sim.EngineSerial)
-			parOut, parSeries := runEngine(t, id, sim.EngineParallel)
-			if serialOut != parOut {
-				t.Errorf("rendered reports differ between engines:\n%s",
-					diffHead(serialOut, parOut))
-			}
-			if serialSeries != parSeries {
-				t.Errorf("series differ between engines:\n%s",
-					diffHead(serialSeries, parSeries))
-			}
+			compareEngines(t, id)
 		})
 	}
 }
@@ -109,16 +108,7 @@ func TestFaultsEnginesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment run")
 	}
-	serialOut, serialSeries := runEngine(t, "faults", sim.EngineSerial)
-	parOut, parSeries := runEngine(t, "faults", sim.EngineParallel)
-	if serialOut != parOut {
-		t.Errorf("faults rendered reports differ between engines:\n%s",
-			diffHead(serialOut, parOut))
-	}
-	if serialSeries != parSeries {
-		t.Errorf("faults series differ between engines:\n%s",
-			diffHead(serialSeries, parSeries))
-	}
+	compareEngines(t, "faults")
 }
 
 // diffHead shows the first few differing lines of two renderings.
@@ -137,7 +127,7 @@ func diffHead(a, b string) string {
 		if x == y {
 			continue
 		}
-		fmt.Fprintf(&sb, "line %d:\n  serial:   %.160s\n  parallel: %.160s\n", i+1, x, y)
+		fmt.Fprintf(&sb, "line %d:\n  serial:     %.160s\n  optimistic: %.160s\n", i+1, x, y)
 		if shown++; shown >= 4 {
 			sb.WriteString("  ...\n")
 			break

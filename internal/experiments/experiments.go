@@ -49,11 +49,10 @@ type Options struct {
 	// future-work knob; 0 matches the paper's evaluation).
 	Overhead float64
 	// Engine selects the simulation engine for every cell:
-	// sim.EngineSerial (default, also ""), sim.EngineParallel or
-	// sim.EngineOptimistic. The engines produce bit-identical results;
-	// both partitioned engines execute multi-site cells with one
-	// goroutine per site (conservatively synchronized vs speculative
-	// with snapshot rollback).
+	// sim.EngineSerial (default, also "") or sim.EngineOptimistic. The
+	// engines produce bit-identical results; the optimistic engine
+	// executes multi-site cells with one shard per site, speculating
+	// with snapshot rollback. Checkpointed and resumed cells run serial.
 	Engine string
 	// Context cancels in-flight simulations cooperatively. Nil defaults
 	// to context.Background().
@@ -148,8 +147,8 @@ type Output struct {
 	// CI columns when more than one replicate ran).
 	Tables []*report.Table
 	// EngineCounters is the per-strategy engine execution table
-	// (sub-shard steals, alias retirements, rollbacks, group-commit
-	// drains), set only when a non-serial engine ran the cells. It is
+	// (alias retirements, rollbacks, group-commit drains), set only
+	// when a non-serial engine ran the cells. It is
 	// deliberately NOT part of Tables: the paper tables must render
 	// byte-identically across engines (pinned by goldens and the
 	// engine-parity tests), while these counters describe execution
@@ -160,10 +159,10 @@ type Output struct {
 	Series map[string][]stats.Point
 	// Notes carries free-form observations (e.g. measured quantiles).
 	Notes []string
-	// AmbiguousCells counts matrix cells whose parallel run flagged an
+	// AmbiguousCells counts matrix cells whose optimistic run flagged an
 	// ambiguous cross-partition timestamp tie (sim.Result.AmbiguousTies):
-	// for those cells the serial/parallel bit-identity guarantee is
-	// void. Always 0 under the serial engine.
+	// for those cells the bit-identity guarantee is void. Always 0 under
+	// the serial engine.
 	AmbiguousCells int
 }
 
@@ -375,10 +374,10 @@ func newOutput(id, title string, mr *MatrixResult) *Output {
 }
 
 // annotateEngine fills Output.EngineCounters with the per-strategy
-// engine execution counters (sub-shard steals, alias retirements,
-// rollbacks, group-commit drains) when a non-serial engine ran the
-// cells. Serial runs skip it: the counters describe parallel execution
-// mechanics, and the serial goldens pin the report byte-for-byte.
+// engine execution counters (alias retirements, rollbacks,
+// group-commit drains) when a non-serial engine ran the cells. Serial
+// runs skip it: the counters describe partitioned execution mechanics,
+// and the serial goldens pin the report byte-for-byte.
 func annotateEngine(out *Output, mr *MatrixResult) {
 	if mr.Engine == "" || mr.Engine == sim.EngineSerial {
 		return
@@ -394,7 +393,6 @@ func annotateEngine(out *Output, mr *MatrixResult) {
 					continue
 				}
 				rows[p].Events += r.Events
-				rows[p].SubShardSteals += r.SubShardSteals
 				rows[p].AliasRetirements += r.AliasRetirements
 				rows[p].Rollbacks += r.Rollbacks
 				for i, n := range r.GroupCommitSize {
@@ -417,7 +415,7 @@ func annotateAmbiguity(out *Output, mr *MatrixResult) {
 	out.AmbiguousCells = mr.AmbiguousCells()
 	if out.AmbiguousCells > 0 {
 		out.Notes = append(out.Notes, fmt.Sprintf(
-			"caveat: %d cell(s) hit an ambiguous cross-partition event tie under the parallel engine; serial/parallel bit-identity is not guaranteed for those replicates",
+			"caveat: %d cell(s) hit an ambiguous cross-partition event tie under the optimistic engine; bit-identity with the serial engine is not guaranteed for those replicates",
 			out.AmbiguousCells))
 	}
 }

@@ -20,7 +20,7 @@ import (
 // crashes, staggered maintenance windows, kill-and-requeue victims by
 // default, plus one 3-site cell set with the drain policy for the
 // victim-policy comparison. Fault streams fork per cell from the
-// replicate seed, and serial and parallel engines stay bit-identical
+// replicate seed, and the serial and optimistic engines stay bit-identical
 // (asserted by the golden test and the engine-identity suite).
 
 // simFaultConfig maps a trace-level fault regime onto the engine's

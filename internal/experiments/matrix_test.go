@@ -10,14 +10,18 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"netbatch/internal/sched"
+	"netbatch/internal/sim"
 )
 
 // matrixOpts shrinks the workload so a full matrix runs in well under a
@@ -315,6 +319,83 @@ func TestMatrixCheckpointResume(t *testing.T) {
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "not resumable") {
 		t.Fatalf("expected one fallback warning, got %v", warnings)
+	}
+}
+
+// legacyEngineSnapshot rewrites a serial snapshot's engine-mode field
+// to "parallel" — the mode the removed conservative engine wrote — and
+// recomputes the CRC-32C trailer. The result is what sim's takeSnapshot
+// encodes for that mode: it passes the integrity check and fails only
+// on its engine mode.
+func legacyEngineSnapshot(t *testing.T, data []byte) []byte {
+	t.Helper()
+	const modeAt = 32 // magic, version, config hash, kind hash: 8 bytes each
+	n := int(binary.LittleEndian.Uint64(data[modeAt:]))
+	if got := string(data[modeAt+8 : modeAt+8+n]); got != sim.EngineSerial {
+		t.Fatalf("checkpoint engine mode %q, want %q", got, sim.EngineSerial)
+	}
+	out := append([]byte(nil), data[:modeAt]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len("parallel")))
+	out = append(out, "parallel"...)
+	out = append(out, data[modeAt+8+n:len(data)-8]...)
+	sum := crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli))
+	return binary.LittleEndian.AppendUint64(out, uint64(sum))
+}
+
+// TestMatrixResumeLegacyEngineCheckpoint points -resume at a checkpoint
+// written by the removed conservative engine: the cell must log that
+// the checkpoint is not resumable, restart from t=0, and match a fresh
+// run.
+func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
+	m := Matrix{
+		Scenarios: []Scenario{MultiSiteScenario("fed3", 3, 0,
+			func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })},
+		Policies: multiSitePolicies()[:1],
+	}
+	opts := Options{Seed: 42, Scale: 0.03, Jobs: 1, Engine: sim.EngineOptimistic}
+	plain, err := m.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, plain)
+
+	ckOpts := opts
+	ckOpts.CheckpointDir = t.TempDir()
+	ckOpts.CheckpointEvery = 500
+	if _, err := m.Run(ckOpts); err != nil {
+		t.Fatal(err)
+	}
+	path := latestCheckpoint(cellCheckpointPrefix(ckOpts.CheckpointDir, "fed3", 0, 0))
+	if path == "" {
+		t.Fatal("no checkpoint written")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyEngineSnapshot(t, data)
+	if _, err := sim.ReadSnapshotMeta(legacy); !errors.Is(err, sim.ErrSnapshotMismatch) {
+		t.Fatalf("legacy snapshot meta: got %v, want ErrSnapshotMismatch", err)
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var warnings []string
+	resOpts := ckOpts
+	resOpts.Resume = true
+	resOpts.Logf = func(format string, args ...any) {
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	}
+	resumed, err := m.Run(resOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, resumed); !bytes.Equal(got, want) {
+		t.Fatal("fallback-after-legacy-checkpoint results differ from a fresh run")
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "not resumable") {
+		t.Fatalf("expected one not-resumable warning, got %v", warnings)
 	}
 }
 

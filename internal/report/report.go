@@ -273,9 +273,6 @@ type EngineStats struct {
 	Strategy string
 	// Events is the total dispatched event count.
 	Events int64
-	// SubShardSteals counts events executed by non-primary sub-shards
-	// under skew-split sharding.
-	SubShardSteals int64
 	// AliasRetirements counts cross-partition alias flags retired.
 	AliasRetirements int64
 	// Rollbacks counts optimistic speculation rollbacks.
@@ -286,15 +283,15 @@ type EngineStats struct {
 }
 
 // EngineTable renders per-strategy engine execution counters: one row
-// per strategy with event totals, sub-shard steals, alias retirements,
-// rollbacks, and the group-commit drain count with its largest
+// per strategy with event totals, alias retirements, rollbacks, and
+// the group-commit drain count with its largest
 // run-length bucket. These describe how the run executed — they are
 // deliberately absent from the paper tables, whose numbers must not
 // depend on the engine.
 func EngineTable(title string, rows []EngineStats) *Table {
 	t := &Table{
 		Title: title,
-		Columns: []string{"Strategy", "Events", "Steals",
+		Columns: []string{"Strategy", "Events",
 			"Alias retire", "Rollbacks", "Commit drains", "Max run"},
 	}
 	for _, r := range rows {
@@ -309,7 +306,6 @@ func EngineTable(title string, rows []EngineStats) *Table {
 		t.AddRow(
 			r.Strategy,
 			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%d", r.SubShardSteals),
 			fmt.Sprintf("%d", r.AliasRetirements),
 			fmt.Sprintf("%d", r.Rollbacks),
 			fmt.Sprintf("%d", drains),

@@ -24,11 +24,11 @@ import (
 //     (global utilization, suspended, waiting, plus per-site
 //     utilization on multi-site platforms), reproducing the
 //     monolithic engine's output bit for bit.
-//   - raw (parallel): ticks are logged as raw integer counters per
+//   - raw (optimistic): ticks are logged as raw integer counters per
 //     shard. The merge step recombines the per-site logs into the
 //     global series with exactly the serial mode's float operations,
 //     truncating at the final completion the way the serial loop's
-//     death does — see mergeSeries in parallel.go.
+//     death does — see mergeSeries in optimistic.go.
 type accounting struct {
 	sh *shard
 
@@ -40,7 +40,7 @@ type accounting struct {
 	utilTS, suspTS, waitTS *stats.TimeSeries
 	siteTS                 []*stats.TimeSeries
 
-	// Raw per-tick logs (parallel shards). Values are scope totals —
+	// Raw per-tick logs (optimistic shards). Values are scope totals —
 	// with one site per shard, the site's totals.
 	raw     bool
 	rawBusy []int32
@@ -73,9 +73,9 @@ func newAccounting(sh *shard, raw bool) *accounting {
 
 // register installs the accounting state codec: the next-tick cursor
 // plus the accumulated sinks — binned TimeSeries state in serial mode,
-// the raw per-tick counter logs in parallel mode. Restoring them lets
-// the integrator continue mid-signal with float operations identical
-// to a never-interrupted run.
+// the length of the raw per-tick logs in optimistic mode (rollback
+// snapshots). Restoring them lets the integrator continue mid-signal
+// with float operations identical to a never-interrupted run.
 func (a *accounting) register(k *kernel) {
 	k.registerState("accounting", func(e *snapEncoder) {
 		e.F64(a.next)
@@ -88,12 +88,6 @@ func (a *accounting) register(k *kernel) {
 			return
 		}
 		e.Bool(a.raw)
-		if a.raw {
-			e.I32s(a.rawBusy)
-			e.I32s(a.rawSusp)
-			e.I32s(a.rawWait)
-			return
-		}
 		encodeTS(e, a.utilTS)
 		encodeTS(e, a.suspTS)
 		encodeTS(e, a.waitTS)
@@ -116,12 +110,6 @@ func (a *accounting) register(k *kernel) {
 		}
 		if raw := d.Bool(); d.err == nil && raw != a.raw {
 			d.fail()
-			return d.err
-		}
-		if a.raw {
-			a.rawBusy = d.I32sN(-1)
-			a.rawSusp = d.I32sN(-1)
-			a.rawWait = d.I32sN(-1)
 			return d.err
 		}
 		bin := a.sh.w.cfg.SeriesBin
@@ -181,14 +169,6 @@ func (a *accounting) advanceTo(now float64) {
 	for a.next < now {
 		a.tick()
 	}
-}
-
-// flushTo records pending ticks up to (but excluding) limit. Parallel
-// shards call it at each round barrier with the round horizon: no
-// event below the horizon can ever arrive afterwards, so the shard's
-// counters at those ticks are final.
-func (a *accounting) flushTo(limit float64) {
-	a.advanceTo(limit)
 }
 
 func (a *accounting) tick() {

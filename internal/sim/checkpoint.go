@@ -7,13 +7,12 @@ package sim
 // kernel.go): every stateful subsystem registers a codec that can dump
 // and restore its portion of shard state, so the snapshot machinery —
 // like the dispatch loop — never needs to know which mechanisms are
-// loaded. A snapshot is taken only at boundaries where every piece of
-// state is explicit: between events in the serial engine, and at round
-// barriers (all shards quiescent, outboxes delivered) in the parallel
-// engine. The invariant that makes this safe, asserted by the
-// checkpoint property tests, is bit-identity: a run resumed from any
-// checkpoint produces exactly the jobs, series, counters and event
-// counts of a never-interrupted run.
+// loaded. Checkpointing, resume and replay always run on the serial
+// engine (see Run), and a snapshot is taken only between two of its
+// events, where every piece of state is explicit. The invariant that
+// makes this safe, asserted by the checkpoint property tests, is
+// bit-identity: a run resumed from any checkpoint produces exactly the
+// jobs, series, counters and event counts of a never-interrupted run.
 //
 // The encoding is deterministic — fixed-width little-endian primitives,
 // floats as IEEE-754 bits, registry-ordered sections, sorted map keys —
@@ -23,8 +22,9 @@ package sim
 // event-kind table (the registry the pending events reference), and a
 // hash of the full run configuration (platform topology, workload
 // specs, scheduler/policy identity, engine knobs). Any mismatch — or a
-// truncated or corrupted snapshot — fails with ErrSnapshotMismatch
-// before any state is touched.
+// truncated or corrupted snapshot, or one whose engine mode is not
+// "serial" — fails with ErrSnapshotMismatch before any state is
+// touched.
 
 import (
 	"encoding/binary"
@@ -56,8 +56,8 @@ var ErrSnapshotMismatch = errors.New("sim: snapshot incompatible with this run")
 // Checkpoint is one snapshot emitted through Config.CheckpointSink.
 type Checkpoint struct {
 	// Time is the simulated minute of the state boundary the snapshot
-	// captures (serial: the clock after the event that crossed the
-	// checkpoint mark; parallel: the round horizon).
+	// captures: the clock after the event that crossed the checkpoint
+	// mark.
 	Time float64
 	// Events is the number of events processed before the boundary.
 	Events int64
@@ -128,12 +128,6 @@ func (e *snapEncoder) I64s(v []int64) {
 	e.U64(uint64(len(v)))
 	for _, x := range v {
 		e.I64(x)
-	}
-}
-func (e *snapEncoder) I32s(v []int32) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
 	}
 }
 func (e *snapEncoder) Bools(v []bool) {
@@ -237,19 +231,6 @@ func (d *snapDecoder) BoolsN(max int) []bool {
 	}
 	return v
 }
-func (d *snapDecoder) I32sN(max int) []int32 {
-	n := d.U64()
-	if d.err != nil || uint64(len(d.data)-d.off)/4 < n || (max >= 0 && n > uint64(max)) {
-		d.fail()
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(d.data[d.off:]))
-		d.off += 4
-	}
-	return v
-}
 
 // ---------------------------------------------------------------------
 // Guard hashes.
@@ -268,8 +249,8 @@ func kindTableHash(k *kernel) uint64 {
 // configHash fingerprints everything that determines a run's behavior:
 // the engine knobs, the fault regime, scheduler and policy identity,
 // the platform topology, and the full workload. It deliberately
-// excludes checkpoint cadence, context and engine selection (the mode
-// is recorded separately — accounting state differs by engine).
+// excludes checkpoint cadence, context and engine selection (the
+// engine mode is recorded separately).
 // Opaque scheduler/policy internals beyond Name and thresholds cannot
 // be hashed; the state blobs still restore them, and the property
 // tests cover every built-in.
@@ -344,8 +325,8 @@ func configHash(w *world) uint64 {
 // Snapshot encode/decode.
 
 // snapshot is a decoded-but-not-yet-applied checkpoint: the verified
-// header plus the raw per-shard codec sections, applied to freshly
-// built shards by restoreRun.
+// header plus the raw per-shard codec sections, applied to a freshly
+// built serial shard by restoreRun.
 type snapshot struct {
 	label      string
 	mode       string
@@ -366,12 +347,9 @@ type snapshot struct {
 	hasPolState  bool
 	polState     []byte
 
-	// shards[i] holds shard i's codec sections in registry order.
-	shards [][]snapSection
-
-	// Parallel coordinator state (mode == EngineParallel only).
-	gseq uint64
-	ties bool
+	// sections holds the serial shard's codec sections in registry
+	// order.
+	sections []snapSection
 }
 
 type snapSection struct {
@@ -394,21 +372,20 @@ type snapParams struct {
 	sizeHint    int
 }
 
-func newSnapParams(w *world, shards []*shard, mode string, every float64) snapParams {
+func newSnapParams(w *world, sh *shard, every float64) snapParams {
 	return snapParams{
-		mode:     mode,
+		mode:     EngineSerial,
 		label:    w.cfg.CheckpointLabel,
 		every:    every,
 		cfgHash:  configHash(w),
-		kindHash: kindTableHash(shards[0].k),
+		kindHash: kindTableHash(sh.k),
 	}
 }
 
-// takeSnapshot serializes the complete state of a quiescent run. The
-// caller guarantees the boundary: the serial loop calls it between
-// events, the parallel engine at a round barrier with every worker
-// parked and all cross-shard messages delivered.
-func takeSnapshot(w *world, shards []*shard, p snapParams, now float64, events int64, gseq uint64, ties bool) ([]byte, error) {
+// takeSnapshot serializes the complete state of a serial run between
+// two events. The encoding keeps a shard count (always 1) ahead of the
+// shard's codec sections.
+func takeSnapshot(w *world, sh *shard, p snapParams, now float64, events int64) ([]byte, error) {
 	e := snapEncoder{buf: make([]byte, 0, p.sizeHint+4096)}
 	e.U64(uint64(snapshotMagic))
 	e.U64(uint64(snapshotVersion))
@@ -427,23 +404,16 @@ func takeSnapshot(w *world, shards []*shard, p snapParams, now float64, events i
 		return nil, fmt.Errorf("sim: checkpoint policy: %w", err)
 	}
 
-	e.Int(len(shards))
-	for _, sh := range shards {
-		e.Int(len(sh.k.codecs))
-		for _, c := range sh.k.codecs {
-			e.Str(c.name)
-			// Reserve the section length slot, save in place, then
-			// backpatch — avoids a second buffer and its copy per
-			// section.
-			e.U64(0)
-			lenAt := len(e.buf) - 8
-			c.save(&e)
-			binary.LittleEndian.PutUint64(e.buf[lenAt:], uint64(len(e.buf)-lenAt-8))
-		}
-	}
-	if p.mode == EngineParallel {
-		e.U64(gseq)
-		e.Bool(ties)
+	e.Int(1)
+	e.Int(len(sh.k.codecs))
+	for _, c := range sh.k.codecs {
+		e.Str(c.name)
+		// Reserve the section length slot, save in place, then backpatch
+		// — avoids a second buffer and its copy per section.
+		e.U64(0)
+		lenAt := len(e.buf) - 8
+		c.save(&e)
+		binary.LittleEndian.PutUint64(e.buf[lenAt:], uint64(len(e.buf)-lenAt-8))
 	}
 	// Integrity trailer: a CRC-32C checksum of everything above, so a
 	// flipped bit anywhere in a stored snapshot is rejected instead of
@@ -504,6 +474,10 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	sn.configHash = d.U64()
 	sn.kindHash = d.U64()
 	sn.mode = d.Str()
+	if d.err == nil && sn.mode != EngineSerial {
+		return nil, fmt.Errorf("%w: snapshot from engine mode %q; only %q snapshots resume",
+			ErrSnapshotMismatch, sn.mode, EngineSerial)
+	}
 	sn.every = d.F64()
 	sn.label = d.Str()
 	if d.err == nil {
@@ -521,35 +495,21 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		sn.polState = d.Bytes()
 	}
 
-	nShards := d.Int()
-	if d.err == nil && (nShards < 1 || nShards > 1<<20) {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrSnapshotMismatch, nShards)
+	if nShards := d.Int(); d.err == nil && nShards != 1 {
+		return nil, fmt.Errorf("%w: snapshot has %d shards, a serial run has 1", ErrSnapshotMismatch, nShards)
 	}
-	for i := 0; i < nShards && d.err == nil; i++ {
-		nCodecs := d.Int()
-		if d.err == nil && (nCodecs < 0 || nCodecs > 1<<10) {
-			return nil, fmt.Errorf("%w: implausible codec count %d", ErrSnapshotMismatch, nCodecs)
-		}
-		var secs []snapSection
-		for c := 0; c < nCodecs && d.err == nil; c++ {
-			secs = append(secs, snapSection{name: d.Str(), data: d.Bytes()})
-		}
-		sn.shards = append(sn.shards, secs)
+	nCodecs := d.Int()
+	if d.err == nil && (nCodecs < 0 || nCodecs > 1<<10) {
+		return nil, fmt.Errorf("%w: implausible codec count %d", ErrSnapshotMismatch, nCodecs)
 	}
-	if sn.mode == EngineParallel {
-		sn.gseq = d.U64()
-		sn.ties = d.Bool()
+	for c := 0; c < nCodecs && d.err == nil; c++ {
+		sn.sections = append(sn.sections, snapSection{name: d.Str(), data: d.Bytes()})
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotMismatch, len(data)-d.off)
-	}
-	switch sn.mode {
-	case EngineSerial, EngineParallel:
-	default:
-		return nil, fmt.Errorf("%w: unknown engine mode %q", ErrSnapshotMismatch, sn.mode)
 	}
 	return sn, nil
 }
@@ -581,33 +541,19 @@ func ReadSnapshotMeta(data []byte) (SnapshotMeta, error) {
 }
 
 // verify checks a decoded snapshot against the run it is about to be
-// restored into: same engine mode (after the parallelizability
-// fallback), same configuration fingerprint, matching shard count.
-func (sn *snapshot) verify(w *world, mode string) error {
-	if sn.mode != mode {
-		return fmt.Errorf("%w: snapshot from %q engine, resuming with %q",
-			ErrSnapshotMismatch, sn.mode, mode)
-	}
+// restored into: the same configuration fingerprint.
+func (sn *snapshot) verify(w *world) error {
 	if h := configHash(w); sn.configHash != h {
 		return fmt.Errorf("%w: configuration hash %#x, snapshot has %#x (different platform, workload, policy or knobs)",
 			ErrSnapshotMismatch, h, sn.configHash)
 	}
-	wantShards := 1
-	if mode == EngineParallel {
-		wantShards = w.nSites
-	}
-	if len(sn.shards) != wantShards {
-		return fmt.Errorf("%w: snapshot has %d shards, run needs %d",
-			ErrSnapshotMismatch, len(sn.shards), wantShards)
-	}
 	return nil
 }
 
-// restoreRun applies a verified snapshot to freshly built shards (and,
-// for parallel runs, the coordinator). Shards must be newly constructed
-// — subsystems registered, nothing seeded.
-func restoreRun(sn *snapshot, w *world, shards []*shard, c *coordinator) error {
-	if h := kindTableHash(shards[0].k); sn.kindHash != h {
+// restoreRun applies a verified snapshot to a freshly built serial
+// shard: subsystems registered, nothing seeded.
+func restoreRun(sn *snapshot, w *world, sh *shard) error {
+	if h := kindTableHash(sh.k); sn.kindHash != h {
 		return fmt.Errorf("%w: event-kind table hash %#x, snapshot has %#x",
 			ErrSnapshotMismatch, h, sn.kindHash)
 	}
@@ -617,38 +563,29 @@ func restoreRun(sn *snapshot, w *world, shards []*shard, c *coordinator) error {
 	if err := restoreComponentState(w.cfg.Policy, "policy", sn.hasPolState, sn.polState); err != nil {
 		return err
 	}
-	for i, sh := range shards {
-		secs := sn.shards[i]
-		if len(secs) != len(sh.k.codecs) {
-			return fmt.Errorf("%w: shard %d has %d state codecs, snapshot has %d",
-				ErrSnapshotMismatch, i, len(sh.k.codecs), len(secs))
-		}
-		for ci, codec := range sh.k.codecs {
-			if secs[ci].name != codec.name {
-				return fmt.Errorf("%w: shard %d codec %d is %q, snapshot has %q",
-					ErrSnapshotMismatch, i, ci, codec.name, secs[ci].name)
-			}
-			d := &snapDecoder{data: secs[ci].data}
-			if err := codec.load(d); err != nil {
-				return fmt.Errorf("sim: restore %s state: %w", codec.name, err)
-			}
-			if d.err != nil {
-				return fmt.Errorf("sim: restore %s state: %w", codec.name, d.err)
-			}
-			if d.off != len(d.data) {
-				return fmt.Errorf("%w: %s section has %d trailing bytes",
-					ErrSnapshotMismatch, codec.name, len(d.data)-d.off)
-			}
-		}
+	secs := sn.sections
+	if len(secs) != len(sh.k.codecs) {
+		return fmt.Errorf("%w: shard has %d state codecs, snapshot has %d",
+			ErrSnapshotMismatch, len(sh.k.codecs), len(secs))
 	}
-	for _, sh := range shards {
-		sh.rebuildAliasRisk()
+	for ci, codec := range sh.k.codecs {
+		if secs[ci].name != codec.name {
+			return fmt.Errorf("%w: codec %d is %q, snapshot has %q",
+				ErrSnapshotMismatch, ci, codec.name, secs[ci].name)
+		}
+		d := &snapDecoder{data: secs[ci].data}
+		if err := codec.load(d); err != nil {
+			return fmt.Errorf("sim: restore %s state: %w", codec.name, err)
+		}
+		if d.err != nil {
+			return fmt.Errorf("sim: restore %s state: %w", codec.name, d.err)
+		}
+		if d.off != len(d.data) {
+			return fmt.Errorf("%w: %s section has %d trailing bytes",
+				ErrSnapshotMismatch, codec.name, len(d.data)-d.off)
+		}
 	}
 	rebuildAliasLive(w)
-	if c != nil {
-		c.gseq = sn.gseq
-		c.ties = sn.ties
-	}
 	return nil
 }
 
@@ -673,7 +610,7 @@ func restoreComponentState(comp any, what string, has bool, data []byte) error {
 }
 
 // ---------------------------------------------------------------------
-// The checkpointer: cadence bookkeeping shared by both engines.
+// The checkpointer: the serial loop's cadence bookkeeping.
 
 // checkpointer drives periodic snapshots onto Config.CheckpointSink.
 // Marks sit on a grid anchored at the run's first submission with step
@@ -683,7 +620,7 @@ func restoreComponentState(comp any, what string, has bool, data []byte) error {
 // identical boundaries.
 type checkpointer struct {
 	w      *world
-	shards []*shard
+	sh     *shard
 	params snapParams
 	every  float64
 	next   float64
@@ -709,14 +646,14 @@ type checkpointer struct {
 	idx        deltaIndex
 
 	// Observability (see observe.go): capture counters/bytes and a
-	// wall-clock span per take on the driving engine's timeline track.
-	// Both nil-safe; set by the engine via observe.
+	// wall-clock span per take on the serial timeline track. Both
+	// nil-safe; set by the serial loop via observe.
 	met   *simMetrics
 	trace *obs.Track
 }
 
-// observe attaches the run's metric handles and the driving engine's
-// timeline track to the checkpointer. Nil-safe on a nil checkpointer
+// observe attaches the run's metric handles and the serial timeline
+// track to the checkpointer. Nil-safe on a nil checkpointer
 // (checkpointing disabled).
 func (ck *checkpointer) observe(met *simMetrics, tk *obs.Track) {
 	if ck == nil {
@@ -727,14 +664,14 @@ func (ck *checkpointer) observe(met *simMetrics, tk *obs.Track) {
 }
 
 // newCheckpointer returns nil when checkpointing is disabled.
-func newCheckpointer(w *world, shards []*shard, mode string, resumed *snapshot) *checkpointer {
+func newCheckpointer(w *world, sh *shard, resumed *snapshot) *checkpointer {
 	if w.cfg.CheckpointEvery <= 0 {
 		return nil
 	}
 	ck := &checkpointer{
 		w:        w,
-		shards:   shards,
-		params:   newSnapParams(w, shards, mode, w.cfg.CheckpointEvery),
+		sh:       sh,
+		params:   newSnapParams(w, sh, w.cfg.CheckpointEvery),
 		every:    w.cfg.CheckpointEvery,
 		next:     w.start + w.cfg.CheckpointEvery,
 		keyframe: w.cfg.CheckpointKeyframe,
@@ -758,9 +695,9 @@ func (ck *checkpointer) due(t float64) bool { return ck != nil && t >= ck.next }
 // against the previous emission, unless the delta fails to shrink (a
 // delta at least as large as its full encoding carries no value and
 // would still force chain reconstruction on resume).
-func (ck *checkpointer) take(t float64, events int64, gseq uint64, ties bool) error {
+func (ck *checkpointer) take(t float64, events int64) error {
 	t0 := ck.trace.Now()
-	data, err := takeSnapshot(ck.w, ck.shards, ck.params, t, events, gseq, ties)
+	data, err := takeSnapshot(ck.w, ck.sh, ck.params, t, events)
 	if err != nil {
 		return err
 	}
@@ -802,14 +739,11 @@ func (ck *checkpointer) take(t float64, events int64, gseq uint64, ties bool) er
 }
 
 // rebuildAliasRisk reconstructs the derived alias-risk counters of a
-// restored parallel shard: slotCount from the un-compacted FIFO slots
-// of the shard's pools, riskCounted/aliasRisk from slotCount × away.
-// (away itself is saved state — whether a job departed cannot be
-// derived locally.) Serial shards have no alias tracking; no-op.
+// partitioned shard restored from a rollback snapshot: slotCount from
+// the un-compacted FIFO slots of the shard's pools,
+// riskCounted/aliasRisk from slotCount × away. (away itself is saved
+// state — whether a job departed cannot be derived locally.)
 func (sh *shard) rebuildAliasRisk() {
-	if sh.slotCount == nil {
-		return
-	}
 	for i := range sh.slotCount {
 		sh.slotCount[i] = 0
 		sh.riskCounted[i] = false

@@ -4,12 +4,15 @@ package sim
 // bit-identity: a run resumed from a checkpoint taken at any mid-run
 // boundary must produce exactly the observables of a never-interrupted
 // run — hex-float-exact job records, series, counters and event counts
-// — across random federations, both engines, and zero and nonzero
-// fault regimes. Checkpointing itself must be a pure read: a run that
-// emits checkpoints must match a run that doesn't. Mismatched or
-// corrupted snapshots must be rejected before any state is touched.
+// — across random federations, both engine selections, and zero and
+// nonzero fault regimes. Checkpointing itself must be a pure read: a
+// run that emits checkpoints must match a run that doesn't, and asking
+// for the optimistic engine must emit the serial run's snapshots byte
+// for byte. Mismatched, corrupted or legacy snapshots must be rejected
+// before any state is touched.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -74,7 +77,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			return true
 		}
 		if engPick%2 == 1 {
-			base.Engine = EngineParallel
+			base.Engine = EngineOptimistic
 		}
 
 		// Reference: the straight run with no checkpointing at all.
@@ -83,6 +86,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Logf("straight run: %v", err)
 			return false
+		}
+		if plainRes.ambiguousTies {
+			// The optimistic straight run met a tie whose serial order it
+			// cannot reconstruct, so its bit-identity with the serial
+			// kernel — which runs every checkpointed and resumed cell —
+			// is void for this coordinate.
+			t.Logf("seed %d: ambiguous tie observed, skipping comparison", seed)
+			return true
 		}
 		fpPlain := fingerprint(plainRes)
 
@@ -101,6 +112,22 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		}
 		if len(*cks) == 0 {
 			return true // run shorter than one cadence interval
+		}
+		if base.Engine == EngineOptimistic {
+			// Checkpointed runs execute on the serial kernel whatever
+			// engine was asked for: the snapshots must be the serial
+			// run's, byte for byte.
+			serialCfg, serialCks := collectCheckpoints(base, every)
+			serialCfg.Engine = EngineSerial
+			freshComponents(serialCfg, seed, polPick, selPick)
+			if _, err := Run(*serialCfg, specs); err != nil {
+				t.Logf("serial checkpointed run: %v", err)
+				return false
+			}
+			if !sameCheckpoints(*cks, *serialCks) {
+				t.Logf("seed %d: optimistic checkpoint stream differs from the serial one", seed)
+				return false
+			}
 		}
 
 		// Resume from every emitted checkpoint: first (most state still
@@ -122,10 +149,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					seed, resumed.Engine, idx, ck.Time, firstDiff(fpPlain, fp))
 				return false
 			}
-			if res.ambiguousTies != plainRes.ambiguousTies {
-				t.Logf("seed %d: ambiguous-tie flag diverged on resume", seed)
-				return false
-			}
 		}
 		return true
 	}, cfgQuick)
@@ -134,9 +157,24 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// sameCheckpoints reports whether two checkpoint streams are identical:
+// same boundaries, same delta flags, same bytes.
+func sameCheckpoints(a, b []Checkpoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Time != b[i].Time || a[i].Events != b[i].Events ||
+			a[i].Delta != b[i].Delta || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkpointFixture runs one deterministic multi-site workload with
 // checkpointing and returns the config, specs and emitted checkpoints.
-func checkpointFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Checkpoint) {
+func checkpointFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint) {
 	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
@@ -147,10 +185,8 @@ func checkpointFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Check
 		Platform:          plat,
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
+		Engine:            engine,
 		CheckConservation: true,
-	}
-	if parallel {
-		base.Engine = EngineParallel
 	}
 	ckCfg, cks := collectCheckpoints(base, 60)
 	if _, err := Run(*ckCfg, specs); err != nil {
@@ -163,7 +199,7 @@ func checkpointFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Check
 }
 
 func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, false)
+	base, specs, cks := checkpointFixture(t, EngineSerial)
 	data := cks[len(cks)/2].Data
 
 	resume := func(cfg Config, data []byte) error {
@@ -215,12 +251,67 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 		t.Errorf("workload mismatch: got %v, want ErrSnapshotMismatch", err)
 	}
 
-	// A serial snapshot must not resume under the parallel engine.
-	wrongEngine := base
-	wrongEngine.Engine = EngineParallel
-	if err := resume(wrongEngine, data); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("engine-mode mismatch: got %v, want ErrSnapshotMismatch", err)
+	// A snapshot written by the removed conservative engine (mode
+	// "parallel", valid trailer) must fail cleanly under either engine
+	// selection, never panic.
+	legacy := reencodeSnapshot(t, freshFixtureConfig(base), specs, data, "parallel", func(*shard) {})
+	if _, err := decodeSnapshot(legacy); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("legacy snapshot decode: got %v, want ErrSnapshotMismatch", err)
 	}
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
+		cfg := base
+		cfg.Engine = engine
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: legacy resume panicked: %v", engine, r)
+				}
+			}()
+			return resume(cfg, legacy)
+		}()
+		if !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s: legacy parallel-mode snapshot: got %v, want ErrSnapshotMismatch", engine, err)
+		}
+	}
+}
+
+// freshFixtureConfig returns base with fresh instances of the
+// checkpoint fixture's stateful scheduler and policy.
+func freshFixtureConfig(base Config) Config {
+	base.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
+	base.Policy = core.NewResSusWaitRand(99)
+	return base
+}
+
+// reencodeSnapshot restores data into a fresh serial shard, lets edit
+// change the restored state, and encodes the result through
+// takeSnapshot under the given engine mode, with a valid trailer.
+func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, mode string, edit func(sh *shard)) []byte {
+	t.Helper()
+	cfg, err := raw.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := buildWorld(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShard(w, 0, allSites(w), false)
+	if err := restoreRun(sn, w, sh); err != nil {
+		t.Fatal(err)
+	}
+	edit(sh)
+	p := newSnapParams(w, sh, sn.every)
+	p.mode = mode
+	out, err := takeSnapshot(w, sh, p, sn.time, sn.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestSnapshotRejectsOutOfRangeJobIndex resumes from snapshots whose
@@ -229,42 +320,12 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 // events into job records by index, so the resume must fail with
 // ErrSnapshotMismatch instead of panicking.
 func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, false)
+	base, specs, cks := checkpointFixture(t, EngineSerial)
 	data := cks[len(cks)/2].Data
-	fresh := func() Config {
-		cfg := base
-		cfg.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
-		cfg.Policy = core.NewResSusWaitRand(99)
-		return cfg
-	}
-	// reencode restores data into a fresh serial shard, lets edit add
-	// pending events, and encodes the result with a recomputed trailer.
+	// reencode restores data, lets edit add pending events, and encodes
+	// the result with a recomputed trailer.
 	reencode := func(edit func(sh *shard)) []byte {
-		t.Helper()
-		raw := fresh()
-		cfg, err := raw.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := buildWorld(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn, err := decodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := newShard(w, 0, allSites(w), false)
-		if err := restoreRun(sn, w, []*shard{sh}, nil); err != nil {
-			t.Fatal(err)
-		}
-		edit(sh)
-		out, err := takeSnapshot(w, []*shard{sh}, newSnapParams(w, []*shard{sh}, EngineSerial, sn.every),
-			sn.time, sn.events, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, EngineSerial, edit)
 	}
 	resume := func(snap []byte) (err error) {
 		defer func() {
@@ -272,7 +333,7 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 				t.Fatalf("resume panicked: %v", r)
 			}
 		}()
-		cfg := fresh()
+		cfg := freshFixtureConfig(base)
 		cfg.ResumeFrom = snap
 		_, err = Run(cfg, specs)
 		return err
@@ -309,7 +370,7 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 // previous capture's size plus twice its growth (the resumed
 // snapshot's size after a resume), plus takeSnapshot's 4 KiB slack.
 func TestCheckpointCaptureBufferSizing(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, false)
+	base, specs, cks := checkpointFixture(t, EngineSerial)
 	fit := 0
 	check := func(what string, prev, grow int, ck Checkpoint) {
 		hint := prev + 2*grow + 4096
@@ -343,32 +404,29 @@ func TestCheckpointCaptureBufferSizing(t *testing.T) {
 }
 
 func TestReplayBisectCleanInterval(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		base, specs, cks := checkpointFixture(t, parallel)
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
+		base, specs, cks := checkpointFixture(t, engine)
 		if len(cks) < 2 {
-			t.Fatalf("parallel=%v: need two checkpoints, got %d", parallel, len(cks))
+			t.Fatalf("%s: need two checkpoints, got %d", engine, len(cks))
 		}
 		from, to := cks[0], cks[len(cks)-1]
-		cfg := base
-		cfg.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
-		cfg.Policy = core.NewResSusWaitRand(99)
-		rep, err := ReplayBisect(cfg, specs, from.Data, to.Data)
+		rep, err := ReplayBisect(freshFixtureConfig(base), specs, from.Data, to.Data)
 		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("%s: %v", engine, err)
 		}
 		if !rep.Clean() {
-			t.Fatalf("parallel=%v: healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
-				parallel, rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
+			t.Fatalf("%s: healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
+				engine, rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
 		}
 		if rep.ReplayedEvents != to.Events-from.Events {
-			t.Fatalf("parallel=%v: replayed %d events, interval spans %d",
-				parallel, rep.ReplayedEvents, to.Events-from.Events)
+			t.Fatalf("%s: replayed %d events, interval spans %d",
+				engine, rep.ReplayedEvents, to.Events-from.Events)
 		}
 	}
 }
 
 func TestReplayBisectRejectsCrossConfigSnapshots(t *testing.T) {
-	baseA, specsA, cksA := checkpointFixture(t, false)
+	baseA, specsA, cksA := checkpointFixture(t, EngineSerial)
 	_, _, cksB := func() (Config, []job.Spec, []Checkpoint) {
 		r := rand.New(rand.NewPCG(505, 506))
 		plat, specs, err := randomFederation(r)

@@ -249,7 +249,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 // deltaFixture runs one deterministic multi-site workload with a
 // keyframed checkpoint stream and returns the base config, specs, the
 // emitted checkpoints, and the straight-run fingerprint.
-func deltaFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Checkpoint, string) {
+func deltaFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint, string) {
 	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
@@ -260,10 +260,8 @@ func deltaFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Checkpoint
 		Platform:          plat,
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
+		Engine:            engine,
 		CheckConservation: true,
-	}
-	if parallel {
-		base.Engine = EngineParallel
 	}
 	plain := base
 	plain.Policy = core.NewResSusWaitRand(99)
@@ -309,20 +307,21 @@ func reconstructChain(t *testing.T, cks []Checkpoint) [][]byte {
 	return fulls
 }
 
-// TestDeltaSnapshotChain checks the keyframed stream end to end on both
-// engines: the emission pattern honors the keyframe cadence, deltas
-// shrink the stream, and resuming from a keyframe, from a
-// mid-chain delta, from the delta straight after a keyframe boundary,
+// TestDeltaSnapshotChain checks the keyframed stream end to end under
+// both engine selections: the emission pattern honors the keyframe
+// cadence, deltas shrink the stream, and resuming from a keyframe, from
+// a mid-chain delta, from the delta straight after a keyframe boundary,
 // and from the last checkpoint all reproduce the straight run
-// bit-identically.
+// bit-identically. Asking for the optimistic engine must emit the
+// serial stream byte for byte: checkpointed runs execute serially.
 func TestDeltaSnapshotChain(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
-			base, specs, cks, fpPlain := deltaFixture(t, parallel)
+	_, _, serialCks, _ := deltaFixture(t, EngineSerial)
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
+		t.Run(engine, func(t *testing.T) {
+			base, specs, cks, fpPlain := deltaFixture(t, engine)
+			if !sameCheckpoints(cks, serialCks) {
+				t.Fatal("checkpoint stream differs from the serial run's")
+			}
 			deltas := 0
 			for i, ck := range cks {
 				wantFull := i%4 == 0
@@ -379,7 +378,7 @@ func TestDeltaSnapshotChain(t *testing.T) {
 // against the wrong base: every failure mode must be
 // ErrSnapshotMismatch and never a wrong reconstruction.
 func TestDeltaCorruptionRejected(t *testing.T) {
-	_, _, cks, _ := deltaFixture(t, false)
+	_, _, cks, _ := deltaFixture(t, EngineSerial)
 	di := -1
 	for i, ck := range cks {
 		if ck.Delta {

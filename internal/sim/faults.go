@@ -21,7 +21,7 @@ import (
 // scans wait queues, whose revived slots can reach jobs resident at
 // other sites. The alias-risk promotion that already protects finishes
 // and arrivals therefore covers faults with no new machinery, and the
-// serial ≡ parallel bit-identity contract extends to fault runs.
+// serial ≡ optimistic bit-identity contract extends to fault runs.
 //
 // Determinism: each site's stream is forked from FaultConfig.Seed with
 // stats.SplitKey, so it is independent of site count, engine, and
@@ -82,21 +82,21 @@ func (f *FaultConfig) enabled() bool { return f.MTBF > 0 || f.MaintPeriod > 0 }
 // Called from Config.withDefaults; a disabled config is left untouched.
 func (f *FaultConfig) validate() error {
 	if f.MTBF < 0 || f.MTTR < 0 || f.MaintPeriod < 0 || f.MaintDuration < 0 {
-		return fmt.Errorf("sim: negative fault parameter %+v", *f)
+		return fmt.Errorf("negative fault parameter %+v", *f)
 	}
 	if !f.enabled() {
 		return nil
 	}
 	if f.MTBF > 0 && f.MTTR <= 0 {
-		return fmt.Errorf("sim: crashes need a positive MTTR (got %v)", f.MTTR)
+		return fmt.Errorf("crashes need a positive MTTR (got %v)", f.MTTR)
 	}
 	if f.MaintPeriod > 0 {
 		if f.MaintDuration <= 0 || f.MaintDuration >= f.MaintPeriod {
-			return fmt.Errorf("sim: maintenance duration %v outside (0, period %v)",
+			return fmt.Errorf("maintenance duration %v outside (0, period %v)",
 				f.MaintDuration, f.MaintPeriod)
 		}
 		if f.MaintFraction < 0 || f.MaintFraction > 1 {
-			return fmt.Errorf("sim: maintenance fraction %v outside [0,1]", f.MaintFraction)
+			return fmt.Errorf("maintenance fraction %v outside [0,1]", f.MaintFraction)
 		}
 		if f.MaintFraction == 0 {
 			f.MaintFraction = 0.25
@@ -107,7 +107,7 @@ func (f *FaultConfig) validate() error {
 		f.Victim = VictimRequeue
 	case VictimRequeue, VictimDrain:
 	default:
-		return fmt.Errorf("sim: unknown victim policy %q (want %q or %q)",
+		return fmt.Errorf("unknown victim policy %q (want %q or %q)",
 			f.Victim, VictimRequeue, VictimDrain)
 	}
 	return nil
@@ -122,8 +122,8 @@ const (
 // downSpan is one machine's downtime interval in a site's fault log;
 // to stays +inf while the machine is down. Result counters derive from
 // the logs clamped to the makespan, so both engines compute identical
-// values even though the parallel engine's final round may process
-// repair events the serial loop never pops.
+// values even though optimistic shards may process repair events the
+// serial loop never pops.
 type downSpan struct {
 	from, to float64
 	cores    int
@@ -427,7 +427,7 @@ func (sh *shard) killAndRequeue(rt *jobRT, pool, site int) error {
 // finalizeFaults derives the engine-independent fault counters from
 // the per-site downtime logs, clamped to the makespan: the serial loop
 // dies at the final completion leaving open spans behind, while the
-// parallel engine's last round may process repairs past it — clamping
+// optimistic shards may process repairs past it — clamping
 // makes both read identically. Crash/window events at or after the
 // makespan never count (the serial loop never popped them).
 func finalizeFaults(w *world, res *Result) {

@@ -1,6 +1,6 @@
 package sim
 
-// FuzzParallelOrdering model-checks the partitioned engine's
+// FuzzParallelOrdering model-checks the optimistic engine's
 // cross-partition event ordering against the serial kernel: a fuzzed
 // (seed, policy, site selector, staleness, fault regime) coordinate
 // synthesizes a random multi-site federation and workload, both
@@ -9,7 +9,7 @@ package sim
 // faultPick == 0 reproduces the historical fault-free corpus; any other
 // value enables machine crashes (and, depending on its low bits,
 // maintenance windows under either victim policy). Runs where the
-// parallel engine reports an ambiguous cross-partition timestamp tie
+// optimistic engine reports an ambiguous cross-partition timestamp tie
 // (possible with fuzzed integer delays; the serial scheduling-order
 // tie-break is not reconstructible) skip the comparison but still
 // require both engines to complete cleanly. The committed corpus pins
@@ -26,16 +26,15 @@ import (
 	"testing"
 )
 
-// fuzzCmp tallies, per engine, how many corpus inputs actually reached
-// the bit-identity comparison versus skipping it on an ambiguous tie.
-// A skip is legitimate for one coordinate, but if every input skips the
+// fuzzCmp tallies how many corpus inputs actually reached the
+// bit-identity comparison versus skipping it on an ambiguous tie. A
+// skip is legitimate for one coordinate, but if every input skips the
 // fuzz target has silently stopped checking anything — the coverage
 // test after the fuzz target turns that into a failure.
-var fuzzCmp = struct {
+var fuzzCmp struct {
 	sync.Mutex
-	runs  int
-	skips map[string]int
-}{skips: make(map[string]int)}
+	runs, skips int
+}
 
 // fuzzFaults derives a fault regime from one fuzz byte pair: zero
 // disables the subsystem entirely (historical behavior); otherwise
@@ -93,51 +92,39 @@ func FuzzParallelOrdering(f *testing.F) {
 			}
 		}
 		serialRes, serialErr := Run(mk(), specs)
-		skipped := false
-		for _, engine := range []string{EngineParallel, EngineOptimistic} {
-			par := mk()
-			par.Engine = engine
-			parRes, parErr := Run(par, specs)
-			if (serialErr == nil) != (parErr == nil) {
-				t.Fatalf("engines disagree on failure: serial=%v %s=%v", serialErr, engine, parErr)
-			}
-			if serialErr != nil {
-				continue
-			}
-			if parRes.ambiguousTies {
-				fuzzCmp.Lock()
-				fuzzCmp.skips[engine]++
-				fuzzCmp.Unlock()
-				skipped = true
-				continue
-			}
-			if a, b := fingerprint(serialRes), fingerprint(parRes); a != b {
-				t.Fatalf("serial and %s results diverge:\n%s", engine, firstDiff(a, b))
-			}
+		opt := mk()
+		opt.Engine = EngineOptimistic
+		optRes, optErr := Run(opt, specs)
+		if (serialErr == nil) != (optErr == nil) {
+			t.Fatalf("engines disagree on failure: serial=%v optimistic=%v", serialErr, optErr)
 		}
 		if serialErr != nil {
 			return
 		}
 		fuzzCmp.Lock()
 		fuzzCmp.runs++
+		if optRes.ambiguousTies {
+			fuzzCmp.skips++
+		}
 		fuzzCmp.Unlock()
-		if skipped {
+		if optRes.ambiguousTies {
 			t.Skip("ambiguous cross-partition tie: serial order not reconstructible")
+		}
+		if a, b := fingerprint(serialRes), fingerprint(optRes); a != b {
+			t.Fatalf("serial and optimistic results diverge:\n%s", firstDiff(a, b))
 		}
 	})
 }
 
 // TestFuzzCorpusComparisonCoverage runs after the fuzz target's seed
-// corpus (in-file declaration order) and fails if some engine skipped
-// the bit-identity comparison on every single input. Guarded on
-// runs > 0 so -run filters and -shuffle cannot produce a vacuous
-// failure or a false pass being load-bearing.
+// corpus (in-file declaration order) and fails if the bit-identity
+// comparison was skipped on every single input. Guarded on runs > 0 so
+// -run filters and -shuffle cannot produce a vacuous failure or a false
+// pass being load-bearing.
 func TestFuzzCorpusComparisonCoverage(t *testing.T) {
 	fuzzCmp.Lock()
 	defer fuzzCmp.Unlock()
-	for engine, skips := range fuzzCmp.skips {
-		if fuzzCmp.runs > 0 && skips >= fuzzCmp.runs {
-			t.Errorf("%s: all %d fuzz corpus inputs skipped the comparison as ambiguous ties", engine, fuzzCmp.runs)
-		}
+	if fuzzCmp.runs > 0 && fuzzCmp.skips >= fuzzCmp.runs {
+		t.Errorf("all %d fuzz corpus inputs skipped the comparison as ambiguous ties", fuzzCmp.runs)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // accounting.go) that register their handlers with the kernel at shard
 // construction. The kernel itself never inspects payloads and never
 // touches platform state, which is what lets the serial engine
-// (serial.go) and the partitioned parallel engine (parallel.go) drive
-// identical mechanism code.
+// (serial.go) and the partitioned optimistic engine (optimistic.go)
+// drive identical mechanism code.
 //
 // Event kinds are an open registry, not a closed enum: a subsystem
 // allocates each kind it owns with registerKind/registerHandoffKind
@@ -24,7 +24,7 @@ import (
 // without touching the kernel or the engines. Kind numbering follows
 // registration order; because every shard registers the same
 // subsystem list in the same order, the numbering is identical across
-// the partitions of one run (runParallel verifies this), which is what
+// the partitions of one run (runOptimistic verifies this), which is what
 // lets cross-shard deliveries carry kind values between kernels. Kind
 // numbers never influence event ordering — the queue orders purely on
 // (time, tie rank) — so the numbering is free to change as subsystems
@@ -49,13 +49,13 @@ type kindInfo struct {
 	handler handlerFunc
 
 	// deciding kinds consult scheduling or rescheduling policy —
-	// shared, order-sensitive state — and the parallel engine
+	// shared, order-sensitive state — and the optimistic engine
 	// serializes them globally in timestamp order.
 	deciding bool
 	// handoff kinds redistribute machine capacity (completions,
 	// arrivals, fault repairs): their wait-queue scans touch only
 	// shard-local state unless the shard has live alias risk, in which
-	// case the parallel engine promotes them to deciding (see
+	// case the optimistic engine promotes them to deciding (see
 	// shard.aliasRisk).
 	handoff bool
 
@@ -98,7 +98,7 @@ type subsystem interface {
 // owning queues: an alias dispatch may cancel a wait timer that a
 // different shard's kernel scheduled, and cancellation must decrement
 // that queue's live count, not the canceling shard's. For kinds the
-// parallel engine fence-publishes (deciding kinds, and the handoff
+// optimistic engine fence-publishes (deciding kinds, and the handoff
 // kinds that alias risk can promote to deciding) it carries a second
 // handle into the corresponding shadow queue.
 type evRef struct {
@@ -115,15 +115,15 @@ type kernel struct {
 	now float64
 
 	// phase is the tie-rank phase stamped on every locally scheduled
-	// event: the global decision count at the creating event's claim.
+	// event: the global decision count when the creating event ran.
 	// Always 0 in the serial engine (pure scheduling order); the
-	// parallel coordinator updates it at each claim so that same-time
+	// optimistic engine updates it at each commit so that same-time
 	// events reproduce the creation order of a single global queue.
 	phase uint64
 
-	// events counts dispatched events (serial engine; the parallel
-	// engine counts through per-round logs so it can truncate at the
-	// final completion exactly like the serial loop does).
+	// events counts dispatched events (serial engine; the optimistic
+	// engine counts through per-shard event logs so it can truncate at
+	// the final completion exactly like the serial loop does).
 	events int64
 
 	// kinds is the event-kind registry. Index 0 is reserved so the
@@ -162,7 +162,7 @@ func newKernel(trackDecides bool) *kernel {
 // registerKind allocates a new event kind owned by the calling
 // subsystem and installs its handler. deciding marks kinds whose
 // handlers consult shared scheduler/policy state and must execute in
-// global timestamp order under the parallel engine.
+// global timestamp order under the optimistic engine.
 func (k *kernel) registerKind(name string, deciding bool, h handlerFunc) kind {
 	if h == nil {
 		panic(fmt.Sprintf("sim: event kind %q registered with nil handler", name))
@@ -211,7 +211,7 @@ func (k *kernel) registerState(name string, save func(*snapEncoder), load func(*
 }
 
 // registerHandoffKind allocates a capacity-handoff kind: non-deciding
-// in the serial order, but promoted to deciding by the parallel engine
+// in the serial order, but promoted to deciding by the optimistic engine
 // while the owning shard has live alias risk, because redistributing
 // capacity scans wait queues whose revived slots can reach jobs
 // resident at other sites.
@@ -251,20 +251,11 @@ func (k *kernel) scheduleRef(t float64, kd kind, a, b int64, payload any) evRef 
 	return ref
 }
 
-// deliver adds a cross-partition event at a round barrier, ranked by
-// its creating decision (g) and send index so same-time ties resolve
-// exactly as the serial engine's creation order would.
-func (k *kernel) deliver(t float64, kd kind, a, b int64, g, idx uint64) {
-	k.q.ScheduleDelivery(t, int(kd), a, b, nil, g, idx)
-	if k.handoffQ != nil && k.kinds[kd].handoff {
-		k.handoffQ.ScheduleDelivery(t, int(kd), 0, 0, nil, g, idx)
-	}
-}
-
-// deliverBatch bulk-schedules one round's pre-sorted cross-partition
-// deliveries, equivalent to calling deliver once per element. The main
-// queue takes the whole batch in one call; fence shadows for handoff
-// kinds are added in the same pass.
+// deliverBatch bulk-schedules one commit's pre-sorted cross-partition
+// deliveries, each ranked by its creating decision (G) and send index
+// (Idx) so same-time ties resolve exactly as the serial engine's
+// creation order would. The main queue takes the whole batch in one
+// call; fence shadows for handoff kinds are added in the same pass.
 func (k *kernel) deliverBatch(batch []eventq.Delivery) {
 	k.q.DeliverBatch(batch)
 	if k.handoffQ == nil {
@@ -281,7 +272,7 @@ func (k *kernel) deliverBatch(batch []eventq.Delivery) {
 // restoreEvent reinstates a checkpointed pending event with its exact
 // tie rank, recreating the fence shadow for published kinds. The rank
 // is reused for the shadow entry: shadow queues only publish their
-// minimum pending time and pop in lockstep with claims of their kinds,
+// minimum pending time and pop in lockstep with their kinds' events,
 // so any ordering consistent with the main queue's is correct — and the
 // saved rank is exactly that.
 func (k *kernel) restoreEvent(sev eventq.SavedEvent) evRef {
@@ -345,7 +336,7 @@ func shadowNext(q *eventq.Queue) float64 {
 }
 
 // sameKinds reports whether two kernels allocated identical kind
-// tables — the cross-partition consistency the parallel engine relies
+// tables — the cross-partition consistency the optimistic engine relies
 // on to ship kind values between shards.
 func sameKinds(a, b *kernel) bool {
 	if len(a.kinds) != len(b.kinds) {

@@ -12,21 +12,18 @@ import (
 // predicted branch and zero allocations when Config.Metrics is unset.
 // Name lookups happen exactly once per run, in newSimMetrics.
 type simMetrics struct {
-	events     *obs.Counter   // events dispatched by this run's engine loops
-	rounds     *obs.Counter   // conservative closed rounds driven
-	fenceWaits *obs.Counter   // decision-fence wait episodes across shard workers
-	steals     *obs.Counter   // sub-shard steals (promoted Result.SubShardSteals)
-	bursts     *obs.Counter   // optimistic speculative bursts
-	snapshots  *obs.Counter   // optimistic incremental snapshots pushed
-	rollbacks  *obs.Counter   // optimistic rollbacks
-	undone     *obs.Counter   // events undone by rollbacks (wasted speculation)
-	drains     *obs.Counter   // optimistic group-commit drains
-	groupSize  *obs.Histogram // committed-run length per drain (promoted GroupCommitSize)
-	aliasRet   *obs.Counter   // alias retirements (promoted Result.AliasRetirements)
-	ckpts      *obs.Counter   // checkpoint snapshots captured
-	ckptBytes  *obs.Counter   // encoded checkpoint bytes emitted
-	qDepth     *obs.Gauge     // event-queue live-depth high-water across shards
-	qTombs     *obs.Gauge     // event-queue tombstone high-water across shards
+	events    *obs.Counter   // events dispatched by this run's engine loops
+	bursts    *obs.Counter   // optimistic speculative bursts
+	snapshots *obs.Counter   // optimistic incremental snapshots pushed
+	rollbacks *obs.Counter   // optimistic rollbacks
+	undone    *obs.Counter   // events undone by rollbacks (wasted speculation)
+	drains    *obs.Counter   // optimistic group-commit drains
+	groupSize *obs.Histogram // committed-run length per drain (promoted GroupCommitSize)
+	aliasRet  *obs.Counter   // alias retirements (promoted Result.AliasRetirements)
+	ckpts     *obs.Counter   // checkpoint snapshots captured
+	ckptBytes *obs.Counter   // encoded checkpoint bytes emitted
+	qDepth    *obs.Gauge     // event-queue live-depth high-water across shards
+	qTombs    *obs.Gauge     // event-queue tombstone high-water across shards
 }
 
 func newSimMetrics(r *obs.Registry) simMetrics {
@@ -34,28 +31,25 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		return simMetrics{}
 	}
 	return simMetrics{
-		events:     r.Counter("sim.events"),
-		rounds:     r.Counter("sim.par.rounds"),
-		fenceWaits: r.Counter("sim.par.fence_waits"),
-		steals:     r.Counter("sim.par.subshard_steals"),
-		bursts:     r.Counter("sim.opt.bursts"),
-		snapshots:  r.Counter("sim.opt.snapshots"),
-		rollbacks:  r.Counter("sim.opt.rollbacks"),
-		undone:     r.Counter("sim.opt.undone_events"),
-		drains:     r.Counter("sim.opt.commit_drains"),
-		groupSize:  r.Histogram("sim.opt.group_commit_size"),
-		aliasRet:   r.Counter("sim.alias_retirements"),
-		ckpts:      r.Counter("sim.checkpoint.captures"),
-		ckptBytes:  r.Counter("sim.checkpoint.bytes"),
-		qDepth:     r.Gauge("sim.queue.depth_max"),
-		qTombs:     r.Gauge("sim.queue.tombstones_max"),
+		events:    r.Counter("sim.events"),
+		bursts:    r.Counter("sim.opt.bursts"),
+		snapshots: r.Counter("sim.opt.snapshots"),
+		rollbacks: r.Counter("sim.opt.rollbacks"),
+		undone:    r.Counter("sim.opt.undone_events"),
+		drains:    r.Counter("sim.opt.commit_drains"),
+		groupSize: r.Histogram("sim.opt.group_commit_size"),
+		aliasRet:  r.Counter("sim.alias_retirements"),
+		ckpts:     r.Counter("sim.checkpoint.captures"),
+		ckptBytes: r.Counter("sim.checkpoint.bytes"),
+		qDepth:    r.Gauge("sim.queue.depth_max"),
+		qTombs:    r.Gauge("sim.queue.tombstones_max"),
 	}
 }
 
 // sampleQueues records event-queue depth/tombstone high-water marks
 // across the given shards. Called only from points where shard kernels
-// are quiescent for the caller (the serial loop itself, round
-// barriers, commit passes), never per event.
+// are quiescent for the caller (the serial loop itself, commit
+// passes), never per event.
 func (m *simMetrics) sampleQueues(shards []*shard) {
 	if m.qDepth == nil {
 		return

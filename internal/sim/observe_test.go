@@ -41,7 +41,7 @@ func obsFederation(t *testing.T, seed uint64) (Config, []job.Spec) {
 	}, specs
 }
 
-// TestObservabilitySharedRegistry runs all three engines concurrently
+// TestObservabilitySharedRegistry runs both engines concurrently
 // against ONE shared registry and tracer — the cmd/experiments wiring —
 // while progress callbacks fire at every poll. Under -race this is the
 // concurrency proof for the obs hot path; the counter reconciliation
@@ -55,7 +55,7 @@ func TestObservabilitySharedRegistry(t *testing.T) {
 	var mu sync.Mutex
 	var firstErr error
 	run := 0
-	for _, engine := range []string{EngineSerial, EngineParallel, EngineOptimistic} {
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
 		for _, seed := range []uint64{11, 23} {
 			cfg, specs := obsFederation(t, seed)
 			cfg.Engine = engine
@@ -108,7 +108,7 @@ func TestObservabilitySharedRegistry(t *testing.T) {
 // must be bit-identical to a bare run of the same configuration, on
 // every engine.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
-	for _, engine := range []string{EngineSerial, EngineParallel, EngineOptimistic} {
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
 		bare, specs := obsFederation(t, 37)
 		bare.Engine = engine
 		bareRes, err := Run(bare, specs)
@@ -132,20 +132,18 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestTimelineTracksGolden runs a fixed workload under the parallel and
-// optimistic engines and pins the emitted timeline's track structure —
-// process and thread names — against a golden file. Shard planning is
-// deterministic (per-site, never GOMAXPROCS-dependent), so the track
-// list is machine-stable even though span timings are not.
+// TestTimelineTracksGolden runs a fixed workload under the optimistic
+// engine and pins the emitted timeline's track structure — process and
+// thread names — against a golden file. Shard planning is deterministic
+// (per-site, never GOMAXPROCS-dependent), so the track list is
+// machine-stable even though span timings are not.
 func TestTimelineTracksGolden(t *testing.T) {
 	tr := obs.NewTracer()
-	for _, engine := range []string{EngineParallel, EngineOptimistic} {
-		cfg, specs := obsFederation(t, 7)
-		cfg.Engine = engine
-		cfg.Trace = tr.Process("cell golden/" + engine)
-		if _, err := Run(cfg, specs); err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
+	cfg, specs := obsFederation(t, 7)
+	cfg.Engine = EngineOptimistic
+	cfg.Trace = tr.Process("cell golden/" + EngineOptimistic)
+	if _, err := Run(cfg, specs); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {

@@ -12,40 +12,40 @@ import (
 
 	"netbatch/internal/eventq"
 	"netbatch/internal/obs"
+	"netbatch/internal/stats"
 )
 
-// This file is the optimistic (Time Warp) engine: the third execution
-// mode next to the serial loop and the conservative round engine in
-// parallel.go. The conservative engine advances all shards in lockstep
-// rounds of width MinCrossRTT; when that lookahead is small (metro
-// federations) the round barriers dominate the runtime even though
-// decisions — the only events that actually need global order — are
-// far sparser than rounds. The optimistic engine inverts the bet:
+// This file is the optimistic (Time Warp) engine: the partitioned
+// alternative to the serial loop. It runs one shard (kernel + subsystem
+// state) per site and produces results bit-identical to the serial
+// reference loop. Events split into two classes:
 //
-//   - Non-deciding events are shard-local by construction (the same
-//     property the conservative engine exploits to dispatch them
-//     outside the mutex), so shards run them speculatively, far past
-//     each other's clocks, with no synchronization at all.
-//   - Deciding events (and alias-promoted handoffs) still execute one
-//     at a time under global quiescence, in timestamp order, exactly
-//     like a conservative claim. Before each commit every shard that
-//     sped past the decision time is rolled back to just below it, so
-//     the decision observes precisely the state a serial run would.
+//   - Non-deciding events touch only their own shard's state, so
+//     shards run them speculatively, far past each other's clocks, with
+//     no synchronization at all.
+//   - Deciding events (submissions, suspension decisions, wait-timeout
+//     reschedules, and handoffs promoted under alias risk) consult
+//     shared scheduler/policy state and may read any site's pool state
+//     through the view, so they execute one at a time under global
+//     quiescence, in timestamp order. Before each commit every shard
+//     that sped past the decision time is rolled back to just below it,
+//     so the decision observes precisely the state a serial run would.
 //
-// Rollback rides the checkpoint contract from PR 5 and the delta
-// encoder from PR 6: each shard keeps a small stack of incremental
-// snapshots (the registered state codecs, concatenated; older stack
-// entries are reverse-delta-compressed against their newer neighbor),
-// taken every snapEvery events while speculating. Undo is: reset the
-// event queues, decode the codec sections positionally, truncate the
-// per-event logs, then re-execute the restored queue up to the commit
-// time. Speculative events never send cross-shard messages — sends
-// originate only from deciding dispatches, which never speculate — so
-// queue restoration is the entire anti-message machinery: there is
-// nothing in flight to cancel.
+// Rollback rides the checkpoint state contract and the delta encoder:
+// each shard keeps a small stack of incremental snapshots (the
+// registered state codecs, concatenated; older stack entries are
+// reverse-delta-compressed against their newer neighbor), taken every
+// snapEvery events while speculating. Undo is: reset the event queues,
+// decode the codec sections positionally, truncate the per-event logs,
+// then re-execute the restored queue up to the commit time.
+// Speculative events never send cross-shard messages — sends originate
+// only from deciding dispatches, which never speculate — so queue
+// restoration is the entire anti-message machinery: there is nothing
+// in flight to cancel.
 //
 // Two horizons bound each speculation burst, both computed at
-// quiescence from the same fences the conservative engine publishes:
+// quiescence from the fences every shard publishes (see
+// shard.publishedFence):
 //
 //	safe_i = min over peers j != i of publishedFence(j)
 //	cap    = min(min fence + window, td)
@@ -82,12 +82,18 @@ import (
 // both invalidate older queue captures), so all retained state is
 // newer than GVT by construction and no separate GVT pass is needed.
 //
-// Determinism: commits replay the conservative engine's claim
-// discipline — same gseq increments, same phase stamping, same
-// (Time, G, Idx)-sorted barrier deliveries, same ambiguous-tie flags —
-// so the merged result is bit-identical to the serial engine whenever
-// the conservative engine's is, and the same measure-zero tie cases
-// are flagged instead of silently ordered.
+// Determinism: every deciding commit increments gseq and stamps it as
+// the kernel phase (see kernel.phase), so same-time events created by
+// different decisions rank in creation order across shards, and a
+// decision's cross-shard sends are delivered pre-sorted in
+// (Time, G, Idx) order. Exact cross-shard timestamp ties whose serial
+// order cannot be reconstructed are resolved deterministically
+// (decider first, then lower shard index) and flagged in
+// Result.ambiguousTies instead of silently ordered. Such ties are
+// measure-zero for the float-valued synthetic traces; the one
+// structural tie — the first submission and the initial snapshot
+// refreshes share the trace's start time — is provably ordered (the
+// serial engine schedules the submission first) and is not flagged.
 //
 // While a cross-site aliased job is machine-attached (w.aliasLive > 0)
 // handoffs everywhere become deciding and may mutate remote machine
@@ -97,15 +103,63 @@ import (
 // job detaches (the ledger retires the risk, see world.aliasLive),
 // handoffs demote back to shard-local events and speculation resumes.
 
+// outMsg is one cross-shard event awaiting delivery at the end of its
+// deciding commit: the inline payload words plus the (creating decision
+// g, send index idx) pair for tie ranking. The destination shard is
+// encoded by which per-dest buffer holds the message (parShard.outbox).
+type outMsg struct {
+	t    float64
+	kind kind
+	a, b int64
+	g    uint64
+	idx  uint64
+}
+
+// busyShift is one busy-core mutation a shard applied to a machine at
+// another site (see shard.addBusy): run-scoped, used by the series
+// merge to move the sample attribution from the executing shard to the
+// machine's site.
+type busyShift struct {
+	t     float64
+	exec  int
+	site  int
+	delta int32
+}
+
+// parShard is the per-shard bookkeeping of a partitioned run.
+type parShard struct {
+	// outbox holds the committing decision's outgoing cross-shard
+	// messages, one buffer per destination shard. Buffers are truncated
+	// (not freed) at each delivery, so steady-state commits append into
+	// warm storage.
+	outbox [][]outMsg
+	// outboxN counts the messages currently buffered across all of this
+	// shard's outbox buffers, so a commit can skip the per-destination
+	// walk when nothing was sent.
+	outboxN int
+
+	// busyShifts logs cross-site busy mutations for the whole run.
+	busyShifts []busyShift
+	// evTimes/evFin log the shard's processed events for the whole run:
+	// the event time and, for completions, the finished job index (-1
+	// otherwise). They let the merge count events exactly the way the
+	// serial loop — which dies at the last completion — does, and
+	// rollback truncates them.
+	evTimes []float64
+	evFin   []int32
+	polls   int64
+	msgSeq  uint64
+}
+
 // optEntry is one incremental rollback snapshot: the shard's codec
 // sections at a moment where sh.k.now == clock and the head of its
 // queue was about to execute. Entries older than the newest are
 // stored as reverse deltas against their next-newer neighbor.
 type optEntry struct {
-	clock    float64
-	roundLen int // len(par.roundTimes) at capture, for log truncation
-	data     []byte
-	isDelta  bool
+	clock   float64
+	logLen  int // len(par.evTimes) at capture, for log truncation
+	data    []byte
+	isDelta bool
 }
 
 // optShard is the optimistic engine's per-shard bookkeeping. Its
@@ -124,8 +178,8 @@ type optShard struct {
 	sinceSnap int // events executed since the newest stack entry
 
 	// finMax is the latest completion time this shard has logged (and
-	// not rolled back): the incremental form of scanning roundFin for
-	// the run's last finish. Rollback truncation rescans the surviving
+	// not rolled back): the incremental form of scanning evFin for the
+	// run's last finish. Rollback truncation rescans the surviving
 	// log prefix when the truncated suffix could have held the maximum.
 	finMax float64
 
@@ -299,11 +353,11 @@ func (c *optCoord) runBurst(sh *shard, capT, safeT float64) {
 	w.met.bursts.Add(1)
 	if tk := sh.trace; tk != nil {
 		bt0 := tk.Now()
-		ev0 := len(sh.par.roundTimes)
+		ev0 := len(sh.par.evTimes)
 		defer func() {
 			// Parked bursts (head already at the cap) stay off the
 			// timeline; only bursts that executed something render.
-			if n := len(sh.par.roundTimes) - ev0; n > 0 {
+			if n := len(sh.par.evTimes) - ev0; n > 0 {
 				tk.Span("burst", bt0, obs.Arg{Key: "events", Val: int64(n)})
 			}
 		}()
@@ -336,8 +390,8 @@ func (c *optCoord) runBurst(sh *shard, capT, safeT float64) {
 			fin = int32(ev.A)
 		}
 		k.releaseRef(ev)
-		sh.par.roundTimes = append(sh.par.roundTimes, t)
-		sh.par.roundFin = append(sh.par.roundFin, fin)
+		sh.par.evTimes = append(sh.par.evTimes, t)
+		sh.par.evFin = append(sh.par.evFin, fin)
 		if fin >= 0 && t > o.finMax {
 			o.finMax = t
 		}
@@ -386,9 +440,9 @@ func (c *optCoord) pushSnapshot(sh *shard) {
 	c.w.met.snapshots.Add(1)
 	sh.trace.Instant("snapshot")
 	o.stack = append(o.stack, optEntry{
-		clock:    sh.k.now,
-		roundLen: len(sh.par.roundTimes),
-		data:     data,
+		clock:  sh.k.now,
+		logLen: len(sh.par.evTimes),
+		data:   data,
 	})
 	o.sinceSnap = 0
 }
@@ -474,7 +528,7 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 			data = o.stack[i].data
 		}
 	}
-	undone := len(sh.par.roundTimes) - o.stack[ti].roundLen
+	undone := len(sh.par.evTimes) - o.stack[ti].logLen
 
 	k.q.Reset()
 	k.decideQ.Reset()
@@ -489,16 +543,16 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 		return fmt.Errorf("sim: rollback restore (shard %d): %d trailing bytes", sh.index, len(data)-d.off)
 	}
 	ent := &o.stack[ti]
-	sh.par.roundTimes = sh.par.roundTimes[:ent.roundLen]
-	sh.par.roundFin = sh.par.roundFin[:ent.roundLen]
+	sh.par.evTimes = sh.par.evTimes[:ent.logLen]
+	sh.par.evFin = sh.par.evFin[:ent.logLen]
 	if o.finMax >= ent.clock {
 		// The truncated suffix (all events at or above the snapshot
 		// clock) could have held the latest completion; rescan the
 		// surviving prefix.
 		o.finMax = math.Inf(-1)
-		for pos, fin := range sh.par.roundFin {
-			if fin >= 0 && sh.par.roundTimes[pos] > o.finMax {
-				o.finMax = sh.par.roundTimes[pos]
+		for pos, fin := range sh.par.evFin {
+			if fin >= 0 && sh.par.evTimes[pos] > o.finMax {
+				o.finMax = sh.par.evTimes[pos]
 			}
 		}
 	}
@@ -531,8 +585,8 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 			fin = int32(ev.A)
 		}
 		k.releaseRef(ev)
-		sh.par.roundTimes = append(sh.par.roundTimes, ev.Time)
-		sh.par.roundFin = append(sh.par.roundFin, fin)
+		sh.par.evTimes = append(sh.par.evTimes, ev.Time)
+		sh.par.evFin = append(sh.par.evFin, fin)
 		if fin >= 0 && ev.Time > o.finMax {
 			o.finMax = ev.Time
 		}
@@ -566,10 +620,10 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 // commit executes exactly one event at td on the decider shard under
 // global quiescence, after rolling every shard that speculated to or
 // past td back below it. The head is usually the deciding event that
-// defined td, but can be a same-time local ranked before it; either
-// way the conservative engine's claim discipline is replayed: gseq
-// and phase stamping, the ambiguous-tie flags of canDecide/canLocal,
-// and (Time, G, Idx)-sorted barrier delivery of the decision's sends.
+// defined td, but can be a same-time local ranked before it. A
+// deciding commit increments gseq and stamps it as the phase of every
+// event it creates, then delivers its cross-shard sends (see
+// deliverOutbox); ties it cannot order are flagged.
 func (c *optCoord) commit(td float64, decider int) error {
 	w := c.w
 	for i, sh := range c.shards {
@@ -591,12 +645,13 @@ func (c *optCoord) commit(td float64, decider int) error {
 	kd := ev.Kind
 	deciding := dsh.k.decides(kd) || ((dsh.aliasRisk > 0 || w.aliasLive > 0) && dsh.k.isHandoff(kd))
 
-	// Ambiguous-tie scan, mirroring the conservative claim checks: a
-	// deciding commit flags any peer holding an event or a fence at
-	// exactly td (canDecide's second pass, with its structural
-	// start-tie exemption for the snapshot chains every shard seeds at
-	// the trace start); a local commit flags only tied fences
-	// (canLocal — same-time locals in different shards commute).
+	// Ambiguous-tie scan: a deciding commit flags any peer holding an
+	// event or a fence at exactly td, whose serial order relative to the
+	// decision cannot be reconstructed — except the structural start
+	// tie with the snapshot chains every shard seeds at the trace start,
+	// which the serial engine provably orders after the first
+	// submission. A local commit flags only tied fences: same-time
+	// locals in different shards commute.
 	for qi, sh := range c.shards {
 		if qi == decider {
 			continue
@@ -644,8 +699,8 @@ func (c *optCoord) commit(td float64, decider int) error {
 	}
 	dsh.k.releaseRef(ev)
 	sh := dsh
-	sh.par.roundTimes = append(sh.par.roundTimes, td)
-	sh.par.roundFin = append(sh.par.roundFin, fin)
+	sh.par.evTimes = append(sh.par.evTimes, td)
+	sh.par.evFin = append(sh.par.evFin, fin)
 	if fin >= 0 && td > sh.opt.finMax {
 		sh.opt.finMax = td
 	}
@@ -672,9 +727,11 @@ func (c *optCoord) commit(td float64, decider int) error {
 	return nil
 }
 
-// deliverOutbox flushes the decider's cross-shard sends exactly like
-// the conservative round barrier: one batched delivery per
-// destination, pre-sorted into (Time, G, Idx) firing order. Every
+// deliverOutbox flushes the decider's cross-shard sends: one batched
+// delivery per destination, pre-sorted into (Time, G, Idx) firing
+// order. Every message's rank is unique, because all cross-shard sends
+// originate from globally-serialized deciding events, so the bulk
+// insert is deterministic. Every
 // other outbox must be empty — speculative events are shard-local and
 // never send — and a message there means the engine's safety argument
 // is broken, so it is checked, not assumed.
@@ -769,10 +826,8 @@ func runOptimistic(w *world) (*Result, error) {
 	for s := range shards {
 		shards[s] = newShard(w, s, []int{s}, true)
 	}
-	// Unlike the conservative engine, whose per-round logs truncate at
-	// every barrier and append into warm storage, the optimistic logs
-	// span the whole run (the merge and rollback truncation need them).
-	// Go's large-slice append grows by ~1.25x, so growing a year-scale
+	// The per-shard event logs span the whole run (the merge and
+	// rollback truncation need them). Go's large-slice append grows by ~1.25x, so growing a year-scale
 	// log from nothing churns several times its final size; presizing
 	// from the job count removes that churn for the typical event/job
 	// ratio and degrades to plain growth beyond it.
@@ -786,8 +841,8 @@ func runOptimistic(w *world) (*Result, error) {
 			scopeSeen: make([]bool, len(w.jobs)),
 			finMax:    math.Inf(-1),
 		}
-		sh.par.roundTimes = make([]float64, 0, estLog)
-		sh.par.roundFin = make([]int32, 0, estLog)
+		sh.par.evTimes = make([]float64, 0, estLog)
+		sh.par.evFin = make([]int32, 0, estLog)
 	}
 	c := &optCoord{
 		w:         w,
@@ -876,7 +931,7 @@ func runOptimistic(w *world) (*Result, error) {
 		if pm != nil {
 			var evs int64
 			for _, sh := range shards {
-				evs += int64(len(sh.par.roundTimes))
+				evs += int64(len(sh.par.evTimes))
 			}
 			pm.maybe(maxNow(shards), evs, c.rolls)
 		}
@@ -893,11 +948,11 @@ func runOptimistic(w *world) (*Result, error) {
 				}
 			}
 			if minNext > lastFin {
-				// Mirrors the conservative final round: events at
-				// exactly the makespan still execute (and feed the
-				// owner/tie accounting in mergeParallel); everything
-				// strictly beyond it is inert by the same argument that
-				// lets the round engine drain past the cap.
+				// Events at exactly the makespan still execute (and
+				// feed the owner/tie accounting in mergeParallel);
+				// everything strictly beyond it is inert: the merge
+				// counts events and sample ticks only up to the
+				// makespan, exactly where the serial loop stops.
 				break
 			}
 		} else {
@@ -1099,12 +1154,13 @@ func runOptimistic(w *world) (*Result, error) {
 		}
 	}
 
-	// Every sample tick strictly below the makespan is final; the
-	// merge truncates there exactly like the serial sampler's death.
+	// Every sample tick strictly below the makespan is final: no event
+	// below it can arrive any more. The merge truncates there exactly
+	// like the serial sampler's death.
 	for _, sh := range shards {
-		sh.acct.flushTo(lastFin)
+		sh.acct.advanceTo(lastFin)
 	}
-	res, err := mergeParallel(w, shards, 0, &coordinator{ties: c.ties})
+	res, err := mergeParallel(w, shards, c.ties)
 	if err != nil {
 		return nil, err
 	}
@@ -1112,4 +1168,162 @@ func runOptimistic(w *world) (*Result, error) {
 	res.Rollbacks = c.rolls
 	w.met.events.Add(res.Events)
 	return res, nil
+}
+
+func maxNow(shards []*shard) float64 {
+	var m float64
+	for _, sh := range shards {
+		if sh.k.now > m {
+			m = sh.k.now
+		}
+	}
+	return m
+}
+
+// mergeParallel recombines per-shard results into one Result
+// bit-identical to the serial engine's: counters sum, series recombine
+// tick-by-tick with the serial sampler's float operations, and the
+// event count stops at the last completion exactly where the serial
+// loop stopped. ties carries the engine's ambiguous-tie flag.
+func mergeParallel(w *world, shards []*shard, ties bool) (*Result, error) {
+	var res Result
+	for _, sh := range shards {
+		res.Preemptions += sh.res.Preemptions
+		res.Restarts += sh.res.Restarts
+		res.Migrations += sh.res.Migrations
+		res.WaitMoves += sh.res.WaitMoves
+		res.CrossSiteSubmits += sh.res.CrossSiteSubmits
+		res.CrossSiteMoves += sh.res.CrossSiteMoves
+		res.Kills += sh.res.Kills
+		res.Requeues += sh.res.Requeues
+	}
+	if err := finalizeJobs(w, &res); err != nil {
+		return nil, err
+	}
+	finalizeFaults(w, &res)
+	if res.Makespan > w.cfg.MaxTime {
+		// The serial loop would have failed at the first event past the
+		// cap instead of finishing the run.
+		return nil, fmt.Errorf("sim: exceeded MaxTime %v: last completion at t=%v",
+			w.cfg.MaxTime, res.Makespan)
+	}
+	res.ambiguousTies = ties
+
+	// Locate the completion that ended the run: the finish event at the
+	// makespan. Events the serial loop would have processed after it
+	// (later events of the same shard, by local order) are excluded from
+	// the event count; a co-timed completion in another shard is an
+	// ambiguous tie.
+	owner, ownerPos := -1, -1
+	for si, sh := range shards {
+		for pos, fin := range sh.par.evFin {
+			if fin >= 0 && sh.par.evTimes[pos] == res.Makespan {
+				switch {
+				case owner == -1:
+					owner, ownerPos = si, pos
+				case owner == si:
+					ownerPos = pos
+				default:
+					res.ambiguousTies = true
+				}
+			}
+		}
+	}
+	for si, sh := range shards {
+		for pos, t := range sh.par.evTimes {
+			switch {
+			case t < res.Makespan:
+				res.Events++
+			case t == res.Makespan:
+				if si == owner && pos <= ownerPos {
+					res.Events++
+				} else if si != owner {
+					res.ambiguousTies = true
+				}
+			}
+		}
+	}
+	res.AliasRetirements = w.aliasRetired
+	// Promote the run's execution counters into the metrics registry
+	// (no-ops when Config.Metrics is unset).
+	w.met.aliasRet.Add(w.aliasRetired)
+
+	if !w.cfg.DisableSampling {
+		mergeSeries(w, shards, &res)
+	}
+	return &res, nil
+}
+
+// mergeSeries rebuilds the global (and per-site) time series from the
+// shards' raw per-tick counters, reproducing the serial sampler's
+// float operations tick for tick: global utilization divides the
+// integer sum of per-site busy cores by the platform total, and the
+// series stop strictly before the makespan — the serial loop records a
+// tick only when a later event pops, and no event follows the final
+// completion. shards[s] is site s's shard.
+func mergeSeries(w *world, shards []*shard, res *Result) {
+	bin := w.cfg.SeriesBin
+	util := stats.NewTimeSeries(bin)
+	susp := stats.NewTimeSeries(bin)
+	wait := stats.NewTimeSeries(bin)
+	siteTS := make([]*stats.TimeSeries, w.nSites)
+	for s := range siteTS {
+		siteTS[s] = stats.NewTimeSeries(bin)
+	}
+	// Cross-site busy shifts (serialized mutations of a remote site's
+	// machines, possible only after a cross-site alias dispatch): the
+	// executing shard's raw samples include them in its own scope, while
+	// the serial site series attribute them to the machine's site. corr
+	// re-attributes tick by tick: +delta to the machine's site, −delta
+	// to the executor's. Shifts of different shards carry distinct
+	// timestamps (they happen under global serialization; exact ties are
+	// measure-zero and flagged elsewhere), so a stable sort by time
+	// reproduces the serial application order.
+	var shifts []busyShift
+	for _, sh := range shards {
+		shifts = append(shifts, sh.par.busyShifts...)
+	}
+	sort.SliceStable(shifts, func(a, b int) bool { return shifts[a].t < shifts[b].t })
+	corr := make([]int, w.nSites)
+	next := 0
+
+	n := math.MaxInt
+	for _, sh := range shards {
+		if l := len(sh.acct.rawBusy); l < n {
+			n = l
+		}
+	}
+	t := w.start
+	for i := 0; i < n && t < res.Makespan; i++ {
+		// A tick reads post-event state at its own timestamp, so shifts
+		// at exactly t apply to it.
+		for next < len(shifts) && shifts[next].t <= t {
+			corr[shifts[next].site] += int(shifts[next].delta)
+			corr[shifts[next].exec] -= int(shifts[next].delta)
+			next++
+		}
+		busy, suspended, waiting := 0, 0, 0
+		for _, sh := range shards {
+			busy += int(sh.acct.rawBusy[i])
+			suspended += int(sh.acct.rawSusp[i])
+			waiting += int(sh.acct.rawWait[i])
+		}
+		uv := 0.0
+		if w.totalCores > 0 {
+			uv = float64(busy) / float64(w.totalCores) * 100
+		}
+		util.Add(t, uv)
+		susp.Add(t, float64(suspended))
+		wait.Add(t, float64(waiting))
+		for s, sh := range shards {
+			su := 0.0
+			if w.siteCores[s] > 0 {
+				su = float64(corr[s]+int(sh.acct.rawBusy[i])) / float64(w.siteCores[s]) * 100
+			}
+			siteTS[s].Add(t, su)
+		}
+		t += w.cfg.SampleEvery
+	}
+	res.Util, res.Suspended, res.Waiting = util, susp, wait
+	res.SiteUtil = siteTS
 }

@@ -1,14 +1,15 @@
 package sim
 
 // Optimistic-engine determinism and robustness: Time Warp execution
-// must be bit-identical to the serial reference wherever the
-// conservative engine is (random federations, faults, cancellation,
-// MaxTime parity), and its speculation machinery — rollback, commit
-// fences, adaptive windows — must actually engage on workloads with
-// cross-site traffic rather than degenerating to lockstep.
+// must be bit-identical to the serial reference (random and skewed
+// federations, faults, cancellation, MaxTime parity, forced cross-site
+// aliases), and its speculation machinery — rollback, commit fences,
+// adaptive windows — must actually engage on workloads with cross-site
+// traffic rather than degenerating to lockstep.
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -17,14 +18,101 @@ import (
 
 	"netbatch/internal/cluster"
 	"netbatch/internal/job"
+	"netbatch/internal/sched"
 )
 
+// skewedFederation builds a platform where site 0 holds 8 of 10 pools
+// and draws ~80% of the submissions: one shard carries most of the
+// work, and most cross-site traffic leaves or enters the hot site.
+func skewedFederation(r *rand.Rand) (*cluster.Platform, []job.Spec, error) {
+	const nSites = 3
+	poolsAt := [nSites]int{8, 1, 1}
+	var configs []cluster.PoolConfig
+	for s := 0; s < nSites; s++ {
+		for p := 0; p < poolsAt[s]; p++ {
+			configs = append(configs, cluster.PoolConfig{
+				Site: string(rune('A' + s)),
+				Classes: []cluster.MachineClass{
+					{Count: 1 + r.IntN(3), Cores: 1 + r.IntN(2), MemMB: 4096, Speed: 1.0},
+					{Count: 1, Cores: 2, MemMB: 8192, Speed: 0.8 + r.Float64()},
+				},
+			})
+		}
+	}
+	plat, err := cluster.Build(configs)
+	if err != nil {
+		return nil, nil, err
+	}
+	rtt := make([][]float64, nSites)
+	for a := range rtt {
+		rtt[a] = make([]float64, nSites)
+		for b := range rtt[a] {
+			if a != b {
+				rtt[a][b] = float64(1 + r.IntN(20))
+			}
+		}
+	}
+	plat, err = plat.WithRTT(rtt)
+	if err != nil {
+		return nil, nil, err
+	}
+	nPools := plat.NumPools()
+	all := make([]int, nPools)
+	for i := range all {
+		all[i] = i
+	}
+	n := 40 + r.IntN(100)
+	specs := make([]job.Spec, n)
+	t := 0.0
+	for i := range specs {
+		t += r.Float64() * 8
+		site := 0
+		if r.IntN(5) == 0 {
+			site = 1 + r.IntN(nSites-1)
+		}
+		prio := job.PriorityLow
+		cands := all
+		if r.IntN(5) == 0 {
+			prio = job.PriorityHigh
+			cands = all[:1+r.IntN(nPools)]
+		}
+		specs[i] = job.Spec{
+			ID:         job.ID(i + 1),
+			Submit:     t,
+			Work:       5 + r.Float64()*200,
+			Cores:      1 + r.IntN(2),
+			MemMB:      512 + r.IntN(4096),
+			Priority:   prio,
+			Candidates: cands,
+			Site:       site,
+		}
+	}
+	return plat, specs, nil
+}
+
+// TestOptimisticMatchesSerialRandomFederations is the engine-identity
+// property test over two input families: random federations, and
+// skewed federations (run with at least two Ps, so the burst workers
+// really run concurrently under -race).
 func TestOptimisticMatchesSerialRandomFederations(t *testing.T) {
+	t.Run("random", func(t *testing.T) {
+		checkOptimisticMatchesSerial(t, randomFederation, 24)
+	})
+	t.Run("skewed", func(t *testing.T) {
+		if prev := runtime.GOMAXPROCS(0); prev < 2 {
+			runtime.GOMAXPROCS(2)
+			defer runtime.GOMAXPROCS(prev)
+		}
+		checkOptimisticMatchesSerial(t, skewedFederation, 16)
+	})
+}
+
+func checkOptimisticMatchesSerial(t *testing.T, family func(*rand.Rand) (*cluster.Platform, []job.Spec, error), count int) {
 	runs, skips := 0, 0
-	cfgQuick := &quick.Config{MaxCount: 24}
+	cfgQuick := &quick.Config{MaxCount: count}
 	err := quick.Check(func(seed uint64, polPick, selPick uint8, staleness uint8) bool {
 		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
-		plat, specs, err := randomFederation(r)
+		plat, specs, err := family(r)
 		if err != nil {
 			t.Logf("workload: %v", err)
 			return false
@@ -72,12 +160,12 @@ func TestOptimisticMatchesSerialRandomFederations(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackDegeneratePlatforms pins the Δ=0 edge for both
-// partitioned engines: a single-site platform, a federation with one
-// zero-RTT cross-site pair, and a decision delay exceeding the
-// lookahead all make parallelizable() false, and Run must route them
-// to the serial kernel — producing bit-identical results, never
-// spinning a zero-width round loop or rejecting the config.
+// TestEngineFallbackDegeneratePlatforms pins the Δ=0 edge for the
+// partitioned engine: a single-site platform, a federation with one
+// zero-RTT cross-site pair, and a decision delay exceeding the smallest
+// cross-site delay all make parallelizable() false, and Run must route
+// them to the serial kernel — producing bit-identical results, never
+// rejecting the config.
 func TestEngineFallbackDegeneratePlatforms(t *testing.T) {
 	sites := func(rtt [][]float64) *cluster.Platform {
 		configs := make([]cluster.PoolConfig, len(rtt))
@@ -133,16 +221,14 @@ func TestEngineFallbackDegeneratePlatforms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, engine := range []string{EngineParallel, EngineOptimistic} {
-				cfg := tc.cfg()
-				cfg.Engine = engine
-				res, err := Run(cfg, specs)
-				if err != nil {
-					t.Fatalf("%s: %v", engine, err)
-				}
-				if fingerprint(serialRes) != fingerprint(res) {
-					t.Fatalf("%s fallback differs from serial", engine)
-				}
+			cfg := tc.cfg()
+			cfg.Engine = EngineOptimistic
+			res, err := Run(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fingerprint(serialRes) != fingerprint(res) {
+				t.Fatal("optimistic fallback differs from serial")
 			}
 		})
 	}
@@ -213,8 +299,8 @@ func TestOptimisticRollbackMachinery(t *testing.T) {
 }
 
 // TestOptimisticCancelNoLeak pins prompt cancellation return and
-// goroutine hygiene for the speculative workers, mirroring the
-// conservative engine's test.
+// goroutine hygiene for a run canceled before it starts (see
+// TestParallelCancelNoLeak for a mid-run cancel).
 func TestOptimisticCancelNoLeak(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 11))
 	plat, specs, err := randomFederation(r)
@@ -240,5 +326,102 @@ func TestOptimisticCancelNoLeak(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
+}
+
+// moveWaitPolicy reschedules any job stalled in pool from's queue to
+// pool to, and leaves every other waiting job in place.
+type moveWaitPolicy struct {
+	from, to int
+	th       float64
+}
+
+func (moveWaitPolicy) Name() string { return "move-wait-test" }
+func (moveWaitPolicy) OnSuspend(float64, *job.Job, sched.PoolView) (int, bool) {
+	return 0, false
+}
+func (m moveWaitPolicy) WaitThreshold() float64 { return m.th }
+func (m moveWaitPolicy) OnWaitTimeout(_ float64, j *job.Job, _ sched.PoolView) (int, bool) {
+	if j.Pool == m.from {
+		return m.to, true
+	}
+	return 0, false
+}
+
+// TestOptimisticForcedCrossSiteAlias constructs the alias lifecycle
+// deterministically across two sites: job 3 waits at pool 0 (site A),
+// is wait-moved to pool 1 (site B) at t=3.0, and its tombstoned pool-0
+// slot revives when pool 0's machine frees at t=20.3 — dispatching the
+// job onto pool 0's machine while its queue label points at pool 1.
+// That attach crosses a site boundary, so the job is flagged aliased
+// (serializing every capacity handoff), and its completion must retire
+// the flag through the ledger. Both engines count the retirement, and
+// the optimistic result is bit-identical to serial with the burst
+// workers inline (one P) and concurrent (two Ps).
+func TestOptimisticForcedCrossSiteAlias(t *testing.T) {
+	configs := []cluster.PoolConfig{
+		{Site: "A", Classes: []cluster.MachineClass{{Count: 1, Cores: 1, MemMB: 8192, Speed: 1.0}}},
+		{Site: "B", Classes: []cluster.MachineClass{{Count: 1, Cores: 1, MemMB: 8192, Speed: 1.0}}},
+	}
+	plat, err := cluster.Build(configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat, err = plat.WithRTT([][]float64{{0, 5}, {5, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(id job.ID, submit, work float64, site int, cands ...int) job.Spec {
+		return job.Spec{
+			ID: id, Submit: submit, Work: work, Cores: 1, MemMB: 1024,
+			Priority: job.PriorityLow, Candidates: cands, Site: site,
+		}
+	}
+	specs := []job.Spec{
+		spec(1, 0, 20.3, 0, 0),   // occupies pool 0's machine until t=20.3
+		spec(2, 0.4, 31.7, 1, 1), // occupies pool 1's machine until t=32.1
+		spec(3, 0.7, 5.9, 0, 0),  // waits at 0, moves to 1 at t=3.0, revived at t=20.3
+	}
+	mk := func(engine string) Config {
+		return Config{
+			Platform:          plat,
+			Initial:           sched.NewRoundRobin(),
+			Policy:            moveWaitPolicy{from: 0, to: 1, th: 2.3},
+			Engine:            engine,
+			CheckConservation: true,
+		}
+	}
+	serialRes, err := Run(mk(EngineSerial), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The revived dispatch must have produced the alias: job 3 starts on
+	// pool 0's machine the moment job 1 frees it (t=20.3) even though
+	// its queue label moved to pool 1, so it completes at 26.2 — not at
+	// 38.0, which is what running behind job 2 on pool 1's own machine
+	// would give.
+	if got, want := serialRes.Jobs[2].Completed, 20.3+5.9; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("job 3 completed at %v; want %v (revived onto pool 0's machine at t=20.3)", got, want)
+	}
+	if serialRes.AliasRetirements != 1 {
+		t.Errorf("serial AliasRetirements = %d, want 1", serialRes.AliasRetirements)
+	}
+	want := fingerprint(serialRes)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		optRes, err := Run(mk(EngineOptimistic), specs)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if optRes.ambiguousTies {
+			t.Fatalf("GOMAXPROCS=%d: forced-alias scenario hit an ambiguous tie; timestamps need adjusting", procs)
+		}
+		if got := fingerprint(optRes); got != want {
+			t.Fatalf("GOMAXPROCS=%d: serial and optimistic results differ:\n%s", procs, firstDiff(want, got))
+		}
+		if optRes.AliasRetirements != 1 {
+			t.Errorf("GOMAXPROCS=%d: optimistic AliasRetirements = %d, want 1", procs, optRes.AliasRetirements)
+		}
 	}
 }

@@ -370,20 +370,9 @@ func (sh *shard) handleSubmit(idx int) error {
 	if sh.siteOfPool(pool) != rt.spec.Site {
 		sh.res.CrossSiteSubmits++
 		if d := sh.w.plat.RTT(rt.spec.Site, sh.siteOfPool(pool)); d > 0 {
-			sh.send(sh.w.shardOf(pool), sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
+			sh.send(sh.w.siteOf[pool], sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
 			return nil
 		}
-	}
-	if owner := sh.ownerOf(pool); owner != sh {
-		// Sub-sharded hot site: the chosen pool belongs to a same-site
-		// sibling sub-shard (cross-site dispatch left through send above —
-		// the lookahead guarantees d > 0 there). The submission is a
-		// globally-serialized deciding event, so the sibling is quiescent;
-		// run the arrival on it inline as part of this event, exactly as
-		// the monolithic engine folds a local arrival into the submit.
-		sh.noteAway(idx)
-		owner.syncTo(sh.k.now, sh.k.phase)
-		return owner.arrival(idx, pool)
 	}
 	return sh.arrival(idx, pool)
 }
@@ -406,7 +395,7 @@ func (sh *shard) tryPlace(rt *jobRT, p *poolRT) error {
 		return sh.startOn(rt, mid)
 	}
 	// (2) Preempt a lower-priority running job.
-	if victim := p.findVictim(rt.spec, sh.w.machines, !sh.w.cfg.SuspendHoldsMemory); victim != nil {
+	if victim := p.findVictim(rt.spec, sh.w.machines, !sh.w.cfg.SuspendHoldsMemory, sh.departed()); victim != nil {
 		return sh.preempt(rt, victim)
 	}
 	// (3) Queue and wait.
@@ -495,6 +484,9 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 	p.suspendedCnt++
 	sh.scopeSuspended++
 
+	// A victim found through a stale running-stack entry may sit on
+	// another site's machine (see findVictim): the preemptor moves there.
+	sh.moveResidency(rt.idx, sh.siteOfPool(rt.j.Pool), sh.siteOfPool(mach.m.Pool))
 	if err := sh.startOn(rt, mid); err != nil {
 		return err
 	}
@@ -571,22 +563,17 @@ func (sh *shard) onFree(mid int) error {
 			p.waitQ.remove(wrt)
 			// A revived slot may hand us a job whose last enqueue was at
 			// another partition (see waitQueue); dispatching it makes it
-			// resident here, exactly as the serial engine does. This
-			// branch only runs under global quiescence (alias risk
-			// promotes the event to deciding), so telling the queue's
-			// owning shard that the job left is safe. The dispatch also
-			// leaves the job's Pool label pointing at the other
-			// partition, opening every cross-partition hazard the
+			// resident at this machine's site, exactly as the serial
+			// engine does. This branch only runs under global quiescence
+			// (alias risk promotes the event to deciding), so telling the
+			// queue's owning shard that the job left is safe. The
+			// dispatch also leaves the job's Pool label pointing at the
+			// other partition, opening every cross-partition hazard the
 			// alias-risk ledger guards against — the startOn below flags
 			// the job aliased (label partition != machine partition), and
 			// all capacity handoffs serialize until the last such job
 			// detaches.
-			if sh.away != nil && sh.away[wrt.idx] {
-				if owner := sh.peers[sh.w.shardOf(wrt.j.Pool)]; owner != sh {
-					owner.noteAway(wrt.idx)
-				}
-			}
-			sh.noteResident(wrt.idx)
+			sh.moveResidency(wrt.idx, sh.siteOfPool(wrt.j.Pool), sh.siteOfPool(mach.m.Pool))
 			sh.scopeWaiting--
 			sh.k.cancel(wrt.waitTO)
 			if err := sh.startOn(wrt, mid); err != nil {
@@ -653,6 +640,7 @@ func (sh *shard) resume(rt *jobRT) error {
 	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
+	sh.noteAttach(rt, mach.m.Pool)
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 // a reschedule) becomes visible to this pool's dispatcher again
 // through its old slots, keeping its former FIFO position — and a
 // dispatcher can thereby start a job that currently waits in a
-// different pool's queue. The parallel engine reproduces this
+// different pool's queue. The optimistic engine reproduces this
 // behavior exactly; see the alias-risk machinery in shard.go.
 type waitQueue struct {
 	// classes maps priority -> FIFO ring of entries. Tombstones (entries
@@ -26,7 +26,7 @@ type waitQueue struct {
 	// n counts live (non-tombstoned) entries.
 	n int
 	// onDrop, when set, observes every slot physically discarded by
-	// compaction (the parallel engine's alias-risk accounting).
+	// compaction (the optimistic engine's alias-risk accounting).
 	onDrop func(*jobRT)
 }
 

@@ -9,16 +9,15 @@ package sim
 // regression:
 //
 //   - replay vs replay: if the two replays disagree, the simulator
-//     itself is nondeterministic, and the first diverging event (shard,
-//     position, time, kind, argument) is reported exactly;
+//     itself is nondeterministic, and the first diverging event
+//     (position, time, kind, argument) is reported exactly;
 //   - replay vs recorded: if the replays agree with each other but
 //     their state at the target boundary differs from the recorded
 //     snapshot, the divergence is between this build/replay and the
 //     recorded run, localized to the (from, to] interval — re-running
 //     with a finer checkpoint cadence brackets it tighter;
-//   - events reached: a replay that completes (or hits a barrier past
-//     the target) without matching the recorded event count diverged
-//     structurally.
+//   - events reached: a replay that completes without matching the
+//     recorded event count diverged structurally.
 //
 // Snapshot states compare bytewise: the encoding is deterministic, so
 // equal states always encode to equal bytes (label and cadence metadata
@@ -32,7 +31,7 @@ import (
 	"netbatch/internal/job"
 )
 
-// errReplayStop is the internal sentinel the engines return when a
+// errReplayStop is the internal sentinel the serial loop returns when a
 // replay reaches its target event count; the capture buffer then holds
 // the boundary snapshot.
 var errReplayStop = errors.New("sim: replay reached target boundary")
@@ -48,18 +47,13 @@ type EventRecord struct {
 	Arg int64
 }
 
-// replayRecorder accumulates per-shard event logs. Each shard worker
-// appends only to its own slice, so parallel recording needs no locks.
+// replayRecorder accumulates the serial loop's event log.
 type replayRecorder struct {
-	perShard [][]EventRecord
+	events []EventRecord
 }
 
-func newReplayRecorder(shards int) *replayRecorder {
-	return &replayRecorder{perShard: make([][]EventRecord, shards)}
-}
-
-func (r *replayRecorder) record(shard int, t float64, info *kindInfo, a, b int64, ref any) {
-	r.perShard[shard] = append(r.perShard[shard], EventRecord{T: t, Kind: info.name, Arg: info.argOf(a, b, ref)})
+func (r *replayRecorder) record(t float64, info *kindInfo, a, b int64, ref any) {
+	r.events = append(r.events, EventRecord{T: t, Kind: info.name, Arg: info.argOf(a, b, ref)})
 }
 
 // BisectReport is ReplayBisect's finding.
@@ -102,10 +96,6 @@ func ReplayBisect(cfg Config, specs []job.Spec, from, to []byte) (*BisectReport,
 	if snFrom.configHash != snTo.configHash || snFrom.kindHash != snTo.kindHash {
 		return nil, fmt.Errorf("%w: the two snapshots come from different configurations", ErrSnapshotMismatch)
 	}
-	if snFrom.mode != snTo.mode {
-		return nil, fmt.Errorf("%w: snapshots from different engine modes (%q vs %q)",
-			ErrSnapshotMismatch, snFrom.mode, snTo.mode)
-	}
 	if snFrom.events > snTo.events {
 		return nil, fmt.Errorf("%w: `from` snapshot (%d events) is later than `to` (%d events)",
 			ErrSnapshotMismatch, snFrom.events, snTo.events)
@@ -115,20 +105,15 @@ func ReplayBisect(cfg Config, specs []job.Spec, from, to []byte) (*BisectReport,
 		FromTime: snFrom.time, ToTime: snTo.time,
 		FromEvents: snFrom.events, ToEvents: snTo.events,
 	}
-	shardCount := 1
-	if snFrom.mode == EngineParallel {
-		shardCount = len(snFrom.shards)
-	}
 	replay := func() ([]byte, *replayRecorder, error) {
 		run := cfg
-		run.Engine = snFrom.mode
 		run.ResumeFrom = from
 		run.CheckpointEvery = 0
 		run.CheckpointSink = nil
 		run.stopAtEvents = snTo.events
 		var captured []byte
 		run.captureAt = &captured
-		rec := newReplayRecorder(shardCount)
+		rec := &replayRecorder{}
 		run.eventLog = rec
 		_, err := Run(run, specs)
 		switch {
@@ -149,9 +134,7 @@ func ReplayBisect(cfg Config, specs []job.Spec, from, to []byte) (*BisectReport,
 	if err != nil {
 		return nil, fmt.Errorf("replay 2: %w", err)
 	}
-	for _, log := range recA.perShard {
-		rep.ReplayedEvents += int64(len(log))
-	}
+	rep.ReplayedEvents = int64(len(recA.events))
 
 	if div := firstLogDivergence(recA, recB); div != "" {
 		rep.FirstDivergence = div
@@ -190,27 +173,22 @@ func ReplayBisect(cfg Config, specs []job.Spec, from, to []byte) (*BisectReport,
 	return rep, nil
 }
 
-// firstLogDivergence compares two replays' per-shard event logs and
-// describes the earliest mismatch, or returns "".
+// firstLogDivergence compares two replays' event logs and describes
+// the earliest mismatch, or returns "".
 func firstLogDivergence(a, b *replayRecorder) string {
-	for sh := range a.perShard {
-		la, lb := a.perShard[sh], b.perShard[sh]
-		n := len(la)
-		if len(lb) < n {
-			n = len(lb)
-		}
-		for i := 0; i < n; i++ {
-			if la[i] != lb[i] {
-				return fmt.Sprintf(
-					"first diverging event: shard %d event %d — replay 1 {t=%v kind=%s arg=%d} vs replay 2 {t=%v kind=%s arg=%d}",
-					sh, i, la[i].T, la[i].Kind, la[i].Arg, lb[i].T, lb[i].Kind, lb[i].Arg)
-			}
-		}
-		if len(la) != len(lb) {
+	la, lb := a.events, b.events
+	n := min(len(la), len(lb))
+	for i := 0; i < n; i++ {
+		if la[i] != lb[i] {
 			return fmt.Sprintf(
-				"shard %d processed %d events in replay 1 but %d in replay 2 (first %d identical)",
-				sh, len(la), len(lb), n)
+				"first diverging event: event %d — replay 1 {t=%v kind=%s arg=%d} vs replay 2 {t=%v kind=%s arg=%d}",
+				i, la[i].T, la[i].Kind, la[i].Arg, lb[i].T, lb[i].Kind, lb[i].Arg)
 		}
+	}
+	if len(la) != len(lb) {
+		return fmt.Sprintf(
+			"processed %d events in replay 1 but %d in replay 2 (first %d identical)",
+			len(la), len(lb), n)
 	}
 	return ""
 }

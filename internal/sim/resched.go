@@ -12,7 +12,7 @@ import (
 // (susDecide) and the wait-queue stall timer (waitTimeout). Both
 // are deciding events: they consult the core.Policy — whose random
 // streams are order-sensitive — and read the (aged) utilization view,
-// so the parallel engine executes them in global timestamp order.
+// so the optimistic engine executes them in global timestamp order.
 type reschedSys struct {
 	sh *shard
 
@@ -83,17 +83,20 @@ func (sh *shard) departSuspended(rt *jobRT, target int) error {
 		}
 		sh.res.Restarts++
 	}
-	sh.route(rt, target, overhead)
+	sh.route(rt, sh.siteOfPool(mach.m.Pool), target, overhead)
 	return sh.onFree(mid)
 }
 
-// route delivers a job in transit to a pool, after overhead minutes.
-// The destination may be another shard; cross-site overhead always
-// includes the inter-site RTT, preserving the lookahead (a same-site
-// sibling sub-shard needs none: route only runs inside deciding
-// dispatches, where send may inject directly).
-func (sh *shard) route(rt *jobRT, pool int, overhead float64) {
-	sh.send(sh.w.shardOf(pool), sh.k.now+overhead, sh.place.arrive, int64(rt.idx), int64(pool))
+// route delivers a job in transit from site from to a pool, after
+// overhead minutes. The destination may be another shard; cross-site
+// overhead always includes the inter-site RTT. A job leaving its site
+// is marked departed there for the alias-risk accounting (see
+// moveResidency); arrival marks it resident at the destination.
+func (sh *shard) route(rt *jobRT, from, pool int, overhead float64) {
+	if to := sh.siteOfPool(pool); to != from {
+		sh.siteShard(from).noteAway(rt.idx)
+	}
+	sh.send(sh.w.siteOf[pool], sh.k.now+overhead, sh.place.arrive, int64(rt.idx), int64(pool))
 }
 
 // handleWaitTimeout applies the policy's waiting-job rescheduling
@@ -118,7 +121,8 @@ func (sh *shard) handleWaitTimeout(idx int) error {
 	p.waitQ.remove(rt)
 	sh.scopeWaiting--
 	overhead := sh.w.cfg.RescheduleOverhead
-	if from := sh.siteOfPool(rt.j.Pool); from != sh.siteOfPool(target) {
+	from := sh.siteOfPool(rt.j.Pool)
+	if from != sh.siteOfPool(target) {
 		overhead += sh.w.plat.RTT(from, sh.siteOfPool(target))
 		sh.res.CrossSiteMoves++
 	}
@@ -126,6 +130,6 @@ func (sh *shard) handleWaitTimeout(idx int) error {
 		return err
 	}
 	sh.res.WaitMoves++
-	sh.route(rt, target, overhead)
+	sh.route(rt, from, target, overhead)
 	return nil
 }

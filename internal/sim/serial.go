@@ -5,20 +5,20 @@ import "fmt"
 // runSerial drives the whole simulation through a single shard scoped
 // to every site: one global event queue, popped in (time, scheduling
 // order), exactly the monolithic engine's loop. This is the reference
-// semantics the partitioned engine must reproduce bit for bit. With a
+// semantics the optimistic engine must reproduce bit for bit. With a
 // resume snapshot the shard's state is restored instead of seeded and
 // the loop continues mid-run; with checkpointing enabled the loop
 // snapshots at the first event boundary past each cadence mark.
 func runSerial(w *world, sn *snapshot) (*Result, error) {
 	sh := newShard(w, 0, allSites(w), false)
 	if sn != nil {
-		if err := restoreRun(sn, w, []*shard{sh}, nil); err != nil {
+		if err := restoreRun(sn, w, sh); err != nil {
 			return nil, err
 		}
 	} else {
 		sh.seed()
 	}
-	ck := newCheckpointer(w, []*shard{sh}, EngineSerial, sn)
+	ck := newCheckpointer(w, sh, sn)
 	if err := serialLoop(sh, ck); err != nil {
 		return nil, err
 	}
@@ -92,20 +92,19 @@ func serialLoop(sh *shard, ck *checkpointer) error {
 			return fmt.Errorf("sim: t=%v: %w", k.now, err)
 		}
 		if cfg.eventLog != nil {
-			cfg.eventLog.record(0, k.now, &k.kinds[ev.Kind], ev.A, ev.B, ev.Ref)
+			cfg.eventLog.record(k.now, &k.kinds[ev.Kind], ev.A, ev.B, ev.Ref)
 		}
 		k.releaseRef(ev)
 		// Both checkpoint capture points sit at the same boundary: after
 		// the event's full effect, before the next pop — where every
 		// piece of state is explicit and enumerable.
 		if ck.due(k.now) {
-			if err := ck.take(k.now, k.events, 0, false); err != nil {
+			if err := ck.take(k.now, k.events); err != nil {
 				return err
 			}
 		}
 		if cfg.stopAtEvents > 0 && k.events >= cfg.stopAtEvents {
-			data, err := takeSnapshot(sh.w, []*shard{sh},
-				newSnapParams(sh.w, []*shard{sh}, EngineSerial, 0), k.now, k.events, 0, false)
+			data, err := takeSnapshot(sh.w, sh, newSnapParams(sh.w, sh, 0), k.now, k.events)
 			if err != nil {
 				return err
 			}

@@ -35,7 +35,7 @@ type world struct {
 	// spawn a new deciding event (suspension decisions arrive
 	// DecisionDelay later, wait timeouts WaitThreshold later; chained
 	// submissions are bounded separately through the static submit
-	// list). The parallel engine's fences rely on it.
+	// list). The optimistic engine's fences rely on it.
 	minDyn float64
 
 	// Shared mutable state, element-ownership partitioned by site.
@@ -54,15 +54,6 @@ type world struct {
 	// subBySite[s] lists the indices of specs submitted at site s, in
 	// submission order (specs are sorted by submission time).
 	subBySite [][]int
-
-	// partOf maps pool -> owning shard index when the conservative
-	// engine split a skew-dominant site into per-pool sub-shards (see
-	// subShardPlan); nil in every other run, where the partition is
-	// exactly the site map. subSharded mirrors partOf != nil and gates
-	// the handful of hot-path branches the split needs (siteBusy writes,
-	// post-decision next republication).
-	partOf     []int
-	subSharded bool
 
 	// machBySite[s] lists the machine IDs at site s, and faults[s] is
 	// the site's fault/maintenance state (RNG stream, downtime spans,
@@ -90,9 +81,9 @@ type world struct {
 	// replaces, one early alias dispatch no longer serializes the rest
 	// of the run. Every mutation happens inside a dispatch that is
 	// itself globally serialized (see noteAttach for why an alias can
-	// never be created speculatively), so the parallel engines read a
-	// stable value between claims and the optimistic engine never has
-	// to roll the counter back.
+	// never be created speculatively), so the optimistic engine reads a
+	// stable value between commits and never has to roll the counter
+	// back.
 	aliasLive int
 
 	// aliasRetired counts this run's alias-flag clears for
@@ -188,17 +179,6 @@ func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 	return w, nil
 }
 
-// shardOf maps a pool to the index of the shard that owns it: its
-// site, unless the run is sub-sharded and the pool's site was split —
-// then the sub-shard the pool was assigned to. Serial and optimistic
-// runs never set partOf, so the partition degenerates to the site map.
-func (w *world) shardOf(pool int) int {
-	if w.partOf != nil {
-		return w.partOf[pool]
-	}
-	return w.siteOf[pool]
-}
-
 // ageDelay returns the view-ageing period for observer site obs
 // reading a pool at site tgt: the configured staleness plus the
 // inter-site delay.
@@ -225,8 +205,8 @@ func (w *world) stale() bool {
 
 // parallelizable reports whether the partitioned engine can run this
 // configuration: at least two sites, a strictly positive delay on
-// every cross-site edge (the conservative lookahead), and a decision
-// delay within that lookahead — a pending suspension decision must be
+// every cross-site edge, and a decision delay within the smallest of
+// those delays — a pending suspension decision must be
 // unable to chase its job across a site boundary (the job is still in
 // transit, never suspended remotely, when any stale decision fires),
 // which is what keeps every event handler's touch set inside its own
@@ -240,27 +220,16 @@ func (w *world) parallelizable() bool {
 
 // shard is one partition of the simulation: a kernel plus the
 // subsystem state for a subset of sites. The serial engine runs a
-// single shard scoped to every site; the parallel engine runs one
+// single shard scoped to every site; the optimistic engine runs one
 // shard per site. A shard only ever touches machines, pools and
 // resident jobs of its own sites — cross-site traffic leaves through
-// send and arrives through its kernel queue at round barriers.
+// send and arrives through its kernel queue when the sending decision
+// commits.
 type shard struct {
 	w     *world
 	k     *kernel
 	index int
 	sites []int
-
-	// pools, when non-nil, restricts the shard to a subset of its
-	// (single) site's pools: the shard is one sub-shard of a skew-split
-	// hot site. primary marks the first sub-shard of the site — the one
-	// that owns the site's submission chain and whose refresh-chain
-	// events count toward Result.Events (siblings' are phantoms) — and
-	// is true for every non-split shard. siblings lists the other
-	// sub-shards of the same site by shard index (nil otherwise): the
-	// only peers that can inject events into this shard mid-round.
-	pools    []int
-	primary  bool
-	siblings []int
 
 	// subIdx are the indices of specs submitted inside this shard's
 	// scope, in submission order; nextSubmit chains them one event at
@@ -285,7 +254,7 @@ type shard struct {
 	view *poolView
 	acct *accounting
 
-	// Alias-risk tracking (parallel shards only; see the waitQueue
+	// Alias-risk tracking (partitioned shards only; see the waitQueue
 	// comment for the revival semantics being preserved). A dispatcher
 	// scan of this shard's wait queues touches only shard-resident jobs
 	// — and is therefore safe to run concurrently with other shards —
@@ -303,14 +272,14 @@ type shard struct {
 	riskCounted []bool  // job currently counted in aliasRisk
 	aliasRisk   int
 
-	// peers maps site -> shard in parallel runs (nil otherwise); used
+	// peers maps site -> shard in partitioned runs (nil otherwise); used
 	// only under global quiescence, to tell a queue's owning shard that
 	// an alias dispatch took its job.
 	peers []*shard
 
 	res Result
 
-	// par holds the parallel-engine bookkeeping; nil in serial runs.
+	// par holds the partitioned-run bookkeeping; nil in serial runs.
 	par *parShard
 
 	// opt holds the optimistic-engine bookkeeping (snapshot stack,
@@ -330,21 +299,11 @@ type shard struct {
 // newShard builds a shard over the given sites and registers the
 // subsystems with its kernel.
 func newShard(w *world, index int, sites []int, parallel bool) *shard {
-	return newShardPools(w, index, sites, nil, true, parallel)
-}
-
-// newShardPools is newShard generalized to sub-shards: when pools is
-// non-nil the shard owns only that subset of its (single) site's
-// pools, and only the primary sub-shard carries the site's submission
-// chain.
-func newShardPools(w *world, index int, sites []int, pools []int, primary, parallel bool) *shard {
 	sh := &shard{
-		w:       w,
-		k:       newKernel(parallel),
-		index:   index,
-		sites:   sites,
-		pools:   pools,
-		primary: primary,
+		w:     w,
+		k:     newKernel(parallel),
+		index: index,
+		sites: sites,
 	}
 	if len(sites) == w.nSites {
 		sh.subIdx = make([]int, len(w.specs))
@@ -352,13 +311,11 @@ func newShardPools(w *world, index int, sites []int, pools []int, primary, paral
 			sh.subIdx[i] = i
 		}
 	} else {
-		if primary {
-			for _, s := range sites {
-				sh.subIdx = append(sh.subIdx, w.subBySite[s]...)
-			}
+		for _, s := range sites {
+			sh.subIdx = append(sh.subIdx, w.subBySite[s]...)
 		}
 		if len(sites) > 1 {
-			panic("sim: parallel shards are single-site")
+			panic("sim: partitioned shards are single-site")
 		}
 	}
 	sh.view = newPoolView(sh)
@@ -392,7 +349,7 @@ func newShardPools(w *world, index int, sites []int, pools []int, primary, paral
 		sh.away = make([]bool, len(w.jobs))
 		sh.slotCount = make([]int32, len(w.jobs))
 		sh.riskCounted = make([]bool, len(w.jobs))
-		for _, p := range sh.ownPools() {
+		for _, p := range w.plat.Site(sites[0]).Pools {
 			w.pools[p].waitQ.onDrop = func(rt *jobRT) {
 				sh.slotCount[rt.idx]--
 				sh.recountRisk(rt.idx)
@@ -402,27 +359,11 @@ func newShardPools(w *world, index int, sites []int, pools []int, primary, paral
 	return sh
 }
 
-// ownPools returns the pool IDs this shard owns: its explicit subset
-// when sub-sharded, otherwise every pool of its sites.
-func (sh *shard) ownPools() []int {
-	if sh.pools != nil {
-		return sh.pools
-	}
-	if len(sh.sites) == 1 {
-		return sh.w.plat.Site(sh.sites[0]).Pools
-	}
-	var all []int
-	for _, s := range sh.sites {
-		all = append(all, sh.w.plat.Site(s).Pools...)
-	}
-	return all
-}
-
 // registerCoreState installs the shard-core state codec: the kernel
 // clock and counters, the submission-chain cursor, the scope counters,
 // the shard's slice of the Result counters, the pending future event
 // list (exact tie ranks included — see saveQueue/restoreQueue), and the
-// parallel engine's per-shard bookkeeping (departure bitmap, message
+// partitioned run's per-shard bookkeeping (departure bitmap, message
 // sequence, cross-site busy-shift ledger).
 func (sh *shard) registerCoreState() {
 	sh.k.registerState("core", func(e *snapEncoder) {
@@ -544,6 +485,43 @@ func (sh *shard) noteAway(idx int) {
 	sh.recountRisk(idx)
 }
 
+// siteShard returns the shard owning site s: the peer in partitioned
+// runs, this shard in serial ones.
+func (sh *shard) siteShard(s int) *shard {
+	if sh.peers == nil {
+		return sh
+	}
+	return sh.peers[s]
+}
+
+// moveResidency records job idx leaving site from for site to in both
+// sites' departure bitmaps. The executing shard need not be either of
+// them: a serialized alias cascade may run one shard's handler against
+// another site's machine, and the bitmaps must follow the job, not the
+// handler — they decide which jobs a shard's alias risk counts and its
+// rollback snapshots cover.
+func (sh *shard) moveResidency(idx, from, to int) {
+	if from != to {
+		sh.siteShard(from).noteAway(idx)
+	}
+	sh.siteShard(to).noteResident(idx)
+}
+
+// departed returns the jobs that left this shard for another, which
+// then owns their state — or nil in serial runs and while an aliased
+// job is machine-attached anywhere. With no alias live, a departed job
+// is neither running on this shard's machines nor labeled with one of
+// its pools, so findVictim may prune its stale running-stack entries
+// without reading it: a concurrent burst of the owning shard may be
+// writing that job's state. (With an alias live every job-touching
+// event is serialized, and findVictim reads job state as usual.)
+func (sh *shard) departed() []bool {
+	if sh.w.aliasLive > 0 {
+		return nil
+	}
+	return sh.away
+}
+
 // aliasRetirements counts alias-flag clears (noteDetach on an aliased
 // job) across every run in the process. Tests assert the retirement
 // path genuinely engages — that handoffs demote back to local after
@@ -551,24 +529,25 @@ func (sh *shard) noteAway(idx int) {
 var aliasRetirements atomic.Int64
 
 // noteAttach records a job's machine attachment for the alias-risk
-// ledger: the job is aliased iff the machine's partition differs from
-// the job's queue-pool label's partition (site, or sub-shard when the
-// site is skew-split — a same-site cross-sub-shard attach crosses a
-// partition boundary exactly like a cross-site one, and must serialize
-// handoffs the same way). Called from startOn, the single point where
-// a job acquires a machine with a possibly-foreign label (resume
-// re-attaches to the same machine with the same label and cannot
-// change the flag).
+// ledger: the job is aliased iff the machine's site differs from the
+// job's queue-pool label's site — or, in a partitioned run, from the
+// site of the shard attaching it, whose kernel then holds the job's
+// finish event. Called from startOn and resume, the two points where a
+// job acquires a machine. A serialized alias cascade (a departure, a
+// preemption or a handoff executed against another site's machine) can
+// start or resume a label-local job there from a peer's kernel; until
+// that job detaches, its pending finish lives in the wrong shard, so
+// handoffs must stay serialized exactly as for a label alias.
 //
 // An alias can never be created speculatively: a revived slot handing
-// out a departed job requires the slot shard's own aliasRisk > 0, and
-// a preemption reaching a remote machine requires an already-aliased
-// victim (findVictim matches on the label pool, so a cross-partition
-// match implies the victim's label and machine partitions differ),
-// i.e. aliasLive > 0 — both of which promote the dispatching handoff
-// to a globally-serialized deciding event first. Speculative bursts
-// therefore only ever attach label-local jobs, and rollback never
-// needs to undo the ledger.
+// out a departed job requires the slot shard's own aliasRisk > 0, a
+// preemption reaching a remote machine requires an already-aliased
+// victim (findVictim matches on the label pool, so a cross-site match
+// implies the victim's label and machine sites differ), and a shard
+// reaches another site's machine only inside such a cascade — all of
+// which run as globally-serialized deciding events. Speculative bursts
+// therefore only ever attach label-local jobs on their own machines,
+// and rollback never needs to undo the ledger.
 func (sh *shard) noteAttach(rt *jobRT, machPool int) {
 	if rt.aliased {
 		// Already aliased and re-attaching (kill-and-requeue lands on
@@ -576,7 +555,8 @@ func (sh *shard) noteAttach(rt *jobRT, machPool int) {
 		// the counter exact if a future path re-attaches without detach.
 		return
 	}
-	if sh.w.shardOf(rt.j.Pool) != sh.w.shardOf(machPool) {
+	machSite := sh.w.siteOf[machPool]
+	if sh.w.siteOf[rt.j.Pool] != machSite || sh.peers != nil && sh.index != machSite {
 		rt.aliased = true
 		sh.w.aliasLive++
 	}
@@ -600,12 +580,10 @@ func (sh *shard) noteDetach(rt *jobRT) {
 
 // rebuildAliasLive recomputes the alias-risk ledger from restored job
 // and machine state: a job is aliased iff it is attached to a machine
-// (running or suspended-on-machine) whose pool's partition differs
-// from the job's label pool's partition. Snapshots do not persist the
-// ledger — it is a pure function of the state they do persist — so
-// checkpoint restore calls this after every shard codec has loaded.
-// (Checkpointed runs are never sub-sharded, so the partition here is
-// always the site map.)
+// (running or suspended-on-machine) whose pool's site differs from the
+// job's label pool's site. Snapshots do not persist the ledger — it is
+// a pure function of the state they do persist — so checkpoint restore
+// calls this after every shard codec has loaded.
 func rebuildAliasLive(w *world) {
 	w.aliasLive = 0
 	for i := range w.jobs {
@@ -615,7 +593,7 @@ func rebuildAliasLive(w *world) {
 		if st != job.StateRunning && st != job.StateSuspended {
 			continue
 		}
-		if w.shardOf(rt.j.Pool) != w.shardOf(w.machines[rt.j.Machine].m.Pool) {
+		if w.siteOf[rt.j.Pool] != w.siteOf[w.machines[rt.j.Machine].m.Pool] {
 			rt.aliased = true
 			w.aliasLive++
 		}
@@ -666,7 +644,7 @@ func (sh *shard) seed() {
 // nextChainSubmit returns the submission time of the shard's earliest
 // not-yet-scheduled submit event, or +inf. Together with the decide
 // shadow queue it lower-bounds every deciding event this shard can
-// ever schedule, which is what the parallel engine's fences publish.
+// ever schedule, which is what the optimistic engine's fences publish.
 func (sh *shard) nextChainSubmit() float64 {
 	if sh.nextSubmit < len(sh.subIdx) {
 		return sh.w.specs[sh.subIdx[sh.nextSubmit]].Submit
@@ -708,31 +686,15 @@ func (sh *shard) publishedFence() float64 {
 	return f
 }
 
-// send schedules an event for the shard dest (a shard index — equal to
-// the site index in every run but a sub-sharded one): locally when the
+// send schedules an event for the shard of site dest: locally when the
 // destination is this shard (always, in the serial engine), otherwise
-// into the destination's outbox buffer for batched delivery at the
-// next round barrier. Cross-site events always carry at least the
-// inter-site RTT of delay, which is what keeps rounds closed under the
-// lookahead. A same-site sibling sub-shard is the one destination with
-// zero lookahead, so the barrier cannot carry the message; every send
-// originates in a globally-serialized deciding dispatch (submission
-// routing, reschedule routing), under which all peers are provably
-// quiescent, so the event goes straight into the sibling's kernel,
-// stamped with the deciding event's tie rank. A job routed away (an
-// arrive event crossing shards) is marked departed for the alias-risk
-// accounting.
+// into the destination's outbox buffer, delivered when the sending
+// decision commits. Every send originates in a globally-serialized
+// deciding dispatch (submission routing, reschedule routing), and every
+// cross-site event carries at least the inter-site RTT of delay.
 func (sh *shard) send(dest int, t float64, kd kind, a, b int64) {
 	if sh.par == nil || dest == sh.index {
 		sh.k.schedule(t, kd, a, b)
-		return
-	}
-	if kd == sh.place.arrive {
-		sh.noteAway(int(a))
-	}
-	if peer := sh.peers[dest]; peer.sites[0] == sh.sites[0] {
-		peer.k.phase = sh.k.phase
-		peer.k.schedule(t, kd, a, b)
 		return
 	}
 	sh.par.msgSeq++
@@ -746,49 +708,18 @@ func (sh *shard) send(dest int, t float64, kd kind, a, b int64) {
 // siteOfPool is a convenience accessor.
 func (sh *shard) siteOfPool(pool int) int { return sh.w.siteOf[pool] }
 
-// ownerOf returns the shard owning pool: this shard outside parallel
-// runs, otherwise the peer the partition maps the pool to.
-func (sh *shard) ownerOf(pool int) *shard {
-	if sh.peers == nil {
-		return sh
-	}
-	return sh.peers[sh.w.shardOf(pool)]
-}
-
-// syncTo prepares this shard to execute work injected inline by a
-// sibling's deciding dispatch at time t: the clock and tie-rank phase
-// adopt the dispatching event's, and accounting ticks strictly below t
-// flush before any state mutates (they must read pre-injection state).
-// The caller holds the coordinator mutex with every shard quiescent,
-// and serialized decisions execute in global timestamp order, so t
-// never precedes this shard's clock (exact ties are flagged
-// elsewhere).
-func (sh *shard) syncTo(t float64, phase uint64) {
-	if t > sh.k.now {
-		sh.k.now = t
-	}
-	sh.k.phase = phase
-	sh.acct.advanceTo(t)
-}
-
 // addBusy applies a busy-core change for a machine of the given pool:
 // the executing shard's scope counter (what its raw sample log reads)
 // and the machine site's counter (what the serial site series read).
 // When a globally-serialized event mutates a machine at another site —
 // possible only after a cross-site alias dispatch — the shift is also
-// logged so the parallel merge can re-attribute the executing shard's
+// logged so the partitioned merge can re-attribute the executing shard's
 // samples to the machine's site, keeping per-site series bit-identical
 // to the serial engine's.
 func (sh *shard) addBusy(pool, delta int) {
 	site := sh.w.siteOf[pool]
 	sh.scopeBusy += delta
-	if !sh.w.subSharded {
-		// siteBusy backs the serial sampler and the checkpoint codec,
-		// both unreachable in a sub-sharded run — and same-site sibling
-		// sub-shards would race on it during concurrent non-deciding
-		// events, so it stays untouched there.
-		sh.w.siteBusy[site] += delta
-	}
+	sh.w.siteBusy[site] += delta
 	if sh.par != nil && site != sh.sites[0] {
 		sh.par.busyShifts = append(sh.par.busyShifts, busyShift{
 			t: sh.k.now, exec: sh.sites[0], site: site, delta: int32(delta),

@@ -31,16 +31,18 @@
 // machine faults and maintenance windows (faults.go) and series
 // accounting (accounting.go) — each of which allocates its event kinds
 // from the registry per shard (shard.go). Two engines drive the same
-// subsystem code: the serial reference loop (serial.go) and a
-// conservatively-synchronized parallel engine that runs one shard per
-// site (parallel.go), selected by Config.Engine. See
-// docs/ARCHITECTURE.md for the layering and the synchronization
-// protocol.
+// subsystem code: the serial reference loop (serial.go) and an
+// optimistic engine that runs one shard per site and speculates past
+// decisions with snapshot rollback (optimistic.go). Run alone chooses
+// between them (see Config.Engine). See docs/ARCHITECTURE.md for the
+// layering and the optimistic engine's synchronization protocol.
 package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"netbatch/internal/cluster"
@@ -55,24 +57,23 @@ import (
 const (
 	// EngineSerial is the single-threaded reference kernel.
 	EngineSerial = "serial"
-	// EngineParallel partitions the simulation per site and executes
-	// the partitions on separate goroutines, synchronized conservatively
-	// with lookahead derived from the minimum inter-site RTT. Results
-	// are bit-identical to EngineSerial. Configurations the partitioned
-	// engine cannot accelerate (single site, a zero cross-site delay, or
-	// an empty trace) fall back to the serial kernel.
-	EngineParallel = "parallel"
-	// EngineOptimistic partitions like EngineParallel but lets shards
-	// speculate past the global decision floor, taking cheap per-shard
-	// incremental snapshots and rolling back when a committed decision
-	// lands below a shard's clock (Time Warp on the snapshot contract;
-	// see optimistic.go). Deciding events stay globally serialized, so
-	// results remain bit-identical to EngineSerial. Flows the optimistic
-	// engine does not support (checkpointing, resume, replay recording)
-	// fall back to the conservative engine; non-parallelizable
-	// configurations fall back to the serial kernel.
+	// EngineOptimistic partitions the simulation per site and lets
+	// shards speculate past the global decision floor, taking cheap
+	// per-shard incremental snapshots and rolling back when a committed
+	// decision lands below a shard's clock (Time Warp on the snapshot
+	// contract; see optimistic.go). Deciding events stay globally
+	// serialized, so results are bit-identical to EngineSerial.
+	// Checkpointing, resume, replay recording and configurations the
+	// partitioned engine cannot run (single site, a zero cross-site
+	// delay, a decision delay beyond the smallest cross-site delay, or
+	// an empty trace) run on the serial kernel instead.
 	EngineOptimistic = "optimistic"
 )
+
+// ErrInvalidConfig wraps every Config rejection: a missing required
+// field, an unknown engine, a negative or non-finite parameter, or an
+// inconsistent combination of options.
+var ErrInvalidConfig = errors.New("sim: invalid config")
 
 // Config parameterizes one simulation run.
 type Config struct {
@@ -84,8 +85,8 @@ type Config struct {
 	Policy core.Policy
 
 	// Engine selects the execution engine: EngineSerial (default, also
-	// ""), EngineParallel or EngineOptimistic. All produce identical
-	// results; see the engine constants.
+	// "") or EngineOptimistic. Both produce identical results; see the
+	// engine constants.
 	Engine string
 
 	// SampleEvery is the state-sampling period in minutes (ASCA samples
@@ -138,11 +139,11 @@ type Config struct {
 	Context context.Context
 
 	// CheckpointEvery takes a full-state snapshot every this many
-	// simulated minutes: the serial engine at the first event boundary
-	// past each mark, the parallel engine at the first round barrier
-	// past it. 0 disables checkpointing. Resuming from any emitted
-	// snapshot reproduces the straight run bit-identically (jobs,
-	// series, counters, event counts). Requires CheckpointSink.
+	// simulated minutes, at the first event boundary past each mark.
+	// Checkpointed runs use the serial engine. 0 disables
+	// checkpointing. Resuming from any emitted snapshot reproduces the
+	// straight run bit-identically (jobs, series, counters, event
+	// counts). Requires CheckpointSink.
 	CheckpointEvery float64
 	// CheckpointSink receives each encoded snapshot. A sink error
 	// aborts the run.
@@ -164,10 +165,10 @@ type Config struct {
 	// its checkpoint directories).
 	CheckpointKeyframe int
 	// Metrics, when non-nil, receives engine execution counters —
-	// events dispatched, rounds, fence waits, bursts, speculative
-	// snapshots, rollbacks, group-commit sizes, sub-shard steals,
-	// alias retirements, checkpoint captures, and event-queue
-	// depth/tombstone high-water marks (see internal/obs for names).
+	// events dispatched, bursts, speculative snapshots, rollbacks,
+	// group-commit sizes, alias retirements, checkpoint captures, and
+	// event-queue depth/tombstone high-water marks (see internal/obs
+	// for names).
 	// Handles are resolved once per run; with Metrics nil every record
 	// site degenerates to a nil check — no allocation, no atomics.
 	// Metrics describe the execution, never the simulated system, and
@@ -175,16 +176,16 @@ type Config struct {
 	Metrics *obs.Registry
 	// Trace, when non-nil, records a Chrome trace_event timeline of
 	// the run into the given process group: one track per shard plus a
-	// coordinator track, with spans for rounds, fence waits, bursts,
-	// group-commit drains, rollbacks and checkpoint captures.
+	// coordinator track, with spans for bursts, group-commit drains,
+	// rollbacks and checkpoint captures.
 	// Timestamps are wall-clock — the timeline attributes real
 	// execution time. Like Metrics, tracing never affects event order,
 	// RNG draws, or results.
 	Trace *obs.Process
 	// Progress, when non-nil, is invoked from cheap engine sync points
-	// (the serial ctx-poll stride, round barriers, commit passes) at
-	// most once per ProgressEvery of wall time with the current
-	// simulated-time frontier. The callback must be fast and must not
+	// (the serial ctx-poll stride, commit passes) at most once per
+	// ProgressEvery of wall time with the current simulated-time
+	// frontier. The callback must be fast and must not
 	// touch simulation state.
 	Progress func(obs.Progress)
 	// ProgressEvery throttles Progress callbacks. Default 500ms.
@@ -192,10 +193,10 @@ type Config struct {
 
 	// ResumeFrom is an encoded snapshot (Checkpoint.Data) to resume
 	// from instead of starting at t=0. The snapshot must come from a
-	// run with the same configuration, workload and engine mode;
-	// mismatches fail with ErrSnapshotMismatch before any simulation
-	// state is touched. Stateful schedulers/policies are restored
-	// through the Stateful contract.
+	// run with the same configuration and workload; mismatches fail
+	// with ErrSnapshotMismatch before any simulation state is touched.
+	// Resumed runs use the serial engine. Stateful schedulers/policies
+	// are restored through the Stateful contract.
 	ResumeFrom []byte
 
 	// stopAtEvents and captureAt are replay-bisect internals (see
@@ -209,20 +210,47 @@ type Config struct {
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
+	invalid := func(format string, args ...any) (Config, error) {
+		return out, fmt.Errorf("%w: "+format, append([]any{ErrInvalidConfig}, args...)...)
+	}
 	if out.Platform == nil {
-		return out, fmt.Errorf("sim: config needs a platform")
+		return invalid("config needs a platform")
 	}
 	if out.Initial == nil {
-		return out, fmt.Errorf("sim: config needs an initial scheduler")
+		return invalid("config needs an initial scheduler")
 	}
 	if out.Policy == nil {
-		return out, fmt.Errorf("sim: config needs a rescheduling policy")
+		return invalid("config needs a rescheduling policy")
 	}
 	switch out.Engine {
-	case "", EngineSerial, EngineParallel, EngineOptimistic:
+	case "", EngineSerial, EngineOptimistic:
 	default:
-		return out, fmt.Errorf("sim: unknown engine %q (want %q, %q or %q)",
-			out.Engine, EngineSerial, EngineParallel, EngineOptimistic)
+		return invalid("unknown engine %q (want %q or %q)", out.Engine, EngineSerial, EngineOptimistic)
+	}
+	// A non-finite value would never compare usefully against the
+	// negativity checks below: NaN disables the MaxTime livelock cap and
+	// schedules NaN-timed events, and +Inf staleness spins the view
+	// refresh loop forever inside one event.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SampleEvery", out.SampleEvery},
+		{"SeriesBin", out.SeriesBin},
+		{"RescheduleOverhead", out.RescheduleOverhead},
+		{"UtilStaleness", out.UtilStaleness},
+		{"DecisionDelay", out.DecisionDelay},
+		{"MaxTime", out.MaxTime},
+		{"CheckpointEvery", out.CheckpointEvery},
+		{"Faults.MTBF", out.Faults.MTBF},
+		{"Faults.MTTR", out.Faults.MTTR},
+		{"Faults.MaintPeriod", out.Faults.MaintPeriod},
+		{"Faults.MaintDuration", out.Faults.MaintDuration},
+		{"Faults.MaintFraction", out.Faults.MaintFraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return invalid("non-finite %s %v", f.name, f.v)
+		}
 	}
 	if out.SampleEvery <= 0 {
 		out.SampleEvery = 1
@@ -231,31 +259,31 @@ func (c *Config) withDefaults() (Config, error) {
 		out.SeriesBin = 100
 	}
 	if out.RescheduleOverhead < 0 {
-		return out, fmt.Errorf("sim: negative reschedule overhead %v", out.RescheduleOverhead)
+		return invalid("negative reschedule overhead %v", out.RescheduleOverhead)
 	}
 	if out.UtilStaleness < 0 {
-		return out, fmt.Errorf("sim: negative staleness %v", out.UtilStaleness)
+		return invalid("negative staleness %v", out.UtilStaleness)
 	}
 	if out.UtilStaleness > 0 && out.DisableSampling {
-		return out, fmt.Errorf("sim: UtilStaleness requires sampling (snapshots refresh at sample events)")
+		return invalid("UtilStaleness requires sampling (snapshots refresh at sample events)")
 	}
 	if out.Platform.NumSites() > 1 && out.Platform.MaxRTT() > 0 && out.DisableSampling {
-		return out, fmt.Errorf("sim: inter-site RTT requires sampling (view ageing refreshes at sample events)")
+		return invalid("inter-site RTT requires sampling (view ageing refreshes at sample events)")
 	}
 	if out.DecisionDelay < 0 {
-		return out, fmt.Errorf("sim: negative decision delay %v", out.DecisionDelay)
+		return invalid("negative decision delay %v", out.DecisionDelay)
 	}
 	if out.CheckpointEvery < 0 {
-		return out, fmt.Errorf("sim: negative checkpoint interval %v", out.CheckpointEvery)
+		return invalid("negative checkpoint interval %v", out.CheckpointEvery)
 	}
 	if out.CheckpointEvery > 0 && out.CheckpointSink == nil {
-		return out, fmt.Errorf("sim: CheckpointEvery requires a CheckpointSink")
+		return invalid("CheckpointEvery requires a CheckpointSink")
 	}
 	if out.CheckpointKeyframe < 0 {
-		return out, fmt.Errorf("sim: negative checkpoint keyframe interval %d", out.CheckpointKeyframe)
+		return invalid("negative checkpoint keyframe interval %d", out.CheckpointKeyframe)
 	}
 	if err := out.Faults.validate(); err != nil {
-		return out, err
+		return out, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
 	if out.DecisionDelay == 0 {
 		out.DecisionDelay = 1
@@ -303,8 +331,8 @@ type Result struct {
 
 	// Fault & maintenance counters (all zero unless Config.Faults is
 	// enabled). Crashes, MaintWindows and DownCoreMinutes derive from
-	// the downtime logs clamped to the makespan, so serial and parallel
-	// engines report identical values.
+	// the downtime logs clamped to the makespan, so both engines report
+	// identical values.
 	//
 	// Crashes counts machine-crash events before the makespan.
 	Crashes int64
@@ -323,22 +351,12 @@ type Result struct {
 	// of down cores over the run, in core-minutes.
 	DownCoreMinutes float64
 
-	// SubShardSteals counts events executed by non-primary sub-shards
-	// when the conservative engine split a skew-dominant site into
-	// per-pool sub-shards (skew-aware work stealing): the hot-site work
-	// that ran somewhere other than the one worker a per-site partition
-	// would have given it. Zero when the split did not activate and on
-	// the other engines. Excluded from bit-identity comparisons — it
-	// describes the execution, not the simulated system.
-	SubShardSteals int64
-
-	// AliasRetirements counts alias-flag clears (the last cross-partition
+	// AliasRetirements counts alias-flag clears (the last cross-site
 	// job detaching from its machine, demoting capacity handoffs back to
-	// shard-local dispatch; see shard.noteDetach). Like SubShardSteals it
-	// describes the execution, not the simulated system: sub-sharded runs
-	// cut pools finer and count same-site cross-sub-shard attaches too,
-	// and a resumed run counts only its tail. Excluded from bit-identity
-	// comparisons and not persisted in snapshots.
+	// shard-local dispatch; see shard.noteDetach). It describes the
+	// execution, not the simulated system: a resumed run counts only its
+	// tail. Excluded from bit-identity comparisons and not persisted in
+	// snapshots.
 	AliasRetirements int64
 
 	// Rollbacks counts optimistic-engine rollbacks: speculative bursts
@@ -355,20 +373,20 @@ type Result struct {
 	// the amortization the group-commit drain exists to win.
 	GroupCommitSize []int64
 
-	// ambiguousTies records that the parallel engine observed at least
+	// ambiguousTies records that the optimistic engine observed at least
 	// one cross-partition pair of events with exactly equal timestamps
 	// whose serial order it cannot reconstruct. Such ties are
 	// measure-zero for float-valued traces; the fuzz harness skips
-	// serial-vs-parallel comparison when the flag is set.
+	// serial-vs-optimistic comparison when the flag is set.
 	ambiguousTies bool
 }
 
-// AmbiguousTies reports whether the parallel engine observed at least
-// one cross-partition pair of events with exactly equal timestamps
-// whose serial order it cannot reconstruct. When true, this run's
-// serial/parallel bit-identity guarantee is void (the run is still
-// internally consistent and deterministic for its engine). Always
-// false on serial runs. Callers replicating results across engines
+// AmbiguousTies reports whether the optimistic engine observed at
+// least one cross-partition pair of events with exactly equal
+// timestamps whose serial order it cannot reconstruct. When true, this
+// run's bit-identity guarantee is void (the run is still internally
+// consistent and deterministic for its engine). Always false on serial
+// runs. Callers replicating results across engines
 // should surface it to users instead of silently comparing.
 func (r *Result) AmbiguousTies() bool { return r.ambiguousTies }
 
@@ -377,6 +395,12 @@ func (r *Result) AmbiguousTies() bool { return r.ambiguousTies }
 // guarantees this). With Config.ResumeFrom set, the run continues from
 // the snapshot instead of t=0 and produces results bit-identical to a
 // straight run.
+//
+// Run is the one place that chooses the engine: the optimistic engine
+// when Config.Engine asks for it, the configuration is parallelizable,
+// and no checkpoint, resume or replay is requested; the serial kernel
+// for everything else. Snapshots are taken only between serial events,
+// so every checkpoint flow needs no cut of speculative state.
 func Run(cfg Config, specs []job.Spec) (*Result, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
@@ -386,14 +410,11 @@ func Run(cfg Config, specs []job.Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	parallel := (full.Engine == EngineParallel || full.Engine == EngineOptimistic) &&
-		w.parallelizable()
-	// The optimistic engine owns no checkpoint/replay machinery: those
-	// flows need the conservative engine's round barriers (a consistent
-	// global cut with no speculation to unwind), so they fall back to it.
-	optimistic := parallel && full.Engine == EngineOptimistic &&
+	if full.Engine == EngineOptimistic && w.parallelizable() &&
 		full.CheckpointEvery == 0 && len(full.ResumeFrom) == 0 &&
-		full.eventLog == nil && full.stopAtEvents == 0
+		full.eventLog == nil && full.stopAtEvents == 0 {
+		return runOptimistic(w)
+	}
 	var sn *snapshot
 	if len(full.ResumeFrom) > 0 {
 		if IsDeltaSnapshot(full.ResumeFrom) {
@@ -403,19 +424,9 @@ func Run(cfg Config, specs []job.Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mode := EngineSerial
-		if parallel {
-			mode = EngineParallel
-		}
-		if err := sn.verify(w, mode); err != nil {
+		if err := sn.verify(w); err != nil {
 			return nil, err
 		}
-	}
-	if optimistic {
-		return runOptimistic(w)
-	}
-	if parallel {
-		return runParallel(w, sn)
 	}
 	return runSerial(w, sn)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"netbatch/internal/cluster"
 	"netbatch/internal/core"
@@ -530,25 +531,75 @@ func TestDisableSampling(t *testing.T) {
 	}
 }
 
+// TestConfigErrors pins Config validation: every rejection — a missing
+// field, an unknown engine, a negative or non-finite parameter, an
+// inconsistent combination — wraps ErrInvalidConfig. Each case runs
+// under a deadline: an unchecked +Inf staleness spins the stale-view
+// refresh loop forever inside one event, so a regression fails here
+// instead of hanging the suite.
 func TestConfigErrors(t *testing.T) {
 	p := miniPlatform(t, 1)
-	cases := map[string]Config{
-		"noPlatform": {Initial: sched.NewRoundRobin(), Policy: core.NewNoRes()},
-		"noInitial":  {Platform: p, Policy: core.NewNoRes()},
-		"noPolicy":   {Platform: p, Initial: sched.NewRoundRobin()},
-		"negOverhead": {
-			Platform: p, Initial: sched.NewRoundRobin(), Policy: core.NewNoRes(),
-			RescheduleOverhead: -1,
-		},
-		"stalenessNoSampling": {
-			Platform: p, Initial: sched.NewRoundRobin(), Policy: core.NewNoRes(),
-			UtilStaleness: 5, DisableSampling: true,
-		},
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(*Config)
+		want string // substring the error must contain, if any
+	}{
+		{name: "noPlatform", set: func(c *Config) { c.Platform = nil }},
+		{name: "noInitial", set: func(c *Config) { c.Initial = nil }},
+		{name: "noPolicy", set: func(c *Config) { c.Policy = nil }},
+		{name: "negOverhead", set: func(c *Config) { c.RescheduleOverhead = -1 }},
+		{name: "stalenessNoSampling", set: func(c *Config) {
+			c.UtilStaleness = 5
+			c.DisableSampling = true
+		}},
+		{name: "unknownEngine", set: func(c *Config) { c.Engine = "parallel" },
+			want: `(want "serial" or "optimistic")`},
+		{name: "SampleEvery NaN", set: func(c *Config) { c.SampleEvery = nan }},
+		{name: "SampleEvery +Inf", set: func(c *Config) { c.SampleEvery = inf }},
+		{name: "SeriesBin NaN", set: func(c *Config) { c.SeriesBin = nan }},
+		{name: "RescheduleOverhead +Inf", set: func(c *Config) { c.RescheduleOverhead = inf }},
+		{name: "UtilStaleness +Inf", set: func(c *Config) { c.UtilStaleness = inf }},
+		{name: "UtilStaleness NaN", set: func(c *Config) { c.UtilStaleness = nan }},
+		{name: "DecisionDelay NaN", set: func(c *Config) { c.DecisionDelay = nan }},
+		{name: "DecisionDelay +Inf", set: func(c *Config) { c.DecisionDelay = inf }},
+		{name: "MaxTime NaN", set: func(c *Config) { c.MaxTime = nan }},
+		{name: "MaxTime +Inf", set: func(c *Config) { c.MaxTime = inf }},
+		{name: "CheckpointEvery +Inf", set: func(c *Config) {
+			c.CheckpointEvery = inf
+			c.CheckpointSink = func(Checkpoint) error { return nil }
+		}},
+		{name: "Faults.MTBF NaN", set: func(c *Config) { c.Faults = FaultConfig{MTBF: nan, MTTR: 5} }},
+		{name: "Faults.MTTR +Inf", set: func(c *Config) { c.Faults = FaultConfig{MTBF: 100, MTTR: inf} }},
+		{name: "Faults.MaintPeriod +Inf", set: func(c *Config) {
+			c.Faults = FaultConfig{MaintPeriod: inf, MaintDuration: 10}
+		}},
+		{name: "Faults.MaintDuration NaN", set: func(c *Config) {
+			c.Faults = FaultConfig{MaintPeriod: 100, MaintDuration: nan}
+		}},
+		{name: "Faults.MaintFraction -Inf", set: func(c *Config) {
+			c.Faults = FaultConfig{MaintPeriod: 100, MaintDuration: 10, MaintFraction: -inf}
+		}},
 	}
-	for name, cfg := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := Run(cfg, []job.Spec{lowJob(1, 0, 10, 0)}); err == nil {
-				t.Fatal("want error")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(p)
+			tc.set(&cfg)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(cfg, []job.Spec{lowJob(1, 0, 10, 0)})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrInvalidConfig) {
+					t.Fatalf("got %v, want ErrInvalidConfig", err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %q does not contain %q", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run did not return within 10s")
 			}
 		})
 	}

@@ -92,9 +92,9 @@ type snapPair struct {
 func (sh *shard) handleSnapshot(pair snapPair) {
 	sh.view.refresh(pair)
 	// A serial shard sees global completion and lets the chain die with
-	// the run; a parallel shard cannot know global completion mid-round,
-	// so it keeps the chain armed — the surplus refreshes are inert and
-	// die at the final round barrier.
+	// the run; a partitioned shard cannot know global completion while
+	// its peers still run, so it keeps the chain armed — the surplus
+	// refreshes are inert and the merge does not count them.
 	if sh.par == nil && sh.completed >= len(sh.w.specs) {
 		return
 	}
@@ -133,21 +133,13 @@ func newPoolView(sh *shard) *poolView {
 func (v *poolView) observe(site int) { v.obs = site }
 
 // refresh copies live utilization of the target site's pools into the
-// observer's snapshot row. A sub-shard refreshes only its own pools:
-// each sub-shard of a split site runs its own chain for the pair, so
-// together they cover the site at the same refresh instants with the
-// same values the site shard would have written, while never touching
-// a sibling's pool state concurrently.
+// observer's snapshot row.
 func (v *poolView) refresh(pair snapPair) {
 	snap := v.sh.w.snap
 	if snap == nil {
 		return
 	}
-	pools := v.sh.w.plat.Site(pair.tgt).Pools
-	if v.sh.pools != nil {
-		pools = v.sh.pools
-	}
-	for _, p := range pools {
+	for _, p := range v.sh.w.plat.Site(pair.tgt).Pools {
 		snap[pair.obs][p] = v.liveUtil(p)
 	}
 }
