@@ -8,7 +8,7 @@
 // faulty week, 6-site metro week and simulated year, each on both
 // engines, and the checkpoint/restore set including delta capture) at
 // the same 4% bench scale. Results serialize to a schema-versioned
-// JSON snapshot (BENCH_14.json at the repo root is the
+// JSON snapshot (BENCH_16.json at the repo root is the
 // committed baseline; earlier BENCH_*.json files stay committed as the
 // trend history — see cmd/benchsnap).
 //

@@ -20,6 +20,7 @@ package job
 
 import (
 	"fmt"
+	"slices"
 )
 
 // ID identifies a job within one trace/simulation.
@@ -146,15 +147,21 @@ func (s *Spec) Validate() error {
 	case s.Site < 0:
 		return fmt.Errorf("job %d: negative site %d", s.ID, s.Site)
 	}
-	seen := make(map[int]bool, len(s.Candidates))
 	for _, p := range s.Candidates {
 		if p < 0 {
 			return fmt.Errorf("job %d: negative candidate pool %d", s.ID, p)
 		}
-		if seen[p] {
-			return fmt.Errorf("job %d: duplicate candidate pool %d", s.ID, p)
+	}
+	// Sorting a copy finds duplicates in O(k log k) without a map; the
+	// stack buffer covers every realistic candidate list, so validating
+	// a trace allocates nothing per job.
+	var buf [64]int
+	sorted := append(buf[:0], s.Candidates...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("job %d: duplicate candidate pool %d", s.ID, sorted[i])
 		}
-		seen[p] = true
 	}
 	return nil
 }

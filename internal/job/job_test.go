@@ -45,6 +45,9 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"noCandidates", func(s *Spec) { s.Candidates = nil }, "no candidate pools"},
 		{"dupCandidates", func(s *Spec) { s.Candidates = []int{1, 1} }, "duplicate candidate"},
 		{"negCandidate", func(s *Spec) { s.Candidates = []int{-3} }, "negative candidate"},
+		{"negAfterDup", func(s *Spec) { s.Candidates = []int{2, 2, -1} }, "negative candidate pool -1"},
+		{"dupAtEndOf42", func(s *Spec) { s.Candidates = append(poolRange(41), 17) }, "duplicate candidate pool 17"},
+		{"dupBeyondStackBuffer", func(s *Spec) { s.Candidates = append(poolRange(99), 3) }, "duplicate candidate pool 3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -59,6 +62,16 @@ func TestSpecValidateErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// poolRange returns the candidate list 0..n-1 in descending order, so a
+// duplicate appended to it is far from its twin in list order.
+func poolRange(n int) []int {
+	pools := make([]int, n)
+	for i := range pools {
+		pools[i] = n - 1 - i
+	}
+	return pools
 }
 
 func TestEligibleFor(t *testing.T) {

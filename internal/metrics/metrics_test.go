@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"netbatch/internal/job"
+	"netbatch/internal/stats"
 )
 
 // completedJob builds a completed job with a scripted lifecycle.
 // Timeline: submit -> wait w -> run r1 -> [suspend s -> resume] ->
 // complete. If restart is true the job instead restarts after the
 // suspension and reruns from scratch.
-func completedJob(t *testing.T, id job.ID, submit, wait, work, suspend float64, restart bool) *job.Job {
+func completedJob(t testing.TB, id job.ID, submit, wait, work, suspend float64, restart bool) *job.Job {
 	t.Helper()
 	j := job.New(job.Spec{
 		ID: id, Submit: submit, Work: work, Cores: 1, MemMB: 1,
@@ -177,5 +178,27 @@ func TestSummarizeTasksEmpty(t *testing.T) {
 	ts := SummarizeTasks(nil)
 	if ts.Tasks != 0 || ts.AvgSpan != 0 || ts.TouchedBySuspension != 0 {
 		t.Fatalf("empty task summary = %+v", ts)
+	}
+}
+
+// BenchmarkSummarize is the metrics layer of one year-scale cell:
+// Summarize over 200,000 completed jobs, a tenth of them suspended once
+// and a quarter of those restarted.
+func BenchmarkSummarize(b *testing.B) {
+	r := stats.NewRNG(7)
+	jobs := make([]*job.Job, 200_000)
+	for i := range jobs {
+		var suspend float64
+		if r.IntN(10) == 0 {
+			suspend = r.Exp(60)
+		}
+		jobs[i] = completedJob(b, job.ID(i+1), float64(i)/2, r.Exp(30), r.Exp(120)+1, suspend,
+			suspend > 0 && r.IntN(4) == 0)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Summarize(jobs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

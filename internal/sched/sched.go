@@ -79,9 +79,10 @@ type RoundRobin struct {
 	// AvoidQueues enables the queue-availability filter.
 	AvoidQueues bool
 
-	cursors map[string]int
+	cursors map[string]*int
 	wrr     map[string]*wrrState
-	scratch []int // eligibleCandidates reuse; never retained
+	scratch []int  // eligibleCandidates reuse; never retained
+	key     []byte // candidate-set key reuse; never retained
 }
 
 var _ InitialScheduler = (*RoundRobin)(nil)
@@ -111,22 +112,29 @@ func (r *RoundRobin) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, 
 	if len(eligible) == 0 {
 		return 0, errNoEligiblePool(spec)
 	}
-	key := candidateKey(eligible)
+	// Lookups convert the reused key bytes without allocating; only a
+	// new candidate set pays for its key string.
+	r.key = appendCandidateKey(r.key[:0], eligible)
 	if r.Pure {
-		if r.cursors == nil {
-			r.cursors = make(map[string]int)
+		cur := r.cursors[string(r.key)]
+		if cur == nil {
+			if r.cursors == nil {
+				r.cursors = make(map[string]*int)
+			}
+			cur = new(int)
+			r.cursors[string(r.key)] = cur
 		}
-		idx := r.cursors[key]
-		r.cursors[key] = idx + 1
+		idx := *cur
+		*cur++
 		return eligible[idx%len(eligible)], nil
 	}
-	if r.wrr == nil {
-		r.wrr = make(map[string]*wrrState)
-	}
-	st, ok := r.wrr[key]
+	st, ok := r.wrr[string(r.key)]
 	if !ok {
+		if r.wrr == nil {
+			r.wrr = make(map[string]*wrrState)
+		}
 		st = newWRRState(eligible, view)
-		r.wrr[key] = st
+		r.wrr[string(r.key)] = st
 	}
 	if !r.AvoidQueues {
 		return st.next(), nil
@@ -169,7 +177,10 @@ type wrrDump struct {
 func (r *RoundRobin) ExportState() ([]byte, error) {
 	st := rrState{}
 	if len(r.cursors) > 0 {
-		st.Cursors = r.cursors
+		st.Cursors = make(map[string]int, len(r.cursors))
+		for k, c := range r.cursors {
+			st.Cursors[k] = *c
+		}
 	}
 	if len(r.wrr) > 0 {
 		st.WRR = make(map[string]*wrrDump, len(r.wrr))
@@ -186,7 +197,13 @@ func (r *RoundRobin) ImportState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("sched: round-robin state: %w", err)
 	}
-	r.cursors = st.Cursors
+	r.cursors = nil
+	if len(st.Cursors) > 0 {
+		r.cursors = make(map[string]*int, len(st.Cursors))
+		for k, c := range st.Cursors {
+			r.cursors[k] = &c
+		}
+	}
 	r.wrr = nil
 	if len(st.WRR) > 0 {
 		r.wrr = make(map[string]*wrrState, len(st.WRR))
@@ -326,15 +343,13 @@ func eligibleCandidates(spec *job.Spec, view PoolView, buf []int) []int {
 	return out
 }
 
-// candidateKey builds a map key identifying a candidate set. The
-// encoding ("%d," per pool) is also the per-candidate-set map key in
-// exported scheduler state, so it must stay stable across versions.
-func candidateKey(pools []int) string {
-	var buf [64]byte
-	b := buf[:0]
+// appendCandidateKey appends the map key identifying a candidate set to
+// b. The encoding ("%d," per pool) is also the per-candidate-set map key
+// in exported scheduler state, so it must stay stable across versions.
+func appendCandidateKey(b []byte, pools []int) []byte {
 	for _, p := range pools {
 		b = strconv.AppendInt(b, int64(p), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }

@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"netbatch/internal/job"
@@ -120,6 +124,79 @@ func TestWeightedRoundRobinInterleaves(t *testing.T) {
 		} else {
 			consecutive = 0
 		}
+	}
+}
+
+// TestRoundRobinStateKeys pins the per-candidate-set keys of exported
+// round-robin state to the "%d," form checkpoints already hold, for both
+// rotation kinds across several candidate sets. It also checks that a
+// turn on a known set allocates nothing and that an imported state
+// exports the same bytes and continues the same rotation.
+func TestRoundRobinStateKeys(t *testing.T) {
+	view := newFakeView(300, 100, 100, 200, 50, 50, 50, 50, 50, 50, 50, 50)
+	view.ineligible[2] = true
+	sets := [][]int{{0, 1, 2}, {3, 1}, {11, 10, 0}}
+	want := []string{"0,1,", "11,10,0,", "3,1,"} // pool 2 is ineligible
+	for _, rr := range []*RoundRobin{NewRoundRobin(), NewPureRoundRobin()} {
+		t.Run(rr.Name(), func(t *testing.T) {
+			for _, set := range sets {
+				spec := specWithCandidates(set...)
+				for range 3 {
+					if _, err := rr.SelectPool(0, spec, view); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			data, err := rr.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st struct {
+				Cursors map[string]json.RawMessage `json:"cursors"`
+				WRR     map[string]json.RawMessage `json:"wrr"`
+			}
+			if err := json.Unmarshal(data, &st); err != nil {
+				t.Fatal(err)
+			}
+			keyed := st.WRR
+			if rr.Pure {
+				keyed = st.Cursors
+			}
+			if keys := slices.Sorted(maps.Keys(keyed)); !slices.Equal(keys, want) {
+				t.Fatalf("state keys = %q, want %q (state %s)", keys, want, data)
+			}
+
+			spec := specWithCandidates(sets[2]...)
+			if n := testing.AllocsPerRun(100, func() { _, _ = rr.SelectPool(0, spec, view) }); n != 0 {
+				t.Fatalf("SelectPool on a known candidate set allocates %v times per call", n)
+			}
+
+			data, err = rr.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := &RoundRobin{Pure: rr.Pure}
+			if err := back.ImportState(data); err != nil {
+				t.Fatal(err)
+			}
+			again, err := back.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("re-exported state %s, want %s", again, data)
+			}
+			for _, set := range sets {
+				spec := specWithCandidates(set...)
+				for range 4 {
+					p, _ := rr.SelectPool(0, spec, view)
+					q, _ := back.SelectPool(0, spec, view)
+					if p != q {
+						t.Fatalf("set %v: imported state picks %d, original %d", set, q, p)
+					}
+				}
+			}
+		})
 	}
 }
 

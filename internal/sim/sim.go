@@ -90,10 +90,12 @@ type Config struct {
 	Engine string
 
 	// SampleEvery is the state-sampling period in minutes (ASCA samples
-	// every minute; default 1).
+	// every minute). Zero means the default, 1; negative values are
+	// rejected.
 	SampleEvery float64
 	// SeriesBin is the aggregation bin for the output time series in
-	// minutes (the paper aggregates per 100 minutes; default 100).
+	// minutes (the paper aggregates per 100 minutes). Zero means the
+	// default, 100; negative values are rejected.
 	SeriesBin float64
 	// RescheduleOverhead is the transfer delay in minutes charged on
 	// every reschedule move (§5 future work: "network delays and other
@@ -125,7 +127,8 @@ type Config struct {
 	// strictly higher priority preempt the resume (ablation).
 	QueueBeatsResume bool
 	// MaxTime aborts the run if simulated time passes this cap,
-	// indicating livelock. Default 10,000,000 minutes.
+	// indicating livelock. Zero means the default, 10,000,000 minutes;
+	// negative values are rejected.
 	MaxTime float64
 	// CheckConservation verifies each job's accounting invariant on
 	// completion. Default true; costs almost nothing.
@@ -252,10 +255,16 @@ func (c *Config) withDefaults() (Config, error) {
 			return invalid("non-finite %s %v", f.name, f.v)
 		}
 	}
-	if out.SampleEvery <= 0 {
+	if out.SampleEvery < 0 {
+		return invalid("negative sample period %v", out.SampleEvery)
+	}
+	if out.SampleEvery == 0 {
 		out.SampleEvery = 1
 	}
-	if out.SeriesBin <= 0 {
+	if out.SeriesBin < 0 {
+		return invalid("negative series bin %v", out.SeriesBin)
+	}
+	if out.SeriesBin == 0 {
 		out.SeriesBin = 100
 	}
 	if out.RescheduleOverhead < 0 {
@@ -288,7 +297,10 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.DecisionDelay == 0 {
 		out.DecisionDelay = 1
 	}
-	if out.MaxTime <= 0 {
+	if out.MaxTime < 0 {
+		return invalid("negative max time %v", out.MaxTime)
+	}
+	if out.MaxTime == 0 {
 		out.MaxTime = 1e7
 	}
 	return out, nil

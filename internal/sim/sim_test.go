@@ -549,6 +549,9 @@ func TestConfigErrors(t *testing.T) {
 		{name: "noInitial", set: func(c *Config) { c.Initial = nil }},
 		{name: "noPolicy", set: func(c *Config) { c.Policy = nil }},
 		{name: "negOverhead", set: func(c *Config) { c.RescheduleOverhead = -1 }},
+		{name: "negSampleEvery", set: func(c *Config) { c.SampleEvery = -1 }, want: "negative sample period"},
+		{name: "negSeriesBin", set: func(c *Config) { c.SeriesBin = -100 }, want: "negative series bin"},
+		{name: "negMaxTime", set: func(c *Config) { c.MaxTime = -1 }, want: "negative max time"},
 		{name: "stalenessNoSampling", set: func(c *Config) {
 			c.UtilStaleness = 5
 			c.DisableSampling = true

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -107,33 +110,93 @@ func (m *Mean) Merge(o *Mean) {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It returns an error for an
-// empty sample or q outside [0, 1]. xs is not modified.
+// interpolation between order statistics: the value a full sort of xs
+// (in sort.Float64s order, NaNs first) would give, found by selection
+// in expected O(n) time. It returns an error for an empty sample or q
+// outside [0, 1], NaN included. xs is not modified.
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: quantile of empty sample")
 	}
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) {
 		return 0, fmt.Errorf("stats: quantile %v outside [0, 1]", q)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
+	buf := slices.Clone(xs)
+	lo, hi, frac := quantileRanks(len(buf), q)
+	selectRank(buf, lo)
+	if lo == hi {
+		return buf[lo], nil
+	}
+	// Every value after rank lo sorts at or above it, so rank hi = lo+1
+	// is the least of them.
+	next := slices.Min(buf[lo+1:])
+	return buf[lo]*(1-frac) + next*frac, nil
+}
+
+// quantileRanks returns the two order statistics of an n-sample the
+// q-quantile interpolates between, and the weight of the upper one.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
+	pos := q * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRanks(len(sorted), q)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// selectRank reorders xs so that xs[k] holds the value a full sort would
+// put there, with nothing after it sorting below it. It is an
+// introselect: median-of-three Hoare partitioning narrows the range
+// holding rank k, and the range left once it is small, or once about
+// 2·log2(n) rounds are spent, is sorted, so the worst case stays
+// O(n log n).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 16 && rounds > 0; rounds-- {
+		if j := partition(xs, lo, hi); k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	slices.Sort(xs[lo : hi+1])
+}
+
+// partition splits xs[lo..hi] (hi > lo+1) around the median of its
+// first, middle and last values with Hoare's scheme, and returns j in
+// [lo, hi) such that nothing in xs[lo..j] sorts above anything in
+// xs[j+1..hi]. It orders values with cmp.Less, as sort.Float64s does.
+func partition(xs []float64, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	if cmp.Less(xs[mid], xs[lo]) {
+		xs[mid], xs[lo] = xs[lo], xs[mid]
+	}
+	if cmp.Less(xs[hi], xs[mid]) {
+		xs[hi], xs[mid] = xs[mid], xs[hi]
+		if cmp.Less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+	}
+	// The pivot's own slot stops both scans on the first pass, and each
+	// swap leaves a stopper for the next, so neither scan leaves the
+	// range and j < hi.
+	pivot := xs[mid]
+	i, j := lo-1, hi+1
+	for {
+		for i++; cmp.Less(xs[i], pivot); i++ {
+		}
+		for j--; cmp.Less(pivot, xs[j]); j-- {
+		}
+		if i >= j {
+			return j
+		}
+		xs[i], xs[j] = xs[j], xs[i]
+	}
 }
 
 // CDF is an empirical cumulative distribution function over a fixed
@@ -166,10 +229,13 @@ func (c *CDF) At(x float64) float64 {
 }
 
 // Quantile returns the q-quantile of the sample, or 0 for an empty
-// sample. q is clamped to [0, 1].
+// sample. q is clamped to [0, 1]; a NaN q returns NaN.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
 		return 0
+	}
+	if math.IsNaN(q) {
+		return q
 	}
 	if q < 0 {
 		q = 0

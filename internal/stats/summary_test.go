@@ -104,6 +104,9 @@ func TestQuantileErrors(t *testing.T) {
 	if _, err := Quantile([]float64{1}, 1.1); err == nil {
 		t.Fatal("q>1: want error")
 	}
+	if _, err := Quantile([]float64{1, 2}, math.NaN()); err == nil {
+		t.Fatal("q=NaN: want error")
+	}
 }
 
 func TestQuantileDoesNotMutateInput(t *testing.T) {
@@ -186,6 +189,9 @@ func TestCDFQuantileAtRoundTrip(t *testing.T) {
 		if got := c.At(x); got < q-0.01 {
 			t.Fatalf("At(Quantile(%v)) = %v < q", q, got)
 		}
+	}
+	if got := c.Quantile(math.NaN()); !math.IsNaN(got) {
+		t.Fatalf("Quantile(NaN) = %v, want NaN", got)
 	}
 }
 
@@ -274,22 +280,157 @@ func TestHistogramConservation(t *testing.T) {
 	}
 }
 
-func TestQuantileMatchesSortDefinition(t *testing.T) {
-	r := NewRNG(301)
-	xs := make([]float64, 1001)
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	med, err := Quantile(xs, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+// sortedQuantile is the definition Quantile must match: sort a copy
+// with sort.Float64s and interpolate between neighbouring ranks.
+func sortedQuantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	if med != sorted[500] {
-		t.Fatalf("median = %v, want middle element %v", med, sorted[500])
+	pos := q * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
 	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// sameQuantile compares quantiles the way the sorted definition fixes
+// them: a sort may order NaNs of different payloads, or −0 and +0, either
+// way round, so NaN equals NaN and −0 equals +0.
+func sameQuantile(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkQuantile asserts Quantile(xs, q) matches the sorted definition
+// and leaves xs bit-for-bit unmodified.
+func checkQuantile(t *testing.T, xs []float64, q float64) {
+	t.Helper()
+	before := make([]uint64, len(xs))
+	for i, x := range xs {
+		before[i] = math.Float64bits(x)
+	}
+	got, err := Quantile(xs, q)
+	if err != nil {
+		t.Fatalf("n=%d q=%v: %v", len(xs), q, err)
+	}
+	if want := sortedQuantile(xs, q); !sameQuantile(got, want) {
+		t.Fatalf("n=%d q=%v: got %v, want %v", len(xs), q, got, want)
+	}
+	for i, x := range xs {
+		if math.Float64bits(x) != before[i] {
+			t.Fatalf("n=%d q=%v: input modified at %d", len(xs), q, i)
+		}
+	}
+}
+
+func TestQuantileMatchesSortDefinition(t *testing.T) {
+	r := NewRNG(301)
+	families := []struct {
+		name string
+		gen  func(n int) []float64
+	}{
+		{"random", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.Exp(100)
+			}
+			return xs
+		}},
+		{"heavyTies", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.IntN(4))
+			}
+			return xs
+		}},
+		{"sorted", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) / 3
+			}
+			return xs
+		}},
+		{"reversed", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n - i)
+			}
+			return xs
+		}},
+		{"allEqual", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 7
+			}
+			return xs
+		}},
+		{"withNaN", func(n int) []float64 {
+			specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+			xs := make([]float64, n)
+			for i := range xs {
+				if r.IntN(4) == 0 {
+					xs[i] = specials[r.IntN(len(specials))]
+				} else {
+					xs[i] = r.Float64()*2 - 1
+				}
+			}
+			return xs
+		}},
+	}
+	lengths := []int{1, 2, 3, 4, 5, 8, 16, 17, 18, 19, 33, 100, 101, 257, 1000, 1001, 2999, 3000}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			for _, n := range lengths {
+				xs := fam.gen(n)
+				// 0 and 1 are the ends; 0.5 and 0.25 land exactly on an
+				// index when n-1 is a multiple of 2 or 4, k/(n-1) aims
+				// at index k, and the rest fall between two ranks.
+				qs := []float64{0, 1, 0.5, 0.25, 0.9, 0.1, 0.999, 1e-9, 1 - 1e-9}
+				if n > 1 {
+					qs = append(qs, 1/float64(n-1), float64(n/3)/float64(n-1), float64(n-2)/float64(n-1))
+				}
+				for _, q := range qs {
+					checkQuantile(t, xs, q)
+				}
+			}
+		})
+	}
+}
+
+// FuzzQuantile checks selection against the sorted definition on
+// arbitrary samples. Each input byte is one value: a small integer, or
+// NaN, ±Inf or −0 for four reserved bytes, so ties and every special
+// ordering case turn up often.
+func FuzzQuantile(f *testing.F) {
+	f.Add([]byte{3, 1, 2}, 0.5)
+	f.Add([]byte{0x80, 5, 0x7f, 0x81, 0x7e, 0, 5, 5}, 0.9)
+	f.Add([]byte{}, 0.5)
+	f.Add([]byte{1}, math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, q float64) {
+		xs := make([]float64, len(data))
+		for i, b := range data {
+			switch b {
+			case 0x80:
+				xs[i] = math.NaN()
+			case 0x7f:
+				xs[i] = math.Inf(1)
+			case 0x81:
+				xs[i] = math.Inf(-1)
+			case 0x7e:
+				xs[i] = math.Copysign(0, -1)
+			default:
+				xs[i] = float64(int8(b))
+			}
+		}
+		if len(xs) == 0 || !(q >= 0 && q <= 1) {
+			if _, err := Quantile(xs, q); err == nil {
+				t.Fatalf("n=%d q=%v: want error", len(xs), q)
+			}
+			return
+		}
+		checkQuantile(t, xs, q)
+	})
 }
 
 func TestMeanCI95(t *testing.T) {
