@@ -205,12 +205,9 @@ func BenchmarkAblationMigration(b *testing.B) {
 
 // BenchmarkMultiSiteWeek runs one 3-site federation cell (latency-
 // penalized site selection over per-site round-robin, latency-aware
-// combined rescheduling) at bench scale, once per engine: the serial
-// reference kernel and the optimistic speculative engine (bit-identical
-// results, commits serialized at decisions). CI uploads both series in
-// the bench artifact. Sampling stays enabled:
-// the inter-site view ageing refreshes on the sample grid, so this
-// bench also covers the per-site sampling and snapshot-chain overhead.
+// combined rescheduling) at bench scale. Sampling stays enabled: the
+// inter-site view ageing refreshes on the sample grid, so this bench
+// also covers the per-site sampling and snapshot-chain overhead.
 func BenchmarkMultiSiteWeek(b *testing.B) {
 	sc := experiments.MultiSiteScenario("bench-multisite", 3, 0,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })
@@ -228,22 +225,15 @@ func BenchmarkMultiSiteWeek(b *testing.B) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
-		b.Run("engine="+engine, func(b *testing.B) {
-			opts := benchOpts()
-			opts.Engine = engine
-			runCellBench(b, sc, pf, opts)
-		})
-	}
+	b.ResetTimer()
+	runCellBench(b, sc, pf, benchOpts())
 }
 
 // BenchmarkFaultsMultiSiteWeek runs one 3-site federation cell of the
 // faulty busy week — machine crashes, staggered maintenance windows,
-// kill-and-requeue victims — once per engine, mirroring
-// BenchmarkMultiSiteWeek. It times the fault & maintenance subsystem's
-// overhead on the hot path (kill sweeps, downtime spans, requeue
-// cascades) and keeps the serial-vs-optimistic pair in the CI bench
-// artifact honest under faults.
+// kill-and-requeue victims — mirroring BenchmarkMultiSiteWeek. It
+// times the fault & maintenance subsystem's overhead on the hot path
+// (kill sweeps, downtime spans, requeue cascades).
 func BenchmarkFaultsMultiSiteWeek(b *testing.B) {
 	sc := experiments.FaultScenario("bench-faults", 3, sim.VictimRequeue)
 	tr, err := sc.Trace(42, benchScale)
@@ -260,23 +250,15 @@ func BenchmarkFaultsMultiSiteWeek(b *testing.B) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
-		b.Run("engine="+engine, func(b *testing.B) {
-			opts := benchOpts()
-			opts.Engine = engine
-			runCellBench(b, sc, pf, opts)
-		})
-	}
+	b.ResetTimer()
+	runCellBench(b, sc, pf, benchOpts())
 }
 
 // BenchmarkYear6 runs one simulated year on the 6-site federation
 // (recurring auto bursts, metro RTT matrix, reduced scale — see
-// experiments.MultiSiteYearScenario) once per engine. This is the
-// ROADMAP north-star cell: at year scale the optimistic engine's
-// serialization points — commit cycles, alias promotion — dominate
-// wall-clock, which week-scale cells amortize over too few decisions
-// to show. Sampling is disabled by the scenario so the cell times the
-// engine, not a year of per-minute series.
+// experiments.MultiSiteYearScenario). This is the ROADMAP north-star
+// cell. Sampling is disabled by the scenario so the cell times the
+// simulation, not a year of per-minute series.
 func BenchmarkYear6(b *testing.B) {
 	sc := experiments.MultiSiteYearScenario("bench-year6", 6,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })
@@ -294,14 +276,9 @@ func BenchmarkYear6(b *testing.B) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
+	b.ResetTimer()
+	runCellBench(b, sc, pf, benchOpts())
 	b.ReportMetric(float64(len(tr.Jobs)), "jobs")
-	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
-		b.Run("engine="+engine, func(b *testing.B) {
-			opts := benchOpts()
-			opts.Engine = engine
-			runCellBench(b, sc, pf, opts)
-		})
-	}
 }
 
 // BenchmarkSimulatorThroughput measures raw event throughput of the

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	experiments [-run table1,fig2,...] [-scale 1.0] [-seed 42]
-//	            [-seeds N] [-jobs N] [-engine serial|optimistic]
-//	            [-timeout 30m] [-out DIR] [-overhead MIN]
+//	            [-seeds N] [-jobs N] [-timeout 30m] [-out DIR]
+//	            [-overhead MIN]
 //	            [-timeline out.json] [-runlog run.jsonl] [-progress 1s]
 //
 // Without -run, every registered experiment executes. Each experiment
@@ -48,19 +48,18 @@ func main() {
 
 func run() (err error) {
 	var (
-		list     = flag.Bool("list", false, "list registered experiments and engines, then exit")
+		list     = flag.Bool("list", false, "list registered experiments, then exit")
 		runIDs   = flag.String("run", "", "comma-separated experiment IDs (default: all)")
 		scenario = flag.String("scenario", "", "alias for -run")
 		scale    = flag.Float64("scale", 1.0, "platform+workload scale (1.0 = paper scale)")
 		seed     = flag.Uint64("seed", 42, "base random seed for trace generation and policies")
 		seeds    = flag.Int("seeds", 1, "seed replicates per cell; >1 reports mean ± 95% CI")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulations (0 = one per CPU)")
-		engine   = flag.String("engine", "serial", "simulation engine: serial or optimistic (per-site speculation; identical results; checkpointed and resumed cells run serial)")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 		outDir   = flag.String("out", "", "directory for CSV output (optional)")
 		overhead = flag.Float64("overhead", 0, "reschedule transfer overhead in minutes")
 
-		ckptDir      = flag.String("checkpoint-dir", "", "directory for per-cell engine checkpoints; enables checkpointing")
+		ckptDir      = flag.String("checkpoint-dir", "", "directory for per-cell simulation checkpoints; enables checkpointing")
 		ckptEvery    = flag.Float64("checkpoint-every", 0, "checkpoint cadence in simulated minutes (default: 1440 = one simulated day)")
 		ckptKeyframe = flag.Int("checkpoint-keyframe", 0, "emit every Nth checkpoint full and the rest as binary deltas (.dckpt) against the previous one; 0 or 1 = all full")
 		resume       = flag.Bool("resume", false, "resume each cell from its checkpoint in -checkpoint-dir (bit-identical results; incompatible checkpoints restart from t=0)")
@@ -69,7 +68,7 @@ func run() (err error) {
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace of the run to this file")
 
-		timeline = flag.String("timeline", "", "write an engine timeline of every cell as Chrome trace_event JSON to this file (load in Perfetto / chrome://tracing)")
+		timeline = flag.String("timeline", "", "write a timeline of every cell (one \"run\" span per simulation, plus checkpoint captures) as Chrome trace_event JSON to this file (load in Perfetto / chrome://tracing)")
 		runlog   = flag.String("runlog", "", "stream per-cell run telemetry as JSONL records to this file (\"-\" = stderr)")
 		progress = flag.Duration("progress", 0, "per-cell progress cadence (0 = 1s when -runlog is set, else mirror nothing); also mirrors to stderr without -runlog")
 
@@ -110,7 +109,6 @@ func run() (err error) {
 		Seeds:              *seeds,
 		Scale:              *scale,
 		Jobs:               *jobs,
-		Engine:             *engine,
 		Overhead:           *overhead,
 		Context:            ctx,
 		CheckpointDir:      *ckptDir,
@@ -138,7 +136,7 @@ func run() (err error) {
 	for _, id := range ids {
 		e, err := experiments.Get(strings.TrimSpace(id))
 		if err != nil {
-			return fmt.Errorf("%w\nrun with -list to see the registered scenarios and engines", err)
+			return fmt.Errorf("%w\nrun with -list to see the registered scenarios", err)
 		}
 		start := time.Now()
 		out, err := e.Run(opts)
@@ -152,19 +150,8 @@ func run() (err error) {
 			}
 			fmt.Println()
 		}
-		if out.EngineCounters != nil {
-			if err := out.EngineCounters.Render(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
 		for _, note := range out.Notes {
 			fmt.Println("  note:", note)
-		}
-		if out.AmbiguousCells > 0 {
-			fmt.Fprintf(os.Stderr,
-				"experiments: warning: %s: %d cell(s) hit an ambiguous cross-partition event tie; bit-identity with the serial engine is not guaranteed for those replicates\n",
-				out.ID, out.AmbiguousCells)
 		}
 		fmt.Println()
 		if *outDir != "" {
@@ -223,8 +210,8 @@ func runReplayBisect(files, cell string, ids []string, opts experiments.Options)
 		return err
 	}
 	fmt.Printf("replay-bisect: cell %s of %s\n", cell, ids[0])
-	fmt.Printf("  from: %s  t=%.1f  events=%d  (%s engine, label %q)\n",
-		parts[0], metaFrom.Time, metaFrom.Events, metaFrom.Mode, metaFrom.Label)
+	fmt.Printf("  from: %s  t=%.1f  events=%d  (label %q)\n",
+		parts[0], metaFrom.Time, metaFrom.Events, metaFrom.Label)
 	fmt.Printf("  to:   %s  t=%.1f  events=%d\n", parts[1], metaTo.Time, metaTo.Events)
 	bisect, err := sim.ReplayBisect(cfg, specs, from, to)
 	if err != nil {
@@ -300,8 +287,7 @@ func armObservability(timeline, runlog string, progress time.Duration, opts *exp
 	return flush, nil
 }
 
-// printRegistry lists every registered experiment and the available
-// simulation engines.
+// printRegistry lists every registered experiment.
 func printRegistry(w io.Writer) error {
 	fmt.Fprintln(w, "registered experiments (-run/-scenario):")
 	for _, id := range experiments.IDs() {
@@ -311,9 +297,6 @@ func printRegistry(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "  %-10s %s\n", id, e.Title)
 	}
-	fmt.Fprintln(w, "\nengines (-engine):")
-	fmt.Fprintf(w, "  %-10s single-threaded reference kernel (default; always used for checkpoint, resume and replay)\n", sim.EngineSerial)
-	fmt.Fprintf(w, "  %-10s per-site speculation with snapshot rollback; bit-identical results\n", sim.EngineOptimistic)
 	return nil
 }
 
@@ -328,20 +311,6 @@ func writeCSV(dir string, out *experiments.Output) error {
 			return err
 		}
 		if err := tbl.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if out.EngineCounters != nil {
-		path := filepath.Join(dir, fmt.Sprintf("%s_engine_counters.csv", out.ID))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := out.EngineCounters.WriteCSV(f); err != nil {
 			f.Close()
 			return err
 		}

@@ -5,18 +5,19 @@
 // metric that moved.
 //
 // The cell set mirrors the headline benchmarks (multi-site busy week,
-// faulty week, 6-site metro week and simulated year, each on both
-// engines, and the checkpoint/restore set including delta capture) at
-// the same 4% bench scale. Results serialize to a schema-versioned
-// JSON snapshot (BENCH_16.json at the repo root is the
-// committed baseline; earlier BENCH_*.json files stay committed as the
-// trend history — see cmd/benchsnap).
+// faulty week, 6-site metro week and simulated year, and the
+// checkpoint/restore set including delta capture) at the same 4% bench
+// scale. The simulation cells keep their "/serial" suffix from when a
+// second engine was recorded beside each, so -trend stays continuous.
+// Results serialize to a schema-versioned JSON snapshot (BENCH_17.json
+// at the repo root is the committed baseline; earlier BENCH_*.json
+// files stay committed as the trend history — see cmd/benchsnap).
 //
 // Comparison rules: allocations and bytes per op are
 // hardware-independent and gate on every run; wall-clock gates only
 // when the baseline was recorded on a matching machine shape (same
-// GOOS/GOARCH/CPU count), because a 1-CPU container and a 4-vCPU CI
-// runner measure different optimistic-engine behavior.
+// GOOS/GOARCH/CPU count), because timings from different machine
+// shapes do not compare.
 package benchsnap
 
 import (
@@ -42,8 +43,8 @@ type Snapshot struct {
 	Schema int    `json:"schema"`
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
-	// CPUs is runtime.NumCPU at record time — the optimistic cells'
-	// wall-clock depends on it, so time comparison requires a match.
+	// CPUs is runtime.NumCPU at record time. It is part of the machine
+	// shape, so time comparison requires a match.
 	CPUs  int     `json:"cpus"`
 	Scale float64 `json:"scale"`
 	Cells []Cell  `json:"cells"`
@@ -120,47 +121,32 @@ func Collect(scale float64) (Snapshot, error) {
 		Name: "ResSusWaitLatency",
 		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
-		engine := engine
-		record("multisite_week/"+engine, func(b *testing.B) error {
-			return runCell(b, multisite, pf, engine, scale)
-		})
-		record("faults_week/"+engine, func(b *testing.B) error {
-			return runCell(b, faults, pf, engine, scale)
-		})
-	}
-	// The 6-site metro federation is the optimistic engine's headline
-	// cell: cross-site RTTs of 5–25 minutes, with the engine
-	// synchronizing only at decisions. The serial twin is recorded
-	// alongside so the snapshot itself documents the comparison.
+	record("multisite_week/serial", func(b *testing.B) error {
+		return runCell(b, multisite, pf, scale)
+	})
+	record("faults_week/serial", func(b *testing.B) error {
+		return runCell(b, faults, pf, scale)
+	})
+	// The 6-site metro federation: cross-site RTTs of 5–25 minutes.
 	metro6, err := prebuiltCell(experiments.MultiSiteScenario("bench-metro6", 6, 0,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
 	if err != nil {
 		return snap, err
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
-		engine := engine
-		record("metro6_week/"+engine, func(b *testing.B) error {
-			return runCell(b, metro6, pf, engine, scale)
-		})
-	}
-	// The year6 family is the ROADMAP north-star cell: a simulated year
+	record("metro6_week/serial", func(b *testing.B) error {
+		return runCell(b, metro6, pf, scale)
+	})
+	// The year6 cell is the ROADMAP north-star cell: a simulated year
 	// on the 6-site federation (at the reduced multiSiteYearScale so a
-	// pass stays in seconds), on both engines. It is where commit
-	// throughput dominates — a week-scale cell amortizes the optimistic
-	// engine's serialization points over too few decisions to see them
-	// move.
+	// pass stays in seconds).
 	year6, err := prebuiltCell(experiments.MultiSiteYearScenario("bench-year6", 6,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
 	if err != nil {
 		return snap, err
 	}
-	for _, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
-		engine := engine
-		record("year6/"+engine, func(b *testing.B) error {
-			return runCell(b, year6, pf, engine, scale)
-		})
-	}
+	record("year6/serial", func(b *testing.B) error {
+		return runCell(b, year6, pf, scale)
+	})
 	collectCheckpointCells(record, multisite, scale)
 	return snap, firstErr
 }
@@ -181,8 +167,8 @@ func prebuiltCell(sc experiments.Scenario, scale float64) (experiments.Scenario,
 	return sc, nil
 }
 
-func runCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, engine string, scale float64) error {
-	opts := experiments.Options{Seed: 42, Scale: scale, Jobs: 1, Engine: engine}
+func runCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, scale float64) error {
+	opts := experiments.Options{Seed: 42, Scale: scale, Jobs: 1}
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunCell(sc, pf, opts); err != nil {
 			return err

@@ -253,29 +253,6 @@ func (p *Platform) MaxRTT() float64 {
 	return m
 }
 
-// MinCrossRTT returns the smallest delay between two distinct sites,
-// or 0 on a single-site platform or when any cross-site delay is zero
-// (no matrix attached included). A strictly positive result is the
-// conservative lookahead available to a partitioned simulation: no
-// site can influence another in less simulated time than this.
-func (p *Platform) MinCrossRTT() float64 {
-	if len(p.sites) < 2 {
-		return 0
-	}
-	min := math.Inf(1)
-	for a := range p.sites {
-		for b := range p.sites {
-			if a == b {
-				continue
-			}
-			if d := p.RTT(a, b); d < min {
-				min = d
-			}
-		}
-	}
-	return min
-}
-
 // NumPools returns the number of physical pools.
 func (p *Platform) NumPools() int { return len(p.pools) }
 

@@ -192,6 +192,37 @@ func TestNewNetBatchPlatformErrors(t *testing.T) {
 	if _, err := NewNetBatchPlatform(cfg); err == nil {
 		t.Fatal("no pools should fail")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultNetBatchConfig()
+		cfg.Scale = v
+		if _, err := NewNetBatchPlatform(cfg); err == nil || !strings.Contains(err.Error(), "non-finite scale") {
+			t.Errorf("scale %v: got %v, want a non-finite scale error", v, err)
+		}
+	}
+}
+
+// TestScaleCapacityErrors pins ScaleCapacity's factor validation: zero,
+// negative and non-finite factors fail instead of rounding every
+// machine class down to its one-machine floor.
+func TestScaleCapacityErrors(t *testing.T) {
+	p, err := NewNetBatchPlatform(DefaultNetBatchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		factor float64
+		want   string
+	}{
+		{0, "non-positive capacity factor"},
+		{-0.5, "non-positive capacity factor"},
+		{math.NaN(), "non-finite capacity factor"},
+		{math.Inf(1), "non-finite capacity factor"},
+		{math.Inf(-1), "non-finite capacity factor"},
+	} {
+		if _, err := p.ScaleCapacity(tc.factor); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("factor %v: got %v, want %q", tc.factor, err, tc.want)
+		}
+	}
 }
 
 func TestScaleCapacityHalf(t *testing.T) {

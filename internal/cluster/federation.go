@@ -102,8 +102,8 @@ func NewFederationPlatform(cfg FederationConfig) (*Platform, error) {
 // machine classes (30% slow/8GB, 50% reference/16GB, 20% fast/32GB),
 // mirroring NewNetBatchPlatform.
 func sitePoolConfigs(cfg NetBatchConfig, region string) ([]PoolConfig, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive scale %v", cfg.Scale)
+	if err := checkFactor("scale", cfg.Scale); err != nil {
+		return nil, err
 	}
 	if cfg.PoolsPerSite() <= 0 {
 		return nil, fmt.Errorf("cluster: no pools in per-site config")

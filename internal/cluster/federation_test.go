@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -113,6 +114,15 @@ func TestNewFederationPlatform(t *testing.T) {
 		Regions: []string{"A", "B"}, PerSite: per, RTT: MetroRTT(3, 1, 1),
 	}); err == nil {
 		t.Error("mismatched RTT should error")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := per
+		bad.Scale = v
+		if _, err := NewFederationPlatform(FederationConfig{
+			Regions: []string{"A", "B"}, PerSite: bad,
+		}); err == nil || !strings.Contains(err.Error(), "non-finite scale") {
+			t.Errorf("scale %v: got %v, want a non-finite scale error", v, err)
+		}
 	}
 }
 

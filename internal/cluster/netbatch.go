@@ -53,8 +53,8 @@ func DefaultNetBatchConfig() NetBatchConfig {
 // ("varying CPU speed and memory", §3.1): 30% slow/8GB, 50%
 // reference/16GB, 20% fast/32GB.
 func NewNetBatchPlatform(cfg NetBatchConfig) (*Platform, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive scale %v", cfg.Scale)
+	if err := checkFactor("scale", cfg.Scale); err != nil {
+		return nil, err
 	}
 	if cfg.BigPools+cfg.MediumPools+cfg.SmallPools <= 0 {
 		return nil, fmt.Errorf("cluster: no pools in config")
@@ -103,14 +103,27 @@ func BigPoolIDs(cfg NetBatchConfig) []int {
 	return ids
 }
 
+// checkFactor rejects a multiplicative factor that is non-finite or not
+// positive. Machine counts round from count × factor, and the rounding
+// of NaN or ±Inf is no count at all.
+func checkFactor(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("cluster: non-finite %s %v", what, v)
+	}
+	if v <= 0 {
+		return fmt.Errorf("cluster: non-positive %s %v", what, v)
+	}
+	return nil
+}
+
 // ScaleCapacity returns a new platform with every pool's machine count
 // multiplied by factor (at least one machine per pool is kept). The
 // paper's high-load scenario "reduce[s] the number of compute cores
 // available to each pool by half while keeping the submitted job trace
 // unchanged" (§3.2.1); ScaleCapacity(0.5) reproduces that.
 func (p *Platform) ScaleCapacity(factor float64) (*Platform, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive capacity factor %v", factor)
+	if err := checkFactor("capacity factor", factor); err != nil {
+		return nil, err
 	}
 	scaled := &Platform{}
 	for _, pool := range p.pools {

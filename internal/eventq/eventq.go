@@ -26,7 +26,7 @@ package eventq
 
 import "sort"
 
-// Event is a scheduled occurrence, returned by value from Pop/Peek.
+// Event is a scheduled occurrence, returned by value from Pop.
 // The simulator defines the meaning of Kind and the payload words;
 // eventq only orders and delivers them. A and B carry the two inline
 // payload words (job/site/machine indices and the like); Ref carries a
@@ -51,15 +51,6 @@ type Handle struct {
 	gen  uint32
 }
 
-// Tie-break class ranks: delivered (cross-partition) events order
-// before locally scheduled ones within the same phase, reproducing
-// creation order (the delivering decision ran before everything the
-// receiving partition scheduled at that phase or later).
-const (
-	orderDelivered = 1
-	orderLocal     = 2
-)
-
 // minCompact is the heap size below which tombstone compaction is not
 // worth triggering.
 const minCompact = 64
@@ -67,15 +58,12 @@ const minCompact = 64
 // Queue is a future event list. The zero value is NOT ready to use;
 // construct with New.
 type Queue struct {
-	// Slot storage (struct-of-arrays, indexed by slot number). The
-	// rank breaks ties among events with equal Time: lexicographic on
-	// (phase, class, seq). Plain Schedule uses (0, orderLocal, n-th
-	// schedule), i.e. pure scheduling order — the historical behavior.
-	// Partitioned simulations use SchedulePhased / ScheduleDelivery to
-	// reproduce the creation order a single global queue would have
-	// assigned across partitions (see package sim).
+	// Slot storage (struct-of-arrays, indexed by slot number). seq is
+	// the scheduling-order stamp that breaks ties among events with
+	// equal Time: the n-th Schedule gets n, so simultaneous events fire
+	// in the order they were scheduled.
 	time     []float64
-	rank     [][3]uint64
+	seq      []uint64
 	kind     []int32
 	a, b     []int64
 	ref      []any
@@ -87,19 +75,12 @@ type Queue struct {
 	free []int32
 	heap []int32
 
-	seq uint64
+	// next is the scheduling-order counter: the stamp of the most
+	// recent Schedule.
+	next uint64
 	// live counts scheduled, non-canceled events. Canceled events stay
 	// in the heap as tombstones until popped or compacted away.
 	live int
-
-	// muts counts logical mutations — schedules, deliveries, restores,
-	// pops, effective cancels, resets. It never decreases, so an equal
-	// reading at two instants proves the pending set did not change in
-	// between (tombstone sweeps and compaction keep the pending set
-	// intact and are not counted). Observers use it to cache derived
-	// views (the optimistic engine's fence caches) without subscribing
-	// to every mutation path.
-	muts uint64
 
 	// dropRef, when set, observes the Ref payload of every canceled
 	// event dropped without firing (see SetDropHook).
@@ -134,12 +115,12 @@ func (q *Queue) SetDropHook(fn func(kind int, ref any)) { q.dropRef = fn }
 // alloc takes a slot from the free list (or grows the storage) and
 // fills it. The slot's generation is preserved across reuse and only
 // bumped on free, so handles to prior tenants stay invalid.
-func (q *Queue) alloc(t float64, kind int, a, b int64, ref any, rank [3]uint64) int32 {
+func (q *Queue) alloc(t float64, kind int, a, b int64, ref any, seq uint64) int32 {
 	if n := len(q.free); n > 0 {
 		s := q.free[n-1]
 		q.free = q.free[:n-1]
 		q.time[s] = t
-		q.rank[s] = rank
+		q.seq[s] = seq
 		q.kind[s] = int32(kind)
 		q.a[s] = a
 		q.b[s] = b
@@ -149,7 +130,7 @@ func (q *Queue) alloc(t float64, kind int, a, b int64, ref any, rank [3]uint64) 
 	}
 	s := int32(len(q.time))
 	q.time = append(q.time, t)
-	q.rank = append(q.rank, rank)
+	q.seq = append(q.seq, seq)
 	q.kind = append(q.kind, int32(kind))
 	q.a = append(q.a, a)
 	q.b = append(q.b, b)
@@ -181,19 +162,13 @@ func (q *Queue) dropCanceled(s int32) {
 	q.freeSlot(s)
 }
 
-// less orders slots by (time, rank): the FEL's total firing order.
+// less orders slots by (time, scheduling order): the FEL's total
+// firing order.
 func (q *Queue) less(x, y int32) bool {
 	if q.time[x] != q.time[y] {
 		return q.time[x] < q.time[y]
 	}
-	rx, ry := &q.rank[x], &q.rank[y]
-	if rx[0] != ry[0] {
-		return rx[0] < ry[0]
-	}
-	if rx[1] != ry[1] {
-		return rx[1] < ry[1]
-	}
-	return rx[2] < ry[2]
+	return q.seq[x] < q.seq[y]
 }
 
 // push appends a slot to the 4-ary heap and sifts it up.
@@ -279,58 +254,11 @@ func (q *Queue) compact() {
 // popped events is the caller's responsibility to avoid; the queue
 // itself only orders what it holds.
 func (q *Queue) Schedule(t float64, kind int, a, b int64, ref any) Handle {
-	return q.SchedulePhased(t, kind, a, b, ref, 0)
-}
-
-// SchedulePhased adds an event whose tie rank is (phase, local,
-// scheduling order). A partitioned simulation passes the global
-// decision count at the creating event's claim as phase, so that
-// same-time events created before and after a decision order the way
-// one global queue would have ordered them.
-func (q *Queue) SchedulePhased(t float64, kind int, a, b int64, ref any, phase uint64) Handle {
-	q.muts++
-	q.seq++
-	s := q.alloc(t, kind, a, b, ref, [3]uint64{phase, orderLocal, q.seq})
+	q.next++
+	s := q.alloc(t, kind, a, b, ref, q.next)
 	q.push(s)
 	q.live++
 	return Handle{slot: s, gen: q.gen[s]}
-}
-
-// ScheduleDelivery adds a cross-partition event delivered at a round
-// barrier: its tie rank (g, delivered, idx) places it by its creating
-// decision g and send index, before any event the receiving partition
-// scheduled at phase g or later.
-func (q *Queue) ScheduleDelivery(t float64, kind int, a, b int64, ref any, g, idx uint64) Handle {
-	q.muts++
-	s := q.alloc(t, kind, a, b, ref, [3]uint64{g, orderDelivered, idx})
-	q.push(s)
-	q.live++
-	return Handle{slot: s, gen: q.gen[s]}
-}
-
-// Delivery is one element of a DeliverBatch call: the event plus its
-// (creating decision, send index) tie rank.
-type Delivery struct {
-	Time   float64
-	Kind   int
-	A, B   int64
-	Ref    any
-	G, Idx uint64
-}
-
-// DeliverBatch schedules one round's cross-partition deliveries in a
-// single call, equivalent to calling ScheduleDelivery for each element.
-// Callers pre-sort the batch into firing order, which both makes the
-// insertion order deterministic and keeps the sift-up work minimal
-// (later elements land deeper in the heap).
-func (q *Queue) DeliverBatch(batch []Delivery) {
-	q.muts += uint64(len(batch))
-	for i := range batch {
-		d := &batch[i]
-		s := q.alloc(d.Time, d.Kind, d.A, d.B, d.Ref, [3]uint64{d.G, orderDelivered, d.Idx})
-		q.push(s)
-	}
-	q.live += len(batch)
 }
 
 // Cancel removes the event identified by h from the queue. Canceling an
@@ -341,7 +269,6 @@ func (q *Queue) Cancel(h Handle) bool {
 	if h.gen == 0 || int(h.slot) >= len(q.gen) || q.gen[h.slot] != h.gen || q.canceled[h.slot] {
 		return false
 	}
-	q.muts++
 	q.canceled[h.slot] = true
 	q.live--
 	if tomb := len(q.heap) - q.live; tomb > q.live && len(q.heap) >= minCompact {
@@ -362,7 +289,6 @@ func (q *Queue) Pop() (Event, bool) {
 			continue
 		}
 		ev := Event{Time: q.time[s], Kind: int(q.kind[s]), A: q.a[s], B: q.b[s], Ref: q.ref[s]}
-		q.muts++
 		q.freeSlot(s)
 		q.live--
 		return ev, true
@@ -370,48 +296,16 @@ func (q *Queue) Pop() (Event, bool) {
 	return Event{}, false
 }
 
-// Peek returns the earliest pending event without removing it. ok is
-// false when the queue is empty.
-func (q *Queue) Peek() (Event, bool) {
-	for len(q.heap) > 0 {
-		s := q.heap[0]
-		if q.canceled[s] {
-			q.popTop()
-			q.dropCanceled(s)
-			continue
-		}
-		return Event{Time: q.time[s], Kind: int(q.kind[s]), A: q.a[s], B: q.b[s], Ref: q.ref[s]}, true
-	}
-	return Event{}, false
-}
-
-// NextTime returns the timestamp of the earliest pending event. ok is
-// false when the queue is empty. Partitioned simulations use it to
-// publish per-partition lower bounds (lookahead fences) without
-// exposing the event itself.
-func (q *Queue) NextTime() (t float64, ok bool) {
-	for len(q.heap) > 0 {
-		s := q.heap[0]
-		if q.canceled[s] {
-			q.popTop()
-			q.dropCanceled(s)
-			continue
-		}
-		return q.time[s], true
-	}
-	return 0, false
-}
-
 // SavedEvent is a pending event exported for checkpointing: the
-// schedulable payload plus the exact tie rank that positions the event
-// among simultaneous ones. Restoring a SavedEvent reproduces the
-// event's firing position bit-identically.
+// schedulable payload plus the scheduling-order stamp that positions
+// the event among simultaneous ones. Restoring a SavedEvent reproduces
+// the event's firing position bit-identically.
 type SavedEvent struct {
 	Time float64
 	Kind int
 	A, B int64
 	Ref  any
-	Rank [3]uint64
+	Seq  uint64
 }
 
 // Export returns every pending (non-canceled) event in firing order.
@@ -426,71 +320,39 @@ func (q *Queue) Export() []SavedEvent {
 		out = append(out, SavedEvent{
 			Time: q.time[s], Kind: int(q.kind[s]),
 			A: q.a[s], B: q.b[s], Ref: q.ref[s],
-			Rank: q.rank[s],
+			Seq: q.seq[s],
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Time != out[j].Time {
 			return out[i].Time < out[j].Time
 		}
-		for k := 0; k < 2; k++ {
-			if out[i].Rank[k] != out[j].Rank[k] {
-				return out[i].Rank[k] < out[j].Rank[k]
-			}
-		}
-		return out[i].Rank[2] < out[j].Rank[2]
+		return out[i].Seq < out[j].Seq
 	})
 	return out
 }
 
-// Restore reinstates an exported event with its exact tie rank, so the
-// restored queue fires it in the same position relative to both
-// existing events and events scheduled later. Unlike Schedule it does
-// not advance the scheduling-order counter; pair it with SetSeq when
-// rebuilding a queue from a checkpoint.
+// Restore reinstates an exported event with its exact scheduling-order
+// stamp, so the restored queue fires it in the same position relative
+// to both existing events and events scheduled later. Unlike Schedule
+// it does not advance the scheduling-order counter; pair it with SetSeq
+// when rebuilding a queue from a checkpoint.
 func (q *Queue) Restore(sev SavedEvent) Handle {
-	q.muts++
-	s := q.alloc(sev.Time, sev.Kind, sev.A, sev.B, sev.Ref, sev.Rank)
+	s := q.alloc(sev.Time, sev.Kind, sev.A, sev.B, sev.Ref, sev.Seq)
 	q.push(s)
 	q.live++
 	return Handle{slot: s, gen: q.gen[s]}
 }
 
-// Muts returns the logical-mutation counter (see the field comment):
-// monotone, equal readings bracket an unchanged pending set.
-func (q *Queue) Muts() uint64 { return q.muts }
-
-// Seq returns the scheduling-order counter: the number of SchedulePhased
-// calls so far. Checkpoints save it so a restored queue assigns future
-// events the same tie ranks a never-interrupted queue would.
-func (q *Queue) Seq() uint64 { return q.seq }
+// Seq returns the scheduling-order counter: the number of Schedule
+// calls so far. Checkpoints save it so a restored queue stamps future
+// events exactly as a never-interrupted queue would.
+func (q *Queue) Seq() uint64 { return q.next }
 
 // SetSeq overwrites the scheduling-order counter (see Seq).
-func (q *Queue) SetSeq(n uint64) { q.seq = n }
+func (q *Queue) SetSeq(n uint64) { q.next = n }
 
 // Cap returns the allocated slot count — the high-water mark of
 // concurrently pending events. Tests use it to assert that slot reuse
 // keeps storage bounded under churn.
 func (q *Queue) Cap() int { return len(q.time) }
-
-// Reset empties the queue in place: every pending event — live or
-// tombstoned — is dropped, with reference payloads routed through the
-// drop hook exactly as cancellation does, so kind-level recyclers see
-// them. All slots return to the free list with bumped generations, so
-// every outstanding Handle goes stale. The scheduling-order counter is
-// preserved; callers that rebuild the queue from a snapshot overwrite
-// it with SetSeq.
-//
-// This is the undo primitive for speculative execution: rolling a
-// shard back discards its future event list wholesale and re-creates
-// it from saved state, which (together with the fact that only
-// globally-serialized decisions send cross-shard) stands in for
-// per-message anti-messages.
-func (q *Queue) Reset() {
-	q.muts++
-	for _, s := range q.heap {
-		q.dropCanceled(s)
-	}
-	q.heap = q.heap[:0]
-	q.live = 0
-}

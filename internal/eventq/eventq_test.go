@@ -15,9 +15,6 @@ func TestEmptyQueue(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue should return ok=false")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue should return ok=false")
-	}
 }
 
 func TestTimeOrdering(t *testing.T) {
@@ -114,20 +111,6 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	}
 	if !q.Cancel(h2) {
 		t.Fatal("fresh handle to recycled slot should cancel")
-	}
-}
-
-func TestPeekSkipsCanceled(t *testing.T) {
-	q := New()
-	h := q.Schedule(1, 0, 0, 0, "a")
-	q.Schedule(2, 0, 0, 0, "b")
-	q.Cancel(h)
-	if ev, ok := q.Peek(); !ok || ev.Ref.(string) != "b" {
-		t.Fatalf("Peek = %+v, %v, want b", ev, ok)
-	}
-	// Peek must not consume.
-	if ev, ok := q.Pop(); !ok || ev.Ref.(string) != "b" {
-		t.Fatalf("Pop after Peek = %+v, %v, want b", ev, ok)
 	}
 }
 
@@ -428,41 +411,6 @@ func TestExportIsSortedAndPure(t *testing.T) {
 	for i := 1; i < len(saved); i++ {
 		if saved[i].Time < saved[i-1].Time {
 			t.Fatal("Export not in firing order")
-		}
-	}
-}
-
-func TestDeliverBatchMatchesScheduleDelivery(t *testing.T) {
-	// A pre-sorted batch delivery must be indistinguishable from the
-	// equivalent ScheduleDelivery sequence.
-	a, b := New(), New()
-	for i := 0; i < 10; i++ {
-		a.Schedule(float64(i), 1, int64(i), 0, nil)
-		b.Schedule(float64(i), 1, int64(i), 0, nil)
-	}
-	batch := []Delivery{
-		{Time: 2.5, Kind: 2, A: 100, B: 7, G: 3, Idx: 1},
-		{Time: 2.5, Kind: 2, A: 101, B: 7, G: 3, Idx: 2},
-		{Time: 4, Kind: 2, A: 102, B: 8, G: 5, Idx: 1},
-	}
-	a.DeliverBatch(batch)
-	for _, d := range batch {
-		b.ScheduleDelivery(d.Time, d.Kind, d.A, d.B, d.Ref, d.G, d.Idx)
-	}
-	if a.Live() != b.Live() {
-		t.Fatalf("Live %d != %d", a.Live(), b.Live())
-	}
-	for {
-		x, okx := a.Pop()
-		y, oky := b.Pop()
-		if okx != oky {
-			t.Fatal("queues drained at different lengths")
-		}
-		if !okx {
-			break
-		}
-		if x != y {
-			t.Fatalf("batch pop %+v != sequential pop %+v", x, y)
 		}
 	}
 }

@@ -122,9 +122,10 @@ func FuzzQueueOps(f *testing.F) {
 
 // FuzzQueueDiff differentially fuzzes the pooled 4-ary queue against
 // the retired container/heap implementation (legacy_test.go) on the
-// same op-stream encoding as FuzzQueueOps, extended with phased and
-// delivery scheduling. Every observable — pop stream, cancel results,
-// live counts, export contents — must match exactly.
+// same op-stream encoding as FuzzQueueOps, extended with two more
+// schedule ops that vary the kind and payload words. Every observable —
+// pop stream, cancel results, live counts, export contents — must
+// match exactly.
 func FuzzQueueDiff(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 2, 0, 2, 0, 2, 0, 2, 0})
 	f.Add([]byte{0, 10, 0, 3, 1, 0, 2, 0, 0, 3, 1, 1, 1, 1, 2, 0})
@@ -136,7 +137,6 @@ func FuzzQueueDiff(f *testing.F) {
 		var handles []Handle
 		var lhandles []legacyHandle
 		seq := int64(0)
-		g := uint64(0)
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			switch op % 5 {
@@ -160,17 +160,11 @@ func FuzzQueueDiff(f *testing.F) {
 				if ok != lok || ev != lev {
 					t.Fatalf("Pop: pooled (%+v,%v), legacy (%+v,%v)", ev, ok, lev, lok)
 				}
-			case 3: // phased schedule
+			case 3, 4: // schedule another kind, with a second payload word
 				tm := float64(arg % 16)
-				phase := uint64(arg % 4)
-				handles = append(handles, q.SchedulePhased(tm, 2, seq, 0, nil, phase))
-				lhandles = append(lhandles, lq.SchedulePhased(tm, 2, seq, 0, nil, phase))
-				seq++
-			case 4: // cross-partition delivery
-				tm := float64(arg % 16)
-				g++
-				handles = append(handles, q.ScheduleDelivery(tm, 3, seq, int64(arg), nil, g, 1))
-				lhandles = append(lhandles, lq.ScheduleDelivery(tm, 3, seq, int64(arg), nil, g, 1))
+				kd := int(op%5) - 1
+				handles = append(handles, q.Schedule(tm, kd, seq, int64(arg), nil))
+				lhandles = append(lhandles, lq.Schedule(tm, kd, seq, int64(arg), nil))
 				seq++
 			}
 			if q.Live() != lq.Live() {

@@ -18,7 +18,7 @@ type legacyEvent struct {
 	kind     int
 	a, b     int64
 	ref      any
-	rank     [3]uint64
+	seq      uint64
 	index    int
 	canceled bool
 }
@@ -36,19 +36,8 @@ func newLegacyQueue() *legacyQueue { return &legacyQueue{} }
 func (q *legacyQueue) Live() int { return q.live }
 
 func (q *legacyQueue) Schedule(t float64, kind int, a, b int64, ref any) legacyHandle {
-	return q.SchedulePhased(t, kind, a, b, ref, 0)
-}
-
-func (q *legacyQueue) SchedulePhased(t float64, kind int, a, b int64, ref any, phase uint64) legacyHandle {
 	q.seq++
-	ev := &legacyEvent{time: t, kind: kind, a: a, b: b, ref: ref, rank: [3]uint64{phase, orderLocal, q.seq}}
-	heap.Push(&q.h, ev)
-	q.live++
-	return legacyHandle{ev: ev}
-}
-
-func (q *legacyQueue) ScheduleDelivery(t float64, kind int, a, b int64, ref any, g, idx uint64) legacyHandle {
-	ev := &legacyEvent{time: t, kind: kind, a: a, b: b, ref: ref, rank: [3]uint64{g, orderDelivered, idx}}
+	ev := &legacyEvent{time: t, kind: kind, a: a, b: b, ref: ref, seq: q.seq}
 	heap.Push(&q.h, ev)
 	q.live++
 	return legacyHandle{ev: ev}
@@ -75,36 +64,19 @@ func (q *legacyQueue) Pop() (Event, bool) {
 	return Event{}, false
 }
 
-func (q *legacyQueue) Peek() (Event, bool) {
-	for q.h.Len() > 0 {
-		if top := q.h[0]; top.canceled {
-			heap.Pop(&q.h)
-			continue
-		}
-		ev := q.h[0]
-		return Event{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b, Ref: ev.ref}, true
-	}
-	return Event{}, false
-}
-
 func (q *legacyQueue) Export() []SavedEvent {
 	out := make([]SavedEvent, 0, q.live)
 	for _, ev := range q.h {
 		if ev.canceled {
 			continue
 		}
-		out = append(out, SavedEvent{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b, Ref: ev.ref, Rank: ev.rank})
+		out = append(out, SavedEvent{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b, Ref: ev.ref, Seq: ev.seq})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Time != out[j].Time {
 			return out[i].Time < out[j].Time
 		}
-		for k := 0; k < 2; k++ {
-			if out[i].Rank[k] != out[j].Rank[k] {
-				return out[i].Rank[k] < out[j].Rank[k]
-			}
-		}
-		return out[i].Rank[2] < out[j].Rank[2]
+		return out[i].Seq < out[j].Seq
 	})
 	return out
 }
@@ -119,12 +91,7 @@ func (h legacyHeap) Less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
-	for k := 0; k < 2; k++ {
-		if h[i].rank[k] != h[j].rank[k] {
-			return h[i].rank[k] < h[j].rank[k]
-		}
-	}
-	return h[i].rank[2] < h[j].rank[2]
+	return h[i].seq < h[j].seq
 }
 
 func (h legacyHeap) Swap(i, j int) {

@@ -48,18 +48,12 @@ type Options struct {
 	// Overhead is the reschedule transfer overhead in minutes (the §5
 	// future-work knob; 0 matches the paper's evaluation).
 	Overhead float64
-	// Engine selects the simulation engine for every cell:
-	// sim.EngineSerial (default, also "") or sim.EngineOptimistic. The
-	// engines produce bit-identical results; the optimistic engine
-	// executes multi-site cells with one shard per site, speculating
-	// with snapshot rollback. Checkpointed and resumed cells run serial.
-	Engine string
 	// Context cancels in-flight simulations cooperatively. Nil defaults
 	// to context.Background().
 	Context context.Context
 
 	// CheckpointDir enables per-cell checkpoint/restore: every cell
-	// periodically writes its engine snapshot to
+	// periodically writes its simulation snapshot to
 	// <dir>/<scenario>_p<policy>_r<replicate>_t<time>.ckpt (atomically,
 	// zero-padded time so names sort chronologically). The history is
 	// kept — any two of a cell's files feed replay-bisect; Resume picks
@@ -86,20 +80,20 @@ type Options struct {
 	// checkpoint that could not be resumed). Nil discards them.
 	Logf func(format string, args ...any)
 
-	// Metrics, when set, is the shared registry every cell's engine
+	// Metrics, when set, is the shared registry every cell's simulation
 	// records execution counters into (see internal/obs and the
 	// sim.Config.Metrics names). Nil disables metric recording at the
-	// engines' nil-sink fast path.
+	// simulator's nil-sink fast path.
 	Metrics *obs.Registry
 	// Trace, when set, collects a Chrome trace_event timeline: each
 	// cell becomes one process group ("cell <scenario>/<policy>/r<n>")
-	// holding that run's engine tracks. Write it out with
+	// holding that run's "serial" track. Write it out with
 	// Trace.WriteJSON after Run returns.
 	Trace *obs.Tracer
 	// RunLog, when set, receives streaming JSONL telemetry: one
 	// cell_start/cell_done record per cell plus periodic progress
-	// records (simulated-time frontier, events/sec, crude ETA,
-	// rollback count) every ProgressEvery of wall time.
+	// records (simulated-time frontier, events/sec, crude ETA) every
+	// ProgressEvery of wall time.
 	RunLog *obs.RunLog
 	// ProgressEvery throttles per-cell progress records, and — when
 	// RunLog is nil but Logf is set — mirrors them to Logf instead.
@@ -146,24 +140,11 @@ type Output struct {
 	// Tables are the rendered result tables (paper layout; mean ± 95%
 	// CI columns when more than one replicate ran).
 	Tables []*report.Table
-	// EngineCounters is the per-strategy engine execution table
-	// (alias retirements, rollbacks, group-commit drains), set only
-	// when a non-serial engine ran the cells. It is
-	// deliberately NOT part of Tables: the paper tables must render
-	// byte-identically across engines (pinned by goldens and the
-	// engine-parity tests), while these counters describe execution
-	// mechanics that legitimately differ per engine.
-	EngineCounters *report.Table
 	// Series holds named time series / distributions for the figures
 	// (first replicate).
 	Series map[string][]stats.Point
 	// Notes carries free-form observations (e.g. measured quantiles).
 	Notes []string
-	// AmbiguousCells counts matrix cells whose optimistic run flagged an
-	// ambiguous cross-partition timestamp tie (sim.Result.AmbiguousTies):
-	// for those cells the bit-identity guarantee is void. Always 0 under
-	// the serial engine.
-	AmbiguousCells int
 }
 
 // Experiment is a registered, reproducible paper artifact.
@@ -369,55 +350,7 @@ func newOutput(id, title string, mr *MatrixResult) *Output {
 		out.Summaries = append(out.Summaries, reps[0])
 		out.Replicates = append(out.Replicates, reps)
 	}
-	annotateAmbiguity(out, mr)
 	return out
-}
-
-// annotateEngine fills Output.EngineCounters with the per-strategy
-// engine execution counters (alias retirements, rollbacks,
-// group-commit drains) when a non-serial engine ran the cells. Serial
-// runs skip it: the counters describe partitioned execution mechanics,
-// and the serial goldens pin the report byte-for-byte.
-func annotateEngine(out *Output, mr *MatrixResult) {
-	if mr.Engine == "" || mr.Engine == sim.EngineSerial {
-		return
-	}
-	nScen := len(mr.cells) / (mr.nPol * mr.nRep)
-	rows := make([]report.EngineStats, mr.nPol)
-	for p, name := range mr.PolicyNames {
-		rows[p].Strategy = name
-		for s := 0; s < nScen; s++ {
-			for rep := 0; rep < mr.nRep; rep++ {
-				r := mr.At(s, p, rep).Result
-				if r == nil {
-					continue
-				}
-				rows[p].Events += r.Events
-				rows[p].AliasRetirements += r.AliasRetirements
-				rows[p].Rollbacks += r.Rollbacks
-				for i, n := range r.GroupCommitSize {
-					for len(rows[p].GroupCommits) <= i {
-						rows[p].GroupCommits = append(rows[p].GroupCommits, 0)
-					}
-					rows[p].GroupCommits[i] += n
-				}
-			}
-		}
-	}
-	out.EngineCounters = report.EngineTable(
-		fmt.Sprintf("engine execution counters (%s)", mr.Engine), rows)
-}
-
-// annotateAmbiguity surfaces ambiguous cross-partition timestamp ties:
-// formerly a silently-dropped engine-internal flag, now a counted field
-// plus a report footnote whenever any replicate raised it.
-func annotateAmbiguity(out *Output, mr *MatrixResult) {
-	out.AmbiguousCells = mr.AmbiguousCells()
-	if out.AmbiguousCells > 0 {
-		out.Notes = append(out.Notes, fmt.Sprintf(
-			"caveat: %d cell(s) hit an ambiguous cross-partition event tie under the optimistic engine; bit-identity with the serial engine is not guaranteed for those replicates",
-			out.AmbiguousCells))
-	}
 }
 
 // tableOutput renders the standard per-strategy tables — point values
@@ -439,6 +372,5 @@ func tableOutput(id, title string, mr *MatrixResult) (*Output, error) {
 		return nil, err
 	}
 	out.Tables = append(out.Tables, tbl, waste)
-	annotateEngine(out, mr)
 	return out, nil
 }

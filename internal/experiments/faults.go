@@ -20,10 +20,10 @@ import (
 // crashes, staggered maintenance windows, kill-and-requeue victims by
 // default, plus one 3-site cell set with the drain policy for the
 // victim-policy comparison. Fault streams fork per cell from the
-// replicate seed, and the serial and optimistic engines stay bit-identical
-// (asserted by the golden test and the engine-identity suite).
+// replicate seed, so the rendered report is deterministic (pinned by
+// the golden test).
 
-// simFaultConfig maps a trace-level fault regime onto the engine's
+// simFaultConfig maps a trace-level fault regime onto the simulator's
 // fault subsystem configuration.
 func simFaultConfig(r trace.FaultRegime, seed uint64) sim.FaultConfig {
 	return sim.FaultConfig{
@@ -121,7 +121,6 @@ func runFaults(opts Options) (*Output, error) {
 				fs.AvailabilityPct, fs.GoodputPct, fs.Crashes, fs.MaintWindows, fs.Kills, fs.Requeues))
 		}
 	}
-	annotateAmbiguity(out, mr)
 	tbl, err := report.PaperTableCI(out.Title, out.Names, out.Replicates)
 	if err != nil {
 		return nil, err
@@ -133,6 +132,5 @@ func runFaults(opts Options) (*Output, error) {
 		return nil, err
 	}
 	out.Tables = append(out.Tables, tbl, ftbl)
-	annotateEngine(out, mr)
 	return out, nil
 }

@@ -92,10 +92,6 @@ type MatrixResult struct {
 	PolicyNames []string
 	// Seeds are the replicate seeds actually used.
 	Seeds []uint64
-	// Engine records which sim engine ran the cells ("" = serial
-	// default). Reports use it to decide whether engine execution
-	// counters are worth a table.
-	Engine string
 
 	nPol, nRep int
 	cells      []CellResult
@@ -114,18 +110,6 @@ func (r *MatrixResult) Replicates(s, p int) []metrics.Summary {
 		out[rep] = r.At(s, p, rep).Summary
 	}
 	return out
-}
-
-// AmbiguousCells counts cells whose run flagged an ambiguous
-// cross-partition timestamp tie (see sim.Result.AmbiguousTies).
-func (r *MatrixResult) AmbiguousCells() int {
-	n := 0
-	for i := range r.cells {
-		if res := r.cells[i].Result; res != nil && res.AmbiguousTies() {
-			n++
-		}
-	}
-	return n
 }
 
 // ReplicateSeeds expands a base seed into n replication seeds. The
@@ -205,10 +189,9 @@ func (m Matrix) Run(opts Options) (*MatrixResult, error) {
 		seeds = ReplicateSeeds(opts.Seed, opts.Seeds)
 	}
 	res := &MatrixResult{
-		Seeds:  seeds,
-		Engine: opts.Engine,
-		nPol:   len(m.Policies),
-		nRep:   len(seeds),
+		Seeds: seeds,
+		nPol:  len(m.Policies),
+		nRep:  len(seeds),
 	}
 	for _, p := range m.Policies {
 		res.PolicyNames = append(res.PolicyNames, p.Name)
@@ -309,7 +292,6 @@ func buildCellConfig(sc *Scenario, pf PolicyFactory, p int, seed uint64, plat *c
 		Platform:           plat,
 		Initial:            sc.NewInitial(),
 		Policy:             pf.New(policySeed(seed, p)),
-		Engine:             opts.Engine,
 		RescheduleOverhead: opts.Overhead,
 		UtilStaleness:      sc.Staleness,
 		CheckConservation:  true,
@@ -416,10 +398,9 @@ func LoadCheckpoint(path string) ([]byte, error) {
 // recorded run) and resumable interrupted runs. With Options.Resume the
 // cell continues from its newest checkpoint and re-simulates only the
 // tail. A checkpoint that cannot be resumed (corrupted, or from a
-// different build, configuration or engine) falls back to a fresh run
-// with a Logf warning — never to a wrong result, since resume
-// bit-identity is the engine's contract and mismatches are rejected up
-// front.
+// different build or configuration) falls back to a fresh run with a
+// Logf warning — never to a wrong result, since resume bit-identity is
+// the simulator's contract and mismatches are rejected up front.
 func runCellSim(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
 	done := cellTelemetry(&cfg, specs, scenarioID, policyName, rep, opts)
 	r, err := runCellSimCheckpointed(cfg, specs, scenarioID, policyName, p, rep, opts)

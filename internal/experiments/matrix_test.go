@@ -331,8 +331,8 @@ func legacyEngineSnapshot(t *testing.T, data []byte) []byte {
 	t.Helper()
 	const modeAt = 32 // magic, version, config hash, kind hash: 8 bytes each
 	n := int(binary.LittleEndian.Uint64(data[modeAt:]))
-	if got := string(data[modeAt+8 : modeAt+8+n]); got != sim.EngineSerial {
-		t.Fatalf("checkpoint engine mode %q, want %q", got, sim.EngineSerial)
+	if got := string(data[modeAt+8 : modeAt+8+n]); got != "serial" {
+		t.Fatalf("checkpoint engine mode %q, want %q", got, "serial")
 	}
 	out := append([]byte(nil), data[:modeAt]...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len("parallel")))
@@ -352,7 +352,7 @@ func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 			func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })},
 		Policies: multiSitePolicies()[:1],
 	}
-	opts := Options{Seed: 42, Scale: 0.03, Jobs: 1, Engine: sim.EngineOptimistic}
+	opts := Options{Seed: 42, Scale: 0.03, Jobs: 1}
 	plain, err := m.Run(opts)
 	if err != nil {
 		t.Fatal(err)

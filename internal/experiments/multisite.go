@@ -177,7 +177,6 @@ func runMultiSite(opts Options) (*Output, error) {
 			out.Replicates = append(out.Replicates, reps)
 		}
 	}
-	annotateAmbiguity(out, mr)
 	tbl, err := report.PaperTableCI(out.Title, out.Names, out.Replicates)
 	if err != nil {
 		return nil, err
@@ -215,6 +214,5 @@ func runMultiSite(opts Options) (*Output, error) {
 		}
 		out.Tables = append(out.Tables, st)
 	}
-	annotateEngine(out, mr)
 	return out, nil
 }

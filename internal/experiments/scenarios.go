@@ -176,7 +176,6 @@ func runFig2(opts Options) (*Output, error) {
 	cdf := metrics.SuspensionCDF(mr.At(0, 0, 0).Result.Jobs)
 	out.Series["suspension_cdf"] = cdf.Points(200)
 	out.Tables = append(out.Tables, report.CDFTable(out.Title, cdf))
-	annotateEngine(out, mr)
 	out.Notes = append(out.Notes,
 		"paper: median 437 min, mean 905 min, 20% of suspended jobs > 1100 min",
 		fmt.Sprintf("measured: median %.0f min, mean %.0f min, p80 %.0f min",
@@ -206,7 +205,6 @@ func runFig3(opts Options) (*Output, error) {
 		return nil, err
 	}
 	out.Tables = append(out.Tables, waste)
-	annotateEngine(out, mr)
 	return out, nil
 }
 
@@ -240,7 +238,6 @@ func runFig4(opts Options) (*Output, error) {
 			"across %d seeds: mean utilization %.1f ± %.1f%% (95%% CI)",
 			len(mr.Seeds), util.Mean(), util.CI95()))
 	}
-	annotateEngine(out, mr)
 	return out, nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"netbatch/internal/sim"
 )
 
-// cellTelemetry wires one cell's engine config into the run-level
+// cellTelemetry wires one cell's simulation config into the run-level
 // observability sinks (Options.Trace / RunLog / Logf) and brackets the
 // run with cell_start / cell_done records. The returned finish func
 // must be called exactly once with the run's outcome.
@@ -48,18 +48,17 @@ func cellTelemetry(cfg *sim.Config, specs []job.Spec, scenarioID, policyName str
 			return
 		}
 		if opts.Logf != nil && rec.Type == "progress" {
-			opts.Logf("experiments: cell %s: t=%.0f events=%d (%.0f ev/s) eta=%.0fs rollbacks=%d",
-				label, rec.SimTime, rec.Events, rec.EventsPerSec, rec.ETASec, rec.Rollbacks)
+			opts.Logf("experiments: cell %s: t=%.0f events=%d (%.0f ev/s) eta=%.0fs",
+				label, rec.SimTime, rec.Events, rec.EventsPerSec, rec.ETASec)
 		}
 	}
 	if opts.ProgressEvery > 0 && (opts.RunLog != nil || opts.Logf != nil) {
 		cfg.ProgressEvery = opts.ProgressEvery
 		cfg.Progress = func(p obs.Progress) {
 			rec := obs.RunRecord{
-				Type:      "progress",
-				SimTime:   p.SimTime,
-				Events:    p.Events,
-				Rollbacks: p.Rollbacks,
+				Type:    "progress",
+				SimTime: p.SimTime,
+				Events:  p.Events,
 			}
 			if wall := time.Since(start).Seconds(); wall > 0 {
 				rec.EventsPerSec = float64(p.Events) / wall
@@ -83,7 +82,6 @@ func cellTelemetry(cfg *sim.Config, specs []job.Spec, scenarioID, policyName str
 		} else if res != nil {
 			rec.SimTime = res.Makespan
 			rec.Events = res.Events
-			rec.Rollbacks = res.Rollbacks
 			if wall := time.Since(start).Seconds(); wall > 0 {
 				rec.EventsPerSec = float64(res.Events) / wall
 			}

@@ -1,24 +1,23 @@
-// Package obs is the engine observability layer: a metrics registry
-// (counters, gauges, log2 histograms), a Chrome trace_event timeline
+// Package obs is the simulator's observability layer: a metrics
+// registry (counters and gauges), a Chrome trace_event timeline
 // tracer, and a JSONL run log for streaming telemetry.
 //
 // The whole package is built around a nil-sink fast path. Every
-// handle type (*Counter, *Gauge, *Histogram, *Tracer, *Process,
-// *Track, *RunLog) treats a nil receiver as "observability disabled"
-// and returns immediately, so instrumented code records
-// unconditionally — no flags, no double bookkeeping — and a disabled
-// run pays a single predicted branch per record site, zero
-// allocations. Engines resolve handles once per run (a nil *Registry
-// hands out nil handles), keeping name lookups off hot paths.
+// handle type (*Counter, *Gauge, *Tracer, *Process, *Track, *RunLog)
+// treats a nil receiver as "observability disabled" and returns
+// immediately, so instrumented code records unconditionally — no
+// flags, no double bookkeeping — and a disabled run pays a single
+// predicted branch per record site, zero allocations. The simulator
+// resolves handles once per run (a nil *Registry hands out nil
+// handles), keeping name lookups off hot paths.
 //
 // Nothing in this package may influence simulation behavior: metrics
 // and timelines attribute wall-clock execution, not simulated time,
-// and are explicitly excluded from the engines' bit-identity
+// and are explicitly excluded from the simulator's bit-identity
 // contract.
 package obs
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,67 +77,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// A Histogram buckets observations by log2: bucket i counts values in
-// [2^i, 2^(i+1)), with values ≤ 1 in bucket 0 — the same bucketing
-// the optimistic engine uses for group-commit run lengths. Safe for
-// concurrent use; the nil Histogram discards all observations.
-type Histogram struct {
-	count atomic.Int64
-	sum   atomic.Int64
-	bkt   [64]atomic.Int64
-}
-
-// Observe records one value. No-op on a nil receiver.
-func (h *Histogram) Observe(n int64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(n)
-	i := 0
-	if n > 1 {
-		i = bits.Len64(uint64(n)) - 1
-	}
-	h.bkt[i].Add(1)
-}
-
-// Count returns the number of observations; 0 on a nil receiver.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the exact sum of observed values (log2 buckets alone
-// cannot reconstruct it); 0 on a nil receiver.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Buckets returns the per-log2-bucket counts, trimmed to the highest
-// non-empty bucket; nil on a nil receiver or when empty.
-func (h *Histogram) Buckets() []int64 {
-	if h == nil {
-		return nil
-	}
-	hi := -1
-	var out [64]int64
-	for i := range h.bkt {
-		out[i] = h.bkt[i].Load()
-		if out[i] != 0 {
-			hi = i
-		}
-	}
-	if hi < 0 {
-		return nil
-	}
-	return append([]int64(nil), out[:hi+1]...)
-}
-
 // A Registry names and owns metrics. The zero value is unusable; use
 // NewRegistry. A nil *Registry is the disabled sink: every getter
 // returns a nil handle, so resolution and recording both no-op.
@@ -146,7 +84,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -154,7 +91,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -190,30 +126,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use;
-// nil on a nil receiver.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// A Metric is one registry entry at snapshot time. For histograms,
-// Value is the observation count and Sum/Buckets carry the rest.
+// A Metric is one registry entry at snapshot time.
 type Metric struct {
-	Name    string  `json:"name"`
-	Kind    string  `json:"kind"` // "counter" | "gauge" | "histogram"
-	Value   int64   `json:"value"`
-	Sum     int64   `json:"sum,omitempty"`
-	Buckets []int64 `json:"buckets,omitempty"`
+	Name  string `json:"name"`
+	Kind  string `json:"kind"` // "counter" | "gauge"
+	Value int64  `json:"value"`
 }
 
 // Snapshot returns every metric sorted by name — a deterministic
@@ -226,15 +143,12 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make([]Metric, 0, len(r.counters)+len(r.gauges))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: c.Value()})
 	}
 	for name, g := range r.gauges {
 		out = append(out, Metric{Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		out = append(out, Metric{Name: name, Kind: "histogram", Value: h.Count(), Sum: h.Sum(), Buckets: h.Buckets()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

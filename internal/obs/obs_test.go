@@ -12,8 +12,8 @@ import (
 // path instrumented code relies on.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
-	if c != nil || g != nil || h != nil {
+	c, g := r.Counter("c"), r.Gauge("g")
+	if c != nil || g != nil {
 		t.Fatal("nil registry handed out non-nil handles")
 	}
 	c.Add(1)
@@ -24,10 +24,6 @@ func TestNilSafety(t *testing.T) {
 	g.Max(9)
 	if g.Value() != 0 {
 		t.Error("nil gauge recorded")
-	}
-	h.Observe(3)
-	if h.Count() != 0 || h.Sum() != 0 || h.Buckets() != nil {
-		t.Error("nil histogram recorded")
 	}
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot non-nil")
@@ -64,38 +60,6 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewRegistry().Histogram("h")
-	// bucket 0: n ≤ 1; bucket i: [2^i, 2^(i+1))
-	for _, n := range []int64{-3, 0, 1} {
-		h.Observe(n)
-	}
-	for _, n := range []int64{2, 3} {
-		h.Observe(n)
-	}
-	for _, n := range []int64{4, 5, 7} {
-		h.Observe(n)
-	}
-	h.Observe(1024)
-	got := h.Buckets()
-	want := make([]int64, 11)
-	want[0], want[1], want[2], want[10] = 3, 2, 3, 1
-	if len(got) != len(want) {
-		t.Fatalf("bucket count: got %d want %d (%v)", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d: got %d want %d", i, got[i], want[i])
-		}
-	}
-	if h.Count() != 9 {
-		t.Errorf("count: got %d want 9", h.Count())
-	}
-	if h.Sum() != -3+0+1+2+3+4+5+7+1024 {
-		t.Errorf("sum: got %d", h.Sum())
-	}
-}
-
 func TestGaugeMax(t *testing.T) {
 	g := NewRegistry().Gauge("g")
 	g.Max(7)
@@ -121,11 +85,9 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("shared.counter")
 			g := r.Gauge("shared.gauge")
-			h := r.Histogram("shared.hist")
 			for i := 0; i < per; i++ {
 				c.Add(1)
 				g.Max(int64(i))
-				h.Observe(int64(i % 37))
 			}
 		}()
 	}
@@ -136,16 +98,13 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := r.Gauge("shared.gauge").Value(); got != per-1 {
 		t.Errorf("gauge high-water: got %d want %d", got, per-1)
 	}
-	if got := r.Histogram("shared.hist").Count(); got != workers*per {
-		t.Errorf("histogram lost observations: got %d want %d", got, workers*per)
-	}
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(3)
 	r.Gauge("a.first").Set(1)
-	r.Histogram("m.middle").Observe(4)
+	r.Counter("m.middle").Add(4)
 	snap := r.Snapshot()
 	names := make([]string, len(snap))
 	for i, m := range snap {
@@ -154,8 +113,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if strings.Join(names, ",") != "a.first,m.middle,z.last" {
 		t.Errorf("snapshot not name-sorted: %v", names)
 	}
-	if snap[1].Kind != "histogram" || snap[1].Value != 1 || snap[1].Sum != 4 {
-		t.Errorf("histogram metric malformed: %+v", snap[1])
+	if snap[0].Kind != "gauge" || snap[0].Value != 1 || snap[1].Kind != "counter" || snap[1].Value != 4 {
+		t.Errorf("snapshot metrics malformed: %+v", snap)
 	}
 }
 
@@ -166,13 +125,13 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestTracerChromeFormat(t *testing.T) {
 	tr := NewTracer()
 	p1 := tr.Process("cell multisite/norm/r0")
-	cd := p1.Track("coordinator")
-	sh := p1.Track("shard 00")
-	t0 := cd.Now()
-	cd.Span("round", t0, Arg{"horizon_min", 30})
-	sh.Span("burst", sh.Now(), Arg{"events", 12}, Arg{"steals", 1})
-	sh.Instant("snapshot")
-	cd.Instant("rollback", Arg{"undone", 5})
+	run := p1.Track("serial")
+	aux := p1.Track("aux")
+	t0 := run.Now()
+	run.Span("run", t0, Arg{"events", 12})
+	aux.Span("capture", aux.Now(), Arg{"bytes", 12}, Arg{"keyframe", 1})
+	aux.Instant("mark")
+	run.Instant("resume", Arg{"events", 5})
 	p2 := tr.Process("cell multisite/norm/r1")
 	p2.Track("serial").Span("checkpoint", 0, Arg{"bytes", 4096})
 
@@ -226,12 +185,12 @@ func TestTracerChromeFormat(t *testing.T) {
 			t.Fatalf("unexpected ph %q: %v", ph, ev)
 		}
 	}
-	for _, want := range []string{"cell multisite/norm/r0", "cell multisite/norm/r1", "coordinator", "shard 00", "serial"} {
+	for _, want := range []string{"cell multisite/norm/r0", "cell multisite/norm/r1", "serial", "aux"} {
 		if !metaNames[want] {
 			t.Errorf("missing metadata label %q (have %v)", want, metaNames)
 		}
 	}
-	for _, want := range []string{"round", "burst", "snapshot", "rollback", "checkpoint"} {
+	for _, want := range []string{"run", "capture", "mark", "resume", "checkpoint"} {
 		if !evNames[want] {
 			t.Errorf("missing event %q", want)
 		}

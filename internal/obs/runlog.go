@@ -6,14 +6,12 @@ import (
 	"sync"
 )
 
-// A Progress report is emitted by an engine from its cheap sync
-// points (the serial ctx-poll stride, round barriers, commit passes)
-// while a run is in flight. Fields describe the execution so far, not
-// the final result.
+// A Progress report is emitted by the simulation loop from its cheap
+// sync point (the ctx-poll stride) while a run is in flight. Fields
+// describe the execution so far, not the final result.
 type Progress struct {
-	SimTime   float64 // simulated-time frontier, minutes
-	Events    int64   // events dispatched so far
-	Rollbacks int64   // optimistic rollbacks so far (0 elsewhere)
+	SimTime float64 // simulated-time frontier, minutes
+	Events  int64   // events dispatched so far
 }
 
 // A RunRecord is one line of the JSONL run log. Type is "cell_start",
@@ -27,7 +25,6 @@ type RunRecord struct {
 	Events       int64    `json:"events,omitempty"`
 	EventsPerSec float64  `json:"events_per_sec,omitempty"`
 	ETASec       float64  `json:"eta_s,omitempty"` // crude horizon-proportional estimate
-	Rollbacks    int64    `json:"rollbacks,omitempty"`
 	Err          string   `json:"err,omitempty"`
 	Metrics      []Metric `json:"metrics,omitempty"` // registry snapshot ("metrics" records)
 }

@@ -265,56 +265,6 @@ func FaultTable(title string, names []string, sums []metrics.FaultSummary) (*Tab
 	return t, nil
 }
 
-// EngineStats is one strategy's execution-describing counter slice,
-// summed over its cells: how the engine ran, not what it computed.
-// The fields mirror sim.Result's engine counters (report does not
-// import sim, so the caller copies them across).
-type EngineStats struct {
-	Strategy string
-	// Events is the total dispatched event count.
-	Events int64
-	// AliasRetirements counts cross-partition alias flags retired.
-	AliasRetirements int64
-	// Rollbacks counts optimistic speculation rollbacks.
-	Rollbacks int64
-	// GroupCommits is the optimistic group-commit histogram: bucket i
-	// counts commit drains whose run length was in [2^i, 2^(i+1)).
-	GroupCommits []int64
-}
-
-// EngineTable renders per-strategy engine execution counters: one row
-// per strategy with event totals, alias retirements, rollbacks, and
-// the group-commit drain count with its largest
-// run-length bucket. These describe how the run executed — they are
-// deliberately absent from the paper tables, whose numbers must not
-// depend on the engine.
-func EngineTable(title string, rows []EngineStats) *Table {
-	t := &Table{
-		Title: title,
-		Columns: []string{"Strategy", "Events",
-			"Alias retire", "Rollbacks", "Commit drains", "Max run"},
-	}
-	for _, r := range rows {
-		drains := int64(0)
-		maxRun := "-"
-		for i, n := range r.GroupCommits {
-			drains += n
-			if n > 0 {
-				maxRun = fmt.Sprintf("2^%d", i)
-			}
-		}
-		t.AddRow(
-			r.Strategy,
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%d", r.AliasRetirements),
-			fmt.Sprintf("%d", r.Rollbacks),
-			fmt.Sprintf("%d", drains),
-			maxRun,
-		)
-	}
-	return t
-}
-
 // CDFTable renders a distribution as quantile rows (the text rendering
 // of Figure 2).
 func CDFTable(title string, cdf *stats.CDF) *Table {

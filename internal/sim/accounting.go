@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"netbatch/internal/stats"
 )
 
@@ -18,17 +20,10 @@ import (
 // where the event-driven sampler resolved such (measure-zero for the
 // float-valued synthetic traces) ties by heap insertion order.
 //
-// The subsystem runs in one of two modes:
-//
-//   - serial: ticks are folded straight into the binned TimeSeries
-//     (global utilization, suspended, waiting, plus per-site
-//     utilization on multi-site platforms), reproducing the
-//     monolithic engine's output bit for bit.
-//   - raw (optimistic): ticks are logged as raw integer counters per
-//     shard. The merge step recombines the per-site logs into the
-//     global series with exactly the serial mode's float operations,
-//     truncating at the final completion the way the serial loop's
-//     death does — see mergeSeries in optimistic.go.
+// Ticks are folded straight into the binned TimeSeries (global
+// utilization, suspended, waiting, plus per-site utilization on
+// multi-site platforms), reproducing the monolithic engine's output
+// bit for bit.
 type accounting struct {
 	sh *shard
 
@@ -36,33 +31,23 @@ type accounting struct {
 	next  float64
 	every float64
 
-	// Serial sinks.
 	utilTS, suspTS, waitTS *stats.TimeSeries
 	siteTS                 []*stats.TimeSeries
-
-	// Raw per-tick logs (optimistic shards). Values are scope totals —
-	// with one site per shard, the site's totals.
-	raw     bool
-	rawBusy []int32
-	rawSusp []int32
-	rawWait []int32
 }
 
-func newAccounting(sh *shard, raw bool) *accounting {
-	a := &accounting{sh: sh, raw: raw, every: sh.w.cfg.SampleEvery}
-	if !raw {
-		// The serial result always carries (possibly empty) series,
-		// even when sampling is disabled.
-		a.utilTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
-		a.suspTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
-		a.waitTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
-	}
+func newAccounting(sh *shard) *accounting {
+	a := &accounting{sh: sh, every: sh.w.cfg.SampleEvery}
+	// The result always carries (possibly empty) series, even when
+	// sampling is disabled.
+	a.utilTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
+	a.suspTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
+	a.waitTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
 	if sh.w.cfg.DisableSampling || len(sh.w.specs) == 0 {
 		return a
 	}
 	a.on = true
 	a.next = sh.w.start
-	if !raw && sh.w.nSites > 1 {
+	if sh.w.nSites > 1 {
 		a.siteTS = make([]*stats.TimeSeries, sh.w.nSites)
 		for s := range a.siteTS {
 			a.siteTS[s] = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
@@ -72,22 +57,15 @@ func newAccounting(sh *shard, raw bool) *accounting {
 }
 
 // register installs the accounting state codec: the next-tick cursor
-// plus the accumulated sinks — binned TimeSeries state in serial mode,
-// the length of the raw per-tick logs in optimistic mode (rollback
-// snapshots). Restoring them lets the integrator continue mid-signal
-// with float operations identical to a never-interrupted run.
+// plus the binned TimeSeries state of every sink. Restoring them lets
+// the integrator continue mid-signal with float operations identical
+// to a never-interrupted run. The flag after the cursor marked the
+// retired partitioned engines' raw-log mode; it is always written
+// false, and a snapshot carrying true is rejected.
 func (a *accounting) register(k *kernel) {
 	k.registerState("accounting", func(e *snapEncoder) {
 		e.F64(a.next)
-		if a.sh.opt != nil {
-			// Light mode (optimistic rollback snapshots): the raw logs
-			// are append-only and rollback replay re-appends identical
-			// values, so undoing speculation only needs the length to
-			// truncate to. All three logs grow in lockstep.
-			e.Int(len(a.rawBusy))
-			return
-		}
-		e.Bool(a.raw)
+		e.Bool(false)
 		encodeTS(e, a.utilTS)
 		encodeTS(e, a.suspTS)
 		encodeTS(e, a.waitTS)
@@ -97,20 +75,8 @@ func (a *accounting) register(k *kernel) {
 		}
 	}, func(d *snapDecoder) error {
 		a.next = d.F64()
-		if a.sh.opt != nil {
-			n := d.Int()
-			if d.err != nil || n < 0 || n > len(a.rawBusy) {
-				d.fail()
-				return d.err
-			}
-			a.rawBusy = a.rawBusy[:n]
-			a.rawSusp = a.rawSusp[:n]
-			a.rawWait = a.rawWait[:n]
-			return d.err
-		}
-		if raw := d.Bool(); d.err == nil && raw != a.raw {
-			d.fail()
-			return d.err
+		if raw := d.Bool(); d.err == nil && raw {
+			return fmt.Errorf("%w: accounting in raw-log mode", ErrSnapshotMismatch)
 		}
 		bin := a.sh.w.cfg.SeriesBin
 		a.utilTS = decodeTS(d, bin)
@@ -132,8 +98,8 @@ func (a *accounting) register(k *kernel) {
 }
 
 // encodeTS/decodeTS serialize one TimeSeries accumulator (nil-aware:
-// serial shards always carry the three global sinks, but site series
-// exist only on multi-site platforms).
+// the three global sinks always exist, but site series exist only on
+// multi-site platforms).
 func encodeTS(e *snapEncoder, ts *stats.TimeSeries) {
 	if ts == nil {
 		e.Bool(false)
@@ -173,16 +139,8 @@ func (a *accounting) advanceTo(now float64) {
 
 func (a *accounting) tick() {
 	sh := a.sh
-	if a.raw {
-		a.rawBusy = append(a.rawBusy, int32(sh.scopeBusy))
-		a.rawSusp = append(a.rawSusp, int32(sh.scopeSuspended))
-		a.rawWait = append(a.rawWait, int32(sh.scopeWaiting))
-		a.next += a.every
-		return
-	}
-	// The serial shard spans the whole platform, so the scope counters
-	// are the global ones; the denominator is the platform's machine
-	// core total, exactly as the monolithic sampler computed it.
+	// The denominator is the platform's machine core total, exactly as
+	// the monolithic sampler computed it.
 	util := 0.0
 	if sh.w.totalCores > 0 {
 		util = float64(sh.scopeBusy) / float64(sh.w.totalCores) * 100

@@ -8,8 +8,8 @@ package sim
 // and restore its portion of shard state, so the snapshot machinery —
 // like the dispatch loop — never needs to know which mechanisms are
 // loaded. Checkpointing, resume and replay always run on the serial
-// engine (see Run), and a snapshot is taken only between two of its
-// events, where every piece of state is explicit. The invariant that
+// kernel, and a snapshot is taken only between two of its events,
+// where every piece of state is explicit. The invariant that
 // makes this safe, asserted by the checkpoint property tests, is
 // bit-identity: a run resumed from any checkpoint produces exactly the
 // jobs, series, counters and event counts of a never-interrupted run.
@@ -21,9 +21,9 @@ package sim
 // protect against mismatched resumes: a format version, a hash of the
 // event-kind table (the registry the pending events reference), and a
 // hash of the full run configuration (platform topology, workload
-// specs, scheduler/policy identity, engine knobs). Any mismatch — or a
-// truncated or corrupted snapshot, or one whose engine mode is not
-// "serial" — fails with ErrSnapshotMismatch before any state is
+// specs, scheduler/policy identity, simulation knobs). Any mismatch —
+// or a truncated or corrupted snapshot, or one whose mode string is
+// not "serial" — fails with ErrSnapshotMismatch before any state is
 // touched.
 
 import (
@@ -39,12 +39,15 @@ import (
 )
 
 // snapshotMagic and snapshotVersion head every encoded snapshot.
-// Version 2 dropped the persisted cross-alias flag: the alias-risk
-// ledger (world.aliasLive, jobRT.aliased) is a pure function of
-// restored job/machine state and is rederived on restore.
+// Version 2 dropped the persisted cross-alias flag: jobRT.aliased is a
+// pure function of restored job/machine state and is rederived on
+// restore. snapshotMode is the header's mode string, the only one
+// that resumes; other values were written by the retired partitioned
+// engines.
 const (
 	snapshotMagic   = uint32(0x4e425350) // "NBSP"
 	snapshotVersion = uint32(2)
+	snapshotMode    = "serial"
 )
 
 // ErrSnapshotMismatch wraps every resume failure caused by the snapshot
@@ -130,12 +133,6 @@ func (e *snapEncoder) I64s(v []int64) {
 		e.I64(x)
 	}
 }
-func (e *snapEncoder) Bools(v []bool) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.Bool(x)
-	}
-}
 
 // snapDecoder reads the encoder's stream back with a sticky error, so
 // codec load functions can decode unconditionally and check once.
@@ -219,38 +216,28 @@ func (d *snapDecoder) I64sN(max int) []int64 {
 	}
 	return v
 }
-func (d *snapDecoder) BoolsN(max int) []bool {
-	n := d.U64()
-	if d.err != nil || uint64(len(d.data)-d.off) < n || (max >= 0 && n > uint64(max)) {
-		d.fail()
-		return nil
-	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = d.Bool()
-	}
-	return v
-}
 
 // ---------------------------------------------------------------------
 // Guard hashes.
 
 // kindTableHash fingerprints the kernel's event-kind registry: pending
 // events in a snapshot reference kinds by number, so a resume is only
-// meaningful against the identical table.
+// meaningful against the identical table. It hashes the kind names in
+// registration order. (Builds that still carried the partitioned
+// engines also hashed two per-kind synchronization flags, so their
+// snapshots fail this check and re-run fresh.)
 func kindTableHash(k *kernel) uint64 {
 	h := fnv.New64a()
 	for _, info := range k.kinds[1:] {
-		fmt.Fprintf(h, "%s|%t|%t;", info.name, info.deciding, info.handoff)
+		fmt.Fprintf(h, "%s;", info.name)
 	}
 	return h.Sum64()
 }
 
 // configHash fingerprints everything that determines a run's behavior:
-// the engine knobs, the fault regime, scheduler and policy identity,
-// the platform topology, and the full workload. It deliberately
-// excludes checkpoint cadence, context and engine selection (the
-// engine mode is recorded separately).
+// the simulation knobs, the fault regime, scheduler and policy
+// identity, the platform topology, and the full workload. It
+// deliberately excludes checkpoint cadence, context and observability.
 // Opaque scheduler/policy internals beyond Name and thresholds cannot
 // be hashed; the state blobs still restore them, and the property
 // tests cover every built-in.
@@ -325,8 +312,8 @@ func configHash(w *world) uint64 {
 // Snapshot encode/decode.
 
 // snapshot is a decoded-but-not-yet-applied checkpoint: the verified
-// header plus the raw per-shard codec sections, applied to a freshly
-// built serial shard by restoreRun.
+// header plus the raw codec sections, applied to a freshly built shard
+// by restoreRun.
 type snapshot struct {
 	label      string
 	mode       string
@@ -337,9 +324,10 @@ type snapshot struct {
 	events     int64
 
 	// comparable is the suffix of the encoding that identifies the
-	// captured state (time, events, world, shards): everything after
-	// the label. Replay-bisect compares snapshots on it, so differing
-	// labels or cadences never mask (or fake) a state difference.
+	// captured state (time, events, component and codec state):
+	// everything after the label. Replay-bisect compares snapshots on
+	// it, so differing labels or cadences never mask (or fake) a state
+	// difference.
 	comparable []byte
 
 	hasInitState bool
@@ -347,8 +335,7 @@ type snapshot struct {
 	hasPolState  bool
 	polState     []byte
 
-	// sections holds the serial shard's codec sections in registry
-	// order.
+	// sections holds the codec sections in registry order.
 	sections []snapSection
 }
 
@@ -374,7 +361,7 @@ type snapParams struct {
 
 func newSnapParams(w *world, sh *shard, every float64) snapParams {
 	return snapParams{
-		mode:     EngineSerial,
+		mode:     snapshotMode,
 		label:    w.cfg.CheckpointLabel,
 		every:    every,
 		cfgHash:  configHash(w),
@@ -382,9 +369,9 @@ func newSnapParams(w *world, sh *shard, every float64) snapParams {
 	}
 }
 
-// takeSnapshot serializes the complete state of a serial run between
-// two events. The encoding keeps a shard count (always 1) ahead of the
-// shard's codec sections.
+// takeSnapshot serializes the complete state of a run between two
+// events. The encoding keeps a shard count (always 1, from the retired
+// partitioned engines) ahead of the codec sections.
 func takeSnapshot(w *world, sh *shard, p snapParams, now float64, events int64) ([]byte, error) {
 	e := snapEncoder{buf: make([]byte, 0, p.sizeHint+4096)}
 	e.U64(uint64(snapshotMagic))
@@ -474,9 +461,9 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	sn.configHash = d.U64()
 	sn.kindHash = d.U64()
 	sn.mode = d.Str()
-	if d.err == nil && sn.mode != EngineSerial {
+	if d.err == nil && sn.mode != snapshotMode {
 		return nil, fmt.Errorf("%w: snapshot from engine mode %q; only %q snapshots resume",
-			ErrSnapshotMismatch, sn.mode, EngineSerial)
+			ErrSnapshotMismatch, sn.mode, snapshotMode)
 	}
 	sn.every = d.F64()
 	sn.label = d.Str()
@@ -496,7 +483,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	}
 
 	if nShards := d.Int(); d.err == nil && nShards != 1 {
-		return nil, fmt.Errorf("%w: snapshot has %d shards, a serial run has 1", ErrSnapshotMismatch, nShards)
+		return nil, fmt.Errorf("%w: snapshot has %d shards, want 1", ErrSnapshotMismatch, nShards)
 	}
 	nCodecs := d.Int()
 	if d.err == nil && (nCodecs < 0 || nCodecs > 1<<10) {
@@ -519,7 +506,8 @@ type SnapshotMeta struct {
 	// Label is the creator-supplied Config.CheckpointLabel (e.g. the
 	// experiment cell, "fed3-faults/p1/r0").
 	Label string
-	// Mode is the engine that produced the snapshot.
+	// Mode is the header's mode string; "serial" for every snapshot
+	// that can resume.
 	Mode string
 	// Every is the checkpoint cadence (simulated minutes) of the run
 	// that emitted the snapshot; 0 for one-off captures.
@@ -550,8 +538,8 @@ func (sn *snapshot) verify(w *world) error {
 	return nil
 }
 
-// restoreRun applies a verified snapshot to a freshly built serial
-// shard: subsystems registered, nothing seeded.
+// restoreRun applies a verified snapshot to a freshly built shard:
+// subsystems registered, nothing seeded.
 func restoreRun(sn *snapshot, w *world, sh *shard) error {
 	if h := kindTableHash(sh.k); sn.kindHash != h {
 		return fmt.Errorf("%w: event-kind table hash %#x, snapshot has %#x",
@@ -585,7 +573,7 @@ func restoreRun(sn *snapshot, w *world, sh *shard) error {
 				ErrSnapshotMismatch, codec.name, len(d.data)-d.off)
 		}
 	}
-	rebuildAliasLive(w)
+	rebuildAliased(w)
 	return nil
 }
 
@@ -738,35 +726,6 @@ func (ck *checkpointer) take(t float64, events int64) error {
 	return nil
 }
 
-// rebuildAliasRisk reconstructs the derived alias-risk counters of a
-// partitioned shard restored from a rollback snapshot: slotCount from
-// the un-compacted FIFO slots of the shard's pools,
-// riskCounted/aliasRisk from slotCount × away. (away itself is saved
-// state — whether a job departed cannot be derived locally.)
-func (sh *shard) rebuildAliasRisk() {
-	for i := range sh.slotCount {
-		sh.slotCount[i] = 0
-		sh.riskCounted[i] = false
-	}
-	sh.aliasRisk = 0
-	for _, s := range sh.sites {
-		for _, p := range sh.w.plat.Site(s).Pools {
-			wq := sh.w.pools[p].waitQ
-			for _, prio := range wq.prios {
-				f := wq.classes[prio]
-				for i := f.head; i < len(f.items); i++ {
-					if f.items[i] != nil {
-						sh.slotCount[f.items[i].idx]++
-					}
-				}
-			}
-		}
-	}
-	for i := range sh.slotCount {
-		sh.recountRisk(i)
-	}
-}
-
 // restoreQueue reloads a saved pending-event list into the kernel and
 // rewires the cancellation handles job records hold into it (the
 // pending completion of every running job, the pending wait timer of
@@ -782,10 +741,13 @@ func (sh *shard) restoreQueue(d *snapDecoder) error {
 	for i := 0; i < n; i++ {
 		t := d.F64()
 		kd := d.Int()
-		var rank [3]uint64
-		rank[0], rank[1], rank[2] = d.U64(), d.U64(), d.U64()
+		phase, class, seq := d.U64(), d.U64(), d.U64()
 		if d.err != nil {
 			return d.err
+		}
+		if phase != 0 || class != rankClass {
+			return fmt.Errorf("%w: pending event tie rank (%d, %d, %d), want (0, %d, seq)",
+				ErrSnapshotMismatch, phase, class, seq, rankClass)
 		}
 		if kd <= 0 || kd >= len(k.kinds) {
 			return fmt.Errorf("%w: pending event references unknown kind %d", ErrSnapshotMismatch, kd)
@@ -801,7 +763,7 @@ func (sh *shard) restoreQueue(d *snapDecoder) error {
 			return fmt.Errorf("%w: pending %s event references job %d of %d",
 				ErrSnapshotMismatch, k.kinds[kd].name, a, len(sh.w.jobs))
 		}
-		ref := k.restoreEvent(eventq.SavedEvent{Time: t, Kind: kd, A: a, B: b, Ref: pref, Rank: rank})
+		ref := k.q.Restore(eventq.SavedEvent{Time: t, Kind: kd, A: a, B: b, Ref: pref, Seq: seq})
 		switch kind(kd) {
 		case sh.place.finish:
 			sh.w.jobs[int(a)].finish = ref
@@ -812,31 +774,25 @@ func (sh *shard) restoreQueue(d *snapDecoder) error {
 	return nil
 }
 
-// saveQueue exports the kernel's pending events (exact tie ranks and
-// scheduling-order counter included) through the per-kind payload
-// codecs.
+// rankClass is the middle word of every saved event's tie rank. The
+// retired partitioned engines ranked events by three words (phase,
+// class, scheduling order); a single queue's rank is always
+// (0, rankClass, seq), and the snapshot stream keeps all three words.
+const rankClass = 2
+
+// saveQueue exports the kernel's pending events (scheduling-order
+// stamps and counter included) through the per-kind payload codecs.
 func (sh *shard) saveQueue(e *snapEncoder) {
 	k := sh.k
 	e.U64(k.q.Seq())
 	events := k.q.Export()
-	if sh.opt != nil {
-		// Stash the jobs with a pending arrive event for the placement
-		// codec's light-mode scope (the core codec saves first, so the
-		// stash is fresh when placement consults it).
-		sh.opt.inTransit = sh.opt.inTransit[:0]
-		for _, sev := range events {
-			if kind(sev.Kind) == sh.place.arrive {
-				sh.opt.inTransit = append(sh.opt.inTransit, int(sev.A))
-			}
-		}
-	}
 	e.Int(len(events))
 	for _, sev := range events {
 		e.F64(sev.Time)
 		e.Int(sev.Kind)
-		e.U64(sev.Rank[0])
-		e.U64(sev.Rank[1])
-		e.U64(sev.Rank[2])
+		e.U64(0)
+		e.U64(rankClass)
+		e.U64(sev.Seq)
 		k.kinds[sev.Kind].encPayload(e, sev.A, sev.B, sev.Ref)
 	}
 }

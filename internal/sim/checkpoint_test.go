@@ -4,18 +4,19 @@ package sim
 // bit-identity: a run resumed from a checkpoint taken at any mid-run
 // boundary must produce exactly the observables of a never-interrupted
 // run — hex-float-exact job records, series, counters and event counts
-// — across random federations, both engine selections, and zero and
-// nonzero fault regimes. Checkpointing itself must be a pure read: a
-// run that emits checkpoints must match a run that doesn't, and asking
-// for the optimistic engine must emit the serial run's snapshots byte
-// for byte. Mismatched, corrupted or legacy snapshots must be rejected
-// before any state is touched.
+// — across random federations and zero and nonzero fault regimes.
+// Checkpointing itself must be a pure read: a run that emits
+// checkpoints must match a run that doesn't. Mismatched, corrupted or
+// legacy snapshots must be rejected before any state is touched.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,8 +49,7 @@ func checkpointWorkload(t *testing.T, seed uint64, polPick, selPick, staleness, 
 }
 
 // freshComponents re-instantiates the stateful scheduler/policy for a
-// new run of the same coordinate (per-run state, like the engine
-// identity tests do).
+// new run of the same coordinate (their state is per run).
 func freshComponents(cfg *Config, seed uint64, polPick, selPick byte) {
 	cfg.Initial = federatedInitial(siteSelectorForIndex(int(selPick)))
 	cfg.Policy = multiSitePolicyForIndex(int(polPick), seed)
@@ -71,13 +71,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		maxCount = 8
 	}
 	cfgQuick := &quick.Config{MaxCount: maxCount}
-	err := quick.Check(func(seed uint64, engPick, polPick, selPick, staleness, faultPick, victimPick byte) bool {
+	err := quick.Check(func(seed uint64, polPick, selPick, staleness, faultPick, victimPick byte) bool {
 		base, specs, ok := checkpointWorkload(t, seed, polPick, selPick, staleness, faultPick, victimPick)
 		if !ok {
 			return true
-		}
-		if engPick%2 == 1 {
-			base.Engine = EngineOptimistic
 		}
 
 		// Reference: the straight run with no checkpointing at all.
@@ -86,14 +83,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Logf("straight run: %v", err)
 			return false
-		}
-		if plainRes.ambiguousTies {
-			// The optimistic straight run met a tie whose serial order it
-			// cannot reconstruct, so its bit-identity with the serial
-			// kernel — which runs every checkpointed and resumed cell —
-			// is void for this coordinate.
-			t.Logf("seed %d: ambiguous tie observed, skipping comparison", seed)
-			return true
 		}
 		fpPlain := fingerprint(plainRes)
 
@@ -113,22 +102,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if len(*cks) == 0 {
 			return true // run shorter than one cadence interval
 		}
-		if base.Engine == EngineOptimistic {
-			// Checkpointed runs execute on the serial kernel whatever
-			// engine was asked for: the snapshots must be the serial
-			// run's, byte for byte.
-			serialCfg, serialCks := collectCheckpoints(base, every)
-			serialCfg.Engine = EngineSerial
-			freshComponents(serialCfg, seed, polPick, selPick)
-			if _, err := Run(*serialCfg, specs); err != nil {
-				t.Logf("serial checkpointed run: %v", err)
-				return false
-			}
-			if !sameCheckpoints(*cks, *serialCks) {
-				t.Logf("seed %d: optimistic checkpoint stream differs from the serial one", seed)
-				return false
-			}
-		}
 
 		// Resume from every emitted checkpoint: first (most state still
 		// ahead), middle, and last (most state behind) all must converge
@@ -145,8 +118,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				return false
 			}
 			if fp := fingerprint(res); fp != fpPlain {
-				t.Logf("seed %d engine %s: resume from checkpoint %d (t=%v) diverged:\n%s",
-					seed, resumed.Engine, idx, ck.Time, firstDiff(fpPlain, fp))
+				t.Logf("seed %d: resume from checkpoint %d (t=%v) diverged:\n%s",
+					seed, idx, ck.Time, firstDiff(fpPlain, fp))
 				return false
 			}
 		}
@@ -157,24 +130,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// sameCheckpoints reports whether two checkpoint streams are identical:
-// same boundaries, same delta flags, same bytes.
-func sameCheckpoints(a, b []Checkpoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Time != b[i].Time || a[i].Events != b[i].Events ||
-			a[i].Delta != b[i].Delta || !bytes.Equal(a[i].Data, b[i].Data) {
-			return false
-		}
-	}
-	return true
-}
-
 // checkpointFixture runs one deterministic multi-site workload with
 // checkpointing and returns the config, specs and emitted checkpoints.
-func checkpointFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint) {
+func checkpointFixture(t *testing.T) (Config, []job.Spec, []Checkpoint) {
 	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
@@ -185,7 +143,6 @@ func checkpointFixture(t *testing.T, engine string) (Config, []job.Spec, []Check
 		Platform:          plat,
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
-		Engine:            engine,
 		CheckConservation: true,
 	}
 	ckCfg, cks := collectCheckpoints(base, 60)
@@ -199,7 +156,7 @@ func checkpointFixture(t *testing.T, engine string) (Config, []job.Spec, []Check
 }
 
 func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, EngineSerial)
+	base, specs, cks := checkpointFixture(t)
 	data := cks[len(cks)/2].Data
 
 	resume := func(cfg Config, data []byte) error {
@@ -252,25 +209,131 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 	}
 
 	// A snapshot written by the removed conservative engine (mode
-	// "parallel", valid trailer) must fail cleanly under either engine
-	// selection, never panic.
+	// "parallel", valid trailer) must fail cleanly, never panic.
 	legacy := reencodeSnapshot(t, freshFixtureConfig(base), specs, data, "parallel", func(*shard) {})
 	if _, err := decodeSnapshot(legacy); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Errorf("legacy snapshot decode: got %v, want ErrSnapshotMismatch", err)
 	}
-	for _, engine := range []string{EngineSerial, EngineOptimistic} {
-		cfg := base
-		cfg.Engine = engine
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("%s: legacy resume panicked: %v", engine, r)
-				}
-			}()
-			return resume(cfg, legacy)
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("legacy resume panicked: %v", r)
+			}
 		}()
-		if !errors.Is(err, ErrSnapshotMismatch) {
-			t.Errorf("%s: legacy parallel-mode snapshot: got %v, want ErrSnapshotMismatch", engine, err)
+		return resume(base, legacy)
+	}()
+	if !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("legacy parallel-mode snapshot: got %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// patchSnapshot returns a copy of data with edit applied to the decoded
+// copy — header fields through the raw body, codec sections through
+// sn.sections, whose data alias the body — and the CRC trailer
+// recomputed, so only the edit can make a resume fail.
+func patchSnapshot(t *testing.T, data []byte, edit func(body []byte, sn *snapshot)) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	sn, err := decodeSnapshot(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := out[:len(out)-8]
+	edit(body, sn)
+	binary.LittleEndian.PutUint64(out[len(body):], uint64(crc32.Checksum(body, castagnoli)))
+	return out
+}
+
+// oldKindTableHash is kindTableHash as builds with the partitioned
+// engines computed it: each kind's name plus its deciding and handoff
+// synchronization flags.
+func oldKindTableHash(k *kernel) uint64 {
+	deciding := map[string]bool{"submit": true, "susDecide": true, "waitTimeout": true}
+	handoff := map[string]bool{
+		"arrive": true, "finish": true,
+		"fault.crash": true, "fault.repair": true, "fault.maintStart": true, "fault.maintEnd": true,
+	}
+	h := fnv.New64a()
+	for _, info := range k.kinds[1:] {
+		fmt.Fprintf(h, "%s|%t|%t;", info.name, deciding[info.name], handoff[info.name])
+	}
+	return h.Sum64()
+}
+
+// TestSnapshotRejectsOldKindHash resumes from a snapshot whose header
+// carries the kind-table hash the partitioned-engine builds wrote. Its
+// bytes are otherwise this build's, with a valid trailer, so the hash
+// alone must fail the resume with ErrSnapshotMismatch — which is what
+// makes -resume re-run such cells fresh.
+func TestSnapshotRejectsOldKindHash(t *testing.T) {
+	base, specs, cks := checkpointFixture(t)
+	raw := freshFixtureConfig(base)
+	cfg, err := raw.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := buildWorld(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := newShard(w).k
+	oldHash, newHash := oldKindTableHash(k), kindTableHash(k)
+	if oldHash == newHash {
+		t.Fatal("old and new kind-table hashes coincide")
+	}
+	data := cks[len(cks)/2].Data
+	// The kind hash is the fourth header word: magic, version, config
+	// hash, kind hash.
+	if got := binary.LittleEndian.Uint64(data[24:]); got != newHash {
+		t.Fatalf("header kind hash %#x, want %#x", got, newHash)
+	}
+	old := patchSnapshot(t, data, func(body []byte, _ *snapshot) {
+		binary.LittleEndian.PutUint64(body[24:], oldHash)
+	})
+	cfgRun := freshFixtureConfig(base)
+	cfgRun.ResumeFrom = old
+	if _, err := Run(cfgRun, specs); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "event-kind table hash") {
+		t.Fatalf("old kind hash: got %v, want the ErrSnapshotMismatch kind-table error", err)
+	}
+}
+
+// TestSnapshotRejectsRetiredEngineWords resumes from snapshots that set
+// one of the words only the partitioned engines ever wrote non-zero:
+// the core codec's phase word, a pending event's rank phase or class,
+// and accounting's raw-log flag. Each must fail with
+// ErrSnapshotMismatch.
+func TestSnapshotRejectsRetiredEngineWords(t *testing.T) {
+	base, specs, cks := checkpointFixture(t)
+	data := cks[len(cks)/2].Data
+	// Offsets within the core section: now, events, then the phase
+	// word; 16 fixed words in all, the queue's scheduling counter and
+	// event count, then the first event's time, kind and rank words.
+	const firstRank = 16*8 + 2*8 + 2*8
+	for _, tc := range []struct {
+		name    string
+		section string
+		off     int
+		val     byte
+		want    string
+	}{
+		{"core phase", "core", 16, 1, "phase word"},
+		{"event rank phase", "core", firstRank, 3, "tie rank (3, 2,"},
+		{"event rank class", "core", firstRank + 8, 1, "tie rank (0, 1,"},
+		{"accounting raw flag", "accounting", 8, 1, "raw-log mode"},
+	} {
+		bad := patchSnapshot(t, data, func(_ []byte, sn *snapshot) {
+			for _, sec := range sn.sections {
+				if sec.name == tc.section {
+					sec.data[tc.off] = tc.val
+					return
+				}
+			}
+			t.Fatalf("%s: no %s section", tc.name, tc.section)
+		})
+		cfg := freshFixtureConfig(base)
+		cfg.ResumeFrom = bad
+		if _, err := Run(cfg, specs); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want ErrSnapshotMismatch naming %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -283,9 +346,9 @@ func freshFixtureConfig(base Config) Config {
 	return base
 }
 
-// reencodeSnapshot restores data into a fresh serial shard, lets edit
-// change the restored state, and encodes the result through
-// takeSnapshot under the given engine mode, with a valid trailer.
+// reencodeSnapshot restores data into a fresh shard, lets edit change
+// the restored state, and encodes the result through takeSnapshot
+// under the given mode string, with a valid trailer.
 func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, mode string, edit func(sh *shard)) []byte {
 	t.Helper()
 	cfg, err := raw.withDefaults()
@@ -300,7 +363,7 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newShard(w, 0, allSites(w), false)
+	sh := newShard(w)
 	if err := restoreRun(sn, w, sh); err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +383,12 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, m
 // events into job records by index, so the resume must fail with
 // ErrSnapshotMismatch instead of panicking.
 func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, EngineSerial)
+	base, specs, cks := checkpointFixture(t)
 	data := cks[len(cks)/2].Data
 	// reencode restores data, lets edit add pending events, and encodes
 	// the result with a recomputed trailer.
 	reencode := func(edit func(sh *shard)) []byte {
-		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, EngineSerial, edit)
+		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, snapshotMode, edit)
 	}
 	resume := func(snap []byte) (err error) {
 		defer func() {
@@ -370,7 +433,7 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 // previous capture's size plus twice its growth (the resumed
 // snapshot's size after a resume), plus takeSnapshot's 4 KiB slack.
 func TestCheckpointCaptureBufferSizing(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, EngineSerial)
+	base, specs, cks := checkpointFixture(t)
 	fit := 0
 	check := func(what string, prev, grow int, ck Checkpoint) {
 		hint := prev + 2*grow + 4096
@@ -404,29 +467,27 @@ func TestCheckpointCaptureBufferSizing(t *testing.T) {
 }
 
 func TestReplayBisectCleanInterval(t *testing.T) {
-	for _, engine := range []string{EngineSerial, EngineOptimistic} {
-		base, specs, cks := checkpointFixture(t, engine)
-		if len(cks) < 2 {
-			t.Fatalf("%s: need two checkpoints, got %d", engine, len(cks))
-		}
-		from, to := cks[0], cks[len(cks)-1]
-		rep, err := ReplayBisect(freshFixtureConfig(base), specs, from.Data, to.Data)
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		if !rep.Clean() {
-			t.Fatalf("%s: healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
-				engine, rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
-		}
-		if rep.ReplayedEvents != to.Events-from.Events {
-			t.Fatalf("%s: replayed %d events, interval spans %d",
-				engine, rep.ReplayedEvents, to.Events-from.Events)
-		}
+	base, specs, cks := checkpointFixture(t)
+	if len(cks) < 2 {
+		t.Fatalf("need two checkpoints, got %d", len(cks))
+	}
+	from, to := cks[0], cks[len(cks)-1]
+	rep, err := ReplayBisect(freshFixtureConfig(base), specs, from.Data, to.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
+			rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
+	}
+	if rep.ReplayedEvents != to.Events-from.Events {
+		t.Fatalf("replayed %d events, interval spans %d",
+			rep.ReplayedEvents, to.Events-from.Events)
 	}
 }
 
 func TestReplayBisectRejectsCrossConfigSnapshots(t *testing.T) {
-	baseA, specsA, cksA := checkpointFixture(t, EngineSerial)
+	baseA, specsA, cksA := checkpointFixture(t)
 	_, _, cksB := func() (Config, []job.Spec, []Checkpoint) {
 		r := rand.New(rand.NewPCG(505, 506))
 		plat, specs, err := randomFederation(r)

@@ -185,7 +185,7 @@ func checkpointPair(nrec int) (base, full []byte) {
 
 // FuzzSnapshotDelta checks the delta codec on arbitrary pairs: the
 // delta reconstructs full exactly, encoding with scratch reused after a
-// larger diff (as the optimistic engine does) gives the bytes of a
+// larger diff (as the checkpointer does) gives the bytes of a
 // fresh encode, and a delta with any byte flipped fails with
 // ErrSnapshotMismatch. The committed corpus (testdata/fuzz) seeds it
 // with the deltaShapes pairs of a 512-byte base, named by shape, and
@@ -249,7 +249,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 // deltaFixture runs one deterministic multi-site workload with a
 // keyframed checkpoint stream and returns the base config, specs, the
 // emitted checkpoints, and the straight-run fingerprint.
-func deltaFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint, string) {
+func deltaFixture(t *testing.T) (Config, []job.Spec, []Checkpoint, string) {
 	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
@@ -260,7 +260,6 @@ func deltaFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint
 		Platform:          plat,
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
-		Engine:            engine,
 		CheckConservation: true,
 	}
 	plain := base
@@ -307,78 +306,71 @@ func reconstructChain(t *testing.T, cks []Checkpoint) [][]byte {
 	return fulls
 }
 
-// TestDeltaSnapshotChain checks the keyframed stream end to end under
-// both engine selections: the emission pattern honors the keyframe
-// cadence, deltas shrink the stream, and resuming from a keyframe, from
-// a mid-chain delta, from the delta straight after a keyframe boundary,
-// and from the last checkpoint all reproduce the straight run
-// bit-identically. Asking for the optimistic engine must emit the
-// serial stream byte for byte: checkpointed runs execute serially.
+// TestDeltaSnapshotChain checks the keyframed stream end to end on
+// the serial kernel, which runs every checkpointed run: the emission
+// pattern honors the keyframe cadence, deltas shrink the stream, and
+// resuming from a keyframe, from a mid-chain delta, from the delta
+// straight after a keyframe boundary, and from the last checkpoint all
+// reproduce the straight run bit-identically.
 func TestDeltaSnapshotChain(t *testing.T) {
-	_, _, serialCks, _ := deltaFixture(t, EngineSerial)
-	for _, engine := range []string{EngineSerial, EngineOptimistic} {
-		t.Run(engine, func(t *testing.T) {
-			base, specs, cks, fpPlain := deltaFixture(t, engine)
-			if !sameCheckpoints(cks, serialCks) {
-				t.Fatal("checkpoint stream differs from the serial run's")
+	t.Run("serial", func(t *testing.T) {
+		base, specs, cks, fpPlain := deltaFixture(t)
+		deltas := 0
+		for i, ck := range cks {
+			wantFull := i%4 == 0
+			if wantFull && ck.Delta {
+				t.Fatalf("checkpoint %d: keyframe slot emitted a delta", i)
 			}
-			deltas := 0
-			for i, ck := range cks {
-				wantFull := i%4 == 0
-				if wantFull && ck.Delta {
-					t.Fatalf("checkpoint %d: keyframe slot emitted a delta", i)
-				}
-				if ck.Delta {
-					deltas++
-				}
+			if ck.Delta {
+				deltas++
 			}
-			if deltas == 0 {
-				t.Fatal("keyframed stream emitted no deltas (every delta fell back to full?)")
-			}
-			fulls := reconstructChain(t, cks)
+		}
+		if deltas == 0 {
+			t.Fatal("keyframed stream emitted no deltas (every delta fell back to full?)")
+		}
+		fulls := reconstructChain(t, cks)
 
-			// A raw delta must be rejected as ResumeFrom before any state
-			// is touched.
-			for i, ck := range cks {
-				if !ck.Delta {
-					continue
-				}
-				bad := base
-				bad.ResumeFrom = ck.Data
-				if _, err := Run(bad, specs); !errors.Is(err, ErrSnapshotMismatch) {
-					t.Fatalf("checkpoint %d: raw delta resume: want ErrSnapshotMismatch, got %v", i, err)
-				}
-				break
+		// A raw delta must be rejected as ResumeFrom before any state
+		// is touched.
+		for i, ck := range cks {
+			if !ck.Delta {
+				continue
 			}
+			bad := base
+			bad.ResumeFrom = ck.Data
+			if _, err := Run(bad, specs); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("checkpoint %d: raw delta resume: want ErrSnapshotMismatch, got %v", i, err)
+			}
+			break
+		}
 
-			picks := map[string]int{
-				"keyframe":       4,            // a keyframe boundary
-				"after-keyframe": 5,            // first delta of a cycle
-				"mid-chain":      6,            // delta chaining through another delta
-				"last":           len(cks) - 1, // whatever the stream ends on
+		picks := map[string]int{
+			"keyframe":       4,            // a keyframe boundary
+			"after-keyframe": 5,            // first delta of a cycle
+			"mid-chain":      6,            // delta chaining through another delta
+			"last":           len(cks) - 1, // whatever the stream ends on
+		}
+		for what, idx := range picks {
+			resumed := base
+			resumed.Policy = core.NewResSusWaitRand(99)
+			resumed.ResumeFrom = fulls[idx]
+			res, err := Run(resumed, specs)
+			if err != nil {
+				t.Fatalf("resume from %s (checkpoint %d, t=%v): %v", what, idx, cks[idx].Time, err)
 			}
-			for what, idx := range picks {
-				resumed := base
-				resumed.Policy = core.NewResSusWaitRand(99)
-				resumed.ResumeFrom = fulls[idx]
-				res, err := Run(resumed, specs)
-				if err != nil {
-					t.Fatalf("resume from %s (checkpoint %d, t=%v): %v", what, idx, cks[idx].Time, err)
-				}
-				if fp := fingerprint(res); fp != fpPlain {
-					t.Fatalf("resume from %s (checkpoint %d, t=%v) diverged:\n%s",
-						what, idx, cks[idx].Time, firstDiff(fpPlain, fp))
-				}
+			if fp := fingerprint(res); fp != fpPlain {
+				t.Fatalf("resume from %s (checkpoint %d, t=%v) diverged:\n%s",
+					what, idx, cks[idx].Time, firstDiff(fpPlain, fp))
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestDeltaCorruptionRejected flips bytes in a real delta and chains it
 // against the wrong base: every failure mode must be
 // ErrSnapshotMismatch and never a wrong reconstruction.
 func TestDeltaCorruptionRejected(t *testing.T) {
-	_, _, cks, _ := deltaFixture(t, EngineSerial)
+	_, _, cks, _ := deltaFixture(t)
 	di := -1
 	for i, ck := range cks {
 		if ck.Delta {

@@ -1,23 +1,21 @@
 package sim
 
-// Engine-identity helpers plus the partitioned engine's failure-law
-// tests. The optimistic engine must produce results bit-identical to
-// the serial reference loop — same job records (hex-float compare),
-// same series, same counters, same event count — and must fail exactly
-// when the serial loop fails. A mid-run cancellation test pins prompt
-// return and goroutine hygiene.
+// Result-identity helpers shared by the property, fuzz, checkpoint and
+// observability tests, plus whole-run edge cases: the MaxTime failure
+// boundary, degenerate platforms and traces, and a forced cross-site
+// alias.
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
+	"netbatch/internal/cluster"
 	"netbatch/internal/core"
 	"netbatch/internal/job"
+	"netbatch/internal/obs"
 	"netbatch/internal/sched"
 	"netbatch/internal/stats"
 )
@@ -90,146 +88,206 @@ func firstDiff(a, b string) string {
 			y = bl[i]
 		}
 		if x != y {
-			return fmt.Sprintf("line %d:\nserial:     %.200s\noptimistic: %.200s", i+1, x, y)
+			return fmt.Sprintf("line %d:\nwant: %.200s\ngot:  %.200s", i+1, x, y)
 		}
 	}
 	return "(no diff)"
 }
 
-// TestParallelFallbackSingleSite pins the degenerate path: a
-// single-site platform (no partitions to run) is not parallelizable, so
-// Engine=optimistic must take the serial kernel and still produce
-// identical results.
-func TestParallelFallbackSingleSite(t *testing.T) {
-	p := miniPlatform(t, 2, 2)
-	specs := []job.Spec{
-		lowJob(1, 0, 100, 0, 1),
-		lowJob(2, 1.5, 80, 0, 1),
-		highJob(3, 2.5, 50, 0),
-	}
-	base := baseConfig(p)
-	full, err := base.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := buildWorld(full, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.parallelizable() {
-		t.Fatal("single-site platform reported parallelizable")
-	}
-	serialRes, err := Run(base, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := base
-	opt.Engine = EngineOptimistic
-	optRes, err := Run(opt, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(serialRes) != fingerprint(optRes) {
-		t.Fatal("single-site optimistic fallback differs from serial")
-	}
-}
-
-// TestParallelMaxTimeParity pins the failure law shared by both
-// engines: a run whose makespan fits under MaxTime succeeds on both,
-// and one that does not fails on both — even when the cap falls just
-// past the makespan, where the optimistic engine still holds inert
-// post-completion events the serial loop never pops.
-func TestParallelMaxTimeParity(t *testing.T) {
+// TestMaxTimeBoundary pins the MaxTime failure law: a run whose
+// makespan fits under the cap succeeds with the uncapped result, even
+// when the cap falls just past the makespan, and a run that does not
+// fit fails with the MaxTime error.
+func TestMaxTimeBoundary(t *testing.T) {
 	for _, seed := range []uint64{57, 58, 59, 7} {
 		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 		plat, specs, err := randomFederation(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mk := func(engine string, maxTime float64) Config {
+		mk := func(maxTime float64) Config {
 			return Config{
 				Platform:          plat,
 				Initial:           federatedInitial(sched.LocalityFirst{}),
 				Policy:            core.NewResSusWaitUtil(),
-				Engine:            engine,
 				MaxTime:           maxTime,
 				CheckConservation: true,
 			}
 		}
-		base, err := Run(mk(EngineSerial, 0), specs)
+		base, err := Run(mk(0), specs)
 		if err != nil {
 			t.Fatalf("seed %d: baseline: %v", seed, err)
 		}
-		for _, maxTime := range []float64{
-			base.Makespan + 0.15, // just past the last completion
-			base.Makespan * 0.75, // clearly too small
-		} {
-			sres, serr := Run(mk(EngineSerial, maxTime), specs)
-			pres, perr := Run(mk(EngineOptimistic, maxTime), specs)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("seed %d MaxTime %v: engines disagree: serial=%v optimistic=%v",
-					seed, maxTime, serr, perr)
-			}
-			if serr == nil && !pres.ambiguousTies && fingerprint(sres) != fingerprint(pres) {
-				t.Fatalf("seed %d MaxTime %v: results diverge", seed, maxTime)
-			}
+		res, err := Run(mk(base.Makespan+0.15), specs)
+		if err != nil {
+			t.Fatalf("seed %d: MaxTime just past the makespan: %v", seed, err)
+		}
+		if a, b := fingerprint(base), fingerprint(res); a != b {
+			t.Fatalf("seed %d: capped run diverged:\n%s", seed, firstDiff(a, b))
+		}
+		if _, err := Run(mk(base.Makespan*0.75), specs); err == nil ||
+			!strings.Contains(err.Error(), "exceeded MaxTime") {
+			t.Fatalf("seed %d: MaxTime below the makespan: got %v, want the MaxTime error", seed, err)
 		}
 	}
 }
 
-// TestParallelCancelNoLeak cancels an optimistic run mid-flight, with
-// the burst workers running: Run must return the context error
-// promptly and leave no shard goroutines behind.
-func TestParallelCancelNoLeak(t *testing.T) {
-	if prev := runtime.GOMAXPROCS(0); prev < 2 {
-		runtime.GOMAXPROCS(2)
-		defer runtime.GOMAXPROCS(prev)
+// TestDegeneratePlatforms runs configurations at the edges of the
+// platform model — a single site, a federation with one zero-delay
+// cross-site pair, a decision delay longer than every cross-site delay,
+// and an empty trace. Each must run (never be rejected), complete every
+// job, and reproduce its result bit for bit on a second run.
+func TestDegeneratePlatforms(t *testing.T) {
+	sites := func(rtt [][]float64) *cluster.Platform {
+		configs := make([]cluster.PoolConfig, len(rtt))
+		for s := range configs {
+			configs[s] = cluster.PoolConfig{
+				Site:    string(rune('A' + s)),
+				Classes: []cluster.MachineClass{{Count: 2, Cores: 1, MemMB: 8192, Speed: 1.0}},
+			}
+		}
+		p, err := cluster.Build(configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err = p.WithRTT(rtt); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	r := rand.New(rand.NewPCG(7, 11))
-	plat, specs, err := randomFederation(r)
+	specs := []job.Spec{
+		lowJob(1, 0, 100, 0, 1),
+		lowJob(2, 1.5, 80, 0, 1),
+		highJob(3, 2.5, 50, 0),
+	}
+	cases := []struct {
+		name  string
+		cfg   func() Config
+		specs []job.Spec
+	}{
+		{"single-site", func() Config { return baseConfig(miniPlatform(t, 2, 2)) }, specs},
+		{"zero-rtt-pair", func() Config {
+			// Sites A, B, C with the A<->B delay degenerate at zero.
+			cfg := baseConfig(sites([][]float64{
+				{0, 0, 5},
+				{0, 0, 5},
+				{5, 5, 0},
+			}))
+			cfg.Initial = federatedInitial(siteSelectorForIndex(0))
+			return cfg
+		}, specs},
+		{"decision-delay-exceeds-rtt", func() Config {
+			cfg := baseConfig(sites([][]float64{
+				{0, 5},
+				{5, 0},
+			}))
+			cfg.Initial = federatedInitial(siteSelectorForIndex(0))
+			cfg.DecisionDelay = 10
+			return cfg
+		}, specs},
+		{"empty-trace", func() Config {
+			cfg := baseConfig(sites([][]float64{
+				{0, 5},
+				{5, 0},
+			}))
+			cfg.Initial = federatedInitial(siteSelectorForIndex(0))
+			return cfg
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg(), tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) != len(tc.specs) {
+				t.Fatalf("%d job records for %d specs", len(res.Jobs), len(tc.specs))
+			}
+			again, err := Run(tc.cfg(), tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := fingerprint(res), fingerprint(again); a != b {
+				t.Fatalf("rerun diverged:\n%s", firstDiff(a, b))
+			}
+		})
+	}
+}
+
+// moveWaitPolicy reschedules any job stalled in pool from's queue to
+// pool to, and leaves every other waiting job in place.
+type moveWaitPolicy struct {
+	from, to int
+	th       float64
+}
+
+func (moveWaitPolicy) Name() string { return "move-wait-test" }
+func (moveWaitPolicy) OnSuspend(float64, *job.Job, sched.PoolView) (int, bool) {
+	return 0, false
+}
+func (m moveWaitPolicy) WaitThreshold() float64 { return m.th }
+func (m moveWaitPolicy) OnWaitTimeout(_ float64, j *job.Job, _ sched.PoolView) (int, bool) {
+	if j.Pool == m.from {
+		return m.to, true
+	}
+	return 0, false
+}
+
+// TestForcedCrossSiteAliasRetires constructs the alias lifecycle
+// deterministically across two sites: job 3 waits at pool 0 (site A),
+// is wait-moved to pool 1 (site B) at t=3.0, and its tombstoned pool-0
+// slot revives when pool 0's machine frees at t=20.3 — dispatching the
+// job onto pool 0's machine while its queue label points at pool 1.
+// That attach crosses a site boundary, so the job is flagged aliased,
+// and its completion must retire the flag: Result.AliasRetirements and
+// the sim.alias_retirements counter both report it.
+func TestForcedCrossSiteAliasRetires(t *testing.T) {
+	configs := []cluster.PoolConfig{
+		{Site: "A", Classes: []cluster.MachineClass{{Count: 1, Cores: 1, MemMB: 8192, Speed: 1.0}}},
+		{Site: "B", Classes: []cluster.MachineClass{{Count: 1, Cores: 1, MemMB: 8192, Speed: 1.0}}},
+	}
+	plat, err := cluster.Build(configs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough work per job that the run spans many events.
-	for i := range specs {
-		specs[i].Work *= 50
+	plat, err = plat.WithRTT([][]float64{{0, 5}, {5, 0}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := Config{
-		Platform: plat,
-		Initial:  federatedInitial(sched.LatencyPenalizedUtil{}),
-		Policy:   core.NewResSusWaitUtil(),
-		Engine:   EngineOptimistic,
-		Context:  ctx,
+	spec := func(id job.ID, submit, work float64, site int, cands ...int) job.Spec {
+		return job.Spec{
+			ID: id, Submit: submit, Work: work, Cores: 1, MemMB: 1024,
+			Priority: job.PriorityLow, Candidates: cands, Site: site,
+		}
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(cfg, specs)
-		done <- err
-	}()
-	// Let the run get going, then pull the plug.
-	time.Sleep(2 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		// A short run may legitimately finish before the cancel lands.
-		if err != nil && !strings.Contains(err.Error(), "canceled") {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("optimistic run did not return promptly after cancellation")
+	specs := []job.Spec{
+		spec(1, 0, 20.3, 0, 0),   // occupies pool 0's machine until t=20.3
+		spec(2, 0.4, 31.7, 1, 1), // occupies pool 1's machine until t=32.1
+		spec(3, 0.7, 5.9, 0, 0),  // waits at 0, moves to 1 at t=3.0, revived at t=20.3
 	}
-	// Burst workers are run-scoped; none may survive the run.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	reg := obs.NewRegistry()
+	res, err := Run(Config{
+		Platform:          plat,
+		Initial:           sched.NewRoundRobin(),
+		Policy:            moveWaitPolicy{from: 0, to: 1, th: 2.3},
+		CheckConservation: true,
+		Metrics:           reg,
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The revived dispatch must have produced the alias: job 3 starts on
+	// pool 0's machine the moment job 1 frees it (t=20.3) even though
+	// its queue label moved to pool 1, so it completes at 26.2 — not at
+	// 38.0, which is what running behind job 2 on pool 1's own machine
+	// would give.
+	if got, want := res.Jobs[2].Completed, 20.3+5.9; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("job 3 completed at %v; want %v (revived onto pool 0's machine at t=20.3)", got, want)
+	}
+	if res.AliasRetirements != 1 {
+		t.Errorf("AliasRetirements = %d, want 1", res.AliasRetirements)
+	}
+	if got := reg.Counter("sim.alias_retirements").Value(); got != 1 {
+		t.Errorf("sim.alias_retirements = %d, want 1", got)
 	}
 }

@@ -11,24 +11,19 @@ import (
 // crashes (exponential inter-crash and repair times per site) and
 // scheduled maintenance windows (fixed cadence, rotating machine
 // blocks). It is the first mechanism registered purely through the
-// kernel's open event-kind registry — neither the kernel nor the
-// engines know it exists.
+// kernel's open event-kind registry — neither the kernel nor the loop
+// knows it exists.
 //
-// All four kinds are capacity handoffs: their handlers touch only the
-// owning site's machines, pools and resident jobs — plus the site's
-// private fault stream and downtime log — except that redistributing
+// All four kinds are capacity handoffs: their handlers take one site's
+// machines down or bring them back, and redistribute the freed
 // capacity (a repair, a window end, or the requeue cascade of a kill)
-// scans wait queues, whose revived slots can reach jobs resident at
-// other sites. The alias-risk promotion that already protects finishes
-// and arrivals therefore covers faults with no new machinery, and the
-// serial ≡ optimistic bit-identity contract extends to fault runs.
+// through the same wait-queue path as completions.
 //
 // Determinism: each site's stream is forked from FaultConfig.Seed with
-// stats.SplitKey, so it is independent of site count, engine, and
-// every other site's draws; all fault events of a site execute in that
-// site's local time order in both engines. With the zero FaultConfig
-// the subsystem is not registered at all — no events, no RNG
-// construction, outputs byte-identical to pre-fault builds.
+// stats.SplitKey, so it is independent of site count and every other
+// site's draws. With the zero FaultConfig the subsystem is not
+// registered at all — no events, no RNG construction, outputs
+// byte-identical to pre-fault builds.
 
 // Victim-job policies for machines taken down by maintenance windows.
 // Crashes are unplanned and always kill-and-requeue.
@@ -121,16 +116,14 @@ const (
 
 // downSpan is one machine's downtime interval in a site's fault log;
 // to stays +inf while the machine is down. Result counters derive from
-// the logs clamped to the makespan, so both engines compute identical
-// values even though optimistic shards may process repair events the
-// serial loop never pops.
+// the logs clamped to the makespan (see finalizeFaults).
 type downSpan struct {
 	from, to float64
 	cores    int
 	kind     int8
 }
 
-// siteFaults is one site's fault state, owned by the site's shard.
+// siteFaults is one site's fault state.
 type siteFaults struct {
 	rng *stats.RNG
 	// spans logs every downtime interval of the site's machines.
@@ -138,10 +131,9 @@ type siteFaults struct {
 	// windowStarts logs maintenance window start times.
 	windowStarts []float64
 	// workLost accumulates execution wall-clock destroyed by the
-	// site's kills. Kept per site — not per shard — because float
-	// addition does not commute: both engines add a site's losses in
-	// the same local order and finalizeFaults sums sites in index
-	// order, keeping the total bit-identical.
+	// site's kills. finalizeFaults sums the sites in index order; the
+	// per-site grouping fixes the float addition order, which the
+	// reported totals depend on.
 	workLost float64
 	// maintNext is the next window start; maintIdx rotates the window's
 	// machine block through the site.
@@ -152,7 +144,7 @@ type siteFaults struct {
 type faultSys struct {
 	sh *shard
 
-	// Allocated event kinds, all capacity handoffs.
+	// Allocated event kinds.
 	crash, repair, maintStart, maintEnd kind
 
 	// takenPool recycles the machine-block slices carried by maintEnd
@@ -164,10 +156,10 @@ type faultSys struct {
 }
 
 func (s *faultSys) register(k *kernel) {
-	s.crash = k.registerHandoffKind("fault.crash", func(a, _ int64, _ any) error { return s.handleCrash(int(a)) })
-	s.repair = k.registerHandoffKind("fault.repair", func(a, _ int64, _ any) error { return s.handleRepair(int(a)) })
-	s.maintStart = k.registerHandoffKind("fault.maintStart", func(a, _ int64, _ any) error { return s.handleMaintStart(int(a)) })
-	s.maintEnd = k.registerHandoffKind("fault.maintEnd", func(_, _ int64, ref any) error { return s.handleMaintEnd(ref.([]int)) })
+	s.crash = k.registerKind("fault.crash", func(a, _ int64, _ any) error { return s.handleCrash(int(a)) })
+	s.repair = k.registerKind("fault.repair", func(a, _ int64, _ any) error { return s.handleRepair(int(a)) })
+	s.maintStart = k.registerKind("fault.maintStart", func(a, _ int64, _ any) error { return s.handleMaintStart(int(a)) })
+	s.maintEnd = k.registerKind("fault.maintEnd", func(_, _ int64, ref any) error { return s.handleMaintEnd(ref.([]int)) })
 	// maintEnd carries the site in a and the taken-machine block as a
 	// boxed slice; the encoding is byte-identical to the historical
 	// struct codec.
@@ -184,14 +176,14 @@ func (s *faultSys) register(k *kernel) {
 	k.registerState("faults", s.save, s.load)
 }
 
-// save dumps each in-scope site's fault-process state: the position of
+// save dumps each site's fault-process state: the position of
 // its private RNG stream (so resumed crash gaps, victim draws and
 // repair times continue the exact sequence), the downtime span log and
 // window-start log the Result counters derive from, the accumulated
 // work-lost float, and the maintenance rotation.
 func (s *faultSys) save(e *snapEncoder) {
 	sh := s.sh
-	for _, site := range sh.sites {
+	for site := range sh.w.nSites {
 		f := &sh.w.faults[site]
 		st := f.rng.ExportState()
 		e.U64(st.Seed)
@@ -212,7 +204,7 @@ func (s *faultSys) save(e *snapEncoder) {
 
 func (s *faultSys) load(d *snapDecoder) error {
 	sh := s.sh
-	for _, site := range sh.sites {
+	for site := range sh.w.nSites {
 		f := &sh.w.faults[site]
 		st := stats.RNGState{Seed: d.U64(), PCG: d.Bytes()}
 		if d.err != nil {
@@ -240,13 +232,13 @@ func (s *faultSys) load(d *snapDecoder) error {
 	return d.err
 }
 
-// seed schedules each in-scope site's first crash and first
+// seed schedules each site's first crash and first
 // maintenance window. Both chains start strictly after the trace start
 // and re-arm themselves from their handlers, like the submission chain.
 func (s *faultSys) seed() {
 	sh := s.sh
 	cfg := &sh.w.cfg.Faults
-	for _, site := range sh.sites {
+	for site := range sh.w.nSites {
 		f := &sh.w.faults[site]
 		if cfg.MTBF > 0 {
 			sh.k.schedule(sh.w.start+f.rng.Exp(cfg.MTBF), s.crash, int64(site), 0)
@@ -424,12 +416,11 @@ func (sh *shard) killAndRequeue(rt *jobRT, pool, site int) error {
 	return sh.arrival(rt.idx, pool)
 }
 
-// finalizeFaults derives the engine-independent fault counters from
-// the per-site downtime logs, clamped to the makespan: the serial loop
-// dies at the final completion leaving open spans behind, while the
-// optimistic shards may process repairs past it — clamping
-// makes both read identically. Crash/window events at or after the
-// makespan never count (the serial loop never popped them).
+// finalizeFaults derives the fault counters from the per-site downtime
+// logs, clamped to the makespan: the loop stops at the final
+// completion, leaving open spans behind, so a span still open counts
+// only up to the makespan. Crash/window events at or after the
+// makespan never count.
 func finalizeFaults(w *world, res *Result) {
 	if w.faults == nil {
 		return

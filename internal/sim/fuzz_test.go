@@ -1,40 +1,26 @@
 package sim
 
-// FuzzParallelOrdering model-checks the optimistic engine's
-// cross-partition event ordering against the serial kernel: a fuzzed
-// (seed, policy, site selector, staleness, fault regime) coordinate
-// synthesizes a random multi-site federation and workload, both
-// engines simulate the same trace, and every observable — job records,
-// counters (including the fault set), series — must match bit for bit.
-// faultPick == 0 reproduces the historical fault-free corpus; any other
-// value enables machine crashes (and, depending on its low bits,
-// maintenance windows under either victim policy). Runs where the
-// optimistic engine reports an ambiguous cross-partition timestamp tie
-// (possible with fuzzed integer delays; the serial scheduling-order
-// tie-break is not reconstructible) skip the comparison but still
-// require both engines to complete cleanly. The committed corpus pins
-// the coordinates that found real ordering bugs during development: a
-// cross-site alias dispatch, an arrival/refresh tie on the sample
-// grid, a stale decision fence ahead of an unclaimed spawning event,
-// and a machine crash whose kill-requeue races a cross-site arrival
-// (the coordinate class that exposed the cross-alias victim hazard —
-// see the alias-risk ledger promotion in shard.go).
+// FuzzFederationRun runs the serial kernel on random federations: a
+// fuzzed (seed, policy, site selector, staleness, fault regime)
+// coordinate synthesizes a random multi-site platform and workload.
+// Every run must return a result or an error, never panic; the only
+// acceptable error is the MaxTime cap that bounds per-input cost; a
+// successful run must reproduce its fingerprint bit for bit when run
+// again; and with CheckConservation on, every completed job must pass
+// the accounting identity (a violation fails the run). faultPick == 0
+// disables the fault subsystem; any other value enables machine
+// crashes (and, depending on its low bits, maintenance windows under
+// either victim policy). The committed corpus pins coordinates that
+// once broke a partitioned engine: a cross-site alias dispatch, an
+// arrival/refresh tie on the sample grid, a stale decision fence, a
+// lost cancellation, and machine crashes racing cross-site arrivals
+// and drain windows.
 
 import (
 	"math/rand/v2"
-	"sync"
+	"strings"
 	"testing"
 )
-
-// fuzzCmp tallies how many corpus inputs actually reached the
-// bit-identity comparison versus skipping it on an ambiguous tie. A
-// skip is legitimate for one coordinate, but if every input skips the
-// fuzz target has silently stopped checking anything — the coverage
-// test after the fuzz target turns that into a failure.
-var fuzzCmp struct {
-	sync.Mutex
-	runs, skips int
-}
 
 // fuzzFaults derives a fault regime from one fuzz byte pair: zero
 // disables the subsystem entirely (historical behavior); otherwise
@@ -60,7 +46,7 @@ func fuzzFaults(seed uint64, faultPick, victimPick byte) FaultConfig {
 	return f
 }
 
-func FuzzParallelOrdering(f *testing.F) {
+func FuzzFederationRun(f *testing.F) {
 	f.Add(uint64(0x64ccd4a6193fcb8f), byte(0xcb), byte(0x38), byte(0x3e), byte(0), byte(0))
 	f.Add(uint64(0xaeb86490e1d38afc), byte(0xaa), byte(0x67), byte(0x8d), byte(0), byte(0))
 	f.Add(uint64(0xcd3965e7d3eebe1f), byte(0x65), byte(0x8b), byte(0xda), byte(0), byte(0))
@@ -68,6 +54,13 @@ func FuzzParallelOrdering(f *testing.F) {
 	f.Add(uint64(42), byte(0), byte(0), byte(0), byte(0), byte(0))
 	f.Add(uint64(7), byte(1), byte(2), byte(20), byte(0), byte(0))
 	f.Add(uint64(11), byte(3), byte(2), byte(5), byte(9), byte(1))
+	// The seed, policy, selector and staleness of three fault
+	// coordinates whose cross-site alias cascades (a job started or
+	// resumed on another site's machine) once broke a partitioned
+	// engine, here with crashes and maintenance windows on.
+	f.Add(uint64(0xc3f6e86ceb22700c), byte(0x4d), byte(0xef), byte(0), byte(1), byte(0))
+	f.Add(uint64(0xea88b13d3b3caf29), byte(0xaf), byte(0x3c), byte(33), byte(1), byte(0))
+	f.Add(uint64(0xb28cd8d1d946a1fd), byte(0xa1), byte(0x46), byte(29), byte(1), byte(0))
 	f.Fuzz(func(t *testing.T, seed uint64, polPick, selPick, staleness, faultPick, victimPick byte) {
 		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 		plat, specs, err := randomFederation(r)
@@ -75,8 +68,7 @@ func FuzzParallelOrdering(f *testing.F) {
 			t.Skip()
 		}
 		// Bound per-input cost: truncate the workload and cap simulated
-		// time. Runs that exceed the cap must fail identically in both
-		// engines, which is itself part of the contract.
+		// time.
 		if len(specs) > 80 {
 			specs = specs[:80]
 		}
@@ -91,40 +83,19 @@ func FuzzParallelOrdering(f *testing.F) {
 				MaxTime:           20000,
 			}
 		}
-		serialRes, serialErr := Run(mk(), specs)
-		opt := mk()
-		opt.Engine = EngineOptimistic
-		optRes, optErr := Run(opt, specs)
-		if (serialErr == nil) != (optErr == nil) {
-			t.Fatalf("engines disagree on failure: serial=%v optimistic=%v", serialErr, optErr)
-		}
-		if serialErr != nil {
+		res, err := Run(mk(), specs)
+		if err != nil {
+			if !strings.Contains(err.Error(), "exceeded MaxTime") {
+				t.Fatalf("run failed: %v", err)
+			}
 			return
 		}
-		fuzzCmp.Lock()
-		fuzzCmp.runs++
-		if optRes.ambiguousTies {
-			fuzzCmp.skips++
+		again, err := Run(mk(), specs)
+		if err != nil {
+			t.Fatalf("second run failed: %v", err)
 		}
-		fuzzCmp.Unlock()
-		if optRes.ambiguousTies {
-			t.Skip("ambiguous cross-partition tie: serial order not reconstructible")
-		}
-		if a, b := fingerprint(serialRes), fingerprint(optRes); a != b {
-			t.Fatalf("serial and optimistic results diverge:\n%s", firstDiff(a, b))
+		if a, b := fingerprint(res), fingerprint(again); a != b {
+			t.Fatalf("rerun diverged:\n%s", firstDiff(a, b))
 		}
 	})
-}
-
-// TestFuzzCorpusComparisonCoverage runs after the fuzz target's seed
-// corpus (in-file declaration order) and fails if the bit-identity
-// comparison was skipped on every single input. Guarded on runs > 0 so
-// -run filters and -shuffle cannot produce a vacuous failure or a false
-// pass being load-bearing.
-func TestFuzzCorpusComparisonCoverage(t *testing.T) {
-	fuzzCmp.Lock()
-	defer fuzzCmp.Unlock()
-	if fuzzCmp.runs > 0 && fuzzCmp.skips >= fuzzCmp.runs {
-		t.Errorf("all %d fuzz corpus inputs skipped the comparison as ambiguous ties", fuzzCmp.runs)
-	}
 }

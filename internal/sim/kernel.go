@@ -14,20 +14,16 @@ import (
 // types (see placement.go, resched.go, snapshot.go, faults.go,
 // accounting.go) that register their handlers with the kernel at shard
 // construction. The kernel itself never inspects payloads and never
-// touches platform state, which is what lets the serial engine
-// (serial.go) and the partitioned optimistic engine (optimistic.go)
-// drive identical mechanism code.
+// touches platform state; the serial loop (serial.go) drives it.
 //
 // Event kinds are an open registry, not a closed enum: a subsystem
-// allocates each kind it owns with registerKind/registerHandoffKind
-// and receives an opaque handle back, so new mechanisms plug in
-// without touching the kernel or the engines. Kind numbering follows
-// registration order; because every shard registers the same
-// subsystem list in the same order, the numbering is identical across
-// the partitions of one run (runOptimistic verifies this), which is what
-// lets cross-shard deliveries carry kind values between kernels. Kind
-// numbers never influence event ordering — the queue orders purely on
-// (time, tie rank) — so the numbering is free to change as subsystems
+// allocates each kind it owns with registerKind and receives an opaque
+// handle back, so new mechanisms plug in without touching the kernel
+// or the loop. Kind numbering follows registration order, which is
+// fixed (newShard is the only registration site); snapshots reference
+// kinds by number and guard the table with kindTableHash. Kind numbers
+// never influence event ordering — the queue orders purely on (time,
+// scheduling order) — so the numbering is free to change as subsystems
 // come and go.
 
 // kind is an opaque handle for a registered event kind. The zero value
@@ -42,22 +38,11 @@ type kind int
 type handlerFunc func(a, b int64, ref any) error
 
 // kindInfo is one registry entry: the kind's diagnostic name, its
-// synchronization class, its handler, and its payload codec (how the
-// checkpoint subsystem serializes the kind's pending events).
+// handler, and its payload codec (how the checkpoint subsystem
+// serializes the kind's pending events).
 type kindInfo struct {
 	name    string
 	handler handlerFunc
-
-	// deciding kinds consult scheduling or rescheduling policy —
-	// shared, order-sensitive state — and the optimistic engine
-	// serializes them globally in timestamp order.
-	deciding bool
-	// handoff kinds redistribute machine capacity (completions,
-	// arrivals, fault repairs): their wait-queue scans touch only
-	// shard-local state unless the shard has live alias risk, in which
-	// case the optimistic engine promotes them to deciding (see
-	// shard.aliasRisk).
-	handoff bool
 
 	// encPayload/decPayload serialize the kind's event payload for
 	// checkpointing. registerKind installs the one-word codec (most
@@ -80,8 +65,8 @@ type kindInfo struct {
 // checkpoint mirror of the event-kind registry. Each subsystem
 // registers a codec that can dump and restore its portion of shard
 // state; the snapshot machinery drives the codecs in registration
-// order, which is identical across shards and runs for the same reason
-// kind numbering is.
+// order, which is identical across runs for the same reason kind
+// numbering is.
 type stateCodec struct {
 	name string
 	save func(e *snapEncoder)
@@ -94,36 +79,13 @@ type subsystem interface {
 	register(k *kernel)
 }
 
-// evRef identifies a scheduled event for cancellation. It records the
-// owning queues: an alias dispatch may cancel a wait timer that a
-// different shard's kernel scheduled, and cancellation must decrement
-// that queue's live count, not the canceling shard's. For kinds the
-// optimistic engine fence-publishes (deciding kinds, and the handoff
-// kinds that alias risk can promote to deciding) it carries a second
-// handle into the corresponding shadow queue.
-type evRef struct {
-	main    eventq.Handle
-	mainQ   *eventq.Queue
-	shadow  eventq.Handle
-	shadowQ *eventq.Queue
-}
-
-// kernel is one partition's event loop core: clock, queue, kind
-// registry, and processed-event count.
+// kernel is the event loop core: clock, queue, kind registry, and
+// processed-event count.
 type kernel struct {
 	q   *eventq.Queue
 	now float64
 
-	// phase is the tie-rank phase stamped on every locally scheduled
-	// event: the global decision count when the creating event ran.
-	// Always 0 in the serial engine (pure scheduling order); the
-	// optimistic engine updates it at each commit so that same-time
-	// events reproduce the creation order of a single global queue.
-	phase uint64
-
-	// events counts dispatched events (serial engine; the optimistic
-	// engine counts through per-shard event logs so it can truncate at
-	// the final completion exactly like the serial loop does).
+	// events counts dispatched events.
 	events int64
 
 	// kinds is the event-kind registry. Index 0 is reserved so the
@@ -133,17 +95,9 @@ type kernel struct {
 	// codecs is the state registry: one StateCodec per subsystem, in
 	// registration order (see stateCodec).
 	codecs []stateCodec
-
-	// decideQ shadows pending deciding events and handoffQ shadows
-	// pending capacity-handoff events, so the partition can publish
-	// the timestamp of its next decision — and, under alias risk, its
-	// next promoted handoff — in O(1). Both are nil in the serial
-	// engine, which needs no fences.
-	decideQ  *eventq.Queue
-	handoffQ *eventq.Queue
 }
 
-func newKernel(trackDecides bool) *kernel {
+func newKernel() *kernel {
 	k := &kernel{q: eventq.New(), kinds: make([]kindInfo, 1)}
 	// Route reference payloads of canceled-and-dropped events to their
 	// kind's recycler, if it registered one.
@@ -152,18 +106,12 @@ func newKernel(trackDecides bool) *kernel {
 			k.kinds[kd].release(ref)
 		}
 	})
-	if trackDecides {
-		k.decideQ = eventq.New()
-		k.handoffQ = eventq.New()
-	}
 	return k
 }
 
 // registerKind allocates a new event kind owned by the calling
-// subsystem and installs its handler. deciding marks kinds whose
-// handlers consult shared scheduler/policy state and must execute in
-// global timestamp order under the optimistic engine.
-func (k *kernel) registerKind(name string, deciding bool, h handlerFunc) kind {
+// subsystem and installs its handler.
+func (k *kernel) registerKind(name string, h handlerFunc) kind {
 	if h == nil {
 		panic(fmt.Sprintf("sim: event kind %q registered with nil handler", name))
 	}
@@ -173,7 +121,7 @@ func (k *kernel) registerKind(name string, deciding bool, h handlerFunc) kind {
 		}
 	}
 	k.kinds = append(k.kinds, kindInfo{
-		name: name, deciding: deciding, handler: h,
+		name: name, handler: h,
 		encPayload: func(e *snapEncoder, a, _ int64, _ any) { e.I64(a) },
 		decPayload: func(d *snapDecoder) (int64, int64, any) { return d.I64(), 0, nil },
 		argOf:      func(a, _ int64, _ any) int64 { return a },
@@ -198,9 +146,9 @@ func (k *kernel) setPayloadRelease(kd kind, release func(ref any)) {
 }
 
 // registerState adds a subsystem's state codec to the kernel's state
-// registry. Like event kinds, codec order follows registration order
-// and must be identical across the shards of one run; the snapshot
-// format records the codec names so a mismatched restore is caught.
+// registry. Like event kinds, codec order follows registration order;
+// the snapshot format records the codec names so a mismatched restore
+// is caught.
 func (k *kernel) registerState(name string, save func(*snapEncoder), load func(*snapDecoder) error) {
 	for _, c := range k.codecs {
 		if c.name == name {
@@ -210,89 +158,20 @@ func (k *kernel) registerState(name string, save func(*snapEncoder), load func(*
 	k.codecs = append(k.codecs, stateCodec{name: name, save: save, load: load})
 }
 
-// registerHandoffKind allocates a capacity-handoff kind: non-deciding
-// in the serial order, but promoted to deciding by the optimistic engine
-// while the owning shard has live alias risk, because redistributing
-// capacity scans wait queues whose revived slots can reach jobs
-// resident at other sites.
-func (k *kernel) registerHandoffKind(name string, h handlerFunc) kind {
-	id := k.registerKind(name, false, h)
-	k.kinds[id].handoff = true
-	return id
-}
-
-// decides reports whether the kind is statically deciding. The
-// argument is an int because it usually arrives from an eventq.Event.
-func (k *kernel) decides(kd int) bool { return k.kinds[kd].deciding }
-
-// isHandoff reports whether the kind is a capacity handoff.
-func (k *kernel) isHandoff(kd int) bool { return k.kinds[kd].handoff }
-
-// schedule adds an event at time t, shadowing fence-published kinds.
-// The payload is the inline word pair (a, b); the rare reference
-// payloads go through scheduleRef.
-func (k *kernel) schedule(t float64, kd kind, a, b int64) evRef {
-	return k.scheduleRef(t, kd, a, b, nil)
+// schedule adds an event at time t. The payload is the inline word
+// pair (a, b); the rare reference payloads go through scheduleRef.
+func (k *kernel) schedule(t float64, kd kind, a, b int64) eventq.Handle {
+	return k.q.Schedule(t, int(kd), a, b, nil)
 }
 
 // scheduleRef is schedule for kinds that carry a reference payload.
-func (k *kernel) scheduleRef(t float64, kd kind, a, b int64, payload any) evRef {
-	ref := evRef{main: k.q.SchedulePhased(t, int(kd), a, b, payload, k.phase), mainQ: k.q}
-	info := &k.kinds[kd]
-	switch {
-	case k.decideQ != nil && info.deciding:
-		ref.shadowQ = k.decideQ
-	case k.handoffQ != nil && info.handoff:
-		ref.shadowQ = k.handoffQ
-	}
-	if ref.shadowQ != nil {
-		ref.shadow = ref.shadowQ.SchedulePhased(t, int(kd), 0, 0, nil, k.phase)
-	}
-	return ref
-}
-
-// deliverBatch bulk-schedules one commit's pre-sorted cross-partition
-// deliveries, each ranked by its creating decision (G) and send index
-// (Idx) so same-time ties resolve exactly as the serial engine's
-// creation order would. The main queue takes the whole batch in one
-// call; fence shadows for handoff kinds are added in the same pass.
-func (k *kernel) deliverBatch(batch []eventq.Delivery) {
-	k.q.DeliverBatch(batch)
-	if k.handoffQ == nil {
-		return
-	}
-	for i := range batch {
-		d := &batch[i]
-		if k.kinds[d.Kind].handoff {
-			k.handoffQ.ScheduleDelivery(d.Time, d.Kind, 0, 0, nil, d.G, d.Idx)
-		}
-	}
-}
-
-// restoreEvent reinstates a checkpointed pending event with its exact
-// tie rank, recreating the fence shadow for published kinds. The rank
-// is reused for the shadow entry: shadow queues only publish their
-// minimum pending time and pop in lockstep with their kinds' events,
-// so any ordering consistent with the main queue's is correct — and the
-// saved rank is exactly that.
-func (k *kernel) restoreEvent(sev eventq.SavedEvent) evRef {
-	ref := evRef{main: k.q.Restore(sev), mainQ: k.q}
-	info := &k.kinds[sev.Kind]
-	switch {
-	case k.decideQ != nil && info.deciding:
-		ref.shadowQ = k.decideQ
-	case k.handoffQ != nil && info.handoff:
-		ref.shadowQ = k.handoffQ
-	}
-	if ref.shadowQ != nil {
-		ref.shadow = ref.shadowQ.Restore(eventq.SavedEvent{Time: sev.Time, Kind: sev.Kind, Rank: sev.Rank})
-	}
-	return ref
+func (k *kernel) scheduleRef(t float64, kd kind, a, b int64, payload any) eventq.Handle {
+	return k.q.Schedule(t, int(kd), a, b, payload)
 }
 
 // releaseRef recycles a fired event's reference payload through its
-// kind's recycler, if any. Engines call it after the handler (and any
-// replay recording) has consumed the payload.
+// kind's recycler, if any. The loop calls it after the handler (and
+// any replay recording) has consumed the payload.
 func (k *kernel) releaseRef(ev eventq.Event) {
 	if ev.Ref == nil {
 		return
@@ -302,55 +181,8 @@ func (k *kernel) releaseRef(ev eventq.Event) {
 	}
 }
 
-// cancel removes a scheduled event (and its shadow) from the queues
-// that own them, which are not necessarily this kernel's.
-func (k *kernel) cancel(ref evRef) {
-	if ref.mainQ != nil {
-		ref.mainQ.Cancel(ref.main)
-	}
-	if ref.shadowQ != nil {
-		ref.shadowQ.Cancel(ref.shadow)
-	}
-}
-
-// nextDecide returns the timestamp of the earliest pending deciding
-// event, or +inf when none is queued.
-func (k *kernel) nextDecide() float64 {
-	return shadowNext(k.decideQ)
-}
-
-// nextHandoff returns the timestamp of the earliest pending capacity
-// handoff, or +inf when none is queued.
-func (k *kernel) nextHandoff() float64 {
-	return shadowNext(k.handoffQ)
-}
-
-func shadowNext(q *eventq.Queue) float64 {
-	if q == nil {
-		return inf
-	}
-	if t, ok := q.NextTime(); ok {
-		return t
-	}
-	return inf
-}
-
-// sameKinds reports whether two kernels allocated identical kind
-// tables — the cross-partition consistency the optimistic engine relies
-// on to ship kind values between shards.
-func sameKinds(a, b *kernel) bool {
-	if len(a.kinds) != len(b.kinds) {
-		return false
-	}
-	for i := 1; i < len(a.kinds); i++ {
-		if a.kinds[i].name != b.kinds[i].name ||
-			a.kinds[i].deciding != b.kinds[i].deciding ||
-			a.kinds[i].handoff != b.kinds[i].handoff {
-			return false
-		}
-	}
-	return true
-}
+// cancel removes a scheduled event; stale handles are ignored.
+func (k *kernel) cancel(h eventq.Handle) { k.q.Cancel(h) }
 
 // dispatch applies one popped event through the registered handler.
 func (k *kernel) dispatch(ev eventq.Event) error {

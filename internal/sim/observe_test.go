@@ -41,11 +41,11 @@ func obsFederation(t *testing.T, seed uint64) (Config, []job.Spec) {
 	}, specs
 }
 
-// TestObservabilitySharedRegistry runs both engines concurrently
+// TestObservabilitySharedRegistry runs several simulations concurrently
 // against ONE shared registry and tracer — the cmd/experiments wiring —
 // while progress callbacks fire at every poll. Under -race this is the
 // concurrency proof for the obs hot path; the counter reconciliation
-// below is the correctness proof (every engine reports its event count
+// below is the correctness proof (every run reports its event count
 // through the same atomic counter, none lost).
 func TestObservabilitySharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -55,15 +55,14 @@ func TestObservabilitySharedRegistry(t *testing.T) {
 	var mu sync.Mutex
 	var firstErr error
 	run := 0
-	for _, engine := range []string{EngineSerial, EngineOptimistic} {
+	for range 2 {
 		for _, seed := range []uint64{11, 23} {
 			cfg, specs := obsFederation(t, seed)
-			cfg.Engine = engine
 			cfg.Metrics = reg
-			cfg.Trace = tr.Process(fmt.Sprintf("run %02d %s", run, engine))
+			cfg.Trace = tr.Process(fmt.Sprintf("run %02d seed %d", run, seed))
 			cfg.ProgressEvery = time.Nanosecond
 			cfg.Progress = func(p obs.Progress) {
-				if p.SimTime < 0 || p.Events < 0 || p.Rollbacks < 0 {
+				if p.SimTime < 0 || p.Events < 0 {
 					t.Errorf("progress with negative fields: %+v", p)
 				}
 				progressCalls.Add(1)
@@ -105,44 +104,39 @@ func TestObservabilitySharedRegistry(t *testing.T) {
 
 // TestObservabilityDoesNotPerturbResults pins the instrument-nothing
 // contract: a fully instrumented run (registry + timeline + progress)
-// must be bit-identical to a bare run of the same configuration, on
-// every engine.
+// must be bit-identical to a bare run of the same configuration.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
-	for _, engine := range []string{EngineSerial, EngineOptimistic} {
-		bare, specs := obsFederation(t, 37)
-		bare.Engine = engine
-		bareRes, err := Run(bare, specs)
-		if err != nil {
-			t.Fatalf("%s bare: %v", engine, err)
-		}
-		inst, specs2 := obsFederation(t, 37)
-		inst.Engine = engine
-		inst.Metrics = obs.NewRegistry()
-		inst.Trace = obs.NewTracer().Process("cell probe")
-		inst.ProgressEvery = time.Nanosecond
-		inst.Progress = func(obs.Progress) {}
-		instRes, err := Run(inst, specs2)
-		if err != nil {
-			t.Fatalf("%s instrumented: %v", engine, err)
-		}
-		if fingerprint(bareRes) != fingerprint(instRes) {
-			t.Errorf("%s: instrumented run differs from bare run:\n%s",
-				engine, firstDiff(fingerprint(bareRes), fingerprint(instRes)))
-		}
+	bare, specs := obsFederation(t, 37)
+	bareRes, err := Run(bare, specs)
+	if err != nil {
+		t.Fatalf("bare: %v", err)
+	}
+	inst, specs2 := obsFederation(t, 37)
+	inst.Metrics = obs.NewRegistry()
+	inst.Trace = obs.NewTracer().Process("cell probe")
+	inst.ProgressEvery = time.Nanosecond
+	inst.Progress = func(obs.Progress) {}
+	instRes, err := Run(inst, specs2)
+	if err != nil {
+		t.Fatalf("instrumented: %v", err)
+	}
+	if fingerprint(bareRes) != fingerprint(instRes) {
+		t.Errorf("instrumented run differs from bare run:\n%s",
+			firstDiff(fingerprint(bareRes), fingerprint(instRes)))
 	}
 }
 
-// TestTimelineTracksGolden runs a fixed workload under the optimistic
-// engine and pins the emitted timeline's track structure — process and
-// thread names — against a golden file. Shard planning is deterministic
-// (per-site, never GOMAXPROCS-dependent), so the track list is
-// machine-stable even though span timings are not.
+// TestTimelineTracksGolden runs a fixed workload with a timeline and
+// pins the emitted track structure — process and thread names —
+// against a golden file, so the track list is machine-stable even
+// though span timings are not. The run must also record its "run"
+// span, with the dispatched event count as its arg.
 func TestTimelineTracksGolden(t *testing.T) {
 	tr := obs.NewTracer()
 	cfg, specs := obsFederation(t, 7)
-	cfg.Engine = EngineOptimistic
-	cfg.Trace = tr.Process("cell golden/" + EngineOptimistic)
-	if _, err := Run(cfg, specs); err != nil {
+	cfg.Trace = tr.Process("cell golden/serial")
+	res, err := Run(cfg, specs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -150,6 +144,21 @@ func TestTimelineTracksGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := validateChromeTrace(t, buf.Bytes())
+
+	runs := 0
+	for _, e := range events {
+		if e["ph"] != "X" || e["name"] != "run" {
+			continue
+		}
+		runs++
+		args, _ := e["args"].(map[string]any)
+		if n, _ := args["events"].(float64); int64(n) != res.Events {
+			t.Errorf("run span events arg %v, want %d", args["events"], res.Events)
+		}
+	}
+	if runs != 1 {
+		t.Errorf("timeline has %d run spans, want 1", runs)
+	}
 
 	// Rebuild "process / track" names from the metadata events alone.
 	procs := map[float64]string{}

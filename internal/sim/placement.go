@@ -10,26 +10,21 @@ import (
 // placementSys is the placement/preemption subsystem: the virtual pool
 // manager's initial dispatch (submit), arrivals at physical pools
 // (arrive), completions (finish), and the capacity-handoff
-// mechanics they share (§2.1/§2.2). Submission is a deciding event —
-// it consults the initial scheduler, whose rotation state is shared
-// across sites; arrivals and completions touch only the owning
-// shard's pools and machines.
+// mechanics they share (§2.1/§2.2).
 type placementSys struct {
 	sh *shard
 
-	// Allocated event kinds: submission is deciding; arrivals and
-	// completions are capacity handoffs (promoted to deciding under
-	// alias risk).
+	// Allocated event kinds.
 	submit, arrive, finish kind
 }
 
 func (s *placementSys) register(k *kernel) {
 	sh := s.sh
-	s.submit = k.registerKind("submit", true, func(a, _ int64, _ any) error { return sh.handleSubmit(int(a)) })
-	s.arrive = k.registerHandoffKind("arrive", func(a, b int64, _ any) error {
+	s.submit = k.registerKind("submit", func(a, _ int64, _ any) error { return sh.handleSubmit(int(a)) })
+	s.arrive = k.registerKind("arrive", func(a, b int64, _ any) error {
 		return sh.arrival(int(a), int(b))
 	})
-	s.finish = k.registerHandoffKind("finish", func(a, _ int64, _ any) error { return sh.handleFinish(int(a)) })
+	s.finish = k.registerKind("finish", func(a, _ int64, _ any) error { return sh.handleFinish(int(a)) })
 	// arrive carries (job idx, destination pool) in (a, b); the encoding
 	// is byte-identical to the historical two-int struct codec.
 	k.setPayloadCodec(s.arrive,
@@ -42,25 +37,24 @@ func (s *placementSys) register(k *kernel) {
 	k.registerState("placement", s.save, s.load)
 }
 
-// save dumps the placement subsystem's slice of shard state: for every
-// in-scope site its busy counter, pool runtime state (class free
-// stacks, wait queue with tombstoned slots and exact FIFO layout,
-// victim-scan stacks with their stale entries, counters) and machine
-// runtime state (capacity, availability, resident job lists), plus the
-// full record of every job submitted in scope. FIFO layout and stale
-// stack entries are behavior, not bookkeeping — compaction timing
-// drives alias-risk accounting and victim pruning — so they are saved
-// exactly rather than rebuilt.
+// save dumps the placement subsystem's state: for every site its busy
+// counter, pool runtime state (class free stacks, wait queue with
+// tombstoned slots and exact FIFO layout, victim-scan stacks with
+// their stale entries, counters) and machine runtime state (capacity,
+// availability, resident job lists), plus the full record of every
+// job. FIFO layout and stale stack entries are behavior, not
+// bookkeeping — compaction timing decides which tombstoned slots can
+// still revive, and stale entries drive victim pruning — so they are
+// saved exactly rather than rebuilt.
 func (s *placementSys) save(e *snapEncoder) {
-	sh := s.sh
-	w := sh.w
+	w := s.sh.w
 	jobIdx := func(rt *jobRT) int {
 		if rt == nil {
 			return -1
 		}
 		return rt.idx
 	}
-	for _, site := range sh.sites {
+	for site := range w.nSites {
 		e.Int(w.siteBusy[site])
 		for _, pid := range w.plat.Site(site).Pools {
 			p := w.pools[pid]
@@ -116,8 +110,8 @@ func (s *placementSys) save(e *snapEncoder) {
 			}
 		}
 	}
-	for _, idx := range s.jobScope(e) {
-		rt := &w.jobs[idx]
+	for i := range w.jobs {
+		rt := &w.jobs[i]
 		st := rt.j.ExportState()
 		e.Int(int(st.State))
 		e.F64(st.StateSince)
@@ -142,75 +136,10 @@ func (s *placementSys) save(e *snapEncoder) {
 	}
 }
 
-// jobScope returns the job-record indices a save covers. The full
-// codec covers every job ever submitted in shard scope (sh.subIdx,
-// implicit: save and load both iterate it). Optimistic rollback
-// snapshots instead write an explicit list covering exactly the
-// records this shard's speculation can mutate: jobs resident at its
-// sites (wait-queue slots, running stacks and machine lists — alias
-// slots of departed jobs excluded, those records belong to the shard
-// the job moved to) plus jobs in transit to it (a pending arrive event
-// mutates the record when it fires). Records outside the set cannot
-// change between a rollback snapshot and its restore: decisions
-// invalidate every snapshot at commit, and other shards' speculation
-// touches only their own residents.
-func (s *placementSys) jobScope(e *snapEncoder) []int {
-	sh := s.sh
-	if sh.opt == nil {
-		return sh.subIdx
-	}
-	w := sh.w
-	idxs := sh.opt.scopeIdx[:0]
-	seen := sh.opt.scopeSeen
-	add := func(rt *jobRT) {
-		if rt != nil && !sh.away[rt.idx] && !seen[rt.idx] {
-			seen[rt.idx] = true
-			idxs = append(idxs, rt.idx)
-		}
-	}
-	for _, site := range sh.sites {
-		for _, pid := range w.plat.Site(site).Pools {
-			p := w.pools[pid]
-			for _, prio := range p.waitQ.prios {
-				for _, rt := range p.waitQ.classes[prio].items {
-					add(rt)
-				}
-			}
-			for _, stack := range p.running {
-				for _, rt := range stack {
-					add(rt)
-				}
-			}
-			for _, mid := range w.plat.Pool(pid).Machines {
-				m := &w.machines[mid]
-				for _, rt := range m.suspended {
-					add(rt)
-				}
-				for _, rt := range m.running {
-					add(rt)
-				}
-			}
-		}
-	}
-	for _, idx := range sh.opt.inTransit {
-		if !seen[idx] {
-			seen[idx] = true
-			idxs = append(idxs, idx)
-		}
-	}
-	for _, idx := range idxs {
-		seen[idx] = false
-	}
-	sh.opt.scopeIdx = idxs
-	e.Ints(idxs)
-	return idxs
-}
-
 // load mirrors save field for field into the freshly built runtime
 // structures.
 func (s *placementSys) load(d *snapDecoder) error {
-	sh := s.sh
-	w := sh.w
+	w := s.sh.w
 	nJobs := len(w.jobs)
 	jobAt := func(idx int) *jobRT {
 		if idx == -1 {
@@ -222,7 +151,7 @@ func (s *placementSys) load(d *snapDecoder) error {
 		}
 		return &w.jobs[idx]
 	}
-	for _, site := range sh.sites {
+	for site := range w.nSites {
 		w.siteBusy[site] = d.Int()
 		for _, pid := range w.plat.Site(site).Pools {
 			p := w.pools[pid]
@@ -307,21 +236,8 @@ func (s *placementSys) load(d *snapDecoder) error {
 			}
 		}
 	}
-	scope := sh.subIdx
-	if sh.opt != nil {
-		scope = d.IntsN(len(w.jobs))
-		if d.err != nil {
-			return d.err
-		}
-		for _, idx := range scope {
-			if idx < 0 || idx >= nJobs {
-				d.fail()
-				return d.err
-			}
-		}
-	}
-	for _, idx := range scope {
-		rt := &w.jobs[idx]
+	for i := range w.jobs {
+		rt := &w.jobs[i]
 		var st job.JobState
 		st.State = job.State(d.Int())
 		st.StateSince = d.F64()
@@ -352,12 +268,11 @@ func (s *placementSys) load(d *snapDecoder) error {
 }
 
 // handleSubmit routes a newly submitted job through the virtual pool
-// manager and chains the shard's next submission event. Dispatch to a
-// pool at another site pays the one-way inter-site delay before
-// arrival (the interval accrues as wait time, c1).
+// manager and chains the next submission event. Dispatch to a pool at
+// another site pays the one-way inter-site delay before arrival (the
+// interval accrues as wait time, c1).
 func (sh *shard) handleSubmit(idx int) error {
-	if sh.nextSubmit < len(sh.subIdx) {
-		next := sh.subIdx[sh.nextSubmit]
+	if next := sh.nextSubmit; next < len(sh.w.specs) {
 		sh.k.schedule(sh.w.specs[next].Submit, sh.place.submit, int64(next), 0)
 		sh.nextSubmit++
 	}
@@ -370,7 +285,7 @@ func (sh *shard) handleSubmit(idx int) error {
 	if sh.siteOfPool(pool) != rt.spec.Site {
 		sh.res.CrossSiteSubmits++
 		if d := sh.w.plat.RTT(rt.spec.Site, sh.siteOfPool(pool)); d > 0 {
-			sh.send(sh.w.siteOf[pool], sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
+			sh.k.schedule(sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
 			return nil
 		}
 	}
@@ -381,7 +296,6 @@ func (sh *shard) handleSubmit(idx int) error {
 // queue it.
 func (sh *shard) arrival(idx, pool int) error {
 	rt := &sh.w.jobs[idx]
-	sh.noteResident(idx)
 	if err := rt.j.Enqueue(sh.k.now, pool); err != nil {
 		return err
 	}
@@ -395,7 +309,7 @@ func (sh *shard) tryPlace(rt *jobRT, p *poolRT) error {
 		return sh.startOn(rt, mid)
 	}
 	// (2) Preempt a lower-priority running job.
-	if victim := p.findVictim(rt.spec, sh.w.machines, !sh.w.cfg.SuspendHoldsMemory, sh.departed()); victim != nil {
+	if victim := p.findVictim(rt.spec, sh.w.machines, !sh.w.cfg.SuspendHoldsMemory); victim != nil {
 		return sh.preempt(rt, victim)
 	}
 	// (3) Queue and wait.
@@ -485,8 +399,7 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 	sh.scopeSuspended++
 
 	// A victim found through a stale running-stack entry may sit on
-	// another site's machine (see findVictim): the preemptor moves there.
-	sh.moveResidency(rt.idx, sh.siteOfPool(rt.j.Pool), sh.siteOfPool(mach.m.Pool))
+	// another site's machine (see findVictim): the preemptor starts there.
 	if err := sh.startOn(rt, mid); err != nil {
 		return err
 	}
@@ -505,7 +418,6 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 // wait-timeout timer.
 func (sh *shard) enqueue(rt *jobRT, p *poolRT) {
 	p.waitQ.push(rt)
-	sh.noteSlotPush(rt.idx)
 	rt.enqueuedAt = sh.k.now
 	sh.scopeWaiting++
 	if th := sh.w.cfg.Policy.WaitThreshold(); th > 0 {
@@ -561,19 +473,10 @@ func (sh *shard) onFree(mid int) error {
 			(sh.w.cfg.QueueBeatsResume && wrt.j.Spec.Priority > srt.j.Spec.Priority))
 		if useWaiting {
 			p.waitQ.remove(wrt)
-			// A revived slot may hand us a job whose last enqueue was at
-			// another partition (see waitQueue); dispatching it makes it
-			// resident at this machine's site, exactly as the serial
-			// engine does. This branch only runs under global quiescence
-			// (alias risk promotes the event to deciding), so telling the
-			// queue's owning shard that the job left is safe. The
-			// dispatch also leaves the job's Pool label pointing at the
-			// other partition, opening every cross-partition hazard the
-			// alias-risk ledger guards against — the startOn below flags
-			// the job aliased (label partition != machine partition), and
-			// all capacity handoffs serialize until the last such job
-			// detaches.
-			sh.moveResidency(wrt.idx, sh.siteOfPool(wrt.j.Pool), sh.siteOfPool(mach.m.Pool))
+			// A revived slot (see waitQueue) may hand us a job whose
+			// current queue label is another pool, possibly at another
+			// site. It starts on this machine all the same and keeps that
+			// label; startOn flags it aliased when the sites differ.
 			sh.scopeWaiting--
 			sh.k.cancel(wrt.waitTO)
 			if err := sh.startOn(wrt, mid); err != nil {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"netbatch/internal/cluster"
+	"netbatch/internal/eventq"
 	"netbatch/internal/job"
 )
 
@@ -14,19 +15,17 @@ type jobRT struct {
 	spec *job.Spec
 
 	// finish is the pending completion event, valid while running.
-	finish evRef
+	finish eventq.Handle
 	// waitTO is the pending wait-timeout event, valid while queued.
-	waitTO evRef
+	waitTO eventq.Handle
 	// queued marks live membership in a pool wait queue.
 	queued bool
 	// aliased marks a job attached to a machine (running or suspended)
 	// at a site other than its queue-pool label's site — the product of
 	// a cross-site alias dispatch (a revived wait-queue slot, or a
-	// preemption installing a remote label on a local machine) — or,
-	// in a partitioned run, attached there by another site's shard. Set
-	// by shard.noteAttach and cleared by shard.noteDetach; the count of
-	// live flags (world.aliasLive) is what promotes capacity handoffs
-	// to deciding events in the optimistic engine.
+	// preemption installing a remote label on a local machine). Set by
+	// shard.noteAttach and cleared by shard.noteDetach, which counts
+	// the clear in Result.AliasRetirements.
 	aliased bool
 	// enqueuedAt is when the job entered its current wait queue.
 	enqueuedAt float64
@@ -222,11 +221,8 @@ func (p *poolRT) pushRunning(rt *jobRT) {
 // findVictim scans running jobs of priority strictly below prio, most
 // recently started first, for one whose preemption would let spec run
 // on its machine. It returns nil if none qualifies. Stale entries are
-// pruned; the returned victim is removed from the stack. departed,
-// when non-nil, marks jobs known to have left this pool's shard (see
-// shard.departed): their entries are stale, and are pruned without
-// reading job state another shard may be writing concurrently.
-func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem bool, departed []bool) *jobRT {
+// pruned; the returned victim is removed from the stack.
+func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem bool) *jobRT {
 	for vp := job.Priority(1); vp < spec.Priority; vp++ {
 		stack, ok := p.running[vp]
 		if !ok {
@@ -241,10 +237,8 @@ func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem boo
 			// entry here then still matches. Preempting such a victim
 			// installs this pool's arrival on the other pool's machine —
 			// possibly at another site — which is deliberate, preserved
-			// seed behavior; the optimistic engine serializes it (see the
-			// cross-alias promotion in shard.go).
-			if departed != nil && departed[v.idx] ||
-				v.j.State() != job.StateRunning || v.j.Pool != p.pool.ID {
+			// seed behavior.
+			if v.j.State() != job.StateRunning || v.j.Pool != p.pool.ID {
 				stack = append(stack[:i], stack[i+1:]...)
 				continue
 			}

@@ -134,7 +134,7 @@ func TestFindVictimPicksMostRecentLowest(t *testing.T) {
 	_ = v1
 
 	newSpec := &job.Spec{ID: 9, Cores: 1, MemMB: 1024, Priority: job.PriorityHigh, Candidates: []int{0}}
-	victim := p.findVictim(newSpec, machines, true, nil)
+	victim := p.findVictim(newSpec, machines, true)
 	if victim != v2 {
 		t.Fatalf("victim = %v, want most recently started job 2", victim.spec.ID)
 	}
@@ -164,17 +164,17 @@ func TestFindVictimRespectsMemoryAndPriority(t *testing.T) {
 	p.pushRunning(rt)
 
 	// Equal priority: no victim.
-	if v := p.findVictim(&job.Spec{Cores: 1, MemMB: 1, Priority: job.PriorityHigh}, machines, true, nil); v != nil {
+	if v := p.findVictim(&job.Spec{Cores: 1, MemMB: 1, Priority: job.PriorityHigh}, machines, true); v != nil {
 		t.Fatal("equal-priority job found a victim")
 	}
 	// Higher priority but memory won't fit even after release.
 	huge := &job.Spec{Cores: 1, MemMB: 1 << 20, Priority: job.PriorityHigh + 1}
-	if v := p.findVictim(huge, machines, true, nil); v != nil {
+	if v := p.findVictim(huge, machines, true); v != nil {
 		t.Fatal("victim found despite impossible memory")
 	}
 	// Higher priority, fits with released memory.
 	ok := &job.Spec{Cores: 1, MemMB: 2048, Priority: job.PriorityHigh + 1}
-	if v := p.findVictim(ok, machines, true, nil); v != rt {
+	if v := p.findVictim(ok, machines, true); v != rt {
 		t.Fatal("expected the running high job as victim of higher priority")
 	}
 }

@@ -15,8 +15,7 @@ import (
 // a reschedule) becomes visible to this pool's dispatcher again
 // through its old slots, keeping its former FIFO position — and a
 // dispatcher can thereby start a job that currently waits in a
-// different pool's queue. The optimistic engine reproduces this
-// behavior exactly; see the alias-risk machinery in shard.go.
+// different pool's queue, possibly at another site (see jobRT.aliased).
 type waitQueue struct {
 	// classes maps priority -> FIFO ring of entries. Tombstones (entries
 	// with queued=false) are compacted as the head advances.
@@ -25,9 +24,6 @@ type waitQueue struct {
 	prios []job.Priority
 	// n counts live (non-tombstoned) entries.
 	n int
-	// onDrop, when set, observes every slot physically discarded by
-	// compaction (the optimistic engine's alias-risk accounting).
-	onDrop func(*jobRT)
 }
 
 // fitScanLimit bounds how deep the dispatcher looks past the queue head
@@ -86,7 +82,7 @@ func (w *waitQueue) remove(rt *jobRT) {
 func (w *waitQueue) peekFitting(fits func(*jobRT) bool) *jobRT {
 	for _, prio := range w.prios {
 		f := w.classes[prio]
-		f.compact(w.onDrop)
+		f.compact()
 		scanned := 0
 		for i := f.head; i < len(f.items) && scanned < fitScanLimit; i++ {
 			rt := f.items[i]
@@ -107,7 +103,7 @@ func (w *waitQueue) peekFitting(fits func(*jobRT) bool) *jobRT {
 func (w *waitQueue) topPriority() job.Priority {
 	for _, prio := range w.prios {
 		f := w.classes[prio]
-		f.compact(w.onDrop)
+		f.compact()
 		for i := f.head; i < len(f.items); i++ {
 			if rt := f.items[i]; rt != nil && rt.queued {
 				return prio
@@ -127,15 +123,12 @@ type fifo struct {
 func (f *fifo) push(rt *jobRT) { f.items = append(f.items, rt) }
 
 // compact advances head past tombstones and reclaims space once the
-// dead prefix dominates. Discarded slots are reported to onDrop.
-func (f *fifo) compact(onDrop func(*jobRT)) {
+// dead prefix dominates.
+func (f *fifo) compact() {
 	for f.head < len(f.items) {
 		rt := f.items[f.head]
 		if rt != nil && rt.queued {
 			break
-		}
-		if rt != nil && onDrop != nil {
-			onDrop(rt)
 		}
 		f.items[f.head] = nil
 		f.head++

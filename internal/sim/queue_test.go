@@ -110,7 +110,7 @@ func TestWaitQueueCompaction(t *testing.T) {
 		t.Fatalf("peek = job %d, want 401", got.spec.ID)
 	}
 	f := q.classes[job.PriorityLow]
-	f.compact(q.onDrop)
+	f.compact()
 	if len(f.items)-f.head > 150 {
 		t.Fatalf("compaction ineffective: %d live slots for 100 entries", len(f.items)-f.head)
 	}

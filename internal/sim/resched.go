@@ -10,20 +10,19 @@ import (
 // reschedSys is the dynamic-rescheduling subsystem: the paper's
 // primary mechanism (§3). It owns the suspension-decision sweep
 // (susDecide) and the wait-queue stall timer (waitTimeout). Both
-// are deciding events: they consult the core.Policy — whose random
-// streams are order-sensitive — and read the (aged) utilization view,
-// so the optimistic engine executes them in global timestamp order.
+// consult the core.Policy — whose random streams are order-sensitive —
+// and read the (aged) utilization view.
 type reschedSys struct {
 	sh *shard
 
-	// Allocated event kinds, both deciding.
+	// Allocated event kinds.
 	susDecide, waitTimeout kind
 }
 
 func (s *reschedSys) register(k *kernel) {
 	sh := s.sh
-	s.susDecide = k.registerKind("susDecide", true, func(a, _ int64, _ any) error { return sh.handleSusDecide(int(a)) })
-	s.waitTimeout = k.registerKind("waitTimeout", true, func(a, _ int64, _ any) error { return sh.handleWaitTimeout(int(a)) })
+	s.susDecide = k.registerKind("susDecide", func(a, _ int64, _ any) error { return sh.handleSusDecide(int(a)) })
+	s.waitTimeout = k.registerKind("waitTimeout", func(a, _ int64, _ any) error { return sh.handleWaitTimeout(int(a)) })
 	// The subsystem owns no state beyond its pending events (saved with
 	// the kernel queue; the core codec rewires each restored wait-timer
 	// handle to its job) and the policy's internals (saved through the
@@ -83,20 +82,14 @@ func (sh *shard) departSuspended(rt *jobRT, target int) error {
 		}
 		sh.res.Restarts++
 	}
-	sh.route(rt, sh.siteOfPool(mach.m.Pool), target, overhead)
+	sh.route(rt, target, overhead)
 	return sh.onFree(mid)
 }
 
-// route delivers a job in transit from site from to a pool, after
-// overhead minutes. The destination may be another shard; cross-site
-// overhead always includes the inter-site RTT. A job leaving its site
-// is marked departed there for the alias-risk accounting (see
-// moveResidency); arrival marks it resident at the destination.
-func (sh *shard) route(rt *jobRT, from, pool int, overhead float64) {
-	if to := sh.siteOfPool(pool); to != from {
-		sh.siteShard(from).noteAway(rt.idx)
-	}
-	sh.send(sh.w.siteOf[pool], sh.k.now+overhead, sh.place.arrive, int64(rt.idx), int64(pool))
+// route delivers a job in transit to a pool, after overhead minutes
+// (cross-site overhead always includes the inter-site RTT).
+func (sh *shard) route(rt *jobRT, pool int, overhead float64) {
+	sh.k.schedule(sh.k.now+overhead, sh.place.arrive, int64(rt.idx), int64(pool))
 }
 
 // handleWaitTimeout applies the policy's waiting-job rescheduling
@@ -130,6 +123,6 @@ func (sh *shard) handleWaitTimeout(idx int) error {
 		return err
 	}
 	sh.res.WaitMoves++
-	sh.route(rt, from, target, overhead)
+	sh.route(rt, target, overhead)
 	return nil
 }

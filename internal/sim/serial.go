@@ -1,16 +1,18 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
 
-// runSerial drives the whole simulation through a single shard scoped
-// to every site: one global event queue, popped in (time, scheduling
-// order), exactly the monolithic engine's loop. This is the reference
-// semantics the optimistic engine must reproduce bit for bit. With a
-// resume snapshot the shard's state is restored instead of seeded and
-// the loop continues mid-run; with checkpointing enabled the loop
+	"netbatch/internal/obs"
+)
+
+// runSerial drives the whole simulation: one event queue, popped in
+// (time, scheduling order), exactly the monolithic engine's loop. With
+// a resume snapshot the shard's state is restored instead of seeded
+// and the loop continues mid-run; with checkpointing enabled the loop
 // snapshots at the first event boundary past each cadence mark.
 func runSerial(w *world, sn *snapshot) (*Result, error) {
-	sh := newShard(w, 0, allSites(w), false)
+	sh := newShard(w)
 	if sn != nil {
 		if err := restoreRun(sn, w, sh); err != nil {
 			return nil, err
@@ -37,14 +39,6 @@ func runSerial(w *world, sn *snapshot) (*Result, error) {
 	return &res, nil
 }
 
-func allSites(w *world) []int {
-	sites := make([]int, w.nSites)
-	for i := range sites {
-		sites[i] = i
-	}
-	return sites
-}
-
 func serialLoop(sh *shard, ck *checkpointer) error {
 	total := len(sh.w.specs)
 	cfg := &sh.w.cfg
@@ -52,9 +46,16 @@ func serialLoop(sh *shard, ck *checkpointer) error {
 	k := sh.k
 	met := &sh.w.met
 	pm := newProgressMeter(cfg)
-	ck.observe(met, cfg.Trace.Track("serial"))
+	tk := cfg.Trace.Track("serial")
+	ck.observe(met, tk)
 	events0 := k.events
-	defer func() { met.events.Add(k.events - events0) }()
+	t0 := tk.Now()
+	defer func() {
+		met.events.Add(k.events - events0)
+		if tk != nil {
+			tk.Span("run", t0, obs.Arg{Key: "events", Val: k.events - events0})
+		}
+	}()
 	for sh.completed < total {
 		ev, ok := k.q.Pop()
 		if !ok {
@@ -78,7 +79,7 @@ func serialLoop(sh *shard, ck *checkpointer) error {
 			}
 			// Observability rides the same stride as the ctx poll: one
 			// predicted branch each per 256 events when disabled.
-			pm.maybe(k.now, k.events, 0)
+			pm.maybe(k.now, k.events)
 			if met.qDepth != nil {
 				met.qDepth.Max(int64(k.q.Live()))
 				met.qTombs.Max(int64(k.q.Tombstones()))

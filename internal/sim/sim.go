@@ -24,18 +24,18 @@
 //     beginning, §2.3/§3.2) or, for migration policies, to move it with
 //     progress preserved.
 //
-// Architecturally the engine is a small policy-free event kernel
+// Architecturally the simulator is a small policy-free event kernel
 // (kernel.go) with an open event-kind registry, plus pluggable
 // subsystems — placement/preemption (placement.go), dynamic
 // rescheduling (resched.go), stale-view snapshots (snapshot.go),
 // machine faults and maintenance windows (faults.go) and series
 // accounting (accounting.go) — each of which allocates its event kinds
-// from the registry per shard (shard.go). Two engines drive the same
-// subsystem code: the serial reference loop (serial.go) and an
-// optimistic engine that runs one shard per site and speculates past
-// decisions with snapshot rollback (optimistic.go). Run alone chooses
-// between them (see Config.Engine). See docs/ARCHITECTURE.md for the
-// layering and the optimistic engine's synchronization protocol.
+// from the registry (shard.go). One serial loop (serial.go) pops the
+// single event queue in (time, scheduling order) and dispatches every
+// event; checkpoint/resume (checkpoint.go, delta.go) and replay
+// bisection (replay.go) run on the same loop. Parallelism lives one
+// level up, across independent runs (the experiments matrix's -jobs
+// worker pool). See docs/ARCHITECTURE.md for the layering.
 package sim
 
 import (
@@ -53,26 +53,9 @@ import (
 	"netbatch/internal/stats"
 )
 
-// Engine names for Config.Engine.
-const (
-	// EngineSerial is the single-threaded reference kernel.
-	EngineSerial = "serial"
-	// EngineOptimistic partitions the simulation per site and lets
-	// shards speculate past the global decision floor, taking cheap
-	// per-shard incremental snapshots and rolling back when a committed
-	// decision lands below a shard's clock (Time Warp on the snapshot
-	// contract; see optimistic.go). Deciding events stay globally
-	// serialized, so results are bit-identical to EngineSerial.
-	// Checkpointing, resume, replay recording and configurations the
-	// partitioned engine cannot run (single site, a zero cross-site
-	// delay, a decision delay beyond the smallest cross-site delay, or
-	// an empty trace) run on the serial kernel instead.
-	EngineOptimistic = "optimistic"
-)
-
 // ErrInvalidConfig wraps every Config rejection: a missing required
-// field, an unknown engine, a negative or non-finite parameter, or an
-// inconsistent combination of options.
+// field, a negative or non-finite parameter, or an inconsistent
+// combination of options.
 var ErrInvalidConfig = errors.New("sim: invalid config")
 
 // Config parameterizes one simulation run.
@@ -83,11 +66,6 @@ type Config struct {
 	Initial sched.InitialScheduler
 	// Policy is the dynamic rescheduling strategy. Required.
 	Policy core.Policy
-
-	// Engine selects the execution engine: EngineSerial (default, also
-	// "") or EngineOptimistic. Both produce identical results; see the
-	// engine constants.
-	Engine string
 
 	// SampleEvery is the state-sampling period in minutes (ASCA samples
 	// every minute). Zero means the default, 1; negative values are
@@ -136,15 +114,14 @@ type Config struct {
 	// DisableSampling turns off per-minute sampling (for benchmarks
 	// that only need job metrics).
 	DisableSampling bool
-	// Context cooperatively cancels a long run: the engine polls it
+	// Context cooperatively cancels a long run: the loop polls it
 	// every few hundred events and aborts with its error. Nil means the
 	// run cannot be canceled.
 	Context context.Context
 
 	// CheckpointEvery takes a full-state snapshot every this many
 	// simulated minutes, at the first event boundary past each mark.
-	// Checkpointed runs use the serial engine. 0 disables
-	// checkpointing. Resuming from any emitted snapshot reproduces the
+	// 0 disables checkpointing. Resuming from any emitted snapshot reproduces the
 	// straight run bit-identically (jobs, series, counters, event
 	// counts). Requires CheckpointSink.
 	CheckpointEvery float64
@@ -167,29 +144,27 @@ type Config struct {
 	// from the nearest keyframe (the experiments runner does this for
 	// its checkpoint directories).
 	CheckpointKeyframe int
-	// Metrics, when non-nil, receives engine execution counters —
-	// events dispatched, bursts, speculative snapshots, rollbacks,
-	// group-commit sizes, alias retirements, checkpoint captures, and
-	// event-queue depth/tombstone high-water marks (see internal/obs
-	// for names).
+	// Metrics, when non-nil, receives execution counters — events
+	// dispatched, alias retirements, checkpoint captures and bytes, and
+	// event-queue depth/tombstone high-water marks (see observe.go for
+	// names).
 	// Handles are resolved once per run; with Metrics nil every record
 	// site degenerates to a nil check — no allocation, no atomics.
 	// Metrics describe the execution, never the simulated system, and
-	// are excluded from the engines' bit-identity contract.
+	// are excluded from the bit-identity contract.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records a Chrome trace_event timeline of
-	// the run into the given process group: one track per shard plus a
-	// coordinator track, with spans for bursts, group-commit drains,
-	// rollbacks and checkpoint captures.
+	// the run into the given process group: one "serial" track holding
+	// a "run" span for the whole loop (its events arg is the number of
+	// events dispatched) and a span per checkpoint capture.
 	// Timestamps are wall-clock — the timeline attributes real
 	// execution time. Like Metrics, tracing never affects event order,
 	// RNG draws, or results.
 	Trace *obs.Process
-	// Progress, when non-nil, is invoked from cheap engine sync points
-	// (the serial ctx-poll stride, commit passes) at most once per
-	// ProgressEvery of wall time with the current simulated-time
-	// frontier. The callback must be fast and must not
-	// touch simulation state.
+	// Progress, when non-nil, is invoked from the loop's ctx-poll
+	// stride (every 256 events) at most once per ProgressEvery of wall
+	// time with the current simulated-time frontier and event count.
+	// The callback must be fast and must not touch simulation state.
 	Progress func(obs.Progress)
 	// ProgressEvery throttles Progress callbacks. Default 500ms.
 	ProgressEvery time.Duration
@@ -198,8 +173,8 @@ type Config struct {
 	// from instead of starting at t=0. The snapshot must come from a
 	// run with the same configuration and workload; mismatches fail
 	// with ErrSnapshotMismatch before any simulation state is touched.
-	// Resumed runs use the serial engine. Stateful schedulers/policies
-	// are restored through the Stateful contract.
+	// Stateful schedulers/policies are restored through the Stateful
+	// contract.
 	ResumeFrom []byte
 
 	// stopAtEvents and captureAt are replay-bisect internals (see
@@ -224,11 +199,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Policy == nil {
 		return invalid("config needs a rescheduling policy")
-	}
-	switch out.Engine {
-	case "", EngineSerial, EngineOptimistic:
-	default:
-		return invalid("unknown engine %q (want %q or %q)", out.Engine, EngineSerial, EngineOptimistic)
 	}
 	// A non-finite value would never compare usefully against the
 	// negativity checks below: NaN disables the MaxTime livelock cap and
@@ -343,8 +313,7 @@ type Result struct {
 
 	// Fault & maintenance counters (all zero unless Config.Faults is
 	// enabled). Crashes, MaintWindows and DownCoreMinutes derive from
-	// the downtime logs clamped to the makespan, so both engines report
-	// identical values.
+	// the downtime logs clamped to the makespan.
 	//
 	// Crashes counts machine-crash events before the makespan.
 	Crashes int64
@@ -363,56 +332,25 @@ type Result struct {
 	// of down cores over the run, in core-minutes.
 	DownCoreMinutes float64
 
-	// AliasRetirements counts alias-flag clears (the last cross-site
-	// job detaching from its machine, demoting capacity handoffs back to
-	// shard-local dispatch; see shard.noteDetach). It describes the
-	// execution, not the simulated system: a resumed run counts only its
-	// tail. Excluded from bit-identity comparisons and not persisted in
-	// snapshots.
+	// AliasRetirements counts alias-flag clears: a job attached to a
+	// machine at a site other than its queue pool's site (a cross-site
+	// alias, see shard.noteAttach) detaching from that machine. It
+	// describes the execution, not the simulated system: a resumed run
+	// counts only its tail. Excluded from bit-identity comparisons and
+	// not persisted in snapshots.
 	AliasRetirements int64
 
-	// Rollbacks counts optimistic-engine rollbacks: speculative bursts
-	// unwound because a committed decision landed below the shard's
-	// clock. Zero on the other engines. Purely execution-describing and
-	// excluded from bit-identity comparisons.
+	// Rollbacks is always 0. It counted the speculation rollbacks of a
+	// retired partitioned engine and stays so that tools reading Result
+	// (the repository benchmark's cell digests) keep compiling.
 	Rollbacks int64
-
-	// GroupCommitSize is the optimistic engine's group-commit histogram
-	// in log2 buckets: bucket i counts quiescent drains that retired n
-	// consecutive committable heads with 2^i <= n < 2^(i+1). Nil for
-	// the other engines. A mass concentrated in bucket 0 means every
-	// commit paid its own quiescence cycle; mass in higher buckets is
-	// the amortization the group-commit drain exists to win.
-	GroupCommitSize []int64
-
-	// ambiguousTies records that the optimistic engine observed at least
-	// one cross-partition pair of events with exactly equal timestamps
-	// whose serial order it cannot reconstruct. Such ties are
-	// measure-zero for float-valued traces; the fuzz harness skips
-	// serial-vs-optimistic comparison when the flag is set.
-	ambiguousTies bool
 }
-
-// AmbiguousTies reports whether the optimistic engine observed at
-// least one cross-partition pair of events with exactly equal
-// timestamps whose serial order it cannot reconstruct. When true, this
-// run's bit-identity guarantee is void (the run is still internally
-// consistent and deterministic for its engine). Always false on serial
-// runs. Callers replicating results across engines
-// should surface it to users instead of silently comparing.
-func (r *Result) AmbiguousTies() bool { return r.ambiguousTies }
 
 // Run simulates the specs on the configured platform until every job
 // completes. Specs must be sorted by submission time (a trace.Trace
 // guarantees this). With Config.ResumeFrom set, the run continues from
 // the snapshot instead of t=0 and produces results bit-identical to a
 // straight run.
-//
-// Run is the one place that chooses the engine: the optimistic engine
-// when Config.Engine asks for it, the configuration is parallelizable,
-// and no checkpoint, resume or replay is requested; the serial kernel
-// for everything else. Snapshots are taken only between serial events,
-// so every checkpoint flow needs no cut of speculative state.
 func Run(cfg Config, specs []job.Spec) (*Result, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
@@ -421,11 +359,6 @@ func Run(cfg Config, specs []job.Spec) (*Result, error) {
 	w, err := buildWorld(full, specs)
 	if err != nil {
 		return nil, err
-	}
-	if full.Engine == EngineOptimistic && w.parallelizable() &&
-		full.CheckpointEvery == 0 && len(full.ResumeFrom) == 0 &&
-		full.eventLog == nil && full.stopAtEvents == 0 {
-		return runOptimistic(w)
 	}
 	var sn *snapshot
 	if len(full.ResumeFrom) > 0 {

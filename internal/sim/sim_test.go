@@ -532,8 +532,8 @@ func TestDisableSampling(t *testing.T) {
 }
 
 // TestConfigErrors pins Config validation: every rejection — a missing
-// field, an unknown engine, a negative or non-finite parameter, an
-// inconsistent combination — wraps ErrInvalidConfig. Each case runs
+// field, a negative or non-finite parameter, an inconsistent
+// combination — wraps ErrInvalidConfig. Each case runs
 // under a deadline: an unchecked +Inf staleness spins the stale-view
 // refresh loop forever inside one event, so a regression fails here
 // instead of hanging the suite.
@@ -556,8 +556,6 @@ func TestConfigErrors(t *testing.T) {
 			c.UtilStaleness = 5
 			c.DisableSampling = true
 		}},
-		{name: "unknownEngine", set: func(c *Config) { c.Engine = "parallel" },
-			want: `(want "serial" or "optimistic")`},
 		{name: "SampleEvery NaN", set: func(c *Config) { c.SampleEvery = nan }},
 		{name: "SampleEvery +Inf", set: func(c *Config) { c.SampleEvery = inf }},
 		{name: "SeriesBin NaN", set: func(c *Config) { c.SeriesBin = nan }},

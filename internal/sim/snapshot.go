@@ -7,24 +7,19 @@ import (
 
 // snapshotSys is the stale-view subsystem (§3.2.2, generalized to site
 // pairs): it owns the snapshot refresh chains that age the utilization
-// view every UtilStaleness + RTT(observer, target) minutes. The chain
-// for pair (obs, tgt) runs in tgt's shard — a refresh reads tgt's live
-// pool counters and publishes them into the shared snapshot row that
-// obs's deciding events read. Refreshes are not deciding events: their
-// writes land in snapshot cells owned by tgt's sites, which other
-// shards only read while tgt is quiescent (during globally-serialized
-// decisions).
+// view every UtilStaleness + RTT(observer, target) minutes. A refresh
+// of pair (obs, tgt) reads tgt's live pool counters and publishes them
+// into the snapshot row that obs's scheduler and policy callbacks read.
 type snapshotSys struct {
 	sh *shard
 
-	// snapshot is the allocated refresh kind: partition-local, never
-	// deciding.
+	// snapshot is the allocated refresh kind.
 	snapshot kind
 }
 
 func (s *snapshotSys) register(k *kernel) {
 	sh := s.sh
-	s.snapshot = k.registerKind("snapshot", false, func(a, b int64, _ any) error {
+	s.snapshot = k.registerKind("snapshot", func(a, b int64, _ any) error {
 		sh.handleSnapshot(snapPair{obs: int(a), tgt: int(b)})
 		return nil
 	})
@@ -40,17 +35,16 @@ func (s *snapshotSys) register(k *kernel) {
 	k.registerState("views", s.save, s.load)
 }
 
-// save dumps the stale-view subsystem's slice of shard state: every
-// observer's snapshot cells for the pools this shard owns (the cells
-// its refresh chains write). The refresh chains themselves are pending
-// events, saved with the kernel queue.
+// save dumps the stale-view subsystem's state: every observer's
+// snapshot cells, site by site. The refresh chains themselves are
+// pending events, saved with the kernel queue.
 func (s *snapshotSys) save(e *snapEncoder) {
 	sh := s.sh
 	if sh.w.snap == nil {
 		return // no ageing configured; nothing allocated (config-determined)
 	}
 	for obs := 0; obs < sh.w.nSites; obs++ {
-		for _, site := range sh.sites {
+		for site := range sh.w.nSites {
 			for _, p := range sh.w.plat.Site(site).Pools {
 				e.F64(sh.w.snap[obs][p])
 			}
@@ -64,7 +58,7 @@ func (s *snapshotSys) load(d *snapDecoder) error {
 		return nil
 	}
 	for obs := 0; obs < sh.w.nSites; obs++ {
-		for _, site := range sh.sites {
+		for site := range sh.w.nSites {
 			for _, p := range sh.w.plat.Site(site).Pools {
 				sh.w.snap[obs][p] = d.F64()
 			}
@@ -91,11 +85,8 @@ type snapPair struct {
 // caveat as the incremental sampler.)
 func (sh *shard) handleSnapshot(pair snapPair) {
 	sh.view.refresh(pair)
-	// A serial shard sees global completion and lets the chain die with
-	// the run; a partitioned shard cannot know global completion while
-	// its peers still run, so it keeps the chain armed — the surplus
-	// refreshes are inert and the merge does not count them.
-	if sh.par == nil && sh.completed >= len(sh.w.specs) {
+	// The chain dies with the run.
+	if sh.completed >= len(sh.w.specs) {
 		return
 	}
 	d := sh.w.ageDelay(pair.obs, pair.tgt)

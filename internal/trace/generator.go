@@ -58,6 +58,9 @@ func (w *WorkDist) Mean() float64 {
 
 // Validate reports configuration errors.
 func (w *WorkDist) Validate() error {
+	if err := checkFinite("work dist", w.Median, w.Sigma, w.TailFrac, w.TailMin, w.TailAlpha, w.Cap); err != nil {
+		return err
+	}
 	switch {
 	case w.Median <= 0:
 		return fmt.Errorf("work dist: non-positive median %v", w.Median)
@@ -212,6 +215,9 @@ type FaultRegime struct {
 
 // Validate reports configuration errors.
 func (f *FaultRegime) Validate() error {
+	if err := checkFinite("fault regime", f.MTBF, f.MTTR, f.MaintPeriod, f.MaintDuration, f.MaintFraction); err != nil {
+		return err
+	}
 	switch {
 	case f.MTBF < 0 || f.MTTR < 0 || f.MaintPeriod < 0 || f.MaintDuration < 0:
 		return fmt.Errorf("fault regime: negative parameter %+v", *f)
@@ -231,8 +237,42 @@ func (f *FaultRegime) Validate() error {
 	return nil
 }
 
+// checkFinite rejects NaN and ±Inf among a config's float fields. It
+// runs ahead of each range check, which NaN would pass (every ordered
+// comparison with NaN is false). Presets multiply rates by a caller's
+// scale, so a non-finite scale arrives here as a non-finite rate.
+func checkFinite(what string, vs ...float64) error {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s: non-finite value %v", what, v)
+		}
+	}
+	return nil
+}
+
 // Validate reports configuration errors.
 func (c *GeneratorConfig) Validate() error {
+	if err := checkFinite("generator", c.Horizon, c.LowRate, c.DiurnalAmplitude, c.DiurnalPeriod,
+		c.AllFraction, c.OwnedWeight, c.AffinityStrength, c.SiteLocalFraction,
+		c.TaskFraction, c.TaskMeanSize); err != nil {
+		return err
+	}
+	if err := checkFinite("generator: memory weights", c.MemWeights...); err != nil {
+		return err
+	}
+	if err := checkFinite("generator: cores weights", c.CoresWeights...); err != nil {
+		return err
+	}
+	for bi, b := range c.Bursts {
+		if err := checkFinite(fmt.Sprintf("generator: burst %d", bi), b.Start, b.Duration, b.Rate); err != nil {
+			return err
+		}
+	}
+	if a := c.Auto; a != nil {
+		if err := checkFinite("generator: auto bursts", a.MeanGap, a.MeanDuration, a.MaxDuration, a.Rate); err != nil {
+			return err
+		}
+	}
 	switch {
 	case c.Horizon <= 0:
 		return fmt.Errorf("generator: non-positive horizon %v", c.Horizon)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"netbatch/internal/job"
@@ -213,6 +214,41 @@ func TestGenerateValidationErrors(t *testing.T) {
 				t.Fatal("want error")
 			}
 		})
+	}
+	// Non-finite values in every kind of float field must fail
+	// validation by name. Unchecked, a NaN rate passes the ordered
+	// checks and never advances the arrival clock, and an infinite one
+	// makes the mean arrival gap 0; so these rows call Validate, which
+	// Generate runs first, rather than risk a generation that never ends.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{{"NaN", nan}, {"+Inf", inf}, {"-Inf", -inf}} {
+		x := v.x
+		for field, set := range map[string]func(*GeneratorConfig){
+			"rate":         func(c *GeneratorConfig) { c.LowRate = x },
+			"horizon":      func(c *GeneratorConfig) { c.Horizon = x },
+			"amp":          func(c *GeneratorConfig) { c.DiurnalAmplitude = x },
+			"taskMeanSize": func(c *GeneratorConfig) { c.TaskMeanSize = x },
+			"memWeight":    func(c *GeneratorConfig) { c.MemWeights = []float64{x, 1} },
+			"burstRate":    func(c *GeneratorConfig) { c.Bursts = []Burst{{Start: 1, Duration: 1, Rate: x}} },
+			"burstStart":   func(c *GeneratorConfig) { c.Bursts = []Burst{{Start: x, Duration: 1, Rate: 1}} },
+			"workMedian":   func(c *GeneratorConfig) { c.LowWork.Median = x },
+			"workCap":      func(c *GeneratorConfig) { c.HighWork.Cap = x },
+			"autoMaxDur": func(c *GeneratorConfig) {
+				c.Auto = &AutoBursts{MeanGap: 1, MeanDuration: 1, MaxDuration: x, Rate: 1, PoolsPerBurst: 1}
+			},
+			"faultMaintFrac": func(c *GeneratorConfig) { c.Faults = &FaultRegime{MaintFraction: x} },
+		} {
+			t.Run(field+" "+v.name, func(t *testing.T) {
+				cfg := smallConfig(1)
+				set(&cfg)
+				if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+					t.Fatalf("got %v, want a non-finite-value error", err)
+				}
+			})
+		}
 	}
 }
 
