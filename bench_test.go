@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"netbatch/internal/benchsnap"
 	"netbatch/internal/cluster"
 	"netbatch/internal/core"
 	"netbatch/internal/experiments"
@@ -98,6 +99,7 @@ func runCellBench(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFa
 	b.Helper()
 	var cell *experiments.CellResult
 	b.ReportAllocs()
+	before := benchsnap.StartRetained(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		cell, err = experiments.RunCell(sc, pf, opts)
@@ -105,6 +107,7 @@ func runCellBench(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFa
 			b.Fatal(err)
 		}
 	}
+	benchsnap.ReportRetained(b, before, cell.Result)
 	b.ReportMetric(cell.Summary.AvgWCT, "avgWCT")
 	b.ReportMetric(cell.Summary.AvgCTSuspended, "avgCTsusp")
 }

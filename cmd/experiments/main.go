@@ -76,6 +76,12 @@ func run() (err error) {
 		bisectCell   = flag.String("bisect-cell", "", "cell coordinate \"scenario/policy/replicate\" for -replay-bisect (matches the snapshot's embedded label)")
 	)
 	flag.Parse()
+	if err := checkFlags(numericFlags{
+		scale: *scale, seeds: *seeds, jobs: *jobs, checkpointEvery: *ckptEvery,
+		progress: *progress, timeout: *timeout,
+	}); err != nil {
+		return err
+	}
 
 	stopProf, err := startProfiling(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
@@ -159,6 +165,36 @@ func run() (err error) {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// numericFlags are the numeric flags that experiments.Options would
+// otherwise quietly replace with a default when out of range.
+type numericFlags struct {
+	scale             float64
+	seeds, jobs       int
+	checkpointEvery   float64
+	progress, timeout time.Duration
+}
+
+// checkFlags rejects out-of-range numeric flags before any cell starts.
+// Zero keeps its documented default meaning for -jobs,
+// -checkpoint-every, -progress and -timeout.
+func checkFlags(f numericFlags) error {
+	switch {
+	case f.scale <= 0:
+		return fmt.Errorf("-scale must be positive, got %v", f.scale)
+	case f.seeds < 1:
+		return fmt.Errorf("-seeds must be at least 1, got %d", f.seeds)
+	case f.jobs < 0:
+		return fmt.Errorf("-jobs must not be negative, got %d", f.jobs)
+	case f.checkpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every must not be negative, got %v", f.checkpointEvery)
+	case f.progress < 0:
+		return fmt.Errorf("-progress must not be negative, got %v", f.progress)
+	case f.timeout < 0:
+		return fmt.Errorf("-timeout must not be negative, got %v", f.timeout)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func score(view sched.PoolView, pool int) float64 {
 func (ResSusQueue) pick(j *job.Job, view sched.PoolView) (int, bool) {
 	best, bestScore := -1, 0.0
 	for _, p := range j.Spec.Candidates {
-		if p == j.Pool || !view.Eligible(p, &j.Spec) {
+		if p == j.Pool || !view.Eligible(p, j.Spec) {
 			continue
 		}
 		if s := score(view, p); best == -1 || s < bestScore {

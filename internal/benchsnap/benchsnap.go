@@ -9,7 +9,7 @@
 // checkpoint/restore set including delta capture) at the same 4% bench
 // scale. The simulation cells keep their "/serial" suffix from when a
 // second engine was recorded beside each, so -trend stays continuous.
-// Results serialize to a schema-versioned JSON snapshot (BENCH_17.json
+// Results serialize to a schema-versioned JSON snapshot (BENCH_18.json
 // at the repo root is the committed baseline; earlier BENCH_*.json
 // files stay committed as the trend history — see cmd/benchsnap).
 //
@@ -169,12 +169,43 @@ func prebuiltCell(sc experiments.Scenario, scale float64) (experiments.Scenario,
 
 func runCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, scale float64) error {
 	opts := experiments.Options{Seed: 42, Scale: scale, Jobs: 1}
+	before := StartRetained(b)
+	var cell *experiments.CellResult
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunCell(sc, pf, opts); err != nil {
+		var err error
+		if cell, err = experiments.RunCell(sc, pf, opts); err != nil {
 			return err
 		}
 	}
+	ReportRetained(b, before, cell.Result)
 	return nil
+}
+
+// StartRetained returns the live heap after a full collection, taken
+// with the timer stopped. Call it before a cell's timed loop and hand
+// the value to ReportRetained.
+func StartRetained(b *testing.B) uint64 {
+	b.StopTimer()
+	defer b.StartTimer()
+	return liveHeap()
+}
+
+// ReportRetained stops the timer and reports retainedB/job: the live
+// heap with res still referenced, minus before, divided by res's jobs.
+// It is what each cell a MatrixResult holds costs; informational, not
+// gated.
+func ReportRetained(b *testing.B, before uint64, res *sim.Result) {
+	b.StopTimer()
+	after := liveHeap()
+	runtime.KeepAlive(res)
+	b.ReportMetric((float64(after)-float64(before))/float64(len(res.Jobs)), "retainedB/job")
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // collectCheckpointCells records the checkpoint set: a full-cadence

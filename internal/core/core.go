@@ -108,7 +108,7 @@ func (NoRes) OnWaitTimeout(float64, *job.Job, sched.PoolView) (int, bool) { retu
 func lowestUtilAlternate(j *job.Job, view sched.PoolView) (pool int, ok bool) {
 	best, bestUtil := -1, 0.0
 	for _, p := range j.Spec.Candidates {
-		if p == j.Pool || !view.Eligible(p, &j.Spec) {
+		if p == j.Pool || !view.Eligible(p, j.Spec) {
 			continue
 		}
 		u := view.Utilization(p)
@@ -136,7 +136,7 @@ func lowestUtilAlternate(j *job.Job, view sched.PoolView) (pool int, ok bool) {
 func randomCandidate(rng *stats.RNG, j *job.Job, view sched.PoolView) (pool int, ok bool) {
 	alts := make([]int, 0, len(j.Spec.Candidates))
 	for _, p := range j.Spec.Candidates {
-		if view.Eligible(p, &j.Spec) {
+		if view.Eligible(p, j.Spec) {
 			alts = append(alts, p)
 		}
 	}

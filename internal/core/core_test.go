@@ -31,7 +31,7 @@ func newView(utils ...float64) *fakeView {
 // suspendedJob builds a job suspended at the given pool.
 func suspendedJob(t *testing.T, pool int, candidates ...int) *job.Job {
 	t.Helper()
-	j := job.New(job.Spec{
+	j := job.New(&job.Spec{
 		ID: 7, Submit: 0, Work: 100, Cores: 1, MemMB: 1024,
 		Priority: job.PriorityLow, Candidates: candidates,
 	})
@@ -50,7 +50,7 @@ func suspendedJob(t *testing.T, pool int, candidates ...int) *job.Job {
 // waitingJob builds a job waiting at the given pool.
 func waitingJob(t *testing.T, pool int, candidates ...int) *job.Job {
 	t.Helper()
-	j := job.New(job.Spec{
+	j := job.New(&job.Spec{
 		ID: 8, Submit: 0, Work: 100, Cores: 1, MemMB: 1024,
 		Priority: job.PriorityLow, Candidates: candidates,
 	})

@@ -67,7 +67,7 @@ func (p ResSusWaitLatency) latencyAlternate(j *job.Job, view sched.PoolView) (in
 	from := sv.SiteOf(j.Pool)
 	best, bestScore := -1, 0.0
 	for _, c := range j.Spec.Candidates {
-		if c == j.Pool || !view.Eligible(c, &j.Spec) {
+		if c == j.Pool || !view.Eligible(c, j.Spec) {
 			continue
 		}
 		score := view.Utilization(c) + penalty*sv.RTT(from, sv.SiteOf(c))

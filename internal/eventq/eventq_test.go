@@ -332,16 +332,25 @@ func BenchmarkScheduleAndPop(b *testing.B) {
 	}
 }
 
+// BenchmarkCancel times lazy cancellation, compaction included. Events
+// are scheduled in fixed rounds with the timer stopped, so the queue,
+// and the benchmark's memory, stay the same size for any b.N.
 func BenchmarkCancel(b *testing.B) {
+	const round = 4096
 	q := New()
-	handles := make([]Handle, b.N)
-	for i := 0; i < b.N; i++ {
-		handles[i] = q.Schedule(float64(i), 0, 0, 0, nil)
-	}
-	b.ResetTimer()
+	handles := make([]Handle, round)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Cancel(handles[i])
+	b.ResetTimer()
+	for done := 0; done < b.N; done += round {
+		n := min(round, b.N-done)
+		b.StopTimer()
+		for i := range n {
+			handles[i] = q.Schedule(float64(done+i), 0, 0, 0, nil)
+		}
+		b.StartTimer()
+		for _, h := range handles[:n] {
+			q.Cancel(h)
+		}
 	}
 }
 

@@ -86,7 +86,11 @@ type CellResult struct {
 // cell's full *sim.Result (job records + series) stays live until the
 // MatrixResult is dropped — the figure experiments need per-replicate
 // Results — so very large seed counts at paper scale trade memory for
-// replication; reduce per-cell data promptly if that becomes a limit.
+// replication. A retained cell costs about 166 B per job (benchsnap's
+// retainedB/job): a 152 B record in the run's one slab plus its
+// Result.Jobs pointer. The records of every policy cell of one
+// (scenario, replicate) point at that trace's shared specs, 104 B per
+// job. Reduce per-cell data promptly if that becomes a limit.
 type MatrixResult struct {
 	// PolicyNames are the policy axis labels, in run order.
 	PolicyNames []string

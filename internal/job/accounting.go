@@ -9,7 +9,10 @@ import (
 // time accounting. Job is not safe for concurrent use; the simulator is
 // single-threaded.
 type Job struct {
-	Spec Spec
+	// Spec is the job's immutable description. It is shared, not
+	// copied: a job built by New or NewSlab points at its caller's
+	// spec, which must not change while the job is in use.
+	Spec *Spec
 
 	state State
 	// stateSince is the simulated time of the last state transition.
@@ -71,8 +74,25 @@ func (a *Accounting) Wasted() float64 {
 }
 
 // New instantiates a job from its spec in StateCreated.
-func New(spec Spec) *Job {
-	return &Job{
+func New(spec *Spec) *Job {
+	j := new(Job)
+	j.init(spec)
+	return j
+}
+
+// NewSlab instantiates one job per spec in StateCreated, all in one
+// allocation: jobs[i].Spec is &specs[i].
+func NewSlab(specs []Spec) []Job {
+	jobs := make([]Job, len(specs))
+	for i := range jobs {
+		jobs[i].init(&specs[i])
+	}
+	return jobs
+}
+
+// init resets j to a fresh job of spec in StateCreated.
+func (j *Job) init(spec *Spec) {
+	*j = Job{
 		Spec:       spec,
 		state:      StateCreated,
 		stateSince: spec.Submit,

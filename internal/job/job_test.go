@@ -1,19 +1,20 @@
 package job
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 )
 
-func spec0() Spec {
+func spec0() *Spec {
 	s := validSpec()
 	s.Submit = 0
 	return s
 }
 
-func validSpec() Spec {
-	return Spec{
+func validSpec() *Spec {
+	return &Spec{
 		ID:         1,
 		Submit:     10,
 		Work:       100,
@@ -52,7 +53,7 @@ func TestSpecValidateErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := validSpec()
-			c.mutate(&s)
+			c.mutate(s)
 			err := s.Validate()
 			if err == nil {
 				t.Fatal("want error, got nil")
@@ -109,6 +110,25 @@ func TestStateString(t *testing.T) {
 	}
 	if got := State(99).String(); !strings.Contains(got, "99") {
 		t.Fatalf("unknown state label = %q", got)
+	}
+}
+
+func TestNewSlabSharesSpecs(t *testing.T) {
+	specs := []Spec{*spec0(), *validSpec()}
+	specs[1].ID = 2
+	jobs := NewSlab(specs)
+	if len(jobs) != len(specs) {
+		t.Fatalf("len = %d, want %d", len(jobs), len(specs))
+	}
+	for i := range jobs {
+		j, single := &jobs[i], New(&specs[i])
+		if j.Spec != &specs[i] {
+			t.Fatalf("jobs[%d].Spec does not point at specs[%d]", i, i)
+		}
+		// Formatted, since the unset times are NaN.
+		if got, want := fmt.Sprintf("%+v", j.ExportState()), fmt.Sprintf("%+v", single.ExportState()); got != want {
+			t.Fatalf("jobs[%d] state %s, want New's %s", i, got, want)
+		}
 	}
 }
 

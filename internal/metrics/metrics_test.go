@@ -14,7 +14,7 @@ import (
 // suspension and reruns from scratch.
 func completedJob(t testing.TB, id job.ID, submit, wait, work, suspend float64, restart bool) *job.Job {
 	t.Helper()
-	j := job.New(job.Spec{
+	j := job.New(&job.Spec{
 		ID: id, Submit: submit, Work: work, Cores: 1, MemMB: 1,
 		Priority: job.PriorityLow, Candidates: []int{0, 1},
 	})
@@ -111,7 +111,7 @@ func TestSummarizeErrors(t *testing.T) {
 	if _, err := Summarize(nil); err == nil {
 		t.Fatal("empty input should error")
 	}
-	incomplete := job.New(job.Spec{
+	incomplete := job.New(&job.Spec{
 		ID: 1, Work: 10, Cores: 1, MemMB: 1,
 		Priority: job.PriorityLow, Candidates: []int{0},
 	})

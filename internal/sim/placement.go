@@ -470,7 +470,7 @@ func (sh *shard) onFree(mid int) error {
 			break
 		}
 		useWaiting := wrt != nil && (srt == nil ||
-			(sh.w.cfg.QueueBeatsResume && wrt.j.Spec.Priority > srt.j.Spec.Priority))
+			(sh.w.cfg.QueueBeatsResume && wrt.spec.Priority > srt.spec.Priority))
 		if useWaiting {
 			p.waitQ.remove(wrt)
 			// A revived slot (see waitQueue) may hand us a job whose
@@ -513,7 +513,7 @@ func bestSuspended(mach *machineRT, holdsMem bool) *jobRT {
 		if !holdsMem && mach.freeMemMB < s.spec.MemMB {
 			continue
 		}
-		if best == nil || s.j.Spec.Priority > best.j.Spec.Priority {
+		if best == nil || s.spec.Priority > best.spec.Priority {
 			best = s
 		}
 	}

@@ -214,7 +214,7 @@ func (c *machineClass) findAvailable(machines []machineRT, spec *job.Spec) int {
 
 // pushRunning records a job as running in the pool.
 func (p *poolRT) pushRunning(rt *jobRT) {
-	prio := rt.j.Spec.Priority
+	prio := rt.spec.Priority
 	p.running[prio] = append(p.running[prio], rt)
 }
 

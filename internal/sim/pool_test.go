@@ -115,9 +115,9 @@ func TestFindVictimPicksMostRecentLowest(t *testing.T) {
 		cluster.MachineClass{Count: 3, Cores: 1, MemMB: 4096, Speed: 1.0},
 	)
 	mkRunning := func(id job.ID, prio job.Priority, mid int) *jobRT {
-		spec := job.Spec{ID: id, Work: 100, Cores: 1, MemMB: 1024, Priority: prio, Candidates: []int{0}}
+		spec := &job.Spec{ID: id, Work: 100, Cores: 1, MemMB: 1024, Priority: prio, Candidates: []int{0}}
 		j := job.New(spec)
-		rt := &jobRT{j: j, spec: &j.Spec}
+		rt := &jobRT{j: j, spec: spec}
 		if err := j.Enqueue(0, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -150,9 +150,9 @@ func TestFindVictimRespectsMemoryAndPriority(t *testing.T) {
 	p, machines := buildPoolRT(t,
 		cluster.MachineClass{Count: 1, Cores: 1, MemMB: 2048, Speed: 1.0},
 	)
-	spec := job.Spec{ID: 1, Work: 100, Cores: 1, MemMB: 1024, Priority: job.PriorityHigh, Candidates: []int{0}}
+	spec := &job.Spec{ID: 1, Work: 100, Cores: 1, MemMB: 1024, Priority: job.PriorityHigh, Candidates: []int{0}}
 	j := job.New(spec)
-	rt := &jobRT{j: j, spec: &j.Spec}
+	rt := &jobRT{j: j, spec: spec}
 	if err := j.Enqueue(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,8 @@ func TestVictimWorksMemoryModes(t *testing.T) {
 		freeCores: 1,
 		freeMemMB: 512,
 	}
-	vspec := job.Spec{Cores: 1, MemMB: 2048, Priority: job.PriorityLow, Candidates: []int{0}}
-	vj := job.New(vspec)
-	victim := &jobRT{j: vj, spec: &vj.Spec}
+	vspec := &job.Spec{Cores: 1, MemMB: 2048, Priority: job.PriorityLow, Candidates: []int{0}}
+	victim := &jobRT{j: job.New(vspec), spec: vspec}
 	need := &job.Spec{Cores: 2, MemMB: 2048, Priority: job.PriorityHigh}
 
 	// Swapped-out suspension releases the victim's memory: fits.

@@ -41,7 +41,7 @@ func (w *waitQueue) Len() int { return w.n }
 
 // push appends the entry to its priority class.
 func (w *waitQueue) push(rt *jobRT) {
-	prio := rt.j.Spec.Priority
+	prio := rt.spec.Priority
 	f, ok := w.classes[prio]
 	if !ok {
 		f = &fifo{}

@@ -7,12 +7,11 @@ import (
 )
 
 func queuedRT(id job.ID, prio job.Priority) *jobRT {
-	spec := job.Spec{
+	spec := &job.Spec{
 		ID: id, Work: 10, Cores: 1, MemMB: 1,
 		Priority: prio, Candidates: []int{0},
 	}
-	j := job.New(spec)
-	return &jobRT{j: j, spec: &j.Spec}
+	return &jobRT{j: job.New(spec), spec: spec}
 }
 
 func TestWaitQueuePriorityThenFIFO(t *testing.T) {

@@ -78,7 +78,6 @@ func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 		w.siteOf[p] = s
 		w.siteCores[s] += plat.Pool(p).Cores
 	}
-	w.jobs = make([]jobRT, len(specs))
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -93,7 +92,13 @@ func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 			return nil, fmt.Errorf("sim: job %d submitted from site %d beyond platform's %d sites",
 				specs[i].ID, s, w.nSites)
 		}
-		w.jobs[i] = jobRT{idx: i, j: job.New(specs[i]), spec: &specs[i]}
+	}
+	// One slab holds every job record, each pointing at its spec: a
+	// year-scale run makes one allocation here instead of one per job.
+	slab := job.NewSlab(specs)
+	w.jobs = make([]jobRT, len(specs))
+	for i := range slab {
+		w.jobs[i] = jobRT{idx: i, j: &slab[i], spec: &specs[i]}
 	}
 	if len(specs) > 0 {
 		w.start = specs[0].Submit

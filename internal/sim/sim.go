@@ -225,6 +225,17 @@ func (c *Config) withDefaults() (Config, error) {
 			return invalid("non-finite %s %v", f.name, f.v)
 		}
 	}
+	// The policy's own durations reach the event schedule too: a
+	// migration overhead delays every migrated job's arrival, and a
+	// wait threshold arms every queue-stall timer.
+	if mig, ok := out.Policy.(core.Migrator); ok {
+		if o := mig.MigrationOverhead(); math.IsNaN(o) || math.IsInf(o, 0) || o < 0 {
+			return invalid("policy %s: negative or non-finite migration overhead %v", out.Policy.Name(), o)
+		}
+	}
+	if th := out.Policy.WaitThreshold(); math.IsNaN(th) || math.IsInf(th, 0) {
+		return invalid("policy %s: non-finite wait threshold %v", out.Policy.Name(), th)
+	}
 	if out.SampleEvery < 0 {
 		return invalid("negative sample period %v", out.SampleEvery)
 	}
@@ -278,7 +289,9 @@ func (c *Config) withDefaults() (Config, error) {
 
 // Result is a completed simulation run.
 type Result struct {
-	// Jobs are the completed job records, in spec order.
+	// Jobs are the completed job records, in spec order. They point
+	// into one slab, and Jobs[i].Spec is &specs[i] of the specs given
+	// to Run: callers must not mutate specs while they hold the Result.
 	Jobs []*job.Job
 	// Util is the platform utilization (%) time series, binned.
 	Util *stats.TimeSeries
@@ -351,6 +364,10 @@ type Result struct {
 // guarantees this). With Config.ResumeFrom set, the run continues from
 // the snapshot instead of t=0 and produces results bit-identical to a
 // straight run.
+//
+// Run never writes to specs, and it shares them instead of copying:
+// Result.Jobs[i].Spec is &specs[i], so callers must not mutate specs
+// while they hold the Result.
 func Run(cfg Config, specs []job.Spec) (*Result, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {

@@ -581,6 +581,11 @@ func TestConfigErrors(t *testing.T) {
 		{name: "Faults.MaintFraction -Inf", set: func(c *Config) {
 			c.Faults = FaultConfig{MaintPeriod: 100, MaintDuration: 10, MaintFraction: -inf}
 		}},
+		{name: "MigrationOverhead NaN", set: func(c *Config) { c.Policy = core.NewResSusMigrate(nan) }, want: "migration overhead"},
+		{name: "MigrationOverhead +Inf", set: func(c *Config) { c.Policy = core.NewResSusMigrate(inf) }, want: "migration overhead"},
+		{name: "MigrationOverhead negative", set: func(c *Config) { c.Policy = core.NewResSusMigrate(-5) }, want: "migration overhead"},
+		{name: "WaitThreshold NaN", set: func(c *Config) { c.Policy = core.ResSusWaitUtil{Threshold: nan} }, want: "wait threshold"},
+		{name: "WaitThreshold +Inf", set: func(c *Config) { c.Policy = core.ResSusWaitUtil{Threshold: inf} }, want: "wait threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
