@@ -12,12 +12,10 @@
 // Layout. Event records live in per-queue struct-of-arrays slot storage
 // recycled through a free list, and the heap itself is a flat slice of
 // slot indices — no per-event allocation, no container/heap interface
-// dispatch, and no `any` boxing on the hot path: the payload of every
-// high-volume kind is inlined into two scalar words (A, B), with a
-// reference slot (Ref) only for the rare structured payloads. Handles
-// are generation-counted: freeing a slot bumps its generation, so a
-// stale handle to a recycled slot is detected (Cancel returns false)
-// rather than corrupting an unrelated event.
+// dispatch, and no `any` boxing: every event's payload is two scalar
+// words (A, B). Handles are generation-counted: freeing a slot bumps
+// its generation, so a stale handle to a recycled slot is detected
+// (Cancel returns false) rather than corrupting an unrelated event.
 //
 // Cancellation is lazy: a canceled event stays in the heap as a
 // tombstone until it surfaces or until tombstones outnumber live events,
@@ -28,19 +26,14 @@ import "sort"
 
 // Event is a scheduled occurrence, returned by value from Pop.
 // The simulator defines the meaning of Kind and the payload words;
-// eventq only orders and delivers them. A and B carry the two inline
-// payload words (job/site/machine indices and the like); Ref carries a
-// reference payload for the few kinds that need one, nil otherwise.
+// eventq only orders and delivers them.
 type Event struct {
 	// Time is the simulated time (minutes) at which the event fires.
 	Time float64
 	// Kind discriminates the payload for the consumer.
 	Kind int
-	// A and B are the inline payload words.
+	// A and B are the payload words: job, pool, site or machine indices.
 	A, B int64
-	// Ref carries a consumer-defined reference payload; nil for the
-	// high-volume kinds, which keeps the hot path allocation-free.
-	Ref any
 }
 
 // Handle identifies a scheduled event for cancellation. It is a value:
@@ -66,7 +59,6 @@ type Queue struct {
 	seq      []uint64
 	kind     []int32
 	a, b     []int64
-	ref      []any
 	gen      []uint32
 	canceled []bool
 
@@ -81,10 +73,6 @@ type Queue struct {
 	// live counts scheduled, non-canceled events. Canceled events stay
 	// in the heap as tombstones until popped or compacted away.
 	live int
-
-	// dropRef, when set, observes the Ref payload of every canceled
-	// event dropped without firing (see SetDropHook).
-	dropRef func(kind int, ref any)
 }
 
 // New returns an empty queue.
@@ -105,17 +93,10 @@ func (q *Queue) Len() int { return len(q.heap) }
 // bounds. Exposed for observability gauges.
 func (q *Queue) Tombstones() int { return len(q.heap) - q.live }
 
-// SetDropHook installs fn, called once for each canceled event whose
-// non-nil Ref payload is dropped without firing (during lazy-deletion
-// sweeps or compaction), so consumers can recycle payload storage.
-// Events that fire transfer Ref ownership to the returned Event
-// instead.
-func (q *Queue) SetDropHook(fn func(kind int, ref any)) { q.dropRef = fn }
-
 // alloc takes a slot from the free list (or grows the storage) and
 // fills it. The slot's generation is preserved across reuse and only
 // bumped on free, so handles to prior tenants stay invalid.
-func (q *Queue) alloc(t float64, kind int, a, b int64, ref any, seq uint64) int32 {
+func (q *Queue) alloc(t float64, kind int, a, b int64, seq uint64) int32 {
 	if n := len(q.free); n > 0 {
 		s := q.free[n-1]
 		q.free = q.free[:n-1]
@@ -124,7 +105,6 @@ func (q *Queue) alloc(t float64, kind int, a, b int64, ref any, seq uint64) int3
 		q.kind[s] = int32(kind)
 		q.a[s] = a
 		q.b[s] = b
-		q.ref[s] = ref
 		q.canceled[s] = false
 		return s
 	}
@@ -134,7 +114,6 @@ func (q *Queue) alloc(t float64, kind int, a, b int64, ref any, seq uint64) int3
 	q.kind = append(q.kind, int32(kind))
 	q.a = append(q.a, a)
 	q.b = append(q.b, b)
-	q.ref = append(q.ref, ref)
 	q.gen = append(q.gen, 1)
 	q.canceled = append(q.canceled, false)
 	return s
@@ -149,17 +128,7 @@ func (q *Queue) freeSlot(s int32) {
 		g = 1
 	}
 	q.gen[s] = g
-	q.ref[s] = nil // release the reference payload
 	q.free = append(q.free, s)
-}
-
-// dropCanceled frees a canceled slot, routing its reference payload
-// through the drop hook.
-func (q *Queue) dropCanceled(s int32) {
-	if q.dropRef != nil && q.ref[s] != nil {
-		q.dropRef(int(q.kind[s]), q.ref[s])
-	}
-	q.freeSlot(s)
 }
 
 // less orders slots by (time, scheduling order): the FEL's total
@@ -237,7 +206,7 @@ func (q *Queue) compact() {
 	w := 0
 	for _, s := range h {
 		if q.canceled[s] {
-			q.dropCanceled(s)
+			q.freeSlot(s)
 			continue
 		}
 		h[w] = s
@@ -253,9 +222,9 @@ func (q *Queue) compact() {
 // the event. Scheduling an event in the past relative to previously
 // popped events is the caller's responsibility to avoid; the queue
 // itself only orders what it holds.
-func (q *Queue) Schedule(t float64, kind int, a, b int64, ref any) Handle {
+func (q *Queue) Schedule(t float64, kind int, a, b int64) Handle {
 	q.next++
-	s := q.alloc(t, kind, a, b, ref, q.next)
+	s := q.alloc(t, kind, a, b, q.next)
 	q.push(s)
 	q.live++
 	return Handle{slot: s, gen: q.gen[s]}
@@ -285,10 +254,10 @@ func (q *Queue) Pop() (Event, bool) {
 	for len(q.heap) > 0 {
 		s := q.popTop()
 		if q.canceled[s] {
-			q.dropCanceled(s)
+			q.freeSlot(s)
 			continue
 		}
-		ev := Event{Time: q.time[s], Kind: int(q.kind[s]), A: q.a[s], B: q.b[s], Ref: q.ref[s]}
+		ev := Event{Time: q.time[s], Kind: int(q.kind[s]), A: q.a[s], B: q.b[s]}
 		q.freeSlot(s)
 		q.live--
 		return ev, true
@@ -304,7 +273,6 @@ type SavedEvent struct {
 	Time float64
 	Kind int
 	A, B int64
-	Ref  any
 	Seq  uint64
 }
 
@@ -319,8 +287,7 @@ func (q *Queue) Export() []SavedEvent {
 		}
 		out = append(out, SavedEvent{
 			Time: q.time[s], Kind: int(q.kind[s]),
-			A: q.a[s], B: q.b[s], Ref: q.ref[s],
-			Seq: q.seq[s],
+			A: q.a[s], B: q.b[s], Seq: q.seq[s],
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -338,7 +305,7 @@ func (q *Queue) Export() []SavedEvent {
 // it does not advance the scheduling-order counter; pair it with SetSeq
 // when rebuilding a queue from a checkpoint.
 func (q *Queue) Restore(sev SavedEvent) Handle {
-	s := q.alloc(sev.Time, sev.Kind, sev.A, sev.B, sev.Ref, sev.Seq)
+	s := q.alloc(sev.Time, sev.Kind, sev.A, sev.B, sev.Seq)
 	q.push(s)
 	q.live++
 	return Handle{slot: s, gen: q.gen[s]}

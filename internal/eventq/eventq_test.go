@@ -19,12 +19,12 @@ func TestEmptyQueue(t *testing.T) {
 
 func TestTimeOrdering(t *testing.T) {
 	q := New()
-	q.Schedule(3, 1, 0, 0, "c")
-	q.Schedule(1, 1, 0, 0, "a")
-	q.Schedule(2, 1, 0, 0, "b")
+	q.Schedule(3, 1, 'c', 0)
+	q.Schedule(1, 1, 'a', 0)
+	q.Schedule(2, 1, 'b', 0)
 	var got string
 	for ev, ok := q.Pop(); ok; ev, ok = q.Pop() {
-		got += ev.Ref.(string)
+		got += string(rune(ev.A))
 	}
 	if got != "abc" {
 		t.Fatalf("order = %q", got)
@@ -34,7 +34,7 @@ func TestTimeOrdering(t *testing.T) {
 func TestFIFOAmongEqualTimes(t *testing.T) {
 	q := New()
 	for i := 0; i < 100; i++ {
-		q.Schedule(5, 0, int64(i), 0, nil)
+		q.Schedule(5, 0, int64(i), 0)
 	}
 	for i := 0; i < 100; i++ {
 		ev, ok := q.Pop()
@@ -49,8 +49,8 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	q := New()
-	h1 := q.Schedule(1, 0, 0, 0, "a")
-	q.Schedule(2, 0, 0, 0, "b")
+	h1 := q.Schedule(1, 0, 'a', 0)
+	q.Schedule(2, 0, 'b', 0)
 	if !q.Cancel(h1) {
 		t.Fatal("Cancel returned false for live event")
 	}
@@ -61,7 +61,7 @@ func TestCancel(t *testing.T) {
 		t.Fatal("double Cancel should return false")
 	}
 	ev, ok := q.Pop()
-	if !ok || ev.Ref.(string) != "b" {
+	if !ok || ev.A != 'b' {
 		t.Fatalf("Pop after cancel = %+v, %v", ev, ok)
 	}
 	if _, ok := q.Pop(); ok {
@@ -71,7 +71,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelAfterPop(t *testing.T) {
 	q := New()
-	h := q.Schedule(1, 0, 0, 0, nil)
+	h := q.Schedule(1, 0, 0, 0)
 	if _, ok := q.Pop(); !ok {
 		t.Fatal("expected event")
 	}
@@ -94,12 +94,12 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	// A handle to a popped event must stay invalid even after its slot
 	// is recycled for a new event: the generation check detects it.
 	q := New()
-	h := q.Schedule(1, 0, 0, 0, nil)
+	h := q.Schedule(1, 0, 0, 0)
 	if _, ok := q.Pop(); !ok {
 		t.Fatal("expected event")
 	}
 	// The freed slot is recycled for the next schedule.
-	h2 := q.Schedule(2, 0, 0, 0, nil)
+	h2 := q.Schedule(2, 0, 0, 0)
 	if q.Cap() != 1 {
 		t.Fatalf("Cap = %d, want 1 (slot reuse)", q.Cap())
 	}
@@ -116,9 +116,9 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 
 func TestKindAndTimePreserved(t *testing.T) {
 	q := New()
-	q.Schedule(7.25, 42, 3, 9, "x")
+	q.Schedule(7.25, 42, 3, 9)
 	ev, ok := q.Pop()
-	if !ok || ev.Time != 7.25 || ev.Kind != 42 || ev.A != 3 || ev.B != 9 || ev.Ref.(string) != "x" {
+	if !ok || ev.Time != 7.25 || ev.Kind != 42 || ev.A != 3 || ev.B != 9 {
 		t.Fatalf("event fields = %+v, %v", ev, ok)
 	}
 }
@@ -129,7 +129,7 @@ func TestCompaction(t *testing.T) {
 	q := New()
 	handles := make([]Handle, 0, 4*minCompact)
 	for i := 0; i < 4*minCompact; i++ {
-		handles = append(handles, q.Schedule(float64(i), 0, int64(i), 0, nil))
+		handles = append(handles, q.Schedule(float64(i), 0, int64(i), 0))
 	}
 	// Cancel even slots: tombstones never exceed live, no compaction yet.
 	for i := 0; i < len(handles); i += 2 {
@@ -159,24 +159,6 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
-func TestDropHookFiresOnDroppedRefs(t *testing.T) {
-	q := New()
-	var dropped []any
-	q.SetDropHook(func(kind int, ref any) { dropped = append(dropped, ref) })
-	h1 := q.Schedule(1, 7, 0, 0, "dropme")
-	h2 := q.Schedule(2, 7, 0, 0, "fired")
-	q.Schedule(3, 7, 0, 0, nil)
-	q.Cancel(h1)
-	_ = h2
-	// Draining sweeps the canceled event: hook sees its ref; the fired
-	// ones transfer ownership to the popped Event.
-	for _, ok := q.Pop(); ok; _, ok = q.Pop() {
-	}
-	if len(dropped) != 1 || dropped[0].(string) != "dropme" {
-		t.Fatalf("drop hook saw %v, want [dropme]", dropped)
-	}
-}
-
 func TestPopDrainsMonotonically(t *testing.T) {
 	// Property: popping a randomly scheduled queue yields nondecreasing
 	// times, and every live event is delivered exactly once.
@@ -188,7 +170,7 @@ func TestPopDrainsMonotonically(t *testing.T) {
 		handles := make([]Handle, 0, n)
 		for i := 0; i < n; i++ {
 			tm := r.Float64() * 1000
-			handles = append(handles, q.Schedule(tm, 0, int64(i), 0, tm))
+			handles = append(handles, q.Schedule(tm, 0, int64(i), 0))
 			times = append(times, tm)
 		}
 		// Cancel a random subset.
@@ -210,7 +192,10 @@ func TestPopDrainsMonotonically(t *testing.T) {
 				return false
 			}
 			prev = ev.Time
-			got = append(got, ev.Ref.(float64))
+			if ev.Time != times[ev.A] {
+				return false
+			}
+			got = append(got, ev.Time)
 		}
 		if len(got) != len(kept) {
 			return false
@@ -230,14 +215,14 @@ func TestPopDrainsMonotonically(t *testing.T) {
 
 func TestInterleavedScheduleAndPop(t *testing.T) {
 	q := New()
-	q.Schedule(10, 0, 0, 0, nil)
+	q.Schedule(10, 0, 0, 0)
 	ev, _ := q.Pop()
 	if ev.Time != 10 {
 		t.Fatal("wrong first event")
 	}
 	// Schedule later events after popping; simulator does this constantly.
-	q.Schedule(20, 0, 0, 0, nil)
-	q.Schedule(15, 0, 0, 0, nil)
+	q.Schedule(20, 0, 0, 0)
+	q.Schedule(15, 0, 0, 0)
 	if ev, _ := q.Pop(); ev.Time != 15 {
 		t.Fatalf("got %v, want 15", ev.Time)
 	}
@@ -267,7 +252,7 @@ func TestPoolReuseStress(t *testing.T) {
 		switch r.IntN(3) {
 		case 0: // schedule burst
 			for n := r.IntN(8); n >= 0; n-- {
-				h := q.Schedule(float64(r.IntN(64)), 1, next, 0, nil)
+				h := q.Schedule(float64(r.IntN(64)), 1, next, 0)
 				byA[next] = len(evs)
 				evs = append(evs, tracked{h: h})
 				next++
@@ -323,7 +308,7 @@ func BenchmarkScheduleAndPop(b *testing.B) {
 	q := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Schedule(r.Float64()*1e6, 0, 0, 0, nil)
+		q.Schedule(r.Float64()*1e6, 0, 0, 0)
 		if q.Live() > 1024 {
 			for j := 0; j < 512; j++ {
 				q.Pop()
@@ -345,7 +330,7 @@ func BenchmarkCancel(b *testing.B) {
 		n := min(round, b.N-done)
 		b.StopTimer()
 		for i := range n {
-			handles[i] = q.Schedule(float64(done+i), 0, 0, 0, nil)
+			handles[i] = q.Schedule(float64(done+i), 0, 0, 0)
 		}
 		b.StartTimer()
 		for _, h := range handles[:n] {
@@ -360,8 +345,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	var cancelA, cancelB []Handle
 	for i := 0; i < 200; i++ {
 		tm := float64(r.IntN(20)) // force plenty of ties
-		ha := a.Schedule(tm, i%5, int64(i), 0, nil)
-		hb := b.Schedule(tm, i%5, int64(i), 0, nil)
+		ha := a.Schedule(tm, i%5, int64(i), 0)
+		hb := b.Schedule(tm, i%5, int64(i), 0)
 		if i%7 == 0 {
 			cancelA = append(cancelA, ha)
 			cancelB = append(cancelB, hb)
@@ -385,8 +370,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// it would have with the originals.
 	for i := 0; i < 50; i++ {
 		tm := float64(r.IntN(20))
-		q.Schedule(tm, 9, int64(1000+i), 0, nil)
-		b.Schedule(tm, 9, int64(1000+i), 0, nil)
+		q.Schedule(tm, 9, int64(1000+i), 0)
+		b.Schedule(tm, 9, int64(1000+i), 0)
 	}
 	for {
 		x, okx := q.Pop()
@@ -407,7 +392,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 func TestExportIsSortedAndPure(t *testing.T) {
 	q := New()
 	for i := 0; i < 100; i++ {
-		q.Schedule(float64(100-i%10), 0, int64(i), 0, nil)
+		q.Schedule(float64(100-i%10), 0, int64(i), 0)
 	}
 	before := q.Live()
 	saved := q.Export()

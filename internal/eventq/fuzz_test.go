@@ -82,7 +82,7 @@ func FuzzQueueOps(f *testing.F) {
 				// Schedule; time domain 0..15 forces simultaneous events.
 				tm := float64(arg % 16)
 				seq := len(model)
-				handles = append(handles, q.Schedule(tm, seq, 0, 0, nil))
+				handles = append(handles, q.Schedule(tm, seq, 0, 0))
 				model = append(model, modelEv{time: tm, seq: seq})
 			case 1:
 				if len(handles) == 0 {
@@ -142,8 +142,8 @@ func FuzzQueueDiff(f *testing.F) {
 			switch op % 5 {
 			case 0: // plain schedule
 				tm := float64(arg % 16)
-				handles = append(handles, q.Schedule(tm, 1, seq, 0, nil))
-				lhandles = append(lhandles, lq.Schedule(tm, 1, seq, 0, nil))
+				handles = append(handles, q.Schedule(tm, 1, seq, 0))
+				lhandles = append(lhandles, lq.Schedule(tm, 1, seq, 0))
 				seq++
 			case 1: // cancel
 				if len(handles) == 0 {
@@ -163,8 +163,8 @@ func FuzzQueueDiff(f *testing.F) {
 			case 3, 4: // schedule another kind, with a second payload word
 				tm := float64(arg % 16)
 				kd := int(op%5) - 1
-				handles = append(handles, q.Schedule(tm, kd, seq, int64(arg), nil))
-				lhandles = append(lhandles, lq.Schedule(tm, kd, seq, int64(arg), nil))
+				handles = append(handles, q.Schedule(tm, kd, seq, int64(arg)))
+				lhandles = append(lhandles, lq.Schedule(tm, kd, seq, int64(arg)))
 				seq++
 			}
 			if q.Live() != lq.Live() {

@@ -1,8 +1,8 @@
 package eventq
 
 // This file preserves the pre-pooling future event list — the
-// container/heap binary heap of *Event records with any-boxed payload
-// delivery — as a test-only reference implementation. Its sole consumer
+// container/heap binary heap of one heap-allocated record per event —
+// as a test-only reference implementation. Its sole consumer
 // is the differential fuzz target (FuzzQueueDiff), which replays op
 // streams against both implementations and demands identical observable
 // behavior. Once the pooled queue has survived in the field for a
@@ -17,7 +17,6 @@ type legacyEvent struct {
 	time     float64
 	kind     int
 	a, b     int64
-	ref      any
 	seq      uint64
 	index    int
 	canceled bool
@@ -35,9 +34,9 @@ func newLegacyQueue() *legacyQueue { return &legacyQueue{} }
 
 func (q *legacyQueue) Live() int { return q.live }
 
-func (q *legacyQueue) Schedule(t float64, kind int, a, b int64, ref any) legacyHandle {
+func (q *legacyQueue) Schedule(t float64, kind int, a, b int64) legacyHandle {
 	q.seq++
-	ev := &legacyEvent{time: t, kind: kind, a: a, b: b, ref: ref, seq: q.seq}
+	ev := &legacyEvent{time: t, kind: kind, a: a, b: b, seq: q.seq}
 	heap.Push(&q.h, ev)
 	q.live++
 	return legacyHandle{ev: ev}
@@ -59,7 +58,7 @@ func (q *legacyQueue) Pop() (Event, bool) {
 			continue
 		}
 		q.live--
-		return Event{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b, Ref: ev.ref}, true
+		return Event{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b}, true
 	}
 	return Event{}, false
 }
@@ -70,7 +69,7 @@ func (q *legacyQueue) Export() []SavedEvent {
 		if ev.canceled {
 			continue
 		}
-		out = append(out, SavedEvent{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b, Ref: ev.ref, Seq: ev.seq})
+		out = append(out, SavedEvent{Time: ev.time, Kind: ev.kind, A: ev.a, B: ev.b, Seq: ev.seq})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Time != out[j].Time {

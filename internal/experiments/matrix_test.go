@@ -322,30 +322,26 @@ func TestMatrixCheckpointResume(t *testing.T) {
 	}
 }
 
-// legacyEngineSnapshot rewrites a serial snapshot's engine-mode field
-// to "parallel" — the mode the removed conservative engine wrote — and
-// recomputes the CRC-32C trailer. The result is what sim's takeSnapshot
-// encodes for that mode: it passes the integrity check and fails only
-// on its engine mode.
-func legacyEngineSnapshot(t *testing.T, data []byte) []byte {
+// version2Snapshot rewrites a snapshot's format-version word (the
+// second header word, after the magic) to 2 and recomputes the
+// CRC-32C trailer. The result passes the integrity check and fails
+// only on its version, as every snapshot of an older build does.
+func version2Snapshot(t *testing.T, data []byte) []byte {
 	t.Helper()
-	const modeAt = 32 // magic, version, config hash, kind hash: 8 bytes each
-	n := int(binary.LittleEndian.Uint64(data[modeAt:]))
-	if got := string(data[modeAt+8 : modeAt+8+n]); got != "serial" {
-		t.Fatalf("checkpoint engine mode %q, want %q", got, "serial")
+	const versionAt = 8
+	if got := binary.LittleEndian.Uint64(data[versionAt:]); got != 3 {
+		t.Fatalf("checkpoint format version %d, want 3", got)
 	}
-	out := append([]byte(nil), data[:modeAt]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len("parallel")))
-	out = append(out, "parallel"...)
-	out = append(out, data[modeAt+8+n:len(data)-8]...)
+	out := append([]byte(nil), data[:len(data)-8]...)
+	binary.LittleEndian.PutUint64(out[versionAt:], 2)
 	sum := crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli))
 	return binary.LittleEndian.AppendUint64(out, uint64(sum))
 }
 
-// TestMatrixResumeLegacyEngineCheckpoint points -resume at a checkpoint
-// written by the removed conservative engine: the cell must log that
-// the checkpoint is not resumable, restart from t=0, and match a fresh
-// run.
+// TestMatrixResumeLegacyEngineCheckpoint points -resume at a version-2
+// checkpoint, the format the builds that still wrote the retired
+// engines' words used: the cell must log that the checkpoint is not
+// resumable, restart from t=0, and match a fresh run.
 func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 	m := Matrix{
 		Scenarios: []Scenario{MultiSiteScenario("fed3", 3, 0,
@@ -373,7 +369,7 @@ func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := legacyEngineSnapshot(t, data)
+	legacy := version2Snapshot(t, data)
 	if _, err := sim.ReadSnapshotMeta(legacy); !errors.Is(err, sim.ErrSnapshotMismatch) {
 		t.Fatalf("legacy snapshot meta: got %v, want ErrSnapshotMismatch", err)
 	}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"netbatch/internal/stats"
-)
+import "netbatch/internal/stats"
 
 // accounting is the series-accounting subsystem: the incremental
 // replacement for ASCA's per-minute state scan (§3.1). Instead of
@@ -59,13 +55,10 @@ func newAccounting(sh *shard) *accounting {
 // register installs the accounting state codec: the next-tick cursor
 // plus the binned TimeSeries state of every sink. Restoring them lets
 // the integrator continue mid-signal with float operations identical
-// to a never-interrupted run. The flag after the cursor marked the
-// retired partitioned engines' raw-log mode; it is always written
-// false, and a snapshot carrying true is rejected.
+// to a never-interrupted run.
 func (a *accounting) register(k *kernel) {
 	k.registerState("accounting", func(e *snapEncoder) {
 		e.F64(a.next)
-		e.Bool(false)
 		encodeTS(e, a.utilTS)
 		encodeTS(e, a.suspTS)
 		encodeTS(e, a.waitTS)
@@ -75,9 +68,6 @@ func (a *accounting) register(k *kernel) {
 		}
 	}, func(d *snapDecoder) error {
 		a.next = d.F64()
-		if raw := d.Bool(); d.err == nil && raw {
-			return fmt.Errorf("%w: accounting in raw-log mode", ErrSnapshotMismatch)
-		}
 		bin := a.sh.w.cfg.SeriesBin
 		a.utilTS = decodeTS(d, bin)
 		a.suspTS = decodeTS(d, bin)

@@ -22,9 +22,8 @@ package sim
 // event-kind table (the registry the pending events reference), and a
 // hash of the full run configuration (platform topology, workload
 // specs, scheduler/policy identity, simulation knobs). Any mismatch —
-// or a truncated or corrupted snapshot, or one whose mode string is
-// not "serial" — fails with ErrSnapshotMismatch before any state is
-// touched.
+// or a truncated or corrupted snapshot — fails with ErrSnapshotMismatch
+// before any state is touched.
 
 import (
 	"encoding/binary"
@@ -41,13 +40,14 @@ import (
 // snapshotMagic and snapshotVersion head every encoded snapshot.
 // Version 2 dropped the persisted cross-alias flag: jobRT.aliased is a
 // pure function of restored job/machine state and is rederived on
-// restore. snapshotMode is the header's mode string, the only one
-// that resumes; other values were written by the retired partitioned
-// engines.
+// restore. Version 3 writes every pending event as (time, kind, seq,
+// a, b), keeps open maintenance blocks in the faults section, and drops
+// the words only the retired partitioned engines set: the header's
+// mode string and shard count, the core phase word, each event's two
+// other rank words, and accounting's raw flag.
 const (
 	snapshotMagic   = uint32(0x4e425350) // "NBSP"
-	snapshotVersion = uint32(2)
-	snapshotMode    = "serial"
+	snapshotVersion = uint32(3)
 )
 
 // ErrSnapshotMismatch wraps every resume failure caused by the snapshot
@@ -223,9 +223,7 @@ func (d *snapDecoder) I64sN(max int) []int64 {
 // kindTableHash fingerprints the kernel's event-kind registry: pending
 // events in a snapshot reference kinds by number, so a resume is only
 // meaningful against the identical table. It hashes the kind names in
-// registration order. (Builds that still carried the partitioned
-// engines also hashed two per-kind synchronization flags, so their
-// snapshots fail this check and re-run fresh.)
+// registration order.
 func kindTableHash(k *kernel) uint64 {
 	h := fnv.New64a()
 	for _, info := range k.kinds[1:] {
@@ -316,7 +314,6 @@ func configHash(w *world) uint64 {
 // by restoreRun.
 type snapshot struct {
 	label      string
-	mode       string
 	every      float64
 	configHash uint64
 	kindHash   uint64
@@ -352,16 +349,15 @@ type snapSection struct {
 // checkpointer.take), so from a run's third capture on the encoding is
 // not copied into a regrown buffer.
 type snapParams struct {
-	mode, label string
-	every       float64
-	cfgHash     uint64
-	kindHash    uint64
-	sizeHint    int
+	label    string
+	every    float64
+	cfgHash  uint64
+	kindHash uint64
+	sizeHint int
 }
 
 func newSnapParams(w *world, sh *shard, every float64) snapParams {
 	return snapParams{
-		mode:     snapshotMode,
 		label:    w.cfg.CheckpointLabel,
 		every:    every,
 		cfgHash:  configHash(w),
@@ -370,15 +366,13 @@ func newSnapParams(w *world, sh *shard, every float64) snapParams {
 }
 
 // takeSnapshot serializes the complete state of a run between two
-// events. The encoding keeps a shard count (always 1, from the retired
-// partitioned engines) ahead of the codec sections.
+// events.
 func takeSnapshot(w *world, sh *shard, p snapParams, now float64, events int64) ([]byte, error) {
 	e := snapEncoder{buf: make([]byte, 0, p.sizeHint+4096)}
 	e.U64(uint64(snapshotMagic))
 	e.U64(uint64(snapshotVersion))
 	e.U64(p.cfgHash)
 	e.U64(p.kindHash)
-	e.Str(p.mode)
 	e.F64(p.every)
 	e.Str(p.label)
 	e.F64(now)
@@ -391,7 +385,6 @@ func takeSnapshot(w *world, sh *shard, p snapParams, now float64, events int64) 
 		return nil, fmt.Errorf("sim: checkpoint policy: %w", err)
 	}
 
-	e.Int(1)
 	e.Int(len(sh.k.codecs))
 	for _, c := range sh.k.codecs {
 		e.Str(c.name)
@@ -460,11 +453,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	}
 	sn.configHash = d.U64()
 	sn.kindHash = d.U64()
-	sn.mode = d.Str()
-	if d.err == nil && sn.mode != snapshotMode {
-		return nil, fmt.Errorf("%w: snapshot from engine mode %q; only %q snapshots resume",
-			ErrSnapshotMismatch, sn.mode, snapshotMode)
-	}
 	sn.every = d.F64()
 	sn.label = d.Str()
 	if d.err == nil {
@@ -482,9 +470,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		sn.polState = d.Bytes()
 	}
 
-	if nShards := d.Int(); d.err == nil && nShards != 1 {
-		return nil, fmt.Errorf("%w: snapshot has %d shards, want 1", ErrSnapshotMismatch, nShards)
-	}
 	nCodecs := d.Int()
 	if d.err == nil && (nCodecs < 0 || nCodecs > 1<<10) {
 		return nil, fmt.Errorf("%w: implausible codec count %d", ErrSnapshotMismatch, nCodecs)
@@ -506,9 +491,6 @@ type SnapshotMeta struct {
 	// Label is the creator-supplied Config.CheckpointLabel (e.g. the
 	// experiment cell, "fed3-faults/p1/r0").
 	Label string
-	// Mode is the header's mode string; "serial" for every snapshot
-	// that can resume.
-	Mode string
 	// Every is the checkpoint cadence (simulated minutes) of the run
 	// that emitted the snapshot; 0 for one-off captures.
 	Every float64
@@ -525,7 +507,7 @@ func ReadSnapshotMeta(data []byte) (SnapshotMeta, error) {
 	if err != nil {
 		return SnapshotMeta{}, err
 	}
-	return SnapshotMeta{Label: sn.label, Mode: sn.mode, Every: sn.every, Time: sn.time, Events: sn.events}, nil
+	return SnapshotMeta{Label: sn.label, Every: sn.every, Time: sn.time, Events: sn.events}, nil
 }
 
 // verify checks a decoded snapshot against the run it is about to be
@@ -739,49 +721,60 @@ func (sh *shard) restoreQueue(d *snapDecoder) error {
 		return d.err
 	}
 	for i := 0; i < n; i++ {
-		t := d.F64()
-		kd := d.Int()
-		phase, class, seq := d.U64(), d.U64(), d.U64()
+		sev := eventq.SavedEvent{Time: d.F64(), Kind: d.Int(), Seq: d.U64(), A: d.I64(), B: d.I64()}
 		if d.err != nil {
 			return d.err
 		}
-		if phase != 0 || class != rankClass {
-			return fmt.Errorf("%w: pending event tie rank (%d, %d, %d), want (0, %d, seq)",
-				ErrSnapshotMismatch, phase, class, seq, rankClass)
+		if sev.Kind <= 0 || sev.Kind >= len(k.kinds) {
+			return fmt.Errorf("%w: pending event references unknown kind %d", ErrSnapshotMismatch, sev.Kind)
 		}
-		if kd <= 0 || kd >= len(k.kinds) {
-			return fmt.Errorf("%w: pending event references unknown kind %d", ErrSnapshotMismatch, kd)
+		// The words passed the CRC but are still input: one that indexes
+		// past the run's jobs, pools, sites or machines must fail the
+		// resume, not panic a handler.
+		if !sh.eventInRange(kind(sev.Kind), sev.A, sev.B) {
+			return fmt.Errorf("%w: pending %s event (%d, %d) is out of range",
+				ErrSnapshotMismatch, k.kinds[sev.Kind].name, sev.A, sev.B)
 		}
-		a, b, pref := k.kinds[kd].decPayload(d)
-		if d.err != nil {
-			return d.err
-		}
-		// The payload passed the CRC but is still input: a job index
-		// out of range must fail the resume, not panic it.
-		rewire := kind(kd) == sh.place.finish || kind(kd) == sh.dyn.waitTimeout
-		if rewire && (a < 0 || a >= int64(len(sh.w.jobs))) {
-			return fmt.Errorf("%w: pending %s event references job %d of %d",
-				ErrSnapshotMismatch, k.kinds[kd].name, a, len(sh.w.jobs))
-		}
-		ref := k.q.Restore(eventq.SavedEvent{Time: t, Kind: kd, A: a, B: b, Ref: pref, Seq: seq})
-		switch kind(kd) {
+		h := k.q.Restore(sev)
+		switch kind(sev.Kind) {
 		case sh.place.finish:
-			sh.w.jobs[int(a)].finish = ref
+			sh.w.jobs[sev.A].finish = h
 		case sh.dyn.waitTimeout:
-			sh.w.jobs[int(a)].waitTO = ref
+			sh.w.jobs[sev.A].waitTO = h
 		}
 	}
 	return nil
 }
 
-// rankClass is the middle word of every saved event's tie rank. The
-// retired partitioned engines ranked events by three words (phase,
-// class, scheduling order); a single queue's rank is always
-// (0, rankClass, seq), and the snapshot stream keeps all three words.
-const rankClass = 2
+// eventInRange reports whether a pending event's payload words index
+// the run's state: a job for the job-carrying kinds, arrive's
+// destination pool, both sites of a view refresh, the site of a crash
+// or window, the machine of a repair. Words a kind does not use are
+// not checked.
+func (sh *shard) eventInRange(kd kind, a, b int64) bool {
+	w := sh.w
+	in := func(x int64, n int) bool { return x >= 0 && x < int64(n) }
+	var f faultSys // with faults off its zero kinds match nothing
+	if sh.faults != nil {
+		f = *sh.faults
+	}
+	switch kd {
+	case sh.place.submit, sh.place.finish, sh.dyn.susDecide, sh.dyn.waitTimeout:
+		return in(a, len(w.jobs))
+	case sh.place.arrive:
+		return in(a, len(w.jobs)) && in(b, len(w.pools))
+	case sh.snaps.snapshot:
+		return in(a, w.nSites) && in(b, w.nSites)
+	case f.crash, f.maintStart, f.maintEnd:
+		return in(a, w.nSites)
+	case f.repair:
+		return in(a, len(w.machines))
+	}
+	return false
+}
 
-// saveQueue exports the kernel's pending events (scheduling-order
-// stamps and counter included) through the per-kind payload codecs.
+// saveQueue exports the kernel's pending events: the scheduling-order
+// counter, then each event as (time, kind, seq, a, b) in firing order.
 func (sh *shard) saveQueue(e *snapEncoder) {
 	k := sh.k
 	e.U64(k.q.Seq())
@@ -790,9 +783,8 @@ func (sh *shard) saveQueue(e *snapEncoder) {
 	for _, sev := range events {
 		e.F64(sev.Time)
 		e.Int(sev.Kind)
-		e.U64(0)
-		e.U64(rankClass)
 		e.U64(sev.Seq)
-		k.kinds[sev.Kind].encPayload(e, sev.A, sev.B, sev.Ref)
+		e.I64(sev.A)
+		e.I64(sev.B)
 	}
 }

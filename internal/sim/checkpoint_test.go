@@ -134,6 +134,13 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // checkpointing and returns the config, specs and emitted checkpoints.
 func checkpointFixture(t *testing.T) (Config, []job.Spec, []Checkpoint) {
 	t.Helper()
+	return checkpointFixtureWith(t, FaultConfig{})
+}
+
+// checkpointFixtureWith is checkpointFixture under the given fault
+// regime.
+func checkpointFixtureWith(t *testing.T, faults FaultConfig) (Config, []job.Spec, []Checkpoint) {
+	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
 	if err != nil {
@@ -143,6 +150,7 @@ func checkpointFixture(t *testing.T) (Config, []job.Spec, []Checkpoint) {
 		Platform:          plat,
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
+		Faults:            faults,
 		CheckConservation: true,
 	}
 	ckCfg, cks := collectCheckpoints(base, 60)
@@ -208,11 +216,13 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 		t.Errorf("workload mismatch: got %v, want ErrSnapshotMismatch", err)
 	}
 
-	// A snapshot written by the removed conservative engine (mode
-	// "parallel", valid trailer) must fail cleanly, never panic.
-	legacy := reencodeSnapshot(t, freshFixtureConfig(base), specs, data, "parallel", func(*shard) {})
-	if _, err := decodeSnapshot(legacy); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("legacy snapshot decode: got %v, want ErrSnapshotMismatch", err)
+	// A version-2 snapshot (valid trailer) must fail cleanly, never
+	// panic: the version is the second header word.
+	legacy := patchSnapshot(t, data, func(body []byte, _ *snapshot) {
+		binary.LittleEndian.PutUint64(body[8:], 2)
+	})
+	if _, err := decodeSnapshot(legacy); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version-2 snapshot decode: got %v, want the ErrSnapshotMismatch version error", err)
 	}
 	err := func() (err error) {
 		defer func() {
@@ -223,7 +233,7 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 		return resume(base, legacy)
 	}()
 	if !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("legacy parallel-mode snapshot: got %v, want ErrSnapshotMismatch", err)
+		t.Errorf("version-2 snapshot: got %v, want ErrSnapshotMismatch", err)
 	}
 }
 
@@ -297,47 +307,6 @@ func TestSnapshotRejectsOldKindHash(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsRetiredEngineWords resumes from snapshots that set
-// one of the words only the partitioned engines ever wrote non-zero:
-// the core codec's phase word, a pending event's rank phase or class,
-// and accounting's raw-log flag. Each must fail with
-// ErrSnapshotMismatch.
-func TestSnapshotRejectsRetiredEngineWords(t *testing.T) {
-	base, specs, cks := checkpointFixture(t)
-	data := cks[len(cks)/2].Data
-	// Offsets within the core section: now, events, then the phase
-	// word; 16 fixed words in all, the queue's scheduling counter and
-	// event count, then the first event's time, kind and rank words.
-	const firstRank = 16*8 + 2*8 + 2*8
-	for _, tc := range []struct {
-		name    string
-		section string
-		off     int
-		val     byte
-		want    string
-	}{
-		{"core phase", "core", 16, 1, "phase word"},
-		{"event rank phase", "core", firstRank, 3, "tie rank (3, 2,"},
-		{"event rank class", "core", firstRank + 8, 1, "tie rank (0, 1,"},
-		{"accounting raw flag", "accounting", 8, 1, "raw-log mode"},
-	} {
-		bad := patchSnapshot(t, data, func(_ []byte, sn *snapshot) {
-			for _, sec := range sn.sections {
-				if sec.name == tc.section {
-					sec.data[tc.off] = tc.val
-					return
-				}
-			}
-			t.Fatalf("%s: no %s section", tc.name, tc.section)
-		})
-		cfg := freshFixtureConfig(base)
-		cfg.ResumeFrom = bad
-		if _, err := Run(cfg, specs); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want ErrSnapshotMismatch naming %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 // freshFixtureConfig returns base with fresh instances of the
 // checkpoint fixture's stateful scheduler and policy.
 func freshFixtureConfig(base Config) Config {
@@ -347,9 +316,9 @@ func freshFixtureConfig(base Config) Config {
 }
 
 // reencodeSnapshot restores data into a fresh shard, lets edit change
-// the restored state, and encodes the result through takeSnapshot
-// under the given mode string, with a valid trailer.
-func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, mode string, edit func(sh *shard)) []byte {
+// the restored state, and encodes the result through takeSnapshot,
+// with a valid trailer.
+func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, edit func(sh *shard)) []byte {
 	t.Helper()
 	cfg, err := raw.withDefaults()
 	if err != nil {
@@ -369,7 +338,6 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, m
 	}
 	edit(sh)
 	p := newSnapParams(w, sh, sn.every)
-	p.mode = mode
 	out, err := takeSnapshot(w, sh, p, sn.time, sn.events)
 	if err != nil {
 		t.Fatal(err)
@@ -378,22 +346,25 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, m
 }
 
 // TestSnapshotRejectsOutOfRangeJobIndex resumes from snapshots whose
-// CRC trailer is valid but whose pending finish or wait-timeout event
-// names a job past the end of the workload. Restore rewires those
-// events into job records by index, so the resume must fail with
+// CRC trailer is valid but whose pending event names a job, pool,
+// site or machine outside the run (one row per kind and payload word),
+// whose open maintenance block names anything but a down machine of
+// its site, or whose window end finds no open block. Handlers index
+// state with those words and blocks, so the resume must fail with
 // ErrSnapshotMismatch instead of panicking.
 func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
-	base, specs, cks := checkpointFixture(t)
-	data := cks[len(cks)/2].Data
-	// reencode restores data, lets edit add pending events, and encodes
+	faults := FaultConfig{MTBF: 300, MTTR: 20, MaintPeriod: 200, MaintDuration: 50, Seed: 5}
+	base, specs, cks := checkpointFixtureWith(t, faults)
+	data := cks[0].Data
+	// reencode restores data, lets edit change the state, and encodes
 	// the result with a recomputed trailer.
 	reencode := func(edit func(sh *shard)) []byte {
-		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, snapshotMode, edit)
+		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, edit)
 	}
 	resume := func(snap []byte) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("resume panicked: %v", r)
+				err = fmt.Errorf("resume panicked: %v", r)
 			}
 		}()
 		cfg := freshFixtureConfig(base)
@@ -401,29 +372,103 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 		_, err = Run(cfg, specs)
 		return err
 	}
-
-	// The re-encoding itself is sound: unedited, it resumes cleanly.
-	if err := resume(reencode(func(*shard) {})); err != nil {
-		t.Fatalf("re-encoded snapshot failed to resume: %v", err)
-	}
-	for _, name := range []string{"finish", "waitTimeout"} {
-		for _, job := range []int64{-1, int64(len(specs)), 1 << 40} {
-			bad := reencode(func(sh *shard) {
-				kd := sh.place.finish
-				if name == "waitTimeout" {
-					kd = sh.dyn.waitTimeout
-				}
-				sh.k.schedule(sh.k.now+1, kd, job, 0)
-			})
-			if _, err := decodeSnapshot(bad); err != nil {
-				t.Fatalf("%s job %d: crafted snapshot fails its own CRC: %v", name, job, err)
-			}
-			err := resume(bad)
-			if !errors.Is(err, ErrSnapshotMismatch) {
-				t.Fatalf("%s job %d: want ErrSnapshotMismatch, got %v", name, job, err)
-			}
+	reject := func(what string, edit func(sh *shard)) {
+		t.Helper()
+		bad := reencode(edit)
+		if _, err := decodeSnapshot(bad); err != nil {
+			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", what, err)
+		}
+		if err := resume(bad); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s: want ErrSnapshotMismatch, got %v", what, err)
 		}
 	}
+
+	// The re-encoding itself is sound: unedited, it resumes cleanly.
+	var kinds []kindInfo
+	if err := resume(reencode(func(sh *shard) { kinds = sh.k.kinds[1:] })); err != nil {
+		t.Fatalf("re-encoded snapshot failed to resume: %v", err)
+	}
+	nSites, nPools, nMachines := base.Platform.NumSites(), base.Platform.NumPools(), base.Platform.NumMachines()
+	last := int64(len(specs) - 1)
+	rows := []struct {
+		kind  string
+		word  int   // the word under test: 0 for a, 1 for b
+		n     int   // it must lie in [0, n)
+		other int64 // the other word, in range
+	}{
+		{"submit", 0, len(specs), 0},
+		{"arrive", 0, len(specs), 0},
+		{"arrive", 1, nPools, last},
+		{"finish", 0, len(specs), 0},
+		{"susDecide", 0, len(specs), 0},
+		{"waitTimeout", 0, len(specs), 0},
+		{"snapshot", 0, nSites, 0},
+		{"snapshot", 1, nSites, 0},
+		{"fault.crash", 0, nSites, 0},
+		{"fault.repair", 0, nMachines, 0},
+		{"fault.maintStart", 0, nSites, 0},
+		{"fault.maintEnd", 0, nSites, 0},
+	}
+	// Each crafted event fires at the last job's submit time, ahead of
+	// that job's own submit event, which the first checkpoint has not
+	// scheduled yet: the job is still created then, so an arrival for it
+	// gets as far as the pool lookup.
+	at := specs[last].Submit
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.kind] = true
+		for _, v := range []int64{-1, int64(row.n), 1 << 20, 1 << 40} {
+			reject(fmt.Sprintf("%s word %d = %d", row.kind, row.word, v), func(sh *shard) {
+				words := [2]int64{row.other, row.other}
+				words[row.word] = v
+				sh.k.schedule(at, kindNamed(t, sh.k, row.kind), words[0], words[1])
+			})
+		}
+	}
+	for _, info := range kinds {
+		if !covered[info.name] {
+			t.Errorf("kind %s has no row", info.name)
+		}
+	}
+
+	// An open maintenance block may only name down machines of its
+	// site, and a window end needs an open block.
+	m0 := base.Platform.Pool(base.Platform.Site(0).Pools[0]).Machines[0]
+	foreign := base.Platform.Pool(base.Platform.Site(1).Pools[0]).Machines[0]
+	block := func(sh *shard, mid int) { sh.w.faults[0].open = append(sh.w.faults[0].open, []int{mid}) }
+	end := func(sh *shard) { sh.k.schedule(at, kindNamed(t, sh.k, "fault.maintEnd"), 0, 0) }
+	for _, tc := range []struct {
+		what string
+		edit func(sh *shard)
+	}{
+		{"block naming machine -1", func(sh *shard) { block(sh, -1); end(sh) }},
+		{"block naming a machine past the platform", func(sh *shard) { block(sh, nMachines); end(sh) }},
+		{"block naming another site's machine", func(sh *shard) {
+			sh.w.machines[foreign].down = true
+			block(sh, foreign)
+			end(sh)
+		}},
+		{"block naming an up machine", func(sh *shard) {
+			sh.w.machines[m0].down = false
+			block(sh, m0)
+			end(sh)
+		}},
+		{"window end without a block", end},
+	} {
+		reject("site 0 "+tc.what, tc.edit)
+	}
+}
+
+// kindNamed returns the registered kind with the given name.
+func kindNamed(t *testing.T, k *kernel, name string) kind {
+	t.Helper()
+	for kd, info := range k.kinds {
+		if kd > 0 && info.name == name {
+			return kind(kd)
+		}
+	}
+	t.Fatalf("no kind %q", name)
+	return 0
 }
 
 // TestCheckpointCaptureBufferSizing pins the capture-size hint: from

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"netbatch/internal/stats"
 )
@@ -139,40 +140,27 @@ type siteFaults struct {
 	// machine block through the site.
 	maintNext float64
 	maintIdx  int
+	// open holds the machine block of every window still open, oldest
+	// first; each window's maintEnd event closes the oldest. Windows
+	// share one duration, so they close in the order they opened — but
+	// a window's end can round onto the next window's start, and the
+	// start then fires first, so two blocks can be open at once.
+	open [][]int
 }
 
 type faultSys struct {
 	sh *shard
 
-	// Allocated event kinds.
+	// Allocated event kinds. Each carries one word: the site in a, or
+	// for repair the machine.
 	crash, repair, maintStart, maintEnd kind
-
-	// takenPool recycles the machine-block slices carried by maintEnd
-	// events: the kernel's payload-release hook returns each slice here
-	// after its event dispatches (or is dropped), and handleMaintStart
-	// draws from the pool before allocating. Purely an allocation cache;
-	// never saved.
-	takenPool [][]int
 }
 
 func (s *faultSys) register(k *kernel) {
-	s.crash = k.registerKind("fault.crash", func(a, _ int64, _ any) error { return s.handleCrash(int(a)) })
-	s.repair = k.registerKind("fault.repair", func(a, _ int64, _ any) error { return s.handleRepair(int(a)) })
-	s.maintStart = k.registerKind("fault.maintStart", func(a, _ int64, _ any) error { return s.handleMaintStart(int(a)) })
-	s.maintEnd = k.registerKind("fault.maintEnd", func(_, _ int64, ref any) error { return s.handleMaintEnd(ref.([]int)) })
-	// maintEnd carries the site in a and the taken-machine block as a
-	// boxed slice; the encoding is byte-identical to the historical
-	// struct codec.
-	k.setPayloadCodec(s.maintEnd,
-		func(e *snapEncoder, a, _ int64, ref any) {
-			e.I64(a)
-			e.Ints(ref.([]int))
-		},
-		func(d *snapDecoder) (int64, int64, any) { return d.I64(), 0, d.IntsN(-1) },
-		func(a, _ int64, _ any) int64 { return a })
-	k.setPayloadRelease(s.maintEnd, func(ref any) {
-		s.takenPool = append(s.takenPool, ref.([]int)[:0])
-	})
+	s.crash = k.registerKind("fault.crash", func(a, _ int64) error { return s.handleCrash(int(a)) })
+	s.repair = k.registerKind("fault.repair", func(a, _ int64) error { return s.handleRepair(int(a)) })
+	s.maintStart = k.registerKind("fault.maintStart", func(a, _ int64) error { return s.handleMaintStart(int(a)) })
+	s.maintEnd = k.registerKind("fault.maintEnd", func(a, _ int64) error { return s.handleMaintEnd(int(a)) })
 	k.registerState("faults", s.save, s.load)
 }
 
@@ -180,7 +168,8 @@ func (s *faultSys) register(k *kernel) {
 // its private RNG stream (so resumed crash gaps, victim draws and
 // repair times continue the exact sequence), the downtime span log and
 // window-start log the Result counters derive from, the accumulated
-// work-lost float, and the maintenance rotation.
+// work-lost float, the maintenance rotation and the open windows'
+// machine blocks.
 func (s *faultSys) save(e *snapEncoder) {
 	sh := s.sh
 	for site := range sh.w.nSites {
@@ -199,6 +188,10 @@ func (s *faultSys) save(e *snapEncoder) {
 		e.F64(f.workLost)
 		e.F64(f.maintNext)
 		e.Int(f.maintIdx)
+		e.Int(len(f.open))
+		for _, block := range f.open {
+			e.Ints(block)
+		}
 	}
 }
 
@@ -213,8 +206,10 @@ func (s *faultSys) load(d *snapDecoder) error {
 		if err := f.rng.ImportState(st); err != nil {
 			return fmt.Errorf("site %d fault stream: %w", site, err)
 		}
+		// A span is four words and a block at least its length word, so
+		// neither count can exceed the bytes left.
 		n := d.Int()
-		if d.err != nil || n < 0 || n > 1<<30 {
+		if d.err != nil || n < 0 || n > (len(d.data)-d.off)/32 {
 			d.fail()
 			return d.err
 		}
@@ -228,6 +223,22 @@ func (s *faultSys) load(d *snapDecoder) error {
 		f.workLost = d.F64()
 		f.maintNext = d.F64()
 		f.maintIdx = d.Int()
+		n = d.Int()
+		if d.err != nil || n < 0 || n > (len(d.data)-d.off)/8 {
+			d.fail()
+			return d.err
+		}
+		f.open = make([][]int, n)
+		for i := range f.open {
+			f.open[i] = d.IntsN(len(sh.w.machBySite[site]))
+			for _, mid := range f.open[i] {
+				if mid < 0 || mid >= len(sh.w.machines) || !sh.w.machines[mid].down ||
+					sh.w.siteOf[sh.w.machines[mid].m.Pool] != site {
+					return fmt.Errorf("%w: site %d open maintenance block names machine %d, not a down machine of the site",
+						ErrSnapshotMismatch, site, mid)
+				}
+			}
+		}
 	}
 	return d.err
 }
@@ -310,10 +321,7 @@ func (s *faultSys) handleMaintStart(site int) error {
 	// The window is atomic: every machine in the block goes down before
 	// any victim is handled, so a kill-and-requeue cannot land a victim
 	// on a machine the same window is about to take away.
-	var taken []int
-	if n := len(s.takenPool); n > 0 {
-		taken, s.takenPool = s.takenPool[n-1], s.takenPool[:n-1]
-	}
+	taken := make([]int, 0, count)
 	for i := 0; i < count; i++ {
 		mid := machines[(start+i)%len(machines)]
 		if sh.w.machines[mid].down {
@@ -330,15 +338,23 @@ func (s *faultSys) handleMaintStart(site int) error {
 		}
 	}
 	if len(taken) > 0 {
-		sh.k.scheduleRef(sh.k.now+cfg.MaintDuration, s.maintEnd, int64(site), 0, taken)
+		f.open = append(f.open, taken)
+		sh.k.schedule(sh.k.now+cfg.MaintDuration, s.maintEnd, int64(site), 0)
 	}
 	return nil
 }
 
-// handleMaintEnd closes a window: every machine it took down comes
-// back and hands its capacity off (resuming drained suspended jobs
-// first, then serving the wait queue, like any freed capacity).
-func (s *faultSys) handleMaintEnd(taken []int) error {
+// handleMaintEnd closes the site's oldest open window: every machine
+// it took down comes back and hands its capacity off (resuming drained
+// suspended jobs first, then serving the wait queue, like any freed
+// capacity).
+func (s *faultSys) handleMaintEnd(site int) error {
+	f := &s.sh.w.faults[site]
+	if len(f.open) == 0 { // only a resumed snapshot can pair an end with no block
+		return fmt.Errorf("%w: site %d window end with no window open", ErrSnapshotMismatch, site)
+	}
+	taken := f.open[0]
+	f.open = slices.Delete(f.open, 0, 1)
 	for _, mid := range taken {
 		s.bringUp(mid)
 		if err := s.sh.onFree(mid); err != nil {

@@ -6,10 +6,12 @@ package sim
 // identity. Random federations with faults run in FuzzFederationRun.
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"netbatch/internal/job"
+	"netbatch/internal/sched"
 )
 
 // maintOnly returns a FaultConfig with deterministic maintenance
@@ -83,6 +85,89 @@ func TestMaintenanceRequeueKillsAndRestarts(t *testing.T) {
 	if res.Kills != 1 || res.Requeues != 1 || res.WorkLost != 10 {
 		t.Errorf("counters: kills=%d requeues=%d workLost=%v, want 1/1/10",
 			res.Kills, res.Requeues, res.WorkLost)
+	}
+}
+
+// tieWindows is a maintenance regime whose every window end rounds
+// onto the next window's start: period 1, duration just below 1, one
+// machine of four per window, drained.
+func tieWindows() FaultConfig {
+	return maintOnly(1, math.Nextafter(1, 0), 0.25, VictimDrain)
+}
+
+// TestMaintWindowEndTiesNextStart runs windows whose end ties the next
+// start. The start fires first, so two blocks are open at once and the
+// end must close the older one. The pinned values are the ones the
+// block-in-payload encoding gave; closing the newer block instead
+// gives 48 down-core minutes and 110 events.
+func TestMaintWindowEndTiesNextStart(t *testing.T) {
+	cfg := baseConfig(miniPlatform(t, 4))
+	cfg.Faults = tieWindows()
+	res := run(t, cfg, []job.Spec{lowJob(1, 0, 60, 0)})
+	// The first window opens at start + period/2; starts chain by
+	// repeated addition of the period.
+	for k, start := 0, 0.5; k < 60; k, start = k+1, start+cfg.Faults.MaintPeriod {
+		if end := start + cfg.Faults.MaintDuration; end != start+cfg.Faults.MaintPeriod {
+			t.Fatalf("window %d ends at %v, next starts at %v: no tie", k, end, start+cfg.Faults.MaintPeriod)
+		}
+	}
+	if res.MaintWindows != 60 || res.DownCoreMinutes != 59.5 || res.Events != 121 {
+		t.Errorf("MaintWindows=%d DownCoreMinutes=%v Events=%d, want 60, 59.5, 121",
+			res.MaintWindows, res.DownCoreMinutes, res.Events)
+	}
+}
+
+// TestMaintResumeWithWindowOpen resumes from every checkpoint taken
+// while a maintenance window is open, under both victim policies and
+// with tied windows (two blocks open), and demands the straight run.
+func TestMaintResumeWithWindowOpen(t *testing.T) {
+	var specs []job.Spec
+	for i := range 24 {
+		specs = append(specs, lowJob(job.ID(i+1), float64(i)*1.75, 2+float64(i%5), 0))
+	}
+	for _, tc := range []struct {
+		name    string
+		faults  FaultConfig
+		specs   []job.Spec
+		maxOpen int
+	}{
+		{VictimDrain, maintOnly(10, 4, 0.5, VictimDrain), specs, 1},
+		{VictimRequeue, maintOnly(10, 4, 0.5, VictimRequeue), specs, 1},
+		{"tied " + VictimDrain, tieWindows(), []job.Spec{lowJob(1, 0, 60, 0)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(miniPlatform(t, 4))
+			cfg.Faults = tc.faults
+			fresh := func() Config {
+				c := cfg
+				c.Initial = sched.NewRoundRobin()
+				return c
+			}
+			want := fingerprint(run(t, fresh(), tc.specs))
+			ckCfg, cks := collectCheckpoints(fresh(), 1)
+			run(t, *ckCfg, tc.specs)
+			maxOpen := 0
+			for _, ck := range *cks {
+				open := 0
+				reencodeSnapshot(t, fresh(), tc.specs, ck.Data, func(sh *shard) {
+					for _, f := range sh.w.faults {
+						open += len(f.open)
+					}
+				})
+				if open == 0 {
+					continue
+				}
+				maxOpen = max(maxOpen, open)
+				resumed := fresh()
+				resumed.ResumeFrom = ck.Data
+				if fp := fingerprint(run(t, resumed, tc.specs)); fp != want {
+					t.Fatalf("resume at t=%v with %d blocks open diverged:\n%s", ck.Time, open, firstDiff(want, fp))
+				}
+			}
+			if maxOpen != tc.maxOpen {
+				t.Fatalf("at most %d blocks open at a checkpoint, want %d", maxOpen, tc.maxOpen)
+			}
+		})
 	}
 }
 

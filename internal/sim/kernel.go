@@ -30,35 +30,16 @@ import (
 // is reserved so an unregistered kind is caught at dispatch.
 type kind int
 
-// handlerFunc applies one event's payload to shard state. The payload
-// arrives as the event's two inline words (a, b) plus the reference
-// slot (ref, nil for the high-volume kinds) — see eventq.Event. Keeping
-// payloads out of `any` for the hot kinds is what makes the event loop
-// allocation-free.
-type handlerFunc func(a, b int64, ref any) error
+// handlerFunc applies one event's payload — its two words (a, b), see
+// eventq.Event — to shard state. Payloads never leave those two
+// words, which is what keeps the event loop allocation-free.
+type handlerFunc func(a, b int64) error
 
-// kindInfo is one registry entry: the kind's diagnostic name, its
-// handler, and its payload codec (how the checkpoint subsystem
-// serializes the kind's pending events).
+// kindInfo is one registry entry: the kind's diagnostic name and its
+// handler.
 type kindInfo struct {
 	name    string
 	handler handlerFunc
-
-	// encPayload/decPayload serialize the kind's event payload for
-	// checkpointing. registerKind installs the one-word codec (most
-	// kinds carry a job, site or machine index in a); kinds with wider
-	// payloads override via setPayloadCodec. The encodings are
-	// byte-identical to the pre-pooling any-boxed codecs, so snapshot
-	// compatibility is preserved.
-	encPayload func(e *snapEncoder, a, b int64, ref any)
-	decPayload func(d *snapDecoder) (a, b int64, ref any)
-	// argOf projects a payload onto the integer argument shown in
-	// replay-bisect event records.
-	argOf func(a, b int64, ref any) int64
-	// release, when set, recycles the kind's reference payloads: the
-	// queue's drop hook routes every canceled-and-dropped Ref here, and
-	// handlers may call it themselves once a fired payload is consumed.
-	release func(ref any)
 }
 
 // stateCodec is one entry of the kernel's state registry — the
@@ -98,15 +79,7 @@ type kernel struct {
 }
 
 func newKernel() *kernel {
-	k := &kernel{q: eventq.New(), kinds: make([]kindInfo, 1)}
-	// Route reference payloads of canceled-and-dropped events to their
-	// kind's recycler, if it registered one.
-	k.q.SetDropHook(func(kd int, ref any) {
-		if kd > 0 && kd < len(k.kinds) && k.kinds[kd].release != nil {
-			k.kinds[kd].release(ref)
-		}
-	})
-	return k
+	return &kernel{q: eventq.New(), kinds: make([]kindInfo, 1)}
 }
 
 // registerKind allocates a new event kind owned by the calling
@@ -120,29 +93,8 @@ func (k *kernel) registerKind(name string, h handlerFunc) kind {
 			panic(fmt.Sprintf("sim: event kind %q registered twice", name))
 		}
 	}
-	k.kinds = append(k.kinds, kindInfo{
-		name: name, handler: h,
-		encPayload: func(e *snapEncoder, a, _ int64, _ any) { e.I64(a) },
-		decPayload: func(d *snapDecoder) (int64, int64, any) { return d.I64(), 0, nil },
-		argOf:      func(a, _ int64, _ any) int64 { return a },
-	})
+	k.kinds = append(k.kinds, kindInfo{name: name, handler: h})
 	return kind(len(k.kinds) - 1)
-}
-
-// setPayloadCodec overrides the payload codec of a kind whose events
-// carry more than the single inline word a.
-func (k *kernel) setPayloadCodec(kd kind,
-	enc func(*snapEncoder, int64, int64, any), dec func(*snapDecoder) (int64, int64, any),
-	argOf func(int64, int64, any) int64) {
-	k.kinds[kd].encPayload = enc
-	k.kinds[kd].decPayload = dec
-	k.kinds[kd].argOf = argOf
-}
-
-// setPayloadRelease installs a recycler for a kind's reference
-// payloads (see kindInfo.release).
-func (k *kernel) setPayloadRelease(kd kind, release func(ref any)) {
-	k.kinds[kd].release = release
 }
 
 // registerState adds a subsystem's state codec to the kernel's state
@@ -158,27 +110,9 @@ func (k *kernel) registerState(name string, save func(*snapEncoder), load func(*
 	k.codecs = append(k.codecs, stateCodec{name: name, save: save, load: load})
 }
 
-// schedule adds an event at time t. The payload is the inline word
-// pair (a, b); the rare reference payloads go through scheduleRef.
+// schedule adds an event at time t with payload words (a, b).
 func (k *kernel) schedule(t float64, kd kind, a, b int64) eventq.Handle {
-	return k.q.Schedule(t, int(kd), a, b, nil)
-}
-
-// scheduleRef is schedule for kinds that carry a reference payload.
-func (k *kernel) scheduleRef(t float64, kd kind, a, b int64, payload any) eventq.Handle {
-	return k.q.Schedule(t, int(kd), a, b, payload)
-}
-
-// releaseRef recycles a fired event's reference payload through its
-// kind's recycler, if any. The loop calls it after the handler (and
-// any replay recording) has consumed the payload.
-func (k *kernel) releaseRef(ev eventq.Event) {
-	if ev.Ref == nil {
-		return
-	}
-	if rel := k.kinds[ev.Kind].release; rel != nil {
-		rel(ev.Ref)
-	}
+	return k.q.Schedule(t, int(kd), a, b)
 }
 
 // cancel removes a scheduled event; stale handles are ignored.
@@ -189,5 +123,5 @@ func (k *kernel) dispatch(ev eventq.Event) error {
 	if ev.Kind <= 0 || ev.Kind >= len(k.kinds) {
 		return fmt.Errorf("sim: unknown event kind %d", ev.Kind)
 	}
-	return k.kinds[ev.Kind].handler(ev.A, ev.B, ev.Ref)
+	return k.kinds[ev.Kind].handler(ev.A, ev.B)
 }

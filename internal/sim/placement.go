@@ -20,20 +20,10 @@ type placementSys struct {
 
 func (s *placementSys) register(k *kernel) {
 	sh := s.sh
-	s.submit = k.registerKind("submit", func(a, _ int64, _ any) error { return sh.handleSubmit(int(a)) })
-	s.arrive = k.registerKind("arrive", func(a, b int64, _ any) error {
-		return sh.arrival(int(a), int(b))
-	})
-	s.finish = k.registerKind("finish", func(a, _ int64, _ any) error { return sh.handleFinish(int(a)) })
-	// arrive carries (job idx, destination pool) in (a, b); the encoding
-	// is byte-identical to the historical two-int struct codec.
-	k.setPayloadCodec(s.arrive,
-		func(e *snapEncoder, a, b int64, _ any) {
-			e.I64(a)
-			e.I64(b)
-		},
-		func(d *snapDecoder) (int64, int64, any) { return d.I64(), d.I64(), nil },
-		func(a, _ int64, _ any) int64 { return a })
+	s.submit = k.registerKind("submit", func(a, _ int64) error { return sh.handleSubmit(int(a)) })
+	// arrive carries (job idx, destination pool) in (a, b).
+	s.arrive = k.registerKind("arrive", func(a, b int64) error { return sh.arrival(int(a), int(b)) })
+	s.finish = k.registerKind("finish", func(a, _ int64) error { return sh.handleFinish(int(a)) })
 	k.registerState("placement", s.save, s.load)
 }
 

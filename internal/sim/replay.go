@@ -10,7 +10,7 @@ package sim
 //
 //   - replay vs replay: if the two replays disagree, the simulator
 //     itself is nondeterministic, and the first diverging event
-//     (position, time, kind, argument) is reported exactly;
+//     (position, time, kind, payload words) is reported exactly;
 //   - replay vs recorded: if the replays agree with each other but
 //     their state at the target boundary differs from the recorded
 //     snapshot, the divergence is between this build/replay and the
@@ -42,9 +42,9 @@ type EventRecord struct {
 	T float64
 	// Kind is the event kind's registered name.
 	Kind string
-	// Arg is the kind-specific integer argument (job index, site,
-	// machine — whatever the kind's payload projects to).
-	Arg int64
+	// A and B are the event's payload words (job index, pool, site,
+	// machine — whatever the kind carries; unused words are 0).
+	A, B int64
 }
 
 // replayRecorder accumulates the serial loop's event log.
@@ -52,8 +52,8 @@ type replayRecorder struct {
 	events []EventRecord
 }
 
-func (r *replayRecorder) record(t float64, info *kindInfo, a, b int64, ref any) {
-	r.events = append(r.events, EventRecord{T: t, Kind: info.name, Arg: info.argOf(a, b, ref)})
+func (r *replayRecorder) record(t float64, kind string, a, b int64) {
+	r.events = append(r.events, EventRecord{T: t, Kind: kind, A: a, B: b})
 }
 
 // BisectReport is ReplayBisect's finding.
@@ -181,8 +181,8 @@ func firstLogDivergence(a, b *replayRecorder) string {
 	for i := 0; i < n; i++ {
 		if la[i] != lb[i] {
 			return fmt.Sprintf(
-				"first diverging event: event %d — replay 1 {t=%v kind=%s arg=%d} vs replay 2 {t=%v kind=%s arg=%d}",
-				i, la[i].T, la[i].Kind, la[i].Arg, lb[i].T, lb[i].Kind, lb[i].Arg)
+				"first diverging event: event %d — replay 1 {t=%v kind=%s a=%d b=%d} vs replay 2 {t=%v kind=%s a=%d b=%d}",
+				i, la[i].T, la[i].Kind, la[i].A, la[i].B, lb[i].T, lb[i].Kind, lb[i].A, lb[i].B)
 		}
 	}
 	if len(la) != len(lb) {

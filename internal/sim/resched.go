@@ -21,8 +21,8 @@ type reschedSys struct {
 
 func (s *reschedSys) register(k *kernel) {
 	sh := s.sh
-	s.susDecide = k.registerKind("susDecide", func(a, _ int64, _ any) error { return sh.handleSusDecide(int(a)) })
-	s.waitTimeout = k.registerKind("waitTimeout", func(a, _ int64, _ any) error { return sh.handleWaitTimeout(int(a)) })
+	s.susDecide = k.registerKind("susDecide", func(a, _ int64) error { return sh.handleSusDecide(int(a)) })
+	s.waitTimeout = k.registerKind("waitTimeout", func(a, _ int64) error { return sh.handleWaitTimeout(int(a)) })
 	// The subsystem owns no state beyond its pending events (saved with
 	// the kernel queue; the core codec rewires each restored wait-timer
 	// handle to its job) and the policy's internals (saved through the

@@ -93,9 +93,8 @@ func serialLoop(sh *shard, ck *checkpointer) error {
 			return fmt.Errorf("sim: t=%v: %w", k.now, err)
 		}
 		if cfg.eventLog != nil {
-			cfg.eventLog.record(k.now, &k.kinds[ev.Kind], ev.A, ev.B, ev.Ref)
+			cfg.eventLog.record(k.now, k.kinds[ev.Kind].name, ev.A, ev.B)
 		}
-		k.releaseRef(ev)
 		// Both checkpoint capture points sit at the same boundary: after
 		// the event's full effect, before the next pop — where every
 		// piece of state is explicit and enumerable.

@@ -224,16 +224,11 @@ func newShard(w *world) *shard {
 // clock and counters, the submission-chain cursor, the scope counters,
 // the Result counters, and the pending future event list (exact
 // scheduling-order stamps included — see saveQueue/restoreQueue).
-//
-// The third word is the retired partitioned engines' tie-rank phase.
-// It is always written as 0, and a snapshot carrying anything else is
-// rejected, so the stream keeps its layout.
 func (sh *shard) registerCoreState() {
 	sh.k.registerState("core", func(e *snapEncoder) {
 		k := sh.k
 		e.F64(k.now)
 		e.I64(k.events)
-		e.U64(0)
 		e.Int(sh.nextSubmit)
 		e.Int(sh.scopeBusy)
 		e.Int(sh.scopeSuspended)
@@ -252,9 +247,6 @@ func (sh *shard) registerCoreState() {
 		k := sh.k
 		k.now = d.F64()
 		k.events = d.I64()
-		if phase := d.U64(); d.err == nil && phase != 0 {
-			return fmt.Errorf("%w: core phase word %d, want 0", ErrSnapshotMismatch, phase)
-		}
 		sh.nextSubmit = d.Int()
 		sh.scopeBusy = d.Int()
 		sh.scopeSuspended = d.Int()

@@ -30,12 +30,15 @@
 // rescheduling (resched.go), stale-view snapshots (snapshot.go),
 // machine faults and maintenance windows (faults.go) and series
 // accounting (accounting.go) — each of which allocates its event kinds
-// from the registry (shard.go). One serial loop (serial.go) pops the
-// single event queue in (time, scheduling order) and dispatches every
-// event; checkpoint/resume (checkpoint.go, delta.go) and replay
-// bisection (replay.go) run on the same loop. Parallelism lives one
-// level up, across independent runs (the experiments matrix's -jobs
-// worker pool). See docs/ARCHITECTURE.md for the layering.
+// from the registry (shard.go). Every event is (time, kind, a, b): its
+// payload is two integer words, and state a handler needs beyond them
+// lives in a subsystem field that the subsystem's state codec saves.
+// One serial loop (serial.go) pops the single event queue in (time,
+// scheduling order) and dispatches every event; checkpoint/resume
+// (checkpoint.go, delta.go) and replay bisection (replay.go) run on the
+// same loop. Parallelism lives one level up, across independent runs
+// (the experiments matrix's -jobs worker pool). See
+// docs/ARCHITECTURE.md for the layering.
 package sim
 
 import (

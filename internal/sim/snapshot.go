@@ -19,19 +19,11 @@ type snapshotSys struct {
 
 func (s *snapshotSys) register(k *kernel) {
 	sh := s.sh
-	s.snapshot = k.registerKind("snapshot", func(a, b int64, _ any) error {
+	// snapshot carries (observer, target) in (a, b).
+	s.snapshot = k.registerKind("snapshot", func(a, b int64) error {
 		sh.handleSnapshot(snapPair{obs: int(a), tgt: int(b)})
 		return nil
 	})
-	// snapshot carries (observer, target) in (a, b); the encoding is
-	// byte-identical to the historical two-int struct codec.
-	k.setPayloadCodec(s.snapshot,
-		func(e *snapEncoder, a, b int64, _ any) {
-			e.I64(a)
-			e.I64(b)
-		},
-		func(d *snapDecoder) (int64, int64, any) { return d.I64(), d.I64(), nil },
-		func(_, b int64, _ any) int64 { return b })
 	k.registerState("views", s.save, s.load)
 }
 
