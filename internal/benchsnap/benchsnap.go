@@ -9,7 +9,7 @@
 // checkpoint/restore set including delta capture) at the same 4% bench
 // scale. The simulation cells keep their "/serial" suffix from when a
 // second engine was recorded beside each, so -trend stays continuous.
-// Results serialize to a schema-versioned JSON snapshot (BENCH_19.json
+// Results serialize to a schema-versioned JSON snapshot (BENCH_20.json
 // at the repo root is the committed baseline; earlier BENCH_*.json
 // files stay committed as the trend history — see cmd/benchsnap).
 //

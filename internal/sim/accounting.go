@@ -2,9 +2,9 @@ package sim
 
 import "netbatch/internal/stats"
 
-// accounting is the series-accounting subsystem: the incremental
-// replacement for ASCA's per-minute state scan (§3.1). Instead of
-// queueing one sample event per simulated minute, the shard integrates
+// accounting is series accounting: the incremental replacement for
+// ASCA's per-minute state scan (§3.1). Instead of queueing one sample
+// event per simulated minute, the world integrates
 // its piecewise-constant utilization/suspension/wait signals whenever
 // its simulated time advances past pending sample ticks. next marches
 // by repeated addition of SampleEvery from the run's first submission,
@@ -21,7 +21,7 @@ import "netbatch/internal/stats"
 // multi-site platforms), reproducing the monolithic engine's output
 // bit for bit.
 type accounting struct {
-	sh *shard
+	w *world
 
 	on    bool
 	next  float64
@@ -31,60 +31,63 @@ type accounting struct {
 	siteTS                 []*stats.TimeSeries
 }
 
-func newAccounting(sh *shard) *accounting {
-	a := &accounting{sh: sh, every: sh.w.cfg.SampleEvery}
+func newAccounting(w *world) accounting {
+	cfg := &w.cfg
+	a := accounting{w: w, every: cfg.SampleEvery}
 	// The result always carries (possibly empty) series, even when
 	// sampling is disabled.
-	a.utilTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
-	a.suspTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
-	a.waitTS = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
-	if sh.w.cfg.DisableSampling || len(sh.w.specs) == 0 {
+	a.utilTS = stats.NewTimeSeries(cfg.SeriesBin)
+	a.suspTS = stats.NewTimeSeries(cfg.SeriesBin)
+	a.waitTS = stats.NewTimeSeries(cfg.SeriesBin)
+	if cfg.DisableSampling || len(w.specs) == 0 {
 		return a
 	}
 	a.on = true
-	a.next = sh.w.start
-	if sh.w.nSites > 1 {
-		a.siteTS = make([]*stats.TimeSeries, sh.w.nSites)
+	a.next = w.start
+	if w.nSites > 1 {
+		a.siteTS = make([]*stats.TimeSeries, w.nSites)
 		for s := range a.siteTS {
-			a.siteTS[s] = stats.NewTimeSeries(sh.w.cfg.SeriesBin)
+			a.siteTS[s] = stats.NewTimeSeries(cfg.SeriesBin)
 		}
 	}
 	return a
 }
 
-// register installs the accounting state codec: the next-tick cursor
-// plus the binned TimeSeries state of every sink. Restoring them lets
-// the integrator continue mid-signal with float operations identical
-// to a never-interrupted run.
-func (a *accounting) register(k *kernel) {
-	k.registerState("accounting", func(e *snapEncoder) {
-		e.F64(a.next)
-		encodeTS(e, a.utilTS)
-		encodeTS(e, a.suspTS)
-		encodeTS(e, a.waitTS)
-		e.Int(len(a.siteTS))
-		for _, ts := range a.siteTS {
-			encodeTS(e, ts)
-		}
-	}, func(d *snapDecoder) error {
-		a.next = d.F64()
-		bin := a.sh.w.cfg.SeriesBin
-		a.utilTS = decodeTS(d, bin)
-		a.suspTS = decodeTS(d, bin)
-		a.waitTS = decodeTS(d, bin)
-		n := d.Int()
-		if d.err != nil {
-			return d.err
-		}
-		if n != len(a.siteTS) {
-			d.fail()
-			return d.err
-		}
-		for s := range a.siteTS {
-			a.siteTS[s] = decodeTS(d, bin)
-		}
+// saveAccounting dumps the next-tick cursor plus the binned TimeSeries
+// state of every sink. Restoring them lets the integrator continue
+// mid-signal with float operations identical to a never-interrupted
+// run.
+func (w *world) saveAccounting(e *snapEncoder) {
+	a := &w.acct
+	e.F64(a.next)
+	encodeTS(e, a.utilTS)
+	encodeTS(e, a.suspTS)
+	encodeTS(e, a.waitTS)
+	e.Int(len(a.siteTS))
+	for _, ts := range a.siteTS {
+		encodeTS(e, ts)
+	}
+}
+
+func (w *world) loadAccounting(d *snapDecoder) error {
+	a := &w.acct
+	a.next = d.F64()
+	bin := w.cfg.SeriesBin
+	a.utilTS = decodeTS(d, bin)
+	a.suspTS = decodeTS(d, bin)
+	a.waitTS = decodeTS(d, bin)
+	n := d.Int()
+	if d.err != nil {
 		return d.err
-	})
+	}
+	if n != len(a.siteTS) {
+		d.fail()
+		return d.err
+	}
+	for s := range a.siteTS {
+		a.siteTS[s] = decodeTS(d, bin)
+	}
+	return d.err
 }
 
 // encodeTS/decodeTS serialize one TimeSeries accumulator (nil-aware:
@@ -116,7 +119,7 @@ func decodeTS(d *snapDecoder, bin float64) *stats.TimeSeries {
 
 // advanceTo records every pending sample tick with time strictly
 // before now. The observed signals are piecewise-constant between the
-// shard's events, so the current counters are exactly what an
+// world's events, so the current counters are exactly what an
 // event-driven sampler would have read at each of those ticks.
 func (a *accounting) advanceTo(now float64) {
 	if !a.on {
@@ -128,20 +131,20 @@ func (a *accounting) advanceTo(now float64) {
 }
 
 func (a *accounting) tick() {
-	sh := a.sh
+	w := a.w
 	// The denominator is the platform's machine core total, exactly as
 	// the monolithic sampler computed it.
 	util := 0.0
-	if sh.w.totalCores > 0 {
-		util = float64(sh.scopeBusy) / float64(sh.w.totalCores) * 100
+	if w.totalCores > 0 {
+		util = float64(w.scopeBusy) / float64(w.totalCores) * 100
 	}
 	a.utilTS.Add(a.next, util)
-	a.suspTS.Add(a.next, float64(sh.scopeSuspended))
-	a.waitTS.Add(a.next, float64(sh.scopeWaiting))
+	a.suspTS.Add(a.next, float64(w.scopeSuspended))
+	a.waitTS.Add(a.next, float64(w.scopeWaiting))
 	for s, ts := range a.siteTS {
 		su := 0.0
-		if sh.w.siteCores[s] > 0 {
-			su = float64(sh.w.siteBusy[s]) / float64(sh.w.siteCores[s]) * 100
+		if w.siteCores[s] > 0 {
+			su = float64(w.siteBusy[s]) / float64(w.siteCores[s]) * 100
 		}
 		ts.Add(a.next, su)
 	}

@@ -3,27 +3,27 @@ package sim
 // Checkpoint/restore: serialize the complete state of a running
 // simulation at a clean boundary and resume it later, bit-identically.
 //
-// The state contract is the kernel's state registry (see stateCodec in
-// kernel.go): every stateful subsystem registers a codec that can dump
-// and restore its portion of shard state, so the snapshot machinery —
-// like the dispatch loop — never needs to know which mechanisms are
-// loaded. Checkpointing, resume and replay always run on the serial
-// kernel, and a snapshot is taken only between two of its events,
-// where every piece of state is explicit. The invariant that
-// makes this safe, asserted by the checkpoint property tests, is
+// The state contract is the stateCodecs table: one named section per
+// mechanism, each a pair of world methods that dump and restore its
+// portion of the world. Checkpointing, resume and replay all run on the
+// serial loop, and a snapshot is taken only between two of its events,
+// where every piece of state is explicit. The invariant that makes
+// this safe, asserted by the checkpoint property tests, is
 // bit-identity: a run resumed from any checkpoint produces exactly the
 // jobs, series, counters and event counts of a never-interrupted run.
 //
 // The encoding is deterministic — fixed-width little-endian primitives,
-// floats as IEEE-754 bits, registry-ordered sections, sorted map keys —
+// floats as IEEE-754 bits, sections in table order, sorted map keys —
 // so equal states always encode to equal bytes, which is what lets
 // replay-bisect (replay.go) compare snapshots bytewise. Three guards
 // protect against mismatched resumes: a format version, a hash of the
-// event-kind table (the registry the pending events reference), and a
+// event-kind table (the numbers the pending events reference), and a
 // hash of the full run configuration (platform topology, workload
 // specs, scheduler/policy identity, simulation knobs). Any mismatch —
-// or a truncated or corrupted snapshot — fails with ErrSnapshotMismatch
-// before any state is touched.
+// or a truncated or corrupted snapshot — fails with ErrSnapshotMismatch,
+// and so does a CRC-valid snapshot whose words the run cannot continue
+// from: an index outside the platform or the workload, a job state
+// that does not exist, or a clock or sample cursor outside the run.
 
 import (
 	"encoding/binary"
@@ -220,14 +220,14 @@ func (d *snapDecoder) I64sN(max int) []int64 {
 // ---------------------------------------------------------------------
 // Guard hashes.
 
-// kindTableHash fingerprints the kernel's event-kind registry: pending
+// kindTableHash fingerprints the run's event-kind table: pending
 // events in a snapshot reference kinds by number, so a resume is only
-// meaningful against the identical table. It hashes the kind names in
-// registration order.
-func kindTableHash(k *kernel) uint64 {
+// meaningful against the identical table. It hashes the names of the
+// kinds the run can hold, in number order.
+func kindTableHash(w *world) uint64 {
 	h := fnv.New64a()
-	for _, info := range k.kinds[1:] {
-		fmt.Fprintf(h, "%s;", info.name)
+	for _, name := range kindNames[1:w.numKinds()] {
+		fmt.Fprintf(h, "%s;", name)
 	}
 	return h.Sum64()
 }
@@ -310,8 +310,8 @@ func configHash(w *world) uint64 {
 // Snapshot encode/decode.
 
 // snapshot is a decoded-but-not-yet-applied checkpoint: the verified
-// header plus the raw codec sections, applied to a freshly built shard
-// by restoreRun.
+// header plus the raw codec sections, applied to a freshly built world
+// by restore.
 type snapshot struct {
 	label      string
 	every      float64
@@ -332,7 +332,7 @@ type snapshot struct {
 	hasPolState  bool
 	polState     []byte
 
-	// sections holds the codec sections in registry order.
+	// sections holds the codec sections in stateCodecs order.
 	sections []snapSection
 }
 
@@ -356,18 +356,50 @@ type snapParams struct {
 	sizeHint int
 }
 
-func newSnapParams(w *world, sh *shard, every float64) snapParams {
+func newSnapParams(w *world, every float64) snapParams {
 	return snapParams{
 		label:    w.cfg.CheckpointLabel,
 		every:    every,
 		cfgHash:  configHash(w),
-		kindHash: kindTableHash(sh.k),
+		kindHash: kindTableHash(w),
 	}
+}
+
+// stateCodec is one snapshot section: the name it is saved under and
+// the world methods that save and load it.
+type stateCodec struct {
+	name string
+	save func(*world, *snapEncoder)
+	load func(*world, *snapDecoder) error
+}
+
+// stateCodecs lists the snapshot sections in encoding order, which is
+// part of the snapshot format: a restore pairs saved sections with
+// codecs by position and checks their names. "faults" comes last and
+// exists only with faults on (see codecs). "resched" is empty —
+// rescheduling keeps no state beyond its pending events and the
+// policy's own — but stays, because dropping it would change every
+// snapshot's bytes.
+var stateCodecs = [...]stateCodec{
+	{"core", (*world).saveCore, (*world).loadCore},
+	{"accounting", (*world).saveAccounting, (*world).loadAccounting},
+	{"placement", (*world).savePlacement, (*world).loadPlacement},
+	{"resched", func(*world, *snapEncoder) {}, func(*world, *snapDecoder) error { return nil }},
+	{"views", (*world).saveViews, (*world).loadViews},
+	{"faults", (*world).saveFaults, (*world).loadFaults},
+}
+
+// codecs returns the run's snapshot sections.
+func (w *world) codecs() []stateCodec {
+	if w.faults == nil {
+		return stateCodecs[:len(stateCodecs)-1]
+	}
+	return stateCodecs[:]
 }
 
 // takeSnapshot serializes the complete state of a run between two
 // events.
-func takeSnapshot(w *world, sh *shard, p snapParams, now float64, events int64) ([]byte, error) {
+func takeSnapshot(w *world, p snapParams, now float64, events int64) ([]byte, error) {
 	e := snapEncoder{buf: make([]byte, 0, p.sizeHint+4096)}
 	e.U64(uint64(snapshotMagic))
 	e.U64(uint64(snapshotVersion))
@@ -385,14 +417,15 @@ func takeSnapshot(w *world, sh *shard, p snapParams, now float64, events int64) 
 		return nil, fmt.Errorf("sim: checkpoint policy: %w", err)
 	}
 
-	e.Int(len(sh.k.codecs))
-	for _, c := range sh.k.codecs {
+	codecs := w.codecs()
+	e.Int(len(codecs))
+	for _, c := range codecs {
 		e.Str(c.name)
 		// Reserve the section length slot, save in place, then backpatch
 		// — avoids a second buffer and its copy per section.
 		e.U64(0)
 		lenAt := len(e.buf) - 8
-		c.save(&e)
+		c.save(w, &e)
 		binary.LittleEndian.PutUint64(e.buf[lenAt:], uint64(len(e.buf)-lenAt-8))
 	}
 	// Integrity trailer: a CRC-32C checksum of everything above, so a
@@ -510,20 +543,15 @@ func ReadSnapshotMeta(data []byte) (SnapshotMeta, error) {
 	return SnapshotMeta{Label: sn.label, Every: sn.every, Time: sn.time, Events: sn.events}, nil
 }
 
-// verify checks a decoded snapshot against the run it is about to be
-// restored into: the same configuration fingerprint.
-func (sn *snapshot) verify(w *world) error {
+// restore checks a decoded snapshot against the run — the same
+// configuration and kind table — and applies it to a freshly built,
+// unseeded world.
+func (w *world) restore(sn *snapshot) error {
 	if h := configHash(w); sn.configHash != h {
 		return fmt.Errorf("%w: configuration hash %#x, snapshot has %#x (different platform, workload, policy or knobs)",
 			ErrSnapshotMismatch, h, sn.configHash)
 	}
-	return nil
-}
-
-// restoreRun applies a verified snapshot to a freshly built shard:
-// subsystems registered, nothing seeded.
-func restoreRun(sn *snapshot, w *world, sh *shard) error {
-	if h := kindTableHash(sh.k); sn.kindHash != h {
+	if h := kindTableHash(w); sn.kindHash != h {
 		return fmt.Errorf("%w: event-kind table hash %#x, snapshot has %#x",
 			ErrSnapshotMismatch, h, sn.kindHash)
 	}
@@ -533,18 +561,18 @@ func restoreRun(sn *snapshot, w *world, sh *shard) error {
 	if err := restoreComponentState(w.cfg.Policy, "policy", sn.hasPolState, sn.polState); err != nil {
 		return err
 	}
-	secs := sn.sections
-	if len(secs) != len(sh.k.codecs) {
-		return fmt.Errorf("%w: shard has %d state codecs, snapshot has %d",
-			ErrSnapshotMismatch, len(sh.k.codecs), len(secs))
+	secs, codecs := sn.sections, w.codecs()
+	if len(secs) != len(codecs) {
+		return fmt.Errorf("%w: run has %d state codecs, snapshot has %d",
+			ErrSnapshotMismatch, len(codecs), len(secs))
 	}
-	for ci, codec := range sh.k.codecs {
+	for ci, codec := range codecs {
 		if secs[ci].name != codec.name {
 			return fmt.Errorf("%w: codec %d is %q, snapshot has %q",
 				ErrSnapshotMismatch, ci, codec.name, secs[ci].name)
 		}
 		d := &snapDecoder{data: secs[ci].data}
-		if err := codec.load(d); err != nil {
+		if err := codec.load(w, d); err != nil {
 			return fmt.Errorf("sim: restore %s state: %w", codec.name, err)
 		}
 		if d.err != nil {
@@ -555,7 +583,32 @@ func restoreRun(sn *snapshot, w *world, sh *shard) error {
 				ErrSnapshotMismatch, codec.name, len(d.data)-d.off)
 		}
 	}
-	rebuildAliased(w)
+	if err := w.checkRestoredTime(sn); err != nil {
+		return err
+	}
+	w.rebuildAliased()
+	return nil
+}
+
+// checkRestoredTime rejects time words the loop cannot continue from.
+// The header must repeat the core section's clock and event count; the
+// clock must lie in [first submission, MaxTime] (so it is finite); and
+// with sampling on, the next sample tick must lie in
+// [now, now+SampleEvery], where the loop leaves it after every event.
+// A clock or cursor far outside would stall the checkpoint cadence or
+// the tick loop, whose steps then no longer change them.
+func (w *world) checkRestoredTime(sn *snapshot) error {
+	switch {
+	case sn.time != w.now || sn.events != w.events:
+		return fmt.Errorf("%w: header boundary (t=%v, %d events) differs from the core section's (t=%v, %d events)",
+			ErrSnapshotMismatch, sn.time, sn.events, w.now, w.events)
+	case !(w.now >= w.start && w.now <= w.cfg.MaxTime):
+		return fmt.Errorf("%w: clock %v outside the run's [%v, %v]",
+			ErrSnapshotMismatch, w.now, w.start, w.cfg.MaxTime)
+	case w.acct.on && !(w.acct.next >= w.now && w.acct.next <= w.now+w.cfg.SampleEvery):
+		return fmt.Errorf("%w: next sample tick %v outside [%v, %v + %v]",
+			ErrSnapshotMismatch, w.acct.next, w.now, w.now, w.cfg.SampleEvery)
+	}
 	return nil
 }
 
@@ -590,7 +643,6 @@ func restoreComponentState(comp any, what string, has bool, data []byte) error {
 // identical boundaries.
 type checkpointer struct {
 	w      *world
-	sh     *shard
 	params snapParams
 	every  float64
 	next   float64
@@ -634,14 +686,13 @@ func (ck *checkpointer) observe(met *simMetrics, tk *obs.Track) {
 }
 
 // newCheckpointer returns nil when checkpointing is disabled.
-func newCheckpointer(w *world, sh *shard, resumed *snapshot) *checkpointer {
+func newCheckpointer(w *world, resumed *snapshot) *checkpointer {
 	if w.cfg.CheckpointEvery <= 0 {
 		return nil
 	}
 	ck := &checkpointer{
 		w:        w,
-		sh:       sh,
-		params:   newSnapParams(w, sh, w.cfg.CheckpointEvery),
+		params:   newSnapParams(w, w.cfg.CheckpointEvery),
 		every:    w.cfg.CheckpointEvery,
 		next:     w.start + w.cfg.CheckpointEvery,
 		keyframe: w.cfg.CheckpointKeyframe,
@@ -667,7 +718,7 @@ func (ck *checkpointer) due(t float64) bool { return ck != nil && t >= ck.next }
 // would still force chain reconstruction on resume).
 func (ck *checkpointer) take(t float64, events int64) error {
 	t0 := ck.trace.Now()
-	data, err := takeSnapshot(ck.w, ck.sh, ck.params, t, events)
+	data, err := takeSnapshot(ck.w, ck.params, t, events)
 	if err != nil {
 		return err
 	}
@@ -708,13 +759,57 @@ func (ck *checkpointer) take(t float64, events int64) error {
 	return nil
 }
 
-// restoreQueue reloads a saved pending-event list into the kernel and
+// saveCore dumps the loop's own state: the clock and event count, the
+// submission-chain cursor, the scope counters, the Result counters, and
+// the pending future event list (exact scheduling-order stamps
+// included — see saveQueue/restoreQueue).
+func (w *world) saveCore(e *snapEncoder) {
+	e.F64(w.now)
+	e.I64(w.events)
+	e.Int(w.nextSubmit)
+	e.Int(w.scopeBusy)
+	e.Int(w.scopeSuspended)
+	e.Int(w.scopeWaiting)
+	e.Int(w.completed)
+	e.I64(w.res.Preemptions)
+	e.I64(w.res.Restarts)
+	e.I64(w.res.Migrations)
+	e.I64(w.res.WaitMoves)
+	e.I64(w.res.CrossSiteSubmits)
+	e.I64(w.res.CrossSiteMoves)
+	e.I64(w.res.Kills)
+	e.I64(w.res.Requeues)
+	w.saveQueue(e)
+}
+
+func (w *world) loadCore(d *snapDecoder) error {
+	w.now = d.F64()
+	w.events = d.I64()
+	w.nextSubmit = d.Int()
+	w.scopeBusy = d.Int()
+	w.scopeSuspended = d.Int()
+	w.scopeWaiting = d.Int()
+	w.completed = d.Int()
+	w.res.Preemptions = d.I64()
+	w.res.Restarts = d.I64()
+	w.res.Migrations = d.I64()
+	w.res.WaitMoves = d.I64()
+	w.res.CrossSiteSubmits = d.I64()
+	w.res.CrossSiteMoves = d.I64()
+	w.res.Kills = d.I64()
+	w.res.Requeues = d.I64()
+	if d.err == nil && (w.nextSubmit < 0 || w.nextSubmit > len(w.specs)) {
+		return fmt.Errorf("%w: submission cursor %d outside the %d jobs", ErrSnapshotMismatch, w.nextSubmit, len(w.specs))
+	}
+	return w.restoreQueue(d)
+}
+
+// restoreQueue reloads a saved pending-event list into the queue and
 // rewires the cancellation handles job records hold into it (the
 // pending completion of every running job, the pending wait timer of
 // every queued one).
-func (sh *shard) restoreQueue(d *snapDecoder) error {
-	k := sh.k
-	k.q.SetSeq(d.U64())
+func (w *world) restoreQueue(d *snapDecoder) error {
+	w.q.SetSeq(d.U64())
 	n := d.Int()
 	if d.err != nil || n < 0 {
 		d.fail()
@@ -725,60 +820,37 @@ func (sh *shard) restoreQueue(d *snapDecoder) error {
 		if d.err != nil {
 			return d.err
 		}
-		if sev.Kind <= 0 || sev.Kind >= len(k.kinds) {
+		if sev.Kind <= 0 || sev.Kind >= w.numKinds() {
 			return fmt.Errorf("%w: pending event references unknown kind %d", ErrSnapshotMismatch, sev.Kind)
 		}
-		// The words passed the CRC but are still input: one that indexes
-		// past the run's jobs, pools, sites or machines must fail the
-		// resume, not panic a handler.
-		if !sh.eventInRange(kind(sev.Kind), sev.A, sev.B) {
-			return fmt.Errorf("%w: pending %s event (%d, %d) is out of range",
-				ErrSnapshotMismatch, k.kinds[sev.Kind].name, sev.A, sev.B)
+		// The words passed the CRC but are still input: a time before the
+		// clock (or NaN), or a word that indexes past the run's jobs,
+		// pools, sites or machines, must fail the resume, not derail the
+		// loop or panic a handler.
+		if !(sev.Time >= w.now) {
+			return fmt.Errorf("%w: pending %s event at t=%v, before the clock %v",
+				ErrSnapshotMismatch, kindNames[sev.Kind], sev.Time, w.now)
 		}
-		h := k.q.Restore(sev)
+		if !w.eventInRange(kind(sev.Kind), sev.A, sev.B) {
+			return fmt.Errorf("%w: pending %s event (%d, %d) is out of range",
+				ErrSnapshotMismatch, kindNames[sev.Kind], sev.A, sev.B)
+		}
+		h := w.q.Restore(sev)
 		switch kind(sev.Kind) {
-		case sh.place.finish:
-			sh.w.jobs[sev.A].finish = h
-		case sh.dyn.waitTimeout:
-			sh.w.jobs[sev.A].waitTO = h
+		case kFinish:
+			w.jobs[sev.A].finish = h
+		case kWaitTimeout:
+			w.jobs[sev.A].waitTO = h
 		}
 	}
 	return nil
 }
 
-// eventInRange reports whether a pending event's payload words index
-// the run's state: a job for the job-carrying kinds, arrive's
-// destination pool, both sites of a view refresh, the site of a crash
-// or window, the machine of a repair. Words a kind does not use are
-// not checked.
-func (sh *shard) eventInRange(kd kind, a, b int64) bool {
-	w := sh.w
-	in := func(x int64, n int) bool { return x >= 0 && x < int64(n) }
-	var f faultSys // with faults off its zero kinds match nothing
-	if sh.faults != nil {
-		f = *sh.faults
-	}
-	switch kd {
-	case sh.place.submit, sh.place.finish, sh.dyn.susDecide, sh.dyn.waitTimeout:
-		return in(a, len(w.jobs))
-	case sh.place.arrive:
-		return in(a, len(w.jobs)) && in(b, len(w.pools))
-	case sh.snaps.snapshot:
-		return in(a, w.nSites) && in(b, w.nSites)
-	case f.crash, f.maintStart, f.maintEnd:
-		return in(a, w.nSites)
-	case f.repair:
-		return in(a, len(w.machines))
-	}
-	return false
-}
-
-// saveQueue exports the kernel's pending events: the scheduling-order
-// counter, then each event as (time, kind, seq, a, b) in firing order.
-func (sh *shard) saveQueue(e *snapEncoder) {
-	k := sh.k
-	e.U64(k.q.Seq())
-	events := k.q.Export()
+// saveQueue exports the pending events: the scheduling-order counter,
+// then each event as (time, kind, seq, a, b) in firing order.
+func (w *world) saveQueue(e *snapEncoder) {
+	e.U64(w.q.Seq())
+	events := w.q.Export()
 	e.Int(len(events))
 	for _, sev := range events {
 		e.F64(sev.Time)

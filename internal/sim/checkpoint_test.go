@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netbatch/internal/core"
 	"netbatch/internal/job"
@@ -257,15 +259,15 @@ func patchSnapshot(t *testing.T, data []byte, edit func(body []byte, sn *snapsho
 // oldKindTableHash is kindTableHash as builds with the partitioned
 // engines computed it: each kind's name plus its deciding and handoff
 // synchronization flags.
-func oldKindTableHash(k *kernel) uint64 {
+func oldKindTableHash(w *world) uint64 {
 	deciding := map[string]bool{"submit": true, "susDecide": true, "waitTimeout": true}
 	handoff := map[string]bool{
 		"arrive": true, "finish": true,
 		"fault.crash": true, "fault.repair": true, "fault.maintStart": true, "fault.maintEnd": true,
 	}
 	h := fnv.New64a()
-	for _, info := range k.kinds[1:] {
-		fmt.Fprintf(h, "%s|%t|%t;", info.name, deciding[info.name], handoff[info.name])
+	for _, name := range kindNames[1:w.numKinds()] {
+		fmt.Fprintf(h, "%s|%t|%t;", name, deciding[name], handoff[name])
 	}
 	return h.Sum64()
 }
@@ -286,8 +288,7 @@ func TestSnapshotRejectsOldKindHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := newShard(w).k
-	oldHash, newHash := oldKindTableHash(k), kindTableHash(k)
+	oldHash, newHash := oldKindTableHash(w), kindTableHash(w)
 	if oldHash == newHash {
 		t.Fatal("old and new kind-table hashes coincide")
 	}
@@ -315,10 +316,11 @@ func freshFixtureConfig(base Config) Config {
 	return base
 }
 
-// reencodeSnapshot restores data into a fresh shard, lets edit change
+// reencodeSnapshot restores data into a fresh world, lets edit change
 // the restored state, and encodes the result through takeSnapshot,
-// with a valid trailer.
-func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, edit func(sh *shard)) []byte {
+// with a valid trailer. The header takes the edited clock and event
+// count.
+func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, edit func(w *world)) []byte {
 	t.Helper()
 	cfg, err := raw.withDefaults()
 	if err != nil {
@@ -332,13 +334,11 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, e
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newShard(w)
-	if err := restoreRun(sn, w, sh); err != nil {
+	if err := w.restore(sn); err != nil {
 		t.Fatal(err)
 	}
-	edit(sh)
-	p := newSnapParams(w, sh, sn.every)
-	out, err := takeSnapshot(w, sh, p, sn.time, sn.events)
+	edit(w)
+	out, err := takeSnapshot(w, newSnapParams(w, sn.every), w.now, w.events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 	data := cks[0].Data
 	// reencode restores data, lets edit change the state, and encodes
 	// the result with a recomputed trailer.
-	reencode := func(edit func(sh *shard)) []byte {
+	reencode := func(edit func(w *world)) []byte {
 		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, edit)
 	}
 	resume := func(snap []byte) (err error) {
@@ -372,7 +372,7 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 		_, err = Run(cfg, specs)
 		return err
 	}
-	reject := func(what string, edit func(sh *shard)) {
+	reject := func(what string, edit func(w *world)) {
 		t.Helper()
 		bad := reencode(edit)
 		if _, err := decodeSnapshot(bad); err != nil {
@@ -384,30 +384,29 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 	}
 
 	// The re-encoding itself is sound: unedited, it resumes cleanly.
-	var kinds []kindInfo
-	if err := resume(reencode(func(sh *shard) { kinds = sh.k.kinds[1:] })); err != nil {
+	if err := resume(reencode(func(*world) {})); err != nil {
 		t.Fatalf("re-encoded snapshot failed to resume: %v", err)
 	}
 	nSites, nPools, nMachines := base.Platform.NumSites(), base.Platform.NumPools(), base.Platform.NumMachines()
 	last := int64(len(specs) - 1)
 	rows := []struct {
-		kind  string
+		kind  kind
 		word  int   // the word under test: 0 for a, 1 for b
 		n     int   // it must lie in [0, n)
 		other int64 // the other word, in range
 	}{
-		{"submit", 0, len(specs), 0},
-		{"arrive", 0, len(specs), 0},
-		{"arrive", 1, nPools, last},
-		{"finish", 0, len(specs), 0},
-		{"susDecide", 0, len(specs), 0},
-		{"waitTimeout", 0, len(specs), 0},
-		{"snapshot", 0, nSites, 0},
-		{"snapshot", 1, nSites, 0},
-		{"fault.crash", 0, nSites, 0},
-		{"fault.repair", 0, nMachines, 0},
-		{"fault.maintStart", 0, nSites, 0},
-		{"fault.maintEnd", 0, nSites, 0},
+		{kSubmit, 0, len(specs), 0},
+		{kArrive, 0, len(specs), 0},
+		{kArrive, 1, nPools, last},
+		{kFinish, 0, len(specs), 0},
+		{kSusDecide, 0, len(specs), 0},
+		{kWaitTimeout, 0, len(specs), 0},
+		{kSnapshot, 0, nSites, 0},
+		{kSnapshot, 1, nSites, 0},
+		{kCrash, 0, nSites, 0},
+		{kRepair, 0, nMachines, 0},
+		{kMaintStart, 0, nSites, 0},
+		{kMaintEnd, 0, nSites, 0},
 	}
 	// Each crafted event fires at the last job's submit time, ahead of
 	// that job's own submit event, which the first checkpoint has not
@@ -416,18 +415,19 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 	at := specs[last].Submit
 	covered := map[string]bool{}
 	for _, row := range rows {
-		covered[row.kind] = true
+		name := kindNames[row.kind]
+		covered[name] = true
 		for _, v := range []int64{-1, int64(row.n), 1 << 20, 1 << 40} {
-			reject(fmt.Sprintf("%s word %d = %d", row.kind, row.word, v), func(sh *shard) {
+			reject(fmt.Sprintf("%s word %d = %d", name, row.word, v), func(w *world) {
 				words := [2]int64{row.other, row.other}
 				words[row.word] = v
-				sh.k.schedule(at, kindNamed(t, sh.k, row.kind), words[0], words[1])
+				w.schedule(at, row.kind, words[0], words[1])
 			})
 		}
 	}
-	for _, info := range kinds {
-		if !covered[info.name] {
-			t.Errorf("kind %s has no row", info.name)
+	for _, name := range kindNames[1:] {
+		if !covered[name] {
+			t.Errorf("kind %s has no row", name)
 		}
 	}
 
@@ -435,23 +435,23 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 	// site, and a window end needs an open block.
 	m0 := base.Platform.Pool(base.Platform.Site(0).Pools[0]).Machines[0]
 	foreign := base.Platform.Pool(base.Platform.Site(1).Pools[0]).Machines[0]
-	block := func(sh *shard, mid int) { sh.w.faults[0].open = append(sh.w.faults[0].open, []int{mid}) }
-	end := func(sh *shard) { sh.k.schedule(at, kindNamed(t, sh.k, "fault.maintEnd"), 0, 0) }
+	block := func(w *world, mid int) { w.faults[0].open = append(w.faults[0].open, []int{mid}) }
+	end := func(w *world) { w.schedule(at, kMaintEnd, 0, 0) }
 	for _, tc := range []struct {
 		what string
-		edit func(sh *shard)
+		edit func(w *world)
 	}{
-		{"block naming machine -1", func(sh *shard) { block(sh, -1); end(sh) }},
-		{"block naming a machine past the platform", func(sh *shard) { block(sh, nMachines); end(sh) }},
-		{"block naming another site's machine", func(sh *shard) {
-			sh.w.machines[foreign].down = true
-			block(sh, foreign)
-			end(sh)
+		{"block naming machine -1", func(w *world) { block(w, -1); end(w) }},
+		{"block naming a machine past the platform", func(w *world) { block(w, nMachines); end(w) }},
+		{"block naming another site's machine", func(w *world) {
+			w.machines[foreign].down = true
+			block(w, foreign)
+			end(w)
 		}},
-		{"block naming an up machine", func(sh *shard) {
-			sh.w.machines[m0].down = false
-			block(sh, m0)
-			end(sh)
+		{"block naming an up machine", func(w *world) {
+			w.machines[m0].down = false
+			block(w, m0)
+			end(w)
 		}},
 		{"window end without a block", end},
 	} {
@@ -459,16 +459,163 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 	}
 }
 
-// kindNamed returns the registered kind with the given name.
-func kindNamed(t *testing.T, k *kernel, name string) kind {
-	t.Helper()
-	for kd, info := range k.kinds {
-		if kd > 0 && info.name == name {
-			return kind(kd)
+// TestKindTableHashPinned pins the kind-table hash of a fault-free and
+// a faulted run. Snapshots carry it in their header, so a change to
+// the kind numbering or names would make every stored checkpoint
+// unresumable.
+func TestKindTableHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		faults FaultConfig
+		want   uint64
+	}{
+		{FaultConfig{}, 0xfca1c475241a7db2},
+		{FaultConfig{MTBF: 300, MTTR: 20, Seed: 5}, 0xce7d752f580fe8df},
+	} {
+		raw := baseConfig(miniPlatform(t, 2))
+		raw.Faults = tc.faults
+		cfg, err := raw.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := buildWorld(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := kindTableHash(w); got != tc.want {
+			t.Errorf("faults %+v: kind-table hash %#x, want %#x", tc.faults, got, tc.want)
 		}
 	}
-	t.Fatalf("no kind %q", name)
-	return 0
+}
+
+// TestSnapshotRejectsImpossibleState resumes from snapshots whose CRC
+// trailer is valid but whose placement, fault or time words no run can
+// continue from: an index past the platform, a job state that does not
+// exist, a wait-queue head outside its items, a clock outside the run,
+// a sample cursor away from the clock. Each must fail with
+// ErrSnapshotMismatch, without a panic and without a hang. Resumes run
+// with checkpointing on, because the checkpoint cadence is one of the
+// loops a bad clock can stall.
+func TestSnapshotRejectsImpossibleState(t *testing.T) {
+	faults := FaultConfig{MTBF: 300, MTTR: 20, MaintPeriod: 200, MaintDuration: 50, Seed: 5}
+	base, specs, cks := checkpointFixtureWith(t, faults)
+	// The second checkpoint has running and waiting jobs, non-empty
+	// wait queues and a crashed machine.
+	data := cks[1].Data
+	reencode := func(edit func(w *world)) []byte {
+		return reencodeSnapshot(t, freshFixtureConfig(base), specs, data, edit)
+	}
+	// editJob applies edit to the first job in state st.
+	editJob := func(st job.State, edit func(*job.JobState)) func(w *world) {
+		return func(w *world) {
+			for i := range w.jobs {
+				if j := w.jobs[i].j; j.State() == st {
+					js := j.ExportState()
+					edit(&js)
+					j.RestoreState(js)
+					return
+				}
+			}
+			t.Fatalf("checkpoint has no %v job", st)
+		}
+	}
+	// eachClass and eachFIFO apply edit to every machine class and
+	// every wait-queue FIFO of the platform.
+	eachClass := func(edit func(*machineClass)) func(w *world) {
+		return func(w *world) {
+			for _, p := range w.pools {
+				for ci := range p.classes {
+					edit(&p.classes[ci])
+				}
+			}
+		}
+	}
+	eachFIFO := func(edit func(*fifo)) func(w *world) {
+		return func(w *world) {
+			n := 0
+			for _, p := range w.pools {
+				for _, f := range p.waitQ.classes {
+					edit(f)
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatal("checkpoint has no wait-queue FIFO")
+			}
+		}
+	}
+	downMachine := func(edit func(*machineRT)) func(w *world) {
+		return func(w *world) {
+			for m := range w.machines {
+				if w.machines[m].down {
+					edit(&w.machines[m])
+					return
+				}
+			}
+			t.Fatal("checkpoint has no down machine")
+		}
+	}
+	// headerTime overwrites the header's clock alone, the word ahead of
+	// the compared suffix's event count.
+	headerTime := func(v float64) []byte {
+		return patchSnapshot(t, data, func(body []byte, sn *snapshot) {
+			binary.LittleEndian.PutUint64(body[len(body)-len(sn.comparable):], math.Float64bits(v))
+		})
+	}
+	rows := []struct {
+		name string
+		snap []byte
+	}{
+		{"running job's machine past the platform", reencode(editJob(job.StateRunning, func(st *job.JobState) { st.Machine = 1 << 40 }))},
+		{"running job's pool past the platform", reencode(editJob(job.StateRunning, func(st *job.JobState) { st.Pool = 1 << 40 }))},
+		{"waiting job's pool past the platform", reencode(editJob(job.StateWaiting, func(st *job.JobState) { st.Pool = 1 << 40 }))},
+		{"running job in state 99", reencode(editJob(job.StateRunning, func(st *job.JobState) { st.State = 99 }))},
+		{"free-stack entry -1", reencode(eachClass(func(c *machineClass) { c.free = append(c.free, -1) }))},
+		{"free-stack entry past the platform", reencode(eachClass(func(c *machineClass) { c.free = append(c.free, 1<<40) }))},
+		{"wait-queue head -1", reencode(eachFIFO(func(f *fifo) { f.head = -1 }))},
+		{"wait-queue head past its items", reencode(eachFIFO(func(f *fifo) { f.head = len(f.items) + 100 }))},
+		{"down machine's span past its site's log", reencode(downMachine(func(m *machineRT) { m.spanIdx = 1 << 40 }))},
+		{"maintenance rotation index -5", reencode(func(w *world) {
+			for s := range w.faults {
+				w.faults[s].maintIdx = -5
+			}
+		})},
+		{"clock 1e300", reencode(func(w *world) { w.now = 1e300 })},
+		{"clock +Inf", reencode(func(w *world) { w.now = inf })},
+		{"clock and sample cursor -1e300", reencode(func(w *world) { w.now, w.acct.next = -1e300, -1e300 })},
+		{"header clock 1e300 over the core section's", headerTime(1e300)},
+		{"sample cursor -1e300", reencode(func(w *world) { w.acct.next = -1e300 })},
+		{"sample cursor -1e6", reencode(func(w *world) { w.acct.next = -1e6 })},
+		{"submission cursor -1", reencode(func(w *world) { w.nextSubmit = -1 })},
+		{"pending event at NaN", reencode(func(w *world) { w.schedule(math.NaN(), kSusDecide, 0, 0) })},
+	}
+	for _, row := range rows {
+		if _, err := decodeSnapshot(row.snap); err != nil {
+			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", row.name, err)
+		}
+		// A hung resume cannot be stopped (the loops a bad clock stalls
+		// poll no context), so on a timeout the row fails and its
+		// goroutine is left running until the test binary exits.
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("resume panicked: %v", r)
+				}
+			}()
+			cfg, _ := collectCheckpoints(freshFixtureConfig(base), 60)
+			cfg.ResumeFrom = row.snap
+			_, err := Run(*cfg, specs)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrSnapshotMismatch) {
+				t.Errorf("%s: want ErrSnapshotMismatch, got %v", row.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: resume still running after 5s", row.name)
+		}
+	}
 }
 
 // TestCheckpointCaptureBufferSizing pins the capture-size hint: from

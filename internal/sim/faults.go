@@ -8,23 +8,20 @@ import (
 	"netbatch/internal/stats"
 )
 
-// faultSys is the fault & maintenance subsystem: deterministic machine
-// crashes (exponential inter-crash and repair times per site) and
-// scheduled maintenance windows (fixed cadence, rotating machine
-// blocks). It is the first mechanism registered purely through the
-// kernel's open event-kind registry — neither the kernel nor the loop
-// knows it exists.
+// This file is faults and maintenance: deterministic machine crashes
+// (exponential inter-crash and repair times per site) and scheduled
+// maintenance windows (fixed cadence, rotating machine blocks).
 //
-// All four kinds are capacity handoffs: their handlers take one site's
-// machines down or bring them back, and redistribute the freed
+// All four fault kinds are capacity handoffs: their handlers take one
+// site's machines down or bring them back, and redistribute the freed
 // capacity (a repair, a window end, or the requeue cascade of a kill)
 // through the same wait-queue path as completions.
 //
 // Determinism: each site's stream is forked from FaultConfig.Seed with
 // stats.SplitKey, so it is independent of site count and every other
-// site's draws. With the zero FaultConfig the subsystem is not
-// registered at all — no events, no RNG construction, outputs
-// byte-identical to pre-fault builds.
+// site's draws. With the zero FaultConfig the fault kinds and the
+// "faults" codec section do not exist in the run — no events, no RNG
+// construction, outputs byte-identical to pre-fault builds.
 
 // Victim-job policies for machines taken down by maintenance windows.
 // Crashes are unplanned and always kill-and-requeue.
@@ -41,10 +38,10 @@ const (
 	VictimDrain = "drain"
 )
 
-// FaultConfig parameterizes the fault & maintenance subsystem. The
-// zero value disables it entirely: no fault events are scheduled, no
-// RNG state is created, and every output is byte-identical to a run
-// without the subsystem.
+// FaultConfig parameterizes the fault & maintenance model. The zero
+// value disables it entirely: no fault events are scheduled, no RNG
+// state is created, and every output is byte-identical to a run
+// without it.
 type FaultConfig struct {
 	// MTBF is the mean time between machine crashes per site, in
 	// minutes (exponential gaps). 0 disables crashes.
@@ -148,32 +145,15 @@ type siteFaults struct {
 	open [][]int
 }
 
-type faultSys struct {
-	sh *shard
-
-	// Allocated event kinds. Each carries one word: the site in a, or
-	// for repair the machine.
-	crash, repair, maintStart, maintEnd kind
-}
-
-func (s *faultSys) register(k *kernel) {
-	s.crash = k.registerKind("fault.crash", func(a, _ int64) error { return s.handleCrash(int(a)) })
-	s.repair = k.registerKind("fault.repair", func(a, _ int64) error { return s.handleRepair(int(a)) })
-	s.maintStart = k.registerKind("fault.maintStart", func(a, _ int64) error { return s.handleMaintStart(int(a)) })
-	s.maintEnd = k.registerKind("fault.maintEnd", func(a, _ int64) error { return s.handleMaintEnd(int(a)) })
-	k.registerState("faults", s.save, s.load)
-}
-
-// save dumps each site's fault-process state: the position of
+// saveFaults dumps each site's fault-process state: the position of
 // its private RNG stream (so resumed crash gaps, victim draws and
 // repair times continue the exact sequence), the downtime span log and
 // window-start log the Result counters derive from, the accumulated
 // work-lost float, the maintenance rotation and the open windows'
 // machine blocks.
-func (s *faultSys) save(e *snapEncoder) {
-	sh := s.sh
-	for site := range sh.w.nSites {
-		f := &sh.w.faults[site]
+func (w *world) saveFaults(e *snapEncoder) {
+	for site := range w.nSites {
+		f := &w.faults[site]
 		st := f.rng.ExportState()
 		e.U64(st.Seed)
 		e.Bytes(st.PCG)
@@ -195,10 +175,14 @@ func (s *faultSys) save(e *snapEncoder) {
 	}
 }
 
-func (s *faultSys) load(d *snapDecoder) error {
-	sh := s.sh
-	for site := range sh.w.nSites {
-		f := &sh.w.faults[site]
+// loadFaults mirrors saveFaults. It runs after loadPlacement, so it
+// can check the restored fault state against the machines: the
+// rotation index must be non-negative, every down machine of the site
+// must own a span in the site's log, and an open block may name only
+// down machines of its site.
+func (w *world) loadFaults(d *snapDecoder) error {
+	for site := range w.nSites {
+		f := &w.faults[site]
 		st := stats.RNGState{Seed: d.U64(), PCG: d.Bytes()}
 		if d.err != nil {
 			return d.err
@@ -223,6 +207,15 @@ func (s *faultSys) load(d *snapDecoder) error {
 		f.workLost = d.F64()
 		f.maintNext = d.F64()
 		f.maintIdx = d.Int()
+		if d.err == nil && f.maintIdx < 0 {
+			return fmt.Errorf("%w: site %d maintenance rotation index %d", ErrSnapshotMismatch, site, f.maintIdx)
+		}
+		for _, mid := range w.machBySite[site] {
+			if m := &w.machines[mid]; m.down && (m.spanIdx < 0 || m.spanIdx >= len(f.spans)) {
+				return fmt.Errorf("%w: down machine %d has span %d of site %d's %d",
+					ErrSnapshotMismatch, mid, m.spanIdx, site, len(f.spans))
+			}
+		}
 		n = d.Int()
 		if d.err != nil || n < 0 || n > (len(d.data)-d.off)/8 {
 			d.fail()
@@ -230,10 +223,10 @@ func (s *faultSys) load(d *snapDecoder) error {
 		}
 		f.open = make([][]int, n)
 		for i := range f.open {
-			f.open[i] = d.IntsN(len(sh.w.machBySite[site]))
+			f.open[i] = d.IntsN(len(w.machBySite[site]))
 			for _, mid := range f.open[i] {
-				if mid < 0 || mid >= len(sh.w.machines) || !sh.w.machines[mid].down ||
-					sh.w.siteOf[sh.w.machines[mid].m.Pool] != site {
+				if mid < 0 || mid >= len(w.machines) || !w.machines[mid].down ||
+					w.siteOf[w.machines[mid].m.Pool] != site {
 					return fmt.Errorf("%w: site %d open maintenance block names machine %d, not a down machine of the site",
 						ErrSnapshotMismatch, site, mid)
 				}
@@ -243,19 +236,18 @@ func (s *faultSys) load(d *snapDecoder) error {
 	return d.err
 }
 
-// seed schedules each site's first crash and first
-// maintenance window. Both chains start strictly after the trace start
-// and re-arm themselves from their handlers, like the submission chain.
-func (s *faultSys) seed() {
-	sh := s.sh
-	cfg := &sh.w.cfg.Faults
-	for site := range sh.w.nSites {
-		f := &sh.w.faults[site]
+// seedFaults schedules each site's first crash and first maintenance
+// window. Both chains start strictly after the trace start and re-arm
+// themselves from their handlers, like the submission chain.
+func (w *world) seedFaults() {
+	cfg := &w.cfg.Faults
+	for site := range w.nSites {
+		f := &w.faults[site]
 		if cfg.MTBF > 0 {
-			sh.k.schedule(sh.w.start+f.rng.Exp(cfg.MTBF), s.crash, int64(site), 0)
+			w.schedule(w.start+f.rng.Exp(cfg.MTBF), kCrash, int64(site), 0)
 		}
 		if cfg.MaintPeriod > 0 {
-			sh.k.schedule(f.maintNext, s.maintStart, int64(site), 0)
+			w.schedule(f.maintNext, kMaintStart, int64(site), 0)
 		}
 	}
 }
@@ -265,15 +257,14 @@ func (s *faultSys) seed() {
 // requeued through the pool's wait-queue path) and stays down for an
 // exponential repair time. The next crash is chained first so the
 // site's stream order is (gap, victim, repair) per crash.
-func (s *faultSys) handleCrash(site int) error {
-	sh := s.sh
-	cfg := &sh.w.cfg.Faults
-	f := &sh.w.faults[site]
-	sh.k.schedule(sh.k.now+f.rng.Exp(cfg.MTBF), s.crash, int64(site), 0)
+func (w *world) handleCrash(site int) error {
+	cfg := &w.cfg.Faults
+	f := &w.faults[site]
+	w.schedule(w.now+f.rng.Exp(cfg.MTBF), kCrash, int64(site), 0)
 
-	ups := make([]int, 0, len(sh.w.machBySite[site]))
-	for _, mid := range sh.w.machBySite[site] {
-		if !sh.w.machines[mid].down {
+	ups := make([]int, 0, len(w.machBySite[site]))
+	for _, mid := range w.machBySite[site] {
+		if !w.machines[mid].down {
 			ups = append(ups, mid)
 		}
 	}
@@ -281,19 +272,19 @@ func (s *faultSys) handleCrash(site int) error {
 		return nil // whole site already down; the crash is absorbed
 	}
 	mid := ups[f.rng.IntN(len(ups))]
-	s.takeDown(site, mid, spanCrash)
-	if err := sh.killMachineJobs(mid); err != nil {
+	w.takeDown(site, mid, spanCrash)
+	if err := w.killMachineJobs(mid); err != nil {
 		return err
 	}
-	sh.k.schedule(sh.k.now+f.rng.Exp(cfg.MTTR), s.repair, int64(mid), 0)
+	w.schedule(w.now+f.rng.Exp(cfg.MTTR), kRepair, int64(mid), 0)
 	return nil
 }
 
 // handleRepair brings a crashed machine back and redistributes its
 // capacity through the standard handoff path.
-func (s *faultSys) handleRepair(mid int) error {
-	s.bringUp(mid)
-	return s.sh.onFree(mid)
+func (w *world) handleRepair(mid int) error {
+	w.bringUp(mid)
+	return w.onFree(mid)
 }
 
 // handleMaintStart opens a maintenance window at the site: a rotating
@@ -301,14 +292,13 @@ func (s *faultSys) handleRepair(mid int) error {
 // MaintDuration minutes, with victims handled per the configured
 // policy. Machines already down (crashed) are skipped — their repair
 // owns their recovery. The next window is chained immediately.
-func (s *faultSys) handleMaintStart(site int) error {
-	sh := s.sh
-	cfg := &sh.w.cfg.Faults
-	f := &sh.w.faults[site]
-	f.windowStarts = append(f.windowStarts, sh.k.now)
-	sh.k.schedule(sh.k.now+cfg.MaintPeriod, s.maintStart, int64(site), 0)
+func (w *world) handleMaintStart(site int) error {
+	cfg := &w.cfg.Faults
+	f := &w.faults[site]
+	f.windowStarts = append(f.windowStarts, w.now)
+	w.schedule(w.now+cfg.MaintPeriod, kMaintStart, int64(site), 0)
 
-	machines := sh.w.machBySite[site]
+	machines := w.machBySite[site]
 	count := int(math.Round(cfg.MaintFraction * float64(len(machines))))
 	if count < 1 {
 		count = 1
@@ -324,22 +314,22 @@ func (s *faultSys) handleMaintStart(site int) error {
 	taken := make([]int, 0, count)
 	for i := 0; i < count; i++ {
 		mid := machines[(start+i)%len(machines)]
-		if sh.w.machines[mid].down {
+		if w.machines[mid].down {
 			continue
 		}
-		s.takeDown(site, mid, spanMaint)
+		w.takeDown(site, mid, spanMaint)
 		taken = append(taken, mid)
 	}
 	if cfg.Victim == VictimRequeue {
 		for _, mid := range taken {
-			if err := sh.killMachineJobs(mid); err != nil {
+			if err := w.killMachineJobs(mid); err != nil {
 				return err
 			}
 		}
 	}
 	if len(taken) > 0 {
 		f.open = append(f.open, taken)
-		sh.k.schedule(sh.k.now+cfg.MaintDuration, s.maintEnd, int64(site), 0)
+		w.schedule(w.now+cfg.MaintDuration, kMaintEnd, int64(site), 0)
 	}
 	return nil
 }
@@ -348,16 +338,16 @@ func (s *faultSys) handleMaintStart(site int) error {
 // it took down comes back and hands its capacity off (resuming drained
 // suspended jobs first, then serving the wait queue, like any freed
 // capacity).
-func (s *faultSys) handleMaintEnd(site int) error {
-	f := &s.sh.w.faults[site]
+func (w *world) handleMaintEnd(site int) error {
+	f := &w.faults[site]
 	if len(f.open) == 0 { // only a resumed snapshot can pair an end with no block
 		return fmt.Errorf("%w: site %d window end with no window open", ErrSnapshotMismatch, site)
 	}
 	taken := f.open[0]
 	f.open = slices.Delete(f.open, 0, 1)
 	for _, mid := range taken {
-		s.bringUp(mid)
-		if err := s.sh.onFree(mid); err != nil {
+		w.bringUp(mid)
+		if err := w.onFree(mid); err != nil {
 			return err
 		}
 	}
@@ -365,19 +355,19 @@ func (s *faultSys) handleMaintEnd(site int) error {
 }
 
 // takeDown marks the machine down and opens its downtime span.
-func (s *faultSys) takeDown(site, mid int, spanKind int8) {
-	f := &s.sh.w.faults[site]
-	mach := &s.sh.w.machines[mid]
+func (w *world) takeDown(site, mid int, spanKind int8) {
+	f := &w.faults[site]
+	mach := &w.machines[mid]
 	mach.down = true
 	mach.spanIdx = len(f.spans)
-	f.spans = append(f.spans, downSpan{from: s.sh.k.now, to: inf, cores: mach.m.Cores, kind: spanKind})
+	f.spans = append(f.spans, downSpan{from: w.now, to: inf, cores: mach.m.Cores, kind: spanKind})
 }
 
 // bringUp clears the down mark and closes the machine's span.
-func (s *faultSys) bringUp(mid int) {
-	mach := &s.sh.w.machines[mid]
-	site := s.sh.w.siteOf[mach.m.Pool]
-	s.sh.w.faults[site].spans[mach.spanIdx].to = s.sh.k.now
+func (w *world) bringUp(mid int) {
+	mach := &w.machines[mid]
+	site := w.siteOf[mach.m.Pool]
+	w.faults[site].spans[mach.spanIdx].to = w.now
 	mach.down = false
 }
 
@@ -386,33 +376,33 @@ func (s *faultSys) bringUp(mid int) {
 // order — and requeues each through the existing wait-queue path of
 // its current pool. The machine must already be marked down, so the
 // requeue cascade can never place a job back onto it.
-func (sh *shard) killMachineJobs(mid int) error {
-	mach := &sh.w.machines[mid]
-	p := sh.w.pools[mach.m.Pool]
-	site := sh.siteOfPool(mach.m.Pool)
+func (w *world) killMachineJobs(mid int) error {
+	mach := &w.machines[mid]
+	p := w.pools[mach.m.Pool]
+	site := w.siteOf[mach.m.Pool]
 	for len(mach.running) > 0 {
 		rt := mach.running[0]
 		mach.running = mach.running[1:]
-		sh.noteDetach(rt)
-		sh.k.cancel(rt.finish)
+		w.noteDetach(rt)
+		w.q.Cancel(rt.finish)
 		mach.freeCores += rt.spec.Cores
 		mach.freeMemMB += rt.spec.MemMB
 		p.busyCores -= rt.spec.Cores
-		sh.addBusy(mach.m.Pool, -rt.spec.Cores)
-		if err := sh.killAndRequeue(rt, mach.m.Pool, site); err != nil {
+		w.addBusy(mach.m.Pool, -rt.spec.Cores)
+		if err := w.killAndRequeue(rt, mach.m.Pool, site); err != nil {
 			return err
 		}
 	}
 	for len(mach.suspended) > 0 {
 		rt := mach.suspended[0]
 		mach.suspended = mach.suspended[1:]
-		sh.noteDetach(rt)
+		w.noteDetach(rt)
 		p.suspendedCnt--
-		sh.scopeSuspended--
-		if sh.w.cfg.SuspendHoldsMemory {
+		w.scopeSuspended--
+		if w.cfg.SuspendHoldsMemory {
 			mach.freeMemMB += rt.spec.MemMB
 		}
-		if err := sh.killAndRequeue(rt, mach.m.Pool, site); err != nil {
+		if err := w.killAndRequeue(rt, mach.m.Pool, site); err != nil {
 			return err
 		}
 	}
@@ -421,15 +411,15 @@ func (sh *shard) killMachineJobs(mid int) error {
 
 // killAndRequeue destroys rt's progress and lands it back at pool as a
 // fresh arrival (start elsewhere, preempt, or queue — §2.1 rules).
-func (sh *shard) killAndRequeue(rt *jobRT, pool, site int) error {
+func (w *world) killAndRequeue(rt *jobRT, pool, site int) error {
 	before := rt.j.Acct().WastedExec
-	if err := rt.j.Kill(sh.k.now); err != nil {
+	if err := rt.j.Kill(w.now); err != nil {
 		return err
 	}
-	sh.w.faults[site].workLost += rt.j.Acct().WastedExec - before
-	sh.res.Kills++
-	sh.res.Requeues++
-	return sh.arrival(rt.idx, pool)
+	w.faults[site].workLost += rt.j.Acct().WastedExec - before
+	w.res.Kills++
+	w.res.Requeues++
+	return w.arrival(rt.idx, pool)
 }
 
 // finalizeFaults derives the fault counters from the per-site downtime
@@ -437,7 +427,7 @@ func (sh *shard) killAndRequeue(rt *jobRT, pool, site int) error {
 // completion, leaving open spans behind, so a span still open counts
 // only up to the makespan. Crash/window events at or after the
 // makespan never count.
-func finalizeFaults(w *world, res *Result) {
+func (w *world) finalizeFaults(res *Result) {
 	if w.faults == nil {
 		return
 	}

@@ -138,9 +138,12 @@ func TestMaintResumeWithWindowOpen(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(miniPlatform(t, 4))
 			cfg.Faults = tc.faults
+			// fresh matches the config run gives Run, so reencodeSnapshot
+			// restores the checkpoints under their own config hash.
 			fresh := func() Config {
 				c := cfg
 				c.Initial = sched.NewRoundRobin()
+				c.CheckConservation = true
 				return c
 			}
 			want := fingerprint(run(t, fresh(), tc.specs))
@@ -149,8 +152,8 @@ func TestMaintResumeWithWindowOpen(t *testing.T) {
 			maxOpen := 0
 			for _, ck := range *cks {
 				open := 0
-				reencodeSnapshot(t, fresh(), tc.specs, ck.Data, func(sh *shard) {
-					for _, f := range sh.w.faults {
+				reencodeSnapshot(t, fresh(), tc.specs, ck.Data, func(w *world) {
+					for _, f := range w.faults {
 						open += len(f.open)
 					}
 				})

@@ -7,27 +7,12 @@ import (
 	"netbatch/internal/job"
 )
 
-// placementSys is the placement/preemption subsystem: the virtual pool
-// manager's initial dispatch (submit), arrivals at physical pools
-// (arrive), completions (finish), and the capacity-handoff
-// mechanics they share (§2.1/§2.2).
-type placementSys struct {
-	sh *shard
+// This file is placement and preemption: the virtual pool manager's
+// initial dispatch (submit), arrivals at physical pools (arrive),
+// completions (finish), and the capacity-handoff mechanics they share
+// (§2.1/§2.2), plus the placement state codec.
 
-	// Allocated event kinds.
-	submit, arrive, finish kind
-}
-
-func (s *placementSys) register(k *kernel) {
-	sh := s.sh
-	s.submit = k.registerKind("submit", func(a, _ int64) error { return sh.handleSubmit(int(a)) })
-	// arrive carries (job idx, destination pool) in (a, b).
-	s.arrive = k.registerKind("arrive", func(a, b int64) error { return sh.arrival(int(a), int(b)) })
-	s.finish = k.registerKind("finish", func(a, _ int64) error { return sh.handleFinish(int(a)) })
-	k.registerState("placement", s.save, s.load)
-}
-
-// save dumps the placement subsystem's state: for every site its busy
+// savePlacement dumps the placement state: for every site its busy
 // counter, pool runtime state (class free stacks, wait queue with
 // tombstoned slots and exact FIFO layout, victim-scan stacks with
 // their stale entries, counters) and machine runtime state (capacity,
@@ -36,8 +21,7 @@ func (s *placementSys) register(k *kernel) {
 // bookkeeping — compaction timing decides which tombstoned slots can
 // still revive, and stale entries drive victim pruning — so they are
 // saved exactly rather than rebuilt.
-func (s *placementSys) save(e *snapEncoder) {
-	w := s.sh.w
+func (w *world) savePlacement(e *snapEncoder) {
 	jobIdx := func(rt *jobRT) int {
 		if rt == nil {
 			return -1
@@ -126,10 +110,10 @@ func (s *placementSys) save(e *snapEncoder) {
 	}
 }
 
-// load mirrors save field for field into the freshly built runtime
-// structures.
-func (s *placementSys) load(d *snapDecoder) error {
-	w := s.sh.w
+// loadPlacement mirrors savePlacement field for field into the freshly
+// built runtime structures, rejecting any index that does not fit the
+// run (see validJobState).
+func (w *world) loadPlacement(d *snapDecoder) error {
 	nJobs := len(w.jobs)
 	jobAt := func(idx int) *jobRT {
 		if idx == -1 {
@@ -151,7 +135,13 @@ func (s *placementSys) load(d *snapDecoder) error {
 				d.fail()
 			}
 			for ci := range p.classes {
-				p.classes[ci].free = d.IntsN(-1)
+				free := d.IntsN(-1)
+				for _, mid := range free {
+					if mid < 0 || mid >= len(w.machines) {
+						return fmt.Errorf("%w: pool %d free stack names machine %d", ErrSnapshotMismatch, pid, mid)
+					}
+				}
+				p.classes[ci].free = free
 			}
 			wq := p.waitQ
 			wq.n = d.Int()
@@ -169,6 +159,10 @@ func (s *placementSys) load(d *snapDecoder) error {
 				if d.err != nil || nItems < 0 || nItems > 1<<30 {
 					d.fail()
 					return d.err
+				}
+				if f.head < 0 || f.head > nItems {
+					return fmt.Errorf("%w: pool %d wait queue head %d outside its %d items",
+						ErrSnapshotMismatch, pid, f.head, nItems)
 				}
 				f.items = make([]*jobRT, nItems)
 				for it := range f.items {
@@ -250,6 +244,10 @@ func (s *placementSys) load(d *snapDecoder) error {
 		if d.err != nil {
 			return d.err
 		}
+		if !w.validJobState(&st) {
+			return fmt.Errorf("%w: job %d in state %v with pool %d and machine %d",
+				ErrSnapshotMismatch, rt.spec.ID, st.State, st.Pool, st.Machine)
+		}
 		rt.j.RestoreState(st)
 		rt.enqueuedAt = d.F64()
 		rt.queued = d.Bool()
@@ -257,53 +255,71 @@ func (s *placementSys) load(d *snapDecoder) error {
 	return d.err
 }
 
+// validJobState reports whether a restored job record can be handled:
+// its state is a lifecycle state, its pool and machine index the
+// platform or are -1, a waiting, running or suspended job has a pool,
+// and a running or suspended job has a machine.
+func (w *world) validJobState(st *job.JobState) bool {
+	if st.State < job.StateCreated || st.State > job.StateCompleted ||
+		st.Pool < -1 || st.Pool >= len(w.pools) || st.Machine < -1 || st.Machine >= len(w.machines) {
+		return false
+	}
+	switch st.State {
+	case job.StateRunning, job.StateSuspended:
+		return st.Pool >= 0 && st.Machine >= 0
+	case job.StateWaiting:
+		return st.Pool >= 0
+	}
+	return true
+}
+
 // handleSubmit routes a newly submitted job through the virtual pool
 // manager and chains the next submission event. Dispatch to a pool at
 // another site pays the one-way inter-site delay before arrival (the
 // interval accrues as wait time, c1).
-func (sh *shard) handleSubmit(idx int) error {
-	if next := sh.nextSubmit; next < len(sh.w.specs) {
-		sh.k.schedule(sh.w.specs[next].Submit, sh.place.submit, int64(next), 0)
-		sh.nextSubmit++
+func (w *world) handleSubmit(idx int) error {
+	if next := w.nextSubmit; next < len(w.specs) {
+		w.schedule(w.specs[next].Submit, kSubmit, int64(next), 0)
+		w.nextSubmit++
 	}
-	rt := &sh.w.jobs[idx]
-	sh.view.observe(rt.spec.Site)
-	pool, err := sh.w.cfg.Initial.SelectPool(sh.k.now, rt.spec, sh.view)
+	rt := &w.jobs[idx]
+	w.view.observe(rt.spec.Site)
+	pool, err := w.cfg.Initial.SelectPool(w.now, rt.spec, &w.view)
 	if err != nil {
 		return err
 	}
-	if sh.siteOfPool(pool) != rt.spec.Site {
-		sh.res.CrossSiteSubmits++
-		if d := sh.w.plat.RTT(rt.spec.Site, sh.siteOfPool(pool)); d > 0 {
-			sh.k.schedule(sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
+	if w.siteOf[pool] != rt.spec.Site {
+		w.res.CrossSiteSubmits++
+		if d := w.plat.RTT(rt.spec.Site, w.siteOf[pool]); d > 0 {
+			w.schedule(w.now+d, kArrive, int64(idx), int64(pool))
 			return nil
 		}
 	}
-	return sh.arrival(idx, pool)
+	return w.arrival(idx, pool)
 }
 
 // arrival lands a job at a physical pool: start it, preempt for it, or
 // queue it.
-func (sh *shard) arrival(idx, pool int) error {
-	rt := &sh.w.jobs[idx]
-	if err := rt.j.Enqueue(sh.k.now, pool); err != nil {
+func (w *world) arrival(idx, pool int) error {
+	rt := &w.jobs[idx]
+	if err := rt.j.Enqueue(w.now, pool); err != nil {
 		return err
 	}
-	return sh.tryPlace(rt, sh.w.pools[pool])
+	return w.tryPlace(rt, w.pools[pool])
 }
 
 // tryPlace implements the physical pool manager's §2.1 dispatch rules.
-func (sh *shard) tryPlace(rt *jobRT, p *poolRT) error {
+func (w *world) tryPlace(rt *jobRT, p *poolRT) error {
 	// (1) First eligible available machine.
-	if mid := sh.findFreeMachine(p, rt.spec); mid >= 0 {
-		return sh.startOn(rt, mid)
+	if mid := w.findFreeMachine(p, rt.spec); mid >= 0 {
+		return w.startOn(rt, mid)
 	}
 	// (2) Preempt a lower-priority running job.
-	if victim := p.findVictim(rt.spec, sh.w.machines, !sh.w.cfg.SuspendHoldsMemory); victim != nil {
-		return sh.preempt(rt, victim)
+	if victim := p.findVictim(rt.spec, w.machines, !w.cfg.SuspendHoldsMemory); victim != nil {
+		return w.preempt(rt, victim)
 	}
 	// (3) Queue and wait.
-	sh.enqueue(rt, p)
+	w.enqueue(rt, p)
 	return nil
 }
 
@@ -311,14 +327,14 @@ func (sh *shard) tryPlace(rt *jobRT, p *poolRT) error {
 // available machine satisfying the spec, returning its ID or -1. Among
 // per-class candidates the lowest machine ID wins, approximating the
 // paper's "first eligible machine" list order deterministically.
-func (sh *shard) findFreeMachine(p *poolRT, spec *job.Spec) int {
+func (w *world) findFreeMachine(p *poolRT, spec *job.Spec) int {
 	best := -1
 	for ci := range p.classes {
 		cls := &p.classes[ci]
 		if !cls.fits(spec) {
 			continue
 		}
-		if mid := cls.findAvailable(sh.w.machines, spec); mid >= 0 {
+		if mid := cls.findAvailable(w.machines, spec); mid >= 0 {
 			if best == -1 || mid < best {
 				best = mid
 			}
@@ -329,8 +345,8 @@ func (sh *shard) findFreeMachine(p *poolRT, spec *job.Spec) int {
 
 // ensureFree registers a machine in its class free-stack when it has
 // spare cores and is not already listed.
-func (sh *shard) ensureFree(p *poolRT, mid int) {
-	mach := &sh.w.machines[mid]
+func (w *world) ensureFree(p *poolRT, mid int) {
+	mach := &w.machines[mid]
 	if mach.down || mach.freeCores <= 0 || mach.inFree {
 		return
 	}
@@ -339,8 +355,8 @@ func (sh *shard) ensureFree(p *poolRT, mid int) {
 }
 
 // startOn begins executing rt on machine mid.
-func (sh *shard) startOn(rt *jobRT, mid int) error {
-	mach := &sh.w.machines[mid]
+func (w *world) startOn(rt *jobRT, mid int) error {
+	mach := &w.machines[mid]
 	spec := rt.spec
 	if mach.down {
 		return fmt.Errorf("job %d placed on down machine %d", spec.ID, mid)
@@ -348,49 +364,49 @@ func (sh *shard) startOn(rt *jobRT, mid int) error {
 	if mach.freeCores < spec.Cores || mach.freeMemMB < spec.MemMB {
 		return fmt.Errorf("job %d placed on machine %d without capacity", spec.ID, mid)
 	}
-	p := sh.w.pools[mach.m.Pool]
+	p := w.pools[mach.m.Pool]
 	mach.freeCores -= spec.Cores
 	mach.freeMemMB -= spec.MemMB
 	p.busyCores += spec.Cores
-	sh.addBusy(mach.m.Pool, spec.Cores)
-	if err := rt.j.Start(sh.k.now, mid, mach.m.Speed); err != nil {
+	w.addBusy(mach.m.Pool, spec.Cores)
+	if err := rt.j.Start(w.now, mid, mach.m.Speed); err != nil {
 		return err
 	}
-	rem := rt.j.RemainingAt(sh.k.now)
-	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
+	rem := rt.j.RemainingAt(w.now)
+	rt.finish = w.schedule(w.now+rem, kFinish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
-	sh.noteAttach(rt, mach.m.Pool)
-	sh.ensureFree(p, mid)
+	w.noteAttach(rt, mach.m.Pool)
+	w.ensureFree(p, mid)
 	return nil
 }
 
 // preempt suspends victim and installs rt on the freed machine, then
 // arms the rescheduling decision for the victim.
-func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
+func (w *world) preempt(rt *jobRT, victim *jobRT) error {
 	mid := victim.j.Machine
-	mach := &sh.w.machines[mid]
-	p := sh.w.pools[mach.m.Pool]
+	mach := &w.machines[mid]
+	p := w.pools[mach.m.Pool]
 
-	sh.k.cancel(victim.finish)
-	if err := victim.j.Suspend(sh.k.now); err != nil {
+	w.q.Cancel(victim.finish)
+	if err := victim.j.Suspend(w.now); err != nil {
 		return err
 	}
 	removeRunning(mach, victim)
-	sh.res.Preemptions++
+	w.res.Preemptions++
 	mach.freeCores += victim.spec.Cores
-	if !sh.w.cfg.SuspendHoldsMemory {
+	if !w.cfg.SuspendHoldsMemory {
 		mach.freeMemMB += victim.spec.MemMB
 	}
 	p.busyCores -= victim.spec.Cores
-	sh.addBusy(mach.m.Pool, -victim.spec.Cores)
+	w.addBusy(mach.m.Pool, -victim.spec.Cores)
 	mach.suspended = append(mach.suspended, victim)
 	p.suspendedCnt++
-	sh.scopeSuspended++
+	w.scopeSuspended++
 
 	// A victim found through a stale running-stack entry may sit on
 	// another site's machine (see findVictim): the preemptor starts there.
-	if err := sh.startOn(rt, mid); err != nil {
+	if err := w.startOn(rt, mid); err != nil {
 		return err
 	}
 
@@ -398,87 +414,87 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 	// at the next agent sweep, DecisionDelay later. If the victim has
 	// resumed (or been re-suspended and moved) by then, the stale event
 	// is ignored.
-	sh.k.schedule(sh.k.now+sh.w.cfg.DecisionDelay, sh.dyn.susDecide, int64(victim.idx), 0)
+	w.schedule(w.now+w.cfg.DecisionDelay, kSusDecide, int64(victim.idx), 0)
 
 	// The victim may have freed more cores than the preemptor needs.
-	return sh.onFree(mid)
+	return w.onFree(mid)
 }
 
 // enqueue parks a job in the pool's wait queue and arms the policy's
 // wait-timeout timer.
-func (sh *shard) enqueue(rt *jobRT, p *poolRT) {
+func (w *world) enqueue(rt *jobRT, p *poolRT) {
 	p.waitQ.push(rt)
-	rt.enqueuedAt = sh.k.now
-	sh.scopeWaiting++
-	if th := sh.w.cfg.Policy.WaitThreshold(); th > 0 {
-		rt.waitTO = sh.k.schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
+	rt.enqueuedAt = w.now
+	w.scopeWaiting++
+	if th := w.cfg.Policy.WaitThreshold(); th > 0 {
+		rt.waitTO = w.schedule(w.now+th, kWaitTimeout, int64(rt.idx), 0)
 	}
 }
 
 // handleFinish completes a running job and redistributes its capacity.
-func (sh *shard) handleFinish(idx int) error {
-	rt := &sh.w.jobs[idx]
+func (w *world) handleFinish(idx int) error {
+	rt := &w.jobs[idx]
 	mid := rt.j.Machine
-	mach := &sh.w.machines[mid]
-	p := sh.w.pools[mach.m.Pool]
-	if err := rt.j.Complete(sh.k.now); err != nil {
+	mach := &w.machines[mid]
+	p := w.pools[mach.m.Pool]
+	if err := rt.j.Complete(w.now); err != nil {
 		return err
 	}
-	if sh.w.cfg.CheckConservation {
+	if w.cfg.CheckConservation {
 		if err := rt.j.CheckConservation(); err != nil {
 			return err
 		}
 	}
-	sh.completed++
+	w.completed++
 	removeRunning(mach, rt)
-	sh.noteDetach(rt)
+	w.noteDetach(rt)
 	mach.freeCores += rt.spec.Cores
 	mach.freeMemMB += rt.spec.MemMB
 	p.busyCores -= rt.spec.Cores
-	sh.addBusy(mach.m.Pool, -rt.spec.Cores)
-	return sh.onFree(mid)
+	w.addBusy(mach.m.Pool, -rt.spec.Cores)
+	return w.onFree(mid)
 }
 
 // onFree hands freed capacity on machine mid to, by default, the
 // host's suspended jobs first (host-level resume, §2.2) and then the
 // pool wait queue in priority-FIFO order. With QueueBeatsResume,
 // waiting jobs of strictly higher priority win over a resume.
-func (sh *shard) onFree(mid int) error {
-	mach := &sh.w.machines[mid]
+func (w *world) onFree(mid int) error {
+	mach := &w.machines[mid]
 	if mach.down {
 		// Crashed or in maintenance: freed capacity is unusable until
 		// the repair / window-end event redistributes it.
 		return nil
 	}
-	p := sh.w.pools[mach.m.Pool]
+	p := w.pools[mach.m.Pool]
 	for mach.freeCores > 0 {
 		wrt := p.waitQ.peekFitting(func(rt *jobRT) bool {
 			return machineFits(mach, rt.spec)
 		})
-		srt := bestSuspended(mach, sh.w.cfg.SuspendHoldsMemory)
+		srt := bestSuspended(mach, w.cfg.SuspendHoldsMemory)
 		if wrt == nil && srt == nil {
 			break
 		}
 		useWaiting := wrt != nil && (srt == nil ||
-			(sh.w.cfg.QueueBeatsResume && wrt.spec.Priority > srt.spec.Priority))
+			(w.cfg.QueueBeatsResume && wrt.spec.Priority > srt.spec.Priority))
 		if useWaiting {
 			p.waitQ.remove(wrt)
 			// A revived slot (see waitQueue) may hand us a job whose
 			// current queue label is another pool, possibly at another
 			// site. It starts on this machine all the same and keeps that
 			// label; startOn flags it aliased when the sites differ.
-			sh.scopeWaiting--
-			sh.k.cancel(wrt.waitTO)
-			if err := sh.startOn(wrt, mid); err != nil {
+			w.scopeWaiting--
+			w.q.Cancel(wrt.waitTO)
+			if err := w.startOn(wrt, mid); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := sh.resume(srt); err != nil {
+		if err := w.resume(srt); err != nil {
 			return err
 		}
 	}
-	sh.ensureFree(p, mid)
+	w.ensureFree(p, mid)
 	return nil
 }
 
@@ -511,29 +527,29 @@ func bestSuspended(mach *machineRT, holdsMem bool) *jobRT {
 }
 
 // resume continues a suspended job on its host.
-func (sh *shard) resume(rt *jobRT) error {
+func (w *world) resume(rt *jobRT) error {
 	mid := rt.j.Machine
-	mach := &sh.w.machines[mid]
-	p := sh.w.pools[mach.m.Pool]
+	mach := &w.machines[mid]
+	p := w.pools[mach.m.Pool]
 	if !removeSuspended(mach, rt) {
 		return fmt.Errorf("job %d missing from suspended list on resume", rt.spec.ID)
 	}
 	p.suspendedCnt--
-	sh.scopeSuspended--
+	w.scopeSuspended--
 	mach.freeCores -= rt.spec.Cores
-	if !sh.w.cfg.SuspendHoldsMemory {
+	if !w.cfg.SuspendHoldsMemory {
 		mach.freeMemMB -= rt.spec.MemMB
 	}
 	p.busyCores += rt.spec.Cores
-	sh.addBusy(mach.m.Pool, rt.spec.Cores)
-	if err := rt.j.Resume(sh.k.now); err != nil {
+	w.addBusy(mach.m.Pool, rt.spec.Cores)
+	if err := rt.j.Resume(w.now); err != nil {
 		return err
 	}
-	rem := rt.j.RemainingAt(sh.k.now)
-	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
+	rem := rt.j.RemainingAt(w.now)
+	rt.finish = w.schedule(w.now+rem, kFinish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
-	sh.noteAttach(rt, mach.m.Pool)
+	w.noteAttach(rt, mach.m.Pool)
 	return nil
 }
 

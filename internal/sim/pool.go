@@ -24,7 +24,7 @@ type jobRT struct {
 	// at a site other than its queue-pool label's site — the product of
 	// a cross-site alias dispatch (a revived wait-queue slot, or a
 	// preemption installing a remote label on a local machine). Set by
-	// shard.noteAttach and cleared by shard.noteDetach, which counts
+	// world.noteAttach and cleared by world.noteDetach, which counts
 	// the clear in Result.AliasRetirements.
 	aliased bool
 	// enqueuedAt is when the job entered its current wait queue.
@@ -43,7 +43,7 @@ type machineRT struct {
 	// order (FIFO).
 	suspended []*jobRT
 	// running holds the jobs currently executing on this host, in start
-	// order. Maintained for the fault subsystem's kill sweeps; bounded
+	// order. Maintained for the fault handlers' kill sweeps; bounded
 	// by the machine's core count.
 	running []*jobRT
 	// class is the index of the machine's class within its pool.

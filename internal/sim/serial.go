@@ -7,104 +7,101 @@ import (
 )
 
 // runSerial drives the whole simulation: one event queue, popped in
-// (time, scheduling order), exactly the monolithic engine's loop. With
-// a resume snapshot the shard's state is restored instead of seeded
-// and the loop continues mid-run; with checkpointing enabled the loop
-// snapshots at the first event boundary past each cadence mark.
+// (time, scheduling order). With a resume snapshot the world's state
+// is restored instead of seeded and the loop continues mid-run; with
+// checkpointing enabled the loop snapshots at the first event boundary
+// past each cadence mark.
 func runSerial(w *world, sn *snapshot) (*Result, error) {
-	sh := newShard(w)
 	if sn != nil {
-		if err := restoreRun(sn, w, sh); err != nil {
+		if err := w.restore(sn); err != nil {
 			return nil, err
 		}
 	} else {
-		sh.seed()
+		w.seed()
 	}
-	ck := newCheckpointer(w, sh, sn)
-	if err := serialLoop(sh, ck); err != nil {
+	ck := newCheckpointer(w, sn)
+	if err := w.loop(ck); err != nil {
 		return nil, err
 	}
-	res := sh.res
-	res.Events = sh.k.events
-	res.AliasRetirements = w.aliasRetired
-	w.met.aliasRet.Add(w.aliasRetired)
-	if err := finalizeJobs(w, &res); err != nil {
+	res := w.res
+	res.Events = w.events
+	w.met.aliasRet.Add(res.AliasRetirements)
+	if err := w.finalizeJobs(&res); err != nil {
 		return nil, err
 	}
-	finalizeFaults(w, &res)
-	res.Util = sh.acct.utilTS
-	res.Suspended = sh.acct.suspTS
-	res.Waiting = sh.acct.waitTS
-	res.SiteUtil = sh.acct.siteTS
+	w.finalizeFaults(&res)
+	res.Util = w.acct.utilTS
+	res.Suspended = w.acct.suspTS
+	res.Waiting = w.acct.waitTS
+	res.SiteUtil = w.acct.siteTS
 	return &res, nil
 }
 
-func serialLoop(sh *shard, ck *checkpointer) error {
-	total := len(sh.w.specs)
-	cfg := &sh.w.cfg
+func (w *world) loop(ck *checkpointer) error {
+	total := len(w.specs)
+	cfg := &w.cfg
 	ctx := cfg.Context
-	k := sh.k
-	met := &sh.w.met
+	met := &w.met
 	pm := newProgressMeter(cfg)
 	tk := cfg.Trace.Track("serial")
 	ck.observe(met, tk)
-	events0 := k.events
+	events0 := w.events
 	t0 := tk.Now()
 	defer func() {
-		met.events.Add(k.events - events0)
+		met.events.Add(w.events - events0)
 		if tk != nil {
-			tk.Span("run", t0, obs.Arg{Key: "events", Val: k.events - events0})
+			tk.Span("run", t0, obs.Arg{Key: "events", Val: w.events - events0})
 		}
 	}()
-	for sh.completed < total {
-		ev, ok := k.q.Pop()
+	for w.completed < total {
+		ev, ok := w.q.Pop()
 		if !ok {
 			return fmt.Errorf("sim: deadlock at t=%v: %d of %d jobs completed and no pending events",
-				k.now, sh.completed, total)
+				w.now, w.completed, total)
 		}
-		if ev.Time < k.now {
-			return fmt.Errorf("sim: event time went backwards: %v -> %v", k.now, ev.Time)
+		if ev.Time < w.now {
+			return fmt.Errorf("sim: event time went backwards: %v -> %v", w.now, ev.Time)
 		}
-		k.now = ev.Time
-		if k.now > cfg.MaxTime {
+		w.now = ev.Time
+		if w.now > cfg.MaxTime {
 			return fmt.Errorf("sim: exceeded MaxTime %v with %d of %d jobs incomplete",
-				cfg.MaxTime, total-sh.completed, total)
+				cfg.MaxTime, total-w.completed, total)
 		}
-		k.events++
-		if k.events&255 == 0 {
+		w.events++
+		if w.events&255 == 0 {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("sim: canceled at t=%v: %w", k.now, err)
+					return fmt.Errorf("sim: canceled at t=%v: %w", w.now, err)
 				}
 			}
 			// Observability rides the same stride as the ctx poll: one
 			// predicted branch each per 256 events when disabled.
-			pm.maybe(k.now, k.events)
+			pm.maybe(w.now, w.events)
 			if met.qDepth != nil {
-				met.qDepth.Max(int64(k.q.Live()))
-				met.qTombs.Max(int64(k.q.Tombstones()))
+				met.qDepth.Max(int64(w.q.Live()))
+				met.qTombs.Max(int64(w.q.Tombstones()))
 			}
 		}
 		// Record sample ticks strictly before this event; ticks that
 		// coincide with now are recorded only after every state change
 		// at now has been applied (post-event state, see accounting).
-		sh.acct.advanceTo(k.now)
-		if err := k.dispatch(ev); err != nil {
-			return fmt.Errorf("sim: t=%v: %w", k.now, err)
+		w.acct.advanceTo(w.now)
+		if err := w.dispatch(ev); err != nil {
+			return fmt.Errorf("sim: t=%v: %w", w.now, err)
 		}
 		if cfg.eventLog != nil {
-			cfg.eventLog.record(k.now, k.kinds[ev.Kind].name, ev.A, ev.B)
+			cfg.eventLog.record(w.now, kindNames[ev.Kind], ev.A, ev.B)
 		}
 		// Both checkpoint capture points sit at the same boundary: after
 		// the event's full effect, before the next pop — where every
 		// piece of state is explicit and enumerable.
-		if ck.due(k.now) {
-			if err := ck.take(k.now, k.events); err != nil {
+		if ck.due(w.now) {
+			if err := ck.take(w.now, w.events); err != nil {
 				return err
 			}
 		}
-		if cfg.stopAtEvents > 0 && k.events >= cfg.stopAtEvents {
-			data, err := takeSnapshot(sh.w, sh, newSnapParams(sh.w, sh, 0), k.now, k.events)
+		if cfg.stopAtEvents > 0 && w.events >= cfg.stopAtEvents {
+			data, err := takeSnapshot(w, newSnapParams(w, 0), w.now, w.events)
 			if err != nil {
 				return err
 			}

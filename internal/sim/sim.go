@@ -24,19 +24,20 @@
 //     beginning, §2.3/§3.2) or, for migration policies, to move it with
 //     progress preserved.
 //
-// Architecturally the simulator is a small policy-free event kernel
-// (kernel.go) with an open event-kind registry, plus pluggable
-// subsystems — placement/preemption (placement.go), dynamic
-// rescheduling (resched.go), stale-view snapshots (snapshot.go),
-// machine faults and maintenance windows (faults.go) and series
-// accounting (accounting.go) — each of which allocates its event kinds
-// from the registry (shard.go). Every event is (time, kind, a, b): its
+// Architecturally a run is one world (world.go): the clock, the single
+// event queue and all simulation state, plus a fixed table of ten event
+// kinds and one dispatch switch over them. The handlers are world
+// methods grouped by mechanism — placement/preemption (placement.go),
+// dynamic rescheduling (resched.go), stale-view snapshots
+// (snapshot.go), machine faults and maintenance windows (faults.go) —
+// and series accounting (accounting.go) integrates between events. The
+// mechanisms are policy-free: decisions belong to the configured
+// scheduler and core.Policy. Every event is (time, kind, a, b): its
 // payload is two integer words, and state a handler needs beyond them
-// lives in a subsystem field that the subsystem's state codec saves.
-// One serial loop (serial.go) pops the single event queue in (time,
-// scheduling order) and dispatches every event; checkpoint/resume
-// (checkpoint.go, delta.go) and replay bisection (replay.go) run on the
-// same loop. Parallelism lives one level up, across independent runs
+// lives in a world field that a snapshot section saves. One serial loop
+// (serial.go) pops the queue in (time, scheduling order) and dispatches
+// every event; checkpoint/resume (checkpoint.go, delta.go) and replay
+// bisection (replay.go) run on the same loop. Parallelism lives one level up, across independent runs
 // (the experiments matrix's -jobs worker pool). See
 // docs/ARCHITECTURE.md for the layering.
 package sim
@@ -95,7 +96,7 @@ type Config struct {
 	// A job that resumes within the delay is never offered for
 	// rescheduling. Default 1 minute; negative values are rejected.
 	DecisionDelay float64
-	// Faults enables the fault & maintenance subsystem (faults.go):
+	// Faults enables the fault & maintenance model (faults.go):
 	// deterministic per-site machine crashes and scheduled maintenance
 	// windows with a configurable victim-job policy. The zero value
 	// disables it entirely and leaves every output byte-identical.
@@ -350,7 +351,7 @@ type Result struct {
 
 	// AliasRetirements counts alias-flag clears: a job attached to a
 	// machine at a site other than its queue pool's site (a cross-site
-	// alias, see shard.noteAttach) detaching from that machine. It
+	// alias, see world.noteAttach) detaching from that machine. It
 	// describes the execution, not the simulated system: a resumed run
 	// counts only its tail. Excluded from bit-identity comparisons and
 	// not persisted in snapshots.
@@ -387,9 +388,6 @@ func Run(cfg Config, specs []job.Spec) (*Result, error) {
 		}
 		sn, err = decodeSnapshot(full.ResumeFrom)
 		if err != nil {
-			return nil, err
-		}
-		if err := sn.verify(w); err != nil {
 			return nil, err
 		}
 	}

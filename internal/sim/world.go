@@ -5,15 +5,120 @@ import (
 	"math"
 
 	"netbatch/internal/cluster"
+	"netbatch/internal/eventq"
 	"netbatch/internal/job"
 	"netbatch/internal/stats"
 )
 
+// This file holds a run's one state struct, world, and the fixed table
+// of event kinds its dispatch switches on. The handlers are world
+// methods in the mechanism files the package doc lists.
+
 var inf = math.Inf(1)
 
-// world is the run-wide context: configuration, platform topology,
-// validated specs, and the backing arrays of machine, pool and job
-// runtime state.
+// kind numbers an event kind. Snapshots store each pending event's
+// kind by number and guard the table with kindTableHash, so the
+// numbering is part of the snapshot format, and adding or renumbering
+// a kind makes older snapshots unresumable. The fault kinds come last
+// and exist only with faults on (see numKinds), so a fault-free run's
+// table and hash do not include them. Kind numbers never influence
+// event order: the queue orders on (time, scheduling order) alone.
+type kind int
+
+// The event kinds and their payload words (a, b); unused words are 0.
+const (
+	kSubmit      kind = iota + 1 // a: job
+	kArrive                      // a: job, b: destination pool
+	kFinish                      // a: job
+	kSusDecide                   // a: job
+	kWaitTimeout                 // a: job
+	kSnapshot                    // a: observer site, b: target site
+	kCrash                       // a: site
+	kRepair                      // a: machine
+	kMaintStart                  // a: site
+	kMaintEnd                    // a: site
+)
+
+// kindNames are the kinds' diagnostic names, printed in replay logs and
+// hashed by kindTableHash. Index 0 is unused, so the zero kind is never
+// valid.
+var kindNames = [...]string{
+	kSubmit:      "submit",
+	kArrive:      "arrive",
+	kFinish:      "finish",
+	kSusDecide:   "susDecide",
+	kWaitTimeout: "waitTimeout",
+	kSnapshot:    "snapshot",
+	kCrash:       "fault.crash",
+	kRepair:      "fault.repair",
+	kMaintStart:  "fault.maintStart",
+	kMaintEnd:    "fault.maintEnd",
+}
+
+// numKinds returns one past the run's highest kind: the fault kinds
+// exist only when faults are enabled.
+func (w *world) numKinds() int {
+	if w.faults == nil {
+		return int(kCrash)
+	}
+	return len(kindNames)
+}
+
+// dispatch applies one popped event.
+func (w *world) dispatch(ev eventq.Event) error {
+	a := int(ev.A)
+	switch kind(ev.Kind) {
+	case kSubmit:
+		return w.handleSubmit(a)
+	case kArrive:
+		return w.arrival(a, int(ev.B))
+	case kFinish:
+		return w.handleFinish(a)
+	case kSusDecide:
+		return w.handleSusDecide(a)
+	case kWaitTimeout:
+		return w.handleWaitTimeout(a)
+	case kSnapshot:
+		w.handleSnapshot(a, int(ev.B))
+		return nil
+	case kCrash:
+		return w.handleCrash(a)
+	case kRepair:
+		return w.handleRepair(a)
+	case kMaintStart:
+		return w.handleMaintStart(a)
+	case kMaintEnd:
+		return w.handleMaintEnd(a)
+	}
+	return fmt.Errorf("sim: unknown event kind %d", ev.Kind)
+}
+
+// eventInRange reports whether a restored event's payload words index
+// the run's state: a job for the job-carrying kinds, arrive's
+// destination pool, both sites of a view refresh, the site of a crash
+// or window, the machine of a repair. Words a kind does not use are
+// not checked.
+func (w *world) eventInRange(kd kind, a, b int64) bool {
+	in := func(x int64, n int) bool { return x >= 0 && x < int64(n) }
+	switch kd {
+	case kSubmit, kFinish, kSusDecide, kWaitTimeout:
+		return in(a, len(w.jobs))
+	case kArrive:
+		return in(a, len(w.jobs)) && in(b, len(w.pools))
+	case kSnapshot:
+		return in(a, w.nSites) && in(b, w.nSites)
+	case kCrash, kMaintStart, kMaintEnd:
+		return in(a, w.nSites)
+	case kRepair:
+		return in(a, len(w.machines))
+	}
+	return false
+}
+
+// world is one run's complete simulation state: configuration and
+// platform topology, the event loop's clock and queue, the runtime
+// records of every machine, pool and job, and the state the handlers
+// share. Checkpoints save it through stateCodecs.
 type world struct {
 	cfg   Config
 	plat  *cluster.Platform
@@ -27,6 +132,24 @@ type world struct {
 	// start is the first submission time; it anchors the sample-tick
 	// grid and the initial snapshot-chain events.
 	start float64
+
+	// q is the future event list, now the clock, and events the number
+	// of dispatched events.
+	q      *eventq.Queue
+	now    float64
+	events int64
+
+	// nextSubmit is the index of the next spec whose submit event is
+	// not yet scheduled: submissions chain one event at a time, in spec
+	// order.
+	nextSubmit int
+
+	// The platform-wide signals accounting samples, and the number of
+	// completed jobs.
+	scopeBusy      int
+	scopeSuspended int
+	scopeWaiting   int
+	completed      int
 
 	// Mutable runtime state.
 	machines []machineRT
@@ -45,9 +168,11 @@ type world struct {
 	machBySite [][]int
 	faults     []siteFaults
 
-	// aliasRetired counts this run's alias-flag clears for
-	// Result.AliasRetirements (see noteDetach).
-	aliasRetired int64
+	view poolView
+	acct accounting
+
+	// res accumulates the Result counters; runSerial completes it.
+	res Result
 
 	// met holds the run's pre-resolved observability handles; the zero
 	// value (Config.Metrics nil) makes every record site a nil check.
@@ -55,10 +180,10 @@ type world struct {
 }
 
 // buildWorld validates the specs against the platform and allocates
-// the shared runtime state. cfg must already have defaults applied.
+// the run's state. cfg must already have defaults applied.
 func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 	plat := cfg.Platform
-	w := &world{cfg: cfg, plat: plat, specs: specs, met: newSimMetrics(cfg.Metrics)}
+	w := &world{cfg: cfg, plat: plat, specs: specs, q: eventq.New(), met: newSimMetrics(cfg.Metrics)}
 	w.machines = make([]machineRT, plat.NumMachines())
 	for i := 0; i < plat.NumMachines(); i++ {
 		m := plat.Machine(i)
@@ -131,6 +256,8 @@ func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 			}
 		}
 	}
+	w.view.w = w
+	w.acct = newAccounting(w)
 	return w, nil
 }
 
@@ -158,131 +285,61 @@ func (w *world) stale() bool {
 	return false
 }
 
-// shard is the simulation state the kernel drives: the kernel plus the
-// subsystem state for every site. (The name survives from the
-// partitioned engines; there is one shard per run.)
-type shard struct {
-	w *world
-	k *kernel
-
-	// nextSubmit is the index of the next spec whose submit event is
-	// not yet scheduled: submissions chain one event at a time, in spec
-	// order.
-	nextSubmit int
-
-	scopeBusy      int
-	scopeSuspended int
-	scopeWaiting   int
-	completed      int
-
-	// The registered subsystems. Each owns the event kinds it
-	// allocated from the kernel registry; cross-subsystem scheduling
-	// (e.g. placement arming a rescheduling decision) goes through
-	// these handles. faults is nil unless cfg.Faults is enabled.
-	place  *placementSys
-	dyn    *reschedSys
-	snaps  *snapshotSys
-	faults *faultSys
-
-	view *poolView
-	acct *accounting
-
-	res Result
+// schedule adds an event at time t with payload words (a, b).
+func (w *world) schedule(t float64, kd kind, a, b int64) eventq.Handle {
+	return w.q.Schedule(t, int(kd), a, b)
 }
 
-// newShard builds the shard and registers the subsystems with its
-// kernel.
-func newShard(w *world) *shard {
-	sh := &shard{w: w, k: newKernel()}
-	sh.view = newPoolView(sh)
-	sh.acct = newAccounting(sh)
-	// The shard core registers its own state codec (clock, event
-	// counters, Result counters, the pending event list) ahead of the
-	// subsystems', followed by the accounting sink; subsystem codecs
-	// then follow kind-registration order. The combined order is fixed,
-	// which is what lets snapshots pair saved sections with codecs
-	// positionally.
-	sh.registerCoreState()
-	sh.acct.register(sh.k)
-	// Subsystem registration order defines the run's kind numbering
-	// (this is the only registration site).
-	sh.place = &placementSys{sh: sh}
-	sh.dyn = &reschedSys{sh: sh}
-	sh.snaps = &snapshotSys{sh: sh}
-	systems := []subsystem{sh.place, sh.dyn, sh.snaps}
-	if w.cfg.Faults.enabled() {
-		sh.faults = &faultSys{sh: sh}
-		systems = append(systems, sh.faults)
+// seed schedules the run's initial events: the first submission, and
+// the snapshot refresh chains for every (observer, target) site pair
+// with a non-zero ageing delay — both at the run's start time,
+// submission first. One refresh chain runs per pair; on a single-site
+// platform with UtilStaleness > 0 that is exactly one chain,
+// reproducing the historical single-snapshot behavior.
+func (w *world) seed() {
+	if len(w.specs) == 0 {
+		return
 	}
-	for _, sys := range systems {
-		sys.register(sh.k)
+	w.schedule(w.specs[0].Submit, kSubmit, 0, 0)
+	w.nextSubmit = 1
+	// Stale utilization views refresh on the sample-tick grid; only
+	// those (rare) refresh points need real events.
+	if !w.cfg.DisableSampling {
+		for obs := range w.nSites {
+			for tgt := range w.nSites {
+				if w.ageDelay(obs, tgt) > 0 {
+					w.schedule(w.start, kSnapshot, int64(obs), int64(tgt))
+				}
+			}
+		}
 	}
-	return sh
-}
-
-// registerCoreState installs the shard-core state codec: the kernel
-// clock and counters, the submission-chain cursor, the scope counters,
-// the Result counters, and the pending future event list (exact
-// scheduling-order stamps included — see saveQueue/restoreQueue).
-func (sh *shard) registerCoreState() {
-	sh.k.registerState("core", func(e *snapEncoder) {
-		k := sh.k
-		e.F64(k.now)
-		e.I64(k.events)
-		e.Int(sh.nextSubmit)
-		e.Int(sh.scopeBusy)
-		e.Int(sh.scopeSuspended)
-		e.Int(sh.scopeWaiting)
-		e.Int(sh.completed)
-		e.I64(sh.res.Preemptions)
-		e.I64(sh.res.Restarts)
-		e.I64(sh.res.Migrations)
-		e.I64(sh.res.WaitMoves)
-		e.I64(sh.res.CrossSiteSubmits)
-		e.I64(sh.res.CrossSiteMoves)
-		e.I64(sh.res.Kills)
-		e.I64(sh.res.Requeues)
-		sh.saveQueue(e)
-	}, func(d *snapDecoder) error {
-		k := sh.k
-		k.now = d.F64()
-		k.events = d.I64()
-		sh.nextSubmit = d.Int()
-		sh.scopeBusy = d.Int()
-		sh.scopeSuspended = d.Int()
-		sh.scopeWaiting = d.Int()
-		sh.completed = d.Int()
-		sh.res.Preemptions = d.I64()
-		sh.res.Restarts = d.I64()
-		sh.res.Migrations = d.I64()
-		sh.res.WaitMoves = d.I64()
-		sh.res.CrossSiteSubmits = d.I64()
-		sh.res.CrossSiteMoves = d.I64()
-		sh.res.Kills = d.I64()
-		sh.res.Requeues = d.I64()
-		return sh.restoreQueue(d)
-	})
+	// Fault chains seed last: they start strictly after the trace
+	// start (staggered windows, exponential first-crash gaps), so the
+	// relative order here only keeps scheduling-order stable.
+	if w.faults != nil {
+		w.seedFaults()
+	}
 }
 
 // noteAttach flags a job aliased when the machine it acquires sits at
 // a site other than its queue-pool label's site (see jobRT.aliased).
 // Called from startOn and resume, the two points where a job acquires
 // a machine.
-func (sh *shard) noteAttach(rt *jobRT, machPool int) {
-	if sh.w.siteOf[rt.j.Pool] != sh.w.siteOf[machPool] {
+func (w *world) noteAttach(rt *jobRT, machPool int) {
+	if w.siteOf[rt.j.Pool] != w.siteOf[machPool] {
 		rt.aliased = true
 	}
 }
 
 // noteDetach retires a job's alias flag when it leaves its machine
 // (completion, suspended departure, or fault kill) and counts the
-// retirement for Result.AliasRetirements.
-func (sh *shard) noteDetach(rt *jobRT) {
+// retirement in Result.AliasRetirements.
+func (w *world) noteDetach(rt *jobRT) {
 	if !rt.aliased {
 		return
 	}
 	rt.aliased = false
-	sh.w.aliasRetired++
+	w.res.AliasRetirements++
 }
 
 // rebuildAliased recomputes every job's alias flag from restored job
@@ -291,7 +348,7 @@ func (sh *shard) noteDetach(rt *jobRT) {
 // job's label pool's site. Snapshots do not persist the flags — they
 // are a pure function of the state they do persist — so checkpoint
 // restore calls this after every codec has loaded.
-func rebuildAliased(w *world) {
+func (w *world) rebuildAliased() {
 	for i := range w.jobs {
 		rt := &w.jobs[i]
 		rt.aliased = false
@@ -303,54 +360,17 @@ func rebuildAliased(w *world) {
 	}
 }
 
-// seed schedules the run's initial events: the first submission, and
-// the snapshot refresh chains for every (observer, target) site pair
-// with a non-zero ageing delay — both at the run's start time,
-// submission first. One refresh chain runs per pair; on a single-site
-// platform with UtilStaleness > 0 that is exactly one chain,
-// reproducing the historical single-snapshot behavior.
-func (sh *shard) seed() {
-	if len(sh.w.specs) == 0 {
-		return
-	}
-	sh.k.schedule(sh.w.specs[0].Submit, sh.place.submit, 0, 0)
-	sh.nextSubmit = 1
-	// Fault chains seed last: they start strictly after the trace
-	// start (staggered windows, exponential first-crash gaps), so the
-	// relative order here only keeps scheduling-order stable.
-	defer func() {
-		if sh.faults != nil {
-			sh.faults.seed()
-		}
-	}()
-	if sh.w.cfg.DisableSampling {
-		return
-	}
-	// Stale utilization views refresh on the sample-tick grid; only
-	// those (rare) refresh points need real events.
-	for obs := range sh.w.nSites {
-		for tgt := range sh.w.nSites {
-			if sh.w.ageDelay(obs, tgt) > 0 {
-				sh.k.schedule(sh.w.start, sh.snaps.snapshot, int64(obs), int64(tgt))
-			}
-		}
-	}
-}
-
-// siteOfPool is a convenience accessor.
-func (sh *shard) siteOfPool(pool int) int { return sh.w.siteOf[pool] }
-
 // addBusy applies a busy-core change for a machine of the given pool
 // to the platform counter (what the utilization series reads) and the
 // machine site's counter (what the per-site series read).
-func (sh *shard) addBusy(pool, delta int) {
-	sh.scopeBusy += delta
-	sh.w.siteBusy[sh.w.siteOf[pool]] += delta
+func (w *world) addBusy(pool, delta int) {
+	w.scopeBusy += delta
+	w.siteBusy[w.siteOf[pool]] += delta
 }
 
 // finalizeJobs assembles the job parts of a Result from the world's
 // job records: completion check, job list, and makespan.
-func finalizeJobs(w *world, res *Result) error {
+func (w *world) finalizeJobs(res *Result) error {
 	res.Jobs = make([]*job.Job, len(w.jobs))
 	for i := range w.jobs {
 		res.Jobs[i] = w.jobs[i].j
