@@ -317,18 +317,31 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Jobs)), "jobs")
 }
 
-// BenchmarkTraceGeneration measures synthetic trace synthesis.
+// BenchmarkTraceGeneration measures synthetic trace synthesis: week is
+// the busy-week trace behind Tables 1–5, year6 the 6-site simulated
+// year's (experiments.MultiSiteYearScenario), both at bench scale.
+// benchsnap records the same traces as the trace/week and trace/year6
+// cells.
 func BenchmarkTraceGeneration(b *testing.B) {
-	cfg := trace.WeekNormal(42)
-	cfg.LowRate *= benchScale
-	for i := range cfg.Bursts {
-		cfg.Bursts[i].Rate *= benchScale
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		sc   experiments.Scenario
+	}{
+		{"week", experiments.WeekScenario("bench-trace-week", 1, 0, rrInitial)},
+		{"year6", experiments.MultiSiteYearScenario("bench-trace-year6", 6,
+			func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var tr *trace.Trace
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tr, err = c.sc.Trace(42, benchScale); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(tr.Jobs)), "jobs")
+		})
 	}
 }
 

@@ -5,11 +5,11 @@
 // Record the baseline (done once per perf-relevant PR, on the CI
 // machine shape):
 //
-//	go run ./cmd/benchsnap -out BENCH_20.json
+//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_20.json -out BENCH_21.json
 //
 // Gate a candidate in CI (exits 1 on regression):
 //
-//	go run ./cmd/benchsnap -compare BENCH_20.json -out bench_candidate.json
+//	go run ./cmd/benchsnap -compare BENCH_21.json -out bench_candidate.json
 //
 // Allocations and bytes per op gate on every run (they are
 // hardware-independent); ns/op gates only when the baseline was

@@ -5,11 +5,11 @@
 // metric that moved.
 //
 // The cell set mirrors the headline benchmarks (multi-site busy week,
-// faulty week, 6-site metro week and simulated year, and the
-// checkpoint/restore set including delta capture) at the same 4% bench
-// scale. The simulation cells keep their "/serial" suffix from when a
+// faulty week, 6-site metro week and simulated year, the
+// checkpoint/restore set including delta capture, and trace synthesis
+// of the busy week and the simulated year) at the same 4% bench scale. The simulation cells keep their "/serial" suffix from when a
 // second engine was recorded beside each, so -trend stays continuous.
-// Results serialize to a schema-versioned JSON snapshot (BENCH_20.json
+// Results serialize to a schema-versioned JSON snapshot (BENCH_21.json
 // at the repo root is the committed baseline; earlier BENCH_*.json
 // files stay committed as the trend history — see cmd/benchsnap).
 //
@@ -148,7 +148,35 @@ func Collect(scale float64) (Snapshot, error) {
 		return runCell(b, year6, pf, scale)
 	})
 	collectCheckpointCells(record, multisite, scale)
+	collectTraceCells(record, scale)
 	return snap, firstErr
+}
+
+// collectTraceCells records trace synthesis alone: the busy-week trace
+// behind Tables 1–5 and the 6-site simulated year's, the traces the
+// BenchmarkTraceGeneration sub-benchmarks time.
+func collectTraceCells(record func(string, func(b *testing.B) error), scale float64) {
+	for _, c := range []struct {
+		name string
+		sc   experiments.Scenario
+	}{
+		{"trace/week", experiments.WeekScenario("bench-trace-week", 1, 0,
+			func() sched.InitialScheduler { return sched.NewRoundRobin() })},
+		{"trace/year6", experiments.MultiSiteYearScenario("bench-trace-year6", 6,
+			func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })},
+	} {
+		record(c.name, func(b *testing.B) error {
+			var tr *trace.Trace
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tr, err = c.sc.Trace(42, scale); err != nil {
+					return err
+				}
+			}
+			b.ReportMetric(float64(len(tr.Jobs)), "jobs")
+			return nil
+		})
+	}
 }
 
 // prebuiltCell synthesizes a scenario's trace and platform once so the

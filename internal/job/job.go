@@ -20,6 +20,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -131,7 +132,13 @@ type Spec struct {
 
 // Validate reports whether the spec is internally consistent.
 func (s *Spec) Validate() error {
+	// NaN passes every ordered comparison below, and an infinite time
+	// or demand never completes, so non-finite values fail first.
 	switch {
+	case math.IsNaN(s.Submit) || math.IsInf(s.Submit, 0):
+		return fmt.Errorf("job %d: non-finite submit time %v", s.ID, s.Submit)
+	case math.IsNaN(s.Work) || math.IsInf(s.Work, 0):
+		return fmt.Errorf("job %d: non-finite work %v", s.ID, s.Work)
 	case s.Submit < 0:
 		return fmt.Errorf("job %d: negative submit time %v", s.ID, s.Submit)
 	case s.Work <= 0:

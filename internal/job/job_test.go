@@ -39,7 +39,13 @@ func TestSpecValidateErrors(t *testing.T) {
 		want   string
 	}{
 		{"negativeSubmit", func(s *Spec) { s.Submit = -1 }, "negative submit"},
+		{"nanSubmit", func(s *Spec) { s.Submit = math.NaN() }, "non-finite submit time NaN"},
+		{"posInfSubmit", func(s *Spec) { s.Submit = math.Inf(1) }, "non-finite submit time +Inf"},
+		{"negInfSubmit", func(s *Spec) { s.Submit = math.Inf(-1) }, "non-finite submit time -Inf"},
 		{"zeroWork", func(s *Spec) { s.Work = 0 }, "non-positive work"},
+		{"nanWork", func(s *Spec) { s.Work = math.NaN() }, "non-finite work NaN"},
+		{"posInfWork", func(s *Spec) { s.Work = math.Inf(1) }, "non-finite work +Inf"},
+		{"negInfWork", func(s *Spec) { s.Work = math.Inf(-1) }, "non-finite work -Inf"},
 		{"zeroCores", func(s *Spec) { s.Cores = 0 }, "non-positive cores"},
 		{"negativeMem", func(s *Spec) { s.MemMB = -1 }, "negative memory"},
 		{"zeroPriority", func(s *Spec) { s.Priority = 0 }, "invalid priority"},

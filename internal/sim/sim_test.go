@@ -11,6 +11,7 @@ import (
 	"netbatch/internal/cluster"
 	"netbatch/internal/core"
 	"netbatch/internal/job"
+	"netbatch/internal/obs"
 	"netbatch/internal/sched"
 )
 
@@ -619,6 +620,51 @@ func TestInvalidSpecRejected(t *testing.T) {
 	if _, err := Run(baseConfig(p), []job.Spec{lowJob(1, 0, 10, 7)}); err == nil ||
 		!strings.Contains(err.Error(), "beyond platform") {
 		t.Fatalf("out-of-range pool accepted: %v", err)
+	}
+}
+
+// TestNonFiniteSpecRejected: a NaN or infinite submit time or work
+// fails Run before the loop dispatches an event. Unchecked, a NaN job
+// completed at NaN without an error and an infinite one ran on until
+// MaxTime.
+func TestNonFiniteSpecRejected(t *testing.T) {
+	p := miniPlatform(t, 2)
+	specs := func() []job.Spec {
+		return []job.Spec{lowJob(1, 0, 10, 0), lowJob(2, 5, 20, 0), lowJob(3, 9, 30, 0)}
+	}
+	run := func(specs []job.Spec) (*Result, int64, error) {
+		reg := obs.NewRegistry()
+		cfg := baseConfig(p)
+		cfg.Metrics = reg
+		res, err := Run(cfg, specs)
+		return res, reg.Counter("sim.events").Value(), err
+	}
+	if _, events, err := run(specs()); err != nil || events == 0 {
+		t.Fatalf("finite trace: err %v after %d events", err, events)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*job.Spec)
+		want string
+	}{
+		{"nanSubmit", func(s *job.Spec) { s.Submit = nan }, "non-finite submit time NaN"},
+		{"infSubmit", func(s *job.Spec) { s.Submit = inf }, "non-finite submit time +Inf"},
+		{"nanWork", func(s *job.Spec) { s.Work = nan }, "non-finite work NaN"},
+		{"infWork", func(s *job.Spec) { s.Work = inf }, "non-finite work +Inf"},
+		{"negInfWork", func(s *job.Spec) { s.Work = -inf }, "non-finite work -Inf"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := specs()
+			c.set(&in[1])
+			res, events, err := run(in)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+			if res != nil || events != 0 {
+				t.Fatalf("Run returned %v after %d events, want nil after none", res, events)
+			}
+		})
 	}
 }
 

@@ -196,3 +196,33 @@ func (r *RNG) PickWeighted(weights []float64) int {
 	}
 	return len(weights) - 1
 }
+
+// PickWeightedSupport is PickWeighted over the indices in support
+// alone: weights outside support count as zero, so only support is
+// summed and scanned. With support ascending it returns exactly the
+// index PickWeighted returns on a copy of weights with every entry
+// outside support zeroed, because a zero weight changes neither the
+// running total nor where the scan stops. That includes the rounding
+// fallthrough, which returns len(weights)-1 whether or not that index
+// is in support. It panics if a weight in support is negative or their
+// total is not positive.
+func (r *RNG) PickWeightedSupport(weights []float64, support []int) int {
+	var total float64
+	for _, i := range support {
+		if weights[i] < 0 {
+			panic("stats: PickWeightedSupport requires non-negative weights")
+		}
+		total += weights[i]
+	}
+	if total <= 0 {
+		panic("stats: PickWeightedSupport requires positive total weight")
+	}
+	x := r.src.Float64() * total
+	for _, i := range support {
+		x -= weights[i]
+		if x < 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,93 @@ func TestPickWeightedPanics(t *testing.T) {
 				}
 			}()
 			NewRNG(1).PickWeighted(w)
+		}()
+	}
+}
+
+// TestPickWeightedSupportMatchesMasked: a support-restricted pick
+// returns what PickWeighted returns on the weights with every entry
+// outside the support zeroed, draw for draw from the same stream.
+func TestPickWeightedSupportMatchesMasked(t *testing.T) {
+	gen := NewRNG(41)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + gen.IntN(12)
+		weights := make([]float64, n)
+		masked := make([]float64, n)
+		var support []int
+		for i := range weights {
+			if gen.Bool(0.2) {
+				continue // zero weight, inside or outside the support
+			}
+			weights[i] = gen.Float64() * 10
+			if gen.Bool(0.6) {
+				support = append(support, i)
+				masked[i] = weights[i]
+			}
+		}
+		if gen.Bool(0.3) && (len(support) == 0 || support[len(support)-1] != n-1) {
+			support = append(support, n-1) // a zero or positive last index
+			masked[n-1] = weights[n-1]
+		}
+		var total float64
+		for _, w := range masked {
+			total += w
+		}
+		if total <= 0 {
+			continue
+		}
+		a, b := NewRNG(uint64(trial)), NewRNG(uint64(trial))
+		for d := 0; d < 20; d++ {
+			if got, want := a.PickWeightedSupport(weights, support), b.PickWeighted(masked); got != want {
+				t.Fatalf("trial %d draw %d: weights %v support %v: got %d, want %d",
+					trial, d, weights, support, got, want)
+			}
+		}
+	}
+}
+
+// maxSource always yields the largest Float64, (2^53-1)/2^53.
+type maxSource struct{}
+
+func (maxSource) Uint64() uint64 { return math.MaxUint64 }
+
+// TestPickWeightedSupportRoundingFallthrough: when rounding leaves the
+// scan's remainder non-negative, PickWeighted returns its last index,
+// even a zero-weight one outside the support; so must the restricted
+// pick.
+func TestPickWeightedSupportRoundingFallthrough(t *testing.T) {
+	top := &RNG{src: rand.New(maxSource{})}
+	// 0.3+0.1+0.6 sums to exactly 1, and subtracting them in order from
+	// the largest draw below 1 never goes negative.
+	if got := top.PickWeighted([]float64{0.3, 0.1, 0.6}); got != 2 {
+		t.Fatalf("PickWeighted = %d; the example no longer falls through", got)
+	}
+	full := []float64{0.3, 0, 0.1, 9, 0.6, 0}
+	masked := []float64{0.3, 0, 0.1, 0, 0.6, 0}
+	if got := top.PickWeighted(masked); got != 5 {
+		t.Fatalf("PickWeighted(masked) = %d, want 5", got)
+	}
+	if got := top.PickWeightedSupport(full, []int{0, 2, 4}); got != 5 {
+		t.Fatalf("PickWeightedSupport = %d, want 5 (the full vector's last index)", got)
+	}
+}
+
+func TestPickWeightedSupportPanics(t *testing.T) {
+	for name, c := range map[string]struct {
+		w       []float64
+		support []int
+	}{
+		"emptySupport": {[]float64{1, 2}, nil},
+		"allZero":      {[]float64{1, 0, 0}, []int{1, 2}},
+		"negative":     {[]float64{1, -1}, []int{0, 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("PickWeightedSupport(%s) did not panic", name)
+				}
+			}()
+			NewRNG(1).PickWeightedSupport(c.w, c.support)
 		}()
 	}
 }

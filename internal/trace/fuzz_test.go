@@ -41,17 +41,7 @@ func FuzzGeneratorConfig(f *testing.F) {
 			return // rejection is a valid outcome; it must just not panic
 		}
 		// Bound the work a validated config may demand before generating.
-		if cfg.Horizon > 2000 || cfg.NumPools > 32 {
-			return
-		}
-		jobs := cfg.LowRate * (1 + cfg.DiurnalAmplitude) * cfg.Horizon
-		for _, b := range cfg.Bursts {
-			jobs += b.Rate * b.Duration
-		}
-		if cfg.Auto != nil {
-			jobs += cfg.Auto.Rate * cfg.Horizon
-		}
-		if jobs > 20000 {
+		if !fuzzTraceBounded(cfg) {
 			return
 		}
 		tr, err := Generate(cfg)
@@ -76,4 +66,21 @@ func FuzzGeneratorConfig(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzTraceBounded reports whether a validated config is cheap enough
+// to generate inside a fuzz iteration: short horizons, few pools and
+// at most ~20,000 expected jobs.
+func fuzzTraceBounded(cfg GeneratorConfig) bool {
+	if cfg.Horizon > 2000 || cfg.NumPools > 32 {
+		return false
+	}
+	jobs := cfg.LowRate * (1 + cfg.DiurnalAmplitude) * cfg.Horizon
+	for _, b := range cfg.Bursts {
+		jobs += b.Rate * b.Duration
+	}
+	if cfg.Auto != nil {
+		jobs += cfg.Auto.Rate * cfg.Horizon
+	}
+	return jobs <= 20000
 }

@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"netbatch/internal/job"
 	"netbatch/internal/stats"
@@ -39,6 +40,10 @@ func (w *WorkDist) Sample(r *stats.RNG) float64 {
 	if w.Cap > 0 && v > w.Cap {
 		v = w.Cap
 	}
+	// An uncapped extreme draw (a huge sigma, a tiny tail alpha) can
+	// overflow to +Inf, which is not a valid demand; the largest finite
+	// one keeps the job valid, and it simply never finishes.
+	v = math.Min(v, math.MaxFloat64)
 	if v < 1 {
 		v = 1 // sub-minute jobs round up; the simulator works in minutes
 	}
@@ -301,8 +306,10 @@ func (c *GeneratorConfig) Validate() error {
 	case c.SiteLocalFraction < 0 || c.SiteLocalFraction > 1:
 		return fmt.Errorf("generator: site-local fraction %v outside [0,1]", c.SiteLocalFraction)
 	}
+	// The coverage checks size their sets by what the config lists, not
+	// by NumPools, which is unchecked until coverage holds.
 	if len(c.SitePools) > 0 {
-		seen := make(map[int]bool, c.NumPools)
+		seen := make(map[int]bool)
 		for si, s := range c.SitePools {
 			if len(s) == 0 {
 				return fmt.Errorf("generator: site %d has no pools", si)
@@ -322,7 +329,7 @@ func (c *GeneratorConfig) Validate() error {
 		}
 	}
 	if len(c.AffinityGroups) > 0 {
-		seen := make(map[int]bool, c.NumPools)
+		seen := make(map[int]bool)
 		for gi, g := range c.AffinityGroups {
 			if len(g) == 0 {
 				return fmt.Errorf("generator: affinity group %d is empty", gi)
@@ -356,10 +363,22 @@ func (c *GeneratorConfig) Validate() error {
 	if err := c.HighWork.Validate(); err != nil {
 		return fmt.Errorf("generator: high work: %w", err)
 	}
+	// Burst jobs take a burst's pools, or the owned pools, as their
+	// candidates, so a pool listed twice would be a duplicate candidate.
 	for _, p := range c.OwnedPools {
 		if p < 0 || p >= c.NumPools {
 			return fmt.Errorf("generator: owned pool %d outside [0,%d)", p, c.NumPools)
 		}
+	}
+	if p, ok := repeatedPool(c.OwnedPools); ok {
+		return fmt.Errorf("generator: owned pool %d listed twice", p)
+	}
+	// An affinity draw picks its anchor by pool weight, so restricted
+	// jobs that sample platform-wide need a pool with positive weight.
+	if len(c.AffinityGroups) > 0 && c.SubsetSize > 0 && c.AllFraction < 1 &&
+		(len(c.SitePools) == 0 || c.SiteLocalFraction < 1) &&
+		c.OwnedWeight == 0 && len(c.OwnedPools) == c.NumPools {
+		return fmt.Errorf("generator: owned weight 0 on every pool leaves affinity draws no weight")
 	}
 	for bi, b := range c.Bursts {
 		if b.Start < 0 || b.Duration <= 0 || b.Rate <= 0 {
@@ -369,6 +388,9 @@ func (c *GeneratorConfig) Validate() error {
 			if p < 0 || p >= c.NumPools {
 				return fmt.Errorf("generator: burst %d pool %d out of range", bi, p)
 			}
+		}
+		if p, ok := repeatedPool(b.Pools); ok {
+			return fmt.Errorf("generator: burst %d pool %d listed twice", bi, p)
 		}
 		if len(b.Pools) == 0 && len(c.OwnedPools) == 0 {
 			return fmt.Errorf("generator: burst %d has no target pools and no owned pools", bi)
@@ -390,6 +412,18 @@ func (c *GeneratorConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// repeatedPool returns the first pool that pools lists twice.
+func repeatedPool(pools []int) (int, bool) {
+	seen := make(map[int]bool, len(pools))
+	for _, p := range pools {
+		if seen[p] {
+			return p, true
+		}
+		seen[p] = true
+	}
+	return 0, false
 }
 
 // validateClasses checks one (class values, weights) pair: positive
@@ -415,6 +449,19 @@ func validateClasses(label string, classes []int, weights []float64) error {
 
 // Generate synthesizes a trace from the configuration. Generation is
 // deterministic: the same config (including Seed) yields the same trace.
+//
+// Every random quantity comes from one of seven streams, each a Split
+// of the seed's root generator: arrival times (all low-priority
+// arrivals, then each burst's in burst order), work and attributes
+// (low-priority jobs in submission order, then burst jobs burst by
+// burst), auto-burst layout, task grouping, candidate subsets and
+// origin sites. The streams are independent, so a trace depends only
+// on the order of draws within each stream, never on how draws from
+// different streams interleave. That is what lets Generate draw every
+// arrival time first and size the trace exactly before it draws
+// anything else. Changing the order of draws within a stream changes
+// the trace; TestPresetTracesPinned and FuzzGenerateMatchesReference
+// fail on it.
 func Generate(cfg GeneratorConfig) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -431,123 +478,15 @@ func Generate(cfg GeneratorConfig) (*Trace, error) {
 	// is configured.
 	siteRNG := root.Split()
 
-	allPools := make([]int, cfg.NumPools)
-	for i := range allPools {
-		allPools[i] = i
-	}
-	owned := make(map[int]bool, len(cfg.OwnedPools))
-	for _, p := range cfg.OwnedPools {
-		owned[p] = true
-	}
-	poolWeights := make([]float64, cfg.NumPools)
-	for p := range poolWeights {
-		if owned[p] && cfg.OwnedWeight >= 0 {
-			poolWeights[p] = cfg.OwnedWeight
-		} else {
-			poolWeights[p] = 1.0
-		}
-	}
-	groupOf := make([]int, cfg.NumPools)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for gi, g := range cfg.AffinityGroups {
-		for _, p := range g {
-			groupOf[p] = gi
-		}
-	}
-	siteOfPool := make([]int, cfg.NumPools)
-	siteWeights := make([]float64, len(cfg.SitePools))
-	for si, s := range cfg.SitePools {
-		siteWeights[si] = float64(len(s))
-		for _, p := range s {
-			siteOfPool[p] = si
-		}
-	}
-	globalCandidates := func() []int {
-		if len(cfg.AffinityGroups) == 0 {
-			return sampleSubset(subsetRNG, poolWeights, cfg.SubsetSize)
-		}
-		return sampleAffinitySubset(subsetRNG, poolWeights, groupOf,
-			cfg.AffinityGroups, cfg.AffinityStrength, cfg.SubsetSize)
-	}
-	// lowJobPlacement draws a low-priority job's origin site and
-	// candidate pool set.
-	lowJobPlacement := func() (int, []int) {
-		if len(cfg.SitePools) == 0 {
-			if cfg.SubsetSize == 0 || subsetRNG.Bool(cfg.AllFraction) {
-				return 0, allPools
-			}
-			return 0, globalCandidates()
-		}
-		site := siteRNG.PickWeighted(siteWeights)
-		if cfg.SubsetSize == 0 || subsetRNG.Bool(cfg.AllFraction) {
-			return site, allPools
-		}
-		if subsetRNG.Bool(cfg.SiteLocalFraction) {
-			// Mask the sampling weights down to the origin site's pools.
-			local := make([]float64, cfg.NumPools)
-			for _, p := range cfg.SitePools[site] {
-				local[p] = poolWeights[p]
-			}
-			k := cfg.SubsetSize
-			if n := len(cfg.SitePools[site]); k > n {
-				k = n
-			}
-			return site, sampleSubset(subsetRNG, local, k)
-		}
-		return site, globalCandidates()
-	}
-
-	var specs []job.Spec
-
-	// Low-priority base load: nonhomogeneous Poisson via thinning.
-	period := cfg.DiurnalPeriod
-	if period <= 0 {
-		period = 1440
-	}
-	maxRate := cfg.LowRate * (1 + cfg.DiurnalAmplitude)
-	if maxRate > 0 {
-		t := 0.0
-		for {
-			t += arrivalRNG.Exp(1 / maxRate)
-			if t >= cfg.Horizon {
-				break
-			}
-			rate := cfg.LowRate * (1 + cfg.DiurnalAmplitude*math.Sin(2*math.Pi*t/period))
-			if !arrivalRNG.Bool(rate / maxRate) {
-				continue
-			}
-			site, cands := lowJobPlacement()
-			specs = append(specs, job.Spec{
-				Submit:     t,
-				Work:       cfg.LowWork.Sample(workRNG),
-				Cores:      cfg.CoresClasses[attrRNG.PickWeighted(cfg.CoresWeights)],
-				MemMB:      cfg.MemClassesMB[attrRNG.PickWeighted(cfg.MemWeights)],
-				Priority:   job.PriorityLow,
-				Candidates: cands,
-				Site:       site,
-			})
-		}
-	}
-
-	// Explicit plus auto-generated bursts of high-priority jobs.
+	// Arrival pass: every submission time, in the arrival stream's order.
+	lowT := lowArrivals(cfg, arrivalRNG)
 	bursts := append([]Burst(nil), cfg.Bursts...)
 	if cfg.Auto != nil {
 		bursts = append(bursts, autoBursts(cfg, burstRNG)...)
 	}
-	for _, b := range bursts {
-		pools := b.Pools
-		if len(pools) == 0 {
-			pools = cfg.OwnedPools
-		}
-		// Each burst's jobs share a candidate slice; specs are read-only
-		// downstream.
-		cand := append([]int(nil), pools...)
-		sort.Ints(cand)
-		// Burst jobs belong to the business group at the site owning the
-		// burst's first pool (§2.3: owners submit to the pools they own).
-		burstSite := siteOfPool[cand[0]]
+	var highT []float64
+	burstEnd := make([]int, len(bursts))
+	for bi, b := range bursts {
 		end := math.Min(b.Start+b.Duration, cfg.Horizon)
 		t := b.Start
 		for {
@@ -555,21 +494,72 @@ func Generate(cfg GeneratorConfig) (*Trace, error) {
 			if t >= end {
 				break
 			}
-			specs = append(specs, job.Spec{
-				Submit:     t,
+			highT = append(highT, t)
+		}
+		burstEnd[bi] = len(highT)
+	}
+
+	// The low-priority run is already in submission order. Burst jobs
+	// are stable-sorted by submission time and merged into it, after
+	// any low-priority job with an equal time: the order a stable sort
+	// of the low-priority jobs followed by the burst jobs gives.
+	order := make([]int, len(highT))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(highT[a], highT[b]) })
+	highPos := make([]int, len(highT))
+
+	specs := make([]job.Spec, len(lowT)+len(highT))
+	place := newPlacer(&cfg, subsetRNG, siteRNG, len(lowT))
+	h := 0
+	for i, t := range lowT {
+		for h < len(order) && highT[order[h]] < t {
+			highPos[order[h]] = i + h
+			h++
+		}
+		site, cands := place.low()
+		specs[i+h] = job.Spec{
+			ID:         job.ID(i + h + 1),
+			Submit:     t,
+			Work:       cfg.LowWork.Sample(workRNG),
+			Cores:      cfg.CoresClasses[attrRNG.PickWeighted(cfg.CoresWeights)],
+			MemMB:      cfg.MemClassesMB[attrRNG.PickWeighted(cfg.MemWeights)],
+			Priority:   job.PriorityLow,
+			Candidates: cands,
+			Site:       site,
+		}
+	}
+	for ; h < len(order); h++ {
+		highPos[order[h]] = len(lowT) + h
+	}
+
+	g := 0
+	for bi, b := range bursts {
+		pools := b.Pools
+		if len(pools) == 0 {
+			pools = cfg.OwnedPools
+		}
+		// Each burst's jobs share a candidate slice; specs are read-only
+		// downstream.
+		cand := slices.Clone(pools)
+		slices.Sort(cand)
+		// Burst jobs belong to the business group at the site owning the
+		// burst's first pool (§2.3: owners submit to the pools they own).
+		site := place.siteOfPool[cand[0]]
+		for ; g < burstEnd[bi]; g++ {
+			pos := highPos[g]
+			specs[pos] = job.Spec{
+				ID:         job.ID(pos + 1),
+				Submit:     highT[g],
 				Work:       cfg.HighWork.Sample(workRNG),
 				Cores:      cfg.CoresClasses[attrRNG.PickWeighted(cfg.CoresWeights)],
 				MemMB:      cfg.MemClassesMB[attrRNG.PickWeighted(cfg.MemWeights)],
 				Priority:   job.PriorityHigh,
 				Candidates: cand,
-				Site:       burstSite,
-			})
+				Site:       site,
+			}
 		}
-	}
-
-	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Submit < specs[j].Submit })
-	for i := range specs {
-		specs[i].ID = job.ID(i + 1)
 	}
 
 	assignTasks(specs, cfg, taskRNG)
@@ -581,88 +571,231 @@ func Generate(cfg GeneratorConfig) (*Trace, error) {
 	return tr, nil
 }
 
-// sampleSubset draws k distinct pool IDs without replacement, with
-// per-pool weights, and returns them sorted.
-func sampleSubset(r *stats.RNG, weights []float64, k int) []int {
-	w := append([]float64(nil), weights...)
-	picked := make([]bool, len(w))
-	out := make([]int, 0, k)
-	for len(out) < k && len(out) < len(w) {
-		var total float64
-		for _, x := range w {
-			total += x
-		}
-		if total <= 0 {
-			// Remaining weights are all zero (fully down-weighted owned
-			// pools): fill in pool-ID order.
-			for p := range w {
-				if !picked[p] && len(out) < k {
-					picked[p] = true
-					out = append(out, p)
-				}
-			}
-			break
-		}
-		pick := r.PickWeighted(w)
-		picked[pick] = true
-		out = append(out, pick)
-		w[pick] = 0
+// lowArrivals draws the low-priority submission times, a diurnal
+// nonhomogeneous Poisson process sampled by thinning, in order.
+func lowArrivals(cfg GeneratorConfig, r *stats.RNG) []float64 {
+	period := cfg.DiurnalPeriod
+	if period <= 0 {
+		period = 1440
 	}
-	sort.Ints(out)
+	maxRate := cfg.LowRate * (1 + cfg.DiurnalAmplitude)
+	if maxRate <= 0 {
+		return nil
+	}
+	// Room for the expected number of candidate arrivals, which the
+	// accepted ones rarely exceed, saves regrowing a large buffer; the
+	// bound keeps a huge rate from claiming a huge block up front.
+	ts := make([]float64, 0, int(math.Min(maxRate*cfg.Horizon, maxArrivalPresize))+1)
+	t := 0.0
+	for {
+		t += r.Exp(1 / maxRate)
+		if t >= cfg.Horizon {
+			return ts
+		}
+		rate := cfg.LowRate * (1 + cfg.DiurnalAmplitude*math.Sin(2*math.Pi*t/period))
+		if r.Bool(rate / maxRate) {
+			ts = append(ts, t)
+		}
+	}
+}
+
+// maxArrivalPresize bounds lowArrivals' initial buffer (32 MiB).
+const maxArrivalPresize = 1 << 22
+
+// arenaChunk is the number of candidate pool IDs one arena allocation
+// holds (128 KiB).
+const arenaChunk = 1 << 14
+
+// placer draws low-priority jobs' origin sites and candidate pool sets.
+// A restricted job's candidates are drawn by weight without
+// replacement. The scratch is reused from job to job: w holds the pool
+// weights with the current draw's picks zeroed and picked marks them,
+// and both are restored at the picks alone once the draw is done.
+type placer struct {
+	cfg       *GeneratorConfig
+	subsetRNG *stats.RNG
+	siteRNG   *stats.RNG
+
+	allPools   []int
+	weights    []float64 // per-pool sampling weights
+	support    []int     // pools with positive weight, ascending
+	groupOf    []int     // affinity group of each pool
+	siteOfPool []int
+	siteWeight []float64 // origin-site draw weights: each site's pool count
+	// siteSupport holds each site's positive-weight pools, ascending:
+	// a site-local draw sums and scans only these.
+	siteSupport [][]int
+
+	w      []float64
+	picked []bool
+	gw     []float64 // weights of the anchor's affinity group
+
+	// arena is the unused tail of the current block of candidate IDs,
+	// and budget bounds how many IDs the trace's remaining draws can
+	// still take, so the last block is not oversized.
+	arena  []int
+	budget int
+}
+
+func newPlacer(cfg *GeneratorConfig, subsetRNG, siteRNG *stats.RNG, lowJobs int) *placer {
+	n := cfg.NumPools
+	p := &placer{
+		cfg:        cfg,
+		subsetRNG:  subsetRNG,
+		siteRNG:    siteRNG,
+		allPools:   make([]int, n),
+		weights:    make([]float64, n),
+		groupOf:    make([]int, n),
+		siteOfPool: make([]int, n),
+		siteWeight: make([]float64, len(cfg.SitePools)),
+		w:          make([]float64, n),
+		picked:     make([]bool, n),
+		budget:     lowJobs * cfg.SubsetSize,
+	}
+	owned := make([]bool, n)
+	for _, q := range cfg.OwnedPools {
+		owned[q] = true
+	}
+	for q := range p.weights {
+		p.allPools[q] = q
+		p.weights[q] = 1.0
+		if owned[q] && cfg.OwnedWeight >= 0 {
+			p.weights[q] = cfg.OwnedWeight
+		}
+		if p.weights[q] > 0 {
+			p.support = append(p.support, q)
+		}
+		p.groupOf[q] = -1
+	}
+	copy(p.w, p.weights)
+	maxGroup := 0
+	for gi, g := range cfg.AffinityGroups {
+		for _, q := range g {
+			p.groupOf[q] = gi
+		}
+		maxGroup = max(maxGroup, len(g))
+	}
+	p.gw = make([]float64, 0, maxGroup)
+	p.siteSupport = make([][]int, len(cfg.SitePools))
+	for si, s := range cfg.SitePools {
+		p.siteWeight[si] = float64(len(s))
+		for _, q := range s {
+			p.siteOfPool[q] = si
+			if p.weights[q] > 0 {
+				p.siteSupport[si] = append(p.siteSupport[si], q)
+			}
+		}
+		slices.Sort(p.siteSupport[si])
+	}
+	return p
+}
+
+// low draws one low-priority job's origin site and candidate pools.
+func (p *placer) low() (site int, cands []int) {
+	cfg := p.cfg
+	if len(cfg.SitePools) > 0 {
+		site = p.siteRNG.PickWeighted(p.siteWeight)
+	}
+	if cfg.SubsetSize == 0 || p.subsetRNG.Bool(cfg.AllFraction) {
+		return site, p.allPools
+	}
+	if len(cfg.SitePools) > 0 && p.subsetRNG.Bool(cfg.SiteLocalFraction) {
+		k := min(cfg.SubsetSize, len(cfg.SitePools[site]))
+		return site, p.finish(p.subset(p.carve(k), k, p.siteSupport[site]))
+	}
+	if len(cfg.AffinityGroups) == 0 {
+		return site, p.finish(p.subset(p.carve(cfg.SubsetSize), cfg.SubsetSize, p.support))
+	}
+	return site, p.finish(p.affinity(cfg.SubsetSize))
+}
+
+// subset completes out to k pools drawn from support.
+func (p *placer) subset(out []int, k int, support []int) []int {
+	for len(out) < k {
+		out = p.next(out, k, support)
+	}
 	return out
 }
 
-// sampleAffinitySubset draws a k-pool candidate subset clustered around
-// a weighted-random anchor pool's affinity group.
-func sampleAffinitySubset(r *stats.RNG, weights []float64, groupOf []int, groups [][]int, strength float64, k int) []int {
-	anchor := r.PickWeighted(weights)
-	group := groups[groupOf[anchor]]
-
-	w := append([]float64(nil), weights...)
-	picked := make([]bool, len(w))
-	out := []int{anchor}
-	picked[anchor] = true
-	w[anchor] = 0
-
-	inGroupWeight := func() float64 {
-		var t float64
-		for _, p := range group {
-			t += w[p]
-		}
-		return t
+// next adds to out one pool drawn by weight from support, without
+// replacement. Drawing from support alone is the same as drawing from
+// the full weight vector with every pool outside support zeroed: a
+// zero weight changes neither a running total nor where a scan stops.
+// Once support has no weight left, next fills out to k with the
+// lowest-numbered unpicked pools, wherever they are (owned pools
+// weighted 0). Either way out grows, and k never exceeds the pool
+// count, so the fill always reaches k.
+func (p *placer) next(out []int, k int, support []int) []int {
+	var total float64
+	for _, q := range support {
+		total += p.w[q]
 	}
-	for len(out) < k && len(out) < len(w) {
-		// Prefer the anchor's group while it has unpicked weight.
-		if r.Bool(strength) && inGroupWeight() > 0 {
-			gw := make([]float64, len(group))
-			for i, p := range group {
-				gw[i] = w[p]
-			}
-			pick := group[r.PickWeighted(gw)]
-			picked[pick] = true
-			out = append(out, pick)
-			w[pick] = 0
-			continue
-		}
-		var total float64
-		for _, x := range w {
-			total += x
-		}
-		if total <= 0 {
-			for p := range w {
-				if !picked[p] && len(out) < k {
-					picked[p] = true
-					out = append(out, p)
-				}
-			}
-			break
-		}
-		pick := r.PickWeighted(w)
-		picked[pick] = true
-		out = append(out, pick)
-		w[pick] = 0
+	if total > 0 {
+		return p.take(out, p.subsetRNG.PickWeightedSupport(p.w, support))
 	}
-	sort.Ints(out)
+	for q := 0; q < len(p.w) && len(out) < k; q++ {
+		if !p.picked[q] {
+			out = p.take(out, q)
+		}
+	}
+	return out
+}
+
+// affinity draws a k-pool candidate subset clustered around a
+// weighted-random anchor pool's affinity group: each further pool comes
+// from the anchor's group with probability AffinityStrength while the
+// group has weight left, and from every pool otherwise.
+func (p *placer) affinity(k int) []int {
+	r := p.subsetRNG
+	anchor := r.PickWeighted(p.weights)
+	group := p.cfg.AffinityGroups[p.groupOf[anchor]]
+	out := p.take(p.carve(k), anchor)
+	for len(out) < k {
+		if r.Bool(p.cfg.AffinityStrength) {
+			gw := p.gw[:0]
+			var inGroup float64
+			for _, q := range group {
+				inGroup += p.w[q]
+				gw = append(gw, p.w[q])
+			}
+			if inGroup > 0 {
+				out = p.take(out, group[r.PickWeighted(gw)])
+				continue
+			}
+		}
+		out = p.next(out, k, p.support)
+	}
+	return out
+}
+
+// take adds pool q to the draw.
+func (p *placer) take(out []int, q int) []int {
+	p.picked[q] = true
+	p.w[q] = 0
+	return append(out, q)
+}
+
+// carve cuts room for exactly k candidate IDs from the arena. Its
+// capacity is capped at k, so an append to one job's list reallocates
+// instead of overwriting the next job's.
+func (p *placer) carve(k int) []int {
+	if len(p.arena) < k {
+		p.arena = make([]int, max(k, min(p.budget, arenaChunk)))
+	}
+	out := p.arena[:0:k]
+	p.arena = p.arena[k:]
+	p.budget -= k
+	return out
+}
+
+// finish restores the scratch at the draw's picks and returns the draw
+// sorted.
+func (p *placer) finish(out []int) []int {
+	for _, q := range out {
+		p.picked[q] = false
+		p.w[q] = p.weights[q]
+	}
+	slices.Sort(out)
 	return out
 }
 

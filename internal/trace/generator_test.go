@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,6 +197,10 @@ func TestGenerateValidationErrors(t *testing.T) {
 		"badOwned":      func(c *GeneratorConfig) { c.OwnedPools = []int{99} },
 		"badBurst":      func(c *GeneratorConfig) { c.Bursts[0].Rate = 0 },
 		"badBurstPool":  func(c *GeneratorConfig) { c.Bursts[0].Pools = []int{77} },
+		// A repeated pool became a duplicate candidate of every burst
+		// job, and Generate failed on its own output.
+		"dupOwned":     func(c *GeneratorConfig) { c.OwnedPools = []int{1, 0, 1} },
+		"dupBurstPool": func(c *GeneratorConfig) { c.Bursts[0].Pools = []int{2, 3, 2} },
 		"orphanBurst": func(c *GeneratorConfig) {
 			c.OwnedPools = nil
 			c.Bursts[0].Pools = nil
@@ -204,6 +212,25 @@ func TestGenerateValidationErrors(t *testing.T) {
 		},
 		"autoTooManyPools": func(c *GeneratorConfig) {
 			c.Auto = &AutoBursts{MeanGap: 1, MeanDuration: 1, Rate: 1, PoolsPerBurst: 10}
+		},
+		// A pool count far beyond what the sites or affinity groups
+		// list fails their coverage check without a set that large.
+		"hugePoolCountSites": func(c *GeneratorConfig) {
+			c.NumPools = 1 << 40
+			c.SitePools = [][]int{{0, 1}, {2, 3}}
+		},
+		"hugePoolCountAffinity": func(c *GeneratorConfig) {
+			c.NumPools = 1 << 40
+			c.AffinityGroups = [][]int{{0, 1}, {2, 3}}
+		},
+		// Every pool owned at weight 0: an affinity anchor had nothing
+		// to draw from, and PickWeighted panicked.
+		"affinityWithoutWeight": func(c *GeneratorConfig) {
+			c.OwnedPools = []int{3, 1, 0, 2}
+			c.OwnedWeight = 0
+			c.SubsetSize = 2
+			c.AffinityGroups = [][]int{{0, 1}, {2, 3}}
+			c.AffinityStrength = 0.5
 		},
 	}
 	for name, mutate := range mutations {
@@ -279,6 +306,34 @@ func TestWorkDistSample(t *testing.T) {
 	}
 }
 
+// TestWorkDistSampleFinite: uncapped distributions whose extreme draws
+// overflow still yield finite demands, so a config Validate accepts
+// generates a trace Spec.Validate accepts.
+func TestWorkDistSampleFinite(t *testing.T) {
+	r := stats.NewRNG(5)
+	for _, d := range []WorkDist{
+		{Median: 100, Sigma: 1000},
+		{Median: 1, TailFrac: 1, TailMin: 10, TailAlpha: 0.001},
+	} {
+		overflowed := false
+		for i := 0; i < 1000; i++ {
+			v := d.Sample(r)
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
+				t.Fatalf("%+v: sample %v", d, v)
+			}
+			overflowed = overflowed || v == math.MaxFloat64
+		}
+		if !overflowed {
+			t.Fatalf("%+v: no draw reached the overflow clamp", d)
+		}
+	}
+	cfg := smallConfig(3)
+	cfg.LowWork = WorkDist{Median: 100, Sigma: 1000}
+	if _, err := Generate(cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAutoBurstsGeneration(t *testing.T) {
 	cfg := smallConfig(23)
 	cfg.Bursts = nil
@@ -337,5 +392,103 @@ func TestWeekNormalShape(t *testing.T) {
 	util := tr.OfferedUtilization(19200)
 	if util < 0.2 || util > 0.7 {
 		t.Fatalf("offered utilization = %v, want in the paper's band", util)
+	}
+}
+
+// specDigest hashes every field of every spec in trace order: integers
+// as little-endian words, floats by their bits, the OS string and the
+// candidate list length-prefixed.
+func specDigest(tr *Trace) string {
+	h := sha256.New()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for i := range tr.Jobs {
+		s := &tr.Jobs[i]
+		word(uint64(s.ID))
+		word(math.Float64bits(s.Submit))
+		word(math.Float64bits(s.Work))
+		word(uint64(s.Cores))
+		word(uint64(s.MemMB))
+		word(uint64(len(s.OS)))
+		h.Write([]byte(s.OS))
+		word(uint64(s.Priority))
+		word(uint64(len(s.Candidates)))
+		for _, c := range s.Candidates {
+			word(uint64(c))
+		}
+		word(uint64(s.Site))
+		word(uint64(s.TaskID))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// scaledPreset multiplies a preset's arrival rates by s, as the
+// experiment layer scales traces to a smaller platform.
+func scaledPreset(cfg GeneratorConfig, s float64) GeneratorConfig {
+	cfg.LowRate *= s
+	bursts := append([]Burst(nil), cfg.Bursts...)
+	for i := range bursts {
+		bursts[i].Rate *= s
+	}
+	cfg.Bursts = bursts
+	if cfg.Auto != nil {
+		a := *cfg.Auto
+		a.Rate *= s
+		cfg.Auto = &a
+	}
+	return cfg
+}
+
+// TestPresetTracesPinned pins every preset's trace, at small scales and
+// seeds 42 and 7, to a digest of all its spec fields. A change to any
+// stream's draw order, to the sampling arithmetic or to the merge order
+// changes a digest and fails here by preset and seed.
+func TestPresetTracesPinned(t *testing.T) {
+	presets := []struct {
+		name string
+		cfg  func(seed uint64) GeneratorConfig
+	}{
+		{"WeekNormal", func(s uint64) GeneratorConfig { return scaledPreset(WeekNormal(s), 0.02) }},
+		{"HighSuspension", func(s uint64) GeneratorConfig { return scaledPreset(HighSuspension(s), 0.02) }},
+		{"MultiSiteWeek", func(s uint64) GeneratorConfig { return scaledPreset(MultiSiteWeek(s, 3), 0.02) }},
+		{"FaultyMultiSiteWeek", func(s uint64) GeneratorConfig { return scaledPreset(FaultyMultiSiteWeek(s, 3), 0.02) }},
+		{"MultiSiteYear", func(s uint64) GeneratorConfig { return scaledPreset(MultiSiteYear(s, 6), 0.002) }},
+		{"YearLong", func(s uint64) GeneratorConfig { return YearLong(s, 0.004) }},
+	}
+	// Computed with the single-pass generator that generateReference
+	// preserves.
+	want := map[string]string{
+		"WeekNormal/seed42":          "c316bf606873a605e801f79d289190cb73acd6f4cb6db2a08c4baeecd66b594d",
+		"WeekNormal/seed7":           "35d9ce342925571e92b0f877428692bdb7e95acadaeb7325c7a54664d32f5c20",
+		"HighSuspension/seed42":      "0689e2c3414c25558c20f985ab0186982f91f5b3e81b50c943ac2df70fc7f566",
+		"HighSuspension/seed7":       "783745fe6a51fa5bb35fe293a7476c8ffea4d9db28043f5741ae52927629f33b",
+		"MultiSiteWeek/seed42":       "67aebfc35ada7830fcb4f333acf8a69cfd58e4e0e60cf056edbae37479703d4b",
+		"MultiSiteWeek/seed7":        "0bdd7b1583debfef4ee2b52193bfe3f737670408cd1db2540ea429a00f00b9b9",
+		"FaultyMultiSiteWeek/seed42": "b29e88ace1d931b59a49db072815ca5b3d9a7ad3a9cd00d6178a8a3df90b862f",
+		"FaultyMultiSiteWeek/seed7":  "0e1938fec2c2b5d39b5d2c2447ae24071ed270247c385af82b82f692cf9b8e49",
+		"MultiSiteYear/seed42":       "54d3506459c63fe7383d10fa73d25ff565295e20ed205da7c68649ff12944bc5",
+		"MultiSiteYear/seed7":        "ef121c0932f9ae71a384ed2e16735ea51b3c872a79df7c071813777b6d4727a7",
+		"YearLong/seed42":            "2a16cca05be488749c5918cc96511918a0a20794ad363ea5cc03108f142b77d0",
+		"YearLong/seed7":             "495a5c33879706714f638c6cec38cb42df8e117589270c5f7728e297f51e67fc",
+	}
+	for _, p := range presets {
+		for _, seed := range []uint64{42, 7} {
+			name := fmt.Sprintf("%s/seed%d", p.name, seed)
+			t.Run(name, func(t *testing.T) {
+				tr, err := Generate(p.cfg(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := specDigest(tr); got != want[name] {
+					t.Errorf("%d jobs, digest %s, want %s", len(tr.Jobs), got, want[name])
+				}
+				if cap(tr.Jobs) != len(tr.Jobs) {
+					t.Errorf("cap(Jobs) = %d, len = %d; the trace is sized exactly", cap(tr.Jobs), len(tr.Jobs))
+				}
+			})
+		}
 	}
 }

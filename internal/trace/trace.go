@@ -32,17 +32,29 @@ type Trace struct {
 	Jobs []job.Spec
 }
 
-// Validate checks every job spec and the submission-order invariant.
+// Validate checks every job spec, that job IDs are unique and the
+// submission-order invariant.
 func (t *Trace) Validate() error {
-	ids := make(map[job.ID]bool, len(t.Jobs))
+	// IDs that strictly increase cannot repeat, and every generated
+	// trace numbers its jobs 1..n, so the set of seen IDs is built only
+	// from the first index where they stop increasing.
+	var ids map[job.ID]bool
 	for i := range t.Jobs {
 		if err := t.Jobs[i].Validate(); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		if ids[t.Jobs[i].ID] {
-			return fmt.Errorf("trace: duplicate job id %d", t.Jobs[i].ID)
+		if ids == nil && i > 0 && t.Jobs[i].ID <= t.Jobs[i-1].ID {
+			ids = make(map[job.ID]bool, len(t.Jobs))
+			for j := range t.Jobs[:i] {
+				ids[t.Jobs[j].ID] = true
+			}
 		}
-		ids[t.Jobs[i].ID] = true
+		if ids != nil {
+			if ids[t.Jobs[i].ID] {
+				return fmt.Errorf("trace: duplicate job id %d", t.Jobs[i].ID)
+			}
+			ids[t.Jobs[i].ID] = true
+		}
 		if i > 0 && t.Jobs[i].Submit < t.Jobs[i-1].Submit {
 			return fmt.Errorf("trace: jobs out of submission order at index %d", i)
 		}

@@ -30,6 +30,50 @@ func TestValidateDuplicateID(t *testing.T) {
 	}
 }
 
+// TestValidateIDsNotIncreasing covers the duplicate-ID check once IDs
+// stop strictly increasing, where Validate falls back to a seen-set of
+// every earlier ID.
+func TestValidateIDsNotIncreasing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ids  []job.ID
+		want string
+	}{
+		{"unique", []job.ID{3, 1, 2}, ""},
+		{"uniqueAfterRun", []job.ID{1, 2, 7, 4, 5}, ""},
+		{"repeatOfPrevious", []job.ID{1, 2, 2}, "duplicate job id 2"},
+		{"repeatOfEarlier", []job.ID{1, 5, 9, 3, 5}, "duplicate job id 5"},
+		{"repeatOfFirst", []job.ID{4, 6, 4}, "duplicate job id 4"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &Trace{}
+			for i, id := range c.ids {
+				tr.Jobs = append(tr.Jobs, job.Spec{ID: id, Submit: float64(i), Work: 1, Cores: 1,
+					Priority: job.PriorityLow, Candidates: []int{0}})
+			}
+			err := tr.Validate()
+			if c.want == "" && err != nil {
+				t.Fatalf("err = %v", err)
+			}
+			if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
+	// A spec error at an index is reported before a repeated ID there,
+	// and a repeated ID before an order violation.
+	tr := sampleTrace()
+	tr.Jobs[2].ID = 1
+	tr.Jobs[2].Submit = 1
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate job id 1") {
+		t.Fatalf("err = %v, want the duplicate first", err)
+	}
+	tr.Jobs[2].Cores = 0
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "non-positive cores") {
+		t.Fatalf("err = %v, want the spec error first", err)
+	}
+}
+
 func TestValidateOrder(t *testing.T) {
 	tr := sampleTrace()
 	tr.Jobs[1].Submit = 100
@@ -168,27 +212,31 @@ func TestCSVErrors(t *testing.T) {
 			}
 		})
 	}
+	// ParseFloat accepts NaN and ±Inf; Spec.Validate must not.
+	header := strings.Join(csvHeader, ",") + "\n"
+	for name, in := range map[string]string{
+		"nanSubmit":    header + "1,NaN,5,1,1,linux,1,0,0,0\n",
+		"infSubmit":    header + "1,+Inf,5,1,1,linux,1,0,0,0\n",
+		"nanWork":      header + "1,0,NaN,1,1,linux,1,0,0,0\n",
+		"infWork":      header + "1,0,Inf,1,1,linux,1,0,0,0\n",
+		"negInfWork":   header + "1,0,-Inf,1,1,linux,1,0,0,0\n",
+		"nanSecondJob": header + "1,0,5,1,1,linux,1,0,0,0\n2,nan,5,1,1,linux,1,0,0,0\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadCSV(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("err = %v, want a non-finite-value error", err)
+			}
+		})
+	}
+	// The same rows with finite values parse.
+	if _, err := ReadCSV(strings.NewReader(header + "1,0,5,1,1,linux,1,0,0,0\n2,1,5,1,1,linux,1,0,0,0\n")); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func assertTracesEqual(t *testing.T, want, got *Trace) {
 	t.Helper()
-	if len(got.Jobs) != len(want.Jobs) {
-		t.Fatalf("job count %d != %d", len(got.Jobs), len(want.Jobs))
-	}
-	for i := range want.Jobs {
-		w, g := want.Jobs[i], got.Jobs[i]
-		if w.ID != g.ID || w.Submit != g.Submit || w.Work != g.Work ||
-			w.Cores != g.Cores || w.MemMB != g.MemMB || w.OS != g.OS ||
-			w.Priority != g.Priority || w.TaskID != g.TaskID {
-			t.Fatalf("job %d mismatch:\nwant %+v\ngot  %+v", i, w, g)
-		}
-		if len(w.Candidates) != len(g.Candidates) {
-			t.Fatalf("job %d candidates mismatch", i)
-		}
-		for ci := range w.Candidates {
-			if w.Candidates[ci] != g.Candidates[ci] {
-				t.Fatalf("job %d candidate %d mismatch", i, ci)
-			}
-		}
+	if d := diffTraces(want, got); d != "" {
+		t.Fatal(d)
 	}
 }
