@@ -7,11 +7,14 @@
 // The cell set mirrors the headline benchmarks (multi-site busy week,
 // faulty week, 6-site metro week and simulated year, the
 // checkpoint/restore set including delta capture, and trace synthesis
-// of the busy week and the simulated year) at the same 4% bench scale. The simulation cells keep their "/serial" suffix from when a
-// second engine was recorded beside each, so -trend stays continuous.
-// Results serialize to a schema-versioned JSON snapshot (BENCH_21.json
-// at the repo root is the committed baseline; earlier BENCH_*.json
-// files stay committed as the trend history — see cmd/benchsnap).
+// of the busy week and the simulated year) at the same 4% bench scale,
+// plus the event queue's layer cells (eventq.go). The simulation cells
+// keep their "/serial" suffix from when a second engine was recorded
+// beside each, so -trend stays continuous. Each cell is timed in
+// several rounds and keeps the median one (see rounds). Results
+// serialize to a schema-versioned JSON snapshot (BENCH_22.json at the
+// repo root is the committed baseline; earlier BENCH_*.json files stay
+// committed as the trend history — see cmd/benchsnap).
 //
 // Comparison rules: allocations and bytes per op are
 // hardware-independent and gate on every run; wall-clock gates only
@@ -21,8 +24,10 @@
 package benchsnap
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -62,8 +67,15 @@ type Cell struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Collect runs every cell once through testing.Benchmark and returns
-// the snapshot. scale <= 0 defaults to the canonical 4% bench scale.
+// rounds is how many testing.Benchmark rounds time each cell. A cell
+// records the round with the median ns/op, with that round's allocs,
+// bytes and metrics, so one round slowed by a noisy neighbor is not
+// the record.
+const rounds = 3
+
+// Collect runs every cell through testing.Benchmark, rounds times each,
+// and returns the snapshot of median rounds. scale <= 0 defaults to
+// the canonical 4% bench scale.
 func Collect(scale float64) (Snapshot, error) {
 	if scale <= 0 {
 		scale = 0.04
@@ -80,32 +92,36 @@ func Collect(scale float64) (Snapshot, error) {
 		if firstErr != nil {
 			return
 		}
-		var innerErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			if err := fn(b); err != nil {
-				innerErr = err
-				b.FailNow()
+		cells := make([]Cell, 0, rounds)
+		for range rounds {
+			var innerErr error
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				if err := fn(b); err != nil {
+					innerErr = err
+					b.FailNow()
+				}
+			})
+			if innerErr != nil {
+				firstErr = fmt.Errorf("%s: %w", name, innerErr)
+				return
 			}
-		})
-		if innerErr != nil {
-			firstErr = fmt.Errorf("%s: %w", name, innerErr)
-			return
-		}
-		cell := Cell{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			cell.Metrics = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				cell.Metrics[k] = v
+			cell := Cell{
+				Name:        name,
+				Iterations:  r.N,
+				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+				AllocsPerOp: r.AllocsPerOp(),
 			}
+			if len(r.Extra) > 0 {
+				cell.Metrics = make(map[string]float64, len(r.Extra))
+				for k, v := range r.Extra {
+					cell.Metrics[k] = v
+				}
+			}
+			cells = append(cells, cell)
 		}
-		snap.Cells = append(snap.Cells, cell)
+		snap.Cells = append(snap.Cells, medianCell(cells))
 	}
 
 	multisite, err := prebuiltCell(experiments.MultiSiteScenario("bench-multisite", 3, 0,
@@ -149,7 +165,26 @@ func Collect(scale float64) (Snapshot, error) {
 	})
 	collectCheckpointCells(record, multisite, scale)
 	collectTraceCells(record, scale)
+	record("eventq/schedule_pop", bench(QueueScheduleAndPop))
+	record("eventq/cancel", bench(QueueCancel))
+	record("eventq/kind_chains", bench(QueueKindChains))
 	return snap, firstErr
+}
+
+// bench adapts a benchmark body that cannot fail to a recorded cell.
+func bench(fn func(*testing.B)) func(*testing.B) error {
+	return func(b *testing.B) error {
+		fn(b)
+		return nil
+	}
+}
+
+// medianCell returns the round with the median ns/op (the lower median
+// for an even count). cells must not be empty.
+func medianCell(cells []Cell) Cell {
+	sorted := slices.Clone(cells)
+	slices.SortStableFunc(sorted, func(x, y Cell) int { return cmp.Compare(x.NsPerOp, y.NsPerOp) })
+	return sorted[(len(sorted)-1)/2]
 }
 
 // collectTraceCells records trace synthesis alone: the busy-week trace

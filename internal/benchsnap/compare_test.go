@@ -89,3 +89,37 @@ func TestCompareGates(t *testing.T) {
 		}
 	})
 }
+
+func TestMedianCell(t *testing.T) {
+	round := func(ns float64, allocs int64) Cell {
+		return Cell{Name: "a", NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: 8 * allocs,
+			Metrics: map[string]float64{"retainedB/job": float64(allocs)}}
+	}
+	for _, tc := range []struct {
+		name  string
+		cells []Cell
+		want  int // index of the median round in cells
+	}{
+		{"one round", []Cell{round(7, 1)}, 0},
+		{"middle of three", []Cell{round(300, 3), round(100, 1), round(200, 2)}, 2},
+		{"slow outlier ignored", []Cell{round(100, 1), round(900, 9), round(110, 2)}, 2},
+		{"lower median of four", []Cell{round(4, 4), round(1, 1), round(3, 3), round(2, 2)}, 3},
+		{"ties keep round order", []Cell{round(9, 3), round(5, 1), round(5, 2)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The whole round is kept: its allocs, bytes and metrics
+			// come with its ns/op.
+			got, want := medianCell(tc.cells), tc.cells[tc.want]
+			if got.NsPerOp != want.NsPerOp || got.AllocsPerOp != want.AllocsPerOp ||
+				got.BytesPerOp != want.BytesPerOp || got.Metrics["retainedB/job"] != want.Metrics["retainedB/job"] {
+				t.Fatalf("medianCell = %+v, want round %d %+v", got, tc.want, want)
+			}
+		})
+	}
+	// The input order is left alone.
+	cells := []Cell{{NsPerOp: 3}, {NsPerOp: 1}, {NsPerOp: 2}}
+	medianCell(cells)
+	if cells[0].NsPerOp != 3 || cells[1].NsPerOp != 1 {
+		t.Fatal("medianCell reordered its input")
+	}
+}

@@ -126,36 +126,79 @@ func TestKindAndTimePreserved(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	// Canceling more than half the queue must shed the tombstones:
 	// Len() (physical size) collapses toward Live().
-	q := New()
-	handles := make([]Handle, 0, 4*minCompact)
-	for i := 0; i < 4*minCompact; i++ {
-		handles = append(handles, q.Schedule(float64(i), 0, int64(i), 0))
-	}
-	// Cancel even slots: tombstones never exceed live, no compaction yet.
-	for i := 0; i < len(handles); i += 2 {
-		q.Cancel(handles[i])
-	}
-	live := len(handles) / 2
-	if q.Live() != live {
-		t.Fatalf("Live = %d, want %d", q.Live(), live)
-	}
-	// One more cancel tips tombstones over live and triggers compaction.
-	q.Cancel(handles[1])
-	if q.Len() != q.Live() {
-		t.Fatalf("after compaction Len = %d, want Live = %d", q.Len(), q.Live())
-	}
-	// Order is preserved: remaining odd slots (except 1) pop in order.
-	prev := -1.0
-	n := 0
-	for ev, ok := q.Pop(); ok; ev, ok = q.Pop() {
-		if ev.Time <= prev {
-			t.Fatalf("pop order broken after compaction: %v after %v", ev.Time, prev)
-		}
-		prev = ev.Time
-		n++
-	}
-	if n != live-1 {
-		t.Fatalf("drained %d events, want %d", n, live-1)
+	const n = 4 * minCompact
+	for _, tc := range []struct {
+		name string
+		// at gives the i-th event's time and kind.
+		at func(i int) (float64, int)
+		// inLane and inHeap report whether the even events, the ones
+		// canceled first, sit in a lane and in the heap.
+		inLane, inHeap bool
+	}{
+		// Increasing times of one kind: every event joins its lane.
+		{"one lane", func(i int) (float64, int) { return float64(i), 0 }, true, false},
+		// Kind 0 (i%4 < 2) at increasing times joins its lane; kind 1 at
+		// decreasing times leaves its first event in its lane and sends
+		// the rest to the heap, so the tombstones are split.
+		{"lane and heap", func(i int) (float64, int) {
+			if i%4 < 2 {
+				return float64(i), 0
+			}
+			return float64(2*n - i), 1
+		}, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New()
+			handles := make([]Handle, 0, n)
+			for i := 0; i < n; i++ {
+				tm, kd := tc.at(i)
+				handles = append(handles, q.Schedule(tm, kd, int64(i), 0))
+			}
+			// Cancel even events: tombstones never exceed live, no
+			// compaction yet.
+			for i := 0; i < len(handles); i += 2 {
+				q.Cancel(handles[i])
+			}
+			live := len(handles) / 2
+			if q.Live() != live || q.Len() != n {
+				t.Fatalf("Live = %d, Len = %d; want %d, %d", q.Live(), q.Len(), live, n)
+			}
+			var inLane, inHeap bool
+			for _, e := range q.heap {
+				inHeap = inHeap || q.slots[e.slot].canceled
+			}
+			for k := range q.lanes {
+				for i := 0; i < q.lanes[k].n; i++ {
+					inLane = inLane || q.slots[q.lanes[k].at(i).slot].canceled
+				}
+			}
+			if inLane != tc.inLane || inHeap != tc.inHeap {
+				t.Fatalf("tombstones in a lane %v, in the heap %v; want %v, %v", inLane, inHeap, tc.inLane, tc.inHeap)
+			}
+			// One more cancel tips tombstones over live and triggers
+			// compaction.
+			q.Cancel(handles[1])
+			if q.Len() != q.Live() {
+				t.Fatalf("after compaction Len = %d, want Live = %d", q.Len(), q.Live())
+			}
+			// Order is preserved: the remaining odd events (except 1) pop
+			// in time order.
+			prev := -1.0
+			popped := 0
+			for ev, ok := q.Pop(); ok; ev, ok = q.Pop() {
+				if ev.Time <= prev {
+					t.Fatalf("pop order broken after compaction: %v after %v", ev.Time, prev)
+				}
+				if ev.A%2 == 0 || ev.A == 1 {
+					t.Fatalf("popped canceled event %d", ev.A)
+				}
+				prev = ev.Time
+				popped++
+			}
+			if popped != live-1 {
+				t.Fatalf("drained %d events, want %d", popped, live-1)
+			}
+		})
 	}
 }
 
@@ -300,42 +343,6 @@ func TestPoolReuseStress(t *testing.T) {
 	// Slot storage is bounded by peak concurrency, not total traffic.
 	if q.Cap() >= int(next) {
 		t.Fatalf("no slot reuse: Cap = %d after %d events", q.Cap(), next)
-	}
-}
-
-func BenchmarkScheduleAndPop(b *testing.B) {
-	r := rand.New(rand.NewPCG(1, 2))
-	q := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Schedule(r.Float64()*1e6, 0, 0, 0)
-		if q.Live() > 1024 {
-			for j := 0; j < 512; j++ {
-				q.Pop()
-			}
-		}
-	}
-}
-
-// BenchmarkCancel times lazy cancellation, compaction included. Events
-// are scheduled in fixed rounds with the timer stopped, so the queue,
-// and the benchmark's memory, stay the same size for any b.N.
-func BenchmarkCancel(b *testing.B) {
-	const round = 4096
-	q := New()
-	handles := make([]Handle, round)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += round {
-		n := min(round, b.N-done)
-		b.StopTimer()
-		for i := range n {
-			handles[i] = q.Schedule(float64(done+i), 0, 0, 0)
-		}
-		b.StartTimer()
-		for _, h := range handles[:n] {
-			q.Cancel(h)
-		}
 	}
 }
 

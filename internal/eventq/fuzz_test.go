@@ -120,39 +120,53 @@ func FuzzQueueOps(f *testing.F) {
 	})
 }
 
-// FuzzQueueDiff differentially fuzzes the pooled 4-ary queue against
-// the retired container/heap implementation (legacy_test.go) on the
-// same op-stream encoding as FuzzQueueOps, extended with two more
-// schedule ops that vary the kind and payload words. Every observable —
-// pop stream, cancel results, live counts, export contents — must
-// match exactly.
+// FuzzQueueDiff differentially fuzzes the pooled queue against the
+// retired container/heap implementation (legacy_test.go). The op
+// stream extends FuzzQueueOps' encoding with schedules of other kinds
+// and payload words; with clock schedules, which advance a per-kind
+// clock so events fill that kind's lane and fall back to the heap when
+// a plain schedule of the kind has run ahead of the clock; with cancel
+// bursts, which drive compaction while tombstones sit in lanes; and
+// with a rebuild of the pooled queue through Export, Restore (in a
+// rotated order, so restored events land in lanes and the heap) and
+// SetSeq. Every observable — pop stream, cancel results, live counts,
+// export contents — must match exactly, and a cancel never leaves
+// tombstones outnumbering live events past the compaction floor.
 func FuzzQueueDiff(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 2, 0, 2, 0, 2, 0, 2, 0})
 	f.Add([]byte{0, 10, 0, 3, 1, 0, 2, 0, 0, 3, 1, 1, 1, 1, 2, 0})
 	f.Add([]byte{2, 0, 0, 0, 0, 255, 0, 128, 1, 2, 2, 0, 2, 0})
 	f.Add([]byte{3, 9, 3, 9, 4, 9, 0, 9, 2, 0, 2, 0, 1, 0, 2, 0})
+	f.Add([]byte{5, 3, 5, 6, 0, 15, 5, 0, 5, 9, 7, 1, 2, 0, 5, 4, 1, 2, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := New()
 		lq := newLegacyQueue()
 		var handles []Handle
 		var lhandles []legacyHandle
+		var clock [4]float64
 		seq := int64(0)
+		schedule := func(tm float64, kd int, b int64) {
+			handles = append(handles, q.Schedule(tm, kd, seq, b))
+			lhandles = append(lhandles, lq.Schedule(tm, kd, seq, b))
+			seq++
+		}
+		cancel := func(k int) {
+			got, want := q.Cancel(handles[k]), lq.Cancel(lhandles[k])
+			if got != want {
+				t.Fatalf("Cancel(%d): pooled %v, legacy %v", k, got, want)
+			}
+			if q.Len() >= minCompact && q.Tombstones() > q.Live() {
+				t.Fatalf("after Cancel(%d): %d tombstones, %d live", k, q.Tombstones(), q.Live())
+			}
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
-			switch op % 5 {
+			switch op % 8 {
 			case 0: // plain schedule
-				tm := float64(arg % 16)
-				handles = append(handles, q.Schedule(tm, 1, seq, 0))
-				lhandles = append(lhandles, lq.Schedule(tm, 1, seq, 0))
-				seq++
+				schedule(float64(arg%16), 1, 0)
 			case 1: // cancel
-				if len(handles) == 0 {
-					continue
-				}
-				k := int(arg) % len(handles)
-				got, want := q.Cancel(handles[k]), lq.Cancel(lhandles[k])
-				if got != want {
-					t.Fatalf("Cancel(%d): pooled %v, legacy %v", k, got, want)
+				if len(handles) > 0 {
+					cancel(int(arg) % len(handles))
 				}
 			case 2: // pop
 				ev, ok := q.Pop()
@@ -161,11 +175,27 @@ func FuzzQueueDiff(f *testing.F) {
 					t.Fatalf("Pop: pooled (%+v,%v), legacy (%+v,%v)", ev, ok, lev, lok)
 				}
 			case 3, 4: // schedule another kind, with a second payload word
-				tm := float64(arg % 16)
-				kd := int(op%5) - 1
-				handles = append(handles, q.Schedule(tm, kd, seq, int64(arg)))
-				lhandles = append(lhandles, lq.Schedule(tm, kd, seq, int64(arg)))
-				seq++
+				schedule(float64(arg%16), int(op%8)-1, int64(arg))
+			case 5: // clock schedule: kind 1..3 at its clock, advanced 0..3
+				kd := 1 + int(arg)%3
+				clock[kd] += float64(arg / 3 % 4)
+				schedule(clock[kd], kd, 0)
+			case 6: // cancel burst: 16 consecutive handles from arg
+				for j := 0; j < 16 && len(handles) > 0; j++ {
+					cancel((int(arg) + j) % len(handles))
+				}
+			case 7: // rebuild the pooled queue from its export
+				ex := q.Export()
+				nq := New()
+				for j := range handles {
+					handles[j] = Handle{}
+				}
+				for j := range ex {
+					sev := ex[(int(arg)+j)%len(ex)]
+					handles[sev.A] = nq.Restore(sev)
+				}
+				nq.SetSeq(q.Seq())
+				q = nq
 			}
 			if q.Live() != lq.Live() {
 				t.Fatalf("Live: pooled %d, legacy %d", q.Live(), lq.Live())

@@ -40,6 +40,9 @@ func FuzzGeneratorConfig(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			return // rejection is a valid outcome; it must just not panic
 		}
+		if cfg.NumPools > MaxPools {
+			t.Fatalf("Validate accepted %d pools, above MaxPools", cfg.NumPools)
+		}
 		// Bound the work a validated config may demand before generating.
 		if !fuzzTraceBounded(cfg) {
 			return

@@ -111,6 +111,12 @@ type AutoBursts struct {
 	PoolsPerBurst int `json:"pools_per_burst"`
 }
 
+// MaxPools bounds GeneratorConfig.NumPools. Generate keeps several
+// tables of NumPools entries, so an unbounded count could exhaust
+// memory before a single job is drawn. The presets use 20 pools, or 7
+// per site (PoolsPerSite); the bound leaves thousands of sites' room.
+const MaxPools = 1 << 16
+
 // GeneratorConfig fully parameterizes a synthetic NetBatch trace.
 type GeneratorConfig struct {
 	// Seed makes generation deterministic.
@@ -118,7 +124,7 @@ type GeneratorConfig struct {
 	// Horizon is the trace length in minutes.
 	Horizon float64 `json:"horizon"`
 	// NumPools is the size of the candidate-pool universe; low-priority
-	// jobs may run in any pool.
+	// jobs may run in any pool. At most MaxPools.
 	NumPools int `json:"num_pools"`
 	// OwnedPools are the pools owned by high-priority business groups;
 	// burst jobs are restricted to (subsets of) them.
@@ -283,6 +289,8 @@ func (c *GeneratorConfig) Validate() error {
 		return fmt.Errorf("generator: non-positive horizon %v", c.Horizon)
 	case c.NumPools <= 0:
 		return fmt.Errorf("generator: non-positive pool count %d", c.NumPools)
+	case c.NumPools > MaxPools:
+		return fmt.Errorf("generator: pool count %d above the maximum %d", c.NumPools, MaxPools)
 	case c.LowRate < 0:
 		return fmt.Errorf("generator: negative low rate %v", c.LowRate)
 	case c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1:

@@ -213,14 +213,17 @@ func TestGenerateValidationErrors(t *testing.T) {
 		"autoTooManyPools": func(c *GeneratorConfig) {
 			c.Auto = &AutoBursts{MeanGap: 1, MeanDuration: 1, Rate: 1, PoolsPerBurst: 10}
 		},
+		// Without sites or affinity groups nothing else bounds the pool
+		// count, and Generate died allocating its per-pool tables.
+		"hugePoolCount": func(c *GeneratorConfig) { c.NumPools = 1 << 40 },
 		// A pool count far beyond what the sites or affinity groups
 		// list fails their coverage check without a set that large.
 		"hugePoolCountSites": func(c *GeneratorConfig) {
-			c.NumPools = 1 << 40
+			c.NumPools = MaxPools
 			c.SitePools = [][]int{{0, 1}, {2, 3}}
 		},
 		"hugePoolCountAffinity": func(c *GeneratorConfig) {
-			c.NumPools = 1 << 40
+			c.NumPools = MaxPools
 			c.AffinityGroups = [][]int{{0, 1}, {2, 3}}
 		},
 		// Every pool owned at weight 0: an affinity anchor had nothing
@@ -241,6 +244,16 @@ func TestGenerateValidationErrors(t *testing.T) {
 				t.Fatal("want error")
 			}
 		})
+	}
+	// The pool count is bounded at MaxPools, inclusive.
+	cfg := smallConfig(1)
+	cfg.NumPools = MaxPools
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("MaxPools pools: %v", err)
+	}
+	cfg.NumPools++
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("MaxPools+1 pools: want error")
 	}
 	// Non-finite values in every kind of float field must fail
 	// validation by name. Unchecked, a NaN rate passes the ordered
