@@ -374,10 +374,9 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	mkCfg := func() sim.Config {
 		return sim.Config{
-			Platform:          plat,
-			Initial:           sc.NewInitial(),
-			Policy:            core.NewResSusWaitLatency(),
-			CheckConservation: true,
+			Platform: plat,
+			Initial:  sc.NewInitial(),
+			Policy:   core.NewResSusWaitLatency(),
 		}
 	}
 	const day = 1440.0

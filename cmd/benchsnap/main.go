@@ -5,11 +5,11 @@
 // Record the baseline (done once per perf-relevant PR, on the CI
 // machine shape):
 //
-//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_21.json -out BENCH_22.json
+//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_22.json -out BENCH_23.json
 //
 // Gate a candidate in CI (exits 1 on regression):
 //
-//	go run ./cmd/benchsnap -compare BENCH_22.json -out bench_candidate.json
+//	go run ./cmd/benchsnap -compare BENCH_23.json -out bench_candidate.json
 //
 // Every cell is timed in three rounds and records the median one.
 // Allocations and bytes per op gate on every run (they are

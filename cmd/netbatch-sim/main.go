@@ -77,7 +77,6 @@ func run() error {
 		Policy:             pol,
 		RescheduleOverhead: *overhead,
 		UtilStaleness:      *staleness,
-		CheckConservation:  true,
 	}, tr.Jobs)
 	if err != nil {
 		return err
@@ -131,13 +130,7 @@ func loadTrace(file, preset string, seed uint64, scale float64) (*trace.Trace, e
 	default:
 		return nil, fmt.Errorf("unknown preset %q", preset)
 	}
-	cfg.LowRate *= scale
-	bursts := append([]trace.Burst(nil), cfg.Bursts...)
-	for i := range bursts {
-		bursts[i].Rate *= scale
-	}
-	cfg.Bursts = bursts
-	return trace.Generate(cfg)
+	return trace.Generate(trace.ScaleRates(cfg, scale))
 }
 
 func makeInitial(name string, seed uint64) (sched.InitialScheduler, error) {

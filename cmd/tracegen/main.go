@@ -39,10 +39,10 @@ func run() error {
 	switch *preset {
 	case "week":
 		cfg = trace.WeekNormal(*seed)
-		cfg = scaleRates(cfg, *scale)
+		cfg = trace.ScaleRates(cfg, *scale)
 	case "highsusp":
 		cfg = trace.HighSuspension(*seed)
-		cfg = scaleRates(cfg, *scale)
+		cfg = trace.ScaleRates(cfg, *scale)
 	case "year":
 		cfg = trace.YearLong(*seed, *scale)
 	default:
@@ -80,17 +80,4 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: %d jobs over %.0f minutes\n", len(tr.Jobs), tr.Horizon())
 	return nil
-}
-
-func scaleRates(cfg trace.GeneratorConfig, s float64) trace.GeneratorConfig {
-	if s == 1.0 {
-		return cfg
-	}
-	cfg.LowRate *= s
-	bursts := append([]trace.Burst(nil), cfg.Bursts...)
-	for i := range bursts {
-		bursts[i].Rate *= s
-	}
-	cfg.Bursts = bursts
-	return cfg
 }

@@ -45,10 +45,9 @@ func run() error {
 		return err
 	}
 	res, err := sim.Run(sim.Config{
-		Platform:          plat,
-		Initial:           sched.NewRoundRobin(),
-		Policy:            core.NewNoRes(),
-		CheckConservation: true,
+		Platform: plat,
+		Initial:  sched.NewRoundRobin(),
+		Policy:   core.NewNoRes(),
 	}, tr.Jobs)
 	if err != nil {
 		return err

@@ -64,11 +64,10 @@ func run() error {
 		var sums [2]metrics.Summary
 		for i, pol := range []core.Policy{core.NewNoRes(), core.NewResSusUtil()} {
 			res, err := sim.Run(sim.Config{
-				Platform:          plat,
-				Initial:           sched.NewRoundRobin(),
-				Policy:            pol,
-				CheckConservation: true,
-				DisableSampling:   true,
+				Platform:        plat,
+				Initial:         sched.NewRoundRobin(),
+				Policy:          pol,
+				DisableSampling: true,
 			}, tr.Jobs)
 			if err != nil {
 				return fmt.Errorf("capacity %.1f: %w", factor, err)

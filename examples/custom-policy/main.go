@@ -114,10 +114,9 @@ func run() error {
 	var sums []metrics.Summary
 	for _, p := range policies {
 		res, err := sim.Run(sim.Config{
-			Platform:          plat,
-			Initial:           sched.NewRoundRobin(),
-			Policy:            p,
-			CheckConservation: true,
+			Platform: plat,
+			Initial:  sched.NewRoundRobin(),
+			Policy:   p,
 		}, tr.Jobs)
 		if err != nil {
 			return err

@@ -57,10 +57,9 @@ func run() error {
 	var sums []metrics.Summary
 	for _, policy := range []core.Policy{core.NewNoRes(), core.NewResSusUtil()} {
 		res, err := sim.Run(sim.Config{
-			Platform:          plat,
-			Initial:           sched.NewRoundRobin(),
-			Policy:            policy,
-			CheckConservation: true,
+			Platform: plat,
+			Initial:  sched.NewRoundRobin(),
+			Policy:   policy,
 		}, tr.Jobs)
 		if err != nil {
 			return err

@@ -12,7 +12,7 @@
 // keep their "/serial" suffix from when a second engine was recorded
 // beside each, so -trend stays continuous. Each cell is timed in
 // several rounds and keeps the median one (see rounds). Results
-// serialize to a schema-versioned JSON snapshot (BENCH_22.json at the
+// serialize to a schema-versioned JSON snapshot (BENCH_23.json at the
 // repo root is the committed baseline; earlier BENCH_*.json files stay
 // committed as the trend history — see cmd/benchsnap).
 //

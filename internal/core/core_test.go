@@ -16,7 +16,6 @@ type fakeView struct {
 
 var _ sched.PoolView = (*fakeView)(nil)
 
-func (f *fakeView) NumPools() int             { return len(f.utils) }
 func (f *fakeView) Utilization(p int) float64 { return f.utils[p] }
 func (f *fakeView) QueueLen(p int) int        { return f.queues[p] }
 func (f *fakeView) PoolCores(p int) int       { return 100 }

@@ -25,7 +25,6 @@ import (
 	"netbatch/internal/sched"
 	"netbatch/internal/sim"
 	"netbatch/internal/stats"
-	"netbatch/internal/trace"
 )
 
 // Options tunes an experiment run.
@@ -266,26 +265,6 @@ func waitPolicies() []PolicyFactory {
 		{Name: "ResSusWaitUtil", New: func(uint64) core.Policy { return core.NewResSusWaitUtil() }},
 		{Name: "ResSusWaitRand", New: func(s uint64) core.Policy { return core.NewResSusWaitRand(s) }},
 	}
-}
-
-// scaleTraceCfg shrinks arrival rates to pair with an equally scaled
-// platform, preserving per-pool load.
-func scaleTraceCfg(cfg trace.GeneratorConfig, s float64) trace.GeneratorConfig {
-	if s == 1.0 {
-		return cfg
-	}
-	cfg.LowRate *= s
-	bursts := append([]trace.Burst(nil), cfg.Bursts...)
-	for i := range bursts {
-		bursts[i].Rate *= s
-	}
-	cfg.Bursts = bursts
-	if cfg.Auto != nil {
-		a := *cfg.Auto
-		a.Rate *= s
-		cfg.Auto = &a
-	}
-	return cfg
 }
 
 // buildPlatform creates the default NetBatch platform at the given

@@ -15,40 +15,36 @@ import (
 // operating regime the ILDG middleware status report highlights
 // (running across unreliable sites) and the biggest scenario gap
 // between the paper's single-healthy-site evaluation and a production
-// federation. Every cell replays the multi-site busy week under the
-// default fault regime (trace.DefaultFaultRegime): per-site machine
-// crashes, staggered maintenance windows, kill-and-requeue victims by
-// default, plus one 3-site cell set with the drain policy for the
-// victim-policy comparison. Fault streams fork per cell from the
-// replicate seed, so the rendered report is deterministic (pinned by
-// the golden test).
-
-// simFaultConfig maps a trace-level fault regime onto the simulator's
-// fault subsystem configuration.
-func simFaultConfig(r trace.FaultRegime, seed uint64) sim.FaultConfig {
-	return sim.FaultConfig{
-		MTBF:          r.MTBF,
-		MTTR:          r.MTTR,
-		MaintPeriod:   r.MaintPeriod,
-		MaintDuration: r.MaintDuration,
-		MaintFraction: r.MaintFraction,
-		Victim:        r.Victim,
-		Seed:          seed,
-	}
-}
+// federation. Every cell replays the multi-site busy week under one
+// fault regime (FaultScenario): per-site machine crashes, staggered
+// maintenance windows, kill-and-requeue victims by default, plus one
+// 3-site cell set with the drain policy for the victim-policy
+// comparison. Fault streams fork per cell from the replicate seed, so
+// the rendered report is deterministic (pinned by the golden test).
 
 // FaultScenario is an n-site federation running the faulty busy week:
-// the MultiSiteScenario environment plus the trace preset's fault
-// regime with the given victim policy.
+// the MultiSiteScenario environment under the faults experiment's
+// regime with the given victim policy. The regime crashes a machine per
+// site roughly every 33 hours (repaired in ~5 hours on average) and
+// opens a maintenance window every two days taking a fifth of the
+// site's machines down for four hours. At those rates downtime claims
+// a few percent of capacity — enough to make availability, goodput and
+// requeue churn visible without drowning the paper's rescheduling
+// dynamics.
 func FaultScenario(id string, nSites int, victim string) Scenario {
 	sc := MultiSiteScenario(id, nSites, 0,
 		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })
 	sc.Trace = func(seed uint64, scale float64) (*trace.Trace, error) {
-		return trace.Generate(scaleTraceCfg(trace.FaultyMultiSiteWeek(seed, nSites), scale))
+		return trace.Generate(trace.ScaleRates(trace.FaultyMultiSiteWeek(seed, nSites), scale))
 	}
-	regime := trace.DefaultFaultRegime()
-	regime.Victim = victim
-	sc.Faults = &regime
+	sc.Faults = &sim.FaultConfig{
+		MTBF:          2000,
+		MTTR:          300,
+		MaintPeriod:   2880,
+		MaintDuration: 240,
+		MaintFraction: 0.20,
+		Victim:        victim,
+	}
 	return sc
 }
 

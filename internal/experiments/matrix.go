@@ -40,11 +40,11 @@ type Scenario struct {
 	// minutes (0 = live view).
 	Staleness float64
 	// Faults optionally enables the engine's fault & maintenance
-	// subsystem under the given regime for every cell. The per-cell
-	// fault stream seed forks from the replicate seed with a fixed
-	// key, so replicates see independent fault sequences and results
-	// stay coordinate-deterministic.
-	Faults *trace.FaultRegime
+	// subsystem under the given regime for every cell. Its Seed is
+	// ignored: each cell's fault stream seed forks from the replicate
+	// seed with a fixed key, so replicates see independent fault
+	// sequences and results stay coordinate-deterministic.
+	Faults *sim.FaultConfig
 	// Tune optionally adjusts the final engine config (ablation knobs
 	// such as DisableSampling or QueueBeatsResume).
 	Tune func(*sim.Config)
@@ -298,12 +298,12 @@ func buildCellConfig(sc *Scenario, pf PolicyFactory, p int, seed uint64, plat *c
 		Policy:             pf.New(policySeed(seed, p)),
 		RescheduleOverhead: opts.Overhead,
 		UtilStaleness:      sc.Staleness,
-		CheckConservation:  true,
 		Context:            opts.Context,
 		Metrics:            opts.Metrics,
 	}
 	if sc.Faults != nil {
-		cfg.Faults = simFaultConfig(*sc.Faults, stats.ForkSeed(seed, faultSeedKey))
+		cfg.Faults = *sc.Faults
+		cfg.Faults.Seed = stats.ForkSeed(seed, faultSeedKey)
 	}
 	if sc.Tune != nil {
 		sc.Tune(&cfg)

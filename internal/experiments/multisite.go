@@ -42,13 +42,13 @@ func multiSiteRegions(nSites int) []string {
 // MultiSiteScenario is an n-site federation running the multi-site
 // busy week: per-site 7-pool platforms (cluster.SiteNetBatchConfig)
 // joined by a metro delay matrix, scheduled by the two-level federated
-// scheduler — the given site selector over per-site round-robin, the
-// production default within a site.
+// scheduler — the given site selector over round-robin within the
+// chosen site, the production default.
 func MultiSiteScenario(id string, nSites int, staleness float64, newSelector func() sched.SiteSelector) Scenario {
 	return Scenario{
 		ID: id,
 		Trace: func(seed uint64, scale float64) (*trace.Trace, error) {
-			return trace.Generate(scaleTraceCfg(trace.MultiSiteWeek(seed, nSites), scale))
+			return trace.Generate(trace.ScaleRates(trace.MultiSiteWeek(seed, nSites), scale))
 		},
 		Platform: func(scale float64) (*cluster.Platform, error) {
 			perSite := cluster.SiteNetBatchConfig()
@@ -60,9 +60,7 @@ func MultiSiteScenario(id string, nSites int, staleness float64, newSelector fun
 			})
 		},
 		NewInitial: func() sched.InitialScheduler {
-			return sched.NewFederated(newSelector(), func() sched.InitialScheduler {
-				return sched.NewRoundRobin()
-			})
+			return sched.NewFederated(newSelector())
 		},
 		Staleness: staleness,
 	}
@@ -88,7 +86,7 @@ func MultiSiteYearScenario(id string, nSites int, newSelector func() sched.SiteS
 	return Scenario{
 		ID: id,
 		Trace: func(seed uint64, scale float64) (*trace.Trace, error) {
-			return trace.Generate(scaleTraceCfg(trace.MultiSiteYear(seed, nSites), scale*multiSiteYearScale))
+			return trace.Generate(trace.ScaleRates(trace.MultiSiteYear(seed, nSites), scale*multiSiteYearScale))
 		},
 		Platform: func(scale float64) (*cluster.Platform, error) {
 			perSite := cluster.SiteNetBatchConfig()
@@ -100,9 +98,7 @@ func MultiSiteYearScenario(id string, nSites int, newSelector func() sched.SiteS
 			})
 		},
 		NewInitial: func() sched.InitialScheduler {
-			return sched.NewFederated(newSelector(), func() sched.InitialScheduler {
-				return sched.NewRoundRobin()
-			})
+			return sched.NewFederated(newSelector())
 		},
 		Tune: func(cfg *sim.Config) { cfg.SampleEvery = 60 },
 	}

@@ -25,7 +25,7 @@ func WeekScenario(id string, capacityFactor, staleness float64, newInitial func(
 	return Scenario{
 		ID: id,
 		Trace: func(seed uint64, scale float64) (*trace.Trace, error) {
-			return trace.Generate(scaleTraceCfg(trace.WeekNormal(seed), scale))
+			return trace.Generate(trace.ScaleRates(trace.WeekNormal(seed), scale))
 		},
 		Platform: func(scale float64) (*cluster.Platform, error) {
 			return buildPlatform(scale, capacityFactor)
@@ -57,7 +57,7 @@ func HighSuspScenario(id string) Scenario {
 	return Scenario{
 		ID: id,
 		Trace: func(seed uint64, scale float64) (*trace.Trace, error) {
-			return trace.Generate(scaleTraceCfg(trace.HighSuspension(seed), scale))
+			return trace.Generate(trace.ScaleRates(trace.HighSuspension(seed), scale))
 		},
 		Platform: func(scale float64) (*cluster.Platform, error) {
 			return buildPlatform(scale, 1.0)

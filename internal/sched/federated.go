@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"netbatch/internal/job"
 )
@@ -21,8 +19,6 @@ type SiteView interface {
 	NumSites() int
 	// SiteOf returns the site the pool lives at.
 	SiteOf(pool int) int
-	// SitePools returns the pool IDs of one site, in pool-ID order.
-	SitePools(site int) []int
 	// SiteUtilization returns the site's core-weighted mean pool
 	// utilization in [0, 1], aged like the per-pool reads.
 	SiteUtilization(site int) float64
@@ -32,9 +28,10 @@ type SiteView interface {
 }
 
 // SiteSelector is the upper level of the two-level federated scheduler:
-// it picks the target site for a newly submitted job; the per-site
-// initial scheduler then picks the pool within it. Implementations must
-// only return sites holding at least one eligible candidate pool.
+// it picks the target site for a newly submitted job; round-robin over
+// that site's eligible candidates then picks the pool within it.
+// Implementations must only return sites holding at least one eligible
+// candidate pool.
 type SiteSelector interface {
 	// Name identifies the selector in reports.
 	Name() string
@@ -176,169 +173,57 @@ func (l LatencyPenalizedUtil) SelectSite(_ float64, spec *job.Spec, view SiteVie
 }
 
 // Federated is the two-level initial scheduler: a SiteSelector picks
-// the target site, then a per-site instance of the inner initial
-// scheduler picks the pool among the job's candidates at that site.
-// Per-site inner instances keep independent state (e.g. round-robin
-// rotations), matching one virtual pool manager per site. On a
-// single-site platform (or a plain PoolView) it degrades to one inner
-// scheduler over all candidates, so federated round-robin on one site
-// is exactly the paper's round-robin.
+// the target site, then round-robin picks the pool among the job's
+// eligible candidates at that site. Round-robin keeps one rotation per
+// candidate set, and a site-filtered set holds only that site's pools,
+// so every site rotates on its own, as under one virtual pool manager
+// per site. On a single-site platform (or a plain PoolView) it is plain
+// round-robin over all candidates, exactly the paper's scheduler.
 type Federated struct {
 	// Selector is the site-level policy.
 	Selector SiteSelector
-	// NewPerSite constructs one inner scheduler per site.
-	NewPerSite func() InitialScheduler
 
-	name        string
-	perSite     map[int]InitialScheduler
-	fallback    InitialScheduler
-	candScratch []int    // site-filtered Candidates reuse; never retained
-	localSpec   job.Spec // site-narrowed spec copy reuse; never retained
+	rr      RoundRobin
+	scratch []int // the site's eligible candidates; never retained
 }
 
 var _ InitialScheduler = (*Federated)(nil)
 
-// NewFederated composes a site selector with a per-site inner
-// scheduler factory.
-func NewFederated(selector SiteSelector, newPerSite func() InitialScheduler) *Federated {
-	f := &Federated{Selector: selector, NewPerSite: newPerSite}
-	f.name = fmt.Sprintf("fed(%s+%s)", selector.Name(), newPerSite().Name())
-	return f
+// NewFederated puts a site selector in front of round-robin.
+func NewFederated(selector SiteSelector) *Federated {
+	return &Federated{Selector: selector}
 }
 
 // Name implements InitialScheduler.
-func (f *Federated) Name() string {
-	if f.name == "" {
-		f.name = fmt.Sprintf("fed(%s+%s)", f.Selector.Name(), f.NewPerSite().Name())
-	}
-	return f.name
-}
+func (f *Federated) Name() string { return "fed(" + f.Selector.Name() + "+rr)" }
 
 // SelectPool implements InitialScheduler.
 func (f *Federated) SelectPool(now float64, spec *job.Spec, view PoolView) (int, error) {
 	sv, ok := view.(SiteView)
 	if !ok || sv.NumSites() <= 1 {
-		if f.fallback == nil {
-			f.fallback = f.NewPerSite()
-		}
-		return f.fallback.SelectPool(now, spec, view)
+		return f.rr.SelectPool(now, spec, view)
 	}
 	site, err := f.Selector.SelectSite(now, spec, sv)
 	if err != nil {
 		return 0, err
 	}
-	// Scratch reuse: the per-site inner schedulers read the narrowed
-	// spec during this call and never retain it (rotation state copies),
-	// so both the Candidates slice and the spec copy itself live on the
-	// scheduler. The copy would otherwise escape through the interface
-	// call below — one heap spec per decision.
-	cand := f.candScratch[:0]
+	eligible := f.scratch[:0]
 	for _, p := range spec.Candidates {
-		if sv.SiteOf(p) == site {
-			cand = append(cand, p)
+		if sv.SiteOf(p) == site && sv.Eligible(p, spec) {
+			eligible = append(eligible, p)
 		}
 	}
-	f.candScratch = cand
-	if len(cand) == 0 {
-		return 0, fmt.Errorf("sched: selector %s picked site %d with no candidates for job %d",
+	f.scratch = eligible
+	if len(eligible) == 0 {
+		return 0, fmt.Errorf("sched: selector %s picked site %d with no eligible candidate pool for job %d",
 			f.Selector.Name(), site, spec.ID)
 	}
-	f.localSpec = *spec
-	f.localSpec.Candidates = cand
-	if f.perSite == nil {
-		f.perSite = make(map[int]InitialScheduler)
-	}
-	inner, ok := f.perSite[site]
-	if !ok {
-		inner = f.NewPerSite()
-		f.perSite[site] = inner
-	}
-	return inner.SelectPool(now, &f.localSpec, view)
+	return f.rr.pick(eligible, view), nil
 }
 
-// stateful is the duck-typed state contract stateful schedulers and
-// policies satisfy (see sim.Stateful); Federated uses it to recurse
-// into its per-site inner instances.
-type stateful interface {
-	ExportState() ([]byte, error)
-	ImportState([]byte) error
-}
+// ExportState captures the round-robin rotations, one per candidate
+// set, so a checkpointed simulation resumes with identical turns.
+func (f *Federated) ExportState() ([]byte, error) { return f.rr.ExportState() }
 
-// fedState is Federated's serializable state: the states of the lazily
-// created per-site inner schedulers (JSON map keys are site IDs as
-// strings; encoding/json sorts them, keeping the encoding
-// deterministic) plus the single-site fallback instance's state.
-// Stateless inner schedulers contribute empty entries, recording which
-// instances exist.
-type fedState struct {
-	PerSite  map[string][]byte `json:"per_site,omitempty"`
-	Fallback []byte            `json:"fallback,omitempty"`
-	HasFall  bool              `json:"has_fallback,omitempty"`
-}
-
-// ExportState captures the two-level scheduler's mutable state: which
-// per-site inner instances exist and, for stateful inners (round-robin
-// rotations, RNG streams), their exported states.
-func (f *Federated) ExportState() ([]byte, error) {
-	st := fedState{}
-	if len(f.perSite) > 0 {
-		st.PerSite = make(map[string][]byte, len(f.perSite))
-		for site, inner := range f.perSite {
-			var blob []byte
-			if s, ok := inner.(stateful); ok {
-				var err error
-				if blob, err = s.ExportState(); err != nil {
-					return nil, fmt.Errorf("sched: federated site %d: %w", site, err)
-				}
-			}
-			st.PerSite[strconv.Itoa(site)] = blob
-		}
-	}
-	if f.fallback != nil {
-		st.HasFall = true
-		if s, ok := f.fallback.(stateful); ok {
-			var err error
-			if st.Fallback, err = s.ExportState(); err != nil {
-				return nil, fmt.Errorf("sched: federated fallback: %w", err)
-			}
-		}
-	}
-	return json.Marshal(st)
-}
-
-// ImportState rebuilds the per-site inner schedulers from an exported
-// state, creating each instance through NewPerSite and restoring its
-// internal state when it is stateful.
-func (f *Federated) ImportState(data []byte) error {
-	var st fedState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("sched: federated state: %w", err)
-	}
-	f.perSite = nil
-	f.fallback = nil
-	if len(st.PerSite) > 0 {
-		f.perSite = make(map[int]InitialScheduler, len(st.PerSite))
-		for key, blob := range st.PerSite {
-			site, err := strconv.Atoi(key)
-			if err != nil {
-				return fmt.Errorf("sched: federated state site key %q: %w", key, err)
-			}
-			inner := f.NewPerSite()
-			if s, ok := inner.(stateful); ok && len(blob) > 0 {
-				if err := s.ImportState(blob); err != nil {
-					return fmt.Errorf("sched: federated site %d: %w", site, err)
-				}
-			}
-			f.perSite[site] = inner
-		}
-	}
-	if st.HasFall {
-		f.fallback = f.NewPerSite()
-		if s, ok := f.fallback.(stateful); ok && len(st.Fallback) > 0 {
-			if err := s.ImportState(st.Fallback); err != nil {
-				return fmt.Errorf("sched: federated fallback: %w", err)
-			}
-		}
-	}
-	return nil
-}
+// ImportState restores previously exported rotations.
+func (f *Federated) ImportState(data []byte) error { return f.rr.ImportState(data) }

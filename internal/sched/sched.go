@@ -25,8 +25,6 @@ import (
 // impractical in reality given the unavoidable propagation latency
 // between different pools" (§3.2.2).
 type PoolView interface {
-	// NumPools returns the number of physical pools.
-	NumPools() int
 	// Utilization returns pool's busy-core fraction in [0, 1].
 	Utilization(pool int) float64
 	// QueueLen returns the number of jobs waiting in pool's queue.
@@ -107,11 +105,16 @@ func (r *RoundRobin) Name() string {
 
 // SelectPool implements InitialScheduler.
 func (r *RoundRobin) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, error) {
-	eligible := eligibleCandidates(spec, view, r.scratch)
-	r.scratch = eligible
-	if len(eligible) == 0 {
+	r.scratch = eligibleCandidates(spec, view, r.scratch)
+	if len(r.scratch) == 0 {
 		return 0, errNoEligiblePool(spec)
 	}
+	return r.pick(r.scratch, view), nil
+}
+
+// pick takes the next turn of the rotation over eligible, a non-empty
+// list of statically eligible pools that pick does not retain.
+func (r *RoundRobin) pick(eligible []int, view PoolView) int {
 	// Lookups convert the reused key bytes without allocating; only a
 	// new candidate set pays for its key string.
 	r.key = appendCandidateKey(r.key[:0], eligible)
@@ -126,7 +129,7 @@ func (r *RoundRobin) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, 
 		}
 		idx := *cur
 		*cur++
-		return eligible[idx%len(eligible)], nil
+		return eligible[idx%len(eligible)]
 	}
 	st, ok := r.wrr[string(r.key)]
 	if !ok {
@@ -137,7 +140,7 @@ func (r *RoundRobin) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, 
 		r.wrr[string(r.key)] = st
 	}
 	if !r.AvoidQueues {
-		return st.next(), nil
+		return st.next()
 	}
 	// Availability filter: rotate until a pool with an empty wait queue
 	// turns up; if every candidate is backlogged, take the one with the
@@ -148,13 +151,13 @@ func (r *RoundRobin) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, 
 		p := st.next()
 		q := view.QueueLen(p)
 		if q == 0 {
-			return p, nil
+			return p
 		}
 		if best == -1 || q < bestQ {
 			best, bestQ = p, q
 		}
 	}
-	return best, nil
+	return best
 }
 
 // rrState is RoundRobin's serializable mutable state. JSON keeps the

@@ -21,7 +21,6 @@ type fakeView struct {
 
 var _ PoolView = (*fakeView)(nil)
 
-func (f *fakeView) NumPools() int             { return len(f.cores) }
 func (f *fakeView) Utilization(p int) float64 { return f.utils[p] }
 func (f *fakeView) QueueLen(p int) int        { return f.queues[p] }
 func (f *fakeView) PoolCores(p int) int       { return f.cores[p] }

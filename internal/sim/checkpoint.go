@@ -44,10 +44,13 @@ import (
 // a, b), keeps open maintenance blocks in the faults section, and drops
 // the words only the retired partitioned engines set: the header's
 // mode string and shard count, the core phase word, each event's two
-// other rank words, and accounting's raw flag.
+// other rank words, and accounting's raw flag. Version 4 saves the
+// federated scheduler's state as one round-robin's rotations instead of
+// per-site blobs, drops the empty "resched" section, and drops the
+// conservation-check flag from the configuration hash.
 const (
 	snapshotMagic   = uint32(0x4e425350) // "NBSP"
-	snapshotVersion = uint32(3)
+	snapshotVersion = uint32(4)
 )
 
 // ErrSnapshotMismatch wraps every resume failure caused by the snapshot
@@ -250,7 +253,6 @@ func configHash(w *world) uint64 {
 	e.F64(cfg.DecisionDelay)
 	e.Bool(cfg.QueueBeatsResume)
 	e.F64(cfg.MaxTime)
-	e.Bool(cfg.CheckConservation)
 	e.Bool(cfg.DisableSampling)
 	e.F64(cfg.Faults.MTBF)
 	e.F64(cfg.Faults.MTTR)
@@ -376,15 +378,12 @@ type stateCodec struct {
 // stateCodecs lists the snapshot sections in encoding order, which is
 // part of the snapshot format: a restore pairs saved sections with
 // codecs by position and checks their names. "faults" comes last and
-// exists only with faults on (see codecs). "resched" is empty —
-// rescheduling keeps no state beyond its pending events and the
-// policy's own — but stays, because dropping it would change every
-// snapshot's bytes.
+// exists only with faults on (see codecs). Rescheduling has no section:
+// its only state is its pending events and the policy's own.
 var stateCodecs = [...]stateCodec{
 	{"core", (*world).saveCore, (*world).loadCore},
 	{"accounting", (*world).saveAccounting, (*world).loadAccounting},
 	{"placement", (*world).savePlacement, (*world).loadPlacement},
-	{"resched", func(*world, *snapEncoder) {}, func(*world, *snapDecoder) error { return nil }},
 	{"views", (*world).saveViews, (*world).loadViews},
 	{"faults", (*world).saveFaults, (*world).loadFaults},
 }

@@ -39,13 +39,12 @@ func checkpointWorkload(t *testing.T, seed uint64, polPick, selPick, staleness, 
 		return Config{}, nil, false
 	}
 	cfg := Config{
-		Platform:          plat,
-		Initial:           federatedInitial(siteSelectorForIndex(int(selPick))),
-		Policy:            multiSitePolicyForIndex(int(polPick), seed),
-		UtilStaleness:     float64(staleness % 40),
-		Faults:            fuzzFaults(seed, faultPick, victimPick),
-		CheckConservation: true,
-		MaxTime:           50000,
+		Platform:      plat,
+		Initial:       federatedInitial(siteSelectorForIndex(int(selPick))),
+		Policy:        multiSitePolicyForIndex(int(polPick), seed),
+		UtilStaleness: float64(staleness % 40),
+		Faults:        fuzzFaults(seed, faultPick, victimPick),
+		MaxTime:       50000,
 	}
 	return cfg, specs, true
 }
@@ -149,11 +148,10 @@ func checkpointFixtureWith(t *testing.T, faults FaultConfig) (Config, []job.Spec
 		t.Fatal(err)
 	}
 	base := Config{
-		Platform:          plat,
-		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
-		Policy:            core.NewResSusWaitRand(99),
-		Faults:            faults,
-		CheckConservation: true,
+		Platform: plat,
+		Initial:  federatedInitial(sched.LatencyPenalizedUtil{}),
+		Policy:   core.NewResSusWaitRand(99),
+		Faults:   faults,
 	}
 	ckCfg, cks := collectCheckpoints(base, 60)
 	if _, err := Run(*ckCfg, specs); err != nil {
@@ -218,24 +216,29 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 		t.Errorf("workload mismatch: got %v, want ErrSnapshotMismatch", err)
 	}
 
-	// A version-2 snapshot (valid trailer) must fail cleanly, never
-	// panic: the version is the second header word.
-	legacy := patchSnapshot(t, data, func(body []byte, _ *snapshot) {
-		binary.LittleEndian.PutUint64(body[8:], 2)
-	})
-	if _, err := decodeSnapshot(legacy); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "version 2") {
-		t.Errorf("version-2 snapshot decode: got %v, want the ErrSnapshotMismatch version error", err)
-	}
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("legacy resume panicked: %v", r)
-			}
+	// Older-format snapshots (valid trailer) must fail cleanly, never
+	// panic: the version is the second header word. A forged version-3
+	// header over a version-4 body passes every other guard, so only
+	// the version word stops it.
+	for _, version := range []uint64{2, 3} {
+		legacy := patchSnapshot(t, data, func(body []byte, _ *snapshot) {
+			binary.LittleEndian.PutUint64(body[8:], version)
+		})
+		want := fmt.Sprintf("version %d", version)
+		if _, err := decodeSnapshot(legacy); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), want) {
+			t.Errorf("version-%d snapshot decode: got %v, want the ErrSnapshotMismatch version error", version, err)
+		}
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("version-%d resume panicked: %v", version, r)
+				}
+			}()
+			return resume(base, legacy)
 		}()
-		return resume(base, legacy)
-	}()
-	if !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("version-2 snapshot: got %v, want ErrSnapshotMismatch", err)
+		if !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("version-%d snapshot: got %v, want ErrSnapshotMismatch", version, err)
+		}
 	}
 }
 
@@ -687,10 +690,9 @@ func TestReplayBisectRejectsCrossConfigSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := Config{
-			Platform:          plat,
-			Initial:           federatedInitial(sched.LocalityFirst{}),
-			Policy:            core.NewNoRes(),
-			CheckConservation: true,
+			Platform: plat,
+			Initial:  federatedInitial(sched.LocalityFirst{}),
+			Policy:   core.NewNoRes(),
 		}
 		ckCfg, cks := collectCheckpoints(base, 60)
 		if _, err := Run(*ckCfg, specs); err != nil {

@@ -257,10 +257,9 @@ func deltaFixture(t *testing.T) (Config, []job.Spec, []Checkpoint, string) {
 		t.Fatal(err)
 	}
 	base := Config{
-		Platform:          plat,
-		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
-		Policy:            core.NewResSusWaitRand(99),
-		CheckConservation: true,
+		Platform: plat,
+		Initial:  federatedInitial(sched.LatencyPenalizedUtil{}),
+		Policy:   core.NewResSusWaitRand(99),
 	}
 	plain := base
 	plain.Policy = core.NewResSusWaitRand(99)

@@ -59,9 +59,7 @@ func fingerprint(res *Result) string {
 // federatedInitial builds the two-level scheduler used by the
 // multi-site experiment cells.
 func federatedInitial(sel sched.SiteSelector) sched.InitialScheduler {
-	return sched.NewFederated(sel, func() sched.InitialScheduler {
-		return sched.NewRoundRobin()
-	})
+	return sched.NewFederated(sel)
 }
 
 func multiSitePolicyForIndex(i int, seed uint64) core.Policy {
@@ -107,11 +105,10 @@ func TestMaxTimeBoundary(t *testing.T) {
 		}
 		mk := func(maxTime float64) Config {
 			return Config{
-				Platform:          plat,
-				Initial:           federatedInitial(sched.LocalityFirst{}),
-				Policy:            core.NewResSusWaitUtil(),
-				MaxTime:           maxTime,
-				CheckConservation: true,
+				Platform: plat,
+				Initial:  federatedInitial(sched.LocalityFirst{}),
+				Policy:   core.NewResSusWaitUtil(),
+				MaxTime:  maxTime,
 			}
 		}
 		base, err := Run(mk(0), specs)
@@ -267,11 +264,10 @@ func TestForcedCrossSiteAliasRetires(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	res, err := Run(Config{
-		Platform:          plat,
-		Initial:           sched.NewRoundRobin(),
-		Policy:            moveWaitPolicy{from: 0, to: 1, th: 2.3},
-		CheckConservation: true,
-		Metrics:           reg,
+		Platform: plat,
+		Initial:  sched.NewRoundRobin(),
+		Policy:   moveWaitPolicy{from: 0, to: 1, th: 2.3},
+		Metrics:  reg,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -143,7 +143,6 @@ func TestMaintResumeWithWindowOpen(t *testing.T) {
 			fresh := func() Config {
 				c := cfg
 				c.Initial = sched.NewRoundRobin()
-				c.CheckConservation = true
 				return c
 			}
 			want := fingerprint(run(t, fresh(), tc.specs))
@@ -209,11 +208,10 @@ func TestFaultsZeroConfigByteIdentical(t *testing.T) {
 	}
 	mk := func(f FaultConfig) Config {
 		return Config{
-			Platform:          plat,
-			Initial:           federatedInitial(siteSelectorForIndex(1)),
-			Policy:            multiSitePolicyForIndex(1, 3),
-			CheckConservation: true,
-			Faults:            f,
+			Platform: plat,
+			Initial:  federatedInitial(siteSelectorForIndex(1)),
+			Policy:   multiSitePolicyForIndex(1, 3),
+			Faults:   f,
 		}
 	}
 	base, err := Run(mk(FaultConfig{}), specs)

@@ -6,11 +6,11 @@ package sim
 // Every run must return a result or an error, never panic; the only
 // acceptable error is the MaxTime cap that bounds per-input cost; a
 // successful run must reproduce its fingerprint bit for bit when run
-// again; and with CheckConservation on, every completed job must pass
-// the accounting identity (a violation fails the run). faultPick == 0
-// disables the fault subsystem; any other value enables machine
-// crashes (and, depending on its low bits, maintenance windows under
-// either victim policy). The committed corpus pins coordinates that
+// again; and every completed job must pass the accounting identity
+// (the engine checks it on completion, so a violation fails the run).
+// faultPick == 0 disables the fault subsystem; any other value enables
+// machine crashes (and, depending on its low bits, maintenance windows
+// under either victim policy). The committed corpus pins coordinates that
 // once broke a partitioned engine: a cross-site alias dispatch, an
 // arrival/refresh tie on the sample grid, a stale decision fence, a
 // lost cancellation, and machine crashes racing cross-site arrivals
@@ -74,13 +74,12 @@ func FuzzFederationRun(f *testing.F) {
 		}
 		mk := func() Config {
 			return Config{
-				Platform:          plat,
-				Initial:           federatedInitial(siteSelectorForIndex(int(selPick))),
-				Policy:            multiSitePolicyForIndex(int(polPick), seed),
-				UtilStaleness:     float64(staleness % 40),
-				Faults:            fuzzFaults(seed, faultPick, victimPick),
-				CheckConservation: true,
-				MaxTime:           20000,
+				Platform:      plat,
+				Initial:       federatedInitial(siteSelectorForIndex(int(selPick))),
+				Policy:        multiSitePolicyForIndex(int(polPick), seed),
+				UtilStaleness: float64(staleness % 40),
+				Faults:        fuzzFaults(seed, faultPick, victimPick),
+				MaxTime:       20000,
 			}
 		}
 		res, err := Run(mk(), specs)

@@ -34,10 +34,9 @@ func obsFederation(t *testing.T, seed uint64) (Config, []job.Spec) {
 		t.Fatal(err)
 	}
 	return Config{
-		Platform:          plat,
-		Initial:           federatedInitial(sched.LocalityFirst{}),
-		Policy:            core.NewResSusWaitUtil(),
-		CheckConservation: true,
+		Platform: plat,
+		Initial:  federatedInitial(sched.LocalityFirst{}),
+		Policy:   core.NewResSusWaitUtil(),
 	}, specs
 }
 

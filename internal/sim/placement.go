@@ -440,10 +440,8 @@ func (w *world) handleFinish(idx int) error {
 	if err := rt.j.Complete(w.now); err != nil {
 		return err
 	}
-	if w.cfg.CheckConservation {
-		if err := rt.j.CheckConservation(); err != nil {
-			return err
-		}
+	if err := rt.j.CheckConservation(); err != nil {
+		return err
 	}
 	w.completed++
 	removeRunning(mach, rt)

@@ -106,7 +106,6 @@ func TestEngineInvariantsUnderRandomWorkloads(t *testing.T) {
 			Platform:           plat,
 			Initial:            initialForIndex(int(initPick), seed),
 			Policy:             policyForIndex(int(polPick), seed),
-			CheckConservation:  true, // per-job invariant verified inside
 			RescheduleOverhead: float64(seed % 7),
 			SuspendHoldsMemory: seed%2 == 0,
 		}
@@ -246,13 +245,10 @@ func TestJobConservationAcrossRandomScenarios(t *testing.T) {
 			policy = policyForIndex(int(polPick), seed)
 		}
 		cfg := Config{
-			Platform: plat,
-			Initial: sched.NewFederated(siteSelectorForIndex(int(selPick)), func() sched.InitialScheduler {
-				return sched.NewRoundRobin()
-			}),
-			Policy:            policy,
-			UtilStaleness:     float64(seed % 4),
-			CheckConservation: true,
+			Platform:      plat,
+			Initial:       sched.NewFederated(siteSelectorForIndex(int(selPick))),
+			Policy:        policy,
+			UtilStaleness: float64(seed % 4),
 		}
 		res, err := Run(cfg, specs)
 		if err != nil {
@@ -337,10 +333,8 @@ func TestMultiSiteDeterministic(t *testing.T) {
 	mk := func() Config {
 		return Config{
 			Platform: plat,
-			Initial: sched.NewFederated(sched.LatencyPenalizedUtil{}, func() sched.InitialScheduler {
-				return sched.NewRoundRobin()
-			}),
-			Policy: core.NewResSusWaitLatency(),
+			Initial:  sched.NewFederated(sched.LatencyPenalizedUtil{}),
+			Policy:   core.NewResSusWaitLatency(),
 		}
 	}
 	a, err := Run(mk(), specs)

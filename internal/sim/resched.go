@@ -14,7 +14,7 @@ import (
 // utilization view. Their only state is their pending events (saved
 // with the queue; restoreQueue rewires each restored wait timer to its
 // job) and the policy's internals (saved through the Stateful
-// contract), so their codec section, "resched", is empty.
+// contract), so snapshots have no section for them.
 
 // handleSusDecide consults the rescheduling policy about a job that was
 // suspended one decision sweep ago.

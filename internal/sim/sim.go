@@ -112,9 +112,6 @@ type Config struct {
 	// indicating livelock. Zero means the default, 10,000,000 minutes;
 	// negative values are rejected.
 	MaxTime float64
-	// CheckConservation verifies each job's accounting invariant on
-	// completion. Default true; costs almost nothing.
-	CheckConservation bool
 	// DisableSampling turns off per-minute sampling (for benchmarks
 	// that only need job metrics).
 	DisableSampling bool

@@ -49,7 +49,6 @@ func highJob(id job.ID, submit, work float64, cands ...int) job.Spec {
 
 func run(t *testing.T, cfg Config, specs []job.Spec) *Result {
 	t.Helper()
-	cfg.CheckConservation = true
 	res, err := Run(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -582,6 +581,12 @@ func TestConfigErrors(t *testing.T) {
 		{name: "Faults.MaintFraction -Inf", set: func(c *Config) {
 			c.Faults = FaultConfig{MaintPeriod: 100, MaintDuration: 10, MaintFraction: -inf}
 		}},
+		{name: "Faults.MaintFraction NaN", set: func(c *Config) {
+			c.Faults = FaultConfig{MaintPeriod: 100, MaintDuration: 10, MaintFraction: nan}
+		}},
+		{name: "Faults.MaintFraction +Inf", set: func(c *Config) {
+			c.Faults = FaultConfig{MaintPeriod: 100, MaintDuration: 10, MaintFraction: inf}
+		}},
 		{name: "MigrationOverhead NaN", set: func(c *Config) { c.Policy = core.NewResSusMigrate(nan) }, want: "migration overhead"},
 		{name: "MigrationOverhead +Inf", set: func(c *Config) { c.Policy = core.NewResSusMigrate(inf) }, want: "migration overhead"},
 		{name: "MigrationOverhead negative", set: func(c *Config) { c.Policy = core.NewResSusMigrate(-5) }, want: "migration overhead"},
@@ -715,7 +720,7 @@ func TestManyJobsConservationAndCompletion(t *testing.T) {
 	}
 	cfg := baseConfig(p)
 	cfg.Policy = core.NewResSusWaitUtil()
-	res := run(t, cfg, specs) // CheckConservation on: every job verified
+	res := run(t, cfg, specs) // every completion checks conservation
 	if len(res.Jobs) != 500 {
 		t.Fatalf("jobs = %d", len(res.Jobs))
 	}

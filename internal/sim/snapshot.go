@@ -101,9 +101,6 @@ func (v *poolView) liveUtil(p int) float64 {
 	return float64(pool.busyCores) / float64(pool.pool.Cores)
 }
 
-// NumPools implements sched.PoolView.
-func (v *poolView) NumPools() int { return len(v.w.pools) }
-
 // Utilization implements sched.PoolView.
 func (v *poolView) Utilization(p int) float64 {
 	if v.w.snap != nil && v.w.ageDelay(v.obs, v.w.siteOf[p]) > 0 {
@@ -128,9 +125,6 @@ func (v *poolView) NumSites() int { return v.w.nSites }
 
 // SiteOf implements sched.SiteView.
 func (v *poolView) SiteOf(pool int) int { return v.w.siteOf[pool] }
-
-// SitePools implements sched.SiteView.
-func (v *poolView) SitePools(site int) []int { return v.w.plat.Site(site).Pools }
 
 // SiteUtilization implements sched.SiteView: the core-weighted mean of
 // the (aged) per-pool utilizations of the site.

@@ -196,56 +196,6 @@ type GeneratorConfig struct {
 	// (geometric, ≥2).
 	TaskFraction float64 `json:"task_fraction"`
 	TaskMeanSize float64 `json:"task_mean_size"`
-
-	// Faults describes the failure/maintenance regime the trace is
-	// meant to be replayed under. The generator itself never reads it —
-	// job arrivals are independent of machine health — but presets
-	// carry it here so one config fully describes an environment, and
-	// the experiment layer maps it onto the engine's fault subsystem.
-	Faults *FaultRegime `json:"faults,omitempty"`
-}
-
-// FaultRegime is the environment's failure and maintenance profile:
-// the knobs the engine's fault subsystem is configured from. All times
-// are minutes.
-type FaultRegime struct {
-	// MTBF is the mean time between machine crashes per site (0 = no
-	// crashes); MTTR the mean repair time.
-	MTBF float64 `json:"mtbf"`
-	MTTR float64 `json:"mttr"`
-	// MaintPeriod is the maintenance-window cadence per site (0 = no
-	// windows); MaintDuration each window's length; MaintFraction the
-	// fraction of a site's machines down per window.
-	MaintPeriod   float64 `json:"maint_period"`
-	MaintDuration float64 `json:"maint_duration"`
-	MaintFraction float64 `json:"maint_fraction"`
-	// Victim is the maintenance victim-job policy: "requeue" (default)
-	// or "drain".
-	Victim string `json:"victim,omitempty"`
-}
-
-// Validate reports configuration errors.
-func (f *FaultRegime) Validate() error {
-	if err := checkFinite("fault regime", f.MTBF, f.MTTR, f.MaintPeriod, f.MaintDuration, f.MaintFraction); err != nil {
-		return err
-	}
-	switch {
-	case f.MTBF < 0 || f.MTTR < 0 || f.MaintPeriod < 0 || f.MaintDuration < 0:
-		return fmt.Errorf("fault regime: negative parameter %+v", *f)
-	case f.MTBF > 0 && f.MTTR <= 0:
-		return fmt.Errorf("fault regime: crashes need a positive MTTR")
-	case f.MaintPeriod > 0 && (f.MaintDuration <= 0 || f.MaintDuration >= f.MaintPeriod):
-		return fmt.Errorf("fault regime: maintenance duration %v outside (0, period %v)",
-			f.MaintDuration, f.MaintPeriod)
-	case f.MaintFraction < 0 || f.MaintFraction > 1:
-		return fmt.Errorf("fault regime: maintenance fraction %v outside [0,1]", f.MaintFraction)
-	}
-	switch f.Victim {
-	case "", "requeue", "drain":
-	default:
-		return fmt.Errorf("fault regime: unknown victim policy %q", f.Victim)
-	}
-	return nil
 }
 
 // checkFinite rejects NaN and ±Inf among a config's float fields. It
@@ -412,11 +362,6 @@ func (c *GeneratorConfig) Validate() error {
 		if len(c.OwnedPools) < a.PoolsPerBurst {
 			return fmt.Errorf("generator: auto bursts need %d owned pools, have %d",
 				a.PoolsPerBurst, len(c.OwnedPools))
-		}
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return fmt.Errorf("generator: %w", err)
 		}
 	}
 	return nil

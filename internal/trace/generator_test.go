@@ -279,7 +279,6 @@ func TestGenerateValidationErrors(t *testing.T) {
 			"autoMaxDur": func(c *GeneratorConfig) {
 				c.Auto = &AutoBursts{MeanGap: 1, MeanDuration: 1, MaxDuration: x, Rate: 1, PoolsPerBurst: 1}
 			},
-			"faultMaintFrac": func(c *GeneratorConfig) { c.Faults = &FaultRegime{MaintFraction: x} },
 		} {
 			t.Run(field+" "+v.name, func(t *testing.T) {
 				cfg := smallConfig(1)
@@ -438,23 +437,6 @@ func specDigest(tr *Trace) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// scaledPreset multiplies a preset's arrival rates by s, as the
-// experiment layer scales traces to a smaller platform.
-func scaledPreset(cfg GeneratorConfig, s float64) GeneratorConfig {
-	cfg.LowRate *= s
-	bursts := append([]Burst(nil), cfg.Bursts...)
-	for i := range bursts {
-		bursts[i].Rate *= s
-	}
-	cfg.Bursts = bursts
-	if cfg.Auto != nil {
-		a := *cfg.Auto
-		a.Rate *= s
-		cfg.Auto = &a
-	}
-	return cfg
-}
-
 // TestPresetTracesPinned pins every preset's trace, at small scales and
 // seeds 42 and 7, to a digest of all its spec fields. A change to any
 // stream's draw order, to the sampling arithmetic or to the merge order
@@ -464,11 +446,11 @@ func TestPresetTracesPinned(t *testing.T) {
 		name string
 		cfg  func(seed uint64) GeneratorConfig
 	}{
-		{"WeekNormal", func(s uint64) GeneratorConfig { return scaledPreset(WeekNormal(s), 0.02) }},
-		{"HighSuspension", func(s uint64) GeneratorConfig { return scaledPreset(HighSuspension(s), 0.02) }},
-		{"MultiSiteWeek", func(s uint64) GeneratorConfig { return scaledPreset(MultiSiteWeek(s, 3), 0.02) }},
-		{"FaultyMultiSiteWeek", func(s uint64) GeneratorConfig { return scaledPreset(FaultyMultiSiteWeek(s, 3), 0.02) }},
-		{"MultiSiteYear", func(s uint64) GeneratorConfig { return scaledPreset(MultiSiteYear(s, 6), 0.002) }},
+		{"WeekNormal", func(s uint64) GeneratorConfig { return ScaleRates(WeekNormal(s), 0.02) }},
+		{"HighSuspension", func(s uint64) GeneratorConfig { return ScaleRates(HighSuspension(s), 0.02) }},
+		{"MultiSiteWeek", func(s uint64) GeneratorConfig { return ScaleRates(MultiSiteWeek(s, 3), 0.02) }},
+		{"FaultyMultiSiteWeek", func(s uint64) GeneratorConfig { return ScaleRates(FaultyMultiSiteWeek(s, 3), 0.02) }},
+		{"MultiSiteYear", func(s uint64) GeneratorConfig { return ScaleRates(MultiSiteYear(s, 6), 0.002) }},
 		{"YearLong", func(s uint64) GeneratorConfig { return YearLong(s, 0.004) }},
 	}
 	// Computed with the single-pass generator that generateReference

@@ -187,45 +187,26 @@ func MultiSiteWeek(seed uint64, nSites int) GeneratorConfig {
 	return cfg
 }
 
-// DefaultFaultRegime is the failure/maintenance profile of the faulty
-// busy-week presets: a machine crash per site roughly every 33 hours
-// (repaired in ~5 hours on average), and a maintenance window every
-// two days taking a fifth of the site's machines down for four hours.
-// At those rates downtime claims a few percent of capacity — enough to
-// make availability, goodput and requeue churn visible without
-// drowning the paper's rescheduling dynamics.
-func DefaultFaultRegime() FaultRegime {
-	return FaultRegime{
-		MTBF:          2000,
-		MTTR:          300,
-		MaintPeriod:   2880,
-		MaintDuration: 240,
-		MaintFraction: 0.20,
-	}
-}
-
-// FaultyMultiSiteWeek is the MultiSiteWeek busy week annotated with
-// the default fault regime, meant to be replayed on a federation whose
-// machines crash and go down for maintenance. The victim policy is
-// left at the engine default (kill-and-requeue); experiments override
-// it per cell.
+// FaultyMultiSiteWeek is the MultiSiteWeek busy week meant to be
+// replayed on a federation whose machines crash and go down for
+// maintenance (the faults experiment configures the engine's fault
+// subsystem; the generator never reads machine health).
 //
 // One workload change is forced by the fault model itself: NetBatch
 // restarts killed jobs from the beginning (no checkpointing), so a job
 // whose service demand exceeds the time between kills of its machine
-// can NEVER finish — under the default regime a machine is hit by
-// maintenance every MaintPeriod/MaintFraction ≈ 14,400 minutes, and
-// the busy week's 30,000-minute tail cap would starve forever. The
-// faulty preset therefore caps service demands well below the
-// inter-kill horizon; the divergence of restart-based recovery on
-// longer jobs is exactly the §2.3 restart-vs-checkpoint trade-off,
-// surfaced by machine failures instead of rescheduling policy.
+// can NEVER finish — under the faults experiment's regime (a window
+// every 2,880 minutes taking a fifth of a site's machines) a machine is
+// hit by maintenance every ≈ 14,400 minutes, and the busy week's
+// 30,000-minute tail cap would starve forever. The faulty preset
+// therefore caps service demands well below the inter-kill horizon;
+// the divergence of restart-based recovery on longer jobs is exactly
+// the §2.3 restart-vs-checkpoint trade-off, surfaced by machine
+// failures instead of rescheduling policy.
 func FaultyMultiSiteWeek(seed uint64, nSites int) GeneratorConfig {
 	cfg := MultiSiteWeek(seed, nSites)
 	cfg.LowWork.Cap = 4000
 	cfg.HighWork.Cap = 2000
-	regime := DefaultFaultRegime()
-	cfg.Faults = &regime
 	return cfg
 }
 
@@ -267,6 +248,29 @@ func YearLong(seed uint64, scale float64) GeneratorConfig {
 		MaxDuration:   10080, // ...up to a week (§2.3)
 		Rate:          30 * scale,
 		PoolsPerBurst: 2,
+	}
+	return cfg
+}
+
+// ScaleRates multiplies a configuration's arrival rates — the
+// low-priority rate, every explicit burst's and the auto bursts' — by
+// s, to pair the trace with a platform scaled by s while keeping
+// per-pool load unchanged. cfg's Bursts and Auto are copied before
+// scaling, never modified.
+func ScaleRates(cfg GeneratorConfig, s float64) GeneratorConfig {
+	if s == 1.0 {
+		return cfg
+	}
+	cfg.LowRate *= s
+	bursts := append([]Burst(nil), cfg.Bursts...)
+	for i := range bursts {
+		bursts[i].Rate *= s
+	}
+	cfg.Bursts = bursts
+	if cfg.Auto != nil {
+		a := *cfg.Auto
+		a.Rate *= s
+		cfg.Auto = &a
 	}
 	return cfg
 }
