@@ -78,7 +78,7 @@ func run() (err error) {
 	flag.Parse()
 	if err := checkFlags(numericFlags{
 		scale: *scale, seeds: *seeds, jobs: *jobs, checkpointEvery: *ckptEvery,
-		progress: *progress, timeout: *timeout,
+		checkpointKeyframe: *ckptKeyframe, progress: *progress, timeout: *timeout,
 	}); err != nil {
 		return err
 	}
@@ -172,15 +172,16 @@ func run() (err error) {
 // numericFlags are the numeric flags that experiments.Options would
 // otherwise quietly replace with a default when out of range.
 type numericFlags struct {
-	scale             float64
-	seeds, jobs       int
-	checkpointEvery   float64
-	progress, timeout time.Duration
+	scale              float64
+	seeds, jobs        int
+	checkpointEvery    float64
+	checkpointKeyframe int
+	progress, timeout  time.Duration
 }
 
 // checkFlags rejects out-of-range numeric flags before any cell starts.
 // Zero keeps its documented default meaning for -jobs,
-// -checkpoint-every, -progress and -timeout.
+// -checkpoint-every, -checkpoint-keyframe, -progress and -timeout.
 func checkFlags(f numericFlags) error {
 	switch {
 	case f.scale <= 0:
@@ -191,6 +192,8 @@ func checkFlags(f numericFlags) error {
 		return fmt.Errorf("-jobs must not be negative, got %d", f.jobs)
 	case f.checkpointEvery < 0:
 		return fmt.Errorf("-checkpoint-every must not be negative, got %v", f.checkpointEvery)
+	case f.checkpointKeyframe < 0:
+		return fmt.Errorf("-checkpoint-keyframe must not be negative, got %d", f.checkpointKeyframe)
 	case f.progress < 0:
 		return fmt.Errorf("-progress must not be negative, got %v", f.progress)
 	case f.timeout < 0:

@@ -16,7 +16,7 @@ func TestCheckFlags(t *testing.T) {
 		{name: "defaults", set: func(*numericFlags) {}},
 		{name: "paper scale, busy", set: func(f *numericFlags) {
 			f.scale, f.seeds, f.jobs = 1, 5, 8
-			f.checkpointEvery, f.progress, f.timeout = 60, time.Second, time.Minute
+			f.checkpointEvery, f.checkpointKeyframe, f.progress, f.timeout = 60, 4, time.Second, time.Minute
 		}},
 		{name: "zero scale", set: func(f *numericFlags) { f.scale = 0 }, want: "-scale"},
 		{name: "negative scale", set: func(f *numericFlags) { f.scale = -1 }, want: "-scale"},
@@ -24,6 +24,7 @@ func TestCheckFlags(t *testing.T) {
 		{name: "negative seeds", set: func(f *numericFlags) { f.seeds = -2 }, want: "-seeds"},
 		{name: "negative jobs", set: func(f *numericFlags) { f.jobs = -3 }, want: "-jobs"},
 		{name: "negative checkpoint cadence", set: func(f *numericFlags) { f.checkpointEvery = -5 }, want: "-checkpoint-every"},
+		{name: "negative checkpoint keyframe", set: func(f *numericFlags) { f.checkpointKeyframe = -3 }, want: "-checkpoint-keyframe"},
 		{name: "negative progress", set: func(f *numericFlags) { f.progress = -time.Second }, want: "-progress"},
 		{name: "negative timeout", set: func(f *numericFlags) { f.timeout = -time.Second }, want: "-timeout"},
 	}

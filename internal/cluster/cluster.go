@@ -276,14 +276,5 @@ func (p *Platform) TotalCores() int {
 	return total
 }
 
-// PoolIDs returns all pool IDs in order.
-func (p *Platform) PoolIDs() []int {
-	ids := make([]int, len(p.pools))
-	for i := range p.pools {
-		ids[i] = i
-	}
-	return ids
-}
-
 // PoolCores returns the core count of pool id.
 func (p *Platform) PoolCores(id int) int { return p.pools[id].Cores }

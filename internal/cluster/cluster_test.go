@@ -54,7 +54,7 @@ func TestBuild(t *testing.T) {
 		}
 	}
 	// Pool membership is consistent.
-	for _, pid := range p.PoolIDs() {
+	for pid := range p.NumPools() {
 		for _, mid := range p.Pool(pid).Machines {
 			if p.Machine(mid).Pool != pid {
 				t.Fatalf("machine %d claims pool %d, listed under %d", mid, p.Machine(mid).Pool, pid)
@@ -147,7 +147,7 @@ func TestNewNetBatchPlatformDefault(t *testing.T) {
 	if big <= small {
 		t.Fatalf("big pool (%d cores) not larger than small (%d)", big, small)
 	}
-	for _, id := range BigPoolIDs(cfg) {
+	for id := range cfg.BigPools {
 		if !strings.HasPrefix(p.Pool(id).Name, "big-") {
 			t.Fatalf("pool %d = %q, want big-*", id, p.Pool(id).Name)
 		}
@@ -247,7 +247,7 @@ func TestScaleCapacityHalf(t *testing.T) {
 			t.Fatalf("machine %d has ID %d", i, half.Machine(i).ID)
 		}
 	}
-	for _, pid := range half.PoolIDs() {
+	for pid := range half.NumPools() {
 		for _, mid := range half.Pool(pid).Machines {
 			if half.Machine(mid).Pool != pid {
 				t.Fatal("pool membership broken after scaling")

@@ -93,16 +93,6 @@ func standardClasses(machines int, cfg NetBatchConfig) []MachineClass {
 	}
 }
 
-// BigPoolIDs returns the IDs of the big pools in a platform built by
-// NewNetBatchPlatform with the given config (they come first).
-func BigPoolIDs(cfg NetBatchConfig) []int {
-	ids := make([]int, cfg.BigPools)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 // checkFactor rejects a multiplicative factor that is non-finite or not
 // positive. Machine counts round from count × factor, and the rounding
 // of NaN or ±Inf is no count at all.

@@ -24,28 +24,11 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"netbatch/internal/job"
 	"netbatch/internal/sched"
+	"netbatch/internal/snap"
 	"netbatch/internal/stats"
 )
-
-// exportRNG/importRNG serialize a policy's RNG stream position for
-// checkpoint/restore (the sim.Stateful contract): a restored policy
-// draws the exact stream a never-interrupted one would.
-func exportRNG(rng *stats.RNG) ([]byte, error) {
-	return json.Marshal(rng.ExportState())
-}
-
-func importRNG(rng *stats.RNG, data []byte) error {
-	var st stats.RNGState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: policy RNG state: %w", err)
-	}
-	return rng.ImportState(st)
-}
 
 // DefaultWaitThreshold is the paper's waiting-time threshold: "30
 // minutes, which is about twice the expected average waiting time in
@@ -198,11 +181,12 @@ func (r *ResSusRand) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int,
 // WaitThreshold implements Policy.
 func (*ResSusRand) WaitThreshold() float64 { return 0 }
 
-// ExportState captures the policy's RNG stream position.
-func (r *ResSusRand) ExportState() ([]byte, error) { return exportRNG(r.rng) }
+// SaveState implements sim.Stateful: the RNG stream position, so a
+// restored policy draws the exact stream a never-interrupted one would.
+func (r *ResSusRand) SaveState(e *snap.Encoder) { r.rng.SaveState(e) }
 
-// ImportState restores a previously exported stream position.
-func (r *ResSusRand) ImportState(data []byte) error { return importRNG(r.rng, data) }
+// LoadState implements sim.Stateful.
+func (r *ResSusRand) LoadState(d *snap.Decoder) error { return r.rng.LoadState(d) }
 
 // OnWaitTimeout implements Policy.
 func (*ResSusRand) OnWaitTimeout(float64, *job.Job, sched.PoolView) (int, bool) {
@@ -272,11 +256,11 @@ func (r *ResSusWaitRand) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (
 // WaitThreshold implements Policy.
 func (r *ResSusWaitRand) WaitThreshold() float64 { return r.Threshold }
 
-// ExportState captures the policy's RNG stream position.
-func (r *ResSusWaitRand) ExportState() ([]byte, error) { return exportRNG(r.rng) }
+// SaveState implements sim.Stateful: the RNG stream position.
+func (r *ResSusWaitRand) SaveState(e *snap.Encoder) { r.rng.SaveState(e) }
 
-// ImportState restores a previously exported stream position.
-func (r *ResSusWaitRand) ImportState(data []byte) error { return importRNG(r.rng, data) }
+// LoadState implements sim.Stateful.
+func (r *ResSusWaitRand) LoadState(d *snap.Decoder) error { return r.rng.LoadState(d) }
 
 // OnWaitTimeout implements Policy.
 func (r *ResSusWaitRand) OnWaitTimeout(_ float64, j *job.Job, view sched.PoolView) (int, bool) {

@@ -45,8 +45,8 @@ type Scenario struct {
 	// seed with a fixed key, so replicates see independent fault
 	// sequences and results stay coordinate-deterministic.
 	Faults *sim.FaultConfig
-	// Tune optionally adjusts the final engine config (ablation knobs
-	// such as DisableSampling or QueueBeatsResume).
+	// Tune optionally adjusts the final engine config (knobs such as
+	// SampleEvery or DisableSampling).
 	Tune func(*sim.Config)
 }
 

@@ -322,26 +322,26 @@ func TestMatrixCheckpointResume(t *testing.T) {
 	}
 }
 
-// version3Snapshot rewrites a snapshot's format-version word (the
-// second header word, after the magic) to 3 and recomputes the
+// version4Snapshot rewrites a snapshot's format-version word (the
+// second header word, after the magic) to 4 and recomputes the
 // CRC-32C trailer. The result passes the integrity check and fails
 // only on its version, as every snapshot of an older build does.
-func version3Snapshot(t *testing.T, data []byte) []byte {
+func version4Snapshot(t *testing.T, data []byte) []byte {
 	t.Helper()
 	const versionAt = 8
-	if got := binary.LittleEndian.Uint64(data[versionAt:]); got != 4 {
-		t.Fatalf("checkpoint format version %d, want 4", got)
+	if got := binary.LittleEndian.Uint64(data[versionAt:]); got != 5 {
+		t.Fatalf("checkpoint format version %d, want 5", got)
 	}
 	out := append([]byte(nil), data[:len(data)-8]...)
-	binary.LittleEndian.PutUint64(out[versionAt:], 3)
+	binary.LittleEndian.PutUint64(out[versionAt:], 4)
 	sum := crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli))
 	return binary.LittleEndian.AppendUint64(out, uint64(sum))
 }
 
-// TestMatrixResumeLegacyEngineCheckpoint points -resume at a version-3
-// checkpoint, the format whose federated scheduler state held one blob
-// per site: the cell must log that the checkpoint is not resumable,
-// restart from t=0, and match a fresh run.
+// TestMatrixResumeLegacyEngineCheckpoint points -resume at a version-4
+// checkpoint, the format whose scheduler and policy state were JSON
+// blobs in the header: the cell must log that the checkpoint is not
+// resumable, restart from t=0, and match a fresh run.
 func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 	m := Matrix{
 		Scenarios: []Scenario{MultiSiteScenario("fed3", 3, 0,
@@ -369,7 +369,7 @@ func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := version3Snapshot(t, data)
+	legacy := version4Snapshot(t, data)
 	if _, err := sim.ReadSnapshotMeta(legacy); !errors.Is(err, sim.ErrSnapshotMismatch) {
 		t.Fatalf("legacy snapshot meta: got %v, want ErrSnapshotMismatch", err)
 	}

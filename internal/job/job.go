@@ -172,13 +172,3 @@ func (s *Spec) Validate() error {
 	}
 	return nil
 }
-
-// EligibleFor reports whether pool is among the job's candidates.
-func (s *Spec) EligibleFor(pool int) bool {
-	for _, p := range s.Candidates {
-		if p == pool {
-			return true
-		}
-	}
-	return false
-}

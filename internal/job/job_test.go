@@ -81,16 +81,6 @@ func poolRange(n int) []int {
 	return pools
 }
 
-func TestEligibleFor(t *testing.T) {
-	s := validSpec()
-	if !s.EligibleFor(1) {
-		t.Fatal("pool 1 should be eligible")
-	}
-	if s.EligibleFor(7) {
-		t.Fatal("pool 7 should not be eligible")
-	}
-}
-
 func TestPriorityString(t *testing.T) {
 	if PriorityLow.String() != "low" || PriorityHigh.String() != "high" {
 		t.Fatal("priority labels wrong")

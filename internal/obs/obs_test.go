@@ -39,7 +39,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil process handed out a track")
 	}
 	tk.Span("x", tk.Now(), Arg{"n", 1})
-	tk.Instant("y")
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatalf("nil tracer WriteJSON: %v", err)
@@ -130,8 +129,6 @@ func TestTracerChromeFormat(t *testing.T) {
 	t0 := run.Now()
 	run.Span("run", t0, Arg{"events", 12})
 	aux.Span("capture", aux.Now(), Arg{"bytes", 12}, Arg{"keyframe", 1})
-	aux.Instant("mark")
-	run.Instant("resume", Arg{"events", 5})
 	p2 := tr.Process("cell multisite/norm/r1")
 	p2.Track("serial").Span("checkpoint", 0, Arg{"bytes", 4096})
 
@@ -176,11 +173,6 @@ func TestTracerChromeFormat(t *testing.T) {
 				t.Fatalf("complete event bad dur: %v", ev)
 			}
 			evNames[name] = true
-		case "i":
-			if _, ok := ev["ts"].(float64); !ok {
-				t.Fatalf("instant without ts: %v", ev)
-			}
-			evNames[name] = true
 		default:
 			t.Fatalf("unexpected ph %q: %v", ph, ev)
 		}
@@ -190,7 +182,7 @@ func TestTracerChromeFormat(t *testing.T) {
 			t.Errorf("missing metadata label %q (have %v)", want, metaNames)
 		}
 	}
-	for _, want := range []string{"run", "capture", "mark", "resume", "checkpoint"} {
+	for _, want := range []string{"run", "capture", "checkpoint"} {
 		if !evNames[want] {
 			t.Errorf("missing event %q", want)
 		}

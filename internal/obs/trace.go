@@ -78,7 +78,7 @@ func (p *Process) Track(name string) *Track {
 	return tk
 }
 
-// An Arg is an optional integer annotation on a span or instant.
+// An Arg is an optional integer annotation on a span.
 type Arg struct {
 	Key string
 	Val int64
@@ -86,7 +86,6 @@ type Arg struct {
 
 type traceEvent struct {
 	name string
-	ph   byte // 'X' complete, 'i' instant
 	ts   int64
 	dur  int64
 	args []Arg
@@ -112,16 +111,7 @@ func (tk *Track) Span(name string, start int64, args ...Arg) {
 	if now < start {
 		now = start
 	}
-	tk.events = append(tk.events, traceEvent{name: name, ph: 'X', ts: start, dur: now - start, args: args})
-}
-
-// Instant records a point event ("ph":"i") at the current time.
-// No-op on a nil receiver.
-func (tk *Track) Instant(name string, args ...Arg) {
-	if tk == nil {
-		return
-	}
-	tk.events = append(tk.events, traceEvent{name: name, ph: 'i', ts: tk.Now(), args: args})
+	tk.events = append(tk.events, traceEvent{name: name, ts: start, dur: now - start, args: args})
 }
 
 // WriteJSON emits the accumulated timeline as a Chrome trace_event
@@ -175,12 +165,6 @@ func renderEvent(pid, tid int, ev traceEvent) string {
 		}
 		args += "}"
 	}
-	switch ev.ph {
-	case 'X':
-		return fmt.Sprintf("{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d%s}",
-			strconv.Quote(ev.name), ev.ts, ev.dur, pid, tid, args)
-	default: // 'i'
-		return fmt.Sprintf("{\"name\":%s,\"ph\":\"i\",\"ts\":%d,\"s\":\"t\",\"pid\":%d,\"tid\":%d%s}",
-			strconv.Quote(ev.name), ev.ts, pid, tid, args)
-	}
+	return fmt.Sprintf("{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d%s}",
+		strconv.Quote(ev.name), ev.ts, ev.dur, pid, tid, args)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netbatch/internal/job"
+	"netbatch/internal/snap"
 )
 
 // SiteView extends PoolView with the federation topology: which site
@@ -221,9 +222,10 @@ func (f *Federated) SelectPool(now float64, spec *job.Spec, view PoolView) (int,
 	return f.rr.pick(eligible, view), nil
 }
 
-// ExportState captures the round-robin rotations, one per candidate
-// set, so a checkpointed simulation resumes with identical turns.
-func (f *Federated) ExportState() ([]byte, error) { return f.rr.ExportState() }
+// SaveState implements sim.Stateful: the round-robin rotations, one per
+// candidate set, so a checkpointed simulation resumes with identical
+// turns.
+func (f *Federated) SaveState(e *snap.Encoder) { f.rr.SaveState(e) }
 
-// ImportState restores previously exported rotations.
-func (f *Federated) ImportState(data []byte) error { return f.rr.ImportState(data) }
+// LoadState implements sim.Stateful.
+func (f *Federated) LoadState(d *snap.Decoder) error { return f.rr.LoadState(d) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netbatch/internal/job"
+	"netbatch/internal/snap"
 	"netbatch/internal/stats"
 )
 
@@ -155,7 +156,7 @@ func (s scriptedSite) SelectSite(float64, *job.Spec, SiteView) (int, error) { re
 // each given the job's candidates at that site. Pools of unequal size
 // make the weighted rotations uneven, one ineligible pool makes the
 // site and eligibility filters interact, and halfway through the
-// rotations move through ExportState into a fresh scheduler.
+// rotations move through SaveState into a fresh scheduler.
 func TestFederatedMatchesPerSiteRoundRobin(t *testing.T) {
 	v := &fakeSiteView{
 		siteOf:     []int{0, 0, 0, 1, 1, 1},
@@ -173,16 +174,14 @@ func TestFederatedMatchesPerSiteRoundRobin(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < n; i++ {
 		if i == n/2 {
-			blob, err := f.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			var saved, again snap.Encoder
+			f.SaveState(&saved)
 			resumed := NewFederated(scriptedSite{&site})
-			if err := resumed.ImportState(blob); err != nil {
+			if err := resumed.LoadState(snap.NewDecoder(saved.Buf)); err != nil {
 				t.Fatal(err)
 			}
-			if again, err := resumed.ExportState(); err != nil || !bytes.Equal(again, blob) {
-				t.Fatalf("re-exported state differs (%v)", err)
+			if resumed.SaveState(&again); !bytes.Equal(again.Buf, saved.Buf) {
+				t.Fatalf("re-saved state %x, want %x", again.Buf, saved.Buf)
 			}
 			f = resumed
 		}

@@ -10,11 +10,13 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"netbatch/internal/job"
+	"netbatch/internal/snap"
 	"netbatch/internal/stats"
 )
 
@@ -160,61 +162,61 @@ func (r *RoundRobin) pick(eligible []int, view PoolView) int {
 	return best
 }
 
-// rrState is RoundRobin's serializable mutable state. JSON keeps the
-// encoding deterministic: encoding/json sorts map keys, so identical
-// rotation states always encode to identical bytes.
-type rrState struct {
-	Cursors map[string]int      `json:"cursors,omitempty"`
-	WRR     map[string]*wrrDump `json:"wrr,omitempty"`
+// SaveState implements sim.Stateful: the rotations, one per candidate
+// set in ascending key order, so a checkpointed simulation resumes with
+// identical turns. Equal-turns cursors come first as (key, turns
+// taken), then capacity-weighted rotations as (key, pools, weights,
+// current weights).
+func (r *RoundRobin) SaveState(e *snap.Encoder) {
+	e.Int(len(r.cursors))
+	for _, k := range slices.Sorted(maps.Keys(r.cursors)) {
+		e.Str(k)
+		e.Int(*r.cursors[k])
+	}
+	e.Int(len(r.wrr))
+	for _, k := range slices.Sorted(maps.Keys(r.wrr)) {
+		st := r.wrr[k]
+		e.Str(k)
+		e.Ints(st.pools)
+		e.Ints(st.weights)
+		e.Ints(st.current)
+	}
 }
 
-type wrrDump struct {
-	Pools   []int `json:"pools"`
-	Weights []int `json:"weights"`
-	Current []int `json:"current"`
-	Total   int   `json:"total"`
-}
-
-// ExportState captures the scheduler's rotation state (per candidate
-// set) so a checkpointed simulation can resume with identical turns.
-func (r *RoundRobin) ExportState() ([]byte, error) {
-	st := rrState{}
-	if len(r.cursors) > 0 {
-		st.Cursors = make(map[string]int, len(r.cursors))
-		for k, c := range r.cursors {
-			st.Cursors[k] = *c
+// LoadState implements sim.Stateful. A rotation must turn over exactly
+// the pools its key spells, with a weight and a current weight per
+// pool: pick consults a rotation only for the eligible pools its key
+// was built from, so a rotation that passes never indexes past its
+// lists or returns a pool outside the job's candidates. A cursor must
+// not be negative.
+func (r *RoundRobin) LoadState(d *snap.Decoder) error {
+	// A cursor is at least two words, a rotation four.
+	n := d.Count(-1, 16)
+	r.cursors = make(map[string]*int, n)
+	for range n {
+		k, c := d.Str(), d.Int()
+		if c < 0 {
+			return fmt.Errorf("%w: round-robin cursor %d for candidate set %q", snap.ErrMismatch, c, k)
 		}
+		r.cursors[k] = &c
 	}
-	if len(r.wrr) > 0 {
-		st.WRR = make(map[string]*wrrDump, len(r.wrr))
-		for k, w := range r.wrr {
-			st.WRR[k] = &wrrDump{Pools: w.pools, Weights: w.weights, Current: w.current, Total: w.total}
+	n = d.Count(-1, 32)
+	r.wrr = make(map[string]*wrrState, n)
+	for range n {
+		k := d.Str()
+		st := &wrrState{pools: d.IntsN(-1)}
+		st.weights, st.current = d.IntsN(-1), d.IntsN(-1)
+		r.key = appendCandidateKey(r.key[:0], st.pools)
+		if d.Err() == nil && (string(r.key) != k || len(st.weights) != len(st.pools) || len(st.current) != len(st.pools)) {
+			return fmt.Errorf("%w: round-robin rotation over pools %v (weights %v, current %v) under candidate set %q",
+				snap.ErrMismatch, st.pools, st.weights, st.current, k)
 		}
-	}
-	return json.Marshal(st)
-}
-
-// ImportState restores a previously exported rotation state.
-func (r *RoundRobin) ImportState(data []byte) error {
-	var st rrState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("sched: round-robin state: %w", err)
-	}
-	r.cursors = nil
-	if len(st.Cursors) > 0 {
-		r.cursors = make(map[string]*int, len(st.Cursors))
-		for k, c := range st.Cursors {
-			r.cursors[k] = &c
+		for _, w := range st.weights {
+			st.total += w
 		}
+		r.wrr[k] = st
 	}
-	r.wrr = nil
-	if len(st.WRR) > 0 {
-		r.wrr = make(map[string]*wrrState, len(st.WRR))
-		for k, w := range st.WRR {
-			r.wrr[k] = &wrrState{pools: w.Pools, weights: w.Weights, current: w.Current, total: w.Total}
-		}
-	}
-	return nil
+	return d.Err()
 }
 
 // wrrState implements smooth weighted round-robin (the nginx algorithm):
@@ -317,19 +319,11 @@ func (r *RandomInitial) SelectPool(_ float64, spec *job.Spec, view PoolView) (in
 	return eligible[r.rng.IntN(len(eligible))], nil
 }
 
-// ExportState captures the scheduler's RNG stream position.
-func (r *RandomInitial) ExportState() ([]byte, error) {
-	return json.Marshal(r.rng.ExportState())
-}
+// SaveState implements sim.Stateful: the RNG stream position.
+func (r *RandomInitial) SaveState(e *snap.Encoder) { r.rng.SaveState(e) }
 
-// ImportState restores a previously exported stream position.
-func (r *RandomInitial) ImportState(data []byte) error {
-	var st stats.RNGState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("sched: random-initial state: %w", err)
-	}
-	return r.rng.ImportState(st)
-}
+// LoadState implements sim.Stateful.
+func (r *RandomInitial) LoadState(d *snap.Decoder) error { return r.rng.LoadState(d) }
 
 // eligibleCandidates filters spec.Candidates through the view's static
 // eligibility check, preserving order. The result reuses buf's storage
@@ -347,8 +341,8 @@ func eligibleCandidates(spec *job.Spec, view PoolView, buf []int) []int {
 }
 
 // appendCandidateKey appends the map key identifying a candidate set to
-// b. The encoding ("%d," per pool) is also the per-candidate-set map key
-// in exported scheduler state, so it must stay stable across versions.
+// b. The encoding ("%d," per pool) is also the per-candidate-set key in
+// saved scheduler state, so it must stay stable across versions.
 func appendCandidateKey(b []byte, pools []int) []byte {
 	for _, p := range pools {
 		b = strconv.AppendInt(b, int64(p), 10)

@@ -2,13 +2,13 @@ package sched
 
 import (
 	"bytes"
-	"encoding/json"
-	"maps"
+	"errors"
 	"math"
 	"slices"
 	"testing"
 
 	"netbatch/internal/job"
+	"netbatch/internal/snap"
 )
 
 // fakeView is a controllable PoolView for scheduler tests.
@@ -126,11 +126,11 @@ func TestWeightedRoundRobinInterleaves(t *testing.T) {
 	}
 }
 
-// TestRoundRobinStateKeys pins the per-candidate-set keys of exported
-// round-robin state to the "%d," form checkpoints already hold, for both
+// TestRoundRobinStateKeys pins the per-candidate-set keys of saved
+// round-robin state to the "%d," form, in ascending order, for both
 // rotation kinds across several candidate sets. It also checks that a
-// turn on a known set allocates nothing and that an imported state
-// exports the same bytes and continues the same rotation.
+// turn on a known set allocates nothing and that a loaded state saves
+// the same bytes and continues the same rotation.
 func TestRoundRobinStateKeys(t *testing.T) {
 	view := newFakeView(300, 100, 100, 200, 50, 50, 50, 50, 50, 50, 50, 50)
 	view.ineligible[2] = true
@@ -146,23 +146,8 @@ func TestRoundRobinStateKeys(t *testing.T) {
 					}
 				}
 			}
-			data, err := rr.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st struct {
-				Cursors map[string]json.RawMessage `json:"cursors"`
-				WRR     map[string]json.RawMessage `json:"wrr"`
-			}
-			if err := json.Unmarshal(data, &st); err != nil {
-				t.Fatal(err)
-			}
-			keyed := st.WRR
-			if rr.Pure {
-				keyed = st.Cursors
-			}
-			if keys := slices.Sorted(maps.Keys(keyed)); !slices.Equal(keys, want) {
-				t.Fatalf("state keys = %q, want %q (state %s)", keys, want, data)
+			if keys := savedKeys(t, rr); !slices.Equal(keys, want) {
+				t.Fatalf("state keys = %q, want %q", keys, want)
 			}
 
 			spec := specWithCandidates(sets[2]...)
@@ -170,20 +155,16 @@ func TestRoundRobinStateKeys(t *testing.T) {
 				t.Fatalf("SelectPool on a known candidate set allocates %v times per call", n)
 			}
 
-			data, err = rr.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			var data snap.Encoder
+			rr.SaveState(&data)
 			back := &RoundRobin{Pure: rr.Pure}
-			if err := back.ImportState(data); err != nil {
+			if err := back.LoadState(snap.NewDecoder(data.Buf)); err != nil {
 				t.Fatal(err)
 			}
-			again, err := back.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again, data) {
-				t.Fatalf("re-exported state %s, want %s", again, data)
+			var again snap.Encoder
+			back.SaveState(&again)
+			if !bytes.Equal(again.Buf, data.Buf) {
+				t.Fatalf("re-saved state %x, want %x", again.Buf, data.Buf)
 			}
 			for _, set := range sets {
 				spec := specWithCandidates(set...)
@@ -191,12 +172,39 @@ func TestRoundRobinStateKeys(t *testing.T) {
 					p, _ := rr.SelectPool(0, spec, view)
 					q, _ := back.SelectPool(0, spec, view)
 					if p != q {
-						t.Fatalf("set %v: imported state picks %d, original %d", set, q, p)
+						t.Fatalf("set %v: loaded state picks %d, original %d", set, q, p)
 					}
 				}
 			}
 		})
 	}
+}
+
+// savedKeys decodes the candidate-set keys of rr's saved state: the
+// equal-turns cursors' for a pure round-robin, else the rotations'.
+func savedKeys(t *testing.T, rr *RoundRobin) []string {
+	t.Helper()
+	var e snap.Encoder
+	rr.SaveState(&e)
+	d := snap.NewDecoder(e.Buf)
+	var cursors, rotations []string
+	for range d.Int() {
+		cursors = append(cursors, d.Str())
+		d.Int()
+	}
+	for range d.Int() {
+		rotations = append(rotations, d.Str())
+		d.IntsN(-1)
+		d.IntsN(-1)
+		d.IntsN(-1)
+	}
+	if d.Err() != nil || d.Len() != 0 {
+		t.Fatalf("saved state %x does not decode: %v", e.Buf, d.Err())
+	}
+	if rr.Pure {
+		return cursors
+	}
+	return rotations
 }
 
 func TestRoundRobinSkipsIneligible(t *testing.T) {
@@ -329,5 +337,44 @@ func TestSchedulerNames(t *testing.T) {
 	}
 	if NewRandomInitial(1).Name() != "random" {
 		t.Fatal("random name")
+	}
+}
+
+// TestRoundRobinLoadStateRejects loads saved states no run can save: a
+// rotation whose lists do not match its key, a negative cursor, and a
+// truncated state. Each must fail with snap.ErrMismatch; the sound
+// state beside them loads.
+func TestRoundRobinLoadStateRejects(t *testing.T) {
+	state := func(cursor int, key string, pools, weights, current []int) []byte {
+		var e snap.Encoder
+		e.Int(1)
+		e.Str("0,1,")
+		e.Int(cursor)
+		e.Int(1)
+		e.Str(key)
+		e.Ints(pools)
+		e.Ints(weights)
+		e.Ints(current)
+		return e.Buf
+	}
+	sound := state(3, "0,1,", []int{0, 1}, []int{1, 2}, []int{0, -1})
+	if err := NewRoundRobin().LoadState(snap.NewDecoder(sound)); err != nil {
+		t.Fatalf("sound state: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"current shorter than pools", state(3, "0,1,", []int{0, 1}, []int{1, 2}, []int{0})},
+		{"weights longer than pools", state(3, "0,1,", []int{0, 1}, []int{1, 2, 3}, []int{0, -1})},
+		{"pools that do not spell the key", state(3, "0,1,", []int{0, 1 << 40}, []int{1, 2}, []int{0, -1})},
+		{"pools in another order", state(3, "0,1,", []int{1, 0}, []int{1, 2}, []int{0, -1})},
+		{"negative cursor", state(-1, "0,1,", []int{0, 1}, []int{1, 2}, []int{0, -1})},
+		{"truncated", sound[:len(sound)-4]},
+		{"count past the input", state(3, "0,1,", []int{0, 1}, []int{1, 2}, []int{0, -1})[:8]},
+	} {
+		if err := NewRoundRobin().LoadState(snap.NewDecoder(tc.data)); !errors.Is(err, snap.ErrMismatch) {
+			t.Errorf("%s: got %v, want snap.ErrMismatch", tc.name, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "netbatch/internal/stats"
+import (
+	"netbatch/internal/snap"
+	"netbatch/internal/stats"
+)
 
 // accounting is series accounting: the incremental replacement for
 // ASCA's per-minute state scan (§3.1). Instead of queueing one sample
@@ -57,7 +60,7 @@ func newAccounting(w *world) accounting {
 // state of every sink. Restoring them lets the integrator continue
 // mid-signal with float operations identical to a never-interrupted
 // run.
-func (w *world) saveAccounting(e *snapEncoder) {
+func (w *world) saveAccounting(e *snap.Encoder) {
 	a := &w.acct
 	e.F64(a.next)
 	encodeTS(e, a.utilTS)
@@ -69,31 +72,26 @@ func (w *world) saveAccounting(e *snapEncoder) {
 	}
 }
 
-func (w *world) loadAccounting(d *snapDecoder) error {
+func (w *world) loadAccounting(d *snap.Decoder) error {
 	a := &w.acct
 	a.next = d.F64()
 	bin := w.cfg.SeriesBin
 	a.utilTS = decodeTS(d, bin)
 	a.suspTS = decodeTS(d, bin)
 	a.waitTS = decodeTS(d, bin)
-	n := d.Int()
-	if d.err != nil {
-		return d.err
-	}
-	if n != len(a.siteTS) {
-		d.fail()
-		return d.err
+	if d.Int() != len(a.siteTS) {
+		d.Fail()
 	}
 	for s := range a.siteTS {
 		a.siteTS[s] = decodeTS(d, bin)
 	}
-	return d.err
+	return d.Err()
 }
 
 // encodeTS/decodeTS serialize one TimeSeries accumulator (nil-aware:
 // the three global sinks always exist, but site series exist only on
 // multi-site platforms).
-func encodeTS(e *snapEncoder, ts *stats.TimeSeries) {
+func encodeTS(e *snap.Encoder, ts *stats.TimeSeries) {
 	if ts == nil {
 		e.Bool(false)
 		return
@@ -104,14 +102,14 @@ func encodeTS(e *snapEncoder, ts *stats.TimeSeries) {
 	e.I64s(counts)
 }
 
-func decodeTS(d *snapDecoder, bin float64) *stats.TimeSeries {
+func decodeTS(d *snap.Decoder, bin float64) *stats.TimeSeries {
 	if !d.Bool() {
 		return nil
 	}
 	sums := d.F64sN(-1)
 	counts := d.I64sN(-1)
-	if d.err != nil || len(sums) != len(counts) {
-		d.fail()
+	if d.Err() != nil || len(sums) != len(counts) {
+		d.Fail()
 		return nil
 	}
 	return stats.RestoreTimeSeries(bin, sums, counts)

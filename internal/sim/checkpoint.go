@@ -31,10 +31,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"math"
 
 	"netbatch/internal/eventq"
 	"netbatch/internal/obs"
+	"netbatch/internal/snap"
 )
 
 // snapshotMagic and snapshotVersion head every encoded snapshot.
@@ -47,17 +47,21 @@ import (
 // other rank words, and accounting's raw flag. Version 4 saves the
 // federated scheduler's state as one round-robin's rotations instead of
 // per-site blobs, drops the empty "resched" section, and drops the
-// conservation-check flag from the configuration hash.
+// conservation-check flag from the configuration hash. Version 5 saves
+// the scheduler and policy as the binary "scheduler" and "policy"
+// sections instead of two JSON blobs in the header, and drops the
+// suspend-holds-memory and queue-beats-resume flags from the
+// configuration hash.
 const (
 	snapshotMagic   = uint32(0x4e425350) // "NBSP"
-	snapshotVersion = uint32(4)
+	snapshotVersion = uint32(5)
 )
 
 // ErrSnapshotMismatch wraps every resume failure caused by the snapshot
 // itself: version skew, a different configuration or kind table,
-// truncation, or corruption. Callers can match it to fall back to a
-// fresh run.
-var ErrSnapshotMismatch = errors.New("sim: snapshot incompatible with this run")
+// truncation, corruption, or state the run cannot continue from.
+// Callers can match it to fall back to a fresh run.
+var ErrSnapshotMismatch = snap.ErrMismatch
 
 // Checkpoint is one snapshot emitted through Config.CheckpointSink.
 type Checkpoint struct {
@@ -78,146 +82,22 @@ type Checkpoint struct {
 
 // Stateful is the state contract for user-supplied schedulers and
 // policies: implementations with internal mutable state (round-robin
-// rotations, RNG streams) expose it so checkpoints capture it and
-// resumes restore it. All stateful built-ins (sched.RoundRobin,
+// rotations, RNG streams) save it into the snapshot's "scheduler" or
+// "policy" section with the same encoder as every other section, and
+// load it back on resume. All stateful built-ins (sched.RoundRobin,
 // sched.Federated, sched.RandomInitial, core.ResSusRand,
-// core.ResSusWaitRand) implement it; stateless components need nothing.
-// A custom component that mutates state without implementing Stateful
-// breaks the resume bit-identity contract silently — implement it.
+// core.ResSusWaitRand) implement it; a stateless component's section is
+// empty. A custom component that mutates state without implementing
+// Stateful breaks the resume bit-identity contract silently — implement
+// it.
 type Stateful interface {
-	// ExportState returns a serialized snapshot of the component's
-	// mutable state. It must not perturb the state.
-	ExportState() ([]byte, error)
-	// ImportState restores a previously exported state.
-	ImportState(data []byte) error
-}
-
-// ---------------------------------------------------------------------
-// Deterministic binary encoding primitives.
-
-// snapEncoder appends fixed-width little-endian primitives to a buffer.
-type snapEncoder struct {
-	buf []byte
-}
-
-func (e *snapEncoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *snapEncoder) I64(v int64)  { e.U64(uint64(v)) }
-func (e *snapEncoder) Int(v int)    { e.I64(int64(v)) }
-func (e *snapEncoder) F64(v float64) {
-	e.U64(math.Float64bits(v))
-}
-func (e *snapEncoder) Bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-func (e *snapEncoder) Bytes(v []byte) {
-	e.U64(uint64(len(v)))
-	e.buf = append(e.buf, v...)
-}
-func (e *snapEncoder) Str(v string) { e.Bytes([]byte(v)) }
-func (e *snapEncoder) Ints(v []int) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.I64(int64(x))
-	}
-}
-func (e *snapEncoder) F64s(v []float64) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.F64(x)
-	}
-}
-func (e *snapEncoder) I64s(v []int64) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.I64(x)
-	}
-}
-
-// snapDecoder reads the encoder's stream back with a sticky error, so
-// codec load functions can decode unconditionally and check once.
-type snapDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *snapDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated snapshot", ErrSnapshotMismatch)
-	}
-}
-
-func (d *snapDecoder) U64() uint64 {
-	if d.err != nil || d.off+8 > len(d.data) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
-	d.off += 8
-	return v
-}
-func (d *snapDecoder) I64() int64   { return int64(d.U64()) }
-func (d *snapDecoder) Int() int     { return int(d.I64()) }
-func (d *snapDecoder) F64() float64 { return math.Float64frombits(d.U64()) }
-func (d *snapDecoder) Bool() bool {
-	if d.err != nil || d.off+1 > len(d.data) {
-		d.fail()
-		return false
-	}
-	v := d.data[d.off]
-	d.off++
-	return v != 0
-}
-func (d *snapDecoder) Bytes() []byte {
-	n := d.U64()
-	if d.err != nil || uint64(len(d.data)-d.off) < n {
-		d.fail()
-		return nil
-	}
-	v := d.data[d.off : d.off+int(n) : d.off+int(n)]
-	d.off += int(n)
-	return v
-}
-func (d *snapDecoder) Str() string { return string(d.Bytes()) }
-func (d *snapDecoder) IntsN(max int) []int {
-	n := d.U64()
-	if d.err != nil || uint64(len(d.data)-d.off)/8 < n || (max >= 0 && n > uint64(max)) {
-		d.fail()
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = d.Int()
-	}
-	return v
-}
-func (d *snapDecoder) F64sN(max int) []float64 {
-	n := d.U64()
-	if d.err != nil || uint64(len(d.data)-d.off)/8 < n || (max >= 0 && n > uint64(max)) {
-		d.fail()
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.F64()
-	}
-	return v
-}
-func (d *snapDecoder) I64sN(max int) []int64 {
-	n := d.U64()
-	if d.err != nil || uint64(len(d.data)-d.off)/8 < n || (max >= 0 && n > uint64(max)) {
-		d.fail()
-		return nil
-	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = d.I64()
-	}
-	return v
+	// SaveState appends the component's mutable state. It must not
+	// perturb the state, and equal states must save equal bytes.
+	SaveState(e *snap.Encoder)
+	// LoadState restores state SaveState saved, rejecting input the
+	// component cannot continue from. Every error fails the resume
+	// with ErrSnapshotMismatch.
+	LoadState(d *snap.Decoder) error
 }
 
 // ---------------------------------------------------------------------
@@ -240,18 +120,16 @@ func kindTableHash(w *world) uint64 {
 // identity, the platform topology, and the full workload. It
 // deliberately excludes checkpoint cadence, context and observability.
 // Opaque scheduler/policy internals beyond Name and thresholds cannot
-// be hashed; the state blobs still restore them, and the property
-// tests cover every built-in.
+// be hashed; their snapshot sections still restore them, and the
+// property tests cover every built-in.
 func configHash(w *world) uint64 {
 	cfg := &w.cfg
-	var e snapEncoder
+	var e snap.Encoder
 	e.F64(cfg.SampleEvery)
 	e.F64(cfg.SeriesBin)
 	e.F64(cfg.RescheduleOverhead)
-	e.Bool(cfg.SuspendHoldsMemory)
 	e.F64(cfg.UtilStaleness)
 	e.F64(cfg.DecisionDelay)
-	e.Bool(cfg.QueueBeatsResume)
 	e.F64(cfg.MaxTime)
 	e.Bool(cfg.DisableSampling)
 	e.F64(cfg.Faults.MTBF)
@@ -304,7 +182,7 @@ func configHash(w *world) uint64 {
 		e.I64(s.TaskID)
 	}
 	h := fnv.New64a()
-	h.Write(e.buf)
+	h.Write(e.Buf)
 	return h.Sum64()
 }
 
@@ -323,16 +201,10 @@ type snapshot struct {
 	events     int64
 
 	// comparable is the suffix of the encoding that identifies the
-	// captured state (time, events, component and codec state):
-	// everything after the label. Replay-bisect compares snapshots on
-	// it, so differing labels or cadences never mask (or fake) a state
-	// difference.
+	// captured state (time, events and every section): everything after
+	// the label. Replay-bisect compares snapshots on it, so differing
+	// labels or cadences never mask (or fake) a state difference.
 	comparable []byte
-
-	hasInitState bool
-	initState    []byte
-	hasPolState  bool
-	polState     []byte
 
 	// sections holds the codec sections in stateCodecs order.
 	sections []snapSection
@@ -371,16 +243,20 @@ func newSnapParams(w *world, every float64) snapParams {
 // the world methods that save and load it.
 type stateCodec struct {
 	name string
-	save func(*world, *snapEncoder)
-	load func(*world, *snapDecoder) error
+	save func(*world, *snap.Encoder)
+	load func(*world, *snap.Decoder) error
 }
 
 // stateCodecs lists the snapshot sections in encoding order, which is
 // part of the snapshot format: a restore pairs saved sections with
-// codecs by position and checks their names. "faults" comes last and
-// exists only with faults on (see codecs). Rescheduling has no section:
-// its only state is its pending events and the policy's own.
+// codecs by position and checks their names. "scheduler" and "policy"
+// hold the Stateful state of Config.Initial and Config.Policy (empty
+// for a stateless one); rescheduling has no section of its own, as its
+// only other state is its pending events. "faults" comes last and
+// exists only with faults on (see codecs).
 var stateCodecs = [...]stateCodec{
+	{"scheduler", (*world).saveScheduler, (*world).loadScheduler},
+	{"policy", (*world).savePolicy, (*world).loadPolicy},
 	{"core", (*world).saveCore, (*world).loadCore},
 	{"accounting", (*world).saveAccounting, (*world).loadAccounting},
 	{"placement", (*world).savePlacement, (*world).loadPlacement},
@@ -396,10 +272,31 @@ func (w *world) codecs() []stateCodec {
 	return stateCodecs[:]
 }
 
+// saveScheduler, savePolicy and their loads are the sections of the
+// Stateful scheduler and policy; a stateless one saves nothing, so a
+// saved state it is handed fails the trailing-bytes check.
+func (w *world) saveScheduler(e *snap.Encoder)       { saveStateful(w.cfg.Initial, e) }
+func (w *world) loadScheduler(d *snap.Decoder) error { return loadStateful(w.cfg.Initial, d) }
+func (w *world) savePolicy(e *snap.Encoder)          { saveStateful(w.cfg.Policy, e) }
+func (w *world) loadPolicy(d *snap.Decoder) error    { return loadStateful(w.cfg.Policy, d) }
+
+func saveStateful(c any, e *snap.Encoder) {
+	if s, ok := c.(Stateful); ok {
+		s.SaveState(e)
+	}
+}
+
+func loadStateful(c any, d *snap.Decoder) error {
+	if s, ok := c.(Stateful); ok {
+		return s.LoadState(d)
+	}
+	return nil
+}
+
 // takeSnapshot serializes the complete state of a run between two
 // events.
-func takeSnapshot(w *world, p snapParams, now float64, events int64) ([]byte, error) {
-	e := snapEncoder{buf: make([]byte, 0, p.sizeHint+4096)}
+func takeSnapshot(w *world, p snapParams, now float64, events int64) []byte {
+	e := snap.Encoder{Buf: make([]byte, 0, p.sizeHint+4096)}
 	e.U64(uint64(snapshotMagic))
 	e.U64(uint64(snapshotVersion))
 	e.U64(p.cfgHash)
@@ -409,13 +306,6 @@ func takeSnapshot(w *world, p snapParams, now float64, events int64) ([]byte, er
 	e.F64(now)
 	e.I64(events)
 
-	if err := encodeComponentState(&e, w.cfg.Initial); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint initial scheduler: %w", err)
-	}
-	if err := encodeComponentState(&e, w.cfg.Policy); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint policy: %w", err)
-	}
-
 	codecs := w.codecs()
 	e.Int(len(codecs))
 	for _, c := range codecs {
@@ -423,17 +313,17 @@ func takeSnapshot(w *world, p snapParams, now float64, events int64) ([]byte, er
 		// Reserve the section length slot, save in place, then backpatch
 		// — avoids a second buffer and its copy per section.
 		e.U64(0)
-		lenAt := len(e.buf) - 8
+		lenAt := len(e.Buf) - 8
 		c.save(w, &e)
-		binary.LittleEndian.PutUint64(e.buf[lenAt:], uint64(len(e.buf)-lenAt-8))
+		binary.LittleEndian.PutUint64(e.Buf[lenAt:], uint64(len(e.Buf)-lenAt-8))
 	}
 	// Integrity trailer: a CRC-32C checksum of everything above, so a
 	// flipped bit anywhere in a stored snapshot is rejected instead of
 	// silently restoring a perturbed state. Castagnoli is hardware-
 	// accelerated; a byte-at-a-time hash here would cost more than the
 	// entire state walk. (Stored widened to 8 bytes for alignment.)
-	e.U64(uint64(crc32.Checksum(e.buf, castagnoli)))
-	return e.buf, nil
+	e.U64(uint64(crc32.Checksum(e.Buf, castagnoli)))
+	return e.Buf
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -447,23 +337,6 @@ func crcFromTrailer(data []byte) uint32 {
 	return crc32.Update(uint32(binary.LittleEndian.Uint64(tr)), castagnoli, tr)
 }
 
-// encodeComponentState writes a Stateful component's exported state (or
-// an absence marker for stateless components).
-func encodeComponentState(e *snapEncoder, comp any) error {
-	s, ok := comp.(Stateful)
-	if !ok {
-		e.Bool(false)
-		return nil
-	}
-	data, err := s.ExportState()
-	if err != nil {
-		return err
-	}
-	e.Bool(true)
-	e.Bytes(data)
-	return nil
-}
-
 // decodeSnapshot parses and structurally validates an encoded snapshot.
 func decodeSnapshot(data []byte) (*snapshot, error) {
 	if len(data) < 8 {
@@ -474,12 +347,12 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (snapshot corrupted)", ErrSnapshotMismatch)
 	}
 	data = body
-	d := &snapDecoder{data: data}
-	if magic := d.U64(); d.err == nil && uint32(magic) != snapshotMagic {
+	d := snap.NewDecoder(data)
+	if magic := d.U64(); d.Err() == nil && uint32(magic) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrSnapshotMismatch, magic)
 	}
 	sn := &snapshot{}
-	if version := d.U64(); d.err == nil && uint32(version) != snapshotVersion {
+	if version := d.U64(); d.Err() == nil && uint32(version) != snapshotVersion {
 		return nil, fmt.Errorf("%w: snapshot format version %d, this build reads %d",
 			ErrSnapshotMismatch, version, snapshotVersion)
 	}
@@ -487,33 +360,19 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	sn.kindHash = d.U64()
 	sn.every = d.F64()
 	sn.label = d.Str()
-	if d.err == nil {
-		sn.comparable = data[d.off:]
-	}
+	sn.comparable = data[len(data)-d.Len():]
 	sn.time = d.F64()
 	sn.events = d.I64()
-
-	sn.hasInitState = d.Bool()
-	if sn.hasInitState {
-		sn.initState = d.Bytes()
-	}
-	sn.hasPolState = d.Bool()
-	if sn.hasPolState {
-		sn.polState = d.Bytes()
-	}
-
-	nCodecs := d.Int()
-	if d.err == nil && (nCodecs < 0 || nCodecs > 1<<10) {
-		return nil, fmt.Errorf("%w: implausible codec count %d", ErrSnapshotMismatch, nCodecs)
-	}
-	for c := 0; c < nCodecs && d.err == nil; c++ {
+	// A section is at least its name's and its data's length words.
+	nCodecs := d.Count(len(stateCodecs), 16)
+	for c := 0; c < nCodecs; c++ {
 		sn.sections = append(sn.sections, snapSection{name: d.Str(), data: d.Bytes()})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotMismatch, len(data)-d.off)
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotMismatch, d.Len())
 	}
 	return sn, nil
 }
@@ -554,12 +413,6 @@ func (w *world) restore(sn *snapshot) error {
 		return fmt.Errorf("%w: event-kind table hash %#x, snapshot has %#x",
 			ErrSnapshotMismatch, h, sn.kindHash)
 	}
-	if err := restoreComponentState(w.cfg.Initial, "initial scheduler", sn.hasInitState, sn.initState); err != nil {
-		return err
-	}
-	if err := restoreComponentState(w.cfg.Policy, "policy", sn.hasPolState, sn.polState); err != nil {
-		return err
-	}
 	secs, codecs := sn.sections, w.codecs()
 	if len(secs) != len(codecs) {
 		return fmt.Errorf("%w: run has %d state codecs, snapshot has %d",
@@ -570,16 +423,19 @@ func (w *world) restore(sn *snapshot) error {
 			return fmt.Errorf("%w: codec %d is %q, snapshot has %q",
 				ErrSnapshotMismatch, ci, codec.name, secs[ci].name)
 		}
-		d := &snapDecoder{data: secs[ci].data}
-		if err := codec.load(w, d); err != nil {
+		d := snap.NewDecoder(secs[ci].data)
+		err := codec.load(w, d)
+		if err == nil {
+			err = d.Err()
+		}
+		if err == nil && d.Len() != 0 {
+			err = fmt.Errorf("%d trailing bytes", d.Len())
+		}
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotMismatch) {
+				err = fmt.Errorf("%w: %w", ErrSnapshotMismatch, err)
+			}
 			return fmt.Errorf("sim: restore %s state: %w", codec.name, err)
-		}
-		if d.err != nil {
-			return fmt.Errorf("sim: restore %s state: %w", codec.name, d.err)
-		}
-		if d.off != len(d.data) {
-			return fmt.Errorf("%w: %s section has %d trailing bytes",
-				ErrSnapshotMismatch, codec.name, len(d.data)-d.off)
 		}
 	}
 	if err := w.checkRestoredTime(sn); err != nil {
@@ -607,26 +463,6 @@ func (w *world) checkRestoredTime(sn *snapshot) error {
 	case w.acct.on && !(w.acct.next >= w.now && w.acct.next <= w.now+w.cfg.SampleEvery):
 		return fmt.Errorf("%w: next sample tick %v outside [%v, %v + %v]",
 			ErrSnapshotMismatch, w.acct.next, w.now, w.now, w.cfg.SampleEvery)
-	}
-	return nil
-}
-
-// restoreComponentState applies a saved scheduler/policy state blob,
-// failing loudly when the snapshot and the configured component
-// disagree about statefulness.
-func restoreComponentState(comp any, what string, has bool, data []byte) error {
-	s, ok := comp.(Stateful)
-	switch {
-	case has && !ok:
-		return fmt.Errorf("%w: snapshot carries %s state but the configured %s is not Stateful",
-			ErrSnapshotMismatch, what, what)
-	case !has && ok:
-		return fmt.Errorf("%w: configured %s is Stateful but the snapshot carries no state for it",
-			ErrSnapshotMismatch, what)
-	case has:
-		if err := s.ImportState(data); err != nil {
-			return fmt.Errorf("sim: restore %s state: %w", what, err)
-		}
 	}
 	return nil
 }
@@ -717,10 +553,7 @@ func (ck *checkpointer) due(t float64) bool { return ck != nil && t >= ck.next }
 // would still force chain reconstruction on resume).
 func (ck *checkpointer) take(t float64, events int64) error {
 	t0 := ck.trace.Now()
-	data, err := takeSnapshot(ck.w, ck.params, t, events)
-	if err != nil {
-		return err
-	}
+	data := takeSnapshot(ck.w, ck.params, t, events)
 	// Hint the next capture with this size plus twice the growth since
 	// the last one (growth between marks varies), so a growing state's
 	// buffer is allocated once at its final size and a steady state's
@@ -762,7 +595,7 @@ func (ck *checkpointer) take(t float64, events int64) error {
 // submission-chain cursor, the scope counters, the Result counters, and
 // the pending future event list (exact scheduling-order stamps
 // included — see saveQueue/restoreQueue).
-func (w *world) saveCore(e *snapEncoder) {
+func (w *world) saveCore(e *snap.Encoder) {
 	e.F64(w.now)
 	e.I64(w.events)
 	e.Int(w.nextSubmit)
@@ -781,7 +614,7 @@ func (w *world) saveCore(e *snapEncoder) {
 	w.saveQueue(e)
 }
 
-func (w *world) loadCore(d *snapDecoder) error {
+func (w *world) loadCore(d *snap.Decoder) error {
 	w.now = d.F64()
 	w.events = d.I64()
 	w.nextSubmit = d.Int()
@@ -797,7 +630,7 @@ func (w *world) loadCore(d *snapDecoder) error {
 	w.res.CrossSiteMoves = d.I64()
 	w.res.Kills = d.I64()
 	w.res.Requeues = d.I64()
-	if d.err == nil && (w.nextSubmit < 0 || w.nextSubmit > len(w.specs)) {
+	if d.Err() == nil && (w.nextSubmit < 0 || w.nextSubmit > len(w.specs)) {
 		return fmt.Errorf("%w: submission cursor %d outside the %d jobs", ErrSnapshotMismatch, w.nextSubmit, len(w.specs))
 	}
 	return w.restoreQueue(d)
@@ -807,17 +640,14 @@ func (w *world) loadCore(d *snapDecoder) error {
 // rewires the cancellation handles job records hold into it (the
 // pending completion of every running job, the pending wait timer of
 // every queued one).
-func (w *world) restoreQueue(d *snapDecoder) error {
+func (w *world) restoreQueue(d *snap.Decoder) error {
 	w.q.SetSeq(d.U64())
-	n := d.Int()
-	if d.err != nil || n < 0 {
-		d.fail()
-		return d.err
-	}
+	// An event is five words.
+	n := d.Count(-1, 40)
 	for i := 0; i < n; i++ {
 		sev := eventq.SavedEvent{Time: d.F64(), Kind: d.Int(), Seq: d.U64(), A: d.I64(), B: d.I64()}
-		if d.err != nil {
-			return d.err
+		if d.Err() != nil {
+			return d.Err()
 		}
 		if sev.Kind <= 0 || sev.Kind >= w.numKinds() {
 			return fmt.Errorf("%w: pending event references unknown kind %d", ErrSnapshotMismatch, sev.Kind)
@@ -847,7 +677,7 @@ func (w *world) restoreQueue(d *snapDecoder) error {
 
 // saveQueue exports the pending events: the scheduling-order counter,
 // then each event as (time, kind, seq, a, b) in firing order.
-func (w *world) saveQueue(e *snapEncoder) {
+func (w *world) saveQueue(e *snap.Encoder) {
 	e.U64(w.q.Seq())
 	events := w.q.Export()
 	e.Int(len(events))

@@ -10,6 +10,7 @@ package sim
 // legacy snapshots must be rejected before any state is touched.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"netbatch/internal/core"
 	"netbatch/internal/job"
 	"netbatch/internal/sched"
+	"netbatch/internal/snap"
 )
 
 // checkpointWorkload builds a random federation plus a run config for
@@ -217,10 +219,10 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 	}
 
 	// Older-format snapshots (valid trailer) must fail cleanly, never
-	// panic: the version is the second header word. A forged version-3
-	// header over a version-4 body passes every other guard, so only
+	// panic: the version is the second header word. A forged version-4
+	// header over a version-5 body passes every other guard, so only
 	// the version word stops it.
-	for _, version := range []uint64{2, 3} {
+	for _, version := range []uint64{3, 4} {
 		legacy := patchSnapshot(t, data, func(body []byte, _ *snapshot) {
 			binary.LittleEndian.PutUint64(body[8:], version)
 		})
@@ -341,11 +343,7 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, e
 		t.Fatal(err)
 	}
 	edit(w)
-	out, err := takeSnapshot(w, newSnapParams(w, sn.every), w.now, w.events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return takeSnapshot(w, newSnapParams(w, sn.every), w.now, w.events)
 }
 
 // TestSnapshotRejectsOutOfRangeJobIndex resumes from snapshots whose
@@ -490,11 +488,23 @@ func TestKindTableHashPinned(t *testing.T) {
 	}
 }
 
+// forgedScheduler stands in for the run's scheduler while a snapshot is
+// re-encoded: its "scheduler" section is whatever save writes.
+type forgedScheduler struct {
+	sched.InitialScheduler
+	save func(e *snap.Encoder)
+}
+
+func (f forgedScheduler) SaveState(e *snap.Encoder)     { f.save(e) }
+func (f forgedScheduler) LoadState(*snap.Decoder) error { return nil }
+
 // TestSnapshotRejectsImpossibleState resumes from snapshots whose CRC
-// trailer is valid but whose placement, fault or time words no run can
-// continue from: an index past the platform, a job state that does not
-// exist, a wait-queue head outside its items, a clock outside the run,
-// a sample cursor away from the clock. Each must fail with
+// trailer is valid but whose placement, fault, time, scheduler or
+// policy words no run can continue from: an index past the platform, a
+// job state that does not exist, a wait-queue head outside its items, a
+// clock outside the run, a sample cursor away from the clock, a
+// round-robin rotation that does not match its candidate set, a
+// truncated section, bytes that are no PCG state. Each must fail with
 // ErrSnapshotMismatch, without a panic and without a hang. Resumes run
 // with checkpointing on, because the checkpoint cadence is one of the
 // loops a bad clock can stall.
@@ -557,6 +567,48 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 			t.Fatal("checkpoint has no down machine")
 		}
 	}
+	// forge re-encodes the snapshot with save's bytes as the scheduler
+	// section; rotation saves a round-robin state of one weighted
+	// rotation (and no equal-turns cursor).
+	forge := func(save func(e *snap.Encoder)) []byte {
+		return reencode(func(w *world) { w.cfg.Initial = forgedScheduler{w.cfg.Initial, save} })
+	}
+	rotation := func(key string, pools, weights, current []int) []byte {
+		return forge(func(e *snap.Encoder) {
+			e.Int(0)
+			e.Int(1)
+			e.Str(key)
+			e.Ints(pools)
+			e.Ints(weights)
+			e.Ints(current)
+		})
+	}
+	// The forgery itself is sound: a well-formed rotation resumes.
+	cfg := freshFixtureConfig(base)
+	cfg.ResumeFrom = rotation("0,1,", []int{0, 1}, []int{1, 1}, []int{0, 0})
+	if _, err := Run(cfg, specs); err != nil {
+		t.Fatalf("well-formed forged rotation: %v", err)
+	}
+	truncated := reencode(func(w *world) {
+		var full snap.Encoder
+		w.cfg.Initial.(Stateful).SaveState(&full)
+		w.cfg.Initial = forgedScheduler{w.cfg.Initial, func(e *snap.Encoder) {
+			e.Buf = append(e.Buf, full.Buf[:len(full.Buf)/2]...)
+		}}
+	})
+	// garblePCG overwrites the marker of the first marshaled PCG state
+	// in the named section.
+	garblePCG := func(section string) []byte {
+		return patchSnapshot(t, data, func(_ []byte, sn *snapshot) {
+			for _, sec := range sn.sections {
+				if at := bytes.Index(sec.data, []byte("pcg:")); sec.name == section && at >= 0 {
+					copy(sec.data[at:], "PCG?")
+					return
+				}
+			}
+			t.Fatalf("section %s holds no PCG state", section)
+		})
+	}
 	// headerTime overwrites the header's clock alone, the word ahead of
 	// the compared suffix's event count.
 	headerTime := func(v float64) []byte {
@@ -590,6 +642,11 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		{"sample cursor -1e6", reencode(func(w *world) { w.acct.next = -1e6 })},
 		{"submission cursor -1", reencode(func(w *world) { w.nextSubmit = -1 })},
 		{"pending event at NaN", reencode(func(w *world) { w.schedule(math.NaN(), kSusDecide, 0, 0) })},
+		{"rotation's current weights shorter than its pools", rotation("0,1,", []int{0, 1}, []int{1, 1}, []int{0})},
+		{"rotation naming a pool past the platform, not its key", rotation("0,1,", []int{0, 1 << 40}, []int{1, 1}, []int{0, 0})},
+		{"truncated scheduler section", truncated},
+		{"garbled policy RNG bytes", garblePCG("policy")},
+		{"garbled fault-stream PCG bytes", garblePCG("faults")},
 	}
 	for _, row := range rows {
 		if _, err := decodeSnapshot(row.snap); err != nil {

@@ -58,6 +58,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+
+	"netbatch/internal/snap"
 )
 
 const (
@@ -110,15 +112,15 @@ func ReadDeltaMeta(data []byte) (DeltaMeta, error) {
 	m.BaseEvents = d.I64()
 	m.Time = d.F64()
 	m.Events = d.I64()
-	if d.err != nil {
-		return DeltaMeta{}, d.err
+	if d.Err() != nil {
+		return DeltaMeta{}, d.Err()
 	}
 	return m, nil
 }
 
 // openDelta verifies the trailer CRC, magic and version, returning a
 // decoder positioned after the version word.
-func openDelta(data []byte) (*snapDecoder, error) {
+func openDelta(data []byte) (*snap.Decoder, error) {
 	if len(data) < 24 {
 		return nil, fmt.Errorf("%w: truncated delta snapshot", ErrSnapshotMismatch)
 	}
@@ -126,16 +128,16 @@ func openDelta(data []byte) (*snapDecoder, error) {
 	if uint64(crc32.Checksum(body, castagnoli)) != sum {
 		return nil, fmt.Errorf("%w: delta checksum mismatch (snapshot corrupted)", ErrSnapshotMismatch)
 	}
-	d := &snapDecoder{data: body}
-	if magic := d.U64(); d.err == nil && uint32(magic) != deltaMagic {
+	d := snap.NewDecoder(body)
+	if magic := d.U64(); d.Err() == nil && uint32(magic) != deltaMagic {
 		return nil, fmt.Errorf("%w: bad delta magic %#x", ErrSnapshotMismatch, magic)
 	}
-	if version := d.U64(); d.err == nil && uint32(version) != deltaVersion {
+	if version := d.U64(); d.Err() == nil && uint32(version) != deltaVersion {
 		return nil, fmt.Errorf("%w: delta format version %d, this build reads %d",
 			ErrSnapshotMismatch, version, deltaVersion)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return d, nil
 }
@@ -322,7 +324,7 @@ func encodeSnapshotDeltaInto(out []byte, idx *deltaIndex, base, full []byte, bas
 	if cap(out) == 0 {
 		out = make([]byte, 0, len(full)/8+256)
 	}
-	e := snapEncoder{buf: out[:0]}
+	e := snap.Encoder{Buf: out[:0]}
 	e.U64(uint64(deltaMagic))
 	e.U64(uint64(deltaVersion))
 	e.U64(uint64(baseCRC))
@@ -333,7 +335,7 @@ func encodeSnapshotDeltaInto(out []byte, idx *deltaIndex, base, full []byte, bas
 	e.U64(uint64(len(full)))
 	// Op count is backpatched once the scan knows it.
 	e.U64(0)
-	opsAt := len(e.buf) - 8
+	opsAt := len(e.Buf) - 8
 
 	ops := uint64(0)
 	lit := 0 // start of the pending literal run
@@ -390,10 +392,10 @@ func encodeSnapshotDeltaInto(out []byte, idx *deltaIndex, base, full []byte, bas
 		e.Bytes(full[lit:])
 		ops++
 	}
-	binary.LittleEndian.PutUint64(e.buf[opsAt:], ops)
+	binary.LittleEndian.PutUint64(e.Buf[opsAt:], ops)
 	e.U64(uint64(fullCRC))
-	e.U64(uint64(crc32.Checksum(e.buf, castagnoli)))
-	return e.buf
+	e.U64(uint64(crc32.Checksum(e.Buf, castagnoli)))
+	return e.Buf
 }
 
 // ApplySnapshotDelta reconstructs the full snapshot a delta encodes,
@@ -414,8 +416,8 @@ func ApplySnapshotDelta(base, delta []byte) ([]byte, error) {
 	_ = d.I64() // newEvents
 	outLen := d.U64()
 	ops := d.U64()
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if uint64(crc32.Checksum(base, castagnoli)) != baseCRC {
 		return nil, fmt.Errorf("%w: delta does not chain from this base snapshot", ErrSnapshotMismatch)
@@ -427,8 +429,8 @@ func ApplySnapshotDelta(base, delta []byte) ([]byte, error) {
 	for op := uint64(0); op < ops; op++ {
 		if d.Bool() {
 			off, n := d.U64(), d.U64()
-			if d.err != nil {
-				return nil, d.err
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			if off > uint64(len(base)) || n > uint64(len(base))-off {
 				return nil, fmt.Errorf("%w: delta copy op outside base bounds", ErrSnapshotMismatch)
@@ -437,19 +439,19 @@ func ApplySnapshotDelta(base, delta []byte) ([]byte, error) {
 		} else {
 			out = append(out, d.Bytes()...)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if uint64(len(out)) > outLen {
 			return nil, fmt.Errorf("%w: delta reconstruction overruns declared length", ErrSnapshotMismatch)
 		}
 	}
 	wantCRC := d.U64()
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in delta", ErrSnapshotMismatch, len(d.data)-d.off)
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in delta", ErrSnapshotMismatch, d.Len())
 	}
 	if uint64(len(out)) != outLen {
 		return nil, fmt.Errorf("%w: delta reconstructed %d bytes, declared %d",

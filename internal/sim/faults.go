@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"netbatch/internal/snap"
 	"netbatch/internal/stats"
 )
 
@@ -151,12 +152,10 @@ type siteFaults struct {
 // window-start log the Result counters derive from, the accumulated
 // work-lost float, the maintenance rotation and the open windows'
 // machine blocks.
-func (w *world) saveFaults(e *snapEncoder) {
+func (w *world) saveFaults(e *snap.Encoder) {
 	for site := range w.nSites {
 		f := &w.faults[site]
-		st := f.rng.ExportState()
-		e.U64(st.Seed)
-		e.Bytes(st.PCG)
+		f.rng.SaveState(e)
 		e.Int(len(f.spans))
 		for _, sp := range f.spans {
 			e.F64(sp.from)
@@ -180,24 +179,14 @@ func (w *world) saveFaults(e *snapEncoder) {
 // rotation index must be non-negative, every down machine of the site
 // must own a span in the site's log, and an open block may name only
 // down machines of its site.
-func (w *world) loadFaults(d *snapDecoder) error {
+func (w *world) loadFaults(d *snap.Decoder) error {
 	for site := range w.nSites {
 		f := &w.faults[site]
-		st := stats.RNGState{Seed: d.U64(), PCG: d.Bytes()}
-		if d.err != nil {
-			return d.err
-		}
-		if err := f.rng.ImportState(st); err != nil {
+		if err := f.rng.LoadState(d); err != nil {
 			return fmt.Errorf("site %d fault stream: %w", site, err)
 		}
-		// A span is four words and a block at least its length word, so
-		// neither count can exceed the bytes left.
-		n := d.Int()
-		if d.err != nil || n < 0 || n > (len(d.data)-d.off)/32 {
-			d.fail()
-			return d.err
-		}
-		f.spans = make([]downSpan, n)
+		// A span is four words and a block at least its length word.
+		f.spans = make([]downSpan, d.Count(-1, 32))
 		for i := range f.spans {
 			f.spans[i] = downSpan{
 				from: d.F64(), to: d.F64(), cores: d.Int(), kind: int8(d.Int()),
@@ -207,7 +196,7 @@ func (w *world) loadFaults(d *snapDecoder) error {
 		f.workLost = d.F64()
 		f.maintNext = d.F64()
 		f.maintIdx = d.Int()
-		if d.err == nil && f.maintIdx < 0 {
+		if d.Err() == nil && f.maintIdx < 0 {
 			return fmt.Errorf("%w: site %d maintenance rotation index %d", ErrSnapshotMismatch, site, f.maintIdx)
 		}
 		for _, mid := range w.machBySite[site] {
@@ -216,12 +205,7 @@ func (w *world) loadFaults(d *snapDecoder) error {
 					ErrSnapshotMismatch, mid, m.spanIdx, site, len(f.spans))
 			}
 		}
-		n = d.Int()
-		if d.err != nil || n < 0 || n > (len(d.data)-d.off)/8 {
-			d.fail()
-			return d.err
-		}
-		f.open = make([][]int, n)
+		f.open = make([][]int, d.Count(-1, 8))
 		for i := range f.open {
 			f.open[i] = d.IntsN(len(w.machBySite[site]))
 			for _, mid := range f.open[i] {
@@ -233,7 +217,7 @@ func (w *world) loadFaults(d *snapDecoder) error {
 			}
 		}
 	}
-	return d.err
+	return d.Err()
 }
 
 // seedFaults schedules each site's first crash and first maintenance
@@ -399,9 +383,6 @@ func (w *world) killMachineJobs(mid int) error {
 		w.noteDetach(rt)
 		p.suspendedCnt--
 		w.scopeSuspended--
-		if w.cfg.SuspendHoldsMemory {
-			mach.freeMemMB += rt.spec.MemMB
-		}
 		if err := w.killAndRequeue(rt, mach.m.Pool, site); err != nil {
 			return err
 		}

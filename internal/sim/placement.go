@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"netbatch/internal/job"
+	"netbatch/internal/snap"
 )
 
 // This file is placement and preemption: the virtual pool manager's
@@ -21,7 +22,7 @@ import (
 // bookkeeping — compaction timing decides which tombstoned slots can
 // still revive, and stale entries drive victim pruning — so they are
 // saved exactly rather than rebuilt.
-func (w *world) savePlacement(e *snapEncoder) {
+func (w *world) savePlacement(e *snap.Encoder) {
 	jobIdx := func(rt *jobRT) int {
 		if rt == nil {
 			return -1
@@ -113,14 +114,14 @@ func (w *world) savePlacement(e *snapEncoder) {
 // loadPlacement mirrors savePlacement field for field into the freshly
 // built runtime structures, rejecting any index that does not fit the
 // run (see validJobState).
-func (w *world) loadPlacement(d *snapDecoder) error {
+func (w *world) loadPlacement(d *snap.Decoder) error {
 	nJobs := len(w.jobs)
 	jobAt := func(idx int) *jobRT {
 		if idx == -1 {
 			return nil
 		}
 		if idx < 0 || idx >= nJobs {
-			d.fail()
+			d.Fail()
 			return nil
 		}
 		return &w.jobs[idx]
@@ -131,8 +132,8 @@ func (w *world) loadPlacement(d *snapDecoder) error {
 			p := w.pools[pid]
 			p.busyCores = d.Int()
 			p.suspendedCnt = d.Int()
-			if nc := d.Int(); d.err == nil && nc != len(p.classes) {
-				d.fail()
+			if nc := d.Int(); d.Err() == nil && nc != len(p.classes) {
+				d.Fail()
 			}
 			for ci := range p.classes {
 				free := d.IntsN(-1)
@@ -145,21 +146,15 @@ func (w *world) loadPlacement(d *snapDecoder) error {
 			}
 			wq := p.waitQ
 			wq.n = d.Int()
-			nPrios := d.Int()
-			if d.err != nil || nPrios < 0 {
-				d.fail()
-				return d.err
-			}
+			// Counts are checked against the bytes left: a priority class
+			// is at least three words, a list entry one.
+			nPrios := d.Count(-1, 24)
 			wq.classes = make(map[job.Priority]*fifo, nPrios)
 			wq.prios = wq.prios[:0]
 			for i := 0; i < nPrios; i++ {
 				prio := job.Priority(d.Int())
 				f := &fifo{head: d.Int()}
-				nItems := d.Int()
-				if d.err != nil || nItems < 0 || nItems > 1<<30 {
-					d.fail()
-					return d.err
-				}
+				nItems := d.Count(-1, 8)
 				if f.head < 0 || f.head > nItems {
 					return fmt.Errorf("%w: pool %d wait queue head %d outside its %d items",
 						ErrSnapshotMismatch, pid, f.head, nItems)
@@ -171,20 +166,12 @@ func (w *world) loadPlacement(d *snapDecoder) error {
 				wq.classes[prio] = f
 				wq.prios = append(wq.prios, prio)
 			}
-			nRun := d.Int()
-			if d.err != nil || nRun < 0 {
-				d.fail()
-				return d.err
-			}
+			nRun := d.Count(-1, 16)
 			p.running = make(map[job.Priority][]*jobRT, nRun)
 			for i := 0; i < nRun; i++ {
 				prio := job.Priority(d.Int())
 				stack := make([]*jobRT, 0, 4)
-				nStack := d.Int()
-				if d.err != nil || nStack < 0 || nStack > 1<<30 {
-					d.fail()
-					return d.err
-				}
+				nStack := d.Count(-1, 8)
 				for it := 0; it < nStack; it++ {
 					stack = append(stack, jobAt(d.Int()))
 				}
@@ -199,20 +186,12 @@ func (w *world) loadPlacement(d *snapDecoder) error {
 				m.inFree = d.Bool()
 				m.down = d.Bool()
 				m.spanIdx = d.Int()
-				nSusp := d.Int()
-				if d.err != nil || nSusp < 0 || nSusp > nJobs {
-					d.fail()
-					return d.err
-				}
+				nSusp := d.Count(nJobs, 8)
 				m.suspended = m.suspended[:0]
 				for i := 0; i < nSusp; i++ {
 					m.suspended = append(m.suspended, jobAt(d.Int()))
 				}
-				nRun := d.Int()
-				if d.err != nil || nRun < 0 || nRun > nJobs {
-					d.fail()
-					return d.err
-				}
+				nRun := d.Count(nJobs, 8)
 				m.running = m.running[:0]
 				for i := 0; i < nRun; i++ {
 					m.running = append(m.running, jobAt(d.Int()))
@@ -241,8 +220,8 @@ func (w *world) loadPlacement(d *snapDecoder) error {
 		st.Acct.Kills = d.Int()
 		st.FirstStart = d.F64()
 		st.Completed = d.F64()
-		if d.err != nil {
-			return d.err
+		if d.Err() != nil {
+			return d.Err()
 		}
 		if !w.validJobState(&st) {
 			return fmt.Errorf("%w: job %d in state %v with pool %d and machine %d",
@@ -252,7 +231,7 @@ func (w *world) loadPlacement(d *snapDecoder) error {
 		rt.enqueuedAt = d.F64()
 		rt.queued = d.Bool()
 	}
-	return d.err
+	return d.Err()
 }
 
 // validJobState reports whether a restored job record can be handled:
@@ -315,7 +294,7 @@ func (w *world) tryPlace(rt *jobRT, p *poolRT) error {
 		return w.startOn(rt, mid)
 	}
 	// (2) Preempt a lower-priority running job.
-	if victim := p.findVictim(rt.spec, w.machines, !w.cfg.SuspendHoldsMemory); victim != nil {
+	if victim := p.findVictim(rt.spec, w.machines); victim != nil {
 		return w.preempt(rt, victim)
 	}
 	// (3) Queue and wait.
@@ -395,9 +374,7 @@ func (w *world) preempt(rt *jobRT, victim *jobRT) error {
 	removeRunning(mach, victim)
 	w.res.Preemptions++
 	mach.freeCores += victim.spec.Cores
-	if !w.cfg.SuspendHoldsMemory {
-		mach.freeMemMB += victim.spec.MemMB
-	}
+	mach.freeMemMB += victim.spec.MemMB
 	p.busyCores -= victim.spec.Cores
 	w.addBusy(mach.m.Pool, -victim.spec.Cores)
 	mach.suspended = append(mach.suspended, victim)
@@ -453,10 +430,10 @@ func (w *world) handleFinish(idx int) error {
 	return w.onFree(mid)
 }
 
-// onFree hands freed capacity on machine mid to, by default, the
-// host's suspended jobs first (host-level resume, §2.2) and then the
-// pool wait queue in priority-FIFO order. With QueueBeatsResume,
-// waiting jobs of strictly higher priority win over a resume.
+// onFree hands freed capacity on machine mid to the host's suspended
+// jobs first (NetBatch suspension is host-level, §2.2: the suspended
+// process continues when its host frees, independent of the pool
+// queue) and then to the pool wait queue in priority-FIFO order.
 func (w *world) onFree(mid int) error {
 	mach := &w.machines[mid]
 	if mach.down {
@@ -469,26 +446,25 @@ func (w *world) onFree(mid int) error {
 		wrt := p.waitQ.peekFitting(func(rt *jobRT) bool {
 			return machineFits(mach, rt.spec)
 		})
-		srt := bestSuspended(mach, w.cfg.SuspendHoldsMemory)
-		if wrt == nil && srt == nil {
-			break
-		}
-		useWaiting := wrt != nil && (srt == nil ||
-			(w.cfg.QueueBeatsResume && wrt.spec.Priority > srt.spec.Priority))
-		if useWaiting {
-			p.waitQ.remove(wrt)
-			// A revived slot (see waitQueue) may hand us a job whose
-			// current queue label is another pool, possibly at another
-			// site. It starts on this machine all the same and keeps that
-			// label; startOn flags it aliased when the sites differ.
-			w.scopeWaiting--
-			w.q.Cancel(wrt.waitTO)
-			if err := w.startOn(wrt, mid); err != nil {
+		// The peek runs even when a resume wins: its compaction of the
+		// queue's FIFOs is part of the saved, behavior-bearing layout.
+		if srt := bestSuspended(mach); srt != nil {
+			if err := w.resume(srt); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := w.resume(srt); err != nil {
+		if wrt == nil {
+			break
+		}
+		p.waitQ.remove(wrt)
+		// A revived slot (see waitQueue) may hand us a job whose current
+		// queue label is another pool, possibly at another site. It
+		// starts on this machine all the same and keeps that label;
+		// startOn flags it aliased when the sites differ.
+		w.scopeWaiting--
+		w.q.Cancel(wrt.waitTO)
+		if err := w.startOn(wrt, mid); err != nil {
 			return err
 		}
 	}
@@ -507,14 +483,11 @@ func machineFits(mach *machineRT, spec *job.Spec) bool {
 // bestSuspended returns the suspended job on mach that should resume
 // next — highest priority, then earliest suspended — among those that
 // fit the free capacity, or nil.
-func bestSuspended(mach *machineRT, holdsMem bool) *jobRT {
+func bestSuspended(mach *machineRT) *jobRT {
 	var best *jobRT
 	for _, s := range mach.suspended {
-		if mach.freeCores < s.spec.Cores {
-			continue
-		}
 		// A swapped-out job must re-acquire memory to resume.
-		if !holdsMem && mach.freeMemMB < s.spec.MemMB {
+		if mach.freeCores < s.spec.Cores || mach.freeMemMB < s.spec.MemMB {
 			continue
 		}
 		if best == nil || s.spec.Priority > best.spec.Priority {
@@ -535,9 +508,7 @@ func (w *world) resume(rt *jobRT) error {
 	p.suspendedCnt--
 	w.scopeSuspended--
 	mach.freeCores -= rt.spec.Cores
-	if !w.cfg.SuspendHoldsMemory {
-		mach.freeMemMB -= rt.spec.MemMB
-	}
+	mach.freeMemMB -= rt.spec.MemMB
 	p.busyCores += rt.spec.Cores
 	w.addBusy(mach.m.Pool, rt.spec.Cores)
 	if err := rt.j.Resume(w.now); err != nil {

@@ -222,7 +222,7 @@ func (p *poolRT) pushRunning(rt *jobRT) {
 // recently started first, for one whose preemption would let spec run
 // on its machine. It returns nil if none qualifies. Stale entries are
 // pruned; the returned victim is removed from the stack.
-func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem bool) *jobRT {
+func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT) *jobRT {
 	for vp := job.Priority(1); vp < spec.Priority; vp++ {
 		stack, ok := p.running[vp]
 		if !ok {
@@ -245,7 +245,7 @@ func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem boo
 			mach := &machines[v.j.Machine]
 			// A draining machine's jobs run to completion but free no
 			// usable capacity, so preempting them is pointless.
-			if mach.down || !victimWorks(v, mach, spec, releaseMem) {
+			if mach.down || !victimWorks(v, mach, spec) {
 				continue
 			}
 			stack = append(stack[:i], stack[i+1:]...)
@@ -258,18 +258,10 @@ func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem boo
 }
 
 // victimWorks reports whether suspending v frees enough of its machine
-// for spec.
-func victimWorks(v *jobRT, mach *machineRT, spec *job.Spec, releaseMem bool) bool {
+// for spec. Suspension swaps the victim out, releasing its memory.
+func victimWorks(v *jobRT, mach *machineRT, spec *job.Spec) bool {
 	if spec.OS != "" && spec.OS != mach.m.OS {
 		return false
 	}
-	if mach.freeCores+v.spec.Cores < spec.Cores {
-		return false
-	}
-	avail := mach.freeMemMB
-	if releaseMem {
-		// Suspension swaps the victim out, releasing its memory.
-		avail += v.spec.MemMB
-	}
-	return avail >= spec.MemMB
+	return mach.freeCores+v.spec.Cores >= spec.Cores && mach.freeMemMB+v.spec.MemMB >= spec.MemMB
 }

@@ -134,7 +134,7 @@ func TestFindVictimPicksMostRecentLowest(t *testing.T) {
 	_ = v1
 
 	newSpec := &job.Spec{ID: 9, Cores: 1, MemMB: 1024, Priority: job.PriorityHigh, Candidates: []int{0}}
-	victim := p.findVictim(newSpec, machines, true)
+	victim := p.findVictim(newSpec, machines)
 	if victim != v2 {
 		t.Fatalf("victim = %v, want most recently started job 2", victim.spec.ID)
 	}
@@ -164,17 +164,17 @@ func TestFindVictimRespectsMemoryAndPriority(t *testing.T) {
 	p.pushRunning(rt)
 
 	// Equal priority: no victim.
-	if v := p.findVictim(&job.Spec{Cores: 1, MemMB: 1, Priority: job.PriorityHigh}, machines, true); v != nil {
+	if v := p.findVictim(&job.Spec{Cores: 1, MemMB: 1, Priority: job.PriorityHigh}, machines); v != nil {
 		t.Fatal("equal-priority job found a victim")
 	}
 	// Higher priority but memory won't fit even after release.
 	huge := &job.Spec{Cores: 1, MemMB: 1 << 20, Priority: job.PriorityHigh + 1}
-	if v := p.findVictim(huge, machines, true); v != nil {
+	if v := p.findVictim(huge, machines); v != nil {
 		t.Fatal("victim found despite impossible memory")
 	}
 	// Higher priority, fits with released memory.
 	ok := &job.Spec{Cores: 1, MemMB: 2048, Priority: job.PriorityHigh + 1}
-	if v := p.findVictim(ok, machines, true); v != rt {
+	if v := p.findVictim(ok, machines); v != rt {
 		t.Fatal("expected the running high job as victim of higher priority")
 	}
 }
@@ -189,17 +189,17 @@ func TestVictimWorksMemoryModes(t *testing.T) {
 	victim := &jobRT{j: job.New(vspec), spec: vspec}
 	need := &job.Spec{Cores: 2, MemMB: 2048, Priority: job.PriorityHigh}
 
-	// Swapped-out suspension releases the victim's memory: fits.
-	if !victimWorks(victim, &mach, need, true) {
+	// Suspension swaps the victim out, releasing its memory: fits.
+	if !victimWorks(victim, &mach, need) {
 		t.Fatal("want fit when suspension releases memory")
 	}
-	// Held memory: only 512 free, does not fit.
-	if victimWorks(victim, &mach, need, false) {
-		t.Fatal("want no fit when suspension holds memory")
+	// 512 free plus the victim's 2048 is short of 3000.
+	if victimWorks(victim, &mach, &job.Spec{Cores: 2, MemMB: 3000, Priority: job.PriorityHigh}) {
+		t.Fatal("want no fit beyond the released memory")
 	}
 	// OS mismatch never fits.
 	osSpec := &job.Spec{Cores: 1, MemMB: 1, OS: "windows", Priority: job.PriorityHigh}
-	if victimWorks(victim, &mach, osSpec, true) {
+	if victimWorks(victim, &mach, osSpec) {
 		t.Fatal("OS mismatch should not fit")
 	}
 }

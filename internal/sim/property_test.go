@@ -107,7 +107,6 @@ func TestEngineInvariantsUnderRandomWorkloads(t *testing.T) {
 			Initial:            initialForIndex(int(initPick), seed),
 			Policy:             policyForIndex(int(polPick), seed),
 			RescheduleOverhead: float64(seed % 7),
-			SuspendHoldsMemory: seed%2 == 0,
 		}
 		res, err := Run(cfg, specs)
 		if err != nil {

@@ -98,21 +98,6 @@ func (w *waitQueue) peekFitting(fits func(*jobRT) bool) *jobRT {
 	return nil
 }
 
-// topPriority returns the priority of the oldest live entry of the
-// highest class, or 0 if the queue is empty.
-func (w *waitQueue) topPriority() job.Priority {
-	for _, prio := range w.prios {
-		f := w.classes[prio]
-		f.compact()
-		for i := f.head; i < len(f.items); i++ {
-			if rt := f.items[i]; rt != nil && rt.queued {
-				return prio
-			}
-		}
-	}
-	return 0
-}
-
 // fifo is a slice-backed FIFO with a moving head and periodic
 // compaction.
 type fifo struct {

@@ -71,27 +71,6 @@ func TestWaitQueueRemoveIdempotent(t *testing.T) {
 	}
 }
 
-func TestWaitQueueTopPriority(t *testing.T) {
-	q := newWaitQueue()
-	if q.topPriority() != 0 {
-		t.Fatal("empty queue should report zero priority")
-	}
-	low := queuedRT(1, job.PriorityLow)
-	q.push(low)
-	if q.topPriority() != job.PriorityLow {
-		t.Fatal("want low")
-	}
-	high := queuedRT(2, job.PriorityHigh)
-	q.push(high)
-	if q.topPriority() != job.PriorityHigh {
-		t.Fatal("want high")
-	}
-	q.remove(high)
-	if q.topPriority() != job.PriorityLow {
-		t.Fatal("want low after high removed")
-	}
-}
-
 func TestWaitQueueCompaction(t *testing.T) {
 	q := newWaitQueue()
 	var all []*jobRT

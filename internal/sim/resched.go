@@ -13,8 +13,8 @@ import (
 // random streams are order-sensitive — and read the (aged)
 // utilization view. Their only state is their pending events (saved
 // with the queue; restoreQueue rewires each restored wait timer to its
-// job) and the policy's internals (saved through the Stateful
-// contract), so snapshots have no section for them.
+// job) and the policy's internals (the "policy" section, saved through
+// the Stateful contract), so they have no section of their own.
 
 // handleSusDecide consults the rescheduling policy about a job that was
 // suspended one decision sweep ago.
@@ -44,9 +44,6 @@ func (w *world) departSuspended(rt *jobRT, target int) error {
 	w.noteDetach(rt)
 	p.suspendedCnt--
 	w.scopeSuspended--
-	if w.cfg.SuspendHoldsMemory {
-		mach.freeMemMB += rt.spec.MemMB
-	}
 
 	overhead := w.cfg.RescheduleOverhead
 	if from := w.siteOf[rt.j.Pool]; from != w.siteOf[target] {

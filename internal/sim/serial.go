@@ -101,11 +101,7 @@ func (w *world) loop(ck *checkpointer) error {
 			}
 		}
 		if cfg.stopAtEvents > 0 && w.events >= cfg.stopAtEvents {
-			data, err := takeSnapshot(w, newSnapParams(w, 0), w.now, w.events)
-			if err != nil {
-				return err
-			}
-			*cfg.captureAt = data
+			*cfg.captureAt = takeSnapshot(w, newSnapParams(w, 0), w.now, w.events)
 			return errReplayStop
 		}
 	}

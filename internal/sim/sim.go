@@ -84,9 +84,6 @@ type Config struct {
 	// rescheduling associated overheads"). Default 0, matching the
 	// paper's evaluation.
 	RescheduleOverhead float64
-	// SuspendHoldsMemory keeps a suspended job's memory allocated on its
-	// host instead of swapping it out. Default false (swapped out).
-	SuspendHoldsMemory bool
 	// UtilStaleness makes the PoolView's utilization snapshots lag by up
 	// to this many minutes, modeling cross-pool propagation delay
 	// (§3.2.2's practicality caveat). Default 0 (live view).
@@ -101,13 +98,6 @@ type Config struct {
 	// windows with a configurable victim-job policy. The zero value
 	// disables it entirely and leaves every output byte-identical.
 	Faults FaultConfig
-	// QueueBeatsResume inverts the capacity handoff order. By default a
-	// freed core first resumes the host's suspended jobs (NetBatch
-	// suspension is host-level, §2.2: the suspended process continues
-	// when its host frees, independent of the pool queue) and only then
-	// serves the pool wait queue. With QueueBeatsResume, waiting jobs of
-	// strictly higher priority preempt the resume (ablation).
-	QueueBeatsResume bool
 	// MaxTime aborts the run if simulated time passes this cap,
 	// indicating livelock. Zero means the default, 10,000,000 minutes;
 	// negative values are rejected.
@@ -174,8 +164,8 @@ type Config struct {
 	// from instead of starting at t=0. The snapshot must come from a
 	// run with the same configuration and workload; mismatches fail
 	// with ErrSnapshotMismatch before any simulation state is touched.
-	// Stateful schedulers/policies are restored through the Stateful
-	// contract.
+	// Stateful schedulers/policies are restored from their snapshot
+	// sections through the Stateful contract.
 	ResumeFrom []byte
 
 	// stopAtEvents and captureAt are replay-bisect internals (see

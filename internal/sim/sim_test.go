@@ -212,27 +212,6 @@ func TestHostLevelResumeBeatsWaitingHigh(t *testing.T) {
 	}
 }
 
-func TestQueueBeatsResumeOption(t *testing.T) {
-	p := miniPlatform(t, 1)
-	cfg := baseConfig(p)
-	cfg.QueueBeatsResume = true
-	specs := []job.Spec{
-		lowJob(1, 0, 100, 0),
-		highJob(2, 10, 50, 0), // preempts job 1
-		highJob(3, 20, 10, 0), // queues (can't preempt high)
-	}
-	res := run(t, cfg, specs)
-	j1, j3 := res.Jobs[0], res.Jobs[2]
-	// With the ablation flag, the waiting HIGH job beats the suspended
-	// low: j3 runs 60-70, then j1 resumes at 70 with 90 left -> 160.
-	if math.Abs(j3.Completed-70) > 1e-9 {
-		t.Fatalf("high job completed at %v, want 70", j3.Completed)
-	}
-	if math.Abs(j1.Completed-160) > 1e-9 {
-		t.Fatalf("low job completed at %v, want 160", j1.Completed)
-	}
-}
-
 func TestResSusUtilMovesSuspendedJob(t *testing.T) {
 	p := miniPlatform(t, 1, 1) // two pools, one core each; pool 1 idle
 	cfg := baseConfig(p)
@@ -449,30 +428,6 @@ func TestMultiCoreJob(t *testing.T) {
 	j2 := res.Jobs[1]
 	if got := j2.Acct().Wait; got != 100 {
 		t.Fatalf("wait = %v, want 100", got)
-	}
-}
-
-func TestSuspendHoldsMemoryBlocksPreemption(t *testing.T) {
-	plat, err := cluster.Build([]cluster.PoolConfig{{
-		Classes: []cluster.MachineClass{{Count: 1, Cores: 2, MemMB: 4096, Speed: 1.0}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(plat)
-	cfg.SuspendHoldsMemory = true
-	specs := []job.Spec{
-		{ID: 1, Submit: 0, Work: 100, Cores: 2, MemMB: 3000, Priority: job.PriorityLow, Candidates: []int{0}},
-		{ID: 2, Submit: 10, Work: 20, Cores: 1, MemMB: 3000, Priority: job.PriorityHigh, Candidates: []int{0}},
-	}
-	res := run(t, cfg, specs)
-	// With memory held by the suspended victim, the high job cannot fit:
-	// no preemption happens and it waits for completion at t=100.
-	if res.Preemptions != 0 {
-		t.Fatal("preemption happened despite held memory")
-	}
-	if got := res.Jobs[1].Acct().Wait; got != 90 {
-		t.Fatalf("high wait = %v, want 90", got)
 	}
 }
 

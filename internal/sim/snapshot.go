@@ -3,6 +3,7 @@ package sim
 import (
 	"netbatch/internal/job"
 	"netbatch/internal/sched"
+	"netbatch/internal/snap"
 )
 
 // This file is the stale utilization view (§3.2.2, generalized to
@@ -13,7 +14,7 @@ import (
 
 // saveViews dumps every observer's snapshot cells, site by site. The
 // refresh chains themselves are pending events, saved with the queue.
-func (w *world) saveViews(e *snapEncoder) {
+func (w *world) saveViews(e *snap.Encoder) {
 	if w.snap == nil {
 		return // no ageing configured; nothing allocated (config-determined)
 	}
@@ -26,7 +27,7 @@ func (w *world) saveViews(e *snapEncoder) {
 	}
 }
 
-func (w *world) loadViews(d *snapDecoder) error {
+func (w *world) loadViews(d *snap.Decoder) error {
 	if w.snap == nil {
 		return nil
 	}
@@ -37,7 +38,7 @@ func (w *world) loadViews(d *snapDecoder) error {
 			}
 		}
 	}
-	return d.err
+	return d.Err()
 }
 
 // handleSnapshot refreshes observer site obs's view of target site
@@ -84,12 +85,12 @@ func (v *poolView) observe(site int) { v.obs = site }
 // refresh copies live utilization of the target site's pools into the
 // observer's snapshot row.
 func (v *poolView) refresh(obs, tgt int) {
-	snap := v.w.snap
-	if snap == nil {
+	cells := v.w.snap
+	if cells == nil {
 		return
 	}
 	for _, p := range v.w.plat.Site(tgt).Pools {
-		snap[obs][p] = v.liveUtil(p)
+		cells[obs][p] = v.liveUtil(p)
 	}
 }
 

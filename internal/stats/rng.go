@@ -3,37 +3,32 @@
 // the workload distributions the synthetic trace generator draws from
 // (lognormal, Pareto, exponential, bounded uniforms), and the summary
 // machinery used by the metrics layer (online moments, quantiles,
-// empirical CDFs, histogram binning).
+// empirical CDFs).
 //
 // Everything in this package is deterministic given a seed, which is
 // what makes every experiment in the repository reproducible.
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+
+	"netbatch/internal/snap"
 )
 
 // RNG is a deterministic, seedable source of random variates.
 //
-// It wraps math/rand/v2's PCG generator with explicit, exportable state:
-// ExportState captures the generator mid-stream and ImportState resumes
-// it so that a straight run and a save/restore run draw identical
-// streams (the checkpoint/restore contract). RNG is not safe for
-// concurrent use; the simulator is single-threaded by design, and
-// parallel experiment runners each own a distinct RNG.
+// It wraps math/rand/v2's PCG generator with explicit, savable state:
+// SaveState captures the generator mid-stream and LoadState resumes it
+// so that a straight run and a save/restore run draw identical streams
+// (the checkpoint/restore contract). RNG is not safe for concurrent
+// use; the simulator is single-threaded by design, and parallel
+// experiment runners each own a distinct RNG.
 type RNG struct {
 	src  *rand.Rand
 	pcg  *rand.PCG
 	seed uint64
-}
-
-// RNGState is the explicit serializable state of an RNG: the seed its
-// keyed forks derive from (SplitKey/ForkSeed are pure functions of it)
-// plus the PCG generator's marshaled position in its stream.
-type RNGState struct {
-	Seed uint64 `json:"seed"`
-	PCG  []byte `json:"pcg"`
 }
 
 // NewRNG returns a generator seeded with seed. Two RNGs created with the
@@ -43,35 +38,34 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{src: rand.New(pcg), pcg: pcg, seed: seed}
 }
 
-// ExportState snapshots the generator. The result is a pure value:
-// exporting consumes no draws and the generator continues unaffected.
-func (r *RNG) ExportState() RNGState {
+// SaveState appends the generator's state: the seed its keyed forks
+// derive from (SplitKey/ForkSeed are pure functions of it) and the PCG
+// generator's marshaled position in its stream. Saving consumes no
+// draws.
+func (r *RNG) SaveState(e *snap.Encoder) {
 	data, err := r.pcg.MarshalBinary()
 	if err != nil {
 		// rand.PCG.MarshalBinary cannot fail; keep the signature clean.
 		panic("stats: PCG marshal failed: " + err.Error())
 	}
-	return RNGState{Seed: r.seed, PCG: data}
+	e.U64(r.seed)
+	e.Bytes(data)
 }
 
-// ImportState repositions the generator to a previously exported state:
-// subsequent draws (and keyed forks) are identical to those the
-// exporting generator produced after the export.
-func (r *RNG) ImportState(st RNGState) error {
-	if err := r.pcg.UnmarshalBinary(st.PCG); err != nil {
-		return err
+// LoadState repositions the generator to a state SaveState saved:
+// subsequent draws (and keyed forks) are identical to those the saving
+// generator produced after the save. Bytes that are no PCG state fail
+// with snap.ErrMismatch.
+func (r *RNG) LoadState(d *snap.Decoder) error {
+	seed, data := d.U64(), d.Bytes()
+	if d.Err() != nil {
+		return d.Err()
 	}
-	r.seed = st.Seed
+	if err := r.pcg.UnmarshalBinary(data); err != nil {
+		return fmt.Errorf("%w: RNG state: %v", snap.ErrMismatch, err)
+	}
+	r.seed = seed
 	return nil
-}
-
-// RestoreRNG reconstructs a generator from an exported state.
-func RestoreRNG(st RNGState) (*RNG, error) {
-	r := NewRNG(st.Seed)
-	if err := r.ImportState(st); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // Split derives an independent generator from the current stream. It is

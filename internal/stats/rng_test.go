@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"netbatch/internal/snap"
 )
 
 func TestNewRNGDeterminism(t *testing.T) {
@@ -363,12 +367,17 @@ func TestForkSeedPure(t *testing.T) {
 	}
 }
 
+// TestRNGExportImportIdenticalStreams saves a generator mid-stream,
+// loads the state into a generator of another seed, and checks that it
+// draws (and forks) exactly what the saved one draws next, and that
+// saving it again gives the same bytes.
 func TestRNGExportImportIdenticalStreams(t *testing.T) {
 	r := NewRNG(12345)
 	for i := 0; i < 100; i++ {
 		r.Float64() // advance mid-stream
 	}
-	st := r.ExportState()
+	var st snap.Encoder
+	r.SaveState(&st)
 	want := make([]float64, 64)
 	for i := range want {
 		// Mix variate kinds so any hidden transform state would surface.
@@ -385,9 +394,14 @@ func TestRNGExportImportIdenticalStreams(t *testing.T) {
 	}
 	wantFork := r.SplitKey(99).Uint64()
 
-	restored, err := RestoreRNG(st)
-	if err != nil {
+	restored := NewRNG(1)
+	if err := restored.LoadState(snap.NewDecoder(st.Buf)); err != nil {
 		t.Fatal(err)
+	}
+	var again snap.Encoder
+	restored.SaveState(&again)
+	if !bytes.Equal(again.Buf, st.Buf) {
+		t.Fatalf("re-saved state %x, want %x", again.Buf, st.Buf)
 	}
 	for i := range want {
 		var got float64
@@ -412,17 +426,23 @@ func TestRNGExportImportIdenticalStreams(t *testing.T) {
 
 func TestRNGExportIsPureRead(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
-	a.ExportState()
+	a.SaveState(&snap.Encoder{})
 	for i := 0; i < 32; i++ {
 		if a.Uint64() != b.Uint64() {
-			t.Fatalf("ExportState perturbed the stream at draw %d", i)
+			t.Fatalf("SaveState perturbed the stream at draw %d", i)
 		}
 	}
 }
 
+// TestRNGImportRejectsGarbage loads bytes that are no PCG state, and a
+// truncated state: both must fail with snap.ErrMismatch.
 func TestRNGImportRejectsGarbage(t *testing.T) {
-	r := NewRNG(1)
-	if err := r.ImportState(RNGState{Seed: 1, PCG: []byte("nonsense")}); err == nil {
-		t.Fatal("ImportState accepted garbage")
+	var e snap.Encoder
+	e.U64(1)
+	e.Bytes([]byte("nonsense"))
+	for _, data := range [][]byte{e.Buf, e.Buf[:4]} {
+		if err := NewRNG(1).LoadState(snap.NewDecoder(data)); !errors.Is(err, snap.ErrMismatch) {
+			t.Fatalf("LoadState(%x): got %v, want snap.ErrMismatch", data, err)
+		}
 	}
 }

@@ -87,28 +87,6 @@ func (m *Mean) CI95() float64 {
 	return t * m.Stddev() / math.Sqrt(float64(m.n))
 }
 
-// Merge combines another accumulator into this one (parallel Welford).
-func (m *Mean) Merge(o *Mean) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *o
-		return
-	}
-	n := m.n + o.n
-	delta := o.mean - m.mean
-	m.m2 += o.m2 + delta*delta*float64(m.n)*float64(o.n)/float64(n)
-	m.mean += delta * float64(o.n) / float64(n)
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-	m.n = n
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics: the value a full sort of xs
 // (in sort.Float64s order, NaNs first) would give, found by selection
@@ -283,54 +261,4 @@ func (c *CDF) Points(n int) []Point {
 type Point struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-// Out-of-range observations are clamped into the first/last bin so the
-// total count always matches the number of Add calls.
-type Histogram struct {
-	Lo, Hi float64
-	counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi). It panics
-// if n <= 0 or hi <= lo, which are programmer errors.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: NewHistogram requires n > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, counts: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	h.counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.counts))
-	return h.Lo + (float64(i)+0.5)*w
 }

@@ -34,48 +34,6 @@ func TestMeanBasics(t *testing.T) {
 	}
 }
 
-func TestMeanMergeMatchesSequential(t *testing.T) {
-	r := NewRNG(5)
-	err := quick.Check(func(split uint8) bool {
-		xs := make([]float64, 200)
-		for i := range xs {
-			xs[i] = r.Float64()*100 - 50
-		}
-		k := int(split) % len(xs)
-		var whole, left, right Mean
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		for _, x := range xs[:k] {
-			left.Add(x)
-		}
-		for _, x := range xs[k:] {
-			right.Add(x)
-		}
-		left.Merge(&right)
-		return left.N() == whole.N() &&
-			math.Abs(left.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(left.Var()-whole.Var()) < 1e-6 &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMeanMergeEmpty(t *testing.T) {
-	var a, b Mean
-	a.Add(3)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct {
@@ -219,64 +177,6 @@ func TestCDFMean(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3})
 	if got := c.Mean(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for _, x := range []float64{-5, 0, 5, 15, 99, 105} {
-		h.Add(x)
-	}
-	counts := h.Counts()
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if counts[0] != 3 { // -5 (clamped), 0, 5
-		t.Fatalf("bin0 = %d, want 3", counts[0])
-	}
-	if counts[1] != 1 {
-		t.Fatalf("bin1 = %d, want 1", counts[1])
-	}
-	if counts[9] != 2 { // 99 and 105 (clamped)
-		t.Fatalf("bin9 = %d, want 2", counts[9])
-	}
-	if got := h.BinCenter(0); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zeroBins":  func() { NewHistogram(0, 1, 0) },
-		"badBounds": func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestHistogramConservation(t *testing.T) {
-	r := NewRNG(201)
-	err := quick.Check(func(n uint16) bool {
-		h := NewHistogram(0, 50, 7)
-		adds := int(n % 500)
-		for i := 0; i < adds; i++ {
-			h.Add(r.Float64()*200 - 50) // deliberately out of range sometimes
-		}
-		var sum int64
-		for _, c := range h.Counts() {
-			sum += c
-		}
-		return sum == int64(adds) && h.Total() == int64(adds)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
