@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure in the paper's
 // evaluation (one benchmark per artifact), plus ablation benches for
-// the design knobs DESIGN.md calls out (wait threshold, reschedule
-// overhead, utilization staleness, initial-scheduler flavor, restart vs
-// migration) and micro-benchmarks of the simulator's hot path.
+// the design knobs (wait threshold, reschedule overhead, utilization
+// staleness, initial-scheduler flavor, restart vs migration) and
+// micro-benchmarks of the simulator's hot path.
 //
 // Experiment benches run at 4% scale so a full -bench=. pass stays in
 // the minutes range; they report the paper's key metrics via

@@ -77,7 +77,7 @@ func run() (err error) {
 	)
 	flag.Parse()
 	if err := checkFlags(numericFlags{
-		scale: *scale, seeds: *seeds, jobs: *jobs, checkpointEvery: *ckptEvery,
+		scale: *scale, seed: *seed, seeds: *seeds, jobs: *jobs, checkpointEvery: *ckptEvery,
 		checkpointKeyframe: *ckptKeyframe, progress: *progress, timeout: *timeout,
 	}); err != nil {
 		return err
@@ -173,6 +173,7 @@ func run() (err error) {
 // otherwise quietly replace with a default when out of range.
 type numericFlags struct {
 	scale              float64
+	seed               uint64
 	seeds, jobs        int
 	checkpointEvery    float64
 	checkpointKeyframe int
@@ -186,6 +187,8 @@ func checkFlags(f numericFlags) error {
 	switch {
 	case f.scale <= 0:
 		return fmt.Errorf("-scale must be positive, got %v", f.scale)
+	case f.seed == 0:
+		return fmt.Errorf("-seed must be at least 1, got %d", f.seed)
 	case f.seeds < 1:
 		return fmt.Errorf("-seeds must be at least 1, got %d", f.seeds)
 	case f.jobs < 0:

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCheckFlags(t *testing.T) {
-	valid := numericFlags{scale: 0.05, seeds: 1}
+	valid := numericFlags{scale: 0.05, seed: 42, seeds: 1}
 	cases := []struct {
 		name string
 		set  func(*numericFlags)
@@ -20,6 +20,7 @@ func TestCheckFlags(t *testing.T) {
 		}},
 		{name: "zero scale", set: func(f *numericFlags) { f.scale = 0 }, want: "-scale"},
 		{name: "negative scale", set: func(f *numericFlags) { f.scale = -1 }, want: "-scale"},
+		{name: "zero seed", set: func(f *numericFlags) { f.seed = 0 }, want: "-seed"},
 		{name: "zero seeds", set: func(f *numericFlags) { f.seeds = 0 }, want: "-seeds"},
 		{name: "negative seeds", set: func(f *numericFlags) { f.seeds = -2 }, want: "-seeds"},
 		{name: "negative jobs", set: func(f *numericFlags) { f.jobs = -3 }, want: "-jobs"},

@@ -6,7 +6,7 @@
 //	         [-format jsonl|csv] [-o trace.jsonl]
 //
 // The presets are the calibrated workloads behind the paper's
-// experiments (see internal/trace/presets.go and DESIGN.md).
+// experiments (see internal/trace/presets.go).
 package main
 
 import (

@@ -39,12 +39,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := trace.WeekNormal(3)
-	cfg.LowRate *= scale
-	for i := range cfg.Bursts {
-		cfg.Bursts[i].Rate *= scale
-	}
-	tr, err := trace.Generate(cfg)
+	tr, err := trace.Generate(trace.ScaleRates(trace.WeekNormal(3), scale))
 	if err != nil {
 		return err
 	}

@@ -26,9 +26,12 @@ import (
 )
 
 // ResSusQueue restarts suspended (and stalled waiting) jobs at the
-// candidate pool minimizing utilization + queue backlog per core. The
+// eligible pool minimizing utilization + queue backlog per core. The
 // queue term avoids the trap ResSusUtil can fall into: a pool can be
-// momentarily under-utilized yet have a deep backlog.
+// momentarily under-utilized yet have a deep backlog. The simulator
+// passes each decision the job's eligible pools (the candidates with a
+// machine that meets its static requirements), so the policy never
+// checks eligibility itself.
 type ResSusQueue struct {
 	// Threshold is the wait-queue stall threshold, minutes.
 	Threshold float64
@@ -46,10 +49,10 @@ func score(view sched.PoolView, pool int) float64 {
 
 // pick returns the best-scoring eligible alternate, if strictly better
 // than the current pool.
-func (ResSusQueue) pick(j *job.Job, view sched.PoolView) (int, bool) {
+func (ResSusQueue) pick(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
 	best, bestScore := -1, 0.0
-	for _, p := range j.Spec.Candidates {
-		if p == j.Pool || !view.Eligible(p, j.Spec) {
+	for _, p := range eligible {
+		if p == j.Pool {
 			continue
 		}
 		if s := score(view, p); best == -1 || s < bestScore {
@@ -63,16 +66,16 @@ func (ResSusQueue) pick(j *job.Job, view sched.PoolView) (int, bool) {
 }
 
 // OnSuspend implements core.Policy.
-func (q ResSusQueue) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return q.pick(j, view)
+func (q ResSusQueue) OnSuspend(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return q.pick(j, eligible, view)
 }
 
 // WaitThreshold implements core.Policy.
 func (q ResSusQueue) WaitThreshold() float64 { return q.Threshold }
 
 // OnWaitTimeout implements core.Policy.
-func (q ResSusQueue) OnWaitTimeout(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return q.pick(j, view)
+func (q ResSusQueue) OnWaitTimeout(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return q.pick(j, eligible, view)
 }
 
 func main() {
@@ -95,12 +98,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := trace.WeekNormal(7)
-	cfg.LowRate *= 0.05
-	for i := range cfg.Bursts {
-		cfg.Bursts[i].Rate *= 0.05
-	}
-	tr, err := trace.Generate(cfg)
+	tr, err := trace.Generate(trace.ScaleRates(trace.WeekNormal(7), 0.05))
 	if err != nil {
 		return err
 	}

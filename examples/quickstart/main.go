@@ -39,12 +39,7 @@ func run() error {
 
 	// A one-week trace with a mid-week burst of pool-restricted
 	// high-priority jobs, scaled to match the platform.
-	traceCfg := trace.WeekNormal(1)
-	traceCfg.LowRate *= 0.05
-	for i := range traceCfg.Bursts {
-		traceCfg.Bursts[i].Rate *= 0.05
-	}
-	tr, err := trace.Generate(traceCfg)
+	tr, err := trace.Generate(trace.ScaleRates(trace.WeekNormal(1), 0.05))
 	if err != nil {
 		return err
 	}

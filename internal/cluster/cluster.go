@@ -12,8 +12,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-
-	"netbatch/internal/job"
 )
 
 // Machine is one compute host.
@@ -31,18 +29,6 @@ type Machine struct {
 	Speed float64 `json:"speed"`
 	// OS is the machine's operating system label.
 	OS string `json:"os"`
-}
-
-// Eligible reports whether the machine satisfies a job's static
-// requirements (OS, memory capacity, core count). This mirrors the
-// paper's "first eligible machine (i.e., which satisfies the job
-// requirements)" test; availability is checked separately by the
-// simulator.
-func (m *Machine) Eligible(spec *job.Spec) bool {
-	if spec.OS != "" && spec.OS != m.OS {
-		return false
-	}
-	return m.MemMB >= spec.MemMB && m.Cores >= spec.Cores
 }
 
 // MachineClass describes a homogeneous group of machines inside a pool,

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"netbatch/internal/job"
 )
 
 func twoPoolConfig() []PoolConfig {
@@ -95,30 +93,6 @@ func TestBuildErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := Build(c.configs); err == nil {
 				t.Fatal("want error")
-			}
-		})
-	}
-}
-
-func TestMachineEligible(t *testing.T) {
-	m := Machine{Cores: 4, MemMB: 8192, OS: "linux"}
-	cases := []struct {
-		name string
-		spec job.Spec
-		want bool
-	}{
-		{"fits", job.Spec{Cores: 2, MemMB: 4096}, true},
-		{"exactFit", job.Spec{Cores: 4, MemMB: 8192}, true},
-		{"tooManyCores", job.Spec{Cores: 8, MemMB: 1}, false},
-		{"tooMuchMem", job.Spec{Cores: 1, MemMB: 9000}, false},
-		{"osMatch", job.Spec{Cores: 1, MemMB: 1, OS: "linux"}, true},
-		{"osMismatch", job.Spec{Cores: 1, MemMB: 1, OS: "windows"}, false},
-		{"osAny", job.Spec{Cores: 1, MemMB: 1, OS: ""}, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := m.Eligible(&c.spec); got != c.want {
-				t.Fatalf("Eligible = %v, want %v", got, c.want)
 			}
 		})
 	}

@@ -17,10 +17,16 @@
 //	                  highlights that it needs no pool statistics at all
 //	                  and can be driven by the job itself (§3.3.2).
 //
-// Two extension policies implement the alternatives the paper discusses
+// Two extension policies implement alternatives the paper discusses
 // qualitatively: ResSusMigrate (Condor-style checkpoint migration that
-// preserves progress at a transfer cost, §2.3/§4) and the
-// keep-suspended/restart trade-off knobs used by the ablation benches.
+// preserves progress at a transfer cost, §2.3/§4) and
+// ResSusWaitLatency (ResSusWaitUtil with an inter-site delay penalty,
+// for the multi-site federation; §5's "network delays and other
+// rescheduling associated overheads").
+//
+// Every decision chooses among the job's eligible pools, which the
+// simulator works out and passes in: the candidates that hold a machine
+// meeting the job's static requirements, in candidate order.
 package core
 
 import (
@@ -42,17 +48,18 @@ type Policy interface {
 	// strategy names.
 	Name() string
 	// OnSuspend is consulted when a job has just been suspended.
-	// Returning (pool, true) restarts the job from scratch at pool;
-	// returning (_, false) leaves it suspended on its host.
-	OnSuspend(now float64, j *job.Job, view sched.PoolView) (int, bool)
+	// Returning (pool, true) restarts the job from scratch at pool, one
+	// of eligible; returning (_, false) leaves it suspended on its host.
+	OnSuspend(j *job.Job, eligible []int, view sched.PoolView) (int, bool)
 	// WaitThreshold returns the queue-stall threshold in minutes after
 	// which OnWaitTimeout is consulted, or 0 if waiting jobs are never
 	// rescheduled.
 	WaitThreshold() float64
 	// OnWaitTimeout is consulted when a job has waited longer than the
 	// threshold in one pool's queue. Returning (pool, true) moves it to
-	// pool's queue; returning (_, false) leaves it (the timer re-arms).
-	OnWaitTimeout(now float64, j *job.Job, view sched.PoolView) (int, bool)
+	// pool's queue, pool one of eligible; returning (_, false) leaves it
+	// (the timer re-arms).
+	OnWaitTimeout(j *job.Job, eligible []int, view sched.PoolView) (int, bool)
 }
 
 // Migrator is implemented by policies whose suspended-job moves carry
@@ -75,23 +82,23 @@ func NewNoRes() NoRes { return NoRes{} }
 func (NoRes) Name() string { return "NoRes" }
 
 // OnSuspend implements Policy: never move.
-func (NoRes) OnSuspend(float64, *job.Job, sched.PoolView) (int, bool) { return 0, false }
+func (NoRes) OnSuspend(*job.Job, []int, sched.PoolView) (int, bool) { return 0, false }
 
 // WaitThreshold implements Policy: waiting jobs are never rescheduled.
 func (NoRes) WaitThreshold() float64 { return 0 }
 
 // OnWaitTimeout implements Policy.
-func (NoRes) OnWaitTimeout(float64, *job.Job, sched.PoolView) (int, bool) { return 0, false }
+func (NoRes) OnWaitTimeout(*job.Job, []int, sched.PoolView) (int, bool) { return 0, false }
 
-// lowestUtilAlternate returns the statically eligible candidate pool
-// with the lowest utilization, excluding the job's current pool.
-// ok is false when there is no alternate or every alternate is at least
-// as utilized as the current pool ("ResSusUtil will simply retain the
-// suspended job in its current pool", §3.2.1).
-func lowestUtilAlternate(j *job.Job, view sched.PoolView) (pool int, ok bool) {
+// lowestUtilAlternate returns the eligible pool with the lowest
+// utilization, excluding the job's current pool. ok is false when
+// there is no alternate or every alternate is at least as utilized as
+// the current pool ("ResSusUtil will simply retain the suspended job in
+// its current pool", §3.2.1).
+func lowestUtilAlternate(j *job.Job, eligible []int, view sched.PoolView) (pool int, ok bool) {
 	best, bestUtil := -1, 0.0
-	for _, p := range j.Spec.Candidates {
-		if p == j.Pool || !view.Eligible(p, j.Spec) {
+	for _, p := range eligible {
+		if p == j.Pool {
 			continue
 		}
 		u := view.Utilization(p)
@@ -108,25 +115,19 @@ func lowestUtilAlternate(j *job.Job, view sched.PoolView) (pool int, ok bool) {
 	return best, true
 }
 
-// randomCandidate returns a uniformly random statically eligible
-// candidate pool — "a randomly selected pool among all candidate pools"
-// (§3.2), which deliberately does NOT exclude the current pool or
-// consider load; blind selection is exactly what the paper shows can
-// backfire. ok is false when the job has no eligible candidate at all.
-// A pick equal to the current pool still counts as a move for suspended
-// jobs (the job restarts into its own pool's queue); the simulator
-// treats it as a stay for waiting jobs (nothing would change).
-func randomCandidate(rng *stats.RNG, j *job.Job, view sched.PoolView) (pool int, ok bool) {
-	alts := make([]int, 0, len(j.Spec.Candidates))
-	for _, p := range j.Spec.Candidates {
-		if view.Eligible(p, j.Spec) {
-			alts = append(alts, p)
-		}
-	}
-	if len(alts) == 0 {
+// randomCandidate returns a uniformly random eligible pool — "a
+// randomly selected pool among all candidate pools" (§3.2), which
+// deliberately does NOT exclude the current pool or consider load;
+// blind selection is exactly what the paper shows can backfire. ok is
+// false when eligible is empty. A pick equal to the current pool still
+// counts as a move for suspended jobs (the job restarts into its own
+// pool's queue); the simulator treats it as a stay for waiting jobs
+// (nothing would change).
+func randomCandidate(rng *stats.RNG, eligible []int) (pool int, ok bool) {
+	if len(eligible) == 0 {
 		return 0, false
 	}
-	return alts[rng.IntN(len(alts))], true
+	return eligible[rng.IntN(len(eligible))], true
 }
 
 // ResSusUtil restarts suspended jobs at the least-utilized candidate
@@ -142,15 +143,15 @@ func NewResSusUtil() ResSusUtil { return ResSusUtil{} }
 func (ResSusUtil) Name() string { return "ResSusUtil" }
 
 // OnSuspend implements Policy.
-func (ResSusUtil) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return lowestUtilAlternate(j, view)
+func (ResSusUtil) OnSuspend(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return lowestUtilAlternate(j, eligible, view)
 }
 
 // WaitThreshold implements Policy.
 func (ResSusUtil) WaitThreshold() float64 { return 0 }
 
 // OnWaitTimeout implements Policy.
-func (ResSusUtil) OnWaitTimeout(float64, *job.Job, sched.PoolView) (int, bool) {
+func (ResSusUtil) OnWaitTimeout(*job.Job, []int, sched.PoolView) (int, bool) {
 	return 0, false
 }
 
@@ -174,8 +175,8 @@ func NewResSusRand(seed uint64) *ResSusRand {
 func (*ResSusRand) Name() string { return "ResSusRand" }
 
 // OnSuspend implements Policy.
-func (r *ResSusRand) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return randomCandidate(r.rng, j, view)
+func (r *ResSusRand) OnSuspend(_ *job.Job, eligible []int, _ sched.PoolView) (int, bool) {
+	return randomCandidate(r.rng, eligible)
 }
 
 // WaitThreshold implements Policy.
@@ -189,7 +190,7 @@ func (r *ResSusRand) SaveState(e *snap.Encoder) { r.rng.SaveState(e) }
 func (r *ResSusRand) LoadState(d *snap.Decoder) error { return r.rng.LoadState(d) }
 
 // OnWaitTimeout implements Policy.
-func (*ResSusRand) OnWaitTimeout(float64, *job.Job, sched.PoolView) (int, bool) {
+func (*ResSusRand) OnWaitTimeout(*job.Job, []int, sched.PoolView) (int, bool) {
 	return 0, false
 }
 
@@ -213,16 +214,16 @@ func NewResSusWaitUtil() ResSusWaitUtil {
 func (ResSusWaitUtil) Name() string { return "ResSusWaitUtil" }
 
 // OnSuspend implements Policy.
-func (ResSusWaitUtil) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return lowestUtilAlternate(j, view)
+func (ResSusWaitUtil) OnSuspend(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return lowestUtilAlternate(j, eligible, view)
 }
 
 // WaitThreshold implements Policy.
 func (p ResSusWaitUtil) WaitThreshold() float64 { return p.Threshold }
 
 // OnWaitTimeout implements Policy.
-func (ResSusWaitUtil) OnWaitTimeout(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return lowestUtilAlternate(j, view)
+func (ResSusWaitUtil) OnWaitTimeout(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return lowestUtilAlternate(j, eligible, view)
 }
 
 // ResSusWaitRand combines suspended-job and waiting-job rescheduling
@@ -249,8 +250,8 @@ func NewResSusWaitRand(seed uint64) *ResSusWaitRand {
 func (*ResSusWaitRand) Name() string { return "ResSusWaitRand" }
 
 // OnSuspend implements Policy.
-func (r *ResSusWaitRand) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return randomCandidate(r.rng, j, view)
+func (r *ResSusWaitRand) OnSuspend(_ *job.Job, eligible []int, _ sched.PoolView) (int, bool) {
+	return randomCandidate(r.rng, eligible)
 }
 
 // WaitThreshold implements Policy.
@@ -263,8 +264,8 @@ func (r *ResSusWaitRand) SaveState(e *snap.Encoder) { r.rng.SaveState(e) }
 func (r *ResSusWaitRand) LoadState(d *snap.Decoder) error { return r.rng.LoadState(d) }
 
 // OnWaitTimeout implements Policy.
-func (r *ResSusWaitRand) OnWaitTimeout(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return randomCandidate(r.rng, j, view)
+func (r *ResSusWaitRand) OnWaitTimeout(_ *job.Job, eligible []int, _ sched.PoolView) (int, bool) {
+	return randomCandidate(r.rng, eligible)
 }
 
 // ResSusMigrate is the checkpoint-migration alternative the paper
@@ -292,15 +293,15 @@ func NewResSusMigrate(overhead float64) ResSusMigrate {
 func (ResSusMigrate) Name() string { return "ResSusMigrate" }
 
 // OnSuspend implements Policy.
-func (ResSusMigrate) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return lowestUtilAlternate(j, view)
+func (ResSusMigrate) OnSuspend(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return lowestUtilAlternate(j, eligible, view)
 }
 
 // WaitThreshold implements Policy.
 func (ResSusMigrate) WaitThreshold() float64 { return 0 }
 
 // OnWaitTimeout implements Policy.
-func (ResSusMigrate) OnWaitTimeout(float64, *job.Job, sched.PoolView) (int, bool) {
+func (ResSusMigrate) OnWaitTimeout(*job.Job, []int, sched.PoolView) (int, bool) {
 	return 0, false
 }
 

@@ -9,9 +9,8 @@ import (
 
 // fakeView is a controllable PoolView.
 type fakeView struct {
-	utils      []float64
-	queues     []int
-	ineligible map[int]bool
+	utils  []float64
+	queues []int
 }
 
 var _ sched.PoolView = (*fakeView)(nil)
@@ -19,12 +18,19 @@ var _ sched.PoolView = (*fakeView)(nil)
 func (f *fakeView) Utilization(p int) float64 { return f.utils[p] }
 func (f *fakeView) QueueLen(p int) int        { return f.queues[p] }
 func (f *fakeView) PoolCores(p int) int       { return 100 }
-func (f *fakeView) Eligible(p int, _ *job.Spec) bool {
-	return !f.ineligible[p]
-}
 
 func newView(utils ...float64) *fakeView {
-	return &fakeView{utils: utils, queues: make([]int, len(utils)), ineligible: map[int]bool{}}
+	return &fakeView{utils: utils, queues: make([]int, len(utils))}
+}
+
+// onSuspend and onWaitTimeout consult p with every candidate of j
+// eligible.
+func onSuspend(p Policy, j *job.Job, view sched.PoolView) (int, bool) {
+	return p.OnSuspend(j, j.Spec.Candidates, view)
+}
+
+func onWaitTimeout(p Policy, j *job.Job, view sched.PoolView) (int, bool) {
+	return p.OnWaitTimeout(j, j.Spec.Candidates, view)
 }
 
 // suspendedJob builds a job suspended at the given pool.
@@ -68,10 +74,10 @@ func TestNoRes(t *testing.T) {
 		t.Fatal("NoRes must not reschedule waiting jobs")
 	}
 	j := suspendedJob(t, 0, 0, 1)
-	if _, move := p.OnSuspend(10, j, newView(0.9, 0.0)); move {
+	if _, move := onSuspend(p, j, newView(0.9, 0.0)); move {
 		t.Fatal("NoRes moved a job")
 	}
-	if _, move := p.OnWaitTimeout(10, j, newView(0.9, 0.0)); move {
+	if _, move := onWaitTimeout(p, j, newView(0.9, 0.0)); move {
 		t.Fatal("NoRes moved a waiting job")
 	}
 }
@@ -80,7 +86,7 @@ func TestResSusUtilPicksLowestAlternate(t *testing.T) {
 	p := NewResSusUtil()
 	j := suspendedJob(t, 0, 0, 1, 2, 3)
 	view := newView(0.9, 0.7, 0.2, 0.5)
-	pool, move := p.OnSuspend(10, j, view)
+	pool, move := onSuspend(p, j, view)
 	if !move || pool != 2 {
 		t.Fatalf("OnSuspend = (%d, %v), want (2, true)", pool, move)
 	}
@@ -92,22 +98,22 @@ func TestResSusUtilRetainsWhenCurrentLowest(t *testing.T) {
 	p := NewResSusUtil()
 	j := suspendedJob(t, 0, 0, 1, 2)
 	view := newView(0.2, 0.7, 0.9)
-	if _, move := p.OnSuspend(10, j, view); move {
+	if _, move := onSuspend(p, j, view); move {
 		t.Fatal("moved despite current pool being least utilized")
 	}
 	// Equal utilization also retains (not strictly lower).
 	view = newView(0.5, 0.5, 0.9)
-	if _, move := p.OnSuspend(10, j, view); move {
+	if _, move := onSuspend(p, j, view); move {
 		t.Fatal("moved to an equally utilized pool")
 	}
 }
 
+// TestResSusUtilSkipsIneligible leaves out the least utilized
+// candidate when it is not eligible.
 func TestResSusUtilSkipsIneligible(t *testing.T) {
 	p := NewResSusUtil()
 	j := suspendedJob(t, 0, 0, 1, 2)
-	view := newView(0.9, 0.1, 0.5)
-	view.ineligible[1] = true
-	pool, move := p.OnSuspend(10, j, view)
+	pool, move := p.OnSuspend(j, []int{0, 2}, newView(0.9, 0.1, 0.5))
 	if !move || pool != 2 {
 		t.Fatalf("OnSuspend = (%d, %v), want (2, true)", pool, move)
 	}
@@ -116,7 +122,7 @@ func TestResSusUtilSkipsIneligible(t *testing.T) {
 func TestResSusUtilNoAlternate(t *testing.T) {
 	p := NewResSusUtil()
 	j := suspendedJob(t, 0, 0) // only candidate is the current pool
-	if _, move := p.OnSuspend(10, j, newView(0.9)); move {
+	if _, move := onSuspend(p, j, newView(0.9)); move {
 		t.Fatal("moved with no alternate pool")
 	}
 }
@@ -134,7 +140,7 @@ func TestResSusRandPicksAnyCandidate(t *testing.T) {
 	seen := map[int]int{}
 	for i := 0; i < 400; i++ {
 		j := suspendedJob(t, 1, 0, 1, 2, 3)
-		pool, move := p.OnSuspend(10, j, view)
+		pool, move := onSuspend(p, j, view)
 		if !move {
 			t.Fatal("random policy should always move when candidates exist")
 		}
@@ -156,8 +162,8 @@ func TestResSusRandDeterministic(t *testing.T) {
 	a, b := NewResSusRand(11), NewResSusRand(11)
 	for i := 0; i < 50; i++ {
 		j := suspendedJob(t, 0, 0, 1, 2)
-		pa, _ := a.OnSuspend(10, j, view)
-		pb, _ := b.OnSuspend(10, j, view)
+		pa, _ := onSuspend(a, j, view)
+		pb, _ := onSuspend(b, j, view)
 		if pa != pb {
 			t.Fatal("same seed diverged")
 		}
@@ -168,15 +174,12 @@ func TestResSusRandNoEligibleCandidate(t *testing.T) {
 	p := NewResSusRand(1)
 	j := suspendedJob(t, 0, 0, 1)
 	view := newView(0.9, 0.9)
-	view.ineligible[0] = true
-	view.ineligible[1] = true
-	if _, move := p.OnSuspend(10, j, view); move {
+	if _, move := p.OnSuspend(j, nil, view); move {
 		t.Fatal("moved with no eligible candidate")
 	}
 	// With only the current pool eligible, the pick is the current pool
 	// (a restart-in-place, which the paper's blind selection allows).
-	view.ineligible[0] = false
-	pool, move := p.OnSuspend(10, j, view)
+	pool, move := p.OnSuspend(j, []int{0}, view)
 	if !move || pool != 0 {
 		t.Fatalf("pick = (%d, %v), want restart-in-place (0, true)", pool, move)
 	}
@@ -197,16 +200,16 @@ func TestResSusWaitUtilMovesBoth(t *testing.T) {
 	p := NewResSusWaitUtil()
 	view := newView(0.9, 0.1)
 	js := suspendedJob(t, 0, 0, 1)
-	if pool, move := p.OnSuspend(10, js, view); !move || pool != 1 {
+	if pool, move := onSuspend(p, js, view); !move || pool != 1 {
 		t.Fatalf("suspend decision = (%d, %v)", pool, move)
 	}
 	jw := waitingJob(t, 0, 0, 1)
-	if pool, move := p.OnWaitTimeout(40, jw, view); !move || pool != 1 {
+	if pool, move := onWaitTimeout(p, jw, view); !move || pool != 1 {
 		t.Fatalf("wait decision = (%d, %v)", pool, move)
 	}
 	// Stays when current pool is least utilized.
 	view = newView(0.1, 0.9)
-	if _, move := p.OnWaitTimeout(40, waitingJob(t, 0, 0, 1), view); move {
+	if _, move := onWaitTimeout(p, waitingJob(t, 0, 0, 1), view); move {
 		t.Fatal("moved waiting job to busier pool")
 	}
 }
@@ -218,11 +221,11 @@ func TestResSusWaitRandMovesBoth(t *testing.T) {
 	}
 	view := newView(0.9, 0.9, 0.9) // load ignored by design
 	js := suspendedJob(t, 0, 0, 1, 2)
-	if _, move := p.OnSuspend(10, js, view); !move {
+	if _, move := onSuspend(p, js, view); !move {
 		t.Fatal("suspended job not moved")
 	}
 	jw := waitingJob(t, 1, 0, 1, 2)
-	if _, move := p.OnWaitTimeout(40, jw, view); !move {
+	if _, move := onWaitTimeout(p, jw, view); !move {
 		t.Fatal("waiting job not moved")
 	}
 	// Picks cover all candidates over repeated timeouts (a pick equal to
@@ -230,7 +233,7 @@ func TestResSusWaitRandMovesBoth(t *testing.T) {
 	// job another second chance at the next timeout).
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		pool, move := p.OnWaitTimeout(40, waitingJob(t, 1, 0, 1, 2), view)
+		pool, move := onWaitTimeout(p, waitingJob(t, 1, 0, 1, 2), view)
 		if !move {
 			t.Fatal("random wait policy should always pick")
 		}
@@ -252,7 +255,7 @@ func TestResSusMigrate(t *testing.T) {
 	}
 	j := suspendedJob(t, 0, 0, 1)
 	view := newView(0.9, 0.1)
-	if pool, move := p.OnSuspend(10, j, view); !move || pool != 1 {
+	if pool, move := onSuspend(p, j, view); !move || pool != 1 {
 		t.Fatalf("migrate decision = (%d, %v)", pool, move)
 	}
 	if p.WaitThreshold() != 0 {

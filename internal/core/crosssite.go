@@ -39,26 +39,26 @@ func NewResSusWaitLatency() ResSusWaitLatency {
 func (ResSusWaitLatency) Name() string { return "ResSusWaitLatency" }
 
 // OnSuspend implements Policy.
-func (p ResSusWaitLatency) OnSuspend(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return p.latencyAlternate(j, view)
+func (p ResSusWaitLatency) OnSuspend(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return p.latencyAlternate(j, eligible, view)
 }
 
 // WaitThreshold implements Policy.
 func (p ResSusWaitLatency) WaitThreshold() float64 { return p.Threshold }
 
 // OnWaitTimeout implements Policy.
-func (p ResSusWaitLatency) OnWaitTimeout(_ float64, j *job.Job, view sched.PoolView) (int, bool) {
-	return p.latencyAlternate(j, view)
+func (p ResSusWaitLatency) OnWaitTimeout(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
+	return p.latencyAlternate(j, eligible, view)
 }
 
-// latencyAlternate returns the eligible alternate candidate pool with
-// the lowest latency-penalized utilization score. ok is false when no
-// alternate scores strictly below the current pool's (unpenalized)
-// utilization — the retain rule of §3.2.1 with distance folded in.
-func (p ResSusWaitLatency) latencyAlternate(j *job.Job, view sched.PoolView) (int, bool) {
+// latencyAlternate returns the eligible alternate pool with the lowest
+// latency-penalized utilization score. ok is false when no alternate
+// scores strictly below the current pool's (unpenalized) utilization —
+// the retain rule of §3.2.1 with distance folded in.
+func (p ResSusWaitLatency) latencyAlternate(j *job.Job, eligible []int, view sched.PoolView) (int, bool) {
 	sv, ok := view.(sched.SiteView)
 	if !ok || sv.NumSites() <= 1 {
-		return lowestUtilAlternate(j, view)
+		return lowestUtilAlternate(j, eligible, view)
 	}
 	penalty := p.LatencyPenalty
 	if penalty == 0 {
@@ -66,8 +66,8 @@ func (p ResSusWaitLatency) latencyAlternate(j *job.Job, view sched.PoolView) (in
 	}
 	from := sv.SiteOf(j.Pool)
 	best, bestScore := -1, 0.0
-	for _, c := range j.Spec.Candidates {
-		if c == j.Pool || !view.Eligible(c, j.Spec) {
+	for _, c := range eligible {
+		if c == j.Pool {
 			continue
 		}
 		score := view.Utilization(c) + penalty*sv.RTT(from, sv.SiteOf(c))

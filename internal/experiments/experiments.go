@@ -4,9 +4,9 @@
 // policy × seed) matrix executed by a bounded worker pool: the runner
 // generates each replicate's synthetic trace, simulates every strategy,
 // and renders results in the paper's layout — as point values for a
-// single seed, or as mean ± 95% CI across seed replicates. DESIGN.md
-// carries the experiment index; EXPERIMENTS.md records paper-vs-measured
-// values.
+// single seed, or as mean ± 95% CI across seed replicates. IDs lists
+// the registered experiments; shape_test.go asserts the paper's
+// qualitative result shapes against each of them.
 package experiments
 
 import (

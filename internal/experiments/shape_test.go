@@ -3,8 +3,7 @@ package experiments
 // Integration tests: run every experiment at reduced scale and assert
 // the paper's qualitative result shapes (who wins, roughly by what
 // factor). Absolute values differ from the paper — the trace is
-// synthetic — but these orderings are the reproduction's contract; see
-// EXPERIMENTS.md for the paper-vs-measured table.
+// synthetic — but these orderings are the reproduction's contract.
 
 import (
 	"testing"
@@ -164,9 +163,9 @@ func TestTable3UtilInitialShape(t *testing.T) {
 	}
 	// NOTE: the paper also reports a higher NoRes suspend rate under
 	// utilization-based initial scheduling than under round-robin
-	// (1.50% vs 1.26%). Our reproduction diverges there (the live/30min
+	// (1.50% vs 1.26%). Our reproduction diverges there: the live/30min
 	// -stale utilization view dodges burst pools more effectively than
-	// the paper's scheduler apparently did); see EXPERIMENTS.md.
+	// the paper's scheduler apparently did.
 }
 
 func TestTable4WaitReschedulingShape(t *testing.T) {

@@ -43,17 +43,9 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// A Gauge records a level, safe for concurrent use. The nil Gauge
-// discards all updates.
+// A Gauge records a high-water mark, safe for concurrent use. The nil
+// Gauge discards all updates.
 type Gauge struct{ v atomic.Int64 }
-
-// Set overwrites the gauge. No-op on a nil receiver.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
 
 // Max raises the gauge to n if n exceeds the current value — the
 // high-water-mark update used for queue depths. No-op on nil.

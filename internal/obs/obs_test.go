@@ -20,7 +20,6 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Error("nil counter recorded")
 	}
-	g.Set(5)
 	g.Max(9)
 	if g.Value() != 0 {
 		t.Error("nil gauge recorded")
@@ -66,10 +65,6 @@ func TestGaugeMax(t *testing.T) {
 	if g.Value() != 7 {
 		t.Errorf("high-water: got %d want 7", g.Value())
 	}
-	g.Set(2)
-	if g.Value() != 2 {
-		t.Errorf("set: got %d want 2", g.Value())
-	}
 }
 
 // Many goroutines hammering the same names must neither race (run
@@ -102,7 +97,7 @@ func TestConcurrentRecording(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(3)
-	r.Gauge("a.first").Set(1)
+	r.Gauge("a.first").Max(1)
 	r.Counter("m.middle").Add(4)
 	snap := r.Snapshot()
 	names := make([]string, len(snap))

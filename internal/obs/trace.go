@@ -15,11 +15,14 @@ import (
 // real execution time, not simulated time.
 //
 // Structure mirrors the trace viewer's model: a Tracer holds
-// Processes (one per experiment cell, or one per run), a Process
-// holds Tracks (one per shard or coordinator), and a Track holds
-// events. Track event buffers are single-writer by contract — each
-// engine goroutine appends only to its own track — so recording takes
-// no locks; Process/Track creation is rare and mutex-guarded.
+// Processes (one per experiment cell), a Process holds Tracks (the
+// simulation's one "serial" track), and a Track holds events: a "run"
+// span per simulation and a span per checkpoint capture. Cells run
+// concurrently under a matrix worker pool, each recording into its
+// own Process. Track event buffers are single-writer by contract —
+// only the simulation loop that created a track appends to it — so
+// recording takes no locks; Process/Track creation is rare and
+// mutex-guarded.
 //
 // A nil Tracer/Process/Track no-ops on every method, so callers
 // record unconditionally.

@@ -179,13 +179,9 @@ func PaperTableCI(title string, names []string, reps [][]metrics.Summary) (*Tabl
 	return summaryTableCI(title, paperCols, names, reps)
 }
 
-// WasteTable renders the Figure 3 decomposition: the three components
-// of average wasted completion time per strategy.
-func WasteTable(title string, names []string, sums []metrics.Summary) (*Table, error) {
-	return summaryTable(title, wasteCols, names, sums)
-}
-
-// WasteTableCI is WasteTable across seed replicates (see PaperTableCI).
+// WasteTableCI renders the Figure 3 decomposition: the three
+// components of average wasted completion time per strategy, across
+// seed replicates (see PaperTableCI).
 func WasteTableCI(title string, names []string, reps [][]metrics.Summary) (*Table, error) {
 	if single, ok := singleReplicate(reps); ok {
 		return summaryTable(title, wasteCols, names, single)

@@ -98,9 +98,15 @@ func TestPaperTableMismatch(t *testing.T) {
 	}
 }
 
+// TestWasteTable renders one replicate per strategy, the single-seed
+// layout.
 func TestWasteTable(t *testing.T) {
 	names, sums := sampleSummaries()
-	tbl, err := WasteTable("Figure 3", names, sums)
+	reps := make([][]metrics.Summary, len(sums))
+	for i := range sums {
+		reps[i] = sums[i : i+1]
+	}
+	tbl, err := WasteTableCI("Figure 3", names, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestWasteTable(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := WasteTable("x", []string{"a"}, nil); err == nil {
+	if _, err := WasteTableCI("x", []string{"a"}, nil); err == nil {
 		t.Fatal("want mismatch error")
 	}
 }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"netbatch/internal/job"
 	"netbatch/internal/snap"
 )
@@ -30,63 +28,41 @@ type SiteView interface {
 
 // SiteSelector is the upper level of the two-level federated scheduler:
 // it picks the target site for a newly submitted job; round-robin over
-// that site's eligible candidates then picks the pool within it.
-// Implementations must only return sites holding at least one eligible
-// candidate pool.
+// the job's eligible pools at that site then picks the pool within it.
 type SiteSelector interface {
 	// Name identifies the selector in reports.
 	Name() string
-	// SelectSite returns the chosen site, or an error when no site has
-	// an eligible candidate pool.
-	SelectSite(now float64, spec *job.Spec, view SiteView) (int, error)
+	// SelectSite returns the chosen site, which must hold one of
+	// eligible, the job's eligible pools (see
+	// InitialScheduler.SelectPool).
+	SelectSite(spec *job.Spec, eligible []int, view SiteView) int
 }
 
-// siteEligible reports whether site holds at least one statically
-// eligible candidate pool for spec.
-func siteEligible(view SiteView, site int, spec *job.Spec) bool {
-	for _, p := range spec.Candidates {
-		if view.SiteOf(p) == site && view.Eligible(p, spec) {
-			return true
+// bestSite returns the site of an eligible pool with the lowest score,
+// ties going to the lower site ID, or -1 when eligible is empty. Each
+// site below 64 is scored once.
+func bestSite(eligible []int, view SiteView, score func(site int) float64) int {
+	best, bestScore := -1, 0.0
+	var scored uint64
+	for _, p := range eligible {
+		s := view.SiteOf(p)
+		if uint(s) < 64 {
+			if scored&(1<<s) != 0 {
+				continue
+			}
+			scored |= 1 << s
+		}
+		if sc := score(s); best == -1 || sc < bestScore || (sc == bestScore && s < best) {
+			best, bestScore = s, sc
 		}
 	}
-	return false
-}
-
-// eachEligibleSite calls fn for every site with at least one eligible
-// candidate pool, in ascending site order.
-func eachEligibleSite(view SiteView, spec *job.Spec, fn func(site int)) {
-	// Realistic federations have a handful of sites; keep the dedup
-	// mask on the stack for those and preserve the ascending-site
-	// visit order either way (selectors tie-break on iteration order).
-	var seenBuf [64]bool
-	var seen []bool
-	if n := view.NumSites(); n <= len(seenBuf) {
-		seen = seenBuf[:n]
-	} else {
-		seen = make([]bool, n)
-	}
-	for _, p := range spec.Candidates {
-		if !seen[view.SiteOf(p)] && view.Eligible(p, spec) {
-			seen[view.SiteOf(p)] = true
-		}
-	}
-	for s, ok := range seen {
-		if ok {
-			fn(s)
-		}
-	}
-}
-
-// errNoEligibleSite builds the common selector error.
-func errNoEligibleSite(spec *job.Spec) error {
-	return fmt.Errorf("sched: job %d has no site with an eligible candidate pool %v",
-		spec.ID, spec.Candidates)
+	return best
 }
 
 // LocalityFirst keeps jobs at their submission site whenever it has an
-// eligible candidate pool — data and owner are local, cross-site
-// dispatch delay is zero — and falls back to the least-utilized
-// eligible site otherwise.
+// eligible pool — data and owner are local, cross-site dispatch delay
+// is zero — and falls back to the least-utilized eligible site
+// otherwise.
 type LocalityFirst struct{}
 
 var _ SiteSelector = LocalityFirst{}
@@ -95,11 +71,13 @@ var _ SiteSelector = LocalityFirst{}
 func (LocalityFirst) Name() string { return "locality" }
 
 // SelectSite implements SiteSelector.
-func (LocalityFirst) SelectSite(_ float64, spec *job.Spec, view SiteView) (int, error) {
-	if spec.Site < view.NumSites() && siteEligible(view, spec.Site, spec) {
-		return spec.Site, nil
+func (LocalityFirst) SelectSite(spec *job.Spec, eligible []int, view SiteView) int {
+	for _, p := range eligible {
+		if view.SiteOf(p) == spec.Site {
+			return spec.Site
+		}
 	}
-	return leastUtilizedSite(spec, view)
+	return LeastUtilizedSite{}.SelectSite(spec, eligible, view)
 }
 
 // LeastUtilizedSite sends every job to the eligible site with the
@@ -114,22 +92,8 @@ var _ SiteSelector = LeastUtilizedSite{}
 func (LeastUtilizedSite) Name() string { return "least-util" }
 
 // SelectSite implements SiteSelector.
-func (LeastUtilizedSite) SelectSite(_ float64, spec *job.Spec, view SiteView) (int, error) {
-	return leastUtilizedSite(spec, view)
-}
-
-func leastUtilizedSite(spec *job.Spec, view SiteView) (int, error) {
-	best, bestUtil := -1, 0.0
-	eachEligibleSite(view, spec, func(s int) {
-		u := view.SiteUtilization(s)
-		if best == -1 || u < bestUtil {
-			best, bestUtil = s, u
-		}
-	})
-	if best == -1 {
-		return 0, errNoEligibleSite(spec)
-	}
-	return best, nil
+func (LeastUtilizedSite) SelectSite(_ *job.Spec, eligible []int, view SiteView) int {
+	return bestSite(eligible, view, view.SiteUtilization)
 }
 
 // DefaultLatencyPenalty converts one minute of inter-site delay into
@@ -154,38 +118,29 @@ var _ SiteSelector = LatencyPenalizedUtil{}
 func (LatencyPenalizedUtil) Name() string { return "latency-util" }
 
 // SelectSite implements SiteSelector.
-func (l LatencyPenalizedUtil) SelectSite(_ float64, spec *job.Spec, view SiteView) (int, error) {
+func (l LatencyPenalizedUtil) SelectSite(spec *job.Spec, eligible []int, view SiteView) int {
 	penalty := l.Penalty
 	if penalty == 0 {
 		penalty = DefaultLatencyPenalty
 	}
-	origin := spec.Site
-	best, bestScore := -1, 0.0
-	eachEligibleSite(view, spec, func(s int) {
-		score := view.SiteUtilization(s) + penalty*view.RTT(origin, s)
-		if best == -1 || score < bestScore {
-			best, bestScore = s, score
-		}
+	return bestSite(eligible, view, func(s int) float64 {
+		return view.SiteUtilization(s) + penalty*view.RTT(spec.Site, s)
 	})
-	if best == -1 {
-		return 0, errNoEligibleSite(spec)
-	}
-	return best, nil
 }
 
 // Federated is the two-level initial scheduler: a SiteSelector picks
 // the target site, then round-robin picks the pool among the job's
-// eligible candidates at that site. Round-robin keeps one rotation per
-// candidate set, and a site-filtered set holds only that site's pools,
+// eligible pools at that site. Round-robin keeps one rotation per
+// eligible set, and a site-filtered set holds only that site's pools,
 // so every site rotates on its own, as under one virtual pool manager
 // per site. On a single-site platform (or a plain PoolView) it is plain
-// round-robin over all candidates, exactly the paper's scheduler.
+// round-robin over all eligible pools, exactly the paper's scheduler.
 type Federated struct {
 	// Selector is the site-level policy.
 	Selector SiteSelector
 
 	rr      RoundRobin
-	scratch []int // the site's eligible candidates; never retained
+	scratch []int // the site's eligible pools; never retained
 }
 
 var _ InitialScheduler = (*Federated)(nil)
@@ -198,28 +153,26 @@ func NewFederated(selector SiteSelector) *Federated {
 // Name implements InitialScheduler.
 func (f *Federated) Name() string { return "fed(" + f.Selector.Name() + "+rr)" }
 
-// SelectPool implements InitialScheduler.
-func (f *Federated) SelectPool(now float64, spec *job.Spec, view PoolView) (int, error) {
+// SelectPool implements InitialScheduler. It returns -1, which the
+// simulator rejects, when the selector picks a site holding none of
+// eligible.
+func (f *Federated) SelectPool(spec *job.Spec, eligible []int, view PoolView) int {
 	sv, ok := view.(SiteView)
 	if !ok || sv.NumSites() <= 1 {
-		return f.rr.SelectPool(now, spec, view)
+		return f.rr.SelectPool(spec, eligible, view)
 	}
-	site, err := f.Selector.SelectSite(now, spec, sv)
-	if err != nil {
-		return 0, err
-	}
-	eligible := f.scratch[:0]
-	for _, p := range spec.Candidates {
-		if sv.SiteOf(p) == site && sv.Eligible(p, spec) {
-			eligible = append(eligible, p)
+	site := f.Selector.SelectSite(spec, eligible, sv)
+	local := f.scratch[:0]
+	for _, p := range eligible {
+		if sv.SiteOf(p) == site {
+			local = append(local, p)
 		}
 	}
-	f.scratch = eligible
-	if len(eligible) == 0 {
-		return 0, fmt.Errorf("sched: selector %s picked site %d with no eligible candidate pool for job %d",
-			f.Selector.Name(), site, spec.ID)
+	f.scratch = local
+	if len(local) == 0 {
+		return -1
 	}
-	return f.rr.pick(eligible, view), nil
+	return f.rr.SelectPool(spec, local, view)
 }
 
 // SaveState implements sim.Stateful: the round-robin rotations, one per

@@ -13,22 +13,20 @@ import (
 // fakeSiteView is a hand-wired SiteView: pools are assigned to sites
 // round-trip via siteOf, with per-pool utilization and a delay matrix.
 type fakeSiteView struct {
-	siteOf     []int
-	util       []float64
-	cores      []int
-	rtt        [][]float64
-	nSites     int
-	ineligible map[int]bool
+	siteOf []int
+	util   []float64
+	cores  []int
+	rtt    [][]float64
+	nSites int
 }
 
 var _ SiteView = (*fakeSiteView)(nil)
 
-func (v *fakeSiteView) Utilization(p int) float64        { return v.util[p] }
-func (v *fakeSiteView) QueueLen(int) int                 { return 0 }
-func (v *fakeSiteView) PoolCores(p int) int              { return v.cores[p] }
-func (v *fakeSiteView) Eligible(p int, _ *job.Spec) bool { return !v.ineligible[p] }
-func (v *fakeSiteView) NumSites() int                    { return v.nSites }
-func (v *fakeSiteView) SiteOf(p int) int                 { return v.siteOf[p] }
+func (v *fakeSiteView) Utilization(p int) float64 { return v.util[p] }
+func (v *fakeSiteView) QueueLen(int) int          { return 0 }
+func (v *fakeSiteView) PoolCores(p int) int       { return v.cores[p] }
+func (v *fakeSiteView) NumSites() int             { return v.nSites }
+func (v *fakeSiteView) SiteOf(p int) int          { return v.siteOf[p] }
 func (v *fakeSiteView) SiteUtilization(site int) float64 {
 	var busy, cores float64
 	for p, s := range v.siteOf {
@@ -65,25 +63,41 @@ func spec(site int, cands ...int) *job.Spec {
 	return &job.Spec{ID: 1, Work: 1, Cores: 1, Priority: job.PriorityLow, Candidates: cands, Site: site}
 }
 
+// selectSite asks sel for a site with every candidate of spec
+// eligible.
+func selectSite(sel SiteSelector, spec *job.Spec, v SiteView) int {
+	return sel.SelectSite(spec, spec.Candidates, v)
+}
+
 func TestLocalityFirst(t *testing.T) {
 	v := twoSiteView()
 	// Origin site 0 has an eligible candidate: stay local despite load.
-	s, err := LocalityFirst{}.SelectSite(0, spec(0, 0, 1, 2, 3), v)
-	if err != nil || s != 0 {
-		t.Fatalf("SelectSite = %d, %v; want 0", s, err)
+	if s := selectSite(LocalityFirst{}, spec(0, 0, 1, 2, 3), v); s != 0 {
+		t.Fatalf("SelectSite = %d; want 0", s)
 	}
 	// No candidate at the origin site: fall back to least utilized.
-	s, err = LocalityFirst{}.SelectSite(0, spec(0, 2, 3), v)
-	if err != nil || s != 1 {
-		t.Fatalf("fallback SelectSite = %d, %v; want 1", s, err)
+	if s := selectSite(LocalityFirst{}, spec(0, 2, 3), v); s != 1 {
+		t.Fatalf("fallback SelectSite = %d; want 1", s)
+	}
+	// Candidates at the origin site that are not eligible do not count.
+	if s := (LocalityFirst{}).SelectSite(spec(0, 0, 1, 2, 3), []int{2, 3}, v); s != 1 {
+		t.Fatalf("SelectSite with origin pools ineligible = %d; want 1", s)
 	}
 }
 
 func TestLeastUtilizedSite(t *testing.T) {
 	v := twoSiteView()
-	s, err := LeastUtilizedSite{}.SelectSite(0, spec(0, 0, 1, 2, 3), v)
-	if err != nil || s != 1 {
-		t.Fatalf("SelectSite = %d, %v; want cool site 1", s, err)
+	if s := selectSite(LeastUtilizedSite{}, spec(0, 0, 1, 2, 3), v); s != 1 {
+		t.Fatalf("SelectSite = %d; want cool site 1", s)
+	}
+	// Equal sites tie toward the lower site ID, whatever the candidate
+	// order.
+	v.util = []float64{0.5, 0.5, 0.5, 0.5}
+	if s := selectSite(LeastUtilizedSite{}, spec(0, 3, 2, 1, 0), v); s != 0 {
+		t.Fatalf("tied SelectSite = %d; want lower site 0", s)
+	}
+	if s := (LeastUtilizedSite{}).SelectSite(spec(0), nil, v); s != -1 {
+		t.Fatalf("SelectSite with no eligible pool = %d; want -1", s)
 	}
 }
 
@@ -91,14 +105,12 @@ func TestLatencyPenalizedUtil(t *testing.T) {
 	v := twoSiteView()
 	// Default penalty (0.005/min): 10 min away costs 0.05, far less
 	// than the 0.70 utilization gap — go remote.
-	s, err := LatencyPenalizedUtil{}.SelectSite(0, spec(0, 0, 1, 2, 3), v)
-	if err != nil || s != 1 {
-		t.Fatalf("SelectSite = %d, %v; want 1", s, err)
+	if s := selectSite(LatencyPenalizedUtil{}, spec(0, 0, 1, 2, 3), v); s != 1 {
+		t.Fatalf("SelectSite = %d; want 1", s)
 	}
 	// A punitive penalty keeps the job home.
-	s, err = LatencyPenalizedUtil{Penalty: 0.1}.SelectSite(0, spec(0, 0, 1, 2, 3), v)
-	if err != nil || s != 0 {
-		t.Fatalf("penalized SelectSite = %d, %v; want 0", s, err)
+	if s := selectSite(LatencyPenalizedUtil{Penalty: 0.1}, spec(0, 0, 1, 2, 3), v); s != 0 {
+		t.Fatalf("penalized SelectSite = %d; want 0", s)
 	}
 }
 
@@ -107,10 +119,7 @@ func TestFederatedFiltersCandidatesToSite(t *testing.T) {
 	f := NewFederated(LeastUtilizedSite{})
 	// Site 1 is the cooler site; its two equal pools take turns.
 	for i, want := range []int{2, 3, 2, 3} {
-		p, err := f.SelectPool(0, spec(0, 0, 1, 2, 3), v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := selectAll(f, spec(0, 0, 1, 2, 3), v)
 		if v.SiteOf(p) != 1 {
 			t.Fatalf("pick %d: pool %d not at selected site 1", i, p)
 		}
@@ -132,10 +141,8 @@ func TestFederatedSingleSiteFallback(t *testing.T) {
 	// One site: plain capacity-weighted round-robin over every
 	// candidate, whatever the selector would prefer.
 	for i := 0; i < 8; i++ {
-		p, err := f.SelectPool(0, spec(0, 0, 1), v)
-		want, werr := rr.SelectPool(0, spec(0, 0, 1), v)
-		if err != nil || werr != nil || p != want {
-			t.Fatalf("pick %d: pool = %d, %v; want %d, %v", i, p, err, want, werr)
+		if p, want := selectAll(f, spec(0, 0, 1), v), selectAll(rr, spec(0, 0, 1), v); p != want {
+			t.Fatalf("pick %d: pool = %d; want %d", i, p, want)
 		}
 	}
 	if got := f.Name(); got != "fed(least-util+rr)" {
@@ -149,22 +156,22 @@ type scriptedSite struct{ site *int }
 
 func (scriptedSite) Name() string { return "scripted" }
 
-func (s scriptedSite) SelectSite(float64, *job.Spec, SiteView) (int, error) { return *s.site, nil }
+func (s scriptedSite) SelectSite(*job.Spec, []int, SiteView) int { return *s.site }
 
 // TestFederatedMatchesPerSiteRoundRobin holds the federated scheduler
 // to the composition it stands for: one round-robin instance per site,
-// each given the job's candidates at that site. Pools of unequal size
-// make the weighted rotations uneven, one ineligible pool makes the
-// site and eligibility filters interact, and halfway through the
-// rotations move through SaveState into a fresh scheduler.
+// each given the job's eligible pools at that site. Pools of unequal
+// size make the weighted rotations uneven, one ineligible pool makes
+// the site filter and the eligible list interact, and halfway through
+// the rotations move through SaveState into a fresh scheduler.
 func TestFederatedMatchesPerSiteRoundRobin(t *testing.T) {
 	v := &fakeSiteView{
-		siteOf:     []int{0, 0, 0, 1, 1, 1},
-		util:       make([]float64, 6),
-		cores:      []int{300, 1200, 600, 2400, 100, 900},
-		nSites:     2,
-		ineligible: map[int]bool{5: true},
+		siteOf: []int{0, 0, 0, 1, 1, 1},
+		util:   make([]float64, 6),
+		cores:  []int{300, 1200, 600, 2400, 100, 900},
+		nSites: 2,
 	}
+	const ineligible = 5
 	menu := [][]int{{0, 1, 2, 3, 4, 5}, {0, 1, 3, 4}, {1, 2, 5}, {3, 4, 5}, {0, 2, 4}, {2, 3, 4, 5}, {4, 0, 1}}
 	var site int
 	f := NewFederated(scriptedSite{&site})
@@ -186,28 +193,25 @@ func TestFederatedMatchesPerSiteRoundRobin(t *testing.T) {
 			f = resumed
 		}
 		cands := menu[rng.IntN(len(menu))]
-		var sites []int
+		var eligible, sites []int
 		for _, p := range cands {
-			if !v.ineligible[p] && !slices.Contains(sites, v.siteOf[p]) {
+			if p == ineligible {
+				continue
+			}
+			eligible = append(eligible, p)
+			if !slices.Contains(sites, v.siteOf[p]) {
 				sites = append(sites, v.siteOf[p])
 			}
 		}
 		site = sites[rng.IntN(len(sites))]
-		got, err := f.SelectPool(0, spec(0, cands...), v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := f.SelectPool(spec(0, cands...), eligible, v)
 		local := spec(0)
-		for _, p := range cands {
+		for _, p := range eligible {
 			if v.siteOf[p] == site {
 				local.Candidates = append(local.Candidates, p)
 			}
 		}
-		want, err := perSite[site].SelectPool(0, local, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if want := selectAll(perSite[site], local, v); got != want {
 			t.Fatalf("submission %d (candidates %v, site %d): pool %d, per-site round-robin picks %d",
 				i, cands, site, got, want)
 		}
@@ -218,16 +222,15 @@ func TestFederatedMatchesPerSiteRoundRobin(t *testing.T) {
 	}
 }
 
-func TestSelectorsErrorWithoutEligibleSite(t *testing.T) {
+// TestFederatedRejectsSiteWithoutEligiblePool returns -1, for the
+// simulator to reject, when the selector picks a site that holds none
+// of the job's eligible pools, an unknown site included.
+func TestFederatedRejectsSiteWithoutEligiblePool(t *testing.T) {
 	v := twoSiteView()
-	empty := &job.Spec{ID: 9, Work: 1, Cores: 1, Priority: job.PriorityLow, Candidates: []int{}}
-	if _, err := (LeastUtilizedSite{}).SelectSite(0, empty, v); err == nil {
-		t.Fatal("want error for no candidates")
-	}
-	if _, err := (LocalityFirst{}).SelectSite(0, empty, v); err == nil {
-		t.Fatal("want error for no candidates")
-	}
-	if _, err := (LatencyPenalizedUtil{}).SelectSite(0, empty, v); err == nil {
-		t.Fatal("want error for no candidates")
+	for _, site := range []int{0, 7, -1} {
+		f := NewFederated(scriptedSite{&site})
+		if p := f.SelectPool(spec(0, 0, 1, 2, 3), []int{2, 3}, v); p != -1 {
+			t.Fatalf("selector picked site %d: pool = %d, want -1", site, p)
+		}
 	}
 }

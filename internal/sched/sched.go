@@ -33,30 +33,26 @@ type PoolView interface {
 	QueueLen(pool int) int
 	// PoolCores returns pool's total core count.
 	PoolCores(pool int) int
-	// Eligible reports whether pool contains at least one machine that
-	// satisfies the job's static requirements (OS, memory, cores).
-	Eligible(pool int, spec *job.Spec) bool
 }
 
 // InitialScheduler selects the physical pool for a newly submitted job.
 type InitialScheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
-	// SelectPool returns the chosen pool from spec.Candidates. It must
-	// only return statically eligible pools; it returns an error when
-	// no candidate pool can ever run the job.
-	SelectPool(now float64, spec *job.Spec, view PoolView) (int, error)
-}
-
-// errNoEligiblePool builds the common error.
-func errNoEligiblePool(spec *job.Spec) error {
-	return fmt.Errorf("sched: job %d has no eligible candidate pool %v", spec.ID, spec.Candidates)
+	// SelectPool returns the chosen pool, which must be one of eligible:
+	// the job's candidate pools that hold a machine meeting its static
+	// requirements (OS, memory, cores), in candidate order and never
+	// empty (§2.1: the virtual pool manager skips the others). The
+	// simulator works the list out and rejects a pick outside it;
+	// eligible is valid only for the call.
+	SelectPool(spec *job.Spec, eligible []int, view PoolView) int
 }
 
 // RoundRobin is NetBatch's default initial scheduler: "the default
 // scheduling follows a round-robin fashion" (§2.1), distributing
 // "according to resource availability and NetBatch configurations".
-// Three behaviors compose:
+// The default rotation has the first two properties below; the other
+// two are variants:
 //
 //   - Weighted turns (default): pools rotate in proportion to their
 //     core capacity, so a 2400-core pool takes eight turns for every
@@ -66,12 +62,12 @@ func errNoEligiblePool(spec *job.Spec) error {
 //     pools ("particularly exacerbated by NetBatch's use of the round
 //     robin scheduler", §3.3).
 //   - AvoidQueues (extension): skip pools with a non-empty wait queue
-//     while some candidate pool has an empty one — an availability-
+//     while some eligible pool has an empty one — an availability-
 //     aware refinement used by the ablation benches.
 //   - Pure: strictly equal turns regardless of size; with
 //     heterogeneous pools this drowns small pools (ablation).
 //
-// Round-robin state is kept per distinct candidate set, since different
+// Round-robin state is kept per distinct eligible set, since different
 // job classes rotate over different pool sets.
 type RoundRobin struct {
 	// Pure selects strictly-equal turns instead of capacity-weighted.
@@ -81,7 +77,6 @@ type RoundRobin struct {
 
 	cursors map[string]*int
 	wrr     map[string]*wrrState
-	scratch []int  // eligibleCandidates reuse; never retained
 	key     []byte // candidate-set key reuse; never retained
 }
 
@@ -105,18 +100,9 @@ func (r *RoundRobin) Name() string {
 	}
 }
 
-// SelectPool implements InitialScheduler.
-func (r *RoundRobin) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, error) {
-	r.scratch = eligibleCandidates(spec, view, r.scratch)
-	if len(r.scratch) == 0 {
-		return 0, errNoEligiblePool(spec)
-	}
-	return r.pick(r.scratch, view), nil
-}
-
-// pick takes the next turn of the rotation over eligible, a non-empty
-// list of statically eligible pools that pick does not retain.
-func (r *RoundRobin) pick(eligible []int, view PoolView) int {
+// SelectPool implements InitialScheduler: the next turn of the
+// rotation over eligible.
+func (r *RoundRobin) SelectPool(_ *job.Spec, eligible []int, view PoolView) int {
 	// Lookups convert the reused key bytes without allocating; only a
 	// new candidate set pays for its key string.
 	r.key = appendCandidateKey(r.key[:0], eligible)
@@ -185,8 +171,8 @@ func (r *RoundRobin) SaveState(e *snap.Encoder) {
 
 // LoadState implements sim.Stateful. A rotation must turn over exactly
 // the pools its key spells, with a weight and a current weight per
-// pool: pick consults a rotation only for the eligible pools its key
-// was built from, so a rotation that passes never indexes past its
+// pool: SelectPool consults a rotation only for the eligible pools its
+// key was built from, so a rotation that passes never indexes past its
 // lists or returns a pool outside the job's candidates. A cursor must
 // not be negative.
 func (r *RoundRobin) LoadState(d *snap.Decoder) error {
@@ -259,9 +245,9 @@ func (st *wrrState) next() int {
 	return st.pools[best]
 }
 
-// UtilizationBased sends each job to the statically eligible candidate
-// pool with the lowest current utilization (§3.2.2). Ties break toward
-// the lower pool ID for determinism.
+// UtilizationBased sends each job to the eligible pool with the lowest
+// current utilization (§3.2.2). Ties break toward the first-listed
+// candidate for determinism.
 type UtilizationBased struct{}
 
 var _ InitialScheduler = (*UtilizationBased)(nil)
@@ -273,29 +259,21 @@ func NewUtilizationBased() *UtilizationBased { return &UtilizationBased{} }
 func (u *UtilizationBased) Name() string { return "util" }
 
 // SelectPool implements InitialScheduler.
-func (u *UtilizationBased) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, error) {
+func (u *UtilizationBased) SelectPool(_ *job.Spec, eligible []int, view PoolView) int {
 	best, bestUtil := -1, 0.0
-	for _, p := range spec.Candidates {
-		if !view.Eligible(p, spec) {
-			continue
-		}
-		util := view.Utilization(p)
-		if best == -1 || util < bestUtil {
+	for _, p := range eligible {
+		if util := view.Utilization(p); best == -1 || util < bestUtil {
 			best, bestUtil = p, util
 		}
 	}
-	if best == -1 {
-		return 0, errNoEligiblePool(spec)
-	}
-	return best, nil
+	return best
 }
 
-// RandomInitial sends each job to a uniformly random eligible candidate
-// pool. It is not one of the paper's initial schedulers but serves as an
+// RandomInitial sends each job to a uniformly random eligible pool. It
+// is not one of the paper's initial schedulers but serves as an
 // ablation baseline between round-robin and utilization-based.
 type RandomInitial struct {
-	rng     *stats.RNG
-	scratch []int // eligibleCandidates reuse; never retained
+	rng *stats.RNG
 }
 
 var _ InitialScheduler = (*RandomInitial)(nil)
@@ -310,13 +288,8 @@ func NewRandomInitial(seed uint64) *RandomInitial {
 func (r *RandomInitial) Name() string { return "random" }
 
 // SelectPool implements InitialScheduler.
-func (r *RandomInitial) SelectPool(_ float64, spec *job.Spec, view PoolView) (int, error) {
-	eligible := eligibleCandidates(spec, view, r.scratch)
-	r.scratch = eligible
-	if len(eligible) == 0 {
-		return 0, errNoEligiblePool(spec)
-	}
-	return eligible[r.rng.IntN(len(eligible))], nil
+func (r *RandomInitial) SelectPool(_ *job.Spec, eligible []int, _ PoolView) int {
+	return eligible[r.rng.IntN(len(eligible))]
 }
 
 // SaveState implements sim.Stateful: the RNG stream position.
@@ -324,21 +297,6 @@ func (r *RandomInitial) SaveState(e *snap.Encoder) { r.rng.SaveState(e) }
 
 // LoadState implements sim.Stateful.
 func (r *RandomInitial) LoadState(d *snap.Decoder) error { return r.rng.LoadState(d) }
-
-// eligibleCandidates filters spec.Candidates through the view's static
-// eligibility check, preserving order. The result reuses buf's storage
-// (callers pass a per-scheduler scratch slice; scheduler calls are
-// serialized by the engines' decision ordering, like the rotation maps
-// they already mutate), so consumers that retain it must copy.
-func eligibleCandidates(spec *job.Spec, view PoolView, buf []int) []int {
-	out := buf[:0]
-	for _, p := range spec.Candidates {
-		if view.Eligible(p, spec) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // appendCandidateKey appends the map key identifying a candidate set to
 // b. The encoding ("%d," per pool) is also the per-candidate-set key in

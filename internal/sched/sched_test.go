@@ -13,10 +13,9 @@ import (
 
 // fakeView is a controllable PoolView for scheduler tests.
 type fakeView struct {
-	cores      []int
-	utils      []float64
-	queues     []int
-	ineligible map[int]bool
+	cores  []int
+	utils  []float64
+	queues []int
 }
 
 var _ PoolView = (*fakeView)(nil)
@@ -24,16 +23,12 @@ var _ PoolView = (*fakeView)(nil)
 func (f *fakeView) Utilization(p int) float64 { return f.utils[p] }
 func (f *fakeView) QueueLen(p int) int        { return f.queues[p] }
 func (f *fakeView) PoolCores(p int) int       { return f.cores[p] }
-func (f *fakeView) Eligible(p int, _ *job.Spec) bool {
-	return !f.ineligible[p]
-}
 
 func newFakeView(cores ...int) *fakeView {
 	return &fakeView{
-		cores:      cores,
-		utils:      make([]float64, len(cores)),
-		queues:     make([]int, len(cores)),
-		ineligible: map[int]bool{},
+		cores:  cores,
+		utils:  make([]float64, len(cores)),
+		queues: make([]int, len(cores)),
 	}
 }
 
@@ -44,16 +39,18 @@ func specWithCandidates(cands ...int) *job.Spec {
 	}
 }
 
+// selectAll asks s for a pool with every candidate of spec eligible.
+func selectAll(s InitialScheduler, spec *job.Spec, view PoolView) int {
+	return s.SelectPool(spec, spec.Candidates, view)
+}
+
 func TestPureRoundRobinCycles(t *testing.T) {
 	view := newFakeView(100, 100, 100)
 	rr := NewPureRoundRobin()
 	spec := specWithCandidates(0, 1, 2)
 	var got []int
 	for i := 0; i < 6; i++ {
-		p, err := rr.SelectPool(0, spec, view)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := selectAll(rr, spec, view)
 		got = append(got, p)
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
@@ -69,17 +66,17 @@ func TestPureRoundRobinPerCandidateSet(t *testing.T) {
 	rr := NewPureRoundRobin()
 	all := specWithCandidates(0, 1, 2, 3)
 	owned := specWithCandidates(0, 1)
-	if p, _ := rr.SelectPool(0, all, view); p != 0 {
+	if p := selectAll(rr, all, view); p != 0 {
 		t.Fatalf("first all = %d", p)
 	}
 	// The owned set rotates independently of the all set.
-	if p, _ := rr.SelectPool(0, owned, view); p != 0 {
+	if p := selectAll(rr, owned, view); p != 0 {
 		t.Fatalf("first owned = %d", p)
 	}
-	if p, _ := rr.SelectPool(0, all, view); p != 1 {
+	if p := selectAll(rr, all, view); p != 1 {
 		t.Fatalf("second all = %d", p)
 	}
-	if p, _ := rr.SelectPool(0, owned, view); p != 1 {
+	if p := selectAll(rr, owned, view); p != 1 {
 		t.Fatalf("second owned = %d", p)
 	}
 }
@@ -91,10 +88,7 @@ func TestWeightedRoundRobinProportions(t *testing.T) {
 	counts := make([]int, 3)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		p, err := rr.SelectPool(0, spec, view)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := selectAll(rr, spec, view)
 		counts[p]++
 	}
 	frac0 := float64(counts[0]) / n
@@ -114,7 +108,7 @@ func TestWeightedRoundRobinInterleaves(t *testing.T) {
 	spec := specWithCandidates(0, 1)
 	consecutive := 0
 	for i := 0; i < 300; i++ {
-		p, _ := rr.SelectPool(0, spec, view)
+		p := selectAll(rr, spec, view)
 		if p == 0 {
 			consecutive++
 			if consecutive >= 3 {
@@ -133,17 +127,16 @@ func TestWeightedRoundRobinInterleaves(t *testing.T) {
 // the same bytes and continues the same rotation.
 func TestRoundRobinStateKeys(t *testing.T) {
 	view := newFakeView(300, 100, 100, 200, 50, 50, 50, 50, 50, 50, 50, 50)
-	view.ineligible[2] = true
-	sets := [][]int{{0, 1, 2}, {3, 1}, {11, 10, 0}}
-	want := []string{"0,1,", "11,10,0,", "3,1,"} // pool 2 is ineligible
+	sets := [][]int{{0, 1}, {3, 1}, {11, 10, 0}} // the eligible pools
+	want := []string{"0,1,", "11,10,0,", "3,1,"}
 	for _, rr := range []*RoundRobin{NewRoundRobin(), NewPureRoundRobin()} {
 		t.Run(rr.Name(), func(t *testing.T) {
 			for _, set := range sets {
-				spec := specWithCandidates(set...)
+				// Every job also lists pool 2, which is not eligible:
+				// the keys name eligible pools only.
+				spec := specWithCandidates(append(slices.Clone(set), 2)...)
 				for range 3 {
-					if _, err := rr.SelectPool(0, spec, view); err != nil {
-						t.Fatal(err)
-					}
+					rr.SelectPool(spec, set, view)
 				}
 			}
 			if keys := savedKeys(t, rr); !slices.Equal(keys, want) {
@@ -151,7 +144,7 @@ func TestRoundRobinStateKeys(t *testing.T) {
 			}
 
 			spec := specWithCandidates(sets[2]...)
-			if n := testing.AllocsPerRun(100, func() { _, _ = rr.SelectPool(0, spec, view) }); n != 0 {
+			if n := testing.AllocsPerRun(100, func() { selectAll(rr, spec, view) }); n != 0 {
 				t.Fatalf("SelectPool on a known candidate set allocates %v times per call", n)
 			}
 
@@ -169,8 +162,8 @@ func TestRoundRobinStateKeys(t *testing.T) {
 			for _, set := range sets {
 				spec := specWithCandidates(set...)
 				for range 4 {
-					p, _ := rr.SelectPool(0, spec, view)
-					q, _ := back.SelectPool(0, spec, view)
+					p := selectAll(rr, spec, view)
+					q := selectAll(back, spec, view)
 					if p != q {
 						t.Fatalf("set %v: loaded state picks %d, original %d", set, q, p)
 					}
@@ -207,28 +200,16 @@ func savedKeys(t *testing.T, rr *RoundRobin) []string {
 	return rotations
 }
 
+// TestRoundRobinSkipsIneligible rotates over the eligible list, never
+// over the job's full candidate list.
 func TestRoundRobinSkipsIneligible(t *testing.T) {
 	view := newFakeView(10, 10, 10)
-	view.ineligible[1] = true
 	rr := NewPureRoundRobin()
 	spec := specWithCandidates(0, 1, 2)
 	for i := 0; i < 10; i++ {
-		p, err := rr.SelectPool(0, spec, view)
-		if err != nil {
-			t.Fatal(err)
+		if p := rr.SelectPool(spec, []int{0, 2}, view); p == 1 {
+			t.Fatal("selected ineligible pool 1")
 		}
-		if p == 1 {
-			t.Fatal("selected statically ineligible pool")
-		}
-	}
-}
-
-func TestRoundRobinNoEligible(t *testing.T) {
-	view := newFakeView(10)
-	view.ineligible[0] = true
-	rr := NewRoundRobin()
-	if _, err := rr.SelectPool(0, specWithCandidates(0), view); err == nil {
-		t.Fatal("want error when no pool is eligible")
 	}
 }
 
@@ -236,25 +217,17 @@ func TestUtilizationBasedPicksLowest(t *testing.T) {
 	view := newFakeView(10, 10, 10)
 	view.utils = []float64{0.9, 0.2, 0.5}
 	u := NewUtilizationBased()
-	p, err := u.SelectPool(0, specWithCandidates(0, 1, 2), view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 1 {
+	if p := selectAll(u, specWithCandidates(0, 1, 2), view); p != 1 {
 		t.Fatalf("picked pool %d, want 1", p)
 	}
 }
 
-func TestUtilizationBasedTieBreaksLowID(t *testing.T) {
+func TestUtilizationBasedTieBreaksFirstListed(t *testing.T) {
 	view := newFakeView(10, 10, 10)
 	view.utils = []float64{0.5, 0.5, 0.5}
 	u := NewUtilizationBased()
-	p, err := u.SelectPool(0, specWithCandidates(2, 1, 0), view)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Candidate order is (2,1,0); strict < keeps the first minimum: 2.
-	if p != 2 {
+	if p := selectAll(u, specWithCandidates(2, 1, 0), view); p != 2 {
 		t.Fatalf("picked pool %d, want first-listed minimum 2", p)
 	}
 }
@@ -264,30 +237,19 @@ func TestUtilizationBasedRespectsCandidates(t *testing.T) {
 	view.utils = []float64{0.0, 0.9, 0.9}
 	u := NewUtilizationBased()
 	// Pool 0 is idle but not a candidate.
-	p, err := u.SelectPool(0, specWithCandidates(1, 2), view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p == 0 {
+	if p := selectAll(u, specWithCandidates(1, 2), view); p == 0 {
 		t.Fatal("selected non-candidate pool")
 	}
 }
 
+// TestUtilizationBasedSkipsIneligible leaves out an idle candidate
+// that is not eligible.
 func TestUtilizationBasedSkipsIneligible(t *testing.T) {
 	view := newFakeView(10, 10)
 	view.utils = []float64{0.1, 0.9}
-	view.ineligible[0] = true
 	u := NewUtilizationBased()
-	p, err := u.SelectPool(0, specWithCandidates(0, 1), view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 1 {
+	if p := u.SelectPool(specWithCandidates(0, 1), []int{1}, view); p != 1 {
 		t.Fatalf("picked %d, want 1", p)
-	}
-	view.ineligible[1] = true
-	if _, err := u.SelectPool(0, specWithCandidates(0, 1), view); err == nil {
-		t.Fatal("want error when all candidates ineligible")
 	}
 }
 
@@ -297,10 +259,7 @@ func TestRandomInitialCoversCandidates(t *testing.T) {
 	spec := specWithCandidates(1, 3)
 	seen := map[int]int{}
 	for i := 0; i < 1000; i++ {
-		p, err := r.SelectPool(0, spec, view)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := selectAll(r, spec, view)
 		seen[p]++
 	}
 	if len(seen) != 2 || seen[1] == 0 || seen[3] == 0 {
@@ -317,8 +276,8 @@ func TestRandomInitialDeterministicSeed(t *testing.T) {
 	a := NewRandomInitial(5)
 	b := NewRandomInitial(5)
 	for i := 0; i < 100; i++ {
-		pa, _ := a.SelectPool(0, spec, view)
-		pb, _ := b.SelectPool(0, spec, view)
+		pa := selectAll(a, spec, view)
+		pb := selectAll(b, spec, view)
 		if pa != pb {
 			t.Fatal("same seed diverged")
 		}

@@ -572,7 +572,7 @@ func (ck *checkpointer) take(t float64, events int64) error {
 		crc := crcFromTrailer(data)
 		if ck.lastFull != nil && ck.emitted%ck.keyframe != 0 {
 			delta := encodeSnapshotDeltaInto(nil, &ck.idx, ck.lastFull, data, ck.lastCRC, crc,
-				DeltaMeta{BaseTime: ck.lastTime, BaseEvents: ck.lastEvents, Time: t, Events: events})
+				deltaMeta{BaseTime: ck.lastTime, BaseEvents: ck.lastEvents, Time: t, Events: events})
 			if len(delta) < len(data) {
 				out, isDelta = delta, true
 			}

@@ -89,33 +89,14 @@ func IsDeltaSnapshot(data []byte) bool {
 	return len(data) >= 8 && uint32(binary.LittleEndian.Uint64(data)) == deltaMagic
 }
 
-// DeltaMeta is the human-facing header of a delta snapshot.
-type DeltaMeta struct {
+// deltaMeta is the header of a delta snapshot.
+type deltaMeta struct {
 	// BaseTime/BaseEvents locate the snapshot this delta chains from;
 	// Time/Events locate the snapshot it reconstructs.
 	BaseTime   float64
 	BaseEvents int64
 	Time       float64
 	Events     int64
-}
-
-// ReadDeltaMeta decodes just the metadata of a delta snapshot,
-// validating framing and integrity of the delta bytes (not the chain).
-func ReadDeltaMeta(data []byte) (DeltaMeta, error) {
-	d, err := openDelta(data)
-	if err != nil {
-		return DeltaMeta{}, err
-	}
-	m := DeltaMeta{}
-	_ = d.U64() // baseCRC
-	m.BaseTime = d.F64()
-	m.BaseEvents = d.I64()
-	m.Time = d.F64()
-	m.Events = d.I64()
-	if d.Err() != nil {
-		return DeltaMeta{}, d.Err()
-	}
-	return m, nil
 }
 
 // openDelta verifies the trailer CRC, magic and version, returning a
@@ -320,7 +301,7 @@ func resync(base, full []byte, i, d int) (int, bool) {
 // in. It never fails: in the worst case (nothing matches) the op
 // stream is one literal the size of full, and the checkpointer falls
 // back to the full encoding by size comparison.
-func encodeSnapshotDeltaInto(out []byte, idx *deltaIndex, base, full []byte, baseCRC, fullCRC uint32, m DeltaMeta) []byte {
+func encodeSnapshotDeltaInto(out []byte, idx *deltaIndex, base, full []byte, baseCRC, fullCRC uint32, m deltaMeta) []byte {
 	if cap(out) == 0 {
 		out = make([]byte, 0, len(full)/8+256)
 	}

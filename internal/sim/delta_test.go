@@ -23,7 +23,7 @@ import (
 // and computed checksums.
 func encodeSnapshotDelta(base, full []byte, baseTime, newTime float64, baseEvents, newEvents int64) []byte {
 	return encodeSnapshotDeltaInto(nil, new(deltaIndex), base, full, snapCRC(base), snapCRC(full),
-		DeltaMeta{BaseTime: baseTime, BaseEvents: baseEvents, Time: newTime, Events: newEvents})
+		deltaMeta{BaseTime: baseTime, BaseEvents: baseEvents, Time: newTime, Events: newEvents})
 }
 
 func snapCRC(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
@@ -75,12 +75,13 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, full) {
 			t.Fatalf("%s: reconstruction differs (%d vs %d bytes)", name, len(got), len(full))
 		}
-		meta, err := ReadDeltaMeta(delta)
+		d, err := openDelta(delta)
 		if err != nil {
-			t.Fatalf("%s: meta: %v", name, err)
+			t.Fatalf("%s: open: %v", name, err)
 		}
-		if meta.BaseTime != 1 || meta.Time != 2 || meta.BaseEvents != 10 || meta.Events != 20 {
-			t.Fatalf("%s: meta round-trip: %+v", name, meta)
+		d.U64() // base CRC
+		if bt, be, ft, fe := d.F64(), d.I64(), d.F64(), d.I64(); bt != 1 || be != 10 || ft != 2 || fe != 20 {
+			t.Fatalf("%s: header round-trip: base (%v, %d), full (%v, %d)", name, bt, be, ft, fe)
 		}
 		if !IsDeltaSnapshot(delta) || IsDeltaSnapshot(full) && len(full) > 0 {
 			t.Fatalf("%s: magic classification wrong", name)
@@ -214,9 +215,9 @@ func FuzzSnapshotDelta(f *testing.F) {
 		}
 		warmBase := append(append(bytes.Repeat(base, 2), full...), pad...)
 		warmFull := append(append(pad[:1024:1024], full...), warmBase...)
-		warm := encodeSnapshotDeltaInto(nil, &idx, warmBase, warmFull, snapCRC(warmBase), snapCRC(warmFull), DeltaMeta{})
+		warm := encodeSnapshotDeltaInto(nil, &idx, warmBase, warmFull, snapCRC(warmBase), snapCRC(warmFull), deltaMeta{})
 		reused := encodeSnapshotDeltaInto(warm, &idx, base, full, snapCRC(base), snapCRC(full),
-			DeltaMeta{BaseTime: 1, BaseEvents: 10, Time: 2, Events: 20})
+			deltaMeta{BaseTime: 1, BaseEvents: 10, Time: 2, Events: 20})
 		if !bytes.Equal(reused, delta) {
 			t.Fatalf("encoding with reused scratch differs from a fresh encode (%d vs %d bytes)", len(reused), len(delta))
 		}
@@ -241,7 +242,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	b.SetBytes(int64(len(full)))
 	b.ReportAllocs()
 	for b.Loop() {
-		delta = encodeSnapshotDeltaInto(nil, &idx, base, full, baseCRC, fullCRC, DeltaMeta{})
+		delta = encodeSnapshotDeltaInto(nil, &idx, base, full, baseCRC, fullCRC, deltaMeta{})
 	}
 	b.ReportMetric(float64(len(delta))/float64(len(full)), "delta/full")
 }

@@ -219,11 +219,11 @@ type moveWaitPolicy struct {
 }
 
 func (moveWaitPolicy) Name() string { return "move-wait-test" }
-func (moveWaitPolicy) OnSuspend(float64, *job.Job, sched.PoolView) (int, bool) {
+func (moveWaitPolicy) OnSuspend(*job.Job, []int, sched.PoolView) (int, bool) {
 	return 0, false
 }
 func (m moveWaitPolicy) WaitThreshold() float64 { return m.th }
-func (m moveWaitPolicy) OnWaitTimeout(_ float64, j *job.Job, _ sched.PoolView) (int, bool) {
+func (m moveWaitPolicy) OnWaitTimeout(j *job.Job, _ []int, _ sched.PoolView) (int, bool) {
 	if j.Pool == m.from {
 		return m.to, true
 	}
@@ -260,7 +260,10 @@ func TestForcedCrossSiteAliasRetires(t *testing.T) {
 	specs := []job.Spec{
 		spec(1, 0, 20.3, 0, 0),   // occupies pool 0's machine until t=20.3
 		spec(2, 0.4, 31.7, 1, 1), // occupies pool 1's machine until t=32.1
-		spec(3, 0.7, 5.9, 0, 0),  // waits at 0, moves to 1 at t=3.0, revived at t=20.3
+		// Round-robin's first turn over {0,1} is pool 0: job 3 waits
+		// at 0, moves to 1 at t=3.0 and is revived at t=20.3. Pool 1
+		// must be a candidate for the move to be eligible.
+		spec(3, 0.7, 5.9, 0, 0, 1),
 	}
 	reg := obs.NewRegistry()
 	res, err := Run(Config{

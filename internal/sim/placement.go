@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netbatch/internal/job"
@@ -262,10 +263,14 @@ func (w *world) handleSubmit(idx int) error {
 		w.nextSubmit++
 	}
 	rt := &w.jobs[idx]
+	eligible := w.eligiblePools(rt.spec)
+	if len(eligible) == 0 {
+		return fmt.Errorf("sim: job %d has no eligible candidate pool %v", rt.spec.ID, rt.spec.Candidates)
+	}
 	w.view.observe(rt.spec.Site)
-	pool, err := w.cfg.Initial.SelectPool(w.now, rt.spec, &w.view)
-	if err != nil {
-		return err
+	pool := w.cfg.Initial.SelectPool(rt.spec, eligible, &w.view)
+	if !slices.Contains(eligible, pool) {
+		return badPick("scheduler", w.cfg.Initial.Name(), rt.spec, pool, eligible)
 	}
 	if w.siteOf[pool] != rt.spec.Site {
 		w.res.CrossSiteSubmits++
@@ -275,6 +280,28 @@ func (w *world) handleSubmit(idx int) error {
 		}
 	}
 	return w.arrival(idx, pool)
+}
+
+// eligiblePools returns the job's eligible pools: its candidates whose
+// pool has a machine class that fits it, in candidate order. This is
+// the one place the simulator applies §2.1's static eligibility rule;
+// schedulers and policies choose among the list. The list lives in
+// the world's scratch buffer until the next call.
+func (w *world) eligiblePools(spec *job.Spec) []int {
+	w.eligible = w.eligible[:0]
+	for _, p := range spec.Candidates {
+		if w.pools[p].fits(spec) {
+			w.eligible = append(w.eligible, p)
+		}
+	}
+	return w.eligible
+}
+
+// badPick reports a scheduler's or policy's pick that is not one of
+// the job's eligible pools.
+func badPick(role, name string, spec *job.Spec, pick int, eligible []int) error {
+	return fmt.Errorf("sim: %s %s picked pool %d for job %d, not one of its eligible pools %v",
+		role, name, pick, spec.ID, eligible)
 }
 
 // arrival lands a job at a physical pool: start it, preempt for it, or

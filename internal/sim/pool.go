@@ -95,39 +95,28 @@ type poolRT struct {
 	busyCores int
 	// suspendedCnt counts jobs suspended within the pool.
 	suspendedCnt int
-	// capsByOS caches per-OS maximum machine memory and cores for
-	// static eligibility ("none of the machines in the list is
-	// eligible" → VPM tries the next pool, §2.1).
-	capsByOS map[string]caps
-	capsAny  caps
 }
 
-type caps struct {
-	maxMemMB int
-	maxCores int
-}
-
-// eligible reports whether some machine in the pool can ever run spec.
-func (p *poolRT) eligible(spec *job.Spec) bool {
-	c := p.capsAny
-	if spec.OS != "" {
-		var ok bool
-		c, ok = p.capsByOS[spec.OS]
-		if !ok {
-			return false
+// fits reports whether some machine class of the pool can ever run
+// spec: a pool where none can is not eligible for the job ("none of
+// the machines in the list is eligible" → the virtual pool manager
+// tries the next pool, §2.1).
+func (p *poolRT) fits(spec *job.Spec) bool {
+	for ci := range p.classes {
+		if p.classes[ci].fits(spec) {
+			return true
 		}
 	}
-	return c.maxMemMB >= spec.MemMB && c.maxCores >= spec.Cores
+	return false
 }
 
 // newPoolRT builds runtime state for a pool, grouping machines into
 // classes.
 func newPoolRT(plat *cluster.Platform, pool *cluster.Pool, machines []machineRT) *poolRT {
 	rt := &poolRT{
-		pool:     pool,
-		waitQ:    newWaitQueue(),
-		running:  make(map[job.Priority][]*jobRT),
-		capsByOS: make(map[string]caps),
+		pool:    pool,
+		waitQ:   newWaitQueue(),
+		running: make(map[job.Priority][]*jobRT),
 	}
 	type classKey struct {
 		cores int
@@ -149,21 +138,6 @@ func newPoolRT(plat *cluster.Platform, pool *cluster.Pool, machines []machineRT)
 		}
 		machines[mid].class = ci
 		rt.classes[ci].free = append(rt.classes[ci].free, mid)
-
-		c := rt.capsByOS[m.OS]
-		if m.MemMB > c.maxMemMB {
-			c.maxMemMB = m.MemMB
-		}
-		if m.Cores > c.maxCores {
-			c.maxCores = m.Cores
-		}
-		rt.capsByOS[m.OS] = c
-		if m.MemMB > rt.capsAny.maxMemMB {
-			rt.capsAny.maxMemMB = m.MemMB
-		}
-		if m.Cores > rt.capsAny.maxCores {
-			rt.capsAny.maxCores = m.Cores
-		}
 	}
 	// Free stacks pop from the end; reverse-sort so the lowest machine
 	// ID pops first ("the first eligible machine", §2.1).

@@ -58,8 +58,8 @@ func TestPoolRTStaticEligibility(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := p.eligible(&c.spec); got != c.want {
-				t.Fatalf("eligible = %v, want %v", got, c.want)
+			if got := p.fits(&c.spec); got != c.want {
+				t.Fatalf("fits = %v, want %v", got, c.want)
 			}
 		})
 	}

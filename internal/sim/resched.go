@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"netbatch/internal/core"
 	"netbatch/internal/job"
@@ -25,10 +26,15 @@ func (w *world) handleSusDecide(idx int) error {
 	}
 	// The deciding agent runs at the job's current site.
 	w.view.observe(w.siteOf[rt.j.Pool])
-	if target, move := w.cfg.Policy.OnSuspend(w.now, rt.j, &w.view); move {
-		return w.departSuspended(rt, target)
+	eligible := w.eligiblePools(rt.spec)
+	target, move := w.cfg.Policy.OnSuspend(rt.j, eligible, &w.view)
+	if !move {
+		return nil
 	}
-	return nil
+	if !slices.Contains(eligible, target) {
+		return badPick("policy", w.cfg.Policy.Name(), rt.spec, target, eligible)
+	}
+	return w.departSuspended(rt, target)
 }
 
 // departSuspended removes a suspended job from its host and routes it
@@ -87,10 +93,14 @@ func (w *world) handleWaitTimeout(idx int) error {
 		return nil
 	}
 	w.view.observe(w.siteOf[rt.j.Pool])
-	target, move := w.cfg.Policy.OnWaitTimeout(w.now, rt.j, &w.view)
+	eligible := w.eligiblePools(rt.spec)
+	target, move := w.cfg.Policy.OnWaitTimeout(rt.j, eligible, &w.view)
 	if !move || target == rt.j.Pool {
 		rt.waitTO = w.schedule(w.now+th, kWaitTimeout, int64(rt.idx), 0)
 		return nil
+	}
+	if !slices.Contains(eligible, target) {
+		return badPick("policy", w.cfg.Policy.Name(), rt.spec, target, eligible)
 	}
 	p := w.pools[rt.j.Pool]
 	p.waitQ.remove(rt)

@@ -10,8 +10,11 @@
 // Semantics implemented (with paper references):
 //
 //   - Virtual pool manager: jobs are queued on submission and sent to a
-//     physical pool chosen by the initial scheduler; pools with no
-//     eligible machine are skipped (§2.1).
+//     physical pool chosen by the initial scheduler among the job's
+//     eligible pools; a pool with no machine class meeting the job's
+//     static requirements is skipped (§2.1). The simulator applies that
+//     rule once per decision (eligiblePools) for schedulers and
+//     policies alike, and rejects a pick outside the list.
 //   - Physical pool manager: dispatch to the first eligible available
 //     machine; otherwise preempt a lower-priority running job
 //     (host-level suspension, §2.2); otherwise queue (§2.1).

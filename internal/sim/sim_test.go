@@ -629,11 +629,12 @@ func TestNonFiniteSpecRejected(t *testing.T) {
 }
 
 func TestNoEligiblePoolError(t *testing.T) {
-	p := miniPlatform(t, 1)
-	spec := lowJob(1, 0, 10, 0)
-	spec.MemMB = 1 << 30 // fits nowhere
-	if _, err := Run(baseConfig(p), []job.Spec{spec}); err == nil {
-		t.Fatal("want error for unrunnable job")
+	p := miniPlatform(t, 1, 1)
+	specs := []job.Spec{lowJob(1, 0, 10, 0, 1), lowJob(2, 1, 10, 0, 1)}
+	specs[1].MemMB = 1 << 30 // fits nowhere
+	_, err := Run(baseConfig(p), specs)
+	if err == nil || !strings.Contains(err.Error(), "job 2 has no eligible candidate pool [0 1]") {
+		t.Fatalf("err = %v, want job 2 named as having no eligible pool", err)
 	}
 }
 

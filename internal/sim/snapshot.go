@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"netbatch/internal/job"
 	"netbatch/internal/sched"
 	"netbatch/internal/snap"
 )
@@ -115,11 +114,6 @@ func (v *poolView) QueueLen(p int) int { return v.w.pools[p].waitQ.Len() }
 
 // PoolCores implements sched.PoolView.
 func (v *poolView) PoolCores(p int) int { return v.w.pools[p].pool.Cores }
-
-// Eligible implements sched.PoolView.
-func (v *poolView) Eligible(p int, spec *job.Spec) bool {
-	return v.w.pools[p].eligible(spec)
-}
 
 // NumSites implements sched.SiteView.
 func (v *poolView) NumSites() int { return v.w.nSites }

@@ -171,6 +171,9 @@ type world struct {
 	view poolView
 	acct accounting
 
+	// eligible is eligiblePools' scratch: one decision's eligible pools.
+	eligible []int
+
 	// res accumulates the Result counters; runSerial completes it.
 	res Result
 

@@ -43,9 +43,6 @@ func (m *Mean) N() int64 { return m.n }
 // Mean returns the running mean, or 0 with no observations.
 func (m *Mean) Mean() float64 { return m.mean }
 
-// Sum returns the total of all observations.
-func (m *Mean) Sum() float64 { return m.mean * float64(m.n) }
-
 // Var returns the sample variance, or 0 with fewer than two observations.
 func (m *Mean) Var() float64 {
 	if m.n < 2 {

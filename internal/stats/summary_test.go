@@ -29,9 +29,6 @@ func TestMeanBasics(t *testing.T) {
 	if m.Min() != 2 || m.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", m.Min(), m.Max())
 	}
-	if got := m.Sum(); math.Abs(got-40) > 1e-9 {
-		t.Fatalf("Sum = %v, want 40", got)
-	}
 }
 
 func TestQuantile(t *testing.T) {

@@ -1,11 +1,11 @@
 package trace
 
 // Presets for the paper's scenarios. The constants here were calibrated
-// against the published trace statistics (see EXPERIMENTS.md): ~40%
-// mean utilization on the default ~19k-core platform in a 20-60% band,
-// a suspend rate near 1% under the no-rescheduling baseline in the busy
-// week, long-tailed service demands, and suspensions lasting hundreds
-// of minutes (median 437 / mean 905 in the paper).
+// against the published trace statistics: ~40% mean utilization on the
+// default ~19k-core platform in a 20-60% band, a suspend rate near 1%
+// under the no-rescheduling baseline in the busy week, long-tailed
+// service demands, and suspensions lasting hundreds of minutes (median
+// 437 / mean 905 in the paper).
 //
 // Two structural properties carry the paper's rescheduling dynamics:
 //

@@ -1,7 +1,7 @@
 // Package trace provides the job-trace substrate for the reproduction:
-// the trace record schema (a job specification per line), streaming
-// JSONL and CSV readers/writers, and a synthetic workload generator
-// that produces NetBatch-shaped traces.
+// the trace record schema (a job specification per line), a streaming
+// JSONL reader and writer, a CSV writer, and a synthetic workload
+// generator that produces NetBatch-shaped traces.
 //
 // The paper's evaluation is driven by one year of proprietary traces
 // from Intel's NetBatch deployment. Those traces are not available, so
@@ -9,7 +9,7 @@
 // properties the paper documents and that its results depend on:
 // ~40% mean utilization in a 20–60% band, bursty pool-restricted
 // high-priority arrivals lasting hours to a week, and long-tailed
-// runtimes. See DESIGN.md ("Substitutions") for the full argument.
+// runtimes. presets.go records how each preset is calibrated.
 package trace
 
 import (
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -60,17 +59,6 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Window returns the sub-trace of jobs submitted in [from, to), matching
-// the paper's selection of "jobs that are submitted during a one week
-// busy period in the trace" (§3.1).
-func (t *Trace) Window(from, to float64) *Trace {
-	lo := sort.Search(len(t.Jobs), func(i int) bool { return t.Jobs[i].Submit >= from })
-	hi := sort.Search(len(t.Jobs), func(i int) bool { return t.Jobs[i].Submit >= to })
-	out := &Trace{Jobs: make([]job.Spec, hi-lo)}
-	copy(out.Jobs, t.Jobs[lo:hi])
-	return out
 }
 
 // Horizon returns the submission time of the last job, or 0 for an
@@ -198,77 +186,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("trace: flush csv: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV reads a CSV trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty csv")
-	}
-	if strings.Join(rows[0], ",") != strings.Join(csvHeader, ",") {
-		return nil, fmt.Errorf("trace: unexpected csv header %v", rows[0])
-	}
-	t := &Trace{}
-	for li, row := range rows[1:] {
-		if len(row) != len(csvHeader) {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", li+2, len(row), len(csvHeader))
-		}
-		spec, err := parseCSVRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", li+2, err)
-		}
-		t.Jobs = append(t.Jobs, spec)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func parseCSVRow(row []string) (job.Spec, error) {
-	var s job.Spec
-	id, err := strconv.ParseInt(row[0], 10, 64)
-	if err != nil {
-		return s, fmt.Errorf("id: %w", err)
-	}
-	s.ID = job.ID(id)
-	if s.Submit, err = strconv.ParseFloat(row[1], 64); err != nil {
-		return s, fmt.Errorf("submit: %w", err)
-	}
-	if s.Work, err = strconv.ParseFloat(row[2], 64); err != nil {
-		return s, fmt.Errorf("work: %w", err)
-	}
-	if s.Cores, err = strconv.Atoi(row[3]); err != nil {
-		return s, fmt.Errorf("cores: %w", err)
-	}
-	if s.MemMB, err = strconv.Atoi(row[4]); err != nil {
-		return s, fmt.Errorf("mem_mb: %w", err)
-	}
-	s.OS = row[5]
-	prio, err := strconv.Atoi(row[6])
-	if err != nil {
-		return s, fmt.Errorf("priority: %w", err)
-	}
-	s.Priority = job.Priority(prio)
-	if s.TaskID, err = strconv.ParseInt(row[7], 10, 64); err != nil {
-		return s, fmt.Errorf("task_id: %w", err)
-	}
-	if row[8] != "" {
-		for _, f := range strings.Fields(row[8]) {
-			c, err := strconv.Atoi(f)
-			if err != nil {
-				return s, fmt.Errorf("candidates: %w", err)
-			}
-			s.Candidates = append(s.Candidates, c)
-		}
-	}
-	if s.Site, err = strconv.Atoi(row[9]); err != nil {
-		return s, fmt.Errorf("site: %w", err)
-	}
-	return s, nil
 }
