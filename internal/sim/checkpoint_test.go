@@ -626,6 +626,15 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		{"running job in state 99", reencode(editJob(job.StateRunning, func(st *job.JobState) { st.State = 99 }))},
 		{"free-stack entry -1", reencode(eachClass(func(c *machineClass) { c.free = append(c.free, -1) }))},
 		{"free-stack entry past the platform", reencode(eachClass(func(c *machineClass) { c.free = append(c.free, 1<<40) }))},
+		{"completed job queued", reencode(func(w *world) {
+			for i := range w.jobs {
+				if w.jobs[i].j.State() == job.StateCompleted {
+					w.jobs[i].queued = true
+					return
+				}
+			}
+			t.Fatal("checkpoint has no completed job")
+		})},
 		{"wait-queue head -1", reencode(eachFIFO(func(f *fifo) { f.head = -1 }))},
 		{"wait-queue head past its items", reencode(eachFIFO(func(f *fifo) { f.head = len(f.items) + 100 }))},
 		{"down machine's span past its site's log", reencode(downMachine(func(m *machineRT) { m.spanIdx = 1 << 40 }))},

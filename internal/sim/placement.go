@@ -42,10 +42,9 @@ func (w *world) savePlacement(e *snap.Encoder) {
 			}
 			wq := p.waitQ
 			e.Int(wq.n)
-			e.Int(len(wq.prios))
-			for _, prio := range wq.prios {
-				e.Int(int(prio))
-				f := wq.classes[prio]
+			e.Int(len(wq.classes))
+			for _, f := range wq.classes {
+				e.Int(int(f.prio))
 				e.Int(f.head)
 				e.Int(len(f.items))
 				for _, rt := range f.items {
@@ -150,11 +149,10 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 			// Counts are checked against the bytes left: a priority class
 			// is at least three words, a list entry one.
 			nPrios := d.Count(-1, 24)
-			wq.classes = make(map[job.Priority]*fifo, nPrios)
-			wq.prios = wq.prios[:0]
+			wq.classes = make([]*fifo, 0, nPrios)
 			for i := 0; i < nPrios; i++ {
-				prio := job.Priority(d.Int())
-				f := &fifo{head: d.Int()}
+				f := &fifo{prio: job.Priority(d.Int())}
+				f.head = d.Int()
 				nItems := d.Count(-1, 8)
 				if f.head < 0 || f.head > nItems {
 					return fmt.Errorf("%w: pool %d wait queue head %d outside its %d items",
@@ -164,8 +162,8 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 				for it := range f.items {
 					f.items[it] = jobAt(d.Int())
 				}
-				wq.classes[prio] = f
-				wq.prios = append(wq.prios, prio)
+				f.reopen()
+				wq.classes = append(wq.classes, f)
 			}
 			nRun := d.Count(-1, 16)
 			p.running = make(map[job.Priority][]*jobRT, nRun)
@@ -231,6 +229,10 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 		rt.j.RestoreState(st)
 		rt.enqueuedAt = d.F64()
 		rt.queued = d.Bool()
+		rt.done = st.State == job.StateCompleted
+		if rt.done && rt.queued {
+			return fmt.Errorf("%w: completed job %d is queued", ErrSnapshotMismatch, rt.spec.ID)
+		}
 	}
 	return d.Err()
 }
@@ -448,6 +450,7 @@ func (w *world) handleFinish(idx int) error {
 		return err
 	}
 	w.completed++
+	rt.done = true
 	removeRunning(mach, rt)
 	w.noteDetach(rt)
 	mach.freeCores += rt.spec.Cores
@@ -470,9 +473,7 @@ func (w *world) onFree(mid int) error {
 	}
 	p := w.pools[mach.m.Pool]
 	for mach.freeCores > 0 {
-		wrt := p.waitQ.peekFitting(func(rt *jobRT) bool {
-			return machineFits(mach, rt.spec)
-		})
+		wrt := p.waitQ.peekFitting(mach)
 		// The peek runs even when a resume wins: its compaction of the
 		// queue's FIFOs is part of the saved, behavior-bearing layout.
 		if srt := bestSuspended(mach); srt != nil {
@@ -499,12 +500,14 @@ func (w *world) onFree(mid int) error {
 	return nil
 }
 
-// machineFits checks dynamic fit of a spec on a machine.
+// machineFits checks dynamic fit of a spec on a machine. Free capacity
+// is tested first: it rejects most wait-queue entries without reading
+// the machine's OS.
 func machineFits(mach *machineRT, spec *job.Spec) bool {
-	if spec.OS != "" && spec.OS != mach.m.OS {
+	if mach.freeCores < spec.Cores || mach.freeMemMB < spec.MemMB {
 		return false
 	}
-	return mach.freeCores >= spec.Cores && mach.freeMemMB >= spec.MemMB
+	return spec.OS == "" || spec.OS == mach.m.OS
 }
 
 // bestSuspended returns the suspended job on mach that should resume

@@ -20,6 +20,9 @@ type jobRT struct {
 	waitTO eventq.Handle
 	// queued marks live membership in a pool wait queue.
 	queued bool
+	// done marks a completed job, whose wait-queue slots can never
+	// revive (see waitQueue.peekFitting).
+	done bool
 	// aliased marks a job attached to a machine (running or suspended)
 	// at a site other than its queue-pool label's site — the product of
 	// a cross-site alias dispatch (a revived wait-queue slot, or a
@@ -115,7 +118,7 @@ func (p *poolRT) fits(spec *job.Spec) bool {
 func newPoolRT(plat *cluster.Platform, pool *cluster.Pool, machines []machineRT) *poolRT {
 	rt := &poolRT{
 		pool:    pool,
-		waitQ:   newWaitQueue(),
+		waitQ:   &waitQueue{},
 		running: make(map[job.Priority][]*jobRT),
 	}
 	type classKey struct {

@@ -122,15 +122,23 @@ func (v *poolView) NumSites() int { return v.w.nSites }
 func (v *poolView) SiteOf(pool int) int { return v.w.siteOf[pool] }
 
 // SiteUtilization implements sched.SiteView: the core-weighted mean of
-// the (aged) per-pool utilizations of the site.
+// the (aged) per-pool utilizations of the site. Every pool of the site
+// shares the observer's ageing delay, so aged-or-live is decided once.
 func (v *poolView) SiteUtilization(site int) float64 {
 	cores := v.w.siteCores[site]
 	if cores == 0 {
 		return 0
 	}
+	aged := v.w.snap != nil && v.w.ageDelay(v.obs, site) > 0
 	var busy float64
 	for _, p := range v.w.plat.Site(site).Pools {
-		busy += v.Utilization(p) * float64(v.w.pools[p].pool.Cores)
+		var u float64
+		if aged {
+			u = v.w.snap[v.obs][p]
+		} else {
+			u = v.liveUtil(p)
+		}
+		busy += u * float64(v.w.pools[p].pool.Cores)
 	}
 	return busy / float64(cores)
 }

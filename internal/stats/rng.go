@@ -148,14 +148,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Uniform returns a uniform variate in [lo, hi). It panics if hi < lo.
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	if hi < lo {
-		panic("stats: Uniform requires hi >= lo")
-	}
-	return lo + (hi-lo)*r.src.Float64()
-}
-
 // Bool returns true with probability p (clamped to [0, 1]).
 func (r *RNG) Bool(p float64) bool {
 	return r.src.Float64() < p

@@ -136,19 +136,6 @@ func TestParetoPanics(t *testing.T) {
 	}
 }
 
-func TestUniformBounds(t *testing.T) {
-	r := NewRNG(19)
-	for i := 0; i < 10000; i++ {
-		v := r.Uniform(5, 9)
-		if v < 5 || v >= 9 {
-			t.Fatalf("Uniform(5,9) out of range: %v", v)
-		}
-	}
-	if got := r.Uniform(4, 4); got != 4 {
-		t.Fatalf("Uniform(4,4) = %v, want 4", got)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(23)
 	hits := 0
