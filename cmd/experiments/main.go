@@ -29,14 +29,12 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"runtime/trace"
-	"strconv"
 	"strings"
 	"time"
 
 	"netbatch/internal/experiments"
 	"netbatch/internal/obs"
 	"netbatch/internal/report"
-	"netbatch/internal/sim"
 )
 
 func main() {
@@ -50,7 +48,6 @@ func run() (err error) {
 	var (
 		list     = flag.Bool("list", false, "list registered experiments, then exit")
 		runIDs   = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		scenario = flag.String("scenario", "", "alias for -run")
 		scale    = flag.Float64("scale", 1.0, "platform+workload scale (1.0 = paper scale)")
 		seed     = flag.Uint64("seed", 42, "base random seed for trace generation and policies")
 		seeds    = flag.Int("seeds", 1, "seed replicates per cell; >1 reports mean ± 95% CI")
@@ -71,9 +68,6 @@ func run() (err error) {
 		timeline = flag.String("timeline", "", "write a timeline of every cell (one \"run\" span per simulation, plus checkpoint captures) as Chrome trace_event JSON to this file (load in Perfetto / chrome://tracing)")
 		runlog   = flag.String("runlog", "", "stream per-cell run telemetry as JSONL records to this file (\"-\" = stderr)")
 		progress = flag.Duration("progress", 0, "per-cell progress cadence (0 = 1s when -runlog is set, else mirror nothing); also mirrors to stderr without -runlog")
-
-		replayBisect = flag.String("replay-bisect", "", "two checkpoint files \"from.ckpt,to.ckpt\" of one recorded cell: replay the interval to localize the first diverging event of a determinism regression (requires -run and -bisect-cell)")
-		bisectCell   = flag.String("bisect-cell", "", "cell coordinate \"scenario/policy/replicate\" for -replay-bisect (matches the snapshot's embedded label)")
 	)
 	flag.Parse()
 	if err := checkFlags(numericFlags{
@@ -101,12 +95,6 @@ func run() (err error) {
 		return printRegistry(os.Stdout)
 	}
 	ids := experiments.IDs()
-	if *scenario != "" {
-		if *runIDs != "" {
-			return fmt.Errorf("use either -run or -scenario, not both")
-		}
-		runIDs = scenario
-	}
 	if *runIDs != "" {
 		ids = strings.Split(*runIDs, ",")
 	}
@@ -136,9 +124,6 @@ func run() (err error) {
 			err = ferr
 		}
 	}()
-	if *replayBisect != "" {
-		return runReplayBisect(*replayBisect, *bisectCell, ids, opts)
-	}
 	for _, id := range ids {
 		e, err := experiments.Get(strings.TrimSpace(id))
 		if err != nil {
@@ -205,73 +190,6 @@ func checkFlags(f numericFlags) error {
 	return nil
 }
 
-// runReplayBisect replays the interval between two recorded cell
-// checkpoints to localize the first diverging event of a determinism
-// regression (see sim.ReplayBisect). The cell whose snapshots are being
-// replayed is named by -run (one experiment ID) and -bisect-cell
-// ("scenario/policy/replicate" — the label embedded in each snapshot).
-func runReplayBisect(files, cell string, ids []string, opts experiments.Options) error {
-	parts := strings.Split(files, ",")
-	if len(parts) != 2 {
-		return fmt.Errorf("-replay-bisect wants two files \"from.ckpt,to.ckpt\", got %q", files)
-	}
-	from, err := experiments.LoadCheckpoint(strings.TrimSpace(parts[0]))
-	if err != nil {
-		return err
-	}
-	to, err := experiments.LoadCheckpoint(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return err
-	}
-	metaFrom, err := sim.ReadSnapshotMeta(from)
-	if err != nil {
-		return fmt.Errorf("%s: %w", parts[0], err)
-	}
-	metaTo, err := sim.ReadSnapshotMeta(to)
-	if err != nil {
-		return fmt.Errorf("%s: %w", parts[1], err)
-	}
-	if len(ids) != 1 {
-		return fmt.Errorf("-replay-bisect needs exactly one experiment via -run (snapshot labels: %q, %q)",
-			metaFrom.Label, metaTo.Label)
-	}
-	if cell == "" {
-		return fmt.Errorf("-replay-bisect needs -bisect-cell scenario/policy/replicate (snapshot label suggests %q)",
-			metaFrom.Label)
-	}
-	cparts := strings.Split(cell, "/")
-	if len(cparts) != 3 {
-		return fmt.Errorf("-bisect-cell wants \"scenario/policy/replicate\", got %q", cell)
-	}
-	rep, err := strconv.Atoi(cparts[2])
-	if err != nil {
-		return fmt.Errorf("-bisect-cell replicate %q: %w", cparts[2], err)
-	}
-	cfg, specs, err := experiments.CellSim(ids[0], cparts[0], cparts[1], rep, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("replay-bisect: cell %s of %s\n", cell, ids[0])
-	fmt.Printf("  from: %s  t=%.1f  events=%d  (label %q)\n",
-		parts[0], metaFrom.Time, metaFrom.Events, metaFrom.Label)
-	fmt.Printf("  to:   %s  t=%.1f  events=%d\n", parts[1], metaTo.Time, metaTo.Events)
-	bisect, err := sim.ReplayBisect(cfg, specs, from, to)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  replayed %d events over (%.1f, %.1f]\n", bisect.ReplayedEvents, bisect.FromTime, bisect.ToTime)
-	switch {
-	case bisect.Clean():
-		fmt.Println("  result: CLEAN — the interval replays deterministically and reproduces the recorded state bit-exactly")
-	default:
-		fmt.Printf("  result: DIVERGED — deterministic=%v matchesRecorded=%v\n",
-			bisect.Deterministic, bisect.MatchesRecorded)
-		fmt.Printf("  %s\n", bisect.FirstDivergence)
-		return fmt.Errorf("determinism regression localized")
-	}
-	return nil
-}
-
 // armObservability wires the -timeline/-runlog/-progress flags into the
 // matrix options: a shared metrics registry plus JSONL run log when
 // -runlog is set, and a Chrome-trace timeline collector when -timeline
@@ -331,7 +249,7 @@ func armObservability(timeline, runlog string, progress time.Duration, opts *exp
 
 // printRegistry lists every registered experiment.
 func printRegistry(w io.Writer) error {
-	fmt.Fprintln(w, "registered experiments (-run/-scenario):")
+	fmt.Fprintln(w, "registered experiments (-run):")
 	for _, id := range experiments.IDs() {
 		e, err := experiments.Get(id)
 		if err != nil {

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"netbatch/internal/job"
@@ -18,6 +19,10 @@ import (
 	"netbatch/internal/stats"
 	"netbatch/internal/trace"
 )
+
+// maxBins bounds the arrival timelines: -bin must not split the
+// trace's horizon into more bins than this.
+const maxBins = 1 << 20
 
 func main() {
 	if err := run(); err != nil {
@@ -33,6 +38,9 @@ func run() error {
 		bin       = flag.Float64("bin", 100, "timeline bin width, minutes")
 	)
 	flag.Parse()
+	if err := checkFlags(*bin, *cores); err != nil {
+		return err
+	}
 	if *traceFile == "" {
 		return fmt.Errorf("-trace is required")
 	}
@@ -43,6 +51,9 @@ func run() error {
 	defer f.Close()
 	tr, err := trace.ReadJSONL(f)
 	if err != nil {
+		return err
+	}
+	if err := checkBins(*bin, tr.Horizon()); err != nil {
 		return err
 	}
 
@@ -81,5 +92,27 @@ func run() error {
 	}
 	fmt.Printf("low-priority arrivals:  %s\n", report.Sparkline(lowTS.Points(), 72))
 	fmt.Printf("high-priority arrivals: %s\n", report.Sparkline(highTS.Points(), 72))
+	return nil
+}
+
+// checkFlags rejects out-of-range flags before the trace is read.
+func checkFlags(bin float64, cores int) error {
+	switch {
+	case !(bin > 0) || math.IsInf(bin, 1):
+		return fmt.Errorf("-bin must be finite and positive, got %v", bin)
+	case cores < 1:
+		return fmt.Errorf("-cores must be at least 1, got %d", cores)
+	}
+	return nil
+}
+
+// checkBins rejects a -bin that would split a horizon-minute trace into
+// more than maxBins timeline bins; a timeline holds one bin per started
+// bin width up to the last submission.
+func checkBins(bin, horizon float64) error {
+	if n := math.Floor(horizon/bin) + 1; n > maxBins {
+		return fmt.Errorf("-bin %v makes %.0f bins over the trace's %.0f-minute horizon, more than %d",
+			bin, n, horizon, maxBins)
+	}
 	return nil
 }

@@ -18,12 +18,10 @@ import (
 
 	"netbatch/internal/cluster"
 	"netbatch/internal/core"
-	"netbatch/internal/job"
 	"netbatch/internal/metrics"
 	"netbatch/internal/obs"
 	"netbatch/internal/report"
 	"netbatch/internal/sched"
-	"netbatch/internal/sim"
 	"netbatch/internal/stats"
 )
 
@@ -55,8 +53,9 @@ type Options struct {
 	// periodically writes its simulation snapshot to
 	// <dir>/<scenario>_p<policy>_r<replicate>_t<time>.ckpt (atomically,
 	// zero-padded time so names sort chronologically). The history is
-	// kept — any two of a cell's files feed replay-bisect; Resume picks
-	// the newest. Empty disables checkpointing.
+	// kept: Resume picks the newest, delta files chain back to their
+	// keyframe, and two runs' directories compare with `diff -r`. Empty
+	// disables checkpointing.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot cadence in simulated minutes.
 	// Values <= 0 default to one simulated day (1440) when
@@ -65,9 +64,9 @@ type Options struct {
 	// CheckpointKeyframe delta-encodes the checkpoint stream: every Nth
 	// snapshot of a cell is a full keyframe (.ckpt file), the ones
 	// between are binary deltas against the previous snapshot (.dckpt
-	// files, typically a small fraction of the full size). Resume and
-	// replay-bisect reconstruct delta files transparently from their
-	// keyframe chain. 0 or 1 writes only full snapshots.
+	// files, typically a small fraction of the full size). Resume
+	// reconstructs delta files transparently from their keyframe chain.
+	// 0 or 1 writes only full snapshots.
 	CheckpointKeyframe int
 	// Resume makes each cell continue from its checkpoint file when a
 	// compatible one exists in CheckpointDir, so an interrupted matrix
@@ -153,8 +152,8 @@ type Experiment struct {
 	// Title describes the paper artifact.
 	Title string
 	// Plan declares the experiment's (scenario × policy × seed) matrix
-	// without running it. Checkpoint tooling (replay-bisect) uses it to
-	// rebuild individual cells.
+	// without running it. The repository benchmark (perfbench) runs the
+	// experiments' matrices from it, without their rendering.
 	Plan func(Options) Matrix
 	// Run executes the experiment.
 	Run func(Options) (*Output, error)
@@ -184,62 +183,6 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// CellSim rebuilds the simulation inputs of one cell of a registered
-// experiment — the exact sim.Config (fresh scheduler/policy instances,
-// coordinate-derived seeds) and workload that the matrix runner would
-// execute for it. The replay-bisect tooling uses it to resume and
-// replay a cell's recorded snapshots; the rebuilt config hash-matches
-// them because buildCellConfig is the single assembly point.
-func CellSim(expID, scenarioID, policyName string, rep int, opts Options) (sim.Config, []job.Spec, error) {
-	var zero sim.Config
-	e, err := Get(expID)
-	if err != nil {
-		return zero, nil, err
-	}
-	if e.Plan == nil {
-		return zero, nil, fmt.Errorf("experiments: %s does not declare a matrix plan", expID)
-	}
-	opts = opts.withDefaults()
-	m := e.Plan(opts)
-	sIdx, pIdx := -1, -1
-	var haveS, haveP []string
-	for i := range m.Scenarios {
-		haveS = append(haveS, m.Scenarios[i].ID)
-		if m.Scenarios[i].ID == scenarioID {
-			sIdx = i
-		}
-	}
-	for i := range m.Policies {
-		haveP = append(haveP, m.Policies[i].Name)
-		if m.Policies[i].Name == policyName {
-			pIdx = i
-		}
-	}
-	if sIdx < 0 {
-		return zero, nil, fmt.Errorf("experiments: %s has no scenario %q (have %v)", expID, scenarioID, haveS)
-	}
-	if pIdx < 0 {
-		return zero, nil, fmt.Errorf("experiments: %s has no policy %q (have %v)", expID, policyName, haveP)
-	}
-	seeds := m.Seeds
-	if len(seeds) == 0 {
-		seeds = ReplicateSeeds(opts.Seed, opts.Seeds)
-	}
-	if rep < 0 || rep >= len(seeds) {
-		return zero, nil, fmt.Errorf("experiments: replicate %d outside [0, %d)", rep, len(seeds))
-	}
-	sc := &m.Scenarios[sIdx]
-	plat, err := sc.Platform(opts.Scale)
-	if err != nil {
-		return zero, nil, fmt.Errorf("experiments: scenario %s: platform: %w", scenarioID, err)
-	}
-	tr, err := sc.Trace(seeds[rep], opts.Scale)
-	if err != nil {
-		return zero, nil, fmt.Errorf("experiments: scenario %s seed %d: trace: %w", scenarioID, seeds[rep], err)
-	}
-	return buildCellConfig(sc, m.Policies[pIdx], pIdx, seeds[rep], plat, opts), tr.Jobs, nil
 }
 
 // PolicyFactory names and constructs a rescheduling strategy.

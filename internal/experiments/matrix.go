@@ -228,7 +228,7 @@ func (m Matrix) Run(opts Options) (*MatrixResult, error) {
 			return fmt.Errorf("experiments: scenario %s seed %d: trace: %w", sc.ID, seed, err)
 		}
 		cfg := buildCellConfig(sc, m.Policies[p], p, seed, plat, opts)
-		r, err := runCellSim(cfg, tr.Jobs, sc.ID, m.Policies[p].Name, p, rep, opts)
+		r, err := simulateCell(cfg, tr.Jobs, sc.ID, m.Policies[p].Name, p, rep, opts)
 		if err != nil {
 			return fmt.Errorf("experiments: scenario %s strategy %s seed %d: %w",
 				sc.ID, m.Policies[p].Name, seed, err)
@@ -287,10 +287,9 @@ feed:
 
 // buildCellConfig assembles one cell's engine configuration from its
 // coordinates: fresh scheduler/policy instances (both are stateful),
-// coordinate-derived policy and fault seeds, scenario knobs. It is the
-// single config assembly point shared by the matrix runner and the
-// replay-bisect tooling (CellSim), so a rebuilt cell is guaranteed to
-// hash-match the snapshots the original run emitted.
+// coordinate-derived policy and fault seeds, scenario knobs. Every run
+// of a cell assembles the same configuration, so a resumed cell
+// hash-matches the snapshots its earlier run emitted.
 func buildCellConfig(sc *Scenario, pf PolicyFactory, p int, seed uint64, plat *cluster.Platform, opts Options) sim.Config {
 	cfg := sim.Config{
 		Platform:           plat,
@@ -313,8 +312,8 @@ func buildCellConfig(sc *Scenario, pf PolicyFactory, p int, seed uint64, plat *c
 
 // cellCheckpointPrefix names a cell's checkpoint files inside the
 // checkpoint directory; each emitted snapshot appends its zero-padded
-// simulated time, so filenames sort chronologically and any two of one
-// cell's files feed replay-bisect directly.
+// simulated time, so filenames sort chronologically and two runs write
+// the same names.
 func cellCheckpointPrefix(dir, scenarioID string, p, rep int) string {
 	safe := strings.NewReplacer("/", "_", string(filepath.Separator), "_", ":", "_").Replace(scenarioID)
 	return filepath.Join(dir, fmt.Sprintf("%s_p%d_r%d", safe, p, rep))
@@ -343,7 +342,7 @@ func latestCheckpoint(prefix string) string {
 }
 
 // LoadCheckpoint reads one checkpoint file and returns full snapshot
-// bytes ready for sim resume or replay-bisect. A delta file (.dckpt)
+// bytes ready for sim resume. A delta file (.dckpt)
 // is reconstructed from its keyframe chain: the loader walks the
 // cell's sibling files back to the nearest full snapshot and applies
 // every delta in emission order, with each step's base CRC guarding
@@ -395,27 +394,29 @@ func LoadCheckpoint(path string) ([]byte, error) {
 	return base, nil
 }
 
-// runCellSim executes one cell's simulation, wiring in per-cell
+// simulateCell executes one cell's simulation, wiring in per-cell
 // checkpoint emission and resume when Options.CheckpointDir is set.
 // Snapshots land atomically as <cell>_t<time>.ckpt — the history is
-// kept, both for replay-bisect (which needs two boundaries of one
-// recorded run) and resumable interrupted runs. With Options.Resume the
-// cell continues from its newest checkpoint and re-simulates only the
-// tail. A checkpoint that cannot be resumed (corrupted, or from a
-// different build or configuration) falls back to a fresh run with a
-// Logf warning — never to a wrong result, since resume bit-identity is
-// the simulator's contract and mismatches are rejected up front.
-func runCellSim(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
+// kept, both for delta chains (which reach back to their keyframe) and
+// for comparing two runs' directories with `diff -r`. With
+// Options.Resume the cell continues from its newest checkpoint and
+// re-simulates only the tail. A checkpoint that cannot be resumed
+// (corrupted, or from a different build or configuration) falls back
+// to a fresh run with a Logf warning — never to a wrong result, since
+// resume bit-identity is the simulator's contract and mismatches are
+// rejected up front.
+func simulateCell(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
 	done := cellTelemetry(&cfg, specs, scenarioID, policyName, rep, opts)
-	r, err := runCellSimCheckpointed(cfg, specs, scenarioID, policyName, p, rep, opts)
+	r, err := simulateCellCheckpointed(cfg, specs, scenarioID, policyName, p, rep, opts)
 	done(r, err)
 	return r, err
 }
 
-// runCellSimCheckpointed is runCellSim's checkpoint-handling core; the
-// wrapper above brackets it with telemetry so every exit path — fresh
-// run, resume, or fallback — emits exactly one cell_done record.
-func runCellSimCheckpointed(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
+// simulateCellCheckpointed is simulateCell's checkpoint-handling
+// core; the wrapper above brackets it with telemetry so every exit
+// path — fresh run, resume, or fallback — emits exactly one cell_done
+// record.
+func simulateCellCheckpointed(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

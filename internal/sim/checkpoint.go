@@ -5,8 +5,8 @@ package sim
 //
 // The state contract is the stateCodecs table: one named section per
 // mechanism, each a pair of world methods that dump and restore its
-// portion of the world. Checkpointing, resume and replay all run on the
-// serial loop, and a snapshot is taken only between two of its events,
+// portion of the world. Checkpointing and resume run on the serial
+// loop, and a snapshot is taken only between two of its events,
 // where every piece of state is explicit. The invariant that makes
 // this safe, asserted by the checkpoint property tests, is
 // bit-identity: a run resumed from any checkpoint produces exactly the
@@ -14,8 +14,8 @@ package sim
 //
 // The encoding is deterministic — fixed-width little-endian primitives,
 // floats as IEEE-754 bits, sections in table order, sorted map keys —
-// so equal states always encode to equal bytes, which is what lets
-// replay-bisect (replay.go) compare snapshots bytewise. Three guards
+// so equal states always encode to equal bytes, which is what lets two
+// runs' checkpoint directories be compared with `diff -r`. Three guards
 // protect against mismatched resumes: a format version, a hash of the
 // event-kind table (the numbers the pending events reference), and a
 // hash of the full run configuration (platform topology, workload
@@ -200,12 +200,6 @@ type snapshot struct {
 	time       float64
 	events     int64
 
-	// comparable is the suffix of the encoding that identifies the
-	// captured state (time, events and every section): everything after
-	// the label. Replay-bisect compares snapshots on it, so differing
-	// labels or cadences never mask (or fake) a state difference.
-	comparable []byte
-
 	// sections holds the codec sections in stateCodecs order.
 	sections []snapSection
 }
@@ -360,7 +354,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	sn.kindHash = d.U64()
 	sn.every = d.F64()
 	sn.label = d.Str()
-	sn.comparable = data[len(data)-d.Len():]
 	sn.time = d.F64()
 	sn.events = d.I64()
 	// A section is at least its name's and its data's length words.
@@ -375,30 +368,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotMismatch, d.Len())
 	}
 	return sn, nil
-}
-
-// SnapshotMeta is the human-facing header of an encoded snapshot.
-type SnapshotMeta struct {
-	// Label is the creator-supplied Config.CheckpointLabel (e.g. the
-	// experiment cell, "fed3-faults/p1/r0").
-	Label string
-	// Every is the checkpoint cadence (simulated minutes) of the run
-	// that emitted the snapshot; 0 for one-off captures.
-	Every float64
-	// Time and Events locate the captured boundary.
-	Time   float64
-	Events int64
-}
-
-// ReadSnapshotMeta decodes just the metadata of an encoded snapshot
-// (validating integrity and format version), for tooling that inspects
-// checkpoints without resuming them.
-func ReadSnapshotMeta(data []byte) (SnapshotMeta, error) {
-	sn, err := decodeSnapshot(data)
-	if err != nil {
-		return SnapshotMeta{}, err
-	}
-	return SnapshotMeta{Label: sn.label, Every: sn.every, Time: sn.time, Events: sn.events}, nil
 }
 
 // restore checks a decoded snapshot against the run — the same

@@ -108,14 +108,18 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 		// Resume from every emitted checkpoint: first (most state still
 		// ahead), middle, and last (most state behind) all must converge
-		// to the identical final result.
+		// to the identical final result and re-emit the straight run's
+		// later checkpoints byte for byte, which is what lets two runs'
+		// checkpoint directories be compared with diff -r. Full
+		// snapshots only: with deltas on, the first capture after a
+		// resume is a keyframe by design.
 		picks := map[int]bool{0: true, len(*cks) / 2: true, len(*cks) - 1: true}
 		for idx := range picks {
 			ck := (*cks)[idx]
-			resumed := base
-			freshComponents(&resumed, seed, polPick, selPick)
+			resumed, rcks := collectCheckpoints(base, every)
+			freshComponents(resumed, seed, polPick, selPick)
 			resumed.ResumeFrom = ck.Data
-			res, err := Run(resumed, specs)
+			res, err := Run(*resumed, specs)
 			if err != nil {
 				t.Logf("seed %d: resume from checkpoint %d (t=%v): %v", seed, idx, ck.Time, err)
 				return false
@@ -125,12 +129,38 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					seed, idx, ck.Time, firstDiff(fpPlain, fp))
 				return false
 			}
+			if diff := checkpointsDiffer((*cks)[idx+1:], *rcks); diff != "" {
+				t.Logf("seed %d: resume from checkpoint %d (t=%v) re-emitted different checkpoints: %s",
+					seed, idx, ck.Time, diff)
+				return false
+			}
 		}
 		return true
 	}, cfgQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkpointsDiffer describes the first difference between the
+// checkpoints a run should emit and those it did, or returns "" when
+// both streams agree in count, boundaries and bytes.
+func checkpointsDiffer(want, got []Checkpoint) string {
+	for i := range min(len(want), len(got)) {
+		w, g := want[i], got[i]
+		switch {
+		case w.Time != g.Time || w.Events != g.Events:
+			return fmt.Sprintf("checkpoint %d at t=%v after %d events, want t=%v after %d events",
+				i, g.Time, g.Events, w.Time, w.Events)
+		case !bytes.Equal(w.Data, g.Data):
+			return fmt.Sprintf("checkpoint %d at t=%v: bytes differ (%d here, %d in the straight run)",
+				i, g.Time, len(g.Data), len(w.Data))
+		}
+	}
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d checkpoints, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 // checkpointFixture runs one deterministic multi-site workload with
@@ -609,11 +639,16 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 			t.Fatalf("section %s holds no PCG state", section)
 		})
 	}
-	// headerTime overwrites the header's clock alone, the word ahead of
-	// the compared suffix's event count.
+	// headerTime overwrites the header's clock alone: the word after
+	// the magic, the version, both hashes, the cadence and the
+	// length-prefixed label.
 	headerTime := func(v float64) []byte {
 		return patchSnapshot(t, data, func(body []byte, sn *snapshot) {
-			binary.LittleEndian.PutUint64(body[len(body)-len(sn.comparable):], math.Float64bits(v))
+			at := 48 + len(sn.label)
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(body[at:])); got != sn.time {
+				t.Fatalf("header clock word at %d reads %v, want %v", at, got, sn.time)
+			}
+			binary.LittleEndian.PutUint64(body[at:], math.Float64bits(v))
 		})
 	}
 	rows := []struct {
@@ -724,52 +759,5 @@ func TestCheckpointCaptureBufferSizing(t *testing.T) {
 	check("first capture after resume", len(mid.Data), 0, (*rcks)[0])
 	if fit == 0 {
 		t.Fatal("no capture fit its hint; the fixture no longer exercises the sizing")
-	}
-}
-
-func TestReplayBisectCleanInterval(t *testing.T) {
-	base, specs, cks := checkpointFixture(t)
-	if len(cks) < 2 {
-		t.Fatalf("need two checkpoints, got %d", len(cks))
-	}
-	from, to := cks[0], cks[len(cks)-1]
-	rep, err := ReplayBisect(freshFixtureConfig(base), specs, from.Data, to.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
-			rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
-	}
-	if rep.ReplayedEvents != to.Events-from.Events {
-		t.Fatalf("replayed %d events, interval spans %d",
-			rep.ReplayedEvents, to.Events-from.Events)
-	}
-}
-
-func TestReplayBisectRejectsCrossConfigSnapshots(t *testing.T) {
-	baseA, specsA, cksA := checkpointFixture(t)
-	_, _, cksB := func() (Config, []job.Spec, []Checkpoint) {
-		r := rand.New(rand.NewPCG(505, 506))
-		plat, specs, err := randomFederation(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := Config{
-			Platform: plat,
-			Initial:  federatedInitial(sched.LocalityFirst{}),
-			Policy:   core.NewNoRes(),
-		}
-		ckCfg, cks := collectCheckpoints(base, 60)
-		if _, err := Run(*ckCfg, specs); err != nil {
-			t.Fatal(err)
-		}
-		return base, specs, *cks
-	}()
-	if len(cksB) == 0 {
-		t.Skip("second fixture produced no checkpoints")
-	}
-	if _, err := ReplayBisect(baseA, specsA, cksA[0].Data, cksB[0].Data); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("cross-config bisect: got %v, want ErrSnapshotMismatch", err)
 	}
 }

@@ -89,20 +89,13 @@ func (w *world) loop(ck *checkpointer) error {
 		if err := w.dispatch(ev); err != nil {
 			return fmt.Errorf("sim: t=%v: %w", w.now, err)
 		}
-		if cfg.eventLog != nil {
-			cfg.eventLog.record(w.now, kindNames[ev.Kind], ev.A, ev.B)
-		}
-		// Both checkpoint capture points sit at the same boundary: after
-		// the event's full effect, before the next pop — where every
-		// piece of state is explicit and enumerable.
+		// A checkpoint is captured after the event's full effect, before
+		// the next pop — where every piece of state is explicit and
+		// enumerable.
 		if ck.due(w.now) {
 			if err := ck.take(w.now, w.events); err != nil {
 				return err
 			}
-		}
-		if cfg.stopAtEvents > 0 && w.events >= cfg.stopAtEvents {
-			*cfg.captureAt = takeSnapshot(w, newSnapParams(w, 0), w.now, w.events)
-			return errReplayStop
 		}
 	}
 	return nil

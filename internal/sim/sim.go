@@ -39,8 +39,8 @@
 // payload is two integer words, and state a handler needs beyond them
 // lives in a world field that a snapshot section saves. One serial loop
 // (serial.go) pops the queue in (time, scheduling order) and dispatches
-// every event; checkpoint/resume (checkpoint.go, delta.go) and replay
-// bisection (replay.go) run on the same loop. Parallelism lives one level up, across independent runs
+// every event; checkpoint/resume (checkpoint.go, delta.go) runs on the
+// same loop. Parallelism lives one level up, across independent runs
 // (the experiments matrix's -jobs worker pool). See
 // docs/ARCHITECTURE.md for the layering.
 package sim
@@ -124,7 +124,7 @@ type Config struct {
 	CheckpointSink func(Checkpoint) error
 	// CheckpointLabel is free-form metadata embedded in every emitted
 	// snapshot (e.g. the experiment cell that produced it). It does not
-	// participate in compatibility checks or snapshot comparison.
+	// participate in compatibility checks.
 	CheckpointLabel string
 	// CheckpointKeyframe delta-encodes the periodic snapshot stream:
 	// every Nth emitted snapshot is a full keyframe and the snapshots
@@ -170,14 +170,6 @@ type Config struct {
 	// Stateful schedulers/policies are restored from their snapshot
 	// sections through the Stateful contract.
 	ResumeFrom []byte
-
-	// stopAtEvents and captureAt are replay-bisect internals (see
-	// ReplayBisect): stop the run at the boundary where the processed
-	// event count reaches stopAtEvents and capture a snapshot there.
-	// eventLog, when set, records every dispatched event.
-	stopAtEvents int64
-	captureAt    *[]byte
-	eventLog     *replayRecorder
 }
 
 func (c *Config) withDefaults() (Config, error) {

@@ -39,8 +39,8 @@ const (
 	kMaintEnd                    // a: site
 )
 
-// kindNames are the kinds' diagnostic names, printed in replay logs and
-// hashed by kindTableHash. Index 0 is unused, so the zero kind is never
+// kindNames are the kinds' diagnostic names, printed in restore errors
+// and hashed by kindTableHash. Index 0 is unused, so the zero kind is never
 // valid.
 var kindNames = [...]string{
 	kSubmit:      "submit",
