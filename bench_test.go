@@ -8,9 +8,10 @@
 // the minutes range; they report the paper's key metrics via
 // b.ReportMetric (avgWCT, avgCT of suspended jobs) so regressions in
 // *result shape*, not just speed, are visible. All simulation benches
-// go through the shared matrix runner (experiments.RunCell) rather than
-// hand-assembling sim.Config; the ablation benches pre-generate their
-// trace and platform once so they time the engine, not trace synthesis.
+// go through the shared matrix runner (a one-cell experiments.Matrix)
+// rather than hand-assembling sim.Config; the ablation benches
+// pre-generate their trace and platform once so they time the engine,
+// not trace synthesis.
 package netbatch
 
 import (
@@ -97,16 +98,18 @@ func prebuiltWeek(b *testing.B, capacity, staleness float64, newInitial func() s
 // the shared runner and reports the waste metrics.
 func runCellBench(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, opts experiments.Options) {
 	b.Helper()
-	var cell *experiments.CellResult
+	m := experiments.Matrix{Scenarios: []experiments.Scenario{sc}, Policies: []experiments.PolicyFactory{pf}}
+	var mr *experiments.MatrixResult
 	b.ReportAllocs()
 	before := benchsnap.StartRetained(b)
 	for i := 0; i < b.N; i++ {
 		var err error
-		cell, err = experiments.RunCell(sc, pf, opts)
+		mr, err = m.Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	cell := mr.At(0, 0, 0)
 	benchsnap.ReportRetained(b, before, cell.Result)
 	b.ReportMetric(cell.Summary.AvgWCT, "avgWCT")
 	b.ReportMetric(cell.Summary.AvgCTSuspended, "avgCTsusp")

@@ -9,14 +9,16 @@
 //	            [-timeline out.json] [-runlog run.jsonl] [-progress 1s]
 //
 // Without -run, every registered experiment executes. Each experiment
-// is a (scenario × policy × seed) matrix executed on a bounded worker
-// pool of -jobs goroutines (default: one per CPU); results are
-// identical for every -jobs value. With -seeds N > 1, every cell is
-// replicated across N derived seeds and tables report mean ± 95%
-// confidence intervals instead of point values. -timeout bounds the
-// whole run: on expiry (or Ctrl-C) in-flight simulations abort
-// cooperatively. With -out, each experiment also writes its tables and
-// series as CSV files into DIR for plotting.
+// plans a (scenario × policy × seed) matrix; the selection's distinct
+// matrices run once, on one pool of -jobs workers (default: one per
+// CPU), then each experiment renders in selection order under a header
+// giving the run's elapsed time. Results are identical for every -jobs
+// value. With -seeds N > 1, every cell is replicated across N derived
+// seeds and tables report mean ± 95% confidence intervals. -timeout
+// bounds the whole run: on expiry (or Ctrl-C) in-flight simulations
+// abort, the experiments whose cells all finished print, up to the
+// first that did not, and the command fails. With -out, each
+// experiment also writes its tables and series as CSV files into DIR.
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -124,13 +127,21 @@ func run() (err error) {
 			err = ferr
 		}
 	}()
-	for _, id := range ids {
-		e, err := experiments.Get(strings.TrimSpace(id))
-		if err != nil {
+	es := make([]experiments.Experiment, len(ids))
+	plans := make([]experiments.Matrix, len(ids))
+	for i, id := range ids {
+		if es[i], err = experiments.Get(strings.TrimSpace(id)); err != nil {
 			return fmt.Errorf("%w\nrun with -list to see the registered scenarios", err)
 		}
-		start := time.Now()
-		out, err := e.Run(opts)
+		plans[i] = es[i].Plan(opts)
+	}
+	start := time.Now()
+	results, runErr := experiments.RunAll(plans, opts)
+	for i, e := range es {
+		if results == nil || results[i] == nil {
+			return fmt.Errorf("%s: %w", e.ID, runErr)
+		}
+		out, err := e.Render(opts, results[i])
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
@@ -170,8 +181,8 @@ type numericFlags struct {
 // -checkpoint-every, -checkpoint-keyframe, -progress and -timeout.
 func checkFlags(f numericFlags) error {
 	switch {
-	case f.scale <= 0:
-		return fmt.Errorf("-scale must be positive, got %v", f.scale)
+	case !(f.scale > 0) || math.IsInf(f.scale, 1):
+		return fmt.Errorf("-scale must be finite and positive, got %v", f.scale)
 	case f.seed == 0:
 		return fmt.Errorf("-seed must be at least 1, got %d", f.seed)
 	case f.seeds < 1:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,8 @@ func TestCheckFlags(t *testing.T) {
 		}},
 		{name: "zero scale", set: func(f *numericFlags) { f.scale = 0 }, want: "-scale"},
 		{name: "negative scale", set: func(f *numericFlags) { f.scale = -1 }, want: "-scale"},
+		{name: "NaN scale", set: func(f *numericFlags) { f.scale = math.NaN() }, want: "-scale"},
+		{name: "infinite scale", set: func(f *numericFlags) { f.scale = math.Inf(1) }, want: "-scale"},
 		{name: "zero seed", set: func(f *numericFlags) { f.seed = 0 }, want: "-seed"},
 		{name: "zero seeds", set: func(f *numericFlags) { f.seeds = 0 }, want: "-seeds"},
 		{name: "negative seeds", set: func(f *numericFlags) { f.seeds = -2 }, want: "-seeds"},

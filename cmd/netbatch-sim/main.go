@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"netbatch/internal/cluster"
@@ -46,6 +47,9 @@ func run() error {
 		migCost   = flag.Float64("migration-cost", 10, "per-move overhead for ResSusMigrate, minutes")
 	)
 	flag.Parse()
+	if err := checkScale(*scale); err != nil {
+		return err
+	}
 
 	tr, err := loadTrace(*traceFile, *preset, *seed, *scale)
 	if err != nil {
@@ -119,18 +123,20 @@ func loadTrace(file, preset string, seed uint64, scale float64) (*trace.Trace, e
 		defer f.Close()
 		return trace.ReadJSONL(f)
 	}
-	var cfg trace.GeneratorConfig
-	switch preset {
-	case "week":
-		cfg = trace.WeekNormal(seed)
-	case "highsusp":
-		cfg = trace.HighSuspension(seed)
-	case "year":
-		return trace.Generate(trace.YearLong(seed, scale))
-	default:
-		return nil, fmt.Errorf("unknown preset %q", preset)
+	cfg, err := trace.Preset(preset, seed, scale)
+	if err != nil {
+		return nil, err
 	}
-	return trace.Generate(trace.ScaleRates(cfg, scale))
+	return trace.Generate(cfg)
+}
+
+// checkScale rejects a -scale that is not finite and positive before
+// any trace is generated or platform built.
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale must be finite and positive, got %v", scale)
+	}
+	return nil
 }
 
 func makeInitial(name string, seed uint64) (sched.InitialScheduler, error) {

@@ -53,7 +53,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := checkBins(*bin, tr.Horizon()); err != nil {
+	if err := checkTrace(*traceFile, tr, *bin); err != nil {
 		return err
 	}
 
@@ -106,10 +106,14 @@ func checkFlags(bin float64, cores int) error {
 	return nil
 }
 
-// checkBins rejects a -bin that would split a horizon-minute trace into
-// more than maxBins timeline bins; a timeline holds one bin per started
-// bin width up to the last submission.
-func checkBins(bin, horizon float64) error {
+// checkTrace rejects a trace that holds no jobs, and a -bin that would
+// split its horizon into more than maxBins timeline bins; a timeline
+// holds one bin per started bin width up to the last submission.
+func checkTrace(path string, tr *trace.Trace, bin float64) error {
+	if len(tr.Jobs) == 0 {
+		return fmt.Errorf("-trace %s holds no jobs", path)
+	}
+	horizon := tr.Horizon()
 	if n := math.Floor(horizon/bin) + 1; n > maxBins {
 		return fmt.Errorf("-bin %v makes %.0f bins over the trace's %.0f-minute horizon, more than %d",
 			bin, n, horizon, maxBins)

@@ -4,15 +4,20 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"netbatch/internal/job"
+	"netbatch/internal/trace"
 )
 
 func TestCheckFlags(t *testing.T) {
-	const horizon = 10079 // the week preset's last submission, in minutes
+	// One job at the week preset's last submission, in minutes.
+	week := &trace.Trace{Jobs: []job.Spec{{Submit: 10079}}}
 	cases := []struct {
 		name  string
 		bin   float64
 		cores int
-		want  string // flag named in the error; empty means accepted
+		tr    *trace.Trace // nil means week
+		want  string       // flag (and file) named in the error; empty means accepted
 	}{
 		{name: "defaults", bin: 100, cores: 19200},
 		{name: "zero bin", bin: 0, cores: 19200, want: "-bin"},
@@ -22,12 +27,17 @@ func TestCheckFlags(t *testing.T) {
 		{name: "bin too narrow for the horizon", bin: 1e-5, cores: 19200, want: "-bin"},
 		{name: "zero cores", bin: 100, cores: 0, want: "-cores"},
 		{name: "negative cores", bin: 100, cores: -10, want: "-cores"},
+		{name: "empty trace", bin: 100, cores: 19200, tr: &trace.Trace{}, want: "-trace w.jsonl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := checkFlags(tc.bin, tc.cores)
 			if err == nil {
-				err = checkBins(tc.bin, horizon)
+				tr := tc.tr
+				if tr == nil {
+					tr = week
+				}
+				err = checkTrace("w.jsonl", tr, tc.bin)
 			}
 			switch {
 			case tc.want == "" && err != nil:

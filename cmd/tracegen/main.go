@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"netbatch/internal/trace"
@@ -35,20 +36,10 @@ func run() error {
 	)
 	flag.Parse()
 
-	var cfg trace.GeneratorConfig
-	switch *preset {
-	case "week":
-		cfg = trace.WeekNormal(*seed)
-		cfg = trace.ScaleRates(cfg, *scale)
-	case "highsusp":
-		cfg = trace.HighSuspension(*seed)
-		cfg = trace.ScaleRates(cfg, *scale)
-	case "year":
-		cfg = trace.YearLong(*seed, *scale)
-	default:
-		return fmt.Errorf("unknown preset %q (want week, highsusp, or year)", *preset)
+	cfg, err := presetConfig(*preset, *seed, *scale)
+	if err != nil {
+		return err
 	}
-
 	tr, err := trace.Generate(cfg)
 	if err != nil {
 		return err
@@ -80,4 +71,13 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: %d jobs over %.0f minutes\n", len(tr.Jobs), tr.Horizon())
 	return nil
+}
+
+// presetConfig resolves -preset at -seed and -scale. It rejects a
+// -scale that is not finite and positive before anything is generated.
+func presetConfig(preset string, seed uint64, scale float64) (trace.GeneratorConfig, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return trace.GeneratorConfig{}, fmt.Errorf("-scale must be finite and positive, got %v", scale)
+	}
+	return trace.Preset(preset, seed, scale)
 }

@@ -231,16 +231,17 @@ func prebuiltCell(sc experiments.Scenario, scale float64) (experiments.Scenario,
 }
 
 func runCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, scale float64) error {
+	m := experiments.Matrix{Scenarios: []experiments.Scenario{sc}, Policies: []experiments.PolicyFactory{pf}}
 	opts := experiments.Options{Seed: 42, Scale: scale, Jobs: 1}
 	before := StartRetained(b)
-	var cell *experiments.CellResult
+	var mr *experiments.MatrixResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if cell, err = experiments.RunCell(sc, pf, opts); err != nil {
+		if mr, err = m.Run(opts); err != nil {
 			return err
 		}
 	}
-	ReportRetained(b, before, cell.Result)
+	ReportRetained(b, before, mr.At(0, 0, 0).Result)
 	return nil
 }
 

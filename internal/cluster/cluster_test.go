@@ -122,8 +122,8 @@ func TestNewNetBatchPlatformDefault(t *testing.T) {
 		t.Fatalf("big pool (%d cores) not larger than small (%d)", big, small)
 	}
 	for id := range cfg.BigPools {
-		if !strings.HasPrefix(p.Pool(id).Name, "big-") {
-			t.Fatalf("pool %d = %q, want big-*", id, p.Pool(id).Name)
+		if !strings.HasPrefix(p.Pool(id).Name, "site-A-big-") {
+			t.Fatalf("pool %d = %q, want site-A-big-*", id, p.Pool(id).Name)
 		}
 	}
 	// Heterogeneity: all three speed classes present in pool 0.

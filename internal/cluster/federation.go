@@ -99,8 +99,7 @@ func NewFederationPlatform(cfg FederationConfig) (*Platform, error) {
 }
 
 // sitePoolConfigs lays out one site's pools with the standard three
-// machine classes (30% slow/8GB, 50% reference/16GB, 20% fast/32GB),
-// mirroring NewNetBatchPlatform.
+// machine classes (30% slow/8GB, 50% reference/16GB, 20% fast/32GB).
 func sitePoolConfigs(cfg NetBatchConfig, region string) ([]PoolConfig, error) {
 	if err := checkFactor("scale", cfg.Scale); err != nil {
 		return nil, err

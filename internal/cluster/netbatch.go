@@ -48,31 +48,12 @@ func DefaultNetBatchConfig() NetBatchConfig {
 	}
 }
 
-// NewNetBatchPlatform builds the default heterogeneous 20-pool platform.
-// Each pool mixes three machine classes with different speeds and memory
-// ("varying CPU speed and memory", §3.1): 30% slow/8GB, 50%
-// reference/16GB, 20% fast/32GB.
+// NewNetBatchPlatform builds the default heterogeneous 20-pool platform
+// as a one-site federation ("site-A"): every pool mixes the standard
+// machine classes (standardClasses) and is named after its site and
+// size class, e.g. "site-A-big-00".
 func NewNetBatchPlatform(cfg NetBatchConfig) (*Platform, error) {
-	if err := checkFactor("scale", cfg.Scale); err != nil {
-		return nil, err
-	}
-	if cfg.BigPools+cfg.MediumPools+cfg.SmallPools <= 0 {
-		return nil, fmt.Errorf("cluster: no pools in config")
-	}
-	var configs []PoolConfig
-	add := func(count, machines int, label string) {
-		for i := 0; i < count; i++ {
-			configs = append(configs, PoolConfig{
-				Name:    fmt.Sprintf("%s-%02d", label, i),
-				Site:    "site-A",
-				Classes: standardClasses(machines, cfg),
-			})
-		}
-	}
-	add(cfg.BigPools, cfg.BigMachines, "big")
-	add(cfg.MediumPools, cfg.MediumMachines, "med")
-	add(cfg.SmallPools, cfg.SmallMachines, "small")
-	return Build(configs)
+	return NewFederationPlatform(FederationConfig{Regions: []string{"site-A"}, PerSite: cfg})
 }
 
 // standardClasses splits a pool's machine count into the standard

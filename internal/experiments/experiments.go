@@ -1,12 +1,13 @@
 // Package experiments defines one runnable experiment per table and
 // figure in the paper's evaluation (§3), plus the high-suspension
-// text-only scenario. Each experiment is a declarative (scenario ×
-// policy × seed) matrix executed by a bounded worker pool: the runner
-// generates each replicate's synthetic trace, simulates every strategy,
-// and renders results in the paper's layout — as point values for a
-// single seed, or as mean ± 95% CI across seed replicates. IDs lists
-// the registered experiments; shape_test.go asserts the paper's
-// qualitative result shapes against each of them.
+// text-only scenario. Each experiment is a plan — a declarative
+// (scenario × policy × seed) matrix — and a renderer. RunAll executes
+// the plans on one bounded worker pool, each distinct plan once: it
+// generates each replicate's synthetic trace and simulates every
+// strategy. Render then lays the results out in the paper's form — as
+// point values for a single seed, or as mean ± 95% CI across seed
+// replicates. IDs lists the registered experiments; shape_test.go
+// asserts the paper's qualitative result shapes against each of them.
 package experiments
 
 import (
@@ -155,8 +156,17 @@ type Experiment struct {
 	// without running it. The repository benchmark (perfbench) runs the
 	// experiments' matrices from it, without their rendering.
 	Plan func(Options) Matrix
-	// Run executes the experiment.
-	Run func(Options) (*Output, error)
+	// Render lays out the result of the planned matrix.
+	Render func(Options, *MatrixResult) (*Output, error)
+}
+
+// Run executes the experiment's plan alone and renders it.
+func (e Experiment) Run(opts Options) (*Output, error) {
+	mr, err := e.Plan(opts).Run(opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.Render(opts, mr)
 }
 
 // registry holds all experiments, keyed by ID.
@@ -241,21 +251,16 @@ func tableExperiment(
 	newInitial func() sched.InitialScheduler,
 	policies func() []PolicyFactory,
 ) Experiment {
-	plan := func(Options) Matrix {
-		return Matrix{
-			Scenarios: []Scenario{WeekScenario(id, capacityFactor, staleness, newInitial)},
-			Policies:  policies(),
-		}
-	}
 	return Experiment{
 		ID:    id,
 		Title: title,
-		Plan:  plan,
-		Run: func(opts Options) (*Output, error) {
-			mr, err := plan(opts).Run(opts)
-			if err != nil {
-				return nil, err
+		Plan: func(Options) Matrix {
+			return Matrix{
+				Scenarios: []Scenario{WeekScenario(id, capacityFactor, staleness, newInitial)},
+				Policies:  policies(),
 			}
+		},
+		Render: func(_ Options, mr *MatrixResult) (*Output, error) {
 			return tableOutput(id, title, mr)
 		},
 	}

@@ -62,10 +62,10 @@ func faultCells() []Scenario {
 
 func init() {
 	register(Experiment{
-		ID:    "faults",
-		Title: "Fault & maintenance: 1/3/6-site federations under crashes and maintenance windows",
-		Plan:  faultsPlan,
-		Run:   runFaults,
+		ID:     "faults",
+		Title:  "Fault & maintenance: 1/3/6-site federations under crashes and maintenance windows",
+		Plan:   faultsPlan,
+		Render: renderFaults,
 	})
 }
 
@@ -73,25 +73,18 @@ func faultsPlan(Options) Matrix {
 	return Matrix{Scenarios: faultCells(), Policies: multiSitePolicies()}
 }
 
-func runFaults(opts Options) (*Output, error) {
-	scenarios := faultCells()
-	policies := multiSitePolicies()
-	mr, err := faultsPlan(opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
-
+func renderFaults(opts Options, mr *MatrixResult) (*Output, error) {
 	out := &Output{
 		ID:    "faults",
 		Title: "Fault & maintenance: 1/3/6-site federations under crashes and maintenance windows",
 	}
 	var faultSums []metrics.FaultSummary
-	for s, sc := range scenarios {
+	for s, sc := range faultCells() {
 		plat, err := sc.Platform(opts.withDefaults().Scale)
 		if err != nil {
 			return nil, err
 		}
-		for p := range policies {
+		for p := range mr.PolicyNames {
 			reps := mr.Replicates(s, p)
 			out.Names = append(out.Names, sc.ID+"/"+mr.PolicyNames[p])
 			out.Summaries = append(out.Summaries, reps[0])

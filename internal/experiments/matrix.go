@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,9 +56,10 @@ type Scenario struct {
 const faultSeedKey = 0xFA017
 
 // Matrix is a declarative (scenario × policy × seed) experiment plan.
-// Run executes every cell on a bounded worker pool; results are
-// identical regardless of worker count or scheduling order because each
-// cell's randomness derives purely from its coordinates.
+// RunAll executes the cells of one or more matrices on a bounded worker
+// pool; results are identical regardless of worker count or scheduling
+// order because each cell's randomness derives purely from its
+// coordinates.
 type Matrix struct {
 	Scenarios []Scenario
 	Policies  []PolicyFactory
@@ -173,15 +175,18 @@ func (c *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
 // traceKey identifies a memoized trace: scenario × replicate.
 type traceKey struct{ s, rep int }
 
-// Run executes every cell of the matrix on a bounded worker pool of
-// opts.Jobs goroutines (default runtime.NumCPU()). Execution order is
-// unspecified, but the result is byte-identical to a serial run: trace
-// generation and policy randomness are pure functions of the cell
-// coordinates, and results land at fixed positions. Cancellation of
-// opts.Context aborts queued cells immediately and in-flight
-// simulations at their next cooperative poll.
-func (m Matrix) Run(opts Options) (*MatrixResult, error) {
-	opts = opts.withDefaults()
+// matrixRun is one distinct matrix of a RunAll call: the result its
+// cells fill in, the traces and platforms they share, and the error of
+// each cell that failed.
+type matrixRun struct {
+	m      Matrix
+	res    *MatrixResult
+	errs   []error
+	plats  memo[int, *cluster.Platform]
+	traces memo[traceKey, *trace.Trace]
+}
+
+func newMatrixRun(m Matrix, opts Options) (*matrixRun, error) {
 	if len(m.Scenarios) == 0 {
 		return nil, fmt.Errorf("experiments: matrix has no scenarios")
 	}
@@ -202,87 +207,151 @@ func (m Matrix) Run(opts Options) (*MatrixResult, error) {
 	}
 	n := len(m.Scenarios) * len(m.Policies) * len(seeds)
 	res.cells = make([]CellResult, n)
+	return &matrixRun{m: m, res: res, errs: make([]error, n)}, nil
+}
 
+// sameCells reports whether r and o have equal scenario IDs, policy
+// names and seeds. A scenario ID also names its cells' checkpoint
+// files, so scenarios sharing one must be the same scenario
+// (TestPlansSharingAScenarioAgree holds the registered plans to that).
+func (r *matrixRun) sameCells(o *matrixRun) bool {
+	if len(r.m.Scenarios) != len(o.m.Scenarios) ||
+		!slices.Equal(r.res.PolicyNames, o.res.PolicyNames) ||
+		!slices.Equal(r.res.Seeds, o.res.Seeds) {
+		return false
+	}
+	for s := range r.m.Scenarios {
+		if r.m.Scenarios[s].ID != o.m.Scenarios[s].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// runCell simulates cell i (scenario-major, then policy, then
+// replicate) and stores its result at its fixed position.
+func (r *matrixRun) runCell(i int, opts Options) error {
+	res := r.res
+	rep := i % res.nRep
+	p := (i / res.nRep) % res.nPol
+	s := i / (res.nRep * res.nPol)
+	sc := &r.m.Scenarios[s]
+	pf := r.m.Policies[p]
+	seed := res.Seeds[rep]
+
+	plat, err := r.plats.get(s, func() (*cluster.Platform, error) {
+		return sc.Platform(opts.Scale)
+	})
+	if err != nil {
+		return fmt.Errorf("experiments: scenario %s: platform: %w", sc.ID, err)
+	}
+	tr, err := r.traces.get(traceKey{s, rep}, func() (*trace.Trace, error) {
+		return sc.Trace(seed, opts.Scale)
+	})
+	if err != nil {
+		return fmt.Errorf("experiments: scenario %s seed %d: trace: %w", sc.ID, seed, err)
+	}
+	cfg := buildCellConfig(sc, pf, p, seed, plat, opts)
+	run, err := simulateCell(cfg, tr.Jobs, sc.ID, pf.Name, p, rep, opts)
+	var sum metrics.Summary
+	if err == nil {
+		sum, err = metrics.Summarize(run.Jobs)
+	}
+	if err != nil {
+		return fmt.Errorf("experiments: scenario %s strategy %s seed %d: %w", sc.ID, pf.Name, seed, err)
+	}
+	res.cells[i] = CellResult{
+		Cell:    Cell{Scenario: s, Policy: p, Rep: rep, Seed: seed},
+		Summary: sum,
+		Result:  run,
+	}
+	return nil
+}
+
+// RunAll executes the cells of every matrix in ms on one pool of
+// opts.Jobs workers (default runtime.NumCPU()), fed in matrix order,
+// then axis order. A matrix whose scenario IDs, policy names and seeds
+// repeat an earlier one's is not run again but shares its
+// *MatrixResult, so no cell runs twice and no two workers write the
+// same checkpoint file. Results are byte-identical to a serial run:
+// every cell's randomness is a pure function of its coordinates.
+// Cancelling opts.Context stops the feed and aborts in-flight
+// simulations at their next poll. The result is aligned with ms; on
+// failure it holds each matrix whose cells all finished, nil for the
+// others, and the error is the first failure in feed order.
+func RunAll(ms []Matrix, opts Options) ([]*MatrixResult, error) {
+	opts = opts.withDefaults()
+	runs := make([]*matrixRun, len(ms))
+	var distinct []*matrixRun
+	n := 0
+	for i, m := range ms {
+		r, err := newMatrixRun(m, opts)
+		if err != nil {
+			return nil, err
+		}
+		if j := slices.IndexFunc(distinct, r.sameCells); j >= 0 {
+			runs[i] = distinct[j]
+			continue
+		}
+		runs[i] = r
+		distinct = append(distinct, r)
+		n += len(r.errs)
+	}
+
+	type cellRef struct {
+		r *matrixRun
+		i int
+	}
 	ctx := opts.Context
-	var (
-		plats  memo[int, *cluster.Platform]
-		traces memo[traceKey, *trace.Trace]
-	)
-	runCell := func(i int) error {
-		rep := i % res.nRep
-		p := (i / res.nRep) % res.nPol
-		s := i / (res.nRep * res.nPol)
-		sc := &m.Scenarios[s]
-		seed := seeds[rep]
-
-		plat, err := plats.get(s, func() (*cluster.Platform, error) {
-			return sc.Platform(opts.Scale)
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: scenario %s: platform: %w", sc.ID, err)
-		}
-		tr, err := traces.get(traceKey{s, rep}, func() (*trace.Trace, error) {
-			return sc.Trace(seed, opts.Scale)
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: scenario %s seed %d: trace: %w", sc.ID, seed, err)
-		}
-		cfg := buildCellConfig(sc, m.Policies[p], p, seed, plat, opts)
-		r, err := simulateCell(cfg, tr.Jobs, sc.ID, m.Policies[p].Name, p, rep, opts)
-		if err != nil {
-			return fmt.Errorf("experiments: scenario %s strategy %s seed %d: %w",
-				sc.ID, m.Policies[p].Name, seed, err)
-		}
-		sum, err := metrics.Summarize(r.Jobs)
-		if err != nil {
-			return fmt.Errorf("experiments: scenario %s strategy %s seed %d: %w",
-				sc.ID, m.Policies[p].Name, seed, err)
-		}
-		res.cells[i] = CellResult{
-			Cell:    Cell{Scenario: s, Policy: p, Rep: rep, Seed: seed},
-			Summary: sum,
-			Result:  r,
-		}
-		return nil
-	}
-
-	workers := opts.Jobs
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
+	refs := make(chan cellRef)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(opts.Jobs, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				errs[i] = runCell(i)
+			for c := range refs {
+				c.r.errs[c.i] = c.r.runCell(c.i, opts)
 			}
 		}()
 	}
 feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	for _, r := range distinct {
+		for i := range r.errs {
+			select {
+			case refs <- cellRef{r, i}:
+			case <-ctx.Done():
+				break feed
+			}
 		}
 	}
-	close(idx)
+	close(refs)
 	wg.Wait()
-	// Report the first failure in deterministic cell order so the error
-	// surfaced does not depend on worker scheduling.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+
+	// Cells are fed in order, so the ones that never ran (no result, no
+	// error) follow every one that did.
+	out := make([]*MatrixResult, len(ms))
+	var first error
+	for i, r := range runs {
+		j := slices.IndexFunc(r.res.cells, func(c CellResult) bool { return c.Result == nil })
+		switch {
+		case j < 0:
+			out[i] = r.res
+		case first == nil && r.errs[j] == nil:
+			first = fmt.Errorf("experiments: matrix canceled: %w", ctx.Err())
+		case first == nil:
+			first = r.errs[j]
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: matrix canceled: %w", err)
+	return out, first
+}
+
+// Run executes every cell of the matrix: RunAll of this one matrix.
+func (m Matrix) Run(opts Options) (*MatrixResult, error) {
+	rs, err := RunAll([]Matrix{m}, opts)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return rs[0], nil
 }
 
 // buildCellConfig assembles one cell's engine configuration from its
@@ -472,15 +541,4 @@ func resumeCell(cfg sim.Config, specs []job.Spec, path string) (*sim.Result, err
 	}
 	cfg.ResumeFrom = data
 	return sim.Run(cfg, specs)
-}
-
-// RunCell executes a single (scenario, policy) cell at replicate 0
-// through the shared matrix runner. Benchmarks and one-off probes use
-// it instead of hand-assembling sim.Config.
-func RunCell(sc Scenario, pf PolicyFactory, opts Options) (*CellResult, error) {
-	mr, err := Matrix{Scenarios: []Scenario{sc}, Policies: []PolicyFactory{pf}}.Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	return mr.At(0, 0, 0), nil
 }

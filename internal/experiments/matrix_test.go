@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -19,7 +20,9 @@ import (
 	"strings"
 	"testing"
 
+	"netbatch/internal/obs"
 	"netbatch/internal/sched"
+	"netbatch/internal/trace"
 )
 
 // matrixOpts shrinks the workload so a full matrix runs in well under a
@@ -69,7 +72,7 @@ func fingerprint(t *testing.T, mr *MatrixResult) []byte {
 			t.Fatal(err)
 		}
 		if err := enc.Encode([]int64{c.Result.Preemptions, c.Result.Restarts,
-			c.Result.Migrations, c.Result.WaitMoves}); err != nil {
+			c.Result.Migrations, c.Result.WaitMoves, c.Result.Events}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,6 +219,8 @@ func TestMultiSeedTableReportsCI(t *testing.T) {
 	}
 }
 
+// TestRunCellMatchesMatrix runs one cell as a one-cell matrix: its
+// result must not depend on the other cells of the matrix it came from.
 func TestRunCellMatchesMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix run")
@@ -226,12 +231,117 @@ func TestRunCellMatchesMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := RunCell(sc, pols[0], matrixOpts(1))
+	one, err := Matrix{Scenarios: []Scenario{sc}, Policies: pols[:1]}.Run(matrixOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.Summary != mr.At(0, 0, 0).Summary {
-		t.Fatal("RunCell result differs from the same cell in a full matrix")
+	if one.At(0, 0, 0).Summary != mr.At(0, 0, 0).Summary {
+		t.Fatal("a one-cell matrix differs from the same cell in a full matrix")
+	}
+}
+
+// runAllPair is two small matrices with no cell in common: a stale-view
+// scenario under the waiting-job policies, and the normal week.
+func runAllPair() (a, b Matrix) {
+	a = Matrix{
+		Scenarios: []Scenario{WeekScenario("stale", 0.5, 30, func() sched.InitialScheduler { return sched.NewUtilizationBased() })},
+		Policies:  waitPolicies(),
+	}
+	b = Matrix{
+		Scenarios: []Scenario{WeekScenario("normal", 1.0, 0, func() sched.InitialScheduler { return sched.NewRoundRobin() })},
+		Policies:  susPolicies()[:2],
+	}
+	return a, b
+}
+
+// TestRunAllMatchesSeparateRuns pins that sharing one worker pool
+// across matrices changes no result: RunAll of two matrices gives each
+// the summaries, series, counters and event counts of its own Run.
+func TestRunAllMatchesSeparateRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full matrix run")
+	}
+	a, b := runAllPair()
+	wantA, err := a.Run(matrixOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := b.Run(matrixOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 4} {
+		got, err := RunAll([]Matrix{a, b}, matrixOpts(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fingerprint(t, got[0]), fingerprint(t, wantA)) {
+			t.Errorf("jobs=%d: first matrix differs from its own Run", jobs)
+		}
+		if !bytes.Equal(fingerprint(t, got[1]), fingerprint(t, wantB)) {
+			t.Errorf("jobs=%d: second matrix differs from its own Run", jobs)
+		}
+	}
+}
+
+// TestRunAllSharesRepeatedMatrix pins the dedupe: a matrix that repeats
+// an earlier one's scenario IDs, policy names and seeds shares its
+// result, and its cells run once (one cell_done record each).
+func TestRunAllSharesRepeatedMatrix(t *testing.T) {
+	a, b := runAllPair()
+	a.Policies = a.Policies[:1]
+	b.Policies = b.Policies[:1]
+	var log bytes.Buffer
+	opts := Options{Seed: 42, Scale: 0.02, Jobs: 2, RunLog: obs.NewRunLog(&log)}
+	got, err := RunAll([]Matrix{a, b, a}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != got[2] {
+		t.Fatal("the repeated matrix did not share the first one's result")
+	}
+	if got[1] == got[0] {
+		t.Fatal("a distinct matrix shares another's result")
+	}
+	done := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var rec obs.RunRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == "cell_done" {
+			done[rec.Cell]++
+		}
+	}
+	want := map[string]int{"stale/NoRes/r0": 1, "normal/NoRes/r0": 1}
+	if fmt.Sprint(done) != fmt.Sprint(want) {
+		t.Fatalf("cell_done records per cell = %v, want %v", done, want)
+	}
+}
+
+// TestRunAllCancelKeepsFinishedMatrices cancels the run while the second
+// matrix builds its trace: RunAll must return the first matrix, whose
+// cells all finished, and an error wrapping the cancellation.
+func TestRunAllCancelKeepsFinishedMatrices(t *testing.T) {
+	a, b := runAllPair()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	build := b.Scenarios[0].Trace
+	b.Scenarios[0].Trace = func(seed uint64, scale float64) (*trace.Trace, error) {
+		cancel()
+		return build(seed, scale)
+	}
+	got, err := RunAll([]Matrix{a, b}, Options{Seed: 42, Scale: 0.02, Jobs: 1, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if got[0] == nil || got[1] != nil {
+		t.Fatalf("results = %v, want the first matrix only", got)
+	}
+	for i := range got[0].cells {
+		if got[0].cells[i].Result == nil {
+			t.Fatalf("first matrix cell %d has no result", i)
+		}
 	}
 }
 

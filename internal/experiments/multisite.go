@@ -107,22 +107,16 @@ func MultiSiteYearScenario(id string, nSites int, newSelector func() sched.SiteS
 // multiSiteCells enumerates the federation axis: the single-site
 // baseline, the three site selectors on a 3-site federation, and the
 // latency-penalized selector stretched to 6 sites.
-func multiSiteCells() []struct {
-	scenario Scenario
-	nSites   int
-} {
+func multiSiteCells() []Scenario {
 	locality := func() sched.SiteSelector { return sched.LocalityFirst{} }
 	leastUtil := func() sched.SiteSelector { return sched.LeastUtilizedSite{} }
 	latency := func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }
-	return []struct {
-		scenario Scenario
-		nSites   int
-	}{
-		{MultiSiteScenario("fed1", 1, 0, locality), 1},
-		{MultiSiteScenario("fed3-locality", 3, 0, locality), 3},
-		{MultiSiteScenario("fed3-least-util", 3, 0, leastUtil), 3},
-		{MultiSiteScenario("fed3-latency", 3, 0, latency), 3},
-		{MultiSiteScenario("fed6-latency", 6, 0, latency), 6},
+	return []Scenario{
+		MultiSiteScenario("fed1", 1, 0, locality),
+		MultiSiteScenario("fed3-locality", 3, 0, locality),
+		MultiSiteScenario("fed3-least-util", 3, 0, leastUtil),
+		MultiSiteScenario("fed3-latency", 3, 0, latency),
+		MultiSiteScenario("fed6-latency", 6, 0, latency),
 	}
 }
 
@@ -136,39 +130,28 @@ func multiSitePolicies() []PolicyFactory {
 
 func init() {
 	register(Experiment{
-		ID:    "multisite",
-		Title: "Multi-site federation: single-site vs 3-site vs 6-site under latency-aware scheduling",
-		Plan:  multiSitePlan,
-		Run:   runMultiSite,
+		ID:     "multisite",
+		Title:  "Multi-site federation: single-site vs 3-site vs 6-site under latency-aware scheduling",
+		Plan:   multiSitePlan,
+		Render: renderMultiSite,
 	})
 }
 
 func multiSitePlan(Options) Matrix {
-	cells := multiSiteCells()
-	scenarios := make([]Scenario, len(cells))
-	for i, c := range cells {
-		scenarios[i] = c.scenario
-	}
-	return Matrix{Scenarios: scenarios, Policies: multiSitePolicies()}
+	return Matrix{Scenarios: multiSiteCells(), Policies: multiSitePolicies()}
 }
 
-func runMultiSite(opts Options) (*Output, error) {
+func renderMultiSite(opts Options, mr *MatrixResult) (*Output, error) {
 	cells := multiSiteCells()
-	policies := multiSitePolicies()
-	mr, err := multiSitePlan(opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
-
 	// Flatten the (federation × policy) matrix into one row per cell.
 	out := &Output{
 		ID:    "multisite",
 		Title: "Multi-site federation: single-site vs 3-site vs 6-site under latency-aware scheduling",
 	}
-	for s, c := range cells {
-		for p := range policies {
+	for s, sc := range cells {
+		for p := range mr.PolicyNames {
 			reps := mr.Replicates(s, p)
-			out.Names = append(out.Names, c.scenario.ID+"/"+mr.PolicyNames[p])
+			out.Names = append(out.Names, sc.ID+"/"+mr.PolicyNames[p])
 			out.Summaries = append(out.Summaries, reps[0])
 			out.Replicates = append(out.Replicates, reps)
 		}
@@ -181,16 +164,16 @@ func runMultiSite(opts Options) (*Output, error) {
 
 	// Per-site breakdowns for the multi-site federations, first
 	// replicate (the site axis is deterministic per seed).
-	for s, c := range cells {
-		if c.nSites <= 1 {
-			continue
-		}
-		plat, err := c.scenario.Platform(opts.withDefaults().Scale)
+	for s, sc := range cells {
+		plat, err := sc.Platform(opts.withDefaults().Scale)
 		if err != nil {
 			return nil, err
 		}
-		perStrategy := make([][]metrics.SiteSummary, len(policies))
-		for p := range policies {
+		if plat.NumSites() <= 1 {
+			continue
+		}
+		perStrategy := make([][]metrics.SiteSummary, len(mr.PolicyNames))
+		for p := range mr.PolicyNames {
 			cell := mr.At(s, p, 0)
 			sums, err := metrics.SummarizeSites(cell.Result.Jobs, plat.SiteOf, plat.NumSites())
 			if err != nil {
@@ -199,12 +182,12 @@ func runMultiSite(opts Options) (*Output, error) {
 			perStrategy[p] = sums
 			out.Notes = append(out.Notes, fmt.Sprintf(
 				"%s/%s: cross-site submits %d, cross-site moves %d, wait moves %d",
-				c.scenario.ID, mr.PolicyNames[p],
+				sc.ID, mr.PolicyNames[p],
 				cell.Result.CrossSiteSubmits, cell.Result.CrossSiteMoves, cell.Result.WaitMoves))
 		}
 		st, err := report.SiteTable(
-			fmt.Sprintf("%s — per-site breakdown", c.scenario.ID),
-			mr.PolicyNames, multiSiteRegions(c.nSites), perStrategy)
+			fmt.Sprintf("%s — per-site breakdown", sc.ID),
+			mr.PolicyNames, multiSiteRegions(plat.NumSites()), perStrategy)
 		if err != nil {
 			return nil, err
 		}

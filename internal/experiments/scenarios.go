@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"netbatch/internal/cluster"
-	"netbatch/internal/core"
 	"netbatch/internal/metrics"
 	"netbatch/internal/report"
 	"netbatch/internal/sched"
@@ -66,20 +65,15 @@ func HighSuspScenario(id string) Scenario {
 	}
 }
 
-func noResOnly() []PolicyFactory {
-	return []PolicyFactory{
-		{Name: "NoRes", New: func(uint64) core.Policy { return core.NewNoRes() }},
-	}
-}
-
 func init() {
-	register(tableExperiment(
+	table1 := tableExperiment(
 		"table1",
 		"Table 1: Performance under normal load scenario (round-robin initial scheduler)",
 		1.0, 0,
 		func() sched.InitialScheduler { return sched.NewRoundRobin() },
 		susPolicies,
-	))
+	)
+	register(table1)
 	register(tableExperiment(
 		"table2",
 		"Table 2: Performance under high load scenario (round-robin initial scheduler, cores halved)",
@@ -109,69 +103,50 @@ func init() {
 		waitPolicies,
 	))
 	register(Experiment{
-		ID:    "fig2",
-		Title: "Figure 2: CDF of job suspension time (year-long trace, NoRes)",
-		Plan:  yearPlan,
-		Run:   runFig2,
+		ID:     "fig2",
+		Title:  "Figure 2: CDF of job suspension time (year-long trace, NoRes)",
+		Plan:   yearPlan,
+		Render: renderFig2,
+	})
+	// Figure 3 is Table 1's cells drawn as waste components, so it plans
+	// Table 1's matrix and RunAll runs those cells once for both.
+	register(Experiment{
+		ID:     "fig3",
+		Title:  "Figure 3: Average wasted completion time components under normal load",
+		Plan:   table1.Plan,
+		Render: renderFig3,
 	})
 	register(Experiment{
-		ID:    "fig3",
-		Title: "Figure 3: Average wasted completion time components under normal load",
-		Plan:  fig3Plan,
-		Run:   runFig3,
+		ID:     "fig4",
+		Title:  "Figure 4: Suspension (# jobs) and utilization (%) over a one year period",
+		Plan:   yearPlan,
+		Render: renderFig4,
 	})
 	register(Experiment{
-		ID:    "fig4",
-		Title: "Figure 4: Suspension (# jobs) and utilization (%) over a one year period",
-		Plan:  yearPlan,
-		Run:   runFig4,
-	})
-	register(Experiment{
-		ID:    "highsusp",
-		Title: "High Suspension Scenario (§3.2.1): 14% suspend-rate trace",
-		Plan:  highSuspPlan,
-		Run:   runHighSusp,
+		ID:     "highsusp",
+		Title:  "High Suspension Scenario (§3.2.1): 14% suspend-rate trace",
+		Plan:   highSuspPlan,
+		Render: renderHighSusp,
 	})
 }
 
-// yearPlan declares the year-long NoRes matrix shared by Figures 2
-// and 4.
+// yearPlan declares the year-long NoRes matrix with round-robin initial
+// scheduling, shared by Figures 2 and 4.
 func yearPlan(Options) Matrix {
 	return Matrix{
 		Scenarios: []Scenario{YearScenario("year")},
-		Policies:  noResOnly(),
-	}
-}
-
-// yearMatrix simulates the year-long trace under NoRes with round-robin
-// initial scheduling, shared by Figures 2 and 4.
-func yearMatrix(opts Options) (*MatrixResult, error) {
-	return yearPlan(opts).Run(opts)
-}
-
-func fig3Plan(Options) Matrix {
-	return Matrix{
-		Scenarios: []Scenario{WeekScenario("fig3", 1.0, 0,
-			func() sched.InitialScheduler { return sched.NewRoundRobin() })},
-		Policies: susPolicies(),
+		Policies:  susPolicies()[:1], // NoRes
 	}
 }
 
 func highSuspPlan(Options) Matrix {
 	return Matrix{
 		Scenarios: []Scenario{HighSuspScenario("highsusp")},
-		Policies: []PolicyFactory{
-			{Name: "NoRes", New: func(uint64) core.Policy { return core.NewNoRes() }},
-			{Name: "ResSusUtil", New: func(uint64) core.Policy { return core.NewResSusUtil() }},
-		},
+		Policies:  susPolicies()[:2], // NoRes, ResSusUtil
 	}
 }
 
-func runFig2(opts Options) (*Output, error) {
-	mr, err := yearMatrix(opts)
-	if err != nil {
-		return nil, err
-	}
+func renderFig2(_ Options, mr *MatrixResult) (*Output, error) {
 	out := newOutput("fig2", "Figure 2: CDF of job suspension time", mr)
 	cdf := metrics.SuspensionCDF(mr.At(0, 0, 0).Result.Jobs)
 	out.Series["suspension_cdf"] = cdf.Points(200)
@@ -194,11 +169,7 @@ func runFig2(opts Options) (*Output, error) {
 	return out, nil
 }
 
-func runFig3(opts Options) (*Output, error) {
-	mr, err := fig3Plan(opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
+func renderFig3(_ Options, mr *MatrixResult) (*Output, error) {
 	out := newOutput("fig3", "Figure 3: Average wasted completion time (minutes) under normal load", mr)
 	waste, err := report.WasteTableCI(out.Title, out.Names, out.Replicates)
 	if err != nil {
@@ -208,11 +179,7 @@ func runFig3(opts Options) (*Output, error) {
 	return out, nil
 }
 
-func runFig4(opts Options) (*Output, error) {
-	mr, err := yearMatrix(opts)
-	if err != nil {
-		return nil, err
-	}
+func renderFig4(_ Options, mr *MatrixResult) (*Output, error) {
 	out := newOutput("fig4",
 		"Figure 4: Suspension (# jobs) and utilization (%) over one year (100-minute bins)", mr)
 	r0 := mr.At(0, 0, 0).Result
@@ -241,11 +208,7 @@ func runFig4(opts Options) (*Output, error) {
 	return out, nil
 }
 
-func runHighSusp(opts Options) (*Output, error) {
-	mr, err := highSuspPlan(opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
+func renderHighSusp(_ Options, mr *MatrixResult) (*Output, error) {
 	out, err := tableOutput("highsusp", "High Suspension Scenario (§3.2.1)", mr)
 	if err != nil {
 		return nil, err

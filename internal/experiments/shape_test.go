@@ -6,6 +6,7 @@ package experiments
 // synthetic — but these orderings are the reproduction's contract.
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -60,6 +61,63 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Get("nope"); err == nil {
 		t.Fatal("unknown id should error")
+	}
+}
+
+// TestPlansSharingAScenarioAgree pins what makes RunAll's dedupe key
+// (scenario IDs, policy names, seeds) sound and keeps one checkpoint
+// file prefix per cell: a scenario ID that two registered plans share
+// comes with the same policy names, and builds equal platforms and
+// traces. fig2 and fig4 share "year"; fig3 and table1 share "table1".
+func TestPlansSharingAScenarioAgree(t *testing.T) {
+	const scale = 0.01
+	type use struct {
+		id       string
+		policies []string
+		sc       Scenario
+	}
+	first := map[string]use{}
+	shared := 0
+	for _, id := range IDs() {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := e.Plan(Options{})
+		var names []string
+		for _, pf := range m.Policies {
+			names = append(names, pf.Name)
+		}
+		for _, sc := range m.Scenarios {
+			prev, ok := first[sc.ID]
+			if !ok {
+				first[sc.ID] = use{id, names, sc}
+				continue
+			}
+			shared++
+			if !reflect.DeepEqual(prev.policies, names) {
+				t.Errorf("scenario %s: %s plans policies %v, %s plans %v", sc.ID, prev.id, prev.policies, id, names)
+			}
+			for _, build := range []func(Scenario) (any, error){
+				func(sc Scenario) (any, error) { return sc.Platform(scale) },
+				func(sc Scenario) (any, error) { return sc.Trace(42, scale) },
+			} {
+				a, err := build(prev.sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := build(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("scenario %s: %s and %s build different %T", sc.ID, prev.id, id, a)
+				}
+			}
+		}
+	}
+	if shared != 2 {
+		t.Errorf("%d scenario IDs are shared between plans, want 2 (year, table1)", shared)
 	}
 }
 

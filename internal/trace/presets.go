@@ -1,5 +1,7 @@
 package trace
 
+import "fmt"
+
 // Presets for the paper's scenarios. The constants here were calibrated
 // against the published trace statistics: ~40% mean utilization on the
 // default ~19k-core platform in a 20-60% band, a suspend rate near 1%
@@ -250,6 +252,22 @@ func YearLong(seed uint64, scale float64) GeneratorConfig {
 		PoolsPerBurst: 2,
 	}
 	return cfg
+}
+
+// Preset returns the named preset's configuration — "week"
+// (WeekNormal), "highsusp" (HighSuspension) or "year" (YearLong) — for
+// seed, with its arrival rates scaled by scale to pair with an equally
+// scaled platform.
+func Preset(name string, seed uint64, scale float64) (GeneratorConfig, error) {
+	switch name {
+	case "week":
+		return ScaleRates(WeekNormal(seed), scale), nil
+	case "highsusp":
+		return ScaleRates(HighSuspension(seed), scale), nil
+	case "year":
+		return YearLong(seed, scale), nil
+	}
+	return GeneratorConfig{}, fmt.Errorf("trace: unknown preset %q (want week, highsusp, or year)", name)
 }
 
 // ScaleRates multiplies a configuration's arrival rates — the
