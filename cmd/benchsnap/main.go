@@ -2,14 +2,17 @@
 // schema-versioned JSON snapshot and/or gates the run against a
 // committed baseline.
 //
-// Record the baseline (done once per perf-relevant PR, on the CI
-// machine shape):
+// The cells are the rows of benchsnap.Table; `go test -bench
+// BenchmarkCells .` runs the same rows under the same names.
 //
-//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_22.json -out BENCH_23.json
+// Record a new baseline (done once per perf-relevant PR) at
+// GOMAXPROCS=1, gated against the newest committed one:
+//
+//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_26.json -out BENCH_27.json
 //
 // Gate a candidate in CI (exits 1 on regression):
 //
-//	go run ./cmd/benchsnap -compare BENCH_23.json -out bench_candidate.json
+//	go run ./cmd/benchsnap -compare BENCH_26.json -out bench-candidate.json
 //
 // Every cell is timed in three rounds and records the median one.
 // Allocations and bytes per op gate on every run (they are

@@ -141,7 +141,7 @@ func run() (err error) {
 		if results == nil || results[i] == nil {
 			return fmt.Errorf("%s: %w", e.ID, runErr)
 		}
-		out, err := e.Render(opts, results[i])
+		out, err := e.Render(results[i])
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}

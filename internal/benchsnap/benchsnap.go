@@ -1,20 +1,21 @@
-// Package benchsnap runs the repo's canonical performance cells and
-// compares the result against a committed snapshot, so the bench
+// Package benchsnap defines the repo's canonical performance cells and
+// compares a recorded pass against a committed snapshot, so the bench
 // trajectory is CI-tracked instead of anecdotal: every PR that moves a
 // hot-path number beyond the noise band fails loudly with the cell and
 // metric that moved.
 //
-// The cell set mirrors the headline benchmarks (multi-site busy week,
-// faulty week, 6-site metro week and simulated year, the
-// checkpoint/restore set including delta capture, and trace synthesis
-// of the busy week and the simulated year) at the same 4% bench scale,
-// plus the event queue's layer cells (eventq.go). The simulation cells
-// keep their "/serial" suffix from when a second engine was recorded
-// beside each, so -trend stays continuous. Each cell is timed in
-// several rounds and keeps the median one (see rounds). Results
-// serialize to a schema-versioned JSON snapshot (BENCH_23.json at the
-// repo root is the committed baseline; earlier BENCH_*.json files stay
-// committed as the trend history — see cmd/benchsnap).
+// Table is the one definition of the cells (cells.go): the multi-site
+// busy week, the faulty week, the 6-site metro week and the simulated
+// year, the checkpoint set (a plain run, full and delta capture,
+// resume), trace synthesis of the busy week and the simulated year,
+// and the event queue's layer cells (eventq.go), at the 4% bench
+// scale. Collect records the table, and the root package's
+// BenchmarkCells runs each row as a sub-benchmark of the same name.
+// Collect times each cell in several rounds and keeps the median one
+// (see rounds). Results serialize to a schema-versioned JSON snapshot:
+// the newest BENCH_*.json at the repo root is the committed baseline,
+// and the earlier ones stay committed as the trend history (see
+// cmd/benchsnap).
 //
 // Comparison rules: allocations and bytes per op are
 // hardware-independent and gate on every run; wall-clock gates only
@@ -26,17 +27,11 @@ package benchsnap
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
 	"testing"
-
-	"netbatch/internal/cluster"
-	"netbatch/internal/core"
-	"netbatch/internal/experiments"
-	"netbatch/internal/sched"
-	"netbatch/internal/sim"
-	"netbatch/internal/trace"
 )
 
 // Schema versions the snapshot layout; bump on any breaking change to
@@ -73,9 +68,9 @@ type Cell struct {
 // the record.
 const rounds = 3
 
-// Collect runs every cell through testing.Benchmark, rounds times each,
-// and returns the snapshot of median rounds. scale <= 0 defaults to
-// the canonical 4% bench scale.
+// Collect runs every row of Table through testing.Benchmark, rounds
+// times each, and returns the snapshot of median rounds. scale <= 0
+// defaults to the canonical 4% bench scale.
 func Collect(scale float64) (Snapshot, error) {
 	if scale <= 0 {
 		scale = 0.04
@@ -87,96 +82,43 @@ func Collect(scale float64) (Snapshot, error) {
 		CPUs:   runtime.NumCPU(),
 		Scale:  scale,
 	}
-	var firstErr error
-	record := func(name string, fn func(b *testing.B) error) {
-		if firstErr != nil {
-			return
-		}
+	for _, row := range Table(scale) {
 		cells := make([]Cell, 0, rounds)
 		for range rounds {
-			var innerErr error
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				if err := fn(b); err != nil {
-					innerErr = err
-					b.FailNow()
-				}
-			})
-			if innerErr != nil {
-				firstErr = fmt.Errorf("%s: %w", name, innerErr)
-				return
-			}
-			cell := Cell{
-				Name:        name,
-				Iterations:  r.N,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-			}
-			if len(r.Extra) > 0 {
-				cell.Metrics = make(map[string]float64, len(r.Extra))
-				for k, v := range r.Extra {
-					cell.Metrics[k] = v
-				}
+			cell, err := measure(row)
+			if err != nil {
+				return snap, fmt.Errorf("%s: %w", row.Name, err)
 			}
 			cells = append(cells, cell)
 		}
 		snap.Cells = append(snap.Cells, medianCell(cells))
 	}
-
-	multisite, err := prebuiltCell(experiments.MultiSiteScenario("bench-multisite", 3, 0,
-		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
-	if err != nil {
-		return snap, err
-	}
-	faults, err := prebuiltCell(experiments.FaultScenario("bench-faults", 3, sim.VictimRequeue), scale)
-	if err != nil {
-		return snap, err
-	}
-	pf := experiments.PolicyFactory{
-		Name: "ResSusWaitLatency",
-		New:  func(uint64) core.Policy { return core.NewResSusWaitLatency() },
-	}
-	record("multisite_week/serial", func(b *testing.B) error {
-		return runCell(b, multisite, pf, scale)
-	})
-	record("faults_week/serial", func(b *testing.B) error {
-		return runCell(b, faults, pf, scale)
-	})
-	// The 6-site metro federation: cross-site RTTs of 5–25 minutes.
-	metro6, err := prebuiltCell(experiments.MultiSiteScenario("bench-metro6", 6, 0,
-		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
-	if err != nil {
-		return snap, err
-	}
-	record("metro6_week/serial", func(b *testing.B) error {
-		return runCell(b, metro6, pf, scale)
-	})
-	// The year6 cell is the ROADMAP north-star cell: a simulated year
-	// on the 6-site federation (at the reduced multiSiteYearScale so a
-	// pass stays in seconds).
-	year6, err := prebuiltCell(experiments.MultiSiteYearScenario("bench-year6", 6,
-		func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} }), scale)
-	if err != nil {
-		return snap, err
-	}
-	record("year6/serial", func(b *testing.B) error {
-		return runCell(b, year6, pf, scale)
-	})
-	collectCheckpointCells(record, multisite, scale)
-	collectTraceCells(record, scale)
-	record("eventq/schedule_pop", bench(QueueScheduleAndPop))
-	record("eventq/cancel", bench(QueueCancel))
-	record("eventq/kind_chains", bench(QueueKindChains))
-	return snap, firstErr
+	return snap, nil
 }
 
-// bench adapts a benchmark body that cannot fail to a recorded cell.
-func bench(fn func(*testing.B)) func(*testing.B) error {
-	return func(b *testing.B) error {
-		fn(b)
-		return nil
+// measure times one round of row.
+func measure(row Row) (Cell, error) {
+	var err error
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		if err = row.Run(b); err != nil {
+			b.FailNow()
+		}
+	})
+	if err != nil {
+		return Cell{}, err
 	}
+	cell := Cell{
+		Name:        row.Name,
+		Iterations:  r.N,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+	}
+	if len(r.Extra) > 0 {
+		cell.Metrics = maps.Clone(r.Extra)
+	}
+	return cell, nil
 }
 
 // medianCell returns the round with the median ns/op (the lower median
@@ -185,184 +127,6 @@ func medianCell(cells []Cell) Cell {
 	sorted := slices.Clone(cells)
 	slices.SortStableFunc(sorted, func(x, y Cell) int { return cmp.Compare(x.NsPerOp, y.NsPerOp) })
 	return sorted[(len(sorted)-1)/2]
-}
-
-// collectTraceCells records trace synthesis alone: the busy-week trace
-// behind Tables 1–5 and the 6-site simulated year's, the traces the
-// BenchmarkTraceGeneration sub-benchmarks time.
-func collectTraceCells(record func(string, func(b *testing.B) error), scale float64) {
-	for _, c := range []struct {
-		name string
-		sc   experiments.Scenario
-	}{
-		{"trace/week", experiments.WeekScenario("bench-trace-week", 1, 0,
-			func() sched.InitialScheduler { return sched.NewRoundRobin() })},
-		{"trace/year6", experiments.MultiSiteYearScenario("bench-trace-year6", 6,
-			func() sched.SiteSelector { return sched.LatencyPenalizedUtil{} })},
-	} {
-		record(c.name, func(b *testing.B) error {
-			var tr *trace.Trace
-			for i := 0; i < b.N; i++ {
-				var err error
-				if tr, err = c.sc.Trace(42, scale); err != nil {
-					return err
-				}
-			}
-			b.ReportMetric(float64(len(tr.Jobs)), "jobs")
-			return nil
-		})
-	}
-}
-
-// prebuiltCell synthesizes a scenario's trace and platform once so the
-// timed loop is simulation only (mirrors the bench_test harness).
-func prebuiltCell(sc experiments.Scenario, scale float64) (experiments.Scenario, error) {
-	tr, err := sc.Trace(42, scale)
-	if err != nil {
-		return sc, err
-	}
-	plat, err := sc.Platform(scale)
-	if err != nil {
-		return sc, err
-	}
-	sc.Trace = func(uint64, float64) (*trace.Trace, error) { return tr, nil }
-	sc.Platform = func(float64) (*cluster.Platform, error) { return plat, nil }
-	return sc, nil
-}
-
-func runCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, scale float64) error {
-	m := experiments.Matrix{Scenarios: []experiments.Scenario{sc}, Policies: []experiments.PolicyFactory{pf}}
-	opts := experiments.Options{Seed: 42, Scale: scale, Jobs: 1}
-	before := StartRetained(b)
-	var mr *experiments.MatrixResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		if mr, err = m.Run(opts); err != nil {
-			return err
-		}
-	}
-	ReportRetained(b, before, mr.At(0, 0, 0).Result)
-	return nil
-}
-
-// StartRetained returns the live heap after a full collection, taken
-// with the timer stopped. Call it before a cell's timed loop and hand
-// the value to ReportRetained.
-func StartRetained(b *testing.B) uint64 {
-	b.StopTimer()
-	defer b.StartTimer()
-	return liveHeap()
-}
-
-// ReportRetained stops the timer and reports retainedB/job: the live
-// heap with res still referenced, minus before, divided by res's jobs.
-// It is what each cell a MatrixResult holds costs; informational, not
-// gated.
-func ReportRetained(b *testing.B, before uint64, res *sim.Result) {
-	b.StopTimer()
-	after := liveHeap()
-	runtime.KeepAlive(res)
-	b.ReportMetric((float64(after)-float64(before))/float64(len(res.Jobs)), "retainedB/job")
-}
-
-func liveHeap() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
-// collectCheckpointCells records the checkpoint set: a full-cadence
-// capture run, the delta-keyframe capture run, and a resume from the
-// mid-run snapshot. One simulated day cadence, like the experiments
-// default.
-func collectCheckpointCells(record func(string, func(b *testing.B) error), sc experiments.Scenario, scale float64) {
-	const day = 1440.0
-	tr, err := sc.Trace(42, scale)
-	if err != nil {
-		record("checkpoint/capture", func(*testing.B) error { return err })
-		return
-	}
-	plat, err := sc.Platform(scale)
-	if err != nil {
-		record("checkpoint/capture", func(*testing.B) error { return err })
-		return
-	}
-	mkCfg := func() sim.Config {
-		return sim.Config{
-			Platform: plat,
-			Initial:  sc.NewInitial(),
-			Policy:   core.NewResSusWaitLatency(),
-		}
-	}
-
-	var mid sim.Checkpoint
-	var fullBytesPerSnap float64
-	record("checkpoint/capture", func(b *testing.B) error {
-		var count, bytes int
-		var cks []sim.Checkpoint
-		for i := 0; i < b.N; i++ {
-			cks = cks[:0]
-			cfg := mkCfg()
-			cfg.CheckpointEvery = day
-			cfg.CheckpointSink = func(c sim.Checkpoint) error {
-				cks = append(cks, c)
-				return nil
-			}
-			if _, err := sim.Run(cfg, tr.Jobs); err != nil {
-				return err
-			}
-			count += len(cks)
-			for _, c := range cks {
-				bytes += len(c.Data)
-			}
-		}
-		if count > 0 {
-			mid = cks[len(cks)/2]
-			fullBytesPerSnap = float64(bytes) / float64(count)
-			b.ReportMetric(fullBytesPerSnap/1024, "KB/snapshot")
-		}
-		return nil
-	})
-	record("checkpoint/capture_delta", func(b *testing.B) error {
-		var deltaCount, deltaBytes int
-		for i := 0; i < b.N; i++ {
-			cfg := mkCfg()
-			cfg.CheckpointEvery = day
-			cfg.CheckpointKeyframe = 8
-			cfg.CheckpointSink = func(c sim.Checkpoint) error {
-				if c.Delta {
-					deltaCount++
-					deltaBytes += len(c.Data)
-				}
-				return nil
-			}
-			if _, err := sim.Run(cfg, tr.Jobs); err != nil {
-				return err
-			}
-		}
-		if deltaCount > 0 {
-			perDelta := float64(deltaBytes) / float64(deltaCount)
-			b.ReportMetric(perDelta/1024, "KB/delta")
-			if fullBytesPerSnap > 0 {
-				b.ReportMetric(100*perDelta/fullBytesPerSnap, "pctOfFull")
-			}
-		}
-		return nil
-	})
-	record("checkpoint/resume", func(b *testing.B) error {
-		if len(mid.Data) == 0 {
-			return fmt.Errorf("no mid-run snapshot captured")
-		}
-		for i := 0; i < b.N; i++ {
-			cfg := mkCfg()
-			cfg.ResumeFrom = mid.Data
-			if _, err := sim.Run(cfg, tr.Jobs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // Regression is one gated metric that moved past its tolerance.

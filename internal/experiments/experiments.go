@@ -157,7 +157,7 @@ type Experiment struct {
 	// experiments' matrices from it, without their rendering.
 	Plan func(Options) Matrix
 	// Render lays out the result of the planned matrix.
-	Render func(Options, *MatrixResult) (*Output, error)
+	Render func(*MatrixResult) (*Output, error)
 }
 
 // Run executes the experiment's plan alone and renders it.
@@ -166,7 +166,7 @@ func (e Experiment) Run(opts Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Render(opts, mr)
+	return e.Render(mr)
 }
 
 // registry holds all experiments, keyed by ID.
@@ -260,7 +260,7 @@ func tableExperiment(
 				Policies:  policies(),
 			}
 		},
-		Render: func(_ Options, mr *MatrixResult) (*Output, error) {
+		Render: func(mr *MatrixResult) (*Output, error) {
 			return tableOutput(id, title, mr)
 		},
 	}

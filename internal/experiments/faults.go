@@ -73,20 +73,17 @@ func faultsPlan(Options) Matrix {
 	return Matrix{Scenarios: faultCells(), Policies: multiSitePolicies()}
 }
 
-func renderFaults(opts Options, mr *MatrixResult) (*Output, error) {
+func renderFaults(mr *MatrixResult) (*Output, error) {
 	out := &Output{
 		ID:    "faults",
 		Title: "Fault & maintenance: 1/3/6-site federations under crashes and maintenance windows",
 	}
 	var faultSums []metrics.FaultSummary
-	for s, sc := range faultCells() {
-		plat, err := sc.Platform(opts.withDefaults().Scale)
-		if err != nil {
-			return nil, err
-		}
+	for s, id := range mr.ScenarioIDs {
+		plat := mr.Platforms[s]
 		for p := range mr.PolicyNames {
 			reps := mr.Replicates(s, p)
-			out.Names = append(out.Names, sc.ID+"/"+mr.PolicyNames[p])
+			out.Names = append(out.Names, id+"/"+mr.PolicyNames[p])
 			out.Summaries = append(out.Summaries, reps[0])
 			out.Replicates = append(out.Replicates, reps)
 
@@ -106,7 +103,7 @@ func renderFaults(opts Options, mr *MatrixResult) (*Output, error) {
 			faultSums = append(faultSums, fs)
 			out.Notes = append(out.Notes, fmt.Sprintf(
 				"%s/%s: availability %.2f%%, goodput %.2f%%, crashes %d, windows %d, kills %d, requeues %d",
-				sc.ID, mr.PolicyNames[p],
+				id, mr.PolicyNames[p],
 				fs.AvailabilityPct, fs.GoodputPct, fs.Crashes, fs.MaintWindows, fs.Kills, fs.Requeues))
 		}
 	}

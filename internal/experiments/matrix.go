@@ -94,6 +94,11 @@ type CellResult struct {
 // (scenario, replicate) point at that trace's shared specs, 104 B per
 // job. Reduce per-cell data promptly if that becomes a limit.
 type MatrixResult struct {
+	// ScenarioIDs are the scenario axis labels, in run order.
+	ScenarioIDs []string
+	// Platforms are the scenarios' built platforms, aligned with
+	// ScenarioIDs. Every cell of a scenario ran on its one platform.
+	Platforms []*cluster.Platform
 	// PolicyNames are the policy axis labels, in run order.
 	PolicyNames []string
 	// Seeds are the replicate seeds actually used.
@@ -198,9 +203,13 @@ func newMatrixRun(m Matrix, opts Options) (*matrixRun, error) {
 		seeds = ReplicateSeeds(opts.Seed, opts.Seeds)
 	}
 	res := &MatrixResult{
-		Seeds: seeds,
-		nPol:  len(m.Policies),
-		nRep:  len(seeds),
+		Platforms: make([]*cluster.Platform, len(m.Scenarios)),
+		Seeds:     seeds,
+		nPol:      len(m.Policies),
+		nRep:      len(seeds),
+	}
+	for _, sc := range m.Scenarios {
+		res.ScenarioIDs = append(res.ScenarioIDs, sc.ID)
 	}
 	for _, p := range m.Policies {
 		res.PolicyNames = append(res.PolicyNames, p.Name)
@@ -215,17 +224,9 @@ func newMatrixRun(m Matrix, opts Options) (*matrixRun, error) {
 // files, so scenarios sharing one must be the same scenario
 // (TestPlansSharingAScenarioAgree holds the registered plans to that).
 func (r *matrixRun) sameCells(o *matrixRun) bool {
-	if len(r.m.Scenarios) != len(o.m.Scenarios) ||
-		!slices.Equal(r.res.PolicyNames, o.res.PolicyNames) ||
-		!slices.Equal(r.res.Seeds, o.res.Seeds) {
-		return false
-	}
-	for s := range r.m.Scenarios {
-		if r.m.Scenarios[s].ID != o.m.Scenarios[s].ID {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(r.res.ScenarioIDs, o.res.ScenarioIDs) &&
+		slices.Equal(r.res.PolicyNames, o.res.PolicyNames) &&
+		slices.Equal(r.res.Seeds, o.res.Seeds)
 }
 
 // runCell simulates cell i (scenario-major, then policy, then
@@ -240,7 +241,9 @@ func (r *matrixRun) runCell(i int, opts Options) error {
 	seed := res.Seeds[rep]
 
 	plat, err := r.plats.get(s, func() (*cluster.Platform, error) {
-		return sc.Platform(opts.Scale)
+		plat, err := sc.Platform(opts.Scale)
+		res.Platforms[s] = plat
+		return plat, err
 	})
 	if err != nil {
 		return fmt.Errorf("experiments: scenario %s: platform: %w", sc.ID, err)

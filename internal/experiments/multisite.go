@@ -141,17 +141,16 @@ func multiSitePlan(Options) Matrix {
 	return Matrix{Scenarios: multiSiteCells(), Policies: multiSitePolicies()}
 }
 
-func renderMultiSite(opts Options, mr *MatrixResult) (*Output, error) {
-	cells := multiSiteCells()
+func renderMultiSite(mr *MatrixResult) (*Output, error) {
 	// Flatten the (federation × policy) matrix into one row per cell.
 	out := &Output{
 		ID:    "multisite",
 		Title: "Multi-site federation: single-site vs 3-site vs 6-site under latency-aware scheduling",
 	}
-	for s, sc := range cells {
+	for s, id := range mr.ScenarioIDs {
 		for p := range mr.PolicyNames {
 			reps := mr.Replicates(s, p)
-			out.Names = append(out.Names, sc.ID+"/"+mr.PolicyNames[p])
+			out.Names = append(out.Names, id+"/"+mr.PolicyNames[p])
 			out.Summaries = append(out.Summaries, reps[0])
 			out.Replicates = append(out.Replicates, reps)
 		}
@@ -164,11 +163,8 @@ func renderMultiSite(opts Options, mr *MatrixResult) (*Output, error) {
 
 	// Per-site breakdowns for the multi-site federations, first
 	// replicate (the site axis is deterministic per seed).
-	for s, sc := range cells {
-		plat, err := sc.Platform(opts.withDefaults().Scale)
-		if err != nil {
-			return nil, err
-		}
+	for s, id := range mr.ScenarioIDs {
+		plat := mr.Platforms[s]
 		if plat.NumSites() <= 1 {
 			continue
 		}
@@ -182,11 +178,11 @@ func renderMultiSite(opts Options, mr *MatrixResult) (*Output, error) {
 			perStrategy[p] = sums
 			out.Notes = append(out.Notes, fmt.Sprintf(
 				"%s/%s: cross-site submits %d, cross-site moves %d, wait moves %d",
-				sc.ID, mr.PolicyNames[p],
+				id, mr.PolicyNames[p],
 				cell.Result.CrossSiteSubmits, cell.Result.CrossSiteMoves, cell.Result.WaitMoves))
 		}
 		st, err := report.SiteTable(
-			fmt.Sprintf("%s — per-site breakdown", sc.ID),
+			fmt.Sprintf("%s — per-site breakdown", id),
 			mr.PolicyNames, multiSiteRegions(plat.NumSites()), perStrategy)
 		if err != nil {
 			return nil, err

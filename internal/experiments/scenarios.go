@@ -146,7 +146,7 @@ func highSuspPlan(Options) Matrix {
 	}
 }
 
-func renderFig2(_ Options, mr *MatrixResult) (*Output, error) {
+func renderFig2(mr *MatrixResult) (*Output, error) {
 	out := newOutput("fig2", "Figure 2: CDF of job suspension time", mr)
 	cdf := metrics.SuspensionCDF(mr.At(0, 0, 0).Result.Jobs)
 	out.Series["suspension_cdf"] = cdf.Points(200)
@@ -169,7 +169,7 @@ func renderFig2(_ Options, mr *MatrixResult) (*Output, error) {
 	return out, nil
 }
 
-func renderFig3(_ Options, mr *MatrixResult) (*Output, error) {
+func renderFig3(mr *MatrixResult) (*Output, error) {
 	out := newOutput("fig3", "Figure 3: Average wasted completion time (minutes) under normal load", mr)
 	waste, err := report.WasteTableCI(out.Title, out.Names, out.Replicates)
 	if err != nil {
@@ -179,7 +179,7 @@ func renderFig3(_ Options, mr *MatrixResult) (*Output, error) {
 	return out, nil
 }
 
-func renderFig4(_ Options, mr *MatrixResult) (*Output, error) {
+func renderFig4(mr *MatrixResult) (*Output, error) {
 	out := newOutput("fig4",
 		"Figure 4: Suspension (# jobs) and utilization (%) over one year (100-minute bins)", mr)
 	r0 := mr.At(0, 0, 0).Result
@@ -208,7 +208,7 @@ func renderFig4(_ Options, mr *MatrixResult) (*Output, error) {
 	return out, nil
 }
 
-func renderHighSusp(_ Options, mr *MatrixResult) (*Output, error) {
+func renderHighSusp(mr *MatrixResult) (*Output, error) {
 	out, err := tableOutput("highsusp", "High Suspension Scenario (§3.2.1)", mr)
 	if err != nil {
 		return nil, err

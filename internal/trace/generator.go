@@ -203,12 +203,20 @@ type GeneratorConfig struct {
 // comparison with NaN is false). Presets multiply rates by a caller's
 // scale, so a non-finite scale arrives here as a non-finite rate.
 func checkFinite(what string, vs ...float64) error {
-	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%s: non-finite value %v", what, v)
-		}
+	if v, ok := firstNonFinite(vs...); ok {
+		return fmt.Errorf("%s: non-finite value %v", what, v)
 	}
 	return nil
+}
+
+// firstNonFinite returns the first NaN or ±Inf among vs.
+func firstNonFinite(vs ...float64) (float64, bool) {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // Validate reports configuration errors.
@@ -224,9 +232,12 @@ func (c *GeneratorConfig) Validate() error {
 	if err := checkFinite("generator: cores weights", c.CoresWeights...); err != nil {
 		return err
 	}
+	// A burst's label is formatted only on failure: fmt's printers come
+	// from a sync.Pool that GC empties, so formatting on every call
+	// would make Validate's allocation count depend on GC timing.
 	for bi, b := range c.Bursts {
-		if err := checkFinite(fmt.Sprintf("generator: burst %d", bi), b.Start, b.Duration, b.Rate); err != nil {
-			return err
+		if v, ok := firstNonFinite(b.Start, b.Duration, b.Rate); ok {
+			return fmt.Errorf("generator: burst %d: non-finite value %v", bi, v)
 		}
 	}
 	if a := c.Auto; a != nil {

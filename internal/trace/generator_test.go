@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -485,5 +486,38 @@ func TestPresetTracesPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Validate allocates the same on every call, whatever the GC has done
+// since the last one. Formatting a label per burst drew fmt's printers
+// from a sync.Pool that GC empties, so the trace/week bench cell read
+// 85 or 86 allocs/op on unchanged code.
+func TestValidateAllocsIndependentOfGC(t *testing.T) {
+	cfg := WeekNormal(42)
+	// MemStats counts every goroutine's mallocs, and finalizers run
+	// after a collection can allocate during a call. Such noise only
+	// adds, so each count is the least of a few calls.
+	mallocs := func(gc bool) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			if gc {
+				// Two collections empty a sync.Pool: the first moves
+				// its items to the victim cache, the second drops them.
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	if warm, cold := mallocs(false), mallocs(true); cold != warm {
+		t.Fatalf("Validate made %d mallocs warm, %d after a GC", warm, cold)
 	}
 }
