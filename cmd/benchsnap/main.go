@@ -8,11 +8,11 @@
 // Record a new baseline (done once per perf-relevant PR) at
 // GOMAXPROCS=1, gated against the newest committed one:
 //
-//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_26.json -out BENCH_27.json
+//	GOMAXPROCS=1 go run ./cmd/benchsnap -compare BENCH_31.json -out BENCH_32.json
 //
 // Gate a candidate in CI (exits 1 on regression):
 //
-//	go run ./cmd/benchsnap -compare BENCH_26.json -out bench-candidate.json
+//	go run ./cmd/benchsnap -compare BENCH_31.json -out bench-candidate.json
 //
 // Every cell is timed in three rounds and records the median one.
 // Allocations and bytes per op gate on every run (they are
@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,6 +144,15 @@ func printTrend(files []string) error {
 			return fmt.Errorf("parse %s: %w", f, err)
 		}
 	}
+	writeTrend(os.Stdout, files, snaps)
+	return nil
+}
+
+// writeTrend prints each cell's trajectory over snaps, the decoded
+// files in order. Each line's percentages compare it with the cell's
+// previous line, and the line is flagged when its machine shape differs
+// from that line's, since their ns/op then do not compare.
+func writeTrend(w io.Writer, files []string, snaps []benchsnap.Snapshot) {
 	// Cells in first-appearance order; the union tolerates cells that
 	// were added or retired between baselines.
 	var order []string
@@ -159,30 +169,36 @@ func printTrend(files []string) error {
 		}
 	}
 	for _, name := range order {
-		fmt.Printf("%s\n", name)
+		fmt.Fprintf(w, "%s\n", name)
 		var prev *benchsnap.Cell
+		var prevSnap *benchsnap.Snapshot
 		for i, f := range files {
 			c, ok := idx[i][name]
 			if !ok {
 				// Render the gap instead of silently skipping the file:
 				// a missing cell (added later, or dropped from an old
 				// baseline) reads very differently from a flat metric.
-				fmt.Printf("  %-18s %14s\n", f, "(cell absent)")
+				fmt.Fprintf(w, "  %-18s %14s\n", f, "(cell absent)")
 				continue
 			}
 			line := fmt.Sprintf("  %-18s %12.0f ns/op%s %12d B/op%s %9d allocs/op%s",
 				f, c.NsPerOp, delta(float64(c.NsPerOp), prev, func(p *benchsnap.Cell) float64 { return p.NsPerOp }),
 				c.BytesPerOp, delta(float64(c.BytesPerOp), prev, func(p *benchsnap.Cell) float64 { return float64(p.BytesPerOp) }),
 				c.AllocsPerOp, delta(float64(c.AllocsPerOp), prev, func(p *benchsnap.Cell) float64 { return float64(p.AllocsPerOp) }))
-			if snaps[i].GOOS != snaps[0].GOOS || snaps[i].GOARCH != snaps[0].GOARCH || snaps[i].CPUs != snaps[0].CPUs {
+			if prevSnap != nil && !sameShape(snaps[i], *prevSnap) {
 				line += "   [shape differs: ns/op not comparable]"
 			}
-			fmt.Println(line)
+			fmt.Fprintln(w, line)
 			cc := c
-			prev = &cc
+			prev, prevSnap = &cc, &snaps[i]
 		}
 	}
-	return nil
+}
+
+// sameShape reports whether two snapshots were recorded on the same
+// machine shape: GOOS, GOARCH and CPU count.
+func sameShape(a, b benchsnap.Snapshot) bool {
+	return a.GOOS == b.GOOS && a.GOARCH == b.GOARCH && a.CPUs == b.CPUs
 }
 
 // snapOrdinal extracts the trailing integer of a snapshot filename

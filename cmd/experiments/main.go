@@ -61,7 +61,7 @@ func run() (err error) {
 
 		ckptDir      = flag.String("checkpoint-dir", "", "directory for per-cell simulation checkpoints; enables checkpointing")
 		ckptEvery    = flag.Float64("checkpoint-every", 0, "checkpoint cadence in simulated minutes (default: 1440 = one simulated day)")
-		ckptKeyframe = flag.Int("checkpoint-keyframe", 0, "emit every Nth checkpoint full and the rest as binary deltas (.dckpt) against the previous one; 0 or 1 = all full")
+		ckptKeyframe = flag.Int("checkpoint-keyframe", 0, "emit every Nth checkpoint full and the rest as deltas (.dckpt) holding the job records changed since the previous one; 0 or 1 = all full")
 		resume       = flag.Bool("resume", false, "resume each cell from its checkpoint in -checkpoint-dir (bit-identical results; incompatible checkpoints restart from t=0)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

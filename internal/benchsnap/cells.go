@@ -163,9 +163,10 @@ func traceRow(name string, sc experiments.Scenario, scale float64) Row {
 //     KB/snapshot and, when baseline ran before it, pctPerCkpt: one
 //     capture's cost as a percentage of the plain run (target under
 //     ~5%);
-//   - capture_delta: seven of every eight snapshots as binary deltas
-//     (CheckpointKeyframe=8). It reports KB/delta and pctOfFull, a
-//     delta's size as a percentage of a full snapshot's;
+//   - capture_delta: seven of every eight snapshots as deltas
+//     (CheckpointKeyframe=8), which carry only the job records that
+//     changed. It reports KB/delta and pctOfFull, a delta's size as a
+//     percentage of a full snapshot's;
 //   - resume: decode the run's mid-point snapshot, rebuild the state
 //     and simulate the remaining half.
 //

@@ -64,8 +64,9 @@ type Options struct {
 	CheckpointEvery float64
 	// CheckpointKeyframe delta-encodes the checkpoint stream: every Nth
 	// snapshot of a cell is a full keyframe (.ckpt file), the ones
-	// between are binary deltas against the previous snapshot (.dckpt
-	// files, typically a small fraction of the full size). Resume
+	// between are deltas against the previous snapshot (.dckpt files
+	// holding the job records that changed, typically a small fraction
+	// of the full size). Resume
 	// reconstructs delta files transparently from their keyframe chain.
 	// 0 or 1 writes only full snapshots.
 	CheckpointKeyframe int

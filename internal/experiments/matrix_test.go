@@ -429,26 +429,26 @@ func TestMatrixCheckpointResume(t *testing.T) {
 	}
 }
 
-// version4Snapshot rewrites a snapshot's format-version word (the
-// second header word, after the magic) to 4 and recomputes the
+// version5Snapshot rewrites a snapshot's format-version word (the
+// second header word, after the magic) to 5 and recomputes the
 // CRC-32C trailer. The result passes the integrity check and fails
 // only on its version, as every snapshot of an older build does.
-func version4Snapshot(t *testing.T, data []byte) []byte {
+func version5Snapshot(t *testing.T, data []byte) []byte {
 	t.Helper()
 	const versionAt = 8
-	if got := binary.LittleEndian.Uint64(data[versionAt:]); got != 5 {
-		t.Fatalf("checkpoint format version %d, want 5", got)
+	if got := binary.LittleEndian.Uint64(data[versionAt:]); got != 6 {
+		t.Fatalf("checkpoint format version %d, want 6", got)
 	}
 	out := append([]byte(nil), data[:len(data)-8]...)
-	binary.LittleEndian.PutUint64(out[versionAt:], 4)
+	binary.LittleEndian.PutUint64(out[versionAt:], 5)
 	sum := crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli))
 	return binary.LittleEndian.AppendUint64(out, uint64(sum))
 }
 
-// TestMatrixResumeLegacyEngineCheckpoint points -resume at a version-4
-// checkpoint, the format whose scheduler and policy state were JSON
-// blobs in the header: the cell must log that the checkpoint is not
-// resumable, restart from t=0, and match a fresh run.
+// TestMatrixResumeLegacyEngineCheckpoint points -resume at a version-5
+// checkpoint, the format that saved every job's record, submitted or
+// not, in the placement section: the cell must log that the checkpoint
+// is not resumable, restart from t=0, and match a fresh run.
 func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 	m := Matrix{
 		Scenarios: []Scenario{MultiSiteScenario("fed3", 3, 0,
@@ -476,7 +476,7 @@ func TestMatrixResumeLegacyEngineCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := version4Snapshot(t, data)
+	legacy := version5Snapshot(t, data)
 	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,12 @@ func (j *Job) init(spec *Spec) {
 // State returns the current lifecycle state.
 func (j *Job) State() State { return j.state }
 
+// StateSince returns the time of the last state transition (the
+// submission time before the first). Every change to the job's mutable
+// state goes through a transition, so a job whose StateSince is before
+// t has not changed since t.
+func (j *Job) StateSince() float64 { return j.stateSince }
+
 // Acct returns a copy of the job's accounting so far. For a completed
 // job this is the final record.
 func (j *Job) Acct() Accounting { return j.acct }

@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
+	"math/bits"
 
 	"netbatch/internal/eventq"
 	"netbatch/internal/obs"
@@ -51,10 +53,14 @@ import (
 // the scheduler and policy as the binary "scheduler" and "policy"
 // sections instead of two JSON blobs in the header, and drops the
 // suspend-holds-memory and queue-beats-resume flags from the
-// configuration hash.
+// configuration hash. Version 6 moves the job records out of
+// "placement" into a last section, "jobs", of fixed-size records, and
+// saves only the submitted prefix: the records of jobs whose submit
+// event is not yet scheduled are pristine, and buildWorld rebuilds
+// them.
 const (
 	snapshotMagic   = uint32(0x4e425350) // "NBSP"
-	snapshotVersion = uint32(5)
+	snapshotVersion = uint32(6)
 )
 
 // ErrSnapshotMismatch wraps every resume failure caused by the snapshot
@@ -121,77 +127,132 @@ func kindTableHash(w *world) uint64 {
 // deliberately excludes checkpoint cadence, context and observability.
 // Opaque scheduler/policy internals beyond Name and thresholds cannot
 // be hashed; their snapshot sections still restore them, and the
-// property tests cover every built-in.
+// property tests cover every built-in. It is the FNV-1a hash of the
+// words' snap encoding, fed word by word (see fnvWords) rather than
+// through a buffer of the workload's size; a run computes it once (see
+// runSerial).
 func configHash(w *world) uint64 {
 	cfg := &w.cfg
-	var e snap.Encoder
-	e.F64(cfg.SampleEvery)
-	e.F64(cfg.SeriesBin)
-	e.F64(cfg.RescheduleOverhead)
-	e.F64(cfg.UtilStaleness)
-	e.F64(cfg.DecisionDelay)
-	e.F64(cfg.MaxTime)
-	e.Bool(cfg.DisableSampling)
-	e.F64(cfg.Faults.MTBF)
-	e.F64(cfg.Faults.MTTR)
-	e.F64(cfg.Faults.MaintPeriod)
-	e.F64(cfg.Faults.MaintDuration)
-	e.F64(cfg.Faults.MaintFraction)
-	e.Str(cfg.Faults.Victim)
-	e.U64(cfg.Faults.Seed)
-	e.Str(cfg.Initial.Name())
-	e.Str(cfg.Policy.Name())
-	e.F64(cfg.Policy.WaitThreshold())
+	h := newFNVWords()
+	h.F64(cfg.SampleEvery)
+	h.F64(cfg.SeriesBin)
+	h.F64(cfg.RescheduleOverhead)
+	h.F64(cfg.UtilStaleness)
+	h.F64(cfg.DecisionDelay)
+	h.F64(cfg.MaxTime)
+	h.Bool(cfg.DisableSampling)
+	h.F64(cfg.Faults.MTBF)
+	h.F64(cfg.Faults.MTTR)
+	h.F64(cfg.Faults.MaintPeriod)
+	h.F64(cfg.Faults.MaintDuration)
+	h.F64(cfg.Faults.MaintFraction)
+	h.Str(cfg.Faults.Victim)
+	h.U64(cfg.Faults.Seed)
+	h.Str(cfg.Initial.Name())
+	h.Str(cfg.Policy.Name())
+	h.F64(cfg.Policy.WaitThreshold())
 	if mig, ok := cfg.Policy.(interface{ MigrationOverhead() float64 }); ok {
-		e.F64(mig.MigrationOverhead())
+		h.F64(mig.MigrationOverhead())
 	}
 	plat := w.plat
-	e.Int(plat.NumSites())
-	e.Int(plat.NumPools())
+	h.Int(plat.NumSites())
+	h.Int(plat.NumPools())
 	for p := 0; p < plat.NumPools(); p++ {
-		e.Int(plat.SiteOf(p))
-		e.Int(plat.Pool(p).Cores)
-		e.Ints(plat.Pool(p).Machines)
+		h.Int(plat.SiteOf(p))
+		h.Int(plat.Pool(p).Cores)
+		h.Ints(plat.Pool(p).Machines)
 	}
-	e.Int(plat.NumMachines())
+	h.Int(plat.NumMachines())
 	for i := 0; i < plat.NumMachines(); i++ {
 		m := plat.Machine(i)
-		e.Int(m.Pool)
-		e.Int(m.Cores)
-		e.Int(m.MemMB)
-		e.F64(m.Speed)
-		e.Str(m.OS)
+		h.Int(m.Pool)
+		h.Int(m.Cores)
+		h.Int(m.MemMB)
+		h.F64(m.Speed)
+		h.Str(m.OS)
 	}
 	for a := 0; a < plat.NumSites(); a++ {
 		for b := 0; b < plat.NumSites(); b++ {
-			e.F64(plat.RTT(a, b))
+			h.F64(plat.RTT(a, b))
 		}
 	}
-	e.Int(len(w.specs))
+	h.Int(len(w.specs))
 	for i := range w.specs {
 		s := &w.specs[i]
-		e.I64(int64(s.ID))
-		e.F64(s.Submit)
-		e.F64(s.Work)
-		e.Int(s.Cores)
-		e.Int(s.MemMB)
-		e.Str(s.OS)
-		e.Int(int(s.Priority))
-		e.Ints(s.Candidates)
-		e.Int(s.Site)
-		e.I64(s.TaskID)
+		h.I64(int64(s.ID))
+		h.F64(s.Submit)
+		h.F64(s.Work)
+		h.Int(s.Cores)
+		h.Int(s.MemMB)
+		h.Str(s.OS)
+		h.Int(int(s.Priority))
+		h.Ints(s.Candidates)
+		h.Int(s.Site)
+		h.I64(s.TaskID)
 	}
-	h := fnv.New64a()
-	h.Write(e.Buf)
-	return h.Sum64()
+	return uint64(h)
+}
+
+// fnvWords is a 64-bit FNV-1a hash fed the bytes a snap.Encoder would
+// write for the same calls. A zero byte only multiplies the hash by the
+// FNV prime, so the zero high bytes of a small word fold into one
+// multiplication by a power of the prime: most workload words are small
+// integers, and FNV-1a's one multiplication per byte is its cost.
+type fnvWords uint64
+
+const fnvPrime = 1099511628211
+
+// fnvPrimePow[k] is fnvPrime to the k-th power, modulo 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+func newFNVWords() fnvWords { return 14695981039346656037 }
+
+func (h *fnvWords) U64(v uint64) {
+	x := uint64(*h)
+	n := (bits.Len64(v) + 7) / 8 // bytes up to the highest non-zero one
+	for i := 0; i < n; i++ {
+		x = (x ^ v&0xff) * fnvPrime
+		v >>= 8
+	}
+	*h = fnvWords(x * fnvPrimePow[8-n])
+}
+func (h *fnvWords) I64(v int64)   { h.U64(uint64(v)) }
+func (h *fnvWords) Int(v int)     { h.U64(uint64(v)) }
+func (h *fnvWords) F64(v float64) { h.U64(math.Float64bits(v)) }
+func (h *fnvWords) Bool(v bool) {
+	x := uint64(*h)
+	if v {
+		x ^= 1
+	}
+	*h = fnvWords(x * fnvPrime)
+}
+func (h *fnvWords) Str(v string) {
+	h.U64(uint64(len(v)))
+	x := uint64(*h)
+	for i := 0; i < len(v); i++ {
+		x = (x ^ uint64(v[i])) * fnvPrime
+	}
+	*h = fnvWords(x)
+}
+func (h *fnvWords) Ints(v []int) {
+	h.U64(uint64(len(v)))
+	for _, x := range v {
+		h.Int(x)
+	}
 }
 
 // ---------------------------------------------------------------------
 // Snapshot encode/decode.
 
 // snapshot is a decoded-but-not-yet-applied checkpoint: the verified
-// header plus the raw codec sections, applied to a freshly built world
-// by restore.
+// header plus the raw codec sections and job records, applied to a
+// freshly built world by restore.
 type snapshot struct {
 	label      string
 	every      float64
@@ -200,8 +261,11 @@ type snapshot struct {
 	time       float64
 	events     int64
 
-	// sections holds the codec sections in stateCodecs order.
+	// sections holds the codec sections in stateCodecs order, and jobs
+	// the last section's job records: jobRecLen bytes for each job of
+	// the submitted prefix.
 	sections []snapSection
+	jobs     []byte
 }
 
 type snapSection struct {
@@ -209,26 +273,26 @@ type snapSection struct {
 	data []byte
 }
 
+// jobsSection names the last section of a snapshot: the fixed-size
+// records of the submitted prefix's jobs (see putJobRecord). Keeping
+// them last and fixed-size lets a delta patch them in place.
+const jobsSection = "jobs"
+
 // snapParams carries the header inputs of one snapshot. Periodic
-// checkpointing caches the two guard hashes and a buffer size hint
-// here — recomputing the configuration hash walks the whole workload,
-// which at a one-simulated-day cadence would dominate snapshot cost.
-// The checkpointer sets the hint from the sizes it has seen (see
-// checkpointer.take), so from a run's third capture on the encoding is
-// not copied into a regrown buffer.
+// checkpointing caches the two guard hashes here — the configuration
+// hash walks the whole workload, so it is computed once per run.
 type snapParams struct {
 	label    string
 	every    float64
 	cfgHash  uint64
 	kindHash uint64
-	sizeHint int
 }
 
-func newSnapParams(w *world, every float64) snapParams {
+func newSnapParams(w *world, every float64, cfgHash uint64) snapParams {
 	return snapParams{
 		label:    w.cfg.CheckpointLabel,
 		every:    every,
-		cfgHash:  configHash(w),
+		cfgHash:  cfgHash,
 		kindHash: kindTableHash(w),
 	}
 }
@@ -246,8 +310,8 @@ type stateCodec struct {
 // codecs by position and checks their names. "scheduler" and "policy"
 // hold the Stateful state of Config.Initial and Config.Policy (empty
 // for a stateless one); rescheduling has no section of its own, as its
-// only other state is its pending events. "faults" comes last and
-// exists only with faults on (see codecs).
+// only other state is its pending events. "faults" exists only with
+// faults on (see codecs). The jobs section follows them all.
 var stateCodecs = [...]stateCodec{
 	{"scheduler", (*world).saveScheduler, (*world).loadScheduler},
 	{"policy", (*world).savePolicy, (*world).loadPolicy},
@@ -287,10 +351,10 @@ func loadStateful(c any, d *snap.Decoder) error {
 	return nil
 }
 
-// takeSnapshot serializes the complete state of a run between two
-// events.
-func takeSnapshot(w *world, p snapParams, now float64, events int64) []byte {
-	e := snap.Encoder{Buf: make([]byte, 0, p.sizeHint+4096)}
+// encodeHead appends a snapshot's bytes up to its job records: the
+// header, every codec section, and the jobs section's name and length
+// word for the submitted prefix's records.
+func encodeHead(e *snap.Encoder, w *world, p snapParams, now float64, events int64) {
 	e.U64(uint64(snapshotMagic))
 	e.U64(uint64(snapshotVersion))
 	e.U64(p.cfgHash)
@@ -301,37 +365,28 @@ func takeSnapshot(w *world, p snapParams, now float64, events int64) []byte {
 	e.I64(events)
 
 	codecs := w.codecs()
-	e.Int(len(codecs))
+	e.Int(len(codecs) + 1)
 	for _, c := range codecs {
 		e.Str(c.name)
 		// Reserve the section length slot, save in place, then backpatch
 		// — avoids a second buffer and its copy per section.
 		e.U64(0)
 		lenAt := len(e.Buf) - 8
-		c.save(w, &e)
+		c.save(w, e)
 		binary.LittleEndian.PutUint64(e.Buf[lenAt:], uint64(len(e.Buf)-lenAt-8))
 	}
-	// Integrity trailer: a CRC-32C checksum of everything above, so a
-	// flipped bit anywhere in a stored snapshot is rejected instead of
-	// silently restoring a perturbed state. Castagnoli is hardware-
-	// accelerated; a byte-at-a-time hash here would cost more than the
-	// entire state walk. (Stored widened to 8 bytes for alignment.)
-	e.U64(uint64(crc32.Checksum(e.Buf, castagnoli)))
-	return e.Buf
+	e.Str(jobsSection)
+	e.Int(w.nextSubmit * jobRecLen)
 }
 
+// Integrity trailer: every snapshot ends in the CRC-32C of everything
+// before it, so a flipped bit anywhere in a stored snapshot is rejected
+// instead of silently restoring a perturbed state. Castagnoli is
+// hardware-accelerated; a byte-at-a-time hash here would cost more than
+// the entire state walk. (Stored widened to 8 bytes for alignment.)
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// crcFromTrailer is the CRC-32C of a whole snapshot takeSnapshot
-// encoded. The trailer already holds the CRC of everything before it,
-// so extending that over the trailer's own 8 bytes avoids re-reading
-// the body.
-func crcFromTrailer(data []byte) uint32 {
-	tr := data[len(data)-8:]
-	return crc32.Update(uint32(binary.LittleEndian.Uint64(tr)), castagnoli, tr)
-}
-
-// decodeSnapshot parses and structurally validates an encoded snapshot.
+// decodeSnapshot verifies an encoded snapshot's trailer and parses it.
 func decodeSnapshot(data []byte) (*snapshot, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: truncated snapshot", ErrSnapshotMismatch)
@@ -340,8 +395,14 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	if uint64(crc32.Checksum(body, castagnoli)) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch (snapshot corrupted)", ErrSnapshotMismatch)
 	}
-	data = body
-	d := snap.NewDecoder(data)
+	return parseSnapshot(body)
+}
+
+// parseSnapshot structurally validates a snapshot body (the bytes
+// before its trailer) and splits it into header, codec sections and job
+// records.
+func parseSnapshot(body []byte) (*snapshot, error) {
+	d := snap.NewDecoder(body)
 	if magic := d.U64(); d.Err() == nil && uint32(magic) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrSnapshotMismatch, magic)
 	}
@@ -357,8 +418,8 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	sn.time = d.F64()
 	sn.events = d.I64()
 	// A section is at least its name's and its data's length words.
-	nCodecs := d.Count(len(stateCodecs), 16)
-	for c := 0; c < nCodecs; c++ {
+	nSections := d.Count(len(stateCodecs)+1, 16)
+	for c := 0; c < nSections; c++ {
 		sn.sections = append(sn.sections, snapSection{name: d.Str(), data: d.Bytes()})
 	}
 	if d.Err() != nil {
@@ -367,16 +428,22 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotMismatch, d.Len())
 	}
+	last := len(sn.sections) - 1
+	if last < 0 || sn.sections[last].name != jobsSection || len(sn.sections[last].data)%jobRecLen != 0 {
+		return nil, fmt.Errorf("%w: snapshot does not end in a section of %d-byte job records",
+			ErrSnapshotMismatch, jobRecLen)
+	}
+	sn.sections, sn.jobs = sn.sections[:last], sn.sections[last].data
 	return sn, nil
 }
 
 // restore checks a decoded snapshot against the run — the same
-// configuration and kind table — and applies it to a freshly built,
-// unseeded world.
-func (w *world) restore(sn *snapshot) error {
-	if h := configHash(w); sn.configHash != h {
+// configuration (whose hash the caller computed) and kind table — and
+// applies it to a freshly built, unseeded world.
+func (w *world) restore(sn *snapshot, cfgHash uint64) error {
+	if sn.configHash != cfgHash {
 		return fmt.Errorf("%w: configuration hash %#x, snapshot has %#x (different platform, workload, policy or knobs)",
-			ErrSnapshotMismatch, h, sn.configHash)
+			ErrSnapshotMismatch, cfgHash, sn.configHash)
 	}
 	if h := kindTableHash(w); sn.kindHash != h {
 		return fmt.Errorf("%w: event-kind table hash %#x, snapshot has %#x",
@@ -407,10 +474,14 @@ func (w *world) restore(sn *snapshot) error {
 			return fmt.Errorf("sim: restore %s state: %w", codec.name, err)
 		}
 	}
+	if err := w.loadJobs(sn.jobs); err != nil {
+		return fmt.Errorf("sim: restore %s state: %w", jobsSection, err)
+	}
 	if err := w.checkRestoredTime(sn); err != nil {
 		return err
 	}
 	w.rebuildAliased()
+	w.resumed = true
 	return nil
 }
 
@@ -445,31 +516,47 @@ func (w *world) checkRestoredTime(sn *snapshot) error {
 // or past each mark, and a resumed run skips the marks its snapshot
 // already passed — so straight and resumed runs emit checkpoints at
 // identical boundaries.
+//
+// A capture costs what changed since the previous one: the
+// checkpointer keeps the encoded job records of its last capture
+// (recs) and re-encodes only the records of jobs submitted since or
+// whose StateSince is at or after that capture's time (since). Every
+// change to a job record happens in a transition at the then-current
+// time, so every other record still holds its bytes. A completed job's
+// record never changes again, so the records up to the first job not
+// yet completed are settled: captures neither scan them nor re-read
+// them for the checksum.
 type checkpointer struct {
 	w      *world
 	params snapParams
 	every  float64
 	next   float64
 
-	// lastSize is the length of the previous capture (of the resumed
-	// snapshot before the first), 0 when there is none.
-	lastSize int
+	// head is the scratch the bytes before the job records are encoded
+	// into, reused across captures. recs holds the records of the last
+	// capture's submitted prefix, captured at time since; patch lists
+	// the records the last capture re-encoded, in ascending order. The
+	// first settled records are those of completed jobs, and settledCRC
+	// is their CRC-32C.
+	head       []byte
+	recs       []byte
+	since      float64
+	patch      []int
+	settled    int
+	settledCRC uint32
 
-	// Delta emission (Config.CheckpointKeyframe > 1): lastFull holds
-	// the full encoding of the previously emitted snapshot — the diff
-	// base — and lastCRC/lastTime/lastEvents its checksum and boundary;
+	// Delta emission (Config.CheckpointKeyframe > 1): lastCRC, lastTime
+	// and lastEvents are the body CRC (the trailer word) and the
+	// boundary of the previously emitted snapshot — the delta base;
 	// emitted counts snapshots since the run (or resume) started, so
 	// emitted%keyframe == 0 forces a full keyframe. The first snapshot
-	// after a resume is always full (lastFull nil), so no delta ever
-	// chains across runs. idx is the delta encoder's block index,
-	// reused across captures.
+	// after a resume is always full, so no delta ever chains across
+	// runs.
 	keyframe   int
 	emitted    int
-	lastFull   []byte
 	lastCRC    uint32
 	lastTime   float64
 	lastEvents int64
-	idx        deltaIndex
 
 	// Observability (see observe.go): capture counters/bytes and a
 	// wall-clock span per take on the serial timeline track. Both
@@ -489,14 +576,15 @@ func (ck *checkpointer) observe(met *simMetrics, tk *obs.Track) {
 	ck.trace = tk
 }
 
-// newCheckpointer returns nil when checkpointing is disabled.
-func newCheckpointer(w *world, resumed *snapshot) *checkpointer {
+// newCheckpointer returns nil when checkpointing is disabled. cfgHash
+// is the run's configuration hash.
+func newCheckpointer(w *world, resumed *snapshot, cfgHash uint64) *checkpointer {
 	if w.cfg.CheckpointEvery <= 0 {
 		return nil
 	}
 	ck := &checkpointer{
 		w:        w,
-		params:   newSnapParams(w, w.cfg.CheckpointEvery),
+		params:   newSnapParams(w, w.cfg.CheckpointEvery, cfgHash),
 		every:    w.cfg.CheckpointEvery,
 		next:     w.start + w.cfg.CheckpointEvery,
 		keyframe: w.cfg.CheckpointKeyframe,
@@ -505,8 +593,6 @@ func newCheckpointer(w *world, resumed *snapshot) *checkpointer {
 		for ck.next <= resumed.time {
 			ck.next += ck.every
 		}
-		ck.lastSize = len(w.cfg.ResumeFrom)
-		ck.params.sizeHint = ck.lastSize
 	}
 	return ck
 }
@@ -514,40 +600,117 @@ func newCheckpointer(w *world, resumed *snapshot) *checkpointer {
 // due reports whether the boundary at time t has crossed the next mark.
 func (ck *checkpointer) due(t float64) bool { return ck != nil && t >= ck.next }
 
+// capture brings head and recs up to the boundary at time t and returns
+// the CRC-32C of the snapshot body they make. The record image is
+// allocated once, for every job of the run.
+func (ck *checkpointer) capture(t float64, events int64) uint32 {
+	w := ck.w
+	if ck.recs == nil {
+		ck.recs = make([]byte, 0, len(w.jobs)*jobRecLen)
+	}
+	ck.patch = ck.patch[:0]
+	old := len(ck.recs) / jobRecLen
+	for i := ck.settled; i < old; i++ {
+		if w.jobs[i].j.StateSince() >= ck.since {
+			w.putJobRecord(ck.recs[i*jobRecLen:], i)
+			ck.patch = append(ck.patch, i)
+		}
+	}
+	ck.recs = ck.recs[:w.nextSubmit*jobRecLen]
+	for i := old; i < w.nextSubmit; i++ {
+		w.putJobRecord(ck.recs[i*jobRecLen:], i)
+		ck.patch = append(ck.patch, i)
+	}
+	ck.since = t
+	from := ck.settled
+	for ck.settled < w.nextSubmit && w.jobs[ck.settled].done {
+		ck.settled++
+	}
+	ck.settledCRC = crc32.Update(ck.settledCRC, castagnoli, ck.recs[from*jobRecLen:ck.settled*jobRecLen])
+	e := snap.Encoder{Buf: ck.head[:0]}
+	encodeHead(&e, w, ck.params, t, events)
+	ck.head = e.Buf
+	crc := crcCombine(crc32.Checksum(ck.head, castagnoli), ck.settledCRC, ck.settled*jobRecLen)
+	return crc32.Update(crc, castagnoli, ck.recs[ck.settled*jobRecLen:])
+}
+
+// crcCombine returns the CRC-32C of a‖b from the CRC-32C of a, that of
+// b and b's length, without reading either (zlib's crc32_combine): it
+// advances crcA over n zero bytes, applying the CRC register's shift
+// operator for one zero byte squared once per bit of n, and folds in
+// crcB.
+func crcCombine(crcA, crcB uint32, n int) uint32 {
+	// The operator for one zero bit: the polynomial in the first column,
+	// a shift in the others; squared three times, for one zero byte.
+	var op [32]uint32
+	op[0] = crc32.Castagnoli
+	for i := 1; i < 32; i++ {
+		op[i] = 1 << (i - 1)
+	}
+	for range 3 {
+		op = gf2Square(op)
+	}
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			crcA = gf2Times(&op, crcA)
+		}
+		op = gf2Square(op)
+	}
+	return crcA ^ crcB
+}
+
+// gf2Times applies a 32×32 matrix over GF(2), stored by column, to v.
+func gf2Times(m *[32]uint32, v uint32) uint32 {
+	var sum uint32
+	for i := 0; v != 0; i, v = i+1, v>>1 {
+		if v&1 != 0 {
+			sum ^= m[i]
+		}
+	}
+	return sum
+}
+
+// gf2Square returns m·m.
+func gf2Square(m [32]uint32) (sq [32]uint32) {
+	for i := range m {
+		sq[i] = gf2Times(&m, m[i])
+	}
+	return sq
+}
+
+// full frames the last capture as a full snapshot in a buffer of its
+// exact size; body is the CRC capture returned.
+func (ck *checkpointer) full(body uint32) []byte {
+	out := make([]byte, len(ck.head)+len(ck.recs)+8)
+	copy(out, ck.head)
+	copy(out[len(ck.head):], ck.recs)
+	binary.LittleEndian.PutUint64(out[len(out)-8:], uint64(body))
+	return out
+}
+
 // take snapshots the run at boundary time t and hands the encoding to
 // the sink, then advances past every mark the boundary crossed. In
 // keyframe mode the non-keyframe snapshots are emitted as deltas
 // against the previous emission, unless the delta fails to shrink (a
 // delta at least as large as its full encoding carries no value and
-// would still force chain reconstruction on resume).
+// would still force chain reconstruction on resume). Both sizes are
+// known before either is encoded.
 func (ck *checkpointer) take(t float64, events int64) error {
 	t0 := ck.trace.Now()
-	data := takeSnapshot(ck.w, ck.params, t, events)
-	// Hint the next capture with this size plus twice the growth since
-	// the last one (growth between marks varies), so a growing state's
-	// buffer is allocated once at its final size and a steady state's
-	// gets no headroom.
-	grow := 0
-	if ck.lastSize > 0 {
-		grow = max(len(data)-ck.lastSize, 0)
-	}
-	ck.lastSize = len(data)
-	ck.params.sizeHint = len(data) + 2*grow
+	body := ck.capture(t, events)
 	for ck.next <= t {
 		ck.next += ck.every
 	}
-	out, isDelta := data, false
-	if ck.keyframe > 1 {
-		crc := crcFromTrailer(data)
-		if ck.lastFull != nil && ck.emitted%ck.keyframe != 0 {
-			delta := encodeSnapshotDeltaInto(nil, &ck.idx, ck.lastFull, data, ck.lastCRC, crc,
-				deltaMeta{BaseTime: ck.lastTime, BaseEvents: ck.lastEvents, Time: t, Events: events})
-			if len(delta) < len(data) {
-				out, isDelta = delta, true
-			}
-		}
-		ck.lastFull, ck.lastCRC, ck.lastTime, ck.lastEvents = data, crc, t, events
+	var out []byte
+	isDelta := ck.keyframe > 1 && ck.emitted%ck.keyframe != 0 &&
+		deltaLen(len(ck.head), len(ck.patch)) < len(ck.head)+len(ck.recs)+8
+	if isDelta {
+		out = encodeSnapshotDelta(deltaMeta{BaseTime: ck.lastTime, BaseEvents: ck.lastEvents, Time: t, Events: events},
+			ck.lastCRC, body, ck.head, ck.recs, ck.patch)
+	} else {
+		out = ck.full(body)
 	}
+	ck.lastCRC, ck.lastTime, ck.lastEvents = body, t, events
 	ck.emitted++
 	if ck.met != nil {
 		ck.met.ckpts.Add(1)

@@ -369,11 +369,19 @@ func reencodeSnapshot(t *testing.T, raw Config, specs []job.Spec, data []byte, e
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.restore(sn); err != nil {
+	h := configHash(w)
+	if err := w.restore(sn, h); err != nil {
 		t.Fatal(err)
 	}
 	edit(w)
-	return takeSnapshot(w, newSnapParams(w, sn.every), w.now, w.events)
+	return takeSnapshot(w, newSnapParams(w, sn.every, h), w.now, w.events)
+}
+
+// takeSnapshot encodes the full snapshot of w at boundary (now, events)
+// the way a run's first capture does.
+func takeSnapshot(w *world, p snapParams, now float64, events int64) []byte {
+	ck := &checkpointer{w: w, params: p}
+	return ck.full(ck.capture(now, events))
 }
 
 // TestSnapshotRejectsOutOfRangeJobIndex resumes from snapshots whose
@@ -428,7 +436,7 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 	}{
 		{kSubmit, 0, len(specs), 0},
 		{kArrive, 0, len(specs), 0},
-		{kArrive, 1, nPools, last},
+		{kArrive, 1, nPools, 0},
 		{kFinish, 0, len(specs), 0},
 		{kSusDecide, 0, len(specs), 0},
 		{kWaitTimeout, 0, len(specs), 0},
@@ -439,10 +447,10 @@ func TestSnapshotRejectsOutOfRangeJobIndex(t *testing.T) {
 		{kMaintStart, 0, nSites, 0},
 		{kMaintEnd, 0, nSites, 0},
 	}
-	// Each crafted event fires at the last job's submit time, ahead of
-	// that job's own submit event, which the first checkpoint has not
-	// scheduled yet: the job is still created then, so an arrival for it
-	// gets as far as the pool lookup.
+	// Each crafted event fires at the last job's submit time. A job
+	// word names job 0, which every checkpoint has submitted, unless it
+	// is the word under test; the rows past the submitted prefix
+	// (len(specs) and the larger values) fail on the prefix bound.
 	at := specs[last].Submit
 	covered := map[string]bool{}
 	for _, row := range rows {
@@ -651,6 +659,19 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 			binary.LittleEndian.PutUint64(body[at:], math.Float64bits(v))
 		})
 	}
+	// cursor overwrites the core section's submission cursor, its third
+	// word after the clock and the event count.
+	cursor := func(v func(int64) int64) []byte {
+		return patchSnapshot(t, data, func(_ []byte, sn *snapshot) {
+			for _, sec := range sn.sections {
+				if sec.name == "core" {
+					binary.LittleEndian.PutUint64(sec.data[16:], uint64(v(int64(binary.LittleEndian.Uint64(sec.data[16:])))))
+					return
+				}
+			}
+			t.Fatal("snapshot has no core section")
+		})
+	}
 	rows := []struct {
 		name string
 		snap []byte
@@ -684,7 +705,17 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		{"header clock 1e300 over the core section's", headerTime(1e300)},
 		{"sample cursor -1e300", reencode(func(w *world) { w.acct.next = -1e300 })},
 		{"sample cursor -1e6", reencode(func(w *world) { w.acct.next = -1e6 })},
-		{"submission cursor -1", reencode(func(w *world) { w.nextSubmit = -1 })},
+		{"submission cursor -1", cursor(func(int64) int64 { return -1 })},
+		{"wait-queue entry past the submitted prefix", reencode(func(w *world) {
+			eachFIFO(func(f *fifo) { f.items = append(f.items, &w.jobs[w.nextSubmit]) })(w)
+		})},
+		{"running list naming a job past the submitted prefix", reencode(func(w *world) {
+			w.machines[0].running = append(w.machines[0].running, &w.jobs[w.nextSubmit])
+		})},
+		{"pending finish of a job past the submitted prefix", reencode(func(w *world) {
+			w.schedule(w.now+1, kFinish, int64(w.nextSubmit), 0)
+		})},
+		{"jobs section shorter than the core section's cursor", cursor(func(c int64) int64 { return c + 1 })},
 		{"pending event at NaN", reencode(func(w *world) { w.schedule(math.NaN(), kSusDecide, 0, 0) })},
 		{"rotation's current weights shorter than its pools", rotation("0,1,", []int{0, 1}, []int{1, 1}, []int{0})},
 		{"rotation naming a pool past the platform, not its key", rotation("0,1,", []int{0, 1 << 40}, []int{1, 1}, []int{0, 0})},
@@ -722,42 +753,154 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 	}
 }
 
-// TestCheckpointCaptureBufferSizing pins the capture-size hint: from
-// the third capture of a run on, and for the first capture after a
-// resume, a capture that fits its hint is encoded into a buffer of
-// exactly the hinted size, never into a regrown one. The hint is the
-// previous capture's size plus twice its growth (the resumed
-// snapshot's size after a resume), plus takeSnapshot's 4 KiB slack.
+// TestCheckpointCaptureBufferSizing pins the capture buffers: every
+// snapshot a run emits, full or delta, in a straight run or after a
+// resume, is encoded into a buffer of exactly its size, so no capture
+// copies into a regrown buffer or keeps slack alive in the sink.
 func TestCheckpointCaptureBufferSizing(t *testing.T) {
 	base, specs, cks := checkpointFixture(t)
-	fit := 0
-	check := func(what string, prev, grow int, ck Checkpoint) {
-		hint := prev + 2*grow + 4096
-		if len(ck.Data) > hint {
-			return
-		}
-		fit++
-		if cap(ck.Data) != hint {
-			t.Errorf("%s: %d bytes in a %d-byte buffer, hint %d", what, len(ck.Data), cap(ck.Data), hint)
-		}
-	}
-	for i := 2; i < len(cks); i++ {
-		prev, grow := len(cks[i-1].Data), max(len(cks[i-1].Data)-len(cks[i-2].Data), 0)
-		check(fmt.Sprintf("capture %d", i), prev, grow, cks[i])
-	}
 	mid := cks[len(cks)/2]
-	resumed, rcks := collectCheckpoints(base, 60)
+	resumed, rcks := collectCheckpoints(freshFixtureConfig(base), 60)
 	resumed.ResumeFrom = mid.Data
-	resumed.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
-	resumed.Policy = core.NewResSusWaitRand(99)
 	if _, err := Run(*resumed, specs); err != nil {
 		t.Fatal(err)
 	}
-	if len(*rcks) == 0 {
-		t.Fatal("resumed run emitted no checkpoints")
+	keyed, kcks := collectCheckpoints(freshFixtureConfig(base), 60)
+	keyed.CheckpointKeyframe = 4
+	if _, err := Run(*keyed, specs); err != nil {
+		t.Fatal(err)
 	}
-	check("first capture after resume", len(mid.Data), 0, (*rcks)[0])
-	if fit == 0 {
-		t.Fatal("no capture fit its hint; the fixture no longer exercises the sizing")
+	if len(*rcks) == 0 || len(*kcks) == 0 {
+		t.Fatal("a run emitted no checkpoints")
+	}
+	for what, stream := range map[string][]Checkpoint{"straight": cks, "resumed": *rcks, "keyframed": *kcks} {
+		for i, ck := range stream {
+			if cap(ck.Data) != len(ck.Data) {
+				t.Errorf("%s capture %d (delta %t): %d bytes in a %d-byte buffer", what, i, ck.Delta, len(ck.Data), cap(ck.Data))
+			}
+		}
+	}
+}
+
+// bufferedConfigHash is configHash as it was first written: every word
+// encoded into one buffer of the workload's size, then hashed at once.
+func bufferedConfigHash(w *world) uint64 {
+	cfg := &w.cfg
+	var e snap.Encoder
+	e.F64(cfg.SampleEvery)
+	e.F64(cfg.SeriesBin)
+	e.F64(cfg.RescheduleOverhead)
+	e.F64(cfg.UtilStaleness)
+	e.F64(cfg.DecisionDelay)
+	e.F64(cfg.MaxTime)
+	e.Bool(cfg.DisableSampling)
+	e.F64(cfg.Faults.MTBF)
+	e.F64(cfg.Faults.MTTR)
+	e.F64(cfg.Faults.MaintPeriod)
+	e.F64(cfg.Faults.MaintDuration)
+	e.F64(cfg.Faults.MaintFraction)
+	e.Str(cfg.Faults.Victim)
+	e.U64(cfg.Faults.Seed)
+	e.Str(cfg.Initial.Name())
+	e.Str(cfg.Policy.Name())
+	e.F64(cfg.Policy.WaitThreshold())
+	if mig, ok := cfg.Policy.(interface{ MigrationOverhead() float64 }); ok {
+		e.F64(mig.MigrationOverhead())
+	}
+	plat := w.plat
+	e.Int(plat.NumSites())
+	e.Int(plat.NumPools())
+	for p := 0; p < plat.NumPools(); p++ {
+		e.Int(plat.SiteOf(p))
+		e.Int(plat.Pool(p).Cores)
+		e.Ints(plat.Pool(p).Machines)
+	}
+	e.Int(plat.NumMachines())
+	for i := 0; i < plat.NumMachines(); i++ {
+		m := plat.Machine(i)
+		e.Int(m.Pool)
+		e.Int(m.Cores)
+		e.Int(m.MemMB)
+		e.F64(m.Speed)
+		e.Str(m.OS)
+	}
+	for a := 0; a < plat.NumSites(); a++ {
+		for b := 0; b < plat.NumSites(); b++ {
+			e.F64(plat.RTT(a, b))
+		}
+	}
+	e.Int(len(w.specs))
+	for i := range w.specs {
+		s := &w.specs[i]
+		e.I64(int64(s.ID))
+		e.F64(s.Submit)
+		e.F64(s.Work)
+		e.Int(s.Cores)
+		e.Int(s.MemMB)
+		e.Str(s.OS)
+		e.Int(int(s.Priority))
+		e.Ints(s.Candidates)
+		e.Int(s.Site)
+		e.I64(s.TaskID)
+	}
+	h := fnv.New64a()
+	h.Write(e.Buf)
+	return h.Sum64()
+}
+
+// TestConfigHashMatchesBufferedConstruction pins configHash, which
+// feeds its words to the hash one by one, to the one-buffer
+// construction, so every stored snapshot's guard still matches: first
+// word by word over zero, small, full-width and negative words, then
+// over two fixtures of several hundred jobs.
+func TestConfigHashMatchesBufferedConstruction(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xff, 0x100, 1 << 56, math.MaxUint64, math.Float64bits(0.5)} {
+		var e snap.Encoder
+		e.U64(v)
+		e.Bool(true)
+		e.Str("linux")
+		ref := fnv.New64a()
+		ref.Write(e.Buf)
+		h := newFNVWords()
+		h.U64(v)
+		h.Bool(true)
+		h.Str("linux")
+		if uint64(h) != ref.Sum64() {
+			t.Errorf("word %#x: hash %#x, FNV-1a of its bytes %#x", v, uint64(h), ref.Sum64())
+		}
+	}
+	base, specs, _ := checkpointFixture(t)
+	for _, faults := range []FaultConfig{{}, {MTBF: 300, MTTR: 20, MaintPeriod: 200, MaintDuration: 50, Seed: 5}} {
+		raw := freshFixtureConfig(base)
+		raw.Faults = faults
+		cfg, err := raw.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := buildWorld(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bufferedConfigHash(w)
+		if got := configHash(w); got != want {
+			t.Errorf("faults %+v: configHash %#x, one-buffer construction %#x", faults, got, want)
+		}
+	}
+}
+
+// TestCRCCombine checks crcCombine against the CRC-32C of the whole
+// input, for splits at every kind of boundary and with empty halves.
+func TestCRCCombine(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	data := make([]byte, 5000)
+	for i := range data {
+		data[i] = byte(r.UintN(256))
+	}
+	want := crc32.Checksum(data, castagnoli)
+	for _, cut := range []int{0, 1, 7, 8, jobRecLen, 2500, 4999, 5000} {
+		a, b := data[:cut], data[cut:]
+		if got := crcCombine(crc32.Checksum(a, castagnoli), crc32.Checksum(b, castagnoli), len(b)); got != want {
+			t.Errorf("split at %d: combined CRC %#x, whole %#x", cut, got, want)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package sim
 
-// Delta-snapshot contract tests: the codec round-trips arbitrary edits,
-// a keyframed checkpoint stream reconstructs and resumes bit-identically
-// from full and delta members alike, and every corruption or mis-chain
-// is rejected with ErrSnapshotMismatch.
+// Delta-snapshot contract tests: the record-patch codec round-trips
+// arbitrary record edits, a keyframed checkpoint stream reconstructs
+// the keyframe-only stream byte for byte and resumes bit-identically
+// from full and delta members alike, every record a capture leaves out
+// of a delta is one whose job did not transition, and every corruption
+// or mis-chain is rejected with ErrSnapshotMismatch.
 
 import (
 	"bytes"
@@ -12,26 +14,84 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"netbatch/internal/core"
 	"netbatch/internal/job"
 	"netbatch/internal/sched"
+	"netbatch/internal/snap"
 )
-
-// encodeSnapshotDelta is encodeSnapshotDeltaInto with fresh scratch
-// and computed checksums.
-func encodeSnapshotDelta(base, full []byte, baseTime, newTime float64, baseEvents, newEvents int64) []byte {
-	return encodeSnapshotDeltaInto(nil, new(deltaIndex), base, full, snapCRC(base), snapCRC(full),
-		deltaMeta{BaseTime: baseTime, BaseEvents: baseEvents, Time: newTime, Events: newEvents})
-}
 
 func snapCRC(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
-// deltaShapes returns a random base and, by name, the edits of it a
-// snapshot stream actually produces: in-place mutation, insertion,
-// deletion, growth, shrinkage, and the degenerate cases. It is
-// deterministic in seed.
+// bodyCRC is the CRC-32C of a snapshot's body, the word its trailer
+// holds and a delta's anchors record.
+func bodyCRC(data []byte) uint32 { return snapCRC(data[:len(data)-8]) }
+
+// recordSnapshot frames b as a snapshot of this format without a
+// world: its leading len(b) mod jobRecLen bytes are the data of one
+// codec section, and the rest are job records. It lets the codec be
+// driven with arbitrary bytes.
+func recordSnapshot(b []byte) []byte {
+	cut := len(b) % jobRecLen
+	var e snap.Encoder
+	e.U64(uint64(snapshotMagic))
+	e.U64(uint64(snapshotVersion))
+	e.U64(1) // configuration hash
+	e.U64(2) // kind-table hash
+	e.F64(60)
+	e.Str("records")
+	e.F64(0)
+	e.I64(0)
+	e.Int(2)
+	e.Str("head")
+	e.Bytes(b[:cut])
+	e.Str(jobsSection)
+	e.Bytes(b[cut:])
+	e.U64(uint64(snapCRC(e.Buf)))
+	return e.Buf
+}
+
+// splitSnapshot returns a snapshot's bytes before its job records, and
+// the records.
+func splitSnapshot(t testing.TB, data []byte) (head, recs []byte) {
+	t.Helper()
+	sn, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(data) - 8 - len(sn.jobs)
+	return data[:at], data[at : len(data)-8]
+}
+
+// changedRecords lists the records of full that a delta from base must
+// carry: those past base's prefix and those whose bytes differ; with
+// all set, every record of full.
+func changedRecords(base, full []byte, all bool) []int {
+	var patch []int
+	for i := 0; i < len(full)/jobRecLen; i++ {
+		rec := full[i*jobRecLen : (i+1)*jobRecLen]
+		if all || (i+1)*jobRecLen > len(base) || !bytes.Equal(rec, base[i*jobRecLen:(i+1)*jobRecLen]) {
+			patch = append(patch, i)
+		}
+	}
+	return patch
+}
+
+// encodeDelta encodes the delta between two snapshots, carrying the
+// records changedRecords lists.
+func encodeDelta(t testing.TB, base, full []byte, m deltaMeta, all bool) []byte {
+	t.Helper()
+	_, baseRecs := splitSnapshot(t, base)
+	head, recs := splitSnapshot(t, full)
+	return encodeSnapshotDelta(m, bodyCRC(base), bodyCRC(full), head, recs, changedRecords(baseRecs, recs, all))
+}
+
+// deltaShapes returns a random base and, by name, edits of it: in-place
+// mutation, insertion, deletion, growth, shrinkage, and the degenerate
+// cases. As record snapshots they change a few records, shift every
+// record, lose records or gain them. It is deterministic in seed.
 func deltaShapes(seed uint64, n int) (base []byte, fulls map[string][]byte) {
 	r := rand.New(rand.NewPCG(seed, 11))
 	randBytes := func(n int) []byte {
@@ -63,188 +123,80 @@ func deltaShapes(seed uint64, n int) (base []byte, fulls map[string][]byte) {
 }
 
 // TestDeltaCodecRoundTrip drives encodeSnapshotDelta/ApplySnapshotDelta
-// over the deltaShapes pairs.
+// over the deltaShapes pairs as record snapshots, with the changed
+// records and with every record patched.
 func TestDeltaCodecRoundTrip(t *testing.T) {
-	base, fulls := deltaShapes(7, 8192)
-	for name, full := range fulls {
-		delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
-		got, err := ApplySnapshotDelta(base, delta)
-		if err != nil {
-			t.Fatalf("%s: apply: %v", name, err)
-		}
-		if !bytes.Equal(got, full) {
-			t.Fatalf("%s: reconstruction differs (%d vs %d bytes)", name, len(got), len(full))
-		}
-		d, err := openDelta(delta)
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
-		d.U64() // base CRC
-		if bt, be, ft, fe := d.F64(), d.I64(), d.F64(), d.I64(); bt != 1 || be != 10 || ft != 2 || fe != 20 {
-			t.Fatalf("%s: header round-trip: base (%v, %d), full (%v, %d)", name, bt, be, ft, fe)
-		}
-		if !IsDeltaSnapshot(delta) || IsDeltaSnapshot(full) && len(full) > 0 {
-			t.Fatalf("%s: magic classification wrong", name)
+	b, fulls := deltaShapes(7, 8192)
+	base := recordSnapshot(b)
+	for name, f := range fulls {
+		full := recordSnapshot(f)
+		for _, all := range []bool{false, true} {
+			delta := encodeDelta(t, base, full, deltaMeta{BaseTime: 1, BaseEvents: 10, Time: 2, Events: 20}, all)
+			got, err := ApplySnapshotDelta(base, delta)
+			if err != nil {
+				t.Fatalf("%s (all %t): apply: %v", name, all, err)
+			}
+			if !bytes.Equal(got, full) {
+				t.Fatalf("%s (all %t): reconstruction differs (%d vs %d bytes)", name, all, len(got), len(full))
+			}
+			d, err := openDelta(delta)
+			if err != nil {
+				t.Fatalf("%s: open: %v", name, err)
+			}
+			d.U64() // base CRC
+			if bt, be, ft, fe := d.F64(), d.I64(), d.F64(), d.I64(); bt != 1 || be != 10 || ft != 2 || fe != 20 {
+				t.Fatalf("%s: header round-trip: base (%v, %d), full (%v, %d)", name, bt, be, ft, fe)
+			}
+			if !IsDeltaSnapshot(delta) || IsDeltaSnapshot(full) {
+				t.Fatalf("%s: magic classification wrong", name)
+			}
+			_, baseRecs := splitSnapshot(t, base)
+			head, recs := splitSnapshot(t, full)
+			if want := deltaLen(len(head), len(changedRecords(baseRecs, recs, all))); len(delta) != want {
+				t.Fatalf("%s: delta is %d bytes, deltaLen says %d", name, len(delta), want)
+			}
 		}
 	}
-	// Near-identical inputs must compress hard: this is the payoff the
+	// One changed record costs one patch: this is the payoff the
 	// checkpointer's keyframe mode banks on.
-	full := append([]byte(nil), base...)
-	full[100] ^= 1
-	if delta := encodeSnapshotDelta(base, full, 0, 0, 0, 0); len(delta) > len(full)/4 {
-		t.Fatalf("single-byte edit delta is %d bytes of %d full", len(delta), len(full))
+	f := append([]byte(nil), b...)
+	f[len(f)-100] ^= 1
+	full := recordSnapshot(f)
+	if delta := encodeDelta(t, base, full, deltaMeta{}, false); len(delta) > len(full)/4 {
+		t.Fatalf("single-record edit delta is %d bytes of %d full", len(delta), len(full))
 	}
 }
 
-// oneRecordOffPair returns a header, then nrec 153-byte records that
-// are all zero but for one unique 8-byte float each. full has 40 bytes
-// inserted after the header, and the floats of edits evenly spaced
-// records changed.
-func oneRecordOffPair(nrec, edits int) (base, full []byte) {
-	const recLen, header, inserted = 153, 256, 40
-	r := rand.New(rand.NewPCG(3, 5))
-	head := make([]byte, header+inserted)
-	for i := range head {
-		head[i] = byte(r.UintN(256))
-	}
-	records := make([]byte, nrec*recLen)
-	for i := 0; i < nrec; i++ {
-		binary.LittleEndian.PutUint64(records[i*recLen:], math.Float64bits(float64(i)+0.5))
-	}
-	base = append(append([]byte(nil), head[:header]...), records...)
-	for k := 0; k < edits; k++ {
-		i := (2*k + 1) * nrec / (2 * edits)
-		binary.LittleEndian.PutUint64(records[i*recLen:], math.Float64bits(-float64(i)))
-	}
-	return base, append(head, records...)
-}
-
-// TestDeltaOneRecordOffDiagonal pins the trust guard. After the
-// insertion, diagonal 0 is 40 bytes off, yet it still agrees on the
-// zero runs between the floats, so resyncing there is always possible.
-// Without the guard the encoder stays on that diagonal for the rest of
-// the snapshot, two literals and two copies per record (about 230 KB
-// here); with it, the delta is about the 20 edits (about 1 KB).
-func TestDeltaOneRecordOffDiagonal(t *testing.T) {
-	base, full := oneRecordOffPair(4000, 20)
-	delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
-	got, err := ApplySnapshotDelta(base, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, full) {
-		t.Fatal("reconstruction differs")
-	}
-	if len(delta) >= len(full)/50 {
-		t.Fatalf("delta is %d bytes of %d full (over 2%%): resynced on a wrong diagonal?", len(delta), len(full))
-	}
-}
-
-// checkpointPair returns a pair shaped like consecutive snapshots of a
-// checkpoint stream: a prefix section (queues, series) that grows by
-// 1 KiB in its middle, then nrec fixed-size job records. Between base
-// and full, 1 in 50 records has one or two 8-byte fields edited in
-// place, and a run of 1 in 20 (jobs that started in between) has every
-// field but its identity rewritten.
-func checkpointPair(nrec int) (base, full []byte) {
-	const recLen, prefixLen = 153, 64 << 10
-	r := rand.New(rand.NewPCG(13, 17))
-	field := func() uint64 { return r.Uint64N(1 << (8 * (1 + r.UintN(4)))) }
-	prefix := make([]byte, prefixLen)
-	for i := range prefix {
-		prefix[i] = byte(r.UintN(256))
-	}
-	records := make([]byte, nrec*recLen)
-	for i := 0; i < nrec; i++ {
-		rec := records[i*recLen : (i+1)*recLen]
-		binary.LittleEndian.PutUint64(rec, uint64(i))
-		for f := 8; f+8 <= recLen; f += 8 {
-			binary.LittleEndian.PutUint64(rec[f:], field())
-		}
-	}
-	base = append(append([]byte(nil), prefix...), records...)
-	grown := make([]byte, 1024)
-	for i := range grown {
-		grown[i] = byte(r.UintN(256))
-	}
-	full = append(append(append([]byte(nil), prefix[:prefixLen/2]...), grown...), prefix[prefixLen/2:]...)
-	for i := 0; i < nrec; i++ {
-		rec := records[i*recLen : (i+1)*recLen]
-		switch {
-		case i >= nrec/2 && i < nrec/2+nrec/20:
-			for f := 8; f+8 <= recLen; f += 8 {
-				binary.LittleEndian.PutUint64(rec[f:], field())
-			}
-		case r.IntN(50) == 0:
-			for e := 0; e <= r.IntN(2); e++ {
-				binary.LittleEndian.PutUint64(rec[8+8*r.IntN(recLen/8-1):], field())
-			}
-		}
-	}
-	return base, append(full, records...)
-}
-
-// FuzzSnapshotDelta checks the delta codec on arbitrary pairs: the
-// delta reconstructs full exactly, encoding with scratch reused after a
-// larger diff (as the checkpointer does) gives the bytes of a
-// fresh encode, and a delta with any byte flipped fails with
-// ErrSnapshotMismatch. The committed corpus (testdata/fuzz) seeds it
-// with the deltaShapes pairs of a 512-byte base, named by shape, and
-// oneRecordOffPair(16, 2).
+// FuzzSnapshotDelta checks the record-patch codec on arbitrary pairs
+// framed as record snapshots: the delta reconstructs full exactly,
+// whether it carries only the changed records or every record, and a
+// delta with any byte flipped fails with ErrSnapshotMismatch. The
+// committed corpus (testdata/fuzz) seeds it with the deltaShapes pairs
+// of a 512-byte base, named by shape, and a pair of records that differ
+// in one float each.
 func FuzzSnapshotDelta(f *testing.F) {
-	f.Fuzz(func(t *testing.T, base, full []byte, flip uint16) {
-		// ApplySnapshotDelta rejects output lengths past its
-		// plausibility bound, which the encoder may exceed on a large
-		// full that repeats a short base.
-		if len(full) > 1<<20 {
+	f.Fuzz(func(t *testing.T, b, fb []byte, flip uint16) {
+		if len(b) > 1<<20 || len(fb) > 1<<20 {
 			t.Skip()
 		}
-		delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
-		got, err := ApplySnapshotDelta(base, delta)
-		if err != nil {
-			t.Fatalf("apply: %v", err)
+		base, full := recordSnapshot(b), recordSnapshot(fb)
+		var delta []byte
+		for _, all := range []bool{false, true} {
+			delta = encodeDelta(t, base, full, deltaMeta{BaseTime: 1, BaseEvents: 10, Time: 2, Events: 20}, all)
+			got, err := ApplySnapshotDelta(base, delta)
+			if err != nil {
+				t.Fatalf("apply (all %t): %v", all, err)
+			}
+			if !bytes.Equal(got, full) {
+				t.Fatalf("reconstruction (all %t) differs (%d vs %d bytes)", all, len(got), len(full))
+			}
 		}
-		if !bytes.Equal(got, full) {
-			t.Fatalf("reconstruction differs (%d vs %d bytes)", len(got), len(full))
-		}
-
-		var idx deltaIndex
-		pad := make([]byte, 4096)
-		for i := range pad {
-			pad[i] = byte(i * 7)
-		}
-		warmBase := append(append(bytes.Repeat(base, 2), full...), pad...)
-		warmFull := append(append(pad[:1024:1024], full...), warmBase...)
-		warm := encodeSnapshotDeltaInto(nil, &idx, warmBase, warmFull, snapCRC(warmBase), snapCRC(warmFull), deltaMeta{})
-		reused := encodeSnapshotDeltaInto(warm, &idx, base, full, snapCRC(base), snapCRC(full),
-			deltaMeta{BaseTime: 1, BaseEvents: 10, Time: 2, Events: 20})
-		if !bytes.Equal(reused, delta) {
-			t.Fatalf("encoding with reused scratch differs from a fresh encode (%d vs %d bytes)", len(reused), len(delta))
-		}
-
 		bad := append([]byte(nil), delta...)
 		bad[int(flip)%len(bad)] ^= 1 << (flip >> 13)
 		if _, err := ApplySnapshotDelta(base, bad); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("flipped byte %d: want ErrSnapshotMismatch, got %v", int(flip)%len(bad), err)
 		}
 	})
-}
-
-// BenchmarkSnapshotDelta times the delta encoder alone on a
-// checkpointPair of 4.1 MB, the way the checkpointer calls it (block
-// index reused, checksums known), and reports the delta's size as a
-// fraction of full.
-func BenchmarkSnapshotDelta(b *testing.B) {
-	base, full := checkpointPair(26000)
-	baseCRC, fullCRC := snapCRC(base), snapCRC(full)
-	var idx deltaIndex
-	var delta []byte
-	b.SetBytes(int64(len(full)))
-	b.ReportAllocs()
-	for b.Loop() {
-		delta = encodeSnapshotDeltaInto(nil, &idx, base, full, baseCRC, fullCRC, deltaMeta{})
-	}
-	b.ReportMetric(float64(len(delta))/float64(len(full)), "delta/full")
 }
 
 // deltaFixture runs one deterministic multi-site workload with a
@@ -394,6 +346,16 @@ func TestDeltaCorruptionRejected(t *testing.T) {
 	if _, err := ApplySnapshotDelta(delta, delta); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("delta applied to itself as base: want ErrSnapshotMismatch, got %v", err)
 	}
+	// Every other snapshot of the run is well formed, yet the base
+	// anchor must refuse it.
+	for i, other := range fulls {
+		if i == di-1 {
+			continue
+		}
+		if _, err := ApplySnapshotDelta(other, delta); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "does not chain") {
+			t.Fatalf("delta applied to snapshot %d: want the base-anchor ErrSnapshotMismatch, got %v", i, err)
+		}
+	}
 	if di+1 < len(cks) && cks[di+1].Delta {
 		// Skipping a link: the next delta must refuse the earlier base.
 		if _, err := ApplySnapshotDelta(base, cks[di+1].Data); !errors.Is(err, ErrSnapshotMismatch) {
@@ -408,67 +370,88 @@ func TestDeltaCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestDeltaRollingHashKeyRegression pins the rollHash.sum key layout.
-// The original formula (a ^ b<<16 ^ b>>16) folded b's high bits into
-// the same low half as a, so two windows whose byte sums differed
-// could still collide in the block index — and with first-writer-wins
-// indexing the second block was silently never indexed, turning its
-// every occurrence in the new snapshot into literal bytes. The fix
-// keeps a and b in disjoint halves (a is at most deltaBlock*255, well
-// under 16 bits). This test hand-builds such a pair and checks both
-// the key property and the observable consequence: the match rate on
-// a snapshot that merely reorders the colliding content.
-func TestDeltaRollingHashKeyRegression(t *testing.T) {
-	// blockA: uniform 128s. a = 64*128 = 8192, b = 128*Σ(1..64) =
-	// 266240 = 4<<16 | 0x1000.
-	blockA := bytes.Repeat([]byte{128}, deltaBlock)
-	// blockB: uniform 128s reshaped by weight-preserving edits so that
-	// a = 8193 and b = 331776 = 5<<16 | 0x1000 — same low half of b,
-	// b>>16 bumped by one, a bumped by one to cancel it in the old
-	// key's xor. Weights are 64-i for position i.
-	blockB := bytes.Repeat([]byte{128}, deltaBlock)
-	for i := 0; i < 9; i++ {
-		blockB[i] += 127    // weights 64..56: +127 each
-		blockB[63-i] -= 127 // weights 1..9:   -127 each
-	}
-	blockB[9] += 58  // weight 55
-	blockB[54] -= 58 // weight 10
-	blockB[14] += 2  // weight 50
-	blockB[44] -= 2  // weight 20
-	blockB[63] += 1  // weight 1: the +1 on a
-
-	hA, hB := rollInit(blockA), rollInit(blockB)
-	if hA.a != 8192 || hA.b != 266240 || hB.a != 8193 || hB.b != 331776 {
-		t.Fatalf("fixture drifted: got (%d,%d) and (%d,%d)", hA.a, hA.b, hB.a, hB.b)
-	}
-	oldSum := func(h rollHash) uint32 { return h.a ^ h.b<<16 ^ h.b>>16 }
-	if oldSum(hA) != oldSum(hB) {
-		t.Fatalf("fixture no longer collides under the historical key: %#x vs %#x",
-			oldSum(hA), oldSum(hB))
-	}
-	if hA.sum() == hB.sum() {
-		t.Fatalf("distinct windows share an index key: %#x (a differs: %d vs %d)",
-			hA.sum(), hA.a, hB.a)
-	}
-
-	// Observable half: a base of A-runs then B-runs, and a new snapshot
-	// with the halves swapped. Every byte of full exists verbatim in
-	// base, so the delta should be a couple of long COPY ops. Under the
-	// colliding key, blockB never made it into the index and its whole
-	// half degenerated to literals — thousands of bytes instead of
-	// hundreds.
-	base := append(bytes.Repeat(blockA, 32), bytes.Repeat(blockB, 32)...)
-	full := append(bytes.Repeat(blockB, 32), bytes.Repeat(blockA, 32)...)
-	delta := encodeSnapshotDelta(base, full, 1, 2, 10, 20)
-	got, err := ApplySnapshotDelta(base, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, full) {
-		t.Fatal("reordered snapshot did not reconstruct")
-	}
-	if len(delta) > len(full)/8 {
-		t.Fatalf("reordered content matched poorly: delta %d bytes of %d full (index collision?)",
-			len(delta), len(full))
+// TestDeltaChainMatchesKeyframes runs the multisite, faults-requeue and
+// faults-kill configurations at a short cadence twice: once with every
+// capture a keyframe, once with CheckpointKeyframe 4. Every delta,
+// applied along its chain, must give the keyframe-only run's snapshot
+// of the same boundary byte for byte. And every record whose bytes
+// changed between two consecutive captures must have a StateSince at
+// or after the earlier capture's time: the fact that lets a capture
+// re-encode, and a delta carry, only those records.
+func TestDeltaChainMatchesKeyframes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults FaultConfig
+	}{
+		{"multisite", FaultConfig{}},
+		{"faults-requeue", FaultConfig{MTBF: 300, MTTR: 20, MaintPeriod: 200, MaintDuration: 50, Victim: VictimRequeue, Seed: 5}},
+		{"faults-kill", FaultConfig{MTBF: 120, MTTR: 30, Seed: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewPCG(404, 405))
+			plat, specs, err := randomFederation(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(keyframe int) ([]Checkpoint, *Result) {
+				cfg := Config{
+					Platform: plat,
+					Initial:  federatedInitial(sched.LatencyPenalizedUtil{}),
+					Policy:   core.NewResSusWaitRand(99),
+					Faults:   tc.faults,
+				}
+				ckCfg, cks := collectCheckpoints(cfg, 30)
+				ckCfg.CheckpointKeyframe = keyframe
+				res, err := Run(*ckCfg, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return *cks, res
+			}
+			keys, res := run(1)
+			mixed, _ := run(4)
+			if tc.faults.enabled() && res.Kills == 0 {
+				t.Fatal("the fault regime killed no job; raise its crash rate")
+			}
+			if len(keys) != len(mixed) {
+				t.Fatalf("%d keyframe-only captures, %d keyframed ones", len(keys), len(mixed))
+			}
+			fulls := reconstructChain(t, mixed)
+			deltas := 0
+			for i, key := range keys {
+				if key.Delta {
+					t.Fatalf("capture %d: keyframe-only run emitted a delta", i)
+				}
+				if mixed[i].Delta {
+					deltas++
+				}
+				if key.Time != mixed[i].Time || key.Events != mixed[i].Events || !bytes.Equal(fulls[i], key.Data) {
+					t.Fatalf("capture %d (t=%v): reconstruction differs from the keyframe of the same boundary", i, key.Time)
+				}
+			}
+			if deltas == 0 {
+				t.Fatal("keyframed run emitted no delta")
+			}
+			changed := 0
+			for i := 1; i < len(keys); i++ {
+				_, prev := splitSnapshot(t, keys[i-1].Data)
+				_, cur := splitSnapshot(t, keys[i].Data)
+				for j := 0; j < len(prev)/jobRecLen; j++ {
+					rec := cur[j*jobRecLen : (j+1)*jobRecLen]
+					if bytes.Equal(prev[j*jobRecLen:(j+1)*jobRecLen], rec) {
+						continue
+					}
+					changed++
+					// StateSince is the record's second word.
+					if since := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])); since < keys[i-1].Time {
+						t.Fatalf("capture %d (t=%v): job %d changed with StateSince %v, before the previous capture at t=%v",
+							i, keys[i].Time, j, since, keys[i-1].Time)
+					}
+				}
+			}
+			if changed == 0 {
+				t.Fatal("no record changed between captures")
+			}
+		})
 	}
 }

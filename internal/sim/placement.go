@@ -18,11 +18,11 @@ import (
 // counter, pool runtime state (class free stacks, wait queue with
 // tombstoned slots and exact FIFO layout, victim-scan stacks with
 // their stale entries, counters) and machine runtime state (capacity,
-// availability, resident job lists), plus the full record of every
-// job. FIFO layout and stale stack entries are behavior, not
-// bookkeeping — compaction timing decides which tombstoned slots can
-// still revive, and stale entries drive victim pruning — so they are
-// saved exactly rather than rebuilt.
+// availability, resident job lists). FIFO layout and stale stack
+// entries are behavior, not bookkeeping — compaction timing decides
+// which tombstoned slots can still revive, and stale entries drive
+// victim pruning — so they are saved exactly rather than rebuilt. The
+// job records are the jobs section (see putJobRecord).
 func (w *world) savePlacement(e *snap.Encoder) {
 	jobIdx := func(rt *jobRT) int {
 		if rt == nil {
@@ -85,37 +85,14 @@ func (w *world) savePlacement(e *snap.Encoder) {
 			}
 		}
 	}
-	for i := range w.jobs {
-		rt := &w.jobs[i]
-		st := rt.j.ExportState()
-		e.Int(int(st.State))
-		e.F64(st.StateSince)
-		e.Int(st.Pool)
-		e.Int(st.Machine)
-		e.F64(st.Speed)
-		e.F64(st.Progress)
-		e.F64(st.AttemptExecWall)
-		e.F64(st.Acct.Wait)
-		e.F64(st.Acct.Suspend)
-		e.F64(st.Acct.WastedExec)
-		e.F64(st.Acct.RescheduleOverhead)
-		e.F64(st.Acct.Exec)
-		e.Int(st.Acct.Suspensions)
-		e.Int(st.Acct.Restarts)
-		e.Int(st.Acct.WaitReschedules)
-		e.Int(st.Acct.Kills)
-		e.F64(st.FirstStart)
-		e.F64(st.Completed)
-		e.F64(rt.enqueuedAt)
-		e.Bool(rt.queued)
-	}
 }
 
 // loadPlacement mirrors savePlacement field for field into the freshly
 // built runtime structures, rejecting any index that does not fit the
-// run (see validJobState).
+// run. Every job it names must lie in the submitted prefix, which
+// loadCore restored.
 func (w *world) loadPlacement(d *snap.Decoder) error {
-	nJobs := len(w.jobs)
+	nJobs := w.nextSubmit
 	jobAt := func(idx int) *jobRT {
 		if idx == -1 {
 			return nil
@@ -198,7 +175,53 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 			}
 		}
 	}
-	for i := range w.jobs {
+	return d.Err()
+}
+
+// jobRecLen is the size of one record of the jobs section: eighteen
+// words and the queued flag.
+const jobRecLen = 18*8 + 1
+
+// putJobRecord encodes job i's record into b[:jobRecLen]: its exported
+// state and its runtime record's queued flag. Both change only in a job
+// transition, which stamps StateSince (a wait-queue push or removal
+// pairs with an Enqueue, Start or RescheduleWait at the same time).
+func (w *world) putJobRecord(b []byte, i int) {
+	rt := &w.jobs[i]
+	st := rt.j.ExportState()
+	e := snap.Encoder{Buf: b[:0:jobRecLen]}
+	e.Int(int(st.State))
+	e.F64(st.StateSince)
+	e.Int(st.Pool)
+	e.Int(st.Machine)
+	e.F64(st.Speed)
+	e.F64(st.Progress)
+	e.F64(st.AttemptExecWall)
+	e.F64(st.Acct.Wait)
+	e.F64(st.Acct.Suspend)
+	e.F64(st.Acct.WastedExec)
+	e.F64(st.Acct.RescheduleOverhead)
+	e.F64(st.Acct.Exec)
+	e.Int(st.Acct.Suspensions)
+	e.Int(st.Acct.Restarts)
+	e.Int(st.Acct.WaitReschedules)
+	e.Int(st.Acct.Kills)
+	e.F64(st.FirstStart)
+	e.F64(st.Completed)
+	e.Bool(rt.queued)
+}
+
+// loadJobs restores the jobs section: one record per job of the
+// submitted prefix, which loadCore restored, rejecting any record that
+// does not fit the run (see validJobState). The records past the
+// prefix stay as buildWorld made them.
+func (w *world) loadJobs(data []byte) error {
+	if len(data) != w.nextSubmit*jobRecLen {
+		return fmt.Errorf("%w: %d bytes of job records for a submitted prefix of %d jobs",
+			ErrSnapshotMismatch, len(data), w.nextSubmit)
+	}
+	d := snap.NewDecoder(data)
+	for i := range w.nextSubmit {
 		rt := &w.jobs[i]
 		var st job.JobState
 		st.State = job.State(d.Int())
@@ -227,7 +250,6 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 				ErrSnapshotMismatch, rt.spec.ID, st.State, st.Pool, st.Machine)
 		}
 		rt.j.RestoreState(st)
-		rt.enqueuedAt = d.F64()
 		rt.queued = d.Bool()
 		rt.done = st.State == job.StateCompleted
 		if rt.done && rt.queued {
@@ -430,7 +452,6 @@ func (w *world) preempt(rt *jobRT, victim *jobRT) error {
 // wait-timeout timer.
 func (w *world) enqueue(rt *jobRT, p *poolRT) {
 	p.waitQ.push(rt)
-	rt.enqueuedAt = w.now
 	w.scopeWaiting++
 	if th := w.cfg.Policy.WaitThreshold(); th > 0 {
 		rt.waitTO = w.schedule(w.now+th, kWaitTimeout, int64(rt.idx), 0)

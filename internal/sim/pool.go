@@ -30,8 +30,6 @@ type jobRT struct {
 	// world.noteAttach and cleared by world.noteDetach, which counts
 	// the clear in Result.AliasRetirements.
 	aliased bool
-	// enqueuedAt is when the job entered its current wait queue.
-	enqueuedAt float64
 }
 
 // machineRT is the dynamic state of one machine.

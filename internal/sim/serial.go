@@ -12,14 +12,20 @@ import (
 // checkpointing enabled the loop snapshots at the first event boundary
 // past each cadence mark.
 func runSerial(w *world, sn *snapshot) (*Result, error) {
+	// The configuration hash walks the whole workload, so it is computed
+	// once, and only when a resume checks it or checkpoints record it.
+	var cfgHash uint64
+	if sn != nil || w.cfg.CheckpointEvery > 0 {
+		cfgHash = configHash(w)
+	}
 	if sn != nil {
-		if err := w.restore(sn); err != nil {
+		if err := w.restore(sn, cfgHash); err != nil {
 			return nil, err
 		}
 	} else {
 		w.seed()
 	}
-	ck := newCheckpointer(w, sn)
+	ck := newCheckpointer(w, sn, cfgHash)
 	if err := w.loop(ck); err != nil {
 		return nil, err
 	}
@@ -27,7 +33,7 @@ func runSerial(w *world, sn *snapshot) (*Result, error) {
 	res.Events = w.events
 	w.met.aliasRet.Add(res.AliasRetirements)
 	if err := w.finalizeJobs(&res); err != nil {
-		return nil, err
+		return nil, w.broken(err)
 	}
 	w.finalizeFaults(&res)
 	res.Util = w.acct.utilTS
@@ -56,16 +62,16 @@ func (w *world) loop(ck *checkpointer) error {
 	for w.completed < total {
 		ev, ok := w.q.Pop()
 		if !ok {
-			return fmt.Errorf("sim: deadlock at t=%v: %d of %d jobs completed and no pending events",
-				w.now, w.completed, total)
+			return w.broken(fmt.Errorf("sim: deadlock at t=%v: %d of %d jobs completed and no pending events",
+				w.now, w.completed, total))
 		}
 		if ev.Time < w.now {
-			return fmt.Errorf("sim: event time went backwards: %v -> %v", w.now, ev.Time)
+			return w.broken(fmt.Errorf("sim: event time went backwards: %v -> %v", w.now, ev.Time))
 		}
 		w.now = ev.Time
 		if w.now > cfg.MaxTime {
-			return fmt.Errorf("sim: exceeded MaxTime %v with %d of %d jobs incomplete",
-				cfg.MaxTime, total-w.completed, total)
+			return w.broken(fmt.Errorf("sim: exceeded MaxTime %v with %d of %d jobs incomplete",
+				cfg.MaxTime, total-w.completed, total))
 		}
 		w.events++
 		if w.events&255 == 0 {
@@ -87,7 +93,7 @@ func (w *world) loop(ck *checkpointer) error {
 		// at now has been applied (post-event state, see accounting).
 		w.acct.advanceTo(w.now)
 		if err := w.dispatch(ev); err != nil {
-			return fmt.Errorf("sim: t=%v: %w", w.now, err)
+			return w.broken(fmt.Errorf("sim: t=%v: %w", w.now, err))
 		}
 		// A checkpoint is captured after the event's full effect, before
 		// the next pop — where every piece of state is explicit and
@@ -99,4 +105,18 @@ func (w *world) loop(ck *checkpointer) error {
 		}
 	}
 	return nil
+}
+
+// broken returns err, a failure of one of the engine's own checks (a
+// job transition, capacity, conservation, deadlock or MaxTime), marked
+// as the snapshot's fault when the run was resumed. A resumed run
+// reproduces the straight run, so it fails a check the straight run
+// passes only if its snapshot held state restore's range checks cannot
+// see and no run reaches; ErrSnapshotMismatch then lets a caller re-run
+// from t=0, as for any other unusable snapshot.
+func (w *world) broken(err error) error {
+	if !w.resumed {
+		return err
+	}
+	return fmt.Errorf("%w: the resumed state breaks the run: %w", ErrSnapshotMismatch, err)
 }

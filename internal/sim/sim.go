@@ -128,10 +128,11 @@ type Config struct {
 	CheckpointLabel string
 	// CheckpointKeyframe delta-encodes the periodic snapshot stream:
 	// every Nth emitted snapshot is a full keyframe and the snapshots
-	// between are binary deltas against the immediately previous
-	// snapshot (Checkpoint.Delta marks them). 0 or 1 emits only full
-	// snapshots. The first snapshot of any run — including a resumed
-	// one — is always full, so every delta chains back to a keyframe
+	// between are deltas against the immediately previous snapshot,
+	// carrying only the job records that changed (Checkpoint.Delta
+	// marks them). 0 or 1 emits only full snapshots. The first
+	// snapshot of any run — including a resumed one — is always full,
+	// so every delta chains back to a keyframe
 	// in the same run. A delta that would not be smaller than the full
 	// encoding is emitted full instead. Resuming from a delta requires
 	// reconstructing it first: apply ApplySnapshotDelta along the chain

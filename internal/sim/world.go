@@ -94,17 +94,17 @@ func (w *world) dispatch(ev eventq.Event) error {
 }
 
 // eventInRange reports whether a restored event's payload words index
-// the run's state: a job for the job-carrying kinds, arrive's
-// destination pool, both sites of a view refresh, the site of a crash
-// or window, the machine of a repair. Words a kind does not use are
-// not checked.
+// the run's state: a job of the submitted prefix for the job-carrying
+// kinds, arrive's destination pool, both sites of a view refresh, the
+// site of a crash or window, the machine of a repair. Words a kind
+// does not use are not checked.
 func (w *world) eventInRange(kd kind, a, b int64) bool {
 	in := func(x int64, n int) bool { return x >= 0 && x < int64(n) }
 	switch kd {
 	case kSubmit, kFinish, kSusDecide, kWaitTimeout:
-		return in(a, len(w.jobs))
+		return in(a, w.nextSubmit)
 	case kArrive:
-		return in(a, len(w.jobs)) && in(b, len(w.pools))
+		return in(a, w.nextSubmit) && in(b, len(w.pools))
 	case kSnapshot:
 		return in(a, w.nSites) && in(b, w.nSites)
 	case kCrash, kMaintStart, kMaintEnd:
@@ -143,6 +143,8 @@ type world struct {
 	// not yet scheduled: submissions chain one event at a time, in spec
 	// order.
 	nextSubmit int
+	// resumed marks a world restored from a snapshot (see broken).
+	resumed bool
 
 	// The platform-wide signals accounting samples, and the number of
 	// completed jobs.
