@@ -58,7 +58,8 @@ type Cell struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// Metrics carries the cell's extra testing.B.ReportMetric values
-	// (KB/snapshot, pctOfFull, ...). Informational — not gated.
+	// (KB/snapshot, pctOfFull, ...). Compare gates retainedB/job; the
+	// rest are informational.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -129,6 +130,10 @@ func medianCell(cells []Cell) Cell {
 	return sorted[(len(sorted)-1)/2]
 }
 
+// retainedMetric is the cell metric of the heap a simulation cell's
+// Result keeps per job (see RunCell).
+const retainedMetric = "retainedB/job"
+
 // Regression is one gated metric that moved past its tolerance.
 type Regression struct {
 	Cell   string  `json:"cell"`
@@ -145,9 +150,11 @@ func (r Regression) String() string {
 }
 
 // Compare gates candidate against base: allocs/op and bytes/op always
-// (within allocTol), ns/op only when the machine shapes match (within
-// timeTol). Returned notes explain skipped gates and new/missing
-// cells; regressions is empty on a pass.
+// (within allocTol), the retainedB/job metric of a simulation cell
+// within allocTol too whenever both carry it (it repeats to 0.1 B),
+// and ns/op only when the machine shapes match (within timeTol).
+// Returned notes explain skipped gates and new/missing cells;
+// regressions is empty on a pass.
 func Compare(base, cand Snapshot, timeTol, allocTol float64) (regressions []Regression, notes []string, err error) {
 	if base.Schema != cand.Schema {
 		return nil, nil, fmt.Errorf("benchsnap: schema %d vs %d — re-record the baseline", base.Schema, cand.Schema)
@@ -182,6 +189,11 @@ func Compare(base, cand Snapshot, timeTol, allocTol float64) (regressions []Regr
 		delete(candBy, bc.Name)
 		gate(bc.Name, "allocs/op", float64(bc.AllocsPerOp), float64(cc.AllocsPerOp), allocTol)
 		gate(bc.Name, "bytes/op", float64(bc.BytesPerOp), float64(cc.BytesPerOp), allocTol)
+		if b, ok := bc.Metrics[retainedMetric]; ok {
+			if c, ok := cc.Metrics[retainedMetric]; ok {
+				gate(bc.Name, retainedMetric, b, c, allocTol)
+			}
+		}
 		if timeGate {
 			gate(bc.Name, "ns/op", bc.NsPerOp, cc.NsPerOp, timeTol)
 		}

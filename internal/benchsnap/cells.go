@@ -108,7 +108,7 @@ func simRow(get func() (experiments.Scenario, error), scale float64) func(*testi
 // reports the cell's avgWCT and avgCTsusp, its job count, and
 // retainedB/job: the heap its Result still holds after a full
 // collection, less the heap before the loop, per job. That is what
-// each cell a MatrixResult holds costs; informational, not gated.
+// each cell a MatrixResult holds costs; Compare gates it like bytes/op.
 func RunCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory, opts experiments.Options) error {
 	m := experiments.Matrix{Scenarios: []experiments.Scenario{sc}, Policies: []experiments.PolicyFactory{pf}}
 	b.StopTimer()
@@ -124,7 +124,7 @@ func RunCell(b *testing.B, sc experiments.Scenario, pf experiments.PolicyFactory
 	b.StopTimer()
 	cell := mr.At(0, 0, 0)
 	jobs := float64(len(cell.Result.Jobs))
-	b.ReportMetric((float64(liveHeap())-float64(before))/jobs, "retainedB/job")
+	b.ReportMetric((float64(liveHeap())-float64(before))/jobs, retainedMetric)
 	runtime.KeepAlive(mr)
 	b.ReportMetric(cell.Summary.AvgWCT, "avgWCT")
 	b.ReportMetric(cell.Summary.AvgCTSuspended, "avgCTsusp")

@@ -47,3 +47,28 @@ func TestTableCoversNewestBaseline(t *testing.T) {
 		}
 	}
 }
+
+// A finished cell keeps only its jobs' outcome records: retainedB/job
+// on the year cell is the 96-byte job.Job, its Result.Jobs pointer and
+// a little of the series, at most 115 bytes (166 when the record also
+// held the attempt state).
+func TestYearCellRetainsOutcomeOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the year cell")
+	}
+	for _, r := range Table(0.04) {
+		if r.Name != "year6/serial" {
+			continue
+		}
+		var err error
+		res := testing.Benchmark(func(b *testing.B) { err = r.Run(b) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Extra[retainedMetric]; got <= 0 || got > 115 {
+			t.Fatalf("year6/serial retains %.1f B per job, want at most 115", got)
+		}
+		return
+	}
+	t.Fatal("no year6/serial row")
+}

@@ -62,6 +62,28 @@ func TestCompareGates(t *testing.T) {
 		}
 	})
 
+	t.Run("retained memory gated when both carry it", func(t *testing.T) {
+		retained := func(c Cell, v float64) Cell {
+			c.Metrics = map[string]float64{"retainedB/job": v}
+			return c
+		}
+		base := snapWith(4, retained(base.Cells[0], 110), base.Cells[1])
+		// b carries the metric only in the candidate, so it is not gated.
+		within := snapWith(4, retained(base.Cells[0], 115), retained(base.Cells[1], 500))
+		if regs, _, err := Compare(base, within, 0.10, 0.05); err != nil || len(regs) != 0 {
+			t.Fatalf("110 -> 115 B/job is within 5%%, and b has no baseline: got %v err=%v", regs, err)
+		}
+		grown := snapWith(4, retained(base.Cells[0], 166), base.Cells[1])
+		regs, _, err := Compare(base, grown, 0.10, 0.05)
+		if err != nil || len(regs) != 1 || regs[0].Cell != "a" || regs[0].Metric != "retainedB/job" {
+			t.Fatalf("want one retainedB/job regression on a, got %v err=%v", regs, err)
+		}
+		stripped := snapWith(4, Cell{Name: "a", NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 1000}, base.Cells[1])
+		if regs, _, err := Compare(base, stripped, 0.10, 0.05); err != nil || len(regs) != 0 {
+			t.Fatalf("a candidate without the metric must not be gated on it, got %v err=%v", regs, err)
+		}
+	})
+
 	t.Run("missing and extra cells reported", func(t *testing.T) {
 		cand := snapWith(4,
 			Cell{Name: "a", NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 1000},

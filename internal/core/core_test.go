@@ -36,10 +36,10 @@ func onWaitTimeout(p Policy, j *job.Job, view sched.PoolView) (int, bool) {
 // suspendedJob builds a job suspended at the given pool.
 func suspendedJob(t *testing.T, pool int, candidates ...int) *job.Job {
 	t.Helper()
-	j := job.New(&job.Spec{
+	j := job.Track(job.New(&job.Spec{
 		ID: 7, Submit: 0, Work: 100, Cores: 1, MemMB: 1024,
 		Priority: job.PriorityLow, Candidates: candidates,
-	})
+	}))
 	if err := j.Enqueue(0, pool); err != nil {
 		t.Fatal(err)
 	}
@@ -49,20 +49,20 @@ func suspendedJob(t *testing.T, pool int, candidates ...int) *job.Job {
 	if err := j.Suspend(10); err != nil {
 		t.Fatal(err)
 	}
-	return j
+	return j.Job
 }
 
 // waitingJob builds a job waiting at the given pool.
 func waitingJob(t *testing.T, pool int, candidates ...int) *job.Job {
 	t.Helper()
-	j := job.New(&job.Spec{
+	j := job.Track(job.New(&job.Spec{
 		ID: 8, Submit: 0, Work: 100, Cores: 1, MemMB: 1024,
 		Priority: job.PriorityLow, Candidates: candidates,
-	})
+	}))
 	if err := j.Enqueue(0, pool); err != nil {
 		t.Fatal(err)
 	}
-	return j
+	return j.Job
 }
 
 func TestNoRes(t *testing.T) {

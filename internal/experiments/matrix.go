@@ -88,11 +88,13 @@ type CellResult struct {
 // cell's full *sim.Result (job records + series) stays live until the
 // MatrixResult is dropped — the figure experiments need per-replicate
 // Results — so very large seed counts at paper scale trade memory for
-// replication. A retained cell costs about 166 B per job (benchsnap's
-// retainedB/job): a 152 B record in the run's one slab plus its
-// Result.Jobs pointer. The records of every policy cell of one
-// (scenario, replicate) point at that trace's shared specs, 104 B per
-// job. Reduce per-cell data promptly if that becomes a limit.
+// replication. A retained cell costs about 110 B per job (benchsnap's
+// retainedB/job): a 96 B outcome record (job.Job) in the run's one
+// slab plus its Result.Jobs pointer; the attempt state the engine held
+// while the job was in flight is gone with the run. The records of
+// every policy cell of one (scenario, replicate) point at that trace's
+// shared specs, 104 B per job. Reduce per-cell data promptly if that
+// becomes a limit.
 type MatrixResult struct {
 	// ScenarioIDs are the scenario axis labels, in run order.
 	ScenarioIDs []string

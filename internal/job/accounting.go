@@ -5,32 +5,21 @@ import (
 	"math"
 )
 
-// Job is a live job instance: its spec plus mutable lifecycle state and
-// time accounting. Job is not safe for concurrent use; the simulator is
-// single-threaded.
+// Job is the outcome of one job: its spec, its pool, its time
+// accounting, when it first started and when it completed, and its
+// lifecycle state. It is what a run keeps once the job is done, and
+// what metrics, reports and rescheduling policies read. The state of
+// the attempt in flight (machine, speed, progress) is not here: Live
+// holds it, and Live makes every transition. Job is not safe for
+// concurrent use; the simulator is single-threaded.
 type Job struct {
 	// Spec is the job's immutable description. It is shared, not
 	// copied: a job built by New or NewSlab points at its caller's
 	// spec, which must not change while the job is in use.
 	Spec *Spec
 
-	state State
-	// stateSince is the simulated time of the last state transition.
-	stateSince float64
-
 	// Pool is the physical pool the job currently belongs to, or -1.
 	Pool int
-	// Machine is the machine the job is running or suspended on, or -1.
-	Machine int
-
-	// speed is the speed factor of the machine of the current attempt.
-	speed float64
-	// progress is the executed work (speed-adjusted, in Work units) of
-	// the current attempt.
-	progress float64
-	// attemptExecWall is the wall-clock minutes spent executing in the
-	// current attempt; destroyed and moved to wastedExec on restart.
-	attemptExecWall float64
 
 	acct Accounting
 
@@ -38,6 +27,8 @@ type Job struct {
 	FirstStart float64
 	// Completed is the completion time, or NaN while unfinished.
 	Completed float64
+
+	state State
 }
 
 // Accounting is the per-job time decomposition of §3.1.
@@ -57,14 +48,14 @@ type Accounting struct {
 	Exec float64 `json:"exec"`
 
 	// Suspensions counts preemption events.
-	Suspensions int `json:"suspensions"`
+	Suspensions int32 `json:"suspensions"`
 	// Restarts counts rescheduling restarts (losing progress).
-	Restarts int `json:"restarts"`
+	Restarts int32 `json:"restarts"`
 	// WaitReschedules counts wait-queue reschedules (no progress lost).
-	WaitReschedules int `json:"wait_reschedules"`
+	WaitReschedules int32 `json:"wait_reschedules"`
 	// Kills counts fault-induced aborts (machine crash or maintenance
 	// window), each destroying the attempt's progress like a restart.
-	Kills int `json:"kills,omitempty"`
+	Kills int32 `json:"kills,omitempty"`
 }
 
 // Wasted returns the paper's per-job wasted completion time: wait +
@@ -95,9 +86,7 @@ func (j *Job) init(spec *Spec) {
 	*j = Job{
 		Spec:       spec,
 		state:      StateCreated,
-		stateSince: spec.Submit,
 		Pool:       -1,
-		Machine:    -1,
 		FirstStart: math.NaN(),
 		Completed:  math.NaN(),
 	}
@@ -105,12 +94,6 @@ func (j *Job) init(spec *Spec) {
 
 // State returns the current lifecycle state.
 func (j *Job) State() State { return j.state }
-
-// StateSince returns the time of the last state transition (the
-// submission time before the first). Every change to the job's mutable
-// state goes through a transition, so a job whose StateSince is before
-// t has not changed since t.
-func (j *Job) StateSince() float64 { return j.stateSince }
 
 // Acct returns a copy of the job's accounting so far. For a completed
 // job this is the final record.
@@ -123,213 +106,6 @@ func (j *Job) EverSuspended() bool { return j.acct.Suspensions > 0 }
 // CompletionTime returns completion − submission, or NaN if unfinished.
 func (j *Job) CompletionTime() float64 {
 	return j.Completed - j.Spec.Submit
-}
-
-// Progress returns the executed work (in Work units) of the current
-// attempt.
-func (j *Job) Progress() float64 { return j.progress }
-
-// RemainingAt returns the wall-clock minutes of execution left assuming
-// the job keeps running at its current machine's speed, measured at
-// time now. It is only meaningful in StateRunning.
-func (j *Job) RemainingAt(now float64) float64 {
-	run := now - j.stateSince
-	done := j.progress + run*j.speed
-	return (j.Spec.Work - done) / j.speed
-}
-
-// transition validates and applies a state change at time now,
-// accruing the elapsed interval into the bucket of the outgoing state.
-func (j *Job) transition(now float64, to State) error {
-	if now < j.stateSince {
-		return fmt.Errorf("job %d: time went backwards: %v -> %v in %v",
-			j.Spec.ID, j.stateSince, now, j.state)
-	}
-	elapsed := now - j.stateSince
-	switch j.state {
-	case StateCreated:
-		// NetBatch queues jobs immediately on submission (§2.1), so any
-		// interval between submission and the first enqueue is wait.
-		j.acct.Wait += elapsed
-	case StateWaiting:
-		j.acct.Wait += elapsed
-	case StateRunning:
-		j.acct.Exec += elapsed
-		j.attemptExecWall += elapsed
-		j.progress += elapsed * j.speed
-	case StateSuspended:
-		j.acct.Suspend += elapsed
-	case StateTransit:
-		j.acct.RescheduleOverhead += elapsed
-	case StateCompleted:
-		return fmt.Errorf("job %d: transition out of completed state", j.Spec.ID)
-	default:
-		return fmt.Errorf("job %d: unknown state %v", j.Spec.ID, j.state)
-	}
-	j.state = to
-	j.stateSince = now
-	return nil
-}
-
-// Enqueue moves the job into a wait queue (VPM or physical pool) at
-// time now. pool is the pool whose queue it joined, or -1 for the
-// virtual pool manager's queue.
-func (j *Job) Enqueue(now float64, pool int) error {
-	switch j.state {
-	case StateCreated, StateWaiting, StateTransit:
-		// Legal: initial submission, pool-to-pool bounce, or arrival
-		// after a reschedule transfer.
-	default:
-		return fmt.Errorf("job %d: enqueue from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateWaiting); err != nil {
-		return err
-	}
-	j.Pool = pool
-	j.Machine = -1
-	return nil
-}
-
-// Start begins (or resumes after a restart from queue) execution on
-// machine with the given speed factor at time now.
-func (j *Job) Start(now float64, machine int, speed float64) error {
-	if j.state != StateWaiting {
-		return fmt.Errorf("job %d: start from state %v", j.Spec.ID, j.state)
-	}
-	if speed <= 0 {
-		return fmt.Errorf("job %d: non-positive machine speed %v", j.Spec.ID, speed)
-	}
-	if err := j.transition(now, StateRunning); err != nil {
-		return err
-	}
-	j.Machine = machine
-	j.speed = speed
-	if math.IsNaN(j.FirstStart) {
-		j.FirstStart = now
-	}
-	return nil
-}
-
-// Suspend parks the job in its host's suspended queue at time now
-// (a higher-priority job preempted it). Progress is preserved.
-func (j *Job) Suspend(now float64) error {
-	if j.state != StateRunning {
-		return fmt.Errorf("job %d: suspend from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateSuspended); err != nil {
-		return err
-	}
-	j.acct.Suspensions++
-	return nil
-}
-
-// Resume continues execution on the same machine at time now, keeping
-// accumulated progress (NetBatch host-level suspend/resume).
-func (j *Job) Resume(now float64) error {
-	if j.state != StateSuspended {
-		return fmt.Errorf("job %d: resume from state %v", j.Spec.ID, j.state)
-	}
-	return j.transition(now, StateRunning)
-}
-
-// RestartFrom aborts the current attempt at time now, destroying all
-// progress (NetBatch rescheduling restarts jobs from the beginning,
-// §2.3). The job leaves its machine and enters StateTransit; any time
-// spent there before the next Enqueue (the simulator's reschedule
-// transfer overhead) accrues as reschedule overhead. Legal from
-// StateSuspended (rescheduling a suspended job) and StateRunning (used
-// by the duplication extension).
-func (j *Job) RestartFrom(now float64) error {
-	switch j.state {
-	case StateSuspended, StateRunning:
-	default:
-		return fmt.Errorf("job %d: restart from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateTransit); err != nil {
-		return err
-	}
-	j.acct.WastedExec += j.attemptExecWall
-	j.attemptExecWall = 0
-	j.progress = 0
-	j.acct.Restarts++
-	j.Machine = -1
-	return nil
-}
-
-// Kill aborts the job at time now after its host machine failed or
-// entered a maintenance window, destroying the current attempt's
-// progress (NetBatch restarts killed jobs from the beginning, like any
-// restart). Legal from StateRunning and StateSuspended; the job enters
-// StateTransit until the platform requeues it, and any interval spent
-// there accrues as reschedule overhead.
-func (j *Job) Kill(now float64) error {
-	switch j.state {
-	case StateRunning, StateSuspended:
-	default:
-		return fmt.Errorf("job %d: kill from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateTransit); err != nil {
-		return err
-	}
-	j.acct.WastedExec += j.attemptExecWall
-	j.attemptExecWall = 0
-	j.progress = 0
-	j.acct.Kills++
-	j.Machine = -1
-	return nil
-}
-
-// MigrateFrom moves the suspended job toward another pool at time now
-// while KEEPING its execution progress — the Condor-style checkpoint
-// migration the paper contrasts with restart-based rescheduling (§2.3).
-// The job enters StateTransit; the transfer overhead accrues as
-// reschedule overhead until the next Enqueue.
-func (j *Job) MigrateFrom(now float64) error {
-	if j.state != StateSuspended {
-		return fmt.Errorf("job %d: migrate from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateTransit); err != nil {
-		return err
-	}
-	// Progress and attempt wall-clock are preserved: the destination
-	// resumes from the checkpoint.
-	j.Machine = -1
-	return nil
-}
-
-// RescheduleWait records a wait-queue reschedule at time now: the job
-// leaves its pool queue for another pool, without ever having run
-// there, entering StateTransit until it is enqueued at the destination.
-// No progress is lost (it had none).
-func (j *Job) RescheduleWait(now float64) error {
-	if j.state != StateWaiting {
-		return fmt.Errorf("job %d: wait-reschedule from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateTransit); err != nil {
-		return err
-	}
-	j.acct.WaitReschedules++
-	return nil
-}
-
-// Complete finishes the job at time now. It verifies that the job has
-// actually executed its full service demand (within a float tolerance)
-// and freezes accounting.
-func (j *Job) Complete(now float64) error {
-	if j.state != StateRunning {
-		return fmt.Errorf("job %d: complete from state %v", j.Spec.ID, j.state)
-	}
-	if err := j.transition(now, StateCompleted); err != nil {
-		return err
-	}
-	const tol = 1e-6
-	if j.progress < j.Spec.Work*(1-tol)-tol {
-		return fmt.Errorf("job %d: completed with progress %v of work %v",
-			j.Spec.ID, j.progress, j.Spec.Work)
-	}
-	j.Completed = now
-	j.Machine = -1
-	return nil
 }
 
 // CheckConservation verifies the fundamental accounting invariant for a

@@ -16,6 +16,14 @@
 //
 // where exec includes both the productive final run and the aborted
 // partial runs counted in c3.
+//
+// A job is two records. Job is the outcome, which outlives the run:
+// spec, pool, accounting, first start, completion and lifecycle state,
+// 96 bytes, read by metrics, reports and rescheduling policies. Live
+// is the state of the attempt in flight — machine, speed, progress,
+// the attempt's execution time and the time of the last transition —
+// which only the simulator holds while the job runs, and which makes
+// every transition of the Job it points at.
 package job
 
 import (
@@ -52,8 +60,9 @@ func (p Priority) String() string {
 	}
 }
 
-// State is a job lifecycle state.
-type State int
+// State is a job lifecycle state. It is one byte, so that a Job stays
+// small.
+type State uint8
 
 // Lifecycle states. A job is created in StateCreated and must reach
 // StateCompleted for its accounting to be final.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func spec0() *Spec {
@@ -117,7 +118,7 @@ func TestNewSlabSharesSpecs(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(jobs), len(specs))
 	}
 	for i := range jobs {
-		j, single := &jobs[i], New(&specs[i])
+		j, single := Track(&jobs[i]), Track(New(&specs[i]))
 		if j.Spec != &specs[i] {
 			t.Fatalf("jobs[%d].Spec does not point at specs[%d]", i, i)
 		}
@@ -128,8 +129,22 @@ func TestNewSlabSharesSpecs(t *testing.T) {
 	}
 }
 
+// newLive returns the in-flight state of a fresh job of spec.
+func newLive(spec *Spec) *Live {
+	l := Track(New(spec))
+	return &l
+}
+
+// TestOutcomeRecordSize pins the size of the record a run keeps per
+// job: the attempt state lives in Live, not here.
+func TestOutcomeRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Job{}); got > 96 {
+		t.Fatalf("Job is %d bytes, want at most 96", got)
+	}
+}
+
 func TestSimpleLifecycle(t *testing.T) {
-	j := New(validSpec())
+	j := newLive(validSpec())
 	if j.State() != StateCreated {
 		t.Fatalf("initial state %v", j.State())
 	}
@@ -159,7 +174,7 @@ func TestSimpleLifecycle(t *testing.T) {
 }
 
 func TestSpeedScaling(t *testing.T) {
-	j := New(validSpec()) // Work = 100
+	j := newLive(validSpec()) // Work = 100
 	mustDo(t, j.Enqueue(10, 0))
 	mustDo(t, j.Start(10, 0, 2.0)) // runs 2x: needs 50 wall minutes
 	if got := j.RemainingAt(10); math.Abs(got-50) > 1e-9 {
@@ -175,7 +190,7 @@ func TestSpeedScaling(t *testing.T) {
 }
 
 func TestSuspendResumeAccounting(t *testing.T) {
-	j := New(validSpec())
+	j := newLive(validSpec())
 	mustDo(t, j.Enqueue(10, 0))
 	mustDo(t, j.Start(20, 0, 1.0))
 	mustDo(t, j.Suspend(50)) // ran 30 of 100
@@ -207,7 +222,7 @@ func TestSuspendResumeAccounting(t *testing.T) {
 }
 
 func TestMultipleSuspensions(t *testing.T) {
-	j := New(validSpec())
+	j := newLive(validSpec())
 	mustDo(t, j.Enqueue(10, 0))
 	mustDo(t, j.Start(10, 0, 1.0))
 	mustDo(t, j.Suspend(30))
@@ -228,7 +243,7 @@ func TestMultipleSuspensions(t *testing.T) {
 }
 
 func TestRestartDestroysProgress(t *testing.T) {
-	j := New(spec0())
+	j := newLive(spec0())
 	mustDo(t, j.Enqueue(0, 0))
 	mustDo(t, j.Start(0, 0, 1.0))
 	mustDo(t, j.Suspend(40))     // 40 executed
@@ -263,7 +278,7 @@ func TestRestartDestroysProgress(t *testing.T) {
 }
 
 func TestRestartWithOverhead(t *testing.T) {
-	j := New(spec0())
+	j := newLive(spec0())
 	mustDo(t, j.Enqueue(0, 0))
 	mustDo(t, j.Start(0, 0, 1.0))
 	mustDo(t, j.Suspend(20))
@@ -281,7 +296,7 @@ func TestRestartWithOverhead(t *testing.T) {
 }
 
 func TestWaitReschedule(t *testing.T) {
-	j := New(spec0())
+	j := newLive(spec0())
 	mustDo(t, j.Enqueue(0, 0))
 	mustDo(t, j.RescheduleWait(35)) // stalled 35 min, bounce pools
 	mustDo(t, j.Enqueue(35, 1))
@@ -305,19 +320,19 @@ func TestWaitReschedule(t *testing.T) {
 func TestIllegalTransitions(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(j *Job) error
+		run  func(j *Live) error
 	}{
-		{"startFromCreated", func(j *Job) error { return j.Start(0, 0, 1.0) }},
-		{"suspendFromCreated", func(j *Job) error { return j.Suspend(0) }},
-		{"resumeFromCreated", func(j *Job) error { return j.Resume(0) }},
-		{"completeFromCreated", func(j *Job) error { return j.Complete(0) }},
-		{"restartFromCreated", func(j *Job) error { return j.RestartFrom(0) }},
-		{"waitRescheduleFromCreated", func(j *Job) error { return j.RescheduleWait(0) }},
-		{"migrateFromCreated", func(j *Job) error { return j.MigrateFrom(0) }},
+		{"startFromCreated", func(j *Live) error { return j.Start(0, 0, 1.0) }},
+		{"suspendFromCreated", func(j *Live) error { return j.Suspend(0) }},
+		{"resumeFromCreated", func(j *Live) error { return j.Resume(0) }},
+		{"completeFromCreated", func(j *Live) error { return j.Complete(0) }},
+		{"restartFromCreated", func(j *Live) error { return j.RestartFrom(0) }},
+		{"waitRescheduleFromCreated", func(j *Live) error { return j.RescheduleWait(0) }},
+		{"migrateFromCreated", func(j *Live) error { return j.MigrateFrom(0) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			j := New(validSpec())
+			j := newLive(validSpec())
 			if err := c.run(j); err == nil {
 				t.Fatal("want error for illegal transition")
 			}
@@ -326,7 +341,7 @@ func TestIllegalTransitions(t *testing.T) {
 }
 
 func TestIllegalAfterCompleted(t *testing.T) {
-	j := New(spec0())
+	j := newLive(spec0())
 	mustDo(t, j.Enqueue(0, 0))
 	mustDo(t, j.Start(0, 0, 1.0))
 	mustDo(t, j.Complete(100))
@@ -339,7 +354,7 @@ func TestIllegalAfterCompleted(t *testing.T) {
 }
 
 func TestTimeGoingBackwards(t *testing.T) {
-	j := New(validSpec())
+	j := newLive(validSpec())
 	mustDo(t, j.Enqueue(50, 0))
 	if err := j.Start(40, 0, 1.0); err == nil {
 		t.Fatal("time going backwards should fail")
@@ -347,7 +362,7 @@ func TestTimeGoingBackwards(t *testing.T) {
 }
 
 func TestCompleteTooEarly(t *testing.T) {
-	j := New(spec0()) // Work = 100
+	j := newLive(spec0()) // Work = 100
 	mustDo(t, j.Enqueue(0, 0))
 	mustDo(t, j.Start(0, 0, 1.0))
 	if err := j.Complete(50); err == nil {
@@ -356,7 +371,7 @@ func TestCompleteTooEarly(t *testing.T) {
 }
 
 func TestStartBadSpeed(t *testing.T) {
-	j := New(spec0())
+	j := newLive(spec0())
 	mustDo(t, j.Enqueue(0, 0))
 	if err := j.Start(0, 0, 0); err == nil {
 		t.Fatal("zero speed should fail")
@@ -378,7 +393,7 @@ func TestCompletionTimeNaNWhileUnfinished(t *testing.T) {
 }
 
 func TestPoolMachineTracking(t *testing.T) {
-	j := New(validSpec())
+	j := newLive(validSpec())
 	if j.Pool != -1 || j.Machine != -1 {
 		t.Fatal("fresh job should have no pool/machine")
 	}

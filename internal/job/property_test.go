@@ -24,7 +24,7 @@ func TestConservationUnderRandomLifecycles(t *testing.T) {
 			Priority:   PriorityLow,
 			Candidates: []int{0, 1, 2, 3},
 		}
-		j := New(&spec)
+		j := newLive(&spec)
 		now := spec.Submit
 		adv := func() float64 {
 			now += r.Float64() * 50
@@ -120,7 +120,7 @@ func TestConservationUnderRandomLifecycles(t *testing.T) {
 func TestWastedNeverNegative(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 77))
-		j := New(&Spec{
+		j := newLive(&Spec{
 			ID: 1, Submit: 0, Work: 100, Cores: 1, MemMB: 1,
 			Priority: PriorityHigh, Candidates: []int{0},
 		})

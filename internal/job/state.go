@@ -1,9 +1,10 @@
 package job
 
-// JobState is the complete mutable state of a live Job, exported for
-// checkpointing. Together with the immutable Spec it fully determines
-// the job's future behavior: restoring it mid-run and continuing
-// produces accounting bit-identical to a never-interrupted run.
+// JobState is the complete mutable state of a job in flight, exported
+// for checkpointing: its outcome record's fields and its Live attempt
+// state. Together with the immutable Spec it fully determines the
+// job's future behavior: restoring it mid-run and continuing produces
+// accounting bit-identical to a never-interrupted run.
 type JobState struct {
 	State           State
 	StateSince      float64
@@ -18,7 +19,7 @@ type JobState struct {
 }
 
 // ExportState snapshots the job's mutable state. It is a pure read.
-func (j *Job) ExportState() JobState {
+func (j *Live) ExportState() JobState {
 	return JobState{
 		State:           j.state,
 		StateSince:      j.stateSince,
@@ -33,9 +34,9 @@ func (j *Job) ExportState() JobState {
 	}
 }
 
-// RestoreState overwrites the job's mutable state with a previously
-// exported snapshot.
-func (j *Job) RestoreState(st JobState) {
+// RestoreState overwrites the job's mutable state, its outcome record's
+// included, with a previously exported snapshot.
+func (j *Live) RestoreState(st JobState) {
 	j.state = st.State
 	j.stateSince = st.StateSince
 	j.Pool = st.Pool

@@ -86,10 +86,10 @@ func Summarize(jobs []*job.Job) (Summary, error) {
 		wait.Add(a.Wait)
 		susp.Add(a.Suspend)
 		resched.Add(a.WastedExec + a.RescheduleOverhead)
-		s.Restarts += a.Restarts
-		s.WaitReschedules += a.WaitReschedules
-		s.Suspensions += a.Suspensions
-		s.Kills += a.Kills
+		s.Restarts += int(a.Restarts)
+		s.WaitReschedules += int(a.WaitReschedules)
+		s.Suspensions += int(a.Suspensions)
+		s.Kills += int(a.Kills)
 		if j.EverSuspended() {
 			s.SuspendedJobs++
 			ctSusp.Add(ct)
@@ -107,13 +107,9 @@ func Summarize(jobs []*job.Job) (Summary, error) {
 	s.ReschedComp = resched.Mean()
 	s.AvgWait = wait.Mean()
 	var err error
-	if s.MedianCT, err = stats.Quantile(cts, 0.5); err != nil {
-		return s, err
-	}
-	if s.P90CT, err = stats.Quantile(cts, 0.9); err != nil {
-		return s, err
-	}
-	return s, nil
+	// cts is this call's own sample, so the pair may reorder it.
+	s.MedianCT, s.P90CT, err = stats.QuantilePair(cts, 0.5, 0.9)
+	return s, err
 }
 
 // CheckComponents verifies AvgWCT decomposes exactly into its three

@@ -14,10 +14,10 @@ import (
 // suspension and reruns from scratch.
 func completedJob(t testing.TB, id job.ID, submit, wait, work, suspend float64, restart bool) *job.Job {
 	t.Helper()
-	j := job.New(&job.Spec{
+	j := job.Track(job.New(&job.Spec{
 		ID: id, Submit: submit, Work: work, Cores: 1, MemMB: 1,
 		Priority: job.PriorityLow, Candidates: []int{0, 1},
-	})
+	}))
 	now := submit
 	must := func(err error) {
 		t.Helper()
@@ -45,7 +45,7 @@ func completedJob(t testing.TB, id job.ID, submit, wait, work, suspend float64, 
 		now += work
 	}
 	must(j.Complete(now))
-	return j
+	return j.Job
 }
 
 func TestSummarizeBasics(t *testing.T) {

@@ -35,6 +35,7 @@ import (
 	"math/bits"
 
 	"netbatch/internal/eventq"
+	"netbatch/internal/job"
 	"netbatch/internal/obs"
 	"netbatch/internal/snap"
 )
@@ -477,11 +478,69 @@ func (w *world) restore(sn *snapshot, cfgHash uint64) error {
 	if err := w.loadJobs(sn.jobs); err != nil {
 		return fmt.Errorf("sim: restore %s state: %w", jobsSection, err)
 	}
+	if err := w.checkPinnedEvents(); err != nil {
+		return err
+	}
 	if err := w.checkRestoredTime(sn); err != nil {
 		return err
 	}
 	w.rebuildAliased()
 	w.resumed = true
+	return nil
+}
+
+// checkPinnedEvents rejects pending submit and finish events that no
+// run leaves behind: each is a pure function of the restored job
+// records, and a resumed run that followed a moved one would simulate
+// until an engine check failed or MaxTime passed. Submissions chain
+// one at a time in spec order, so a submit is pending exactly when the
+// job before the cursor is still created and not on its way to a
+// remote pool, and it is that job's, at its spec's time. Every running
+// job, and only those, has one pending finish, at finishTime.
+func (w *world) checkPinnedEvents() error {
+	last := w.nextSubmit - 1
+	submits, finishes, arriving := 0, 0, false
+	for _, ev := range w.q.Export() {
+		switch kind(ev.Kind) {
+		case kSubmit:
+			submits++
+			if int(ev.A) != last || ev.Time != w.specs[last].Submit {
+				return fmt.Errorf("%w: pending submit of job index %d at t=%v, not the cursor's job index %d at its submit time",
+					ErrSnapshotMismatch, ev.A, ev.Time, last)
+			}
+		case kFinish:
+			rt := &w.jobs[ev.A]
+			if rt.State() != job.StateRunning || ev.Time != finishTime(rt) {
+				return fmt.Errorf("%w: pending finish of %v job %d at t=%v",
+					ErrSnapshotMismatch, rt.State(), rt.spec.ID, ev.Time)
+			}
+			finishes++
+		case kArrive:
+			arriving = arriving || int(ev.A) == last
+		}
+	}
+	want := 0
+	if last >= 0 && w.jobs[last].State() == job.StateCreated && !arriving {
+		want = 1
+	}
+	if submits != want {
+		return fmt.Errorf("%w: %d pending submits, want %d", ErrSnapshotMismatch, submits, want)
+	}
+	// Each finish is a running job's, and restoreQueue gave each of them
+	// the handle of its last one: one handle per running job and no
+	// more finishes than running jobs leave one finish each.
+	running := 0
+	for i := range w.nextSubmit {
+		if rt := &w.jobs[i]; rt.State() == job.StateRunning {
+			running++
+			if rt.finish == (eventq.Handle{}) {
+				return fmt.Errorf("%w: running job %d has no pending finish", ErrSnapshotMismatch, rt.spec.ID)
+			}
+		}
+	}
+	if finishes != running {
+		return fmt.Errorf("%w: %d pending finishes for %d running jobs", ErrSnapshotMismatch, finishes, running)
+	}
 	return nil
 }
 
@@ -611,7 +670,7 @@ func (ck *checkpointer) capture(t float64, events int64) uint32 {
 	ck.patch = ck.patch[:0]
 	old := len(ck.recs) / jobRecLen
 	for i := ck.settled; i < old; i++ {
-		if w.jobs[i].j.StateSince() >= ck.since {
+		if w.jobs[i].StateSince() >= ck.since {
 			w.putJobRecord(ck.recs[i*jobRecLen:], i)
 			ck.patch = append(ck.patch, i)
 		}

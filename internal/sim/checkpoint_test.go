@@ -18,12 +18,14 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"netbatch/internal/core"
+	"netbatch/internal/eventq"
 	"netbatch/internal/job"
 	"netbatch/internal/sched"
 	"netbatch/internal/snap"
@@ -559,7 +561,7 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 	editJob := func(st job.State, edit func(*job.JobState)) func(w *world) {
 		return func(w *world) {
 			for i := range w.jobs {
-				if j := w.jobs[i].j; j.State() == st {
+				if j := &w.jobs[i]; j.State() == st {
 					js := j.ExportState()
 					edit(&js)
 					j.RestoreState(js)
@@ -672,6 +674,93 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 			t.Fatal("snapshot has no core section")
 		})
 	}
+	// atFirst re-encodes the snapshot with the pending events edit
+	// returns when handed them and the index of the first of kind kd,
+	// stamps kept.
+	atFirst := func(kd kind, edit func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent) []byte {
+		return reencode(func(w *world) {
+			evs := w.q.Export()
+			i := slices.IndexFunc(evs, func(ev eventq.SavedEvent) bool { return kind(ev.Kind) == kd })
+			if i < 0 {
+				t.Fatalf("checkpoint has no pending %s event", kindNames[kd])
+			}
+			seq := w.q.Seq()
+			w.q = eventq.New()
+			w.q.SetSeq(seq)
+			for _, ev := range edit(evs, i) {
+				w.q.Restore(ev)
+			}
+		})
+	}
+	drop := func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent { return slices.Delete(evs, i, i+1) }
+	double := func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent {
+		ev := evs[i]
+		ev.Seq = 1 << 40
+		return append(evs, ev)
+	}
+	at := func(edit func(*eventq.SavedEvent)) func([]eventq.SavedEvent, int) []eventq.SavedEvent {
+		return func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent {
+			edit(&evs[i])
+			return evs
+		}
+	}
+	// record overwrites word k of the first record in state st.
+	record := func(st job.State, k int, v uint64) []byte {
+		return patchSnapshot(t, data, func(_ []byte, sn *snapshot) {
+			for i := 0; i < len(sn.jobs); i += jobRecLen {
+				if binary.LittleEndian.Uint64(sn.jobs[i:]) == uint64(st) {
+					binary.LittleEndian.PutUint64(sn.jobs[i+8*k:], v)
+					return
+				}
+			}
+			t.Fatalf("checkpoint has no %v job", st)
+		})
+	}
+	// Restore itself must reject these: the narrowed words of a job
+	// record, and pending submits and finishes its records pin.
+	atRestore := []struct {
+		name string
+		snap []byte
+	}{
+		{"running job's state word 259, which a byte would wrap to running", record(job.StateRunning, 0, 256+uint64(job.StateRunning))},
+		{"suspension counter 2^32, which an int32 would wrap to 0", record(job.StateRunning, 12, 1<<32)},
+		{"kill counter -1", record(job.StateRunning, 15, math.MaxUint64)},
+		{"pending submit moved to t=9.9e6", atFirst(kSubmit, at(func(ev *eventq.SavedEvent) { ev.Time = 9.9e6 }))},
+		{"pending submit for an earlier job", atFirst(kSubmit, at(func(ev *eventq.SavedEvent) { ev.A-- }))},
+		{"pending submit dropped", atFirst(kSubmit, drop)},
+		{"second pending submit", atFirst(kSubmit, double)},
+		{"pending finish a minute late", atFirst(kFinish, at(func(ev *eventq.SavedEvent) { ev.Time++ }))},
+		{"pending finish one ulp early", atFirst(kFinish, at(func(ev *eventq.SavedEvent) { ev.Time = math.Nextafter(ev.Time, 0) }))},
+		{"running job without a pending finish", atFirst(kFinish, drop)},
+		{"second pending finish", atFirst(kFinish, double)},
+		{"pending finish of a waiting job", reencode(func(w *world) {
+			for i := range w.jobs {
+				if w.jobs[i].State() == job.StateWaiting {
+					w.schedule(w.now+1, kFinish, int64(i), 0)
+					return
+				}
+			}
+			t.Fatal("checkpoint has no waiting job")
+		})},
+	}
+	for _, row := range atRestore {
+		raw := freshFixtureConfig(base)
+		cfg, err := raw.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := buildWorld(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := decodeSnapshot(row.snap)
+		if err != nil {
+			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", row.name, err)
+		}
+		if err := w.restore(sn, configHash(w)); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s: restore: want ErrSnapshotMismatch, got %v", row.name, err)
+		}
+	}
 	rows := []struct {
 		name string
 		snap []byte
@@ -684,12 +773,27 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		{"free-stack entry past the platform", reencode(eachClass(func(c *machineClass) { c.free = append(c.free, 1<<40) }))},
 		{"completed job queued", reencode(func(w *world) {
 			for i := range w.jobs {
-				if w.jobs[i].j.State() == job.StateCompleted {
+				if w.jobs[i].State() == job.StateCompleted {
 					w.jobs[i].queued = true
 					return
 				}
 			}
 			t.Fatal("checkpoint has no completed job")
+		})},
+		{"victim-stack entry -1", reencode(func(w *world) {
+			for _, p := range w.pools {
+				for prio, stack := range p.running {
+					if stack != nil {
+						p.running[prio] = append(stack, nil)
+						return
+					}
+				}
+			}
+			t.Fatal("checkpoint has no victim stack")
+		})},
+		{"victim stack of priority 4095, past maxPriority", reencode(func(w *world) {
+			w.pools[0].running = make([][]*jobRT, 1<<12)
+			w.pools[0].running[len(w.pools[0].running)-1] = []*jobRT{}
 		})},
 		{"wait-queue head -1", reencode(eachFIFO(func(f *fifo) { f.head = -1 }))},
 		{"wait-queue head past its items", reencode(eachFIFO(func(f *fifo) { f.head = len(f.items) + 100 }))},
@@ -723,6 +827,7 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		{"garbled policy RNG bytes", garblePCG("policy")},
 		{"garbled fault-stream PCG bytes", garblePCG("faults")},
 	}
+	rows = append(rows, atRestore...)
 	for _, row := range rows {
 		if _, err := decodeSnapshot(row.snap); err != nil {
 			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", row.name, err)

@@ -31,8 +31,8 @@ func fingerprint(res *Result) string {
 		res.Crashes, res.MaintWindows, res.Kills, res.Requeues, res.WorkLost, res.DownCoreMinutes)
 	for _, j := range res.Jobs {
 		a := j.Acct()
-		fmt.Fprintf(&sb, "job %d: pool=%d mach=%d first=%x done=%x w=%x s=%x we=%x ro=%x e=%x sus=%d re=%d wr=%d k=%d\n",
-			j.Spec.ID, j.Pool, j.Machine, j.FirstStart, j.Completed,
+		fmt.Fprintf(&sb, "job %d: pool=%d first=%x done=%x w=%x s=%x we=%x ro=%x e=%x sus=%d re=%d wr=%d k=%d\n",
+			j.Spec.ID, j.Pool, j.FirstStart, j.Completed,
 			a.Wait, a.Suspend, a.WastedExec, a.RescheduleOverhead, a.Exec,
 			a.Suspensions, a.Restarts, a.WaitReschedules, a.Kills)
 	}

@@ -393,11 +393,11 @@ func (w *world) killMachineJobs(mid int) error {
 // killAndRequeue destroys rt's progress and lands it back at pool as a
 // fresh arrival (start elsewhere, preempt, or queue — §2.1 rules).
 func (w *world) killAndRequeue(rt *jobRT, pool, site int) error {
-	before := rt.j.Acct().WastedExec
-	if err := rt.j.Kill(w.now); err != nil {
+	before := rt.Acct().WastedExec
+	if err := rt.Kill(w.now); err != nil {
 		return err
 	}
-	w.faults[site].workLost += rt.j.Acct().WastedExec - before
+	w.faults[site].workLost += rt.Acct().WastedExec - before
 	w.res.Kills++
 	w.res.Requeues++
 	return w.arrival(rt.idx, pool)

@@ -190,7 +190,7 @@ func TestCrashKillsRequeuesAndRepairs(t *testing.T) {
 		t.Errorf("kills=%d requeues=%d, want kills>0 and equal", res.Kills, res.Requeues)
 	}
 	a := res.Jobs[0].Acct()
-	if a.Kills != int(res.Kills) {
+	if int64(a.Kills) != res.Kills {
 		t.Errorf("job kills %d != result kills %d", a.Kills, res.Kills)
 	}
 	if res.WorkLost <= 0 || res.DownCoreMinutes <= 0 {

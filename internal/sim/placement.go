@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"netbatch/internal/job"
 	"netbatch/internal/snap"
@@ -51,15 +51,20 @@ func (w *world) savePlacement(e *snap.Encoder) {
 					e.Int(jobIdx(rt))
 				}
 			}
-			prios := make([]int, 0, len(p.running))
-			for prio := range p.running {
-				prios = append(prios, int(prio))
+			// The victim stacks in ascending priority; a priority never
+			// pushed is absent.
+			nRun := 0
+			for _, stack := range p.running {
+				if stack != nil {
+					nRun++
+				}
 			}
-			sort.Ints(prios)
-			e.Int(len(prios))
-			for _, prio := range prios {
+			e.Int(nRun)
+			for prio, stack := range p.running {
+				if stack == nil {
+					continue
+				}
 				e.Int(prio)
-				stack := p.running[job.Priority(prio)]
 				e.Int(len(stack))
 				for _, rt := range stack {
 					e.Int(jobIdx(rt))
@@ -103,6 +108,15 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 		}
 		return &w.jobs[idx]
 	}
+	// Only wait-queue slots may be empty: a victim stack or a machine's
+	// list always names a job.
+	runningAt := func(idx int) *jobRT {
+		rt := jobAt(idx)
+		if rt == nil {
+			d.Fail()
+		}
+		return rt
+	}
 	for site := range w.nSites {
 		w.siteBusy[site] = d.Int()
 		for _, pid := range w.plat.Site(site).Pools {
@@ -143,13 +157,22 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 				wq.classes = append(wq.classes, f)
 			}
 			nRun := d.Count(-1, 16)
-			p.running = make(map[job.Priority][]*jobRT, nRun)
+			p.running = nil
 			for i := 0; i < nRun; i++ {
-				prio := job.Priority(d.Int())
-				stack := make([]*jobRT, 0, 4)
+				prio := d.Int()
+				if d.Err() != nil {
+					return d.Err()
+				}
+				// Stacks are saved in ascending priority order.
+				if prio < len(p.running) || prio < 1 || prio > maxPriority {
+					return fmt.Errorf("%w: pool %d victim stack of priority %d out of order or range",
+						ErrSnapshotMismatch, pid, prio)
+				}
+				p.running = append(p.running, make([][]*jobRT, prio+1-len(p.running))...)
 				nStack := d.Count(-1, 8)
+				stack := make([]*jobRT, 0, nStack)
 				for it := 0; it < nStack; it++ {
-					stack = append(stack, jobAt(d.Int()))
+					stack = append(stack, runningAt(d.Int()))
 				}
 				p.running[prio] = stack
 			}
@@ -165,12 +188,12 @@ func (w *world) loadPlacement(d *snap.Decoder) error {
 				nSusp := d.Count(nJobs, 8)
 				m.suspended = m.suspended[:0]
 				for i := 0; i < nSusp; i++ {
-					m.suspended = append(m.suspended, jobAt(d.Int()))
+					m.suspended = append(m.suspended, runningAt(d.Int()))
 				}
 				nRun := d.Count(nJobs, 8)
 				m.running = m.running[:0]
 				for i := 0; i < nRun; i++ {
-					m.running = append(m.running, jobAt(d.Int()))
+					m.running = append(m.running, runningAt(d.Int()))
 				}
 			}
 		}
@@ -188,7 +211,7 @@ const jobRecLen = 18*8 + 1
 // pairs with an Enqueue, Start or RescheduleWait at the same time).
 func (w *world) putJobRecord(b []byte, i int) {
 	rt := &w.jobs[i]
-	st := rt.j.ExportState()
+	st := rt.ExportState()
 	e := snap.Encoder{Buf: b[:0:jobRecLen]}
 	e.Int(int(st.State))
 	e.F64(st.StateSince)
@@ -202,10 +225,10 @@ func (w *world) putJobRecord(b []byte, i int) {
 	e.F64(st.Acct.WastedExec)
 	e.F64(st.Acct.RescheduleOverhead)
 	e.F64(st.Acct.Exec)
-	e.Int(st.Acct.Suspensions)
-	e.Int(st.Acct.Restarts)
-	e.Int(st.Acct.WaitReschedules)
-	e.Int(st.Acct.Kills)
+	e.Int(int(st.Acct.Suspensions))
+	e.Int(int(st.Acct.Restarts))
+	e.Int(int(st.Acct.WaitReschedules))
+	e.Int(int(st.Acct.Kills))
 	e.F64(st.FirstStart)
 	e.F64(st.Completed)
 	e.Bool(rt.queued)
@@ -224,7 +247,7 @@ func (w *world) loadJobs(data []byte) error {
 	for i := range w.nextSubmit {
 		rt := &w.jobs[i]
 		var st job.JobState
-		st.State = job.State(d.Int())
+		state := d.Int()
 		st.StateSince = d.F64()
 		st.Pool = d.Int()
 		st.Machine = d.Int()
@@ -236,20 +259,36 @@ func (w *world) loadJobs(data []byte) error {
 		st.Acct.WastedExec = d.F64()
 		st.Acct.RescheduleOverhead = d.F64()
 		st.Acct.Exec = d.F64()
-		st.Acct.Suspensions = d.Int()
-		st.Acct.Restarts = d.Int()
-		st.Acct.WaitReschedules = d.Int()
-		st.Acct.Kills = d.Int()
+		var counts [4]int
+		for k := range counts {
+			counts[k] = d.Int()
+		}
 		st.FirstStart = d.F64()
 		st.Completed = d.F64()
 		if d.Err() != nil {
 			return d.Err()
 		}
+		// The state and the counters are narrower than their words, so a
+		// word out of their range is rejected before it can wrap to a
+		// value that looks valid.
+		if state < int(job.StateCreated) || state > int(job.StateCompleted) {
+			return fmt.Errorf("%w: job %d in state %d", ErrSnapshotMismatch, rt.spec.ID, state)
+		}
+		for _, c := range counts {
+			if c < 0 || c > math.MaxInt32 {
+				return fmt.Errorf("%w: job %d has a counter of %d", ErrSnapshotMismatch, rt.spec.ID, c)
+			}
+		}
+		st.State = job.State(state)
+		st.Acct.Suspensions = int32(counts[0])
+		st.Acct.Restarts = int32(counts[1])
+		st.Acct.WaitReschedules = int32(counts[2])
+		st.Acct.Kills = int32(counts[3])
 		if !w.validJobState(&st) {
 			return fmt.Errorf("%w: job %d in state %v with pool %d and machine %d",
 				ErrSnapshotMismatch, rt.spec.ID, st.State, st.Pool, st.Machine)
 		}
-		rt.j.RestoreState(st)
+		rt.RestoreState(st)
 		rt.queued = d.Bool()
 		rt.done = st.State == job.StateCompleted
 		if rt.done && rt.queued {
@@ -259,13 +298,12 @@ func (w *world) loadJobs(data []byte) error {
 	return d.Err()
 }
 
-// validJobState reports whether a restored job record can be handled:
-// its state is a lifecycle state, its pool and machine index the
+// validJobState reports whether a restored job record, whose state
+// loadJobs checked, can be handled: its pool and machine index the
 // platform or are -1, a waiting, running or suspended job has a pool,
 // and a running or suspended job has a machine.
 func (w *world) validJobState(st *job.JobState) bool {
-	if st.State < job.StateCreated || st.State > job.StateCompleted ||
-		st.Pool < -1 || st.Pool >= len(w.pools) || st.Machine < -1 || st.Machine >= len(w.machines) {
+	if st.Pool < -1 || st.Pool >= len(w.pools) || st.Machine < -1 || st.Machine >= len(w.machines) {
 		return false
 	}
 	switch st.State {
@@ -332,7 +370,7 @@ func badPick(role, name string, spec *job.Spec, pick int, eligible []int) error 
 // queue it.
 func (w *world) arrival(idx, pool int) error {
 	rt := &w.jobs[idx]
-	if err := rt.j.Enqueue(w.now, pool); err != nil {
+	if err := rt.Enqueue(w.now, pool); err != nil {
 		return err
 	}
 	return w.tryPlace(rt, w.pools[pool])
@@ -399,11 +437,10 @@ func (w *world) startOn(rt *jobRT, mid int) error {
 	mach.freeMemMB -= spec.MemMB
 	p.busyCores += spec.Cores
 	w.addBusy(mach.m.Pool, spec.Cores)
-	if err := rt.j.Start(w.now, mid, mach.m.Speed); err != nil {
+	if err := rt.Start(w.now, mid, mach.m.Speed); err != nil {
 		return err
 	}
-	rem := rt.j.RemainingAt(w.now)
-	rt.finish = w.schedule(w.now+rem, kFinish, int64(rt.idx), 0)
+	rt.finish = w.schedule(finishTime(rt), kFinish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
 	w.noteAttach(rt, mach.m.Pool)
@@ -411,15 +448,24 @@ func (w *world) startOn(rt *jobRT, mid int) error {
 	return nil
 }
 
+// finishTime is when a job that just started or resumed finishes: the
+// time of that transition plus its remaining work at its machine's
+// speed. A restore requires each running job's pending finish to be
+// exactly this (see checkPinnedEvents).
+func finishTime(rt *jobRT) float64 {
+	since := rt.StateSince()
+	return since + rt.RemainingAt(since)
+}
+
 // preempt suspends victim and installs rt on the freed machine, then
 // arms the rescheduling decision for the victim.
 func (w *world) preempt(rt *jobRT, victim *jobRT) error {
-	mid := victim.j.Machine
+	mid := victim.Machine
 	mach := &w.machines[mid]
 	p := w.pools[mach.m.Pool]
 
 	w.q.Cancel(victim.finish)
-	if err := victim.j.Suspend(w.now); err != nil {
+	if err := victim.Suspend(w.now); err != nil {
 		return err
 	}
 	removeRunning(mach, victim)
@@ -461,13 +507,13 @@ func (w *world) enqueue(rt *jobRT, p *poolRT) {
 // handleFinish completes a running job and redistributes its capacity.
 func (w *world) handleFinish(idx int) error {
 	rt := &w.jobs[idx]
-	mid := rt.j.Machine
+	mid := rt.Machine
 	mach := &w.machines[mid]
 	p := w.pools[mach.m.Pool]
-	if err := rt.j.Complete(w.now); err != nil {
+	if err := rt.Complete(w.now); err != nil {
 		return err
 	}
-	if err := rt.j.CheckConservation(); err != nil {
+	if err := rt.CheckConservation(); err != nil {
 		return err
 	}
 	w.completed++
@@ -550,7 +596,7 @@ func bestSuspended(mach *machineRT) *jobRT {
 
 // resume continues a suspended job on its host.
 func (w *world) resume(rt *jobRT) error {
-	mid := rt.j.Machine
+	mid := rt.Machine
 	mach := &w.machines[mid]
 	p := w.pools[mach.m.Pool]
 	if !removeSuspended(mach, rt) {
@@ -562,11 +608,10 @@ func (w *world) resume(rt *jobRT) error {
 	mach.freeMemMB -= rt.spec.MemMB
 	p.busyCores += rt.spec.Cores
 	w.addBusy(mach.m.Pool, rt.spec.Cores)
-	if err := rt.j.Resume(w.now); err != nil {
+	if err := rt.Resume(w.now); err != nil {
 		return err
 	}
-	rem := rt.j.RemainingAt(w.now)
-	rt.finish = w.schedule(w.now+rem, kFinish, int64(rt.idx), 0)
+	rt.finish = w.schedule(finishTime(rt), kFinish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
 	w.noteAttach(rt, mach.m.Pool)

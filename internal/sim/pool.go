@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"netbatch/internal/cluster"
@@ -8,10 +9,13 @@ import (
 	"netbatch/internal/job"
 )
 
-// jobRT is the simulator's per-job runtime record.
+// jobRT is the simulator's per-job runtime record: the job's in-flight
+// state (job.Live, which points at the outcome record the run keeps in
+// Result.Jobs) and the engine's own bookkeeping. It lives only as long
+// as the run.
 type jobRT struct {
-	idx  int // index into engine.jobs and the spec slice
-	j    *job.Job
+	job.Live
+	idx  int // index into world.jobs and the spec slice
 	spec *job.Spec
 
 	// finish is the pending completion event, valid while running.
@@ -88,10 +92,12 @@ type poolRT struct {
 	classes []machineClass
 	// waitQ is the pool's wait queue.
 	waitQ *waitQueue
-	// running holds per-priority stacks of running jobs, most recent
-	// last, used for preemption victim selection. Entries may be stale
-	// (finished or departed) and are pruned during scans.
-	running map[job.Priority][]*jobRT
+	// running holds per-priority stacks of running jobs, indexed by
+	// priority, most recent last, used for preemption victim selection;
+	// a nil stack is a priority never pushed. Entries may be stale
+	// (finished or departed) and are pruned during scans, and
+	// pushRunning drops completed jobs' entries (see compactAt).
+	running [][]*jobRT
 	// busyCores counts cores currently executing jobs.
 	busyCores int
 	// suspendedCnt counts jobs suspended within the pool.
@@ -115,9 +121,8 @@ func (p *poolRT) fits(spec *job.Spec) bool {
 // classes.
 func newPoolRT(plat *cluster.Platform, pool *cluster.Pool, machines []machineRT) *poolRT {
 	rt := &poolRT{
-		pool:    pool,
-		waitQ:   &waitQueue{},
-		running: make(map[job.Priority][]*jobRT),
+		pool:  pool,
+		waitQ: &waitQueue{},
 	}
 	type classKey struct {
 		cores int
@@ -187,10 +192,25 @@ func (c *machineClass) findAvailable(machines []machineRT, spec *job.Spec) int {
 	return -1
 }
 
-// pushRunning records a job as running in the pool.
+// compactAt is the smallest victim stack pushRunning compacts.
+const compactAt = 32
+
+// pushRunning records a job as running in the pool. A completed job
+// never runs again, so findVictim only ever prunes its entries; when a
+// stack's length reaches a power of two (from compactAt on), they are
+// dropped in one pass. The rule reads only saved state, the stack and
+// which jobs completed, so a resumed run compacts at the same pushes
+// as the straight run, and no victim choice changes.
 func (p *poolRT) pushRunning(rt *jobRT) {
-	prio := rt.spec.Priority
-	p.running[prio] = append(p.running[prio], rt)
+	prio := int(rt.spec.Priority)
+	for len(p.running) <= prio {
+		p.running = append(p.running, nil)
+	}
+	stack := append(p.running[prio], rt)
+	if n := len(stack); n >= compactAt && n&(n-1) == 0 {
+		stack = slices.DeleteFunc(stack, func(v *jobRT) bool { return v.done })
+	}
+	p.running[prio] = stack
 }
 
 // findVictim scans running jobs of priority strictly below prio, most
@@ -198,11 +218,8 @@ func (p *poolRT) pushRunning(rt *jobRT) {
 // on its machine. It returns nil if none qualifies. Stale entries are
 // pruned; the returned victim is removed from the stack.
 func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT) *jobRT {
-	for vp := job.Priority(1); vp < spec.Priority; vp++ {
-		stack, ok := p.running[vp]
-		if !ok {
-			continue
-		}
+	for vp := 1; vp < int(spec.Priority) && vp < len(p.running); vp++ {
+		stack := p.running[vp]
 		for i := len(stack) - 1; i >= 0; i-- {
 			v := stack[i]
 			// Prune entries that are no longer running in this pool. Note
@@ -213,11 +230,11 @@ func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT) *jobRT {
 			// installs this pool's arrival on the other pool's machine —
 			// possibly at another site — which is deliberate, preserved
 			// seed behavior.
-			if v.j.State() != job.StateRunning || v.j.Pool != p.pool.ID {
+			if v.State() != job.StateRunning || v.Pool != p.pool.ID {
 				stack = append(stack[:i], stack[i+1:]...)
 				continue
 			}
-			mach := &machines[v.j.Machine]
+			mach := &machines[v.Machine]
 			// A draining machine's jobs run to completion but free no
 			// usable capacity, so preempting them is pointless.
 			if mach.down || !victimWorks(v, mach, spec) {

@@ -116,8 +116,8 @@ func TestFindVictimPicksMostRecentLowest(t *testing.T) {
 	)
 	mkRunning := func(id job.ID, prio job.Priority, mid int) *jobRT {
 		spec := &job.Spec{ID: id, Work: 100, Cores: 1, MemMB: 1024, Priority: prio, Candidates: []int{0}}
-		j := job.New(spec)
-		rt := &jobRT{j: j, spec: spec}
+		rt := &jobRT{Live: job.Track(job.New(spec)), spec: spec}
+		j := &rt.Live
 		if err := j.Enqueue(0, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -151,8 +151,8 @@ func TestFindVictimRespectsMemoryAndPriority(t *testing.T) {
 		cluster.MachineClass{Count: 1, Cores: 1, MemMB: 2048, Speed: 1.0},
 	)
 	spec := &job.Spec{ID: 1, Work: 100, Cores: 1, MemMB: 1024, Priority: job.PriorityHigh, Candidates: []int{0}}
-	j := job.New(spec)
-	rt := &jobRT{j: j, spec: spec}
+	rt := &jobRT{Live: job.Track(job.New(spec)), spec: spec}
+	j := &rt.Live
 	if err := j.Enqueue(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestVictimWorksMemoryModes(t *testing.T) {
 		freeMemMB: 512,
 	}
 	vspec := &job.Spec{Cores: 1, MemMB: 2048, Priority: job.PriorityLow, Candidates: []int{0}}
-	victim := &jobRT{j: job.New(vspec), spec: vspec}
+	victim := &jobRT{Live: job.Track(job.New(vspec)), spec: vspec}
 	need := &job.Spec{Cores: 2, MemMB: 2048, Priority: job.PriorityHigh}
 
 	// Suspension swaps the victim out, releasing its memory: fits.

@@ -19,7 +19,7 @@ func queuedRT(id job.ID, prio job.Priority) *jobRT {
 		ID: id, Work: 10, Cores: 1, MemMB: 1,
 		Priority: prio, Candidates: []int{0},
 	}
-	return &jobRT{j: job.New(spec), spec: spec}
+	return &jobRT{Live: job.Track(job.New(spec)), spec: spec}
 }
 
 // freeMachine returns a machine with the given free capacity.

@@ -21,13 +21,13 @@ import (
 // suspended one decision sweep ago.
 func (w *world) handleSusDecide(idx int) error {
 	rt := &w.jobs[idx]
-	if rt.j.State() != job.StateSuspended {
+	if rt.State() != job.StateSuspended {
 		return nil // resumed or departed meanwhile
 	}
 	// The deciding agent runs at the job's current site.
-	w.view.observe(w.siteOf[rt.j.Pool])
+	w.view.observe(w.siteOf[rt.Pool])
 	eligible := w.eligiblePools(rt.spec)
-	target, move := w.cfg.Policy.OnSuspend(rt.j, eligible, &w.view)
+	target, move := w.cfg.Policy.OnSuspend(rt.Job, eligible, &w.view)
 	if !move {
 		return nil
 	}
@@ -41,7 +41,7 @@ func (w *world) handleSusDecide(idx int) error {
 // toward target, restarting (progress lost) or migrating (progress
 // kept) per the policy.
 func (w *world) departSuspended(rt *jobRT, target int) error {
-	mid := rt.j.Machine
+	mid := rt.Machine
 	mach := &w.machines[mid]
 	p := w.pools[mach.m.Pool]
 	if !removeSuspended(mach, rt) {
@@ -52,20 +52,20 @@ func (w *world) departSuspended(rt *jobRT, target int) error {
 	w.scopeSuspended--
 
 	overhead := w.cfg.RescheduleOverhead
-	if from := w.siteOf[rt.j.Pool]; from != w.siteOf[target] {
+	if from := w.siteOf[rt.Pool]; from != w.siteOf[target] {
 		// Crossing a site boundary pays the inter-site transfer delay on
 		// top of any configured reschedule overhead.
 		overhead += w.plat.RTT(from, w.siteOf[target])
 		w.res.CrossSiteMoves++
 	}
 	if mig, ok := w.cfg.Policy.(core.Migrator); ok {
-		if err := rt.j.MigrateFrom(w.now); err != nil {
+		if err := rt.MigrateFrom(w.now); err != nil {
 			return err
 		}
 		w.res.Migrations++
 		overhead += mig.MigrationOverhead()
 	} else {
-		if err := rt.j.RestartFrom(w.now); err != nil {
+		if err := rt.RestartFrom(w.now); err != nil {
 			return err
 		}
 		w.res.Restarts++
@@ -85,33 +85,33 @@ func (w *world) route(rt *jobRT, pool int, overhead float64) {
 // to an alternate pool; otherwise the timer re-arms.
 func (w *world) handleWaitTimeout(idx int) error {
 	rt := &w.jobs[idx]
-	if !rt.queued || rt.j.State() != job.StateWaiting {
+	if !rt.queued || rt.State() != job.StateWaiting {
 		return nil // stale timer: the job was dispatched meanwhile
 	}
 	th := w.cfg.Policy.WaitThreshold()
 	if th <= 0 {
 		return nil
 	}
-	w.view.observe(w.siteOf[rt.j.Pool])
+	w.view.observe(w.siteOf[rt.Pool])
 	eligible := w.eligiblePools(rt.spec)
-	target, move := w.cfg.Policy.OnWaitTimeout(rt.j, eligible, &w.view)
-	if !move || target == rt.j.Pool {
+	target, move := w.cfg.Policy.OnWaitTimeout(rt.Job, eligible, &w.view)
+	if !move || target == rt.Pool {
 		rt.waitTO = w.schedule(w.now+th, kWaitTimeout, int64(rt.idx), 0)
 		return nil
 	}
 	if !slices.Contains(eligible, target) {
 		return badPick("policy", w.cfg.Policy.Name(), rt.spec, target, eligible)
 	}
-	p := w.pools[rt.j.Pool]
+	p := w.pools[rt.Pool]
 	p.waitQ.remove(rt)
 	w.scopeWaiting--
 	overhead := w.cfg.RescheduleOverhead
-	from := w.siteOf[rt.j.Pool]
+	from := w.siteOf[rt.Pool]
 	if from != w.siteOf[target] {
 		overhead += w.plat.RTT(from, w.siteOf[target])
 		w.res.CrossSiteMoves++
 	}
-	if err := rt.j.RescheduleWait(w.now); err != nil {
+	if err := rt.RescheduleWait(w.now); err != nil {
 		return err
 	}
 	w.res.WaitMoves++

@@ -581,6 +581,18 @@ func TestInvalidSpecRejected(t *testing.T) {
 		!strings.Contains(err.Error(), "beyond platform") {
 		t.Fatalf("out-of-range pool accepted: %v", err)
 	}
+	// Victim stacks are indexed by priority, so a priority past the
+	// simulator's levels fails before any is allocated.
+	top := lowJob(1, 0, 10, 0)
+	top.Priority = maxPriority
+	if _, err := Run(baseConfig(p), []job.Spec{top}); err != nil {
+		t.Fatalf("priority %d rejected: %v", maxPriority, err)
+	}
+	top.Priority = 1 << 40
+	if _, err := Run(baseConfig(p), []job.Spec{top}); err == nil ||
+		!strings.Contains(err.Error(), "above the simulator's") {
+		t.Fatalf("priority 2^40 accepted: %v", err)
+	}
 }
 
 // TestNonFiniteSpecRejected: a NaN or infinite submit time or work

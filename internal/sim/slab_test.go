@@ -1,14 +1,16 @@
 package sim
 
 // Tests for the job-record slab: a run's records share the caller's
-// specs instead of copying them, and building them costs a constant
-// number of allocations however many jobs the trace holds.
+// specs instead of copying them, building them costs a constant number
+// of allocations however many jobs the trace holds, and a job costs no
+// more in flight than before its record was split.
 
 import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"netbatch/internal/core"
 	"netbatch/internal/job"
@@ -63,5 +65,16 @@ func TestBuildWorldAllocsIndependentOfJobs(t *testing.T) {
 	small, large := allocs(1000), allocs(8000)
 	if large-small > 2 {
 		t.Fatalf("building the world allocates %v times for 1,000 jobs and %v for 8,000", small, large)
+	}
+}
+
+// TestInFlightJobSize pins what a job costs while its run is in flight:
+// the engine's runtime record, which holds the attempt state, plus the
+// outcome record the run keeps. Splitting the two must not make the
+// pair larger than the 200 bytes a job cost when one record held both.
+func TestInFlightJobSize(t *testing.T) {
+	rt, rec := unsafe.Sizeof(jobRT{}), unsafe.Sizeof(job.Job{})
+	if rt+rec > 200 {
+		t.Fatalf("jobRT (%d B) plus job.Job (%d B) is %d bytes per job in flight, want at most 200", rt, rec, rt+rec)
 	}
 }

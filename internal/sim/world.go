@@ -115,6 +115,11 @@ func (w *world) eventInRange(kd kind, a, b int64) bool {
 	return false
 }
 
+// maxPriority bounds job priorities: each pool keeps one victim stack
+// per priority, indexed by it, and a preemption scans the priorities
+// below the arriving job's.
+const maxPriority = 1 << 10
+
 // world is one run's complete simulation state: configuration and
 // platform topology, the event loop's clock and queue, the runtime
 // records of every machine, pool and job, and the state the handlers
@@ -218,17 +223,23 @@ func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 					specs[i].ID, c, plat.NumPools())
 			}
 		}
+		if p := specs[i].Priority; p > maxPriority {
+			return nil, fmt.Errorf("sim: job %d has priority %d, above the simulator's %d levels",
+				specs[i].ID, p, maxPriority)
+		}
 		if s := specs[i].Site; s >= w.nSites {
 			return nil, fmt.Errorf("sim: job %d submitted from site %d beyond platform's %d sites",
 				specs[i].ID, s, w.nSites)
 		}
 	}
-	// One slab holds every job record, each pointing at its spec: a
-	// year-scale run makes one allocation here instead of one per job.
+	// One slab holds every job's outcome record, each pointing at its
+	// spec: a year-scale run makes one allocation here instead of one
+	// per job. The slab outlives the run as Result.Jobs; the in-flight
+	// state in w.jobs does not.
 	slab := job.NewSlab(specs)
 	w.jobs = make([]jobRT, len(specs))
 	for i := range slab {
-		w.jobs[i] = jobRT{idx: i, j: &slab[i], spec: &specs[i]}
+		w.jobs[i] = jobRT{Live: job.Track(&slab[i]), idx: i, spec: &specs[i]}
 	}
 	if len(specs) > 0 {
 		w.start = specs[0].Submit
@@ -331,7 +342,7 @@ func (w *world) seed() {
 // Called from startOn and resume, the two points where a job acquires
 // a machine.
 func (w *world) noteAttach(rt *jobRT, machPool int) {
-	if w.siteOf[rt.j.Pool] != w.siteOf[machPool] {
+	if w.siteOf[rt.Pool] != w.siteOf[machPool] {
 		rt.aliased = true
 	}
 }
@@ -357,11 +368,11 @@ func (w *world) rebuildAliased() {
 	for i := range w.jobs {
 		rt := &w.jobs[i]
 		rt.aliased = false
-		st := rt.j.State()
+		st := rt.State()
 		if st != job.StateRunning && st != job.StateSuspended {
 			continue
 		}
-		rt.aliased = w.siteOf[rt.j.Pool] != w.siteOf[w.machines[rt.j.Machine].m.Pool]
+		rt.aliased = w.siteOf[rt.Pool] != w.siteOf[w.machines[rt.Machine].m.Pool]
 	}
 }
 
@@ -378,12 +389,12 @@ func (w *world) addBusy(pool, delta int) {
 func (w *world) finalizeJobs(res *Result) error {
 	res.Jobs = make([]*job.Job, len(w.jobs))
 	for i := range w.jobs {
-		res.Jobs[i] = w.jobs[i].j
-		if w.jobs[i].j.State() != job.StateCompleted {
+		res.Jobs[i] = w.jobs[i].Job
+		if w.jobs[i].State() != job.StateCompleted {
 			return fmt.Errorf("sim: job %d finished run in state %v",
-				w.jobs[i].spec.ID, w.jobs[i].j.State())
+				w.jobs[i].spec.ID, w.jobs[i].State())
 		}
-		if c := w.jobs[i].j.Completed; c > res.Makespan {
+		if c := w.jobs[i].Completed; c > res.Makespan {
 			res.Makespan = c
 		}
 	}

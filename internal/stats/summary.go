@@ -99,13 +99,44 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	buf := slices.Clone(xs)
 	lo, hi, frac := quantileRanks(len(buf), q)
 	selectRank(buf, lo)
+	return interpolateSelected(buf, lo, hi, frac), nil
+}
+
+// QuantilePair returns the q1- and q2-quantiles of xs, q1 ≤ q2, as
+// Quantile(xs, q1) and Quantile(xs, q2) would, but reorders xs, which
+// the caller owns, instead of copying it twice: it selects q1's rank,
+// then q2's within the part above it. As with any sort, which of −0
+// and +0, or of two NaNs, a quantile returns is unspecified; every
+// other value is bit for bit Quantile's. It returns an error for an
+// empty sample or unless 0 ≤ q1 ≤ q2 ≤ 1.
+func QuantilePair(xs []float64, q1, q2 float64) (v1, v2 float64, err error) {
+	if len(xs) == 0 {
+		return 0, 0, fmt.Errorf("stats: quantile of empty sample")
+	}
+	if !(q1 >= 0 && q1 <= q2 && q2 <= 1) {
+		return 0, 0, fmt.Errorf("stats: quantiles %v, %v not ordered within [0, 1]", q1, q2)
+	}
+	lo1, hi1, frac1 := quantileRanks(len(xs), q1)
+	selectRank(xs, lo1)
+	v1 = interpolateSelected(xs, lo1, hi1, frac1)
+	lo2, hi2, frac2 := quantileRanks(len(xs), q2)
+	if lo2 > lo1 {
+		// Everything after rank lo1 sorts at or above it, so rank lo2
+		// of xs is rank lo2−lo1−1 of that part.
+		selectRank(xs[lo1+1:], lo2-lo1-1)
+	}
+	return v1, interpolateSelected(xs, lo2, hi2, frac2), nil
+}
+
+// interpolateSelected returns the quantile between ranks lo and hi
+// (hi is lo or lo+1) of xs, whose rank lo selectRank has placed.
+func interpolateSelected(xs []float64, lo, hi int, frac float64) float64 {
 	if lo == hi {
-		return buf[lo], nil
+		return xs[lo]
 	}
 	// Every value after rank lo sorts at or above it, so rank hi = lo+1
 	// is the least of them.
-	next := slices.Min(buf[lo+1:])
-	return buf[lo]*(1-frac) + next*frac, nil
+	return xs[lo]*(1-frac) + slices.Min(xs[lo+1:])*frac
 }
 
 // quantileRanks returns the two order statistics of an n-sample the

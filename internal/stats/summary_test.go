@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -221,6 +222,69 @@ func checkQuantile(t *testing.T, xs []float64, q float64) {
 	}
 }
 
+// sameBits reports whether QuantilePair's value a is Quantile's b: bit
+// for bit, except that a selection may return either of −0 and +0, or
+// either of two NaNs.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkQuantilePair asserts that QuantilePair(xs', q1, q2), on a copy
+// xs' of xs, returns Quantile(xs, q1) and Quantile(xs, q2), and leaves
+// xs' a reordering of xs.
+func checkQuantilePair(t *testing.T, xs []float64, q1, q2 float64) {
+	t.Helper()
+	buf := slices.Clone(xs)
+	v1, v2, err := QuantilePair(buf, q1, q2)
+	if err != nil {
+		t.Fatalf("n=%d q=%v,%v: %v", len(xs), q1, q2, err)
+	}
+	for _, c := range []struct{ q, got float64 }{{q1, v1}, {q2, v2}} {
+		want, err := Quantile(xs, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(c.got, want) {
+			t.Fatalf("n=%d q=%v,%v: pair gives %v at %v, Quantile %v", len(xs), q1, q2, c.got, c.q, want)
+		}
+	}
+	sorted, got := slices.Clone(xs), slices.Clone(buf)
+	sort.Float64s(sorted)
+	sort.Float64s(got)
+	for i := range sorted {
+		if !sameQuantile(got[i], sorted[i]) {
+			t.Fatalf("n=%d q=%v,%v: sample is not a reordering of the input", len(xs), q1, q2)
+		}
+	}
+}
+
+// checkPairs runs checkQuantilePair on the pairs a quantile q makes:
+// equal quantiles, q and its mirror, and Summarize's median and P90.
+func checkPairs(t *testing.T, xs []float64, q float64) {
+	t.Helper()
+	checkQuantilePair(t, xs, q, q)
+	checkQuantilePair(t, xs, min(q, 1-q), max(q, 1-q))
+	checkQuantilePair(t, xs, 0.5, 0.9)
+}
+
+func TestQuantilePairErrors(t *testing.T) {
+	for _, c := range []struct {
+		xs     []float64
+		q1, q2 float64
+	}{
+		{nil, 0.5, 0.9},
+		{[]float64{1, 2}, 0.9, 0.5},
+		{[]float64{1, 2}, -0.1, 0.5},
+		{[]float64{1, 2}, 0.5, 1.1},
+		{[]float64{1, 2}, math.NaN(), 0.5},
+		{[]float64{1, 2}, 0.5, math.NaN()},
+	} {
+		if _, _, err := QuantilePair(c.xs, c.q1, c.q2); err == nil {
+			t.Fatalf("QuantilePair(%v, %v, %v): want error", c.xs, c.q1, c.q2)
+		}
+	}
+}
+
 func TestQuantileMatchesSortDefinition(t *testing.T) {
 	r := NewRNG(301)
 	families := []struct {
@@ -289,6 +353,7 @@ func TestQuantileMatchesSortDefinition(t *testing.T) {
 				}
 				for _, q := range qs {
 					checkQuantile(t, xs, q)
+					checkPairs(t, xs, q)
 				}
 			}
 		})
@@ -296,14 +361,17 @@ func TestQuantileMatchesSortDefinition(t *testing.T) {
 }
 
 // FuzzQuantile checks selection against the sorted definition on
-// arbitrary samples. Each input byte is one value: a small integer, or
-// NaN, ±Inf or −0 for four reserved bytes, so ties and every special
-// ordering case turn up often.
+// arbitrary samples, and QuantilePair against Quantile on the pairs q
+// makes (see checkPairs). Each input byte is one value: a small
+// integer, or NaN, ±Inf or −0 for four reserved bytes, so ties and
+// every special ordering case turn up often.
 func FuzzQuantile(f *testing.F) {
 	f.Add([]byte{3, 1, 2}, 0.5)
 	f.Add([]byte{0x80, 5, 0x7f, 0x81, 0x7e, 0, 5, 5}, 0.9)
 	f.Add([]byte{}, 0.5)
 	f.Add([]byte{1}, math.NaN())
+	f.Add([]byte{7, 0x80}, 0.5)
+	f.Add([]byte{0x7e, 0}, 0.9)
 	f.Fuzz(func(t *testing.T, data []byte, q float64) {
 		xs := make([]float64, len(data))
 		for i, b := range data {
@@ -324,9 +392,13 @@ func FuzzQuantile(f *testing.F) {
 			if _, err := Quantile(xs, q); err == nil {
 				t.Fatalf("n=%d q=%v: want error", len(xs), q)
 			}
+			if _, _, err := QuantilePair(slices.Clone(xs), q, q); err == nil {
+				t.Fatalf("n=%d q=%v: want error from the pair", len(xs), q)
+			}
 			return
 		}
 		checkQuantile(t, xs, q)
+		checkPairs(t, xs, q)
 	})
 }
 
