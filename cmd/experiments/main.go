@@ -23,6 +23,8 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,7 +70,7 @@ func run() (err error) {
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace of the run to this file")
 
-		timeline = flag.String("timeline", "", "write a timeline of every cell (one \"run\" span per simulation, plus checkpoint captures) as Chrome trace_event JSON to this file (load in Perfetto / chrome://tracing)")
+		timeline = flag.String("timeline", "", "draw the run log as a timeline of every cell (one \"run\" span per cell, plus one span per checkpoint covering its capture, encoding and file write) and write it as Chrome trace_event JSON to this file (load in Perfetto / chrome://tracing)")
 		runlog   = flag.String("runlog", "", "stream per-cell run telemetry as JSONL records to this file (\"-\" = stderr)")
 		progress = flag.Duration("progress", 0, "per-cell progress cadence (0 = 1s when -runlog is set, else mirror nothing); also mirrors to stderr without -runlog")
 	)
@@ -202,60 +204,81 @@ func checkFlags(f numericFlags) error {
 }
 
 // armObservability wires the -timeline/-runlog/-progress flags into the
-// matrix options: a shared metrics registry plus JSONL run log when
-// -runlog is set, and a Chrome-trace timeline collector when -timeline
-// is. The returned flush appends the final registry snapshot as a
-// "metrics" record, writes the timeline JSON, and closes the run-log
-// file; it is safe to call when no flag was set.
-func armObservability(timeline, runlog string, progress time.Duration, opts *experiments.Options) (func() error, error) {
-	var closeLog func() error
-	if runlog != "" {
-		w := io.Writer(os.Stderr)
-		if runlog != "-" {
-			f, err := os.Create(runlog)
-			if err != nil {
-				return nil, fmt.Errorf("runlog: %w", err)
-			}
-			w = f
-			closeLog = f.Close
+// matrix options. All three read the one run-log stream: -runlog
+// writes it to a file, with a shared metrics registry whose snapshot a
+// final "metrics" record carries; -progress without -runlog mirrors its
+// progress records through opts.Logf; -timeline draws it as Chrome
+// trace_event JSON. The returned flush appends the metrics record,
+// closes the run-log file and writes the timeline; it is safe to call
+// when no flag was set.
+func armObservability(timelinePath, runlog string, progress time.Duration, opts *experiments.Options) (func() error, error) {
+	var sinks []io.Writer
+	closeLog := func() error { return nil }
+	switch {
+	case runlog == "-":
+		sinks = append(sinks, os.Stderr)
+	case runlog != "":
+		f, err := os.Create(runlog)
+		if err != nil {
+			return nil, fmt.Errorf("runlog: %w", err)
 		}
-		opts.RunLog = obs.NewRunLog(w)
+		sinks = append(sinks, f)
+		closeLog = f.Close
+	case progress > 0:
+		sinks = append(sinks, progressMirror(opts.Logf))
+	}
+	if runlog != "" {
 		opts.Metrics = obs.NewRegistry()
 	}
-	if timeline != "" {
-		opts.Trace = obs.NewTracer()
+	var tl *timeline
+	if timelinePath != "" {
+		tl = newTimeline()
+		sinks = append(sinks, tl)
+	}
+	if len(sinks) > 0 {
+		opts.RunLog = obs.NewRunLog(io.MultiWriter(sinks...))
 	}
 	opts.ProgressEvery = progress
 	flush := func() error {
-		if opts.RunLog != nil {
-			if err := opts.RunLog.Emit(obs.RunRecord{
+		var err error
+		if opts.Metrics != nil {
+			err = opts.RunLog.Emit(obs.RunRecord{
 				Type:    "metrics",
 				Metrics: opts.Metrics.Snapshot(),
-			}); err != nil {
-				return fmt.Errorf("runlog: %w", err)
-			}
+			})
 		}
-		if closeLog != nil {
-			if err := closeLog(); err != nil {
-				return fmt.Errorf("runlog: %w", err)
-			}
+		if err = errors.Join(err, closeLog()); err != nil {
+			return fmt.Errorf("runlog: %w", err)
 		}
-		if opts.Trace != nil {
-			f, err := os.Create(timeline)
-			if err != nil {
-				return fmt.Errorf("timeline: %w", err)
-			}
-			if err := opts.Trace.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("timeline: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("timeline: %w", err)
-			}
+		if tl == nil {
+			return nil
+		}
+		f, err := os.Create(timelinePath)
+		if err == nil {
+			err = errors.Join(tl.WriteJSON(f), f.Close())
+		}
+		if err != nil {
+			return fmt.Errorf("timeline: %w", err)
 		}
 		return nil
 	}
 	return flush, nil
+}
+
+// progressMirror writes the run log's progress records through a Logf,
+// one line each: -progress without -runlog.
+type progressMirror func(format string, args ...any)
+
+func (m progressMirror) Write(p []byte) (int, error) {
+	var rec obs.RunRecord
+	if err := json.Unmarshal(p, &rec); err != nil {
+		return 0, fmt.Errorf("progress: run log record: %w", err)
+	}
+	if rec.Type == "progress" {
+		m("experiments: cell %s: t=%.0f events=%d (%.0f ev/s) eta=%.0fs",
+			rec.Cell, rec.SimTime, rec.Events, rec.EventsPerSec, rec.ETASec)
+	}
+	return len(p), nil
 }
 
 // printRegistry lists every registered experiment.

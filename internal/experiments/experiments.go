@@ -76,29 +76,28 @@ type Options struct {
 	// corrupted checkpoints fall back to a fresh run (reported through
 	// Logf). Results are bit-identical either way.
 	Resume bool
-	// Logf, when set, receives progress and fallback warnings (e.g. a
-	// checkpoint that could not be resumed). Nil discards them.
+	// Logf, when set, receives warnings: a checkpoint that could not be
+	// resumed, a run-log record that could not be written. Nil discards
+	// them.
 	Logf func(format string, args ...any)
 
-	// Metrics, when set, is the shared registry every cell's simulation
-	// records execution counters into (see internal/obs and the
-	// sim.Config.Metrics names). Nil disables metric recording at the
-	// simulator's nil-sink fast path.
+	// Metrics, when set, is the shared registry the runner records each
+	// cell's execution into when the cell ends: the counters
+	// sim.checkpoint.captures and sim.checkpoint.bytes of the files it
+	// wrote, and from its sim.Result the counters sim.events (from t=0
+	// for a resumed cell) and sim.alias_retirements and the gauges
+	// sim.queue.depth_max and sim.queue.tombstones_max.
 	Metrics *obs.Registry
-	// Trace, when set, collects a Chrome trace_event timeline: each
-	// cell becomes one process group ("cell <scenario>/<policy>/r<n>")
-	// holding that run's "serial" track. Write it out with
-	// Trace.WriteJSON after Run returns.
-	Trace *obs.Tracer
 	// RunLog, when set, receives streaming JSONL telemetry: one
-	// cell_start/cell_done record per cell plus periodic progress
+	// cell_start and one cell_done record per cell, a checkpoint record
+	// after each checkpoint file (its bytes, and the wall time of its
+	// capture and encoding and of its write), and periodic progress
 	// records (simulated-time frontier, events/sec, crude ETA) every
 	// ProgressEvery of wall time.
 	RunLog *obs.RunLog
-	// ProgressEvery throttles per-cell progress records, and — when
-	// RunLog is nil but Logf is set — mirrors them to Logf instead.
-	// Values <= 0 default to 1s when RunLog is set, else disable
-	// progress reporting.
+	// ProgressEvery throttles per-cell progress records. Values <= 0
+	// default to 1s when RunLog is set; without RunLog nothing reports
+	// progress.
 	ProgressEvery time.Duration
 }
 

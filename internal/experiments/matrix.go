@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"netbatch/internal/cluster"
 	"netbatch/internal/job"
@@ -372,7 +373,6 @@ func buildCellConfig(sc *Scenario, pf PolicyFactory, p int, seed uint64, plat *c
 		RescheduleOverhead: opts.Overhead,
 		UtilStaleness:      sc.Staleness,
 		Context:            opts.Context,
-		Metrics:            opts.Metrics,
 	}
 	if sc.Faults != nil {
 		cfg.Faults = *sc.Faults
@@ -478,19 +478,11 @@ func LoadCheckpoint(path string) ([]byte, error) {
 // (corrupted, or from a different build or configuration) falls back
 // to a fresh run with a Logf warning — never to a wrong result, since
 // resume bit-identity is the simulator's contract and mismatches are
-// rejected up front.
-func simulateCell(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
-	done := cellTelemetry(&cfg, specs, scenarioID, policyName, rep, opts)
-	r, err := simulateCellCheckpointed(cfg, specs, scenarioID, policyName, p, rep, opts)
-	done(r, err)
-	return r, err
-}
-
-// simulateCellCheckpointed is simulateCell's checkpoint-handling
-// core; the wrapper above brackets it with telemetry so every exit
-// path — fresh run, resume, or fallback — emits exactly one cell_done
-// record.
-func simulateCellCheckpointed(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (*sim.Result, error) {
+// rejected up front. Every exit path — fresh run, resume, or fallback —
+// ends the cell's telemetry once.
+func simulateCell(cfg sim.Config, specs []job.Spec, scenarioID, policyName string, p, rep int, opts Options) (res *sim.Result, err error) {
+	tel := newCellTelemetry(&cfg, specs, scenarioID, policyName, rep, opts)
+	defer func() { tel.done(res, err) }()
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -516,10 +508,15 @@ func simulateCellCheckpointed(cfg sim.Config, specs []job.Spec, scenarioID, poli
 		}
 		path := fmt.Sprintf("%s_t%014.1f%s", prefix, ck.Time, ext)
 		tmp := path + ".tmp"
+		start := time.Now()
 		if err := os.WriteFile(tmp, ck.Data, 0o644); err != nil {
 			return err
 		}
-		return os.Rename(tmp, path)
+		if err := os.Rename(tmp, path); err != nil {
+			return err
+		}
+		tel.checkpoint(ck, time.Since(start))
+		return nil
 	}
 	if opts.Resume {
 		if path := latestCheckpoint(prefix); path != "" {

@@ -1,20 +1,19 @@
-// Package obs is the simulator's observability layer: a metrics
-// registry (counters and gauges), a Chrome trace_event timeline
-// tracer, and a JSONL run log for streaming telemetry.
+// Package obs holds the run-level observability sinks: a metrics
+// registry (counters and gauges) and a JSONL run log. The experiments
+// runner records into them from the facts the simulator reports
+// (sim.Result counters, each sim.Checkpoint's wall time, the
+// sim.Config.Progress hook); the simulator itself imports nothing
+// from here. Consumers read the run log's stream: cmd/experiments
+// writes it to a file, mirrors its progress records to stderr and
+// draws its -timeline from it.
 //
-// The whole package is built around a nil-sink fast path. Every
-// handle type (*Counter, *Gauge, *Tracer, *Process, *Track, *RunLog)
-// treats a nil receiver as "observability disabled" and returns
-// immediately, so instrumented code records unconditionally — no
-// flags, no double bookkeeping — and a disabled run pays a single
-// predicted branch per record site, zero allocations. The simulator
-// resolves handles once per run (a nil *Registry hands out nil
-// handles), keeping name lookups off hot paths.
+// Every handle (*Registry, *Counter, *Gauge, *RunLog) treats a nil
+// receiver as "observability disabled" and returns immediately, so a
+// disabled run records nothing and allocates nothing.
 //
 // Nothing in this package may influence simulation behavior: metrics
-// and timelines attribute wall-clock execution, not simulated time,
-// and are explicitly excluded from the simulator's bit-identity
-// contract.
+// and run logs attribute wall-clock execution, not simulated time, and
+// are excluded from the simulator's bit-identity contract.
 package obs
 
 import (

@@ -28,30 +28,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil registry snapshot non-nil")
 	}
 
-	var tr *Tracer
-	p := tr.Process("cell")
-	if p != nil {
-		t.Fatal("nil tracer handed out a process")
-	}
-	tk := p.Track("shard")
-	if tk != nil {
-		t.Fatal("nil process handed out a track")
-	}
-	tk.Span("x", tk.Now(), Arg{"n", 1})
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("nil tracer WriteJSON: %v", err)
-	}
-	var out struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("nil tracer emitted invalid JSON: %v", err)
-	}
-	if len(out.TraceEvents) != 0 {
-		t.Errorf("nil tracer emitted %d events", len(out.TraceEvents))
-	}
-
 	var l *RunLog
 	if err := l.Emit(RunRecord{Type: "progress"}); err != nil {
 		t.Errorf("nil runlog Emit: %v", err)
@@ -109,78 +85,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	if snap[0].Kind != "gauge" || snap[0].Value != 1 || snap[1].Kind != "counter" || snap[1].Value != 4 {
 		t.Errorf("snapshot metrics malformed: %+v", snap)
-	}
-}
-
-// The emitted timeline must be valid Chrome trace_event JSON: an
-// object with a traceEvents array where every event carries
-// name/ph/ts/pid/tid, complete events carry dur, and every lane is
-// labeled by metadata events.
-func TestTracerChromeFormat(t *testing.T) {
-	tr := NewTracer()
-	p1 := tr.Process("cell multisite/norm/r0")
-	run := p1.Track("serial")
-	aux := p1.Track("aux")
-	t0 := run.Now()
-	run.Span("run", t0, Arg{"events", 12})
-	aux.Span("capture", aux.Now(), Arg{"bytes", 12}, Arg{"keyframe", 1})
-	p2 := tr.Process("cell multisite/norm/r1")
-	p2.Track("serial").Span("checkpoint", 0, Arg{"bytes", 4096})
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		Unit        string           `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("timeline is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if out.Unit != "ms" {
-		t.Errorf("displayTimeUnit: got %q want ms", out.Unit)
-	}
-	metaNames := map[string]bool{}
-	evNames := map[string]bool{}
-	for _, ev := range out.TraceEvents {
-		ph, _ := ev["ph"].(string)
-		name, _ := ev["name"].(string)
-		if name == "" {
-			t.Fatalf("event without name: %v", ev)
-		}
-		if _, ok := ev["pid"].(float64); !ok {
-			t.Fatalf("event without pid: %v", ev)
-		}
-		if _, ok := ev["tid"].(float64); !ok {
-			t.Fatalf("event without tid: %v", ev)
-		}
-		switch ph {
-		case "M":
-			args, _ := ev["args"].(map[string]any)
-			label, _ := args["name"].(string)
-			metaNames[label] = true
-		case "X":
-			if ts, ok := ev["ts"].(float64); !ok || ts < 0 {
-				t.Fatalf("complete event bad ts: %v", ev)
-			}
-			if dur, ok := ev["dur"].(float64); !ok || dur < 0 {
-				t.Fatalf("complete event bad dur: %v", ev)
-			}
-			evNames[name] = true
-		default:
-			t.Fatalf("unexpected ph %q: %v", ph, ev)
-		}
-	}
-	for _, want := range []string{"cell multisite/norm/r0", "cell multisite/norm/r1", "serial", "aux"} {
-		if !metaNames[want] {
-			t.Errorf("missing metadata label %q (have %v)", want, metaNames)
-		}
-	}
-	for _, want := range []string{"run", "capture", "checkpoint"} {
-		if !evNames[want] {
-			t.Errorf("missing event %q", want)
-		}
 	}
 }
 

@@ -6,17 +6,9 @@ import (
 	"sync"
 )
 
-// A Progress report is emitted by the simulation loop from its cheap
-// sync point (the ctx-poll stride) while a run is in flight. Fields
-// describe the execution so far, not the final result.
-type Progress struct {
-	SimTime float64 // simulated-time frontier, minutes
-	Events  int64   // events dispatched so far
-}
-
 // A RunRecord is one line of the JSONL run log. Type is "cell_start",
-// "progress", "cell_done", or "metrics"; the other fields are
-// populated as applicable.
+// "progress", "checkpoint", "cell_done", or "metrics"; the other fields
+// are populated as applicable.
 type RunRecord struct {
 	Type         string   `json:"type"`
 	Cell         string   `json:"cell,omitempty"`    // scenario/policy/replicate label
@@ -24,7 +16,10 @@ type RunRecord struct {
 	SimTime      float64  `json:"t_sim,omitempty"`   // simulated-time frontier, minutes
 	Events       int64    `json:"events,omitempty"`
 	EventsPerSec float64  `json:"events_per_sec,omitempty"`
-	ETASec       float64  `json:"eta_s,omitempty"` // crude horizon-proportional estimate
+	ETASec       float64  `json:"eta_s,omitempty"`      // crude horizon-proportional estimate
+	Bytes        int64    `json:"bytes,omitempty"`      // checkpoint file size
+	CaptureMS    float64  `json:"capture_ms,omitempty"` // checkpoint capture and encoding
+	WriteMS      float64  `json:"write_ms,omitempty"`   // checkpoint file write
 	Err          string   `json:"err,omitempty"`
 	Metrics      []Metric `json:"metrics,omitempty"` // registry snapshot ("metrics" records)
 }

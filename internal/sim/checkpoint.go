@@ -33,10 +33,10 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"time"
 
 	"netbatch/internal/eventq"
 	"netbatch/internal/job"
-	"netbatch/internal/obs"
 	"netbatch/internal/snap"
 )
 
@@ -85,6 +85,10 @@ type Checkpoint struct {
 	Data []byte
 	// Delta marks Data as delta-encoded.
 	Delta bool
+	// Wall is the wall-clock time the engine spent capturing and
+	// encoding the snapshot. It describes the execution, not the
+	// simulated system.
+	Wall time.Duration
 }
 
 // Stateful is the state contract for user-supplied schedulers and
@@ -489,17 +493,29 @@ func (w *world) restore(sn *snapshot, cfgHash uint64) error {
 	return nil
 }
 
-// checkPinnedEvents rejects pending submit and finish events that no
-// run leaves behind: each is a pure function of the restored job
-// records, and a resumed run that followed a moved one would simulate
-// until an engine check failed or MaxTime passed. Submissions chain
-// one at a time in spec order, so a submit is pending exactly when the
-// job before the cursor is still created and not on its way to a
-// remote pool, and it is that job's, at its spec's time. Every running
-// job, and only those, has one pending finish, at finishTime.
+// checkPinnedEvents rejects pending events that no run leaves behind
+// where the restored job records pin them; a resumed run that followed
+// a moved one would simulate until an engine check failed or MaxTime
+// passed, or finish with a different result. Submissions chain one at
+// a time in spec order, so a submit is pending exactly when the job
+// before the cursor is still created and not on its way to a remote
+// pool, and it is that job's, at its spec's time. Every running job,
+// and only those, has one pending finish, at finishTime. With a
+// positive wait threshold every queued waiting job, and only those, has
+// one pending wait timeout (enqueue arms it, a dispatch from the queue
+// cancels it, a firing that leaves the job queued re-arms it), at
+// waitTimerAt. A decision sweep is armed DecisionDelay after each
+// suspension, so none lies further ahead, and a job suspended less
+// than DecisionDelay ago has its sweep pending, at StateSince +
+// DecisionDelay; sweeps of earlier suspensions are not pinned.
 func (w *world) checkPinnedEvents() error {
 	last := w.nextSubmit - 1
-	submits, finishes, arriving := 0, 0, false
+	submits, finishes, timers, arriving := 0, 0, 0, false
+	th, delay := w.cfg.Policy.WaitThreshold(), w.cfg.DecisionDelay
+	// Each threshold the wait-timer walks add is a timer that fired, an
+	// event the run dispatched.
+	budget := w.events
+	decided := map[int64]bool{}
 	for _, ev := range w.q.Export() {
 		switch kind(ev.Kind) {
 		case kSubmit:
@@ -515,6 +531,21 @@ func (w *world) checkPinnedEvents() error {
 					ErrSnapshotMismatch, rt.State(), rt.spec.ID, ev.Time)
 			}
 			finishes++
+		case kWaitTimeout:
+			rt := &w.jobs[ev.A]
+			if th <= 0 || !rt.queued || rt.State() != job.StateWaiting || !w.waitTimerAt(rt, th, ev.Time, &budget) {
+				return fmt.Errorf("%w: pending wait timeout of %v job %d at t=%v",
+					ErrSnapshotMismatch, rt.State(), rt.spec.ID, ev.Time)
+			}
+			timers++
+		case kSusDecide:
+			if !(ev.Time <= w.now+delay) {
+				return fmt.Errorf("%w: pending decision sweep at t=%v, more than the decision delay %v after the clock %v",
+					ErrSnapshotMismatch, ev.Time, delay, w.now)
+			}
+			if rt := &w.jobs[ev.A]; rt.State() == job.StateSuspended && ev.Time == rt.StateSince()+delay {
+				decided[ev.A] = true
+			}
 		case kArrive:
 			arriving = arriving || int(ev.A) == last
 		}
@@ -528,20 +559,50 @@ func (w *world) checkPinnedEvents() error {
 	}
 	// Each finish is a running job's, and restoreQueue gave each of them
 	// the handle of its last one: one handle per running job and no
-	// more finishes than running jobs leave one finish each.
-	running := 0
+	// more finishes than running jobs leave one finish each. Likewise
+	// for the wait timers of queued waiting jobs.
+	running, queued := 0, 0
 	for i := range w.nextSubmit {
-		if rt := &w.jobs[i]; rt.State() == job.StateRunning {
+		rt := &w.jobs[i]
+		switch {
+		case rt.State() == job.StateRunning:
 			running++
 			if rt.finish == (eventq.Handle{}) {
 				return fmt.Errorf("%w: running job %d has no pending finish", ErrSnapshotMismatch, rt.spec.ID)
 			}
+		case rt.State() == job.StateWaiting && rt.queued && th > 0:
+			queued++
+			if rt.waitTO == (eventq.Handle{}) {
+				return fmt.Errorf("%w: queued job %d has no pending wait timeout", ErrSnapshotMismatch, rt.spec.ID)
+			}
+		case rt.State() == job.StateSuspended && rt.StateSince()+delay > w.now && !decided[int64(i)]:
+			return fmt.Errorf("%w: job %d suspended at t=%v has no pending decision sweep at t=%v",
+				ErrSnapshotMismatch, rt.spec.ID, rt.StateSince(), rt.StateSince()+delay)
 		}
 	}
 	if finishes != running {
 		return fmt.Errorf("%w: %d pending finishes for %d running jobs", ErrSnapshotMismatch, finishes, running)
 	}
+	if timers != queued {
+		return fmt.Errorf("%w: %d pending wait timeouts for %d queued jobs", ErrSnapshotMismatch, timers, queued)
+	}
 	return nil
+}
+
+// waitTimerAt reports whether a queued job's wait timer can be pending
+// at time t: its enqueue time (StateSince) plus whole thresholds, added
+// one at a time as enqueue and handleWaitTimeout add them, the sums
+// before t at or before the clock (those timers fired). Each threshold
+// added past the first spends one unit of budget.
+func (w *world) waitTimerAt(rt *jobRT, th, t float64, budget *int64) bool {
+	prev, at := rt.StateSince(), rt.StateSince()+th
+	for at < t {
+		if *budget--; *budget < 0 {
+			return false
+		}
+		prev, at = at, at+th
+	}
+	return at == t && prev <= w.now
 }
 
 // checkRestoredTime rejects time words the loop cannot continue from.
@@ -616,23 +677,6 @@ type checkpointer struct {
 	lastCRC    uint32
 	lastTime   float64
 	lastEvents int64
-
-	// Observability (see observe.go): capture counters/bytes and a
-	// wall-clock span per take on the serial timeline track. Both
-	// nil-safe; set by the serial loop via observe.
-	met   *simMetrics
-	trace *obs.Track
-}
-
-// observe attaches the run's metric handles and the serial timeline
-// track to the checkpointer. Nil-safe on a nil checkpointer
-// (checkpointing disabled).
-func (ck *checkpointer) observe(met *simMetrics, tk *obs.Track) {
-	if ck == nil {
-		return
-	}
-	ck.met = met
-	ck.trace = tk
 }
 
 // newCheckpointer returns nil when checkpointing is disabled. cfgHash
@@ -755,7 +799,7 @@ func (ck *checkpointer) full(body uint32) []byte {
 // would still force chain reconstruction on resume). Both sizes are
 // known before either is encoded.
 func (ck *checkpointer) take(t float64, events int64) error {
-	t0 := ck.trace.Now()
+	start := time.Now()
 	body := ck.capture(t, events)
 	for ck.next <= t {
 		ck.next += ck.every
@@ -771,12 +815,7 @@ func (ck *checkpointer) take(t float64, events int64) error {
 	}
 	ck.lastCRC, ck.lastTime, ck.lastEvents = body, t, events
 	ck.emitted++
-	if ck.met != nil {
-		ck.met.ckpts.Add(1)
-		ck.met.ckptBytes.Add(int64(len(out)))
-	}
-	ck.trace.Span("checkpoint", t0, obs.Arg{Key: "bytes", Val: int64(len(out))})
-	if err := ck.w.cfg.CheckpointSink(Checkpoint{Time: t, Events: events, Data: out, Delta: isDelta}); err != nil {
+	if err := ck.w.cfg.CheckpointSink(Checkpoint{Time: t, Events: events, Data: out, Delta: isDelta, Wall: time.Since(start)}); err != nil {
 		return fmt.Errorf("sim: checkpoint sink at t=%v: %w", t, err)
 	}
 	return nil

@@ -674,15 +674,16 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 			t.Fatal("snapshot has no core section")
 		})
 	}
-	// atFirst re-encodes the snapshot with the pending events edit
-	// returns when handed them and the index of the first of kind kd,
-	// stamps kept.
-	atFirst := func(kd kind, edit func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent) []byte {
-		return reencode(func(w *world) {
+	// editEvents re-encodes the snapshot through on with the pending
+	// events edit returns when handed them and the index of the first
+	// that match picks (what names it), stamps kept.
+	editEvents := func(on func(func(*world)) []byte, what string, match func(*world, eventq.SavedEvent) bool,
+		edit func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent) []byte {
+		return on(func(w *world) {
 			evs := w.q.Export()
-			i := slices.IndexFunc(evs, func(ev eventq.SavedEvent) bool { return kind(ev.Kind) == kd })
+			i := slices.IndexFunc(evs, func(ev eventq.SavedEvent) bool { return match(w, ev) })
 			if i < 0 {
-				t.Fatalf("checkpoint has no pending %s event", kindNames[kd])
+				t.Fatalf("checkpoint has no pending %s", what)
 			}
 			seq := w.q.Seq()
 			w.q = eventq.New()
@@ -691,6 +692,11 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 				w.q.Restore(ev)
 			}
 		})
+	}
+	// atFirst edits the pending events at the first of kind kd.
+	atFirst := func(kd kind, edit func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent) []byte {
+		return editEvents(reencode, kindNames[kd]+" event",
+			func(_ *world, ev eventq.SavedEvent) bool { return kind(ev.Kind) == kd }, edit)
 	}
 	drop := func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent { return slices.Delete(evs, i, i+1) }
 	double := func(evs []eventq.SavedEvent, i int) []eventq.SavedEvent {
@@ -742,8 +748,54 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 			}
 			t.Fatal("checkpoint has no waiting job")
 		})},
+		{"wait timeout moved 512 minutes later", atFirst(kWaitTimeout, at(func(ev *eventq.SavedEvent) { ev.Time += 512 }))},
+		{"wait timeout one threshold later", atFirst(kWaitTimeout, at(func(ev *eventq.SavedEvent) { ev.Time += 30 }))},
+		{"wait timeout one ulp late", atFirst(kWaitTimeout, at(func(ev *eventq.SavedEvent) { ev.Time = math.Nextafter(ev.Time, inf) }))},
+		{"queued job without a pending wait timeout", atFirst(kWaitTimeout, drop)},
+		{"second pending wait timeout", atFirst(kWaitTimeout, double)},
+		{"pending wait timeout of a running job", reencode(func(w *world) {
+			for i := range w.jobs {
+				if w.jobs[i].State() == job.StateRunning {
+					w.schedule(w.now+30, kWaitTimeout, int64(i), 0)
+					return
+				}
+			}
+			t.Fatal("checkpoint has no running job")
+		})},
 	}
-	for _, row := range atRestore {
+	// A decision sweep is pinned where it is exact. It takes a run whose
+	// checkpoints hold pending sweeps: the same cell with a two-hour
+	// decision delay, whose third checkpoint holds the sweeps of two
+	// suspensions less than the delay old and of two earlier ones.
+	sweepBase := base
+	sweepBase.DecisionDelay = 120
+	sweepCfg, sweepCks := collectCheckpoints(freshFixtureConfig(sweepBase), 60)
+	if _, err := Run(*sweepCfg, specs); err != nil {
+		t.Fatal(err)
+	}
+	sweepData := (*sweepCks)[2].Data
+	reencodeSweeps := func(edit func(w *world)) []byte {
+		return reencodeSnapshot(t, freshFixtureConfig(sweepBase), specs, sweepData, edit)
+	}
+	// freshSweep picks the pending sweep of a job suspended less than the
+	// delay ago.
+	freshSweep := func(w *world, ev eventq.SavedEvent) bool {
+		rt := &w.jobs[ev.A]
+		return kind(ev.Kind) == kSusDecide && rt.State() == job.StateSuspended &&
+			ev.Time == rt.StateSince()+w.cfg.DecisionDelay && ev.Time > w.now
+	}
+	sweeps := []struct {
+		name string
+		snap []byte
+	}{
+		{"decision sweep past the decision delay", reencodeSweeps(func(w *world) {
+			w.schedule(w.now+w.cfg.DecisionDelay+1, kSusDecide, 0, 0)
+		})},
+		{"fresh suspension without its decision sweep", editEvents(reencodeSweeps, "fresh decision sweep", freshSweep, drop)},
+		{"fresh suspension's decision sweep a minute late", editEvents(reencodeSweeps, "fresh decision sweep", freshSweep,
+			at(func(ev *eventq.SavedEvent) { ev.Time++ }))},
+	}
+	rejectedByRestore := func(base Config, name string, data []byte) {
 		raw := freshFixtureConfig(base)
 		cfg, err := raw.withDefaults()
 		if err != nil {
@@ -753,13 +805,19 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn, err := decodeSnapshot(row.snap)
+		sn, err := decodeSnapshot(data)
 		if err != nil {
-			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", row.name, err)
+			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", name, err)
 		}
 		if err := w.restore(sn, configHash(w)); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Errorf("%s: restore: want ErrSnapshotMismatch, got %v", row.name, err)
+			t.Errorf("%s: restore: want ErrSnapshotMismatch, got %v", name, err)
 		}
+	}
+	for _, row := range atRestore {
+		rejectedByRestore(base, row.name, row.snap)
+	}
+	for _, row := range sweeps {
+		rejectedByRestore(sweepBase, row.name, row.snap)
 	}
 	rows := []struct {
 		name string
@@ -827,10 +885,9 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 		{"garbled policy RNG bytes", garblePCG("policy")},
 		{"garbled fault-stream PCG bytes", garblePCG("faults")},
 	}
-	rows = append(rows, atRestore...)
-	for _, row := range rows {
-		if _, err := decodeSnapshot(row.snap); err != nil {
-			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", row.name, err)
+	rejectedOnResume := func(base Config, name string, data []byte) {
+		if _, err := decodeSnapshot(data); err != nil {
+			t.Fatalf("%s: crafted snapshot fails its own CRC: %v", name, err)
 		}
 		// A hung resume cannot be stopped (the loops a bad clock stalls
 		// poll no context), so on a timeout the row fails and its
@@ -843,18 +900,25 @@ func TestSnapshotRejectsImpossibleState(t *testing.T) {
 				}
 			}()
 			cfg, _ := collectCheckpoints(freshFixtureConfig(base), 60)
-			cfg.ResumeFrom = row.snap
+			cfg.ResumeFrom = data
 			_, err := Run(*cfg, specs)
 			done <- err
 		}()
 		select {
 		case err := <-done:
 			if !errors.Is(err, ErrSnapshotMismatch) {
-				t.Errorf("%s: want ErrSnapshotMismatch, got %v", row.name, err)
+				t.Errorf("%s: want ErrSnapshotMismatch, got %v", name, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Errorf("%s: resume still running after 5s", row.name)
+			t.Errorf("%s: resume still running after 5s", name)
 		}
+	}
+	rows = append(rows, atRestore...)
+	for _, row := range rows {
+		rejectedOnResume(base, row.name, row.snap)
+	}
+	for _, row := range sweeps {
+		rejectedOnResume(sweepBase, row.name, row.snap)
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"netbatch/internal/obs"
-)
+import "fmt"
 
 // runSerial drives the whole simulation: one event queue, popped in
 // (time, scheduling order). With a resume snapshot the world's state
@@ -31,7 +27,6 @@ func runSerial(w *world, sn *snapshot) (*Result, error) {
 	}
 	res := w.res
 	res.Events = w.events
-	w.met.aliasRet.Add(res.AliasRetirements)
 	if err := w.finalizeJobs(&res); err != nil {
 		return nil, w.broken(err)
 	}
@@ -47,18 +42,6 @@ func (w *world) loop(ck *checkpointer) error {
 	total := len(w.specs)
 	cfg := &w.cfg
 	ctx := cfg.Context
-	met := &w.met
-	pm := newProgressMeter(cfg)
-	tk := cfg.Trace.Track("serial")
-	ck.observe(met, tk)
-	events0 := w.events
-	t0 := tk.Now()
-	defer func() {
-		met.events.Add(w.events - events0)
-		if tk != nil {
-			tk.Span("run", t0, obs.Arg{Key: "events", Val: w.events - events0})
-		}
-	}()
 	for w.completed < total {
 		ev, ok := w.q.Pop()
 		if !ok {
@@ -80,13 +63,12 @@ func (w *world) loop(ck *checkpointer) error {
 					return fmt.Errorf("sim: canceled at t=%v: %w", w.now, err)
 				}
 			}
-			// Observability rides the same stride as the ctx poll: one
-			// predicted branch each per 256 events when disabled.
-			pm.maybe(w.now, w.events)
-			if met.qDepth != nil {
-				met.qDepth.Max(int64(w.q.Live()))
-				met.qTombs.Max(int64(w.q.Tombstones()))
+			// The execution facts ride the same stride as the ctx poll.
+			if cfg.Progress != nil {
+				cfg.Progress(w.now, w.events)
 			}
+			w.res.QueueDepthMax = max(w.res.QueueDepthMax, w.q.Live())
+			w.res.QueueTombstonesMax = max(w.res.QueueTombstonesMax, w.q.Tombstones())
 		}
 		// Record sample ticks strictly before this event; ticks that
 		// coincide with now are recorded only after every state change

@@ -41,8 +41,9 @@
 // (serial.go) pops the queue in (time, scheduling order) and dispatches
 // every event; checkpoint/resume (checkpoint.go, delta.go) runs on the
 // same loop. Parallelism lives one level up, across independent runs
-// (the experiments matrix's -jobs worker pool). See
-// docs/ARCHITECTURE.md for the layering.
+// (the experiments matrix's -jobs worker pool), and so does observing
+// runs: the engine reports Result counters, Checkpoint.Wall and the
+// Config.Progress hook. See docs/ARCHITECTURE.md for the layering.
 package sim
 
 import (
@@ -50,12 +51,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"netbatch/internal/cluster"
 	"netbatch/internal/core"
 	"netbatch/internal/job"
-	"netbatch/internal/obs"
 	"netbatch/internal/sched"
 	"netbatch/internal/stats"
 )
@@ -139,30 +138,11 @@ type Config struct {
 	// from the nearest keyframe (the experiments runner does this for
 	// its checkpoint directories).
 	CheckpointKeyframe int
-	// Metrics, when non-nil, receives execution counters — events
-	// dispatched, alias retirements, checkpoint captures and bytes, and
-	// event-queue depth/tombstone high-water marks (see observe.go for
-	// names).
-	// Handles are resolved once per run; with Metrics nil every record
-	// site degenerates to a nil check — no allocation, no atomics.
-	// Metrics describe the execution, never the simulated system, and
-	// are excluded from the bit-identity contract.
-	Metrics *obs.Registry
-	// Trace, when non-nil, records a Chrome trace_event timeline of
-	// the run into the given process group: one "serial" track holding
-	// a "run" span for the whole loop (its events arg is the number of
-	// events dispatched) and a span per checkpoint capture.
-	// Timestamps are wall-clock — the timeline attributes real
-	// execution time. Like Metrics, tracing never affects event order,
-	// RNG draws, or results.
-	Trace *obs.Process
-	// Progress, when non-nil, is invoked from the loop's ctx-poll
-	// stride (every 256 events) at most once per ProgressEvery of wall
-	// time with the current simulated-time frontier and event count.
-	// The callback must be fast and must not touch simulation state.
-	Progress func(obs.Progress)
-	// ProgressEvery throttles Progress callbacks. Default 500ms.
-	ProgressEvery time.Duration
+	// Progress, when non-nil, is called every 256 events, on the loop's
+	// ctx-poll stride, with the simulated-time frontier and the events
+	// dispatched since t=0. It must be fast and must not touch simulation
+	// state; throttling is the caller's. It never affects results.
+	Progress func(simTime float64, events int64)
 
 	// ResumeFrom is an encoded snapshot (Checkpoint.Data) to resume
 	// from instead of starting at t=0. The snapshot must come from a
@@ -339,6 +319,11 @@ type Result struct {
 	// counts only its tail. Excluded from bit-identity comparisons and
 	// not persisted in snapshots.
 	AliasRetirements int64
+	// QueueDepthMax and QueueTombstonesMax are the event queue's
+	// high-water marks of pending and of canceled events, sampled every
+	// 256 events. Like AliasRetirements they describe the execution.
+	QueueDepthMax      int
+	QueueTombstonesMax int
 
 	// Rollbacks is always 0. It counted the speculation rollbacks of a
 	// retired partitioned engine and stays so that tools reading Result

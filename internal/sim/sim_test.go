@@ -11,7 +11,6 @@ import (
 	"netbatch/internal/cluster"
 	"netbatch/internal/core"
 	"netbatch/internal/job"
-	"netbatch/internal/obs"
 	"netbatch/internal/sched"
 )
 
@@ -595,6 +594,18 @@ func TestInvalidSpecRejected(t *testing.T) {
 	}
 }
 
+// selectSpy counts an initial scheduler's picks: the loop makes one for
+// every submission it dispatches.
+type selectSpy struct {
+	sched.InitialScheduler
+	picks *int
+}
+
+func (s selectSpy) SelectPool(spec *job.Spec, eligible []int, view sched.PoolView) int {
+	*s.picks++
+	return s.InitialScheduler.SelectPool(spec, eligible, view)
+}
+
 // TestNonFiniteSpecRejected: a NaN or infinite submit time or work
 // fails Run before the loop dispatches an event. Unchecked, a NaN job
 // completed at NaN without an error and an infinite one ran on until
@@ -604,15 +615,15 @@ func TestNonFiniteSpecRejected(t *testing.T) {
 	specs := func() []job.Spec {
 		return []job.Spec{lowJob(1, 0, 10, 0), lowJob(2, 5, 20, 0), lowJob(3, 9, 30, 0)}
 	}
-	run := func(specs []job.Spec) (*Result, int64, error) {
-		reg := obs.NewRegistry()
+	run := func(specs []job.Spec) (*Result, int, error) {
+		picks := 0
 		cfg := baseConfig(p)
-		cfg.Metrics = reg
+		cfg.Initial = selectSpy{cfg.Initial, &picks}
 		res, err := Run(cfg, specs)
-		return res, reg.Counter("sim.events").Value(), err
+		return res, picks, err
 	}
-	if _, events, err := run(specs()); err != nil || events == 0 {
-		t.Fatalf("finite trace: err %v after %d events", err, events)
+	if _, picks, err := run(specs()); err != nil || picks != 3 {
+		t.Fatalf("finite trace: err %v after %d submissions, want 3", err, picks)
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
@@ -629,12 +640,12 @@ func TestNonFiniteSpecRejected(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			in := specs()
 			c.set(&in[1])
-			res, events, err := run(in)
+			res, picks, err := run(in)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want %q", err, c.want)
 			}
-			if res != nil || events != 0 {
-				t.Fatalf("Run returned %v after %d events, want nil after none", res, events)
+			if res != nil || picks != 0 {
+				t.Fatalf("Run returned %v after %d submissions, want nil after none", res, picks)
 			}
 		})
 	}
@@ -795,6 +806,34 @@ func TestContextCancellation(t *testing.T) {
 	_, err := Run(cfg, specs)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestProgressFiresOnTheStride: Progress reports the frontier and the
+// events dispatched so far on every 256th event, and the event-queue
+// high-water marks sampled on that stride reach the Result.
+func TestProgressFiresOnTheStride(t *testing.T) {
+	p := miniPlatform(t, 1)
+	var specs []job.Spec
+	for i := 0; i < 2000; i++ {
+		specs = append(specs, lowJob(job.ID(i+1), float64(i), 5, 0))
+	}
+	cfg := baseConfig(p)
+	var calls int64
+	lastT := math.Inf(-1)
+	cfg.Progress = func(simTime float64, events int64) {
+		calls++
+		if events != 256*calls || simTime < lastT {
+			t.Errorf("call %d: Progress(%v, %d) after frontier %v", calls, simTime, events, lastT)
+		}
+		lastT = simTime
+	}
+	res := run(t, cfg, specs)
+	if calls == 0 || calls != res.Events/256 {
+		t.Errorf("Progress fired %d times over %d events, want %d", calls, res.Events, res.Events/256)
+	}
+	if res.QueueDepthMax < 1 {
+		t.Errorf("QueueDepthMax = %d, want at least 1 pending event", res.QueueDepthMax)
 	}
 }
 

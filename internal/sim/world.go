@@ -183,17 +183,13 @@ type world struct {
 
 	// res accumulates the Result counters; runSerial completes it.
 	res Result
-
-	// met holds the run's pre-resolved observability handles; the zero
-	// value (Config.Metrics nil) makes every record site a nil check.
-	met simMetrics
 }
 
 // buildWorld validates the specs against the platform and allocates
 // the run's state. cfg must already have defaults applied.
 func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 	plat := cfg.Platform
-	w := &world{cfg: cfg, plat: plat, specs: specs, q: eventq.New(), met: newSimMetrics(cfg.Metrics)}
+	w := &world{cfg: cfg, plat: plat, specs: specs, q: eventq.New()}
 	w.machines = make([]machineRT, plat.NumMachines())
 	for i := 0; i < plat.NumMachines(); i++ {
 		m := plat.Machine(i)
